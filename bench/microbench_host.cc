@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 
 #include "apps/burgers/kernels.h"
@@ -116,20 +118,35 @@ void BM_LdmAllocReset(benchmark::State& state) {
 BENCHMARK(BM_LdmAllocReset);
 
 void BM_CoordinatorHandoff(benchmark::State& state) {
-  // Cost of token handoffs between two simulated ranks: the dominant
-  // host-side overhead of the discrete-event simulation. Each run_ranks
-  // performs ~200 gates (plus thread setup/teardown).
+  // Cost of one serial token handoff at N simulated ranks (the argument):
+  // the dominant host-side overhead of the discrete-event simulation at
+  // scale. Every rank advances by the same step and gates, so each gate
+  // passes the grant to another rank. The clock runs from the first grant
+  // (every rank thread registered) to the last gate, so thread start-up
+  // and teardown stay out of the timing. Items are handoffs; `per_handoff`
+  // is the time one costs.
+  using Clock = std::chrono::steady_clock;
+  const int nranks = static_cast<int>(state.range(0));
+  const int gates = std::max(2, 4096 / nranks);
   for (auto _ : state) {
-    sim::run_ranks(2, [](sim::Coordinator& c, int r) {
-      for (int i = 0; i < 100; ++i) {
+    Clock::time_point first, last;  // written only by the granted rank
+    sim::run_ranks(nranks, [&](sim::Coordinator& c, int r) {
+      if (r == 0) first = Clock::now();  // rank 0 is granted first
+      for (int i = 0; i < gates; ++i) {
         c.advance(r, 10);
         c.gate(r);
       }
+      last = Clock::now();
     });
+    state.SetIterationTime(std::chrono::duration<double>(last - first).count());
   }
-  state.SetItemsProcessed(state.iterations() * 200);
+  const double handoffs = static_cast<double>(nranks) * gates;
+  state.SetItemsProcessed(state.iterations() * nranks * gates);
+  state.counters["per_handoff"] = benchmark::Counter(
+      handoffs, benchmark::Counter::kIsIterationInvariantRate |
+                    benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_CoordinatorHandoff);
+BENCHMARK(BM_CoordinatorHandoff)->Arg(2)->Arg(128)->Arg(1024)->UseManualTime();
 
 }  // namespace
 

@@ -24,13 +24,13 @@ struct CaseKey {
   int ranks = 0;
   /// Coordinator description ("" = serial). Only the scale benches vary
   /// it; it stays out of the JSON key (virtual results are identical).
-  std::string coordinator;
+  std::string coordinator{};
   /// Comm-layer description: aggregation policy and/or progress driver
   /// ("" = off/inline, "+"-joined otherwise — see AggSpec::describe and
   /// ProgressSpec::describe). Unlike the coordinator this DOES change
   /// virtual comm timing, so the benches that vary it fold it into the
   /// variant name for the JSON key.
-  std::string comm;
+  std::string comm{};
 
   friend bool operator<(const CaseKey& a, const CaseKey& b) {
     return std::tie(a.problem, a.variant, a.ranks, a.coordinator, a.comm) <

@@ -1,22 +1,32 @@
 #include "hw/ldm.h"
 
+#include <cstring>
 #include <string>
 
 namespace usw::hw {
 
-Ldm::Ldm(std::size_t capacity_bytes) : storage_(capacity_bytes) {
+void Ldm::AlignedDelete::operator()(std::byte* p) const {
+  ::operator delete(p, std::align_val_t{kBaseAlign});
+}
+
+Ldm::Ldm(std::size_t capacity_bytes) : capacity_(capacity_bytes) {
   USW_ASSERT_MSG(capacity_bytes > 0, "LDM capacity must be positive");
+  // Offsets are aligned relative to the base, so the base itself must be
+  // SIMD-aligned: malloc (and std::vector) only promise 16 bytes.
+  storage_.reset(static_cast<std::byte*>(
+      ::operator new(capacity_bytes, std::align_val_t{kBaseAlign})));
+  std::memset(storage_.get(), 0, capacity_bytes);
 }
 
 void* Ldm::alloc_bytes(std::size_t bytes, std::size_t align) {
   std::size_t offset = (used_ + align - 1) / align * align;
-  if (offset + bytes > storage_.size()) {
+  if (offset + bytes > capacity_) {
     throw ResourceError("LDM overflow: request of " + std::to_string(bytes) +
-                        " B with " + std::to_string(storage_.size() - used_) +
-                        " B free of " + std::to_string(storage_.size()) + " B");
+                        " B with " + std::to_string(capacity_ - used_) +
+                        " B free of " + std::to_string(capacity_) + " B");
   }
   used_ = offset + bytes;
-  return storage_.data() + offset;
+  return storage_.get() + offset;
 }
 
 }  // namespace usw::hw

@@ -12,8 +12,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
-#include <vector>
 
 #include "support/error.h"
 
@@ -23,16 +23,17 @@ class Ldm {
  public:
   explicit Ldm(std::size_t capacity_bytes);
 
-  std::size_t capacity() const { return storage_.size(); }
+  std::size_t capacity() const { return capacity_; }
   std::size_t used() const { return used_; }
-  std::size_t remaining() const { return storage_.size() - used_; }
+  std::size_t remaining() const { return capacity_ - used_; }
 
   /// Allocates `count` elements of T, 32-byte aligned (SIMD width).
   /// Throws ResourceError if the working set would exceed the capacity —
   /// the equivalent of an athread LDM overflow.
   template <typename T>
   std::span<T> alloc(std::size_t count) {
-    void* p = alloc_bytes(count * sizeof(T), alignof(T) > 32 ? alignof(T) : 32);
+    static_assert(alignof(T) <= kBaseAlign, "LDM storage is 32-byte aligned");
+    void* p = alloc_bytes(count * sizeof(T), kBaseAlign);
     return std::span<T>(static_cast<T*>(p), count);
   }
 
@@ -40,9 +41,15 @@ class Ldm {
   void reset() { used_ = 0; }
 
  private:
+  static constexpr std::size_t kBaseAlign = 32;
+  struct AlignedDelete {
+    void operator()(std::byte* p) const;
+  };
+
   void* alloc_bytes(std::size_t bytes, std::size_t align);
 
-  std::vector<std::byte> storage_;
+  std::unique_ptr<std::byte, AlignedDelete> storage_;  ///< kBaseAlign-aligned
+  std::size_t capacity_;
   std::size_t used_ = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "sim/coordinator.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <sstream>
 #include <thread>
 
@@ -70,6 +71,11 @@ std::string CoordinatorSpec::describe() const {
 Coordinator::Coordinator(int nranks)
     : Coordinator(nranks, CoordinatorSpec{}, 0) {}
 
+void Coordinator::Wakeup::wait() {
+  while (sem_wait(&sem_) != 0)
+    USW_ASSERT_MSG(errno == EINTR, "sem_wait failed");
+}
+
 Coordinator::Coordinator(int nranks, const CoordinatorSpec& spec, TimePs window)
     : ranks_(static_cast<std::size_t>(nranks)) {
   USW_ASSERT_MSG(nranks > 0, "coordinator needs at least one rank");
@@ -83,39 +89,51 @@ Coordinator::Coordinator(int nranks, const CoordinatorSpec& spec, TimePs window)
 }
 
 void Coordinator::start(int rank) {
-  std::unique_lock<std::mutex> lk(lock_);
-  RankSlot& slot = ranks_.at(static_cast<std::size_t>(rank));
-  USW_ASSERT_MSG(slot.state == State::kUnstarted, "rank started twice");
-  slot.state = State::kReady;
-  slot.clock.store(0, std::memory_order_relaxed);
-  ++started_;
-  if (par_) {
-    // Hold everyone at the starting line until every rank thread has
-    // registered, then open the first window.
-    if (started_ == size()) open_window_locked();
-  } else {
-    if (running_ < 0) pick_next_locked();
+  int next = -1;
+  {
+    std::unique_lock<std::mutex> lk(lock_);
+    RankSlot& slot = ranks_.at(static_cast<std::size_t>(rank));
+    USW_ASSERT_MSG(slot.state == State::kUnstarted, "rank started twice");
+    slot.state = State::kReady;
+    slot.clock.store(0, std::memory_order_relaxed);
+    ++started_;
+    if (par_) {
+      // Hold everyone at the starting line until every rank thread has
+      // registered, then open the first window.
+      if (started_ == size()) open_window_locked();
+      block_until_running_locked(lk, rank);
+      return;
+    }
+    // A crash before registration posted no wake-up for this rank.
+    if (cancelled_.load(std::memory_order_relaxed)) throw Cancelled(cancel_reason_);
+    eligible_.emplace(0, rank);
+    // pick_next_locked holds everyone at the starting line until every
+    // rank thread has registered; the last one to arrive grants.
+    if (running_ < 0) next = pick_next_locked();
   }
-  block_until_running_locked(lk, rank);
+  hand_off(rank, next);
 }
 
 void Coordinator::finish(int rank) {
-  std::unique_lock<std::mutex> lk(lock_);
-  RankSlot& slot = ranks_.at(static_cast<std::size_t>(rank));
-  USW_ASSERT_MSG(slot.state == State::kRunning ||
-                     cancelled_.load(std::memory_order_relaxed),
-                 "finish requires the grant");
-  const bool was_running = slot.state == State::kRunning;
-  slot.state = State::kFinished;
-  if (par_) {
-    if (was_running && !cancelled_.load(std::memory_order_relaxed))
-      release_locked();
-  } else {
-    if (running_ == rank) {
+  int next = -1;
+  {
+    std::unique_lock<std::mutex> lk(lock_);
+    RankSlot& slot = ranks_.at(static_cast<std::size_t>(rank));
+    USW_ASSERT_MSG(slot.state == State::kRunning ||
+                       cancelled_.load(std::memory_order_relaxed),
+                   "finish requires the grant");
+    const bool was_running = slot.state == State::kRunning;
+    slot.state = State::kFinished;
+    ++finished_;
+    if (par_) {
+      if (was_running && !cancelled_.load(std::memory_order_relaxed))
+        release_locked();
+    } else if (running_ == rank) {
       running_ = -1;
-      pick_next_locked();
+      next = pick_next_locked();
     }
   }
+  if (next >= 0) ranks_[static_cast<std::size_t>(next)].wakeup.post();
 }
 
 TimePs Coordinator::now(int rank) const {
@@ -127,16 +145,11 @@ TimePs Coordinator::now(int rank) const {
 
 void Coordinator::advance(int rank, TimePs dt) {
   USW_ASSERT_MSG(dt >= 0, "cannot advance virtual time backwards");
-  RankSlot& slot = ranks_.at(static_cast<std::size_t>(rank));
-  if (par_) {
-    // Lock-free: only the owning (granted) rank thread mutates its clock.
-    slot.clock.fetch_add(dt, std::memory_order_relaxed);
-    return;
-  }
-  std::lock_guard<std::mutex> lk(lock_);
-  USW_ASSERT_MSG(slot.state == State::kRunning, "advance requires the grant");
-  slot.clock.store(slot.clock.load(std::memory_order_relaxed) + dt,
-                   std::memory_order_relaxed);
+  // Lock-free owner write: only the granted rank's thread mutates its
+  // clock (a parked rank's clock is written by its grantor, under lock_).
+  std::atomic<TimePs>& clock = ranks_.at(static_cast<std::size_t>(rank)).clock;
+  clock.store(clock.load(std::memory_order_relaxed) + dt,
+              std::memory_order_relaxed);
 }
 
 void Coordinator::gate(int rank) {
@@ -158,14 +171,7 @@ void Coordinator::gate(int rank) {
     park_and_block(rank, State::kReady, kNever);
     return;
   }
-  std::unique_lock<std::mutex> lk(lock_);
-  if (cancelled_.load(std::memory_order_relaxed)) throw Cancelled(cancel_reason_);
-  RankSlot& slot = ranks_.at(static_cast<std::size_t>(rank));
-  USW_ASSERT_MSG(slot.state == State::kRunning, "gate requires the grant");
-  slot.state = State::kReady;
-  running_ = -1;
-  pick_next_locked();
-  block_until_running_locked(lk, rank);
+  park_serial(rank, State::kReady, kNever);
 }
 
 void Coordinator::wait_until(int rank, TimePs wake) {
@@ -211,17 +217,30 @@ void Coordinator::wait_until_impl(int rank, TimePs wake,
     park_and_block(rank, State::kWaiting, wake);
     return;
   }
-  std::unique_lock<std::mutex> lk(lock_);
-  if (cancelled_.load(std::memory_order_relaxed)) throw Cancelled(cancel_reason_);
-  RankSlot& slot = ranks_.at(static_cast<std::size_t>(rank));
-  USW_ASSERT_MSG(slot.state == State::kRunning, "wait_until requires the grant");
-  if (wake != kNever && wake <= slot.clock.load(std::memory_order_relaxed))
-    return;  // already past the event
-  slot.state = State::kWaiting;
-  slot.wake = wake;
-  running_ = -1;
-  pick_next_locked();
-  block_until_running_locked(lk, rank);
+  park_serial(rank, State::kWaiting, wake);
+}
+
+void Coordinator::park_serial(int rank, State state, TimePs wake) {
+  int next = -1;
+  {
+    std::lock_guard<std::mutex> lk(lock_);
+    if (cancelled_.load(std::memory_order_relaxed)) throw Cancelled(cancel_reason_);
+    RankSlot& slot = ranks_.at(static_cast<std::size_t>(rank));
+    USW_ASSERT_MSG(slot.state == State::kRunning, "parking a rank without a grant");
+    const TimePs clock = slot.clock.load(std::memory_order_relaxed);
+    if (state == State::kReady) {
+      eligible_.emplace(clock, rank);
+    } else {
+      if (wake != kNever && wake <= clock) return;  // already past the event
+      // A kNever waiter is not eligible until a notify gives it a wake.
+      if (wake != kNever) eligible_.emplace(wake, rank);
+      slot.wake = wake;
+    }
+    slot.state = state;
+    running_ = -1;
+    next = pick_next_locked();
+  }
+  hand_off(rank, next);
 }
 
 void Coordinator::notify(int rank, TimePs stamp, int src) {
@@ -246,7 +265,11 @@ void Coordinator::notify(int rank, TimePs stamp, int src) {
   if (slot.state != State::kWaiting) return;  // will observe it when it polls
   const TimePs effective =
       std::max(stamp, slot.clock.load(std::memory_order_relaxed));
-  slot.wake = std::min(slot.wake, effective);
+  if (effective < slot.wake) {
+    if (slot.wake != kNever) eligible_.erase({slot.wake, rank});
+    eligible_.emplace(effective, rank);
+    slot.wake = effective;
+  }
 }
 
 TimePs Coordinator::resolve_notifies(int rank, RankSlot& slot, TimePs park_clock,
@@ -309,16 +332,7 @@ void Coordinator::set_diag(DiagSink* diag, TimePs stall_threshold) {
 }
 
 void Coordinator::heartbeat(int rank) {
-  RankSlot& slot = ranks_.at(static_cast<std::size_t>(rank));
-  if (par_) {
-    atomic_max(progress_mark_, slot.clock.load(std::memory_order_relaxed));
-    return;
-  }
-  std::lock_guard<std::mutex> lk(lock_);
-  USW_ASSERT_MSG(slot.state == State::kRunning ||
-                     cancelled_.load(std::memory_order_relaxed),
-                 "heartbeat requires the grant");
-  atomic_max(progress_mark_, slot.clock.load(std::memory_order_relaxed));
+  atomic_max(progress_mark_, now(rank));
 }
 
 void Coordinator::crash_locked(const std::string& why) {
@@ -346,7 +360,15 @@ void Coordinator::crash_locked(const std::string& why) {
     }
     diag_->on_crash(why, status);
   }
-  for (auto& slot : ranks_) slot.cv.notify_all();
+  for (auto& slot : ranks_) {
+    if (par_) {
+      slot.cv.notify_all();
+    } else if (slot.state == State::kReady || slot.state == State::kWaiting) {
+      // Parked (or about to sleep: the post is remembered). A rank granted
+      // but not yet woken is posted by its grantor, which runs regardless.
+      slot.wakeup.post();
+    }
+  }
 }
 
 void Coordinator::set_schedule(schedpt::ScheduleController* schedule,
@@ -422,46 +444,43 @@ bool Coordinator::watchdog_trips_locked(int best, TimePs best_time) {
   return false;
 }
 
-void Coordinator::pick_next_locked() {
+int Coordinator::pick_next_locked() {
   USW_ASSERT(running_ < 0);
-  if (cancelled_.load(std::memory_order_relaxed)) return;
+  if (cancelled_.load(std::memory_order_relaxed)) return -1;
   // Hold everyone at the starting line until every rank thread has
   // registered; otherwise an early rank could race ahead of a rank that is
   // still at virtual time zero, breaking the min-clock invariant.
-  for (const RankSlot& slot : ranks_)
-    if (slot.state == State::kUnstarted) return;
-  const MinScan scan = min_eligibility_locked();
-  int best = scan.best;
-  if (best < 0) {
-    if (!scan.any_unfinished) return;  // everyone done
-    crash_locked(deadlock_message_locked());
-    return;
+  if (started_ < size()) return -1;
+  if (eligible_.empty()) {
+    // Nobody runs and nobody is eligible: every unfinished rank waits on
+    // kNever.
+    if (finished_ < size()) crash_locked(deadlock_message_locked());
+    return -1;
   }
-  if (watchdog_trips_locked(best, scan.best_time)) return;
+  auto granted = eligible_.begin();
+  const auto [best_time, min_rank] = *granted;
+  if (watchdog_trips_locked(min_rank, best_time)) return -1;
   int n_candidates = 1;
   if (schedule_ != nullptr) {
     // Schedule point: any rank whose effective time is STRICTLY inside
     // [best_time, best_time + lookahead_) may legally run next (see
     // set_schedule for the causality argument). Candidate 0 is the
-    // canonical min-clock/min-rank choice so default == index 0.
-    std::vector<int> candidates;
-    candidates.push_back(best);
-    for (int r = 0; r < size(); ++r) {
-      if (r == best) continue;
-      const RankSlot& slot = ranks_[static_cast<std::size_t>(r)];
-      TimePs eff = kNever;
-      if (slot.state == State::kReady)
-        eff = slot.clock.load(std::memory_order_relaxed);
-      else if (slot.state == State::kWaiting && slot.wake != kNever)
-        eff = slot.wake;
-      if (eff != kNever && eff - scan.best_time < lookahead_)
-        candidates.push_back(r);
-    }
+    // canonical min-clock/min-rank choice so default == index 0; the rest
+    // follow in ascending rank id.
+    std::vector<decltype(granted)> candidates;
+    for (auto it = std::next(granted);
+         it != eligible_.end() && it->first - best_time < lookahead_; ++it)
+      candidates.push_back(it);
+    std::sort(candidates.begin(), candidates.end(),
+              [](auto a, auto b) { return a->second < b->second; });
+    candidates.insert(candidates.begin(), granted);
     n_candidates = static_cast<int>(candidates.size());
     const int pick =
-        schedule_->choose(schedpt::PointKind::kRankPick, best, n_candidates);
-    best = candidates[static_cast<std::size_t>(pick)];
+        schedule_->choose(schedpt::PointKind::kRankPick, min_rank, n_candidates);
+    granted = candidates[static_cast<std::size_t>(pick)];
   }
+  const int best = granted->second;
+  eligible_.erase(granted);
   RankSlot& chosen = ranks_[static_cast<std::size_t>(best)];
   if (chosen.state == State::kWaiting) {
     chosen.clock.store(
@@ -474,7 +493,16 @@ void Coordinator::pick_next_locked() {
   if (diag_ != nullptr)
     diag_->on_rank_pick(best, n_candidates,
                         chosen.clock.load(std::memory_order_relaxed));
-  chosen.cv.notify_all();
+  return best;
+}
+
+void Coordinator::hand_off(int rank, int next) {
+  if (next == rank) return;  // still the minimum: re-granted, nobody to wake
+  if (next >= 0) ranks_[static_cast<std::size_t>(next)].wakeup.post();
+  ranks_[static_cast<std::size_t>(rank)].wakeup.wait();
+  // Woken by a grant or by crash_locked, which sets cancelled_ (release)
+  // after its one write of cancel_reason_.
+  if (cancelled_.load(std::memory_order_acquire)) throw Cancelled(cancel_reason_);
 }
 
 void Coordinator::open_window_locked() {

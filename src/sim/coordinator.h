@@ -16,7 +16,8 @@
 //
 //   kSerial   - the classic token model: at most one rank runs at a time,
 //               always the one with the minimum virtual time (ties broken
-//               by lowest rank id).
+//               by lowest rank id). See "Serial grant path" below for how
+//               a grant is found and handed over.
 //
 //   kParallel - conservative windowed PDES. Let T be the minimum
 //               eligibility over all runnable ranks and L the lookahead
@@ -70,6 +71,43 @@
 // is installed: fuzz/record/replay decisions form one globally ordered
 // log, which only a total order over grants can reproduce.
 //
+// Serial grant path. Every park (gate, wait_until, finish) hands the
+// token on, so at 1024 ranks the handoff itself is most of the host cost.
+// Two structures keep it cheap:
+//
+//   Grant index - the eligible ranks (kReady at their clock, kWaiting at a
+//               finite wake) in an ordered set keyed by (eligibility,
+//               rank id): the serial grant order itself. start/gate/
+//               wait_until insert, a notify that lowers a wake re-keys,
+//               the grant removes. The next rank is the first entry,
+//               O(log n) per handoff instead of two O(n) scans;
+//               `started_`/`finished_` counters replace the "everyone
+//               registered?" and "anyone unfinished?" scans. Under a
+//               schedule controller the kRankPick candidates are the
+//               leading entries within the lookahead, listed best first,
+//               then by ascending rank id, as before.
+//
+//   Wake-up     - each rank sleeps on its own POSIX semaphore. The grantor
+//               decides the next rank under `lock_`, RELEASES the lock,
+//               and only then posts the chosen rank's semaphore; the woken
+//               rank returns without touching `lock_` (the grant was fully
+//               recorded before the post, and sem_post/sem_wait order it).
+//               Waking under the lock made the woken thread run only to
+//               block again on the mutex the grantor still held. A
+//               self-regrant (the parking rank is still the minimum) wakes
+//               nobody. The semaphore remembers a post that arrives before
+//               its rank has gone to sleep, so there are no lost wake-ups,
+//               and it sleeps in the kernel without spinning —
+//               std::atomic::wait and std::binary_semaphore (libstdc++ 12)
+//               spin with sched_yield first, which costs involuntary
+//               context switches on every handoff when 1024 rank threads
+//               share a core. A crash posts every parked rank's semaphore
+//               after on_crash has run.
+//
+// advance() and heartbeat() are lock-free owner writes in both modes:
+// only the granted rank writes its own clock, and the next lock_
+// acquisition (its own park) publishes the value to the grantor.
+//
 // Interaction with the real-threads CPE backend (athread::Backend::
 // kThreads): CPE worker threads are NOT simulated ranks and never touch
 // the Coordinator. They accumulate virtual busy time locally, per CPE, and
@@ -102,13 +140,17 @@
 // Deadlock (all unfinished ranks waiting on kNever) is detected and turns
 // into a StateError on every participating rank, so tests can assert on it.
 
+#include <semaphore.h>
+
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <mutex>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "support/error.h"
@@ -278,6 +320,22 @@ class Coordinator {
  private:
   enum class State : std::uint8_t { kUnstarted, kReady, kRunning, kWaiting, kFinished };
 
+  /// Serial mode: the object a parked rank sleeps on (see "Serial grant
+  /// path" in the header comment). A post before the wait is remembered.
+  class Wakeup {
+   public:
+    Wakeup() { sem_init(&sem_, 0, 0); }
+    ~Wakeup() { sem_destroy(&sem_); }
+    Wakeup(const Wakeup&) = delete;
+    Wakeup& operator=(const Wakeup&) = delete;
+    void post() { sem_post(&sem_); }
+    /// Sleeps until posted (retrying on signal interruption).
+    void wait();
+
+   private:
+    sem_t sem_;
+  };
+
   /// Parallel mode: one notify() record awaiting serial-order resolution.
   /// `seg` is the SENDER's segment start at post time — the record's
   /// position in the serial grant order (see header comment).
@@ -289,8 +347,9 @@ class Coordinator {
 
   struct RankSlot {
     State state = State::kUnstarted;
-    /// Owner-written (lock-free in parallel mode); everyone else reads it
-    /// either at a window barrier (mutex-ordered) or for diagnostics.
+    /// Owner-written, lock-free, while granted; the grantor writes it under
+    /// lock_ while parked. Everyone else reads it under lock_ (a park or
+    /// window barrier orders it) or, stale-tolerant, for diagnostics.
     std::atomic<TimePs> clock{0};
     TimePs wake = kNever;
     /// Parallel mode: clock at this rank's last grant/gate/wait boundary —
@@ -310,12 +369,27 @@ class Coordinator {
     /// caller's frame; set under lock_ at park, cleared at grant. Null
     /// when the park's wake is a fixed local event.
     const std::function<TimePs()>* wake_fn = nullptr;
-    std::condition_variable cv;
+    std::condition_variable cv;  ///< parallel mode: grant signal (under lock_)
+    Wakeup wakeup;               ///< serial mode: grant signal (after lock_)
   };
 
-  /// Serial mode: picks and signals the next rank to run. Requires lock_
-  /// held and no rank currently running.
-  void pick_next_locked();
+  /// Serial mode: picks the next rank to run and records its grant, or
+  /// returns -1 (ranks still registering, everyone finished, or the run was
+  /// cancelled — possibly by this very pick's deadlock or watchdog check).
+  /// Does not wake the rank: the caller does, after releasing lock_, via
+  /// hand_off or a direct post. Requires lock_ held and no rank running.
+  int pick_next_locked();
+
+  /// Serial mode: parks the granted `rank` in `state` (kReady, or kWaiting
+  /// until `wake`), hands the grant on and blocks until re-granted. The
+  /// serial body of gate() and wait_until(); returns at once when a
+  /// kWaiting `wake` is already past.
+  void park_serial(int rank, State state, TimePs wake);
+
+  /// Serial mode, lock_ NOT held: `next` is what pick_next_locked returned
+  /// when `rank` parked. Unless `rank` was re-granted itself, wakes `next`
+  /// and sleeps until `rank`'s own grant (or cancellation).
+  void hand_off(int rank, int next);
 
   // ---- Parallel (windowed) engine. All *_locked require lock_ held. ----
   /// Opens the next window: folds pending notifies, finds the minimum
@@ -356,14 +430,16 @@ class Coordinator {
            t - progress_mark_.load(std::memory_order_relaxed) > stall_threshold_;
   }
 
-  /// Blocks the calling rank until it is running (or cancellation).
+  /// Parallel mode: blocks the calling rank until it is running (or
+  /// cancellation).
   void block_until_running_locked(std::unique_lock<std::mutex>& lk, int rank);
 
   /// Cancels with `why`, fires diag_->on_crash (if any) while every parked
   /// rank is still frozen, then wakes everyone. Requires lock_ held.
   void crash_locked(const std::string& why);
 
-  /// Scan result shared by pick_next_locked and open_window_locked.
+  /// Parallel mode: open_window_locked's O(n) eligibility scan (the serial
+  /// path reads the grant index instead).
   struct MinScan {
     int best = -1;
     TimePs best_time = kNever;
@@ -378,6 +454,10 @@ class Coordinator {
   mutable std::mutex lock_;
   std::vector<RankSlot> ranks_;
   int running_ = -1;  ///< serial mode: the granted rank (-1 = none)
+  /// Serial mode, the grant index: (eligibility, rank id) of every kReady
+  /// rank (at its clock) and every kWaiting rank with a finite wake.
+  std::set<std::pair<TimePs, int>> eligible_;
+  int finished_ = 0;  ///< ranks that called finish()
   std::atomic<bool> cancelled_{false};
   std::string cancel_reason_;
   schedpt::ScheduleController* schedule_ = nullptr;
@@ -393,7 +473,7 @@ class Coordinator {
   int max_concurrent_ = 0;
   TimePs window_ = 0;  ///< lookahead window width
   std::atomic<TimePs> window_end_{0};
-  int started_ = 0;  ///< ranks registered (first window opens at size())
+  int started_ = 0;  ///< ranks registered (first grant/window at size())
   int active_ = 0;   ///< granted-and-not-parked ranks this window
   std::vector<int> grant_queue_;  ///< this window's grants, in serial order
   std::size_t grant_next_ = 0;    ///< first not-yet-granted queue entry
