@@ -8,11 +8,19 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <ostream>
+#include <streambuf>
 
+#include "apps/burgers/burgers_app.h"
 #include "apps/burgers/kernels.h"
 #include "apps/burgers/phi.h"
 #include "hw/ldm.h"
 #include "kern/fastexp.h"
+#include "obs/chrome_trace.h"
+#include "obs/metrics.h"
+#include "obs/span.h"
+#include "runtime/controller.h"
+#include "runtime/observe.h"
 #include "sim/coordinator.h"
 #include "support/rng.h"
 #include "var/ccvariable.h"
@@ -147,6 +155,82 @@ void BM_CoordinatorHandoff(benchmark::State& state) {
                     benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_CoordinatorHandoff)->Arg(2)->Arg(128)->Arg(1024)->UseManualTime();
+
+/// Accepts and drops everything written to it, so the exporters do their
+/// full formatting work without touching a file.
+class DiscardBuf : public std::streambuf {
+ protected:
+  int_type overflow(int_type c) override { return traits_type::not_eof(c); }
+  std::streamsize xsputn(const char*, std::streamsize n) override { return n; }
+};
+
+/// One traced, metrics-collecting run (Burgers, 8x8x4 patches of 8^3 on 128
+/// timing-only ranks, 20 steps) and everything the export stages read,
+/// built once for every BM_ObserveExport stage.
+struct ObservedRun {
+  runtime::RunResult result;
+  obs::RunObservation run;
+  obs::MetricsReport metrics;
+
+  static const ObservedRun& get() {
+    static const ObservedRun instance;
+    return instance;
+  }
+
+ private:
+  ObservedRun() {
+    runtime::RunConfig config;
+    config.problem = runtime::tiny_problem({8, 8, 4}, {8, 8, 8});
+    config.nranks = 128;
+    config.variant = runtime::variant_by_name("acc_simd.async");
+    config.storage = var::StorageMode::kTimingOnly;
+    config.timesteps = 20;
+    config.collect_trace = true;
+    config.collect_metrics = true;
+    const apps::burgers::BurgersApp app;
+    result = runtime::run_simulation(config, app);
+    run = runtime::observe(result);
+    metrics = obs::build_metrics(run);
+  }
+};
+
+enum class ExportStage { kBuildSpans, kBuildMetrics, kChromeTrace, kMetricsJson };
+
+void BM_ObserveExport(benchmark::State& state, ExportStage stage) {
+  // The post-run pipeline of an observed run, one stage per benchmark:
+  // pairing every rank's trace into spans, the per-step/per-task rollups
+  // with the critical path, and the two JSON exports into a discarding
+  // stream. Items are spans.
+  const ObservedRun& in = ObservedRun::get();
+  std::size_t spans = 0;
+  for (const obs::RankObservation& r : in.run.ranks) spans += r.spans.size();
+  DiscardBuf sink;
+  std::ostream os(&sink);
+  for (auto _ : state) {
+    switch (stage) {
+      case ExportStage::kBuildSpans:
+        for (std::size_t i = 0; i < in.result.ranks.size(); ++i)
+          benchmark::DoNotOptimize(
+              obs::build_spans(in.result.ranks[i].trace, static_cast<int>(i)));
+        break;
+      case ExportStage::kBuildMetrics:
+        benchmark::DoNotOptimize(obs::build_metrics(in.run));
+        break;
+      case ExportStage::kChromeTrace: obs::write_chrome_trace(os, in.run); break;
+      case ExportStage::kMetricsJson: obs::write_metrics_json(os, in.metrics); break;
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(spans));
+}
+BENCHMARK_CAPTURE(BM_ObserveExport, build_spans, ExportStage::kBuildSpans)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ObserveExport, build_metrics, ExportStage::kBuildMetrics)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ObserveExport, write_chrome_trace, ExportStage::kChromeTrace)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ObserveExport, write_metrics_json, ExportStage::kMetricsJson)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

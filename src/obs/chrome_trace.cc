@@ -3,6 +3,7 @@
 #include <ostream>
 #include <set>
 #include <string>
+#include <string_view>
 
 #include "obs/json_writer.h"
 
@@ -67,7 +68,8 @@ void write_chrome_trace(std::ostream& os, const RunObservation& run) {
     }
     for (const Span& s : r.spans) {
       w.begin_object();
-      w.kv("name", s.name.empty() ? to_string(s.kind) : s.name.c_str());
+      w.kv("name", s.name.empty() ? std::string_view(to_string(s.kind))
+                                   : std::string_view(s.name));
       w.kv("cat", to_string(s.kind));
       w.kv("ph", "X");
       // Virtual picoseconds exported as microseconds: readable zoom levels

@@ -13,6 +13,10 @@
 // microsecond timestamps (1 virtual ps = 1e-6 exported us), plus process/
 // thread name metadata. Everything `python3 -m json.tool` and the trace
 // viewers accept.
+//
+// Cost: one pass over the spans. The document streams out through
+// JsonWriter's bounded buffer, so memory does not grow with it (a 512-rank,
+// 20-step trace is over 100 MB).
 
 #include <iosfwd>
 

@@ -4,63 +4,72 @@
 #include <limits>
 
 namespace usw::obs {
-namespace {
 
-struct Node {
-  int rank = -1;
-  int task = -1;
-  std::string name;
-  int patch = -1;
-  TimePs begin = 0;
-  TimePs duration = 0;
-};
+CriticalPathIndex::CriticalPathIndex(const RunObservation& run)
+    : recv_owner_(run.ranks.size()) {
+  for (std::size_t r = 0; r < run.ranks.size(); ++r) {
+    const TaskGraphInfo& g = run.ranks[r].graph;
+    for (std::size_t t = 0; t < g.tasks.size(); ++t)
+      for (const auto& key : g.tasks[t].recv_keys)
+        recv_owner_[r].emplace(key, static_cast<int>(t));
+  }
+}
 
-}  // namespace
+int CriticalPathIndex::recv_owner(std::size_t rank, int peer, int tag) const {
+  const auto it = recv_owner_[rank].find({peer, tag});
+  return it == recv_owner_[rank].end() ? -1 : it->second;
+}
 
-CriticalPathReport analyze_critical_path(const RunObservation& run, int step) {
+void StepSpans::add(std::size_t rank_index, std::size_t span_index, const Span& s) {
+  lo = std::min(lo, s.begin);
+  hi = std::max(hi, s.end);
+  if (s.kind == SpanKind::kTask && s.ids.task >= 0)
+    tasks.emplace_back(static_cast<std::uint32_t>(rank_index),
+                       static_cast<std::uint32_t>(span_index));
+}
+
+CriticalPathReport analyze_step(const RunObservation& run,
+                                const CriticalPathIndex& index, int step,
+                                const StepSpans& spans) {
   CriticalPathReport report;
   report.step = step;
 
-  // Collect the step's task spans as DAG nodes (one per (rank, task)) and
-  // the step window across spans of every kind.
+  struct Node {
+    int rank = -1;
+    int task = -1;
+    const std::string* name = nullptr;
+    int patch = -1;
+    TimePs begin = 0;
+    TimePs duration = 0;
+  };
+
+  // DAG nodes: one per (rank, task), the first span of each, numbered
+  // rank-major in span order.
   std::vector<Node> nodes;
   std::vector<std::vector<int>> node_of(run.ranks.size());
-  TimePs lo = std::numeric_limits<TimePs>::max();
-  TimePs hi = std::numeric_limits<TimePs>::min();
-  for (std::size_t r = 0; r < run.ranks.size(); ++r) {
+  for (std::size_t r = 0; r < run.ranks.size(); ++r)
+    node_of[r].assign(run.ranks[r].graph.tasks.size(), -1);
+  for (const auto& [r, i] : spans.tasks) {
     const RankObservation& rank = run.ranks[r];
-    node_of[r].assign(rank.graph.tasks.size(), -1);
-    for (const Span& s : rank.spans) {
-      if (s.ids.step != step) continue;
-      lo = std::min(lo, s.begin);
-      hi = std::max(hi, s.end);
-      if (s.kind != SpanKind::kTask || s.ids.task < 0) continue;
-      const auto t = static_cast<std::size_t>(s.ids.task);
-      if (t >= node_of[r].size() || node_of[r][t] >= 0) continue;
-      node_of[r][t] = static_cast<int>(nodes.size());
-      // Name nodes by the graph's task name (the patch is a separate
-      // field); the span label doubles as a fallback.
-      const std::string& name =
-          rank.graph.tasks[t].name.empty() ? s.name : rank.graph.tasks[t].name;
-      nodes.push_back(Node{rank.rank, s.ids.task, name, s.ids.patch,
-                           s.begin, s.duration()});
-    }
+    const Span* s = &rank.spans[i];
+    const auto t = static_cast<std::size_t>(s->ids.task);
+    if (t >= node_of[r].size() || node_of[r][t] >= 0) continue;
+    node_of[r][t] = static_cast<int>(nodes.size());
+    // Name nodes by the graph's task name (the patch is a separate field);
+    // the span label doubles as a fallback.
+    const std::string& name =
+        rank.graph.tasks[t].name.empty() ? s->name : rank.graph.tasks[t].name;
+    nodes.push_back(Node{rank.rank, s->ids.task, &name, s->ids.patch, s->begin,
+                         s->duration()});
   }
   if (nodes.empty()) return report;
-  report.makespan = hi - lo;
+  report.makespan = spans.hi - spans.lo;
 
   // Dependency edges: internal successors plus cross-rank send->recv pairs
   // matched on (peer, tag). Only edges between executed nodes count.
   const std::size_t n = nodes.size();
   std::vector<std::vector<int>> succs(n);
   std::vector<std::vector<int>> preds(n);
-  std::vector<std::map<std::pair<int, int>, int>> recv_owner(run.ranks.size());
-  for (std::size_t r = 0; r < run.ranks.size(); ++r) {
-    const TaskGraphInfo& g = run.ranks[r].graph;
-    for (std::size_t t = 0; t < g.tasks.size(); ++t)
-      for (const auto& key : g.tasks[t].recv_keys)
-        recv_owner[r].emplace(key, static_cast<int>(t));
-  }
   auto add_edge = [&](int from, int to) {
     succs[static_cast<std::size_t>(from)].push_back(to);
     preds[static_cast<std::size_t>(to)].push_back(from);
@@ -78,11 +87,11 @@ CriticalPathReport analyze_critical_path(const RunObservation& run, int step) {
       for (const auto& [peer, tag] : g.tasks[t].send_keys) {
         if (peer < 0 || static_cast<std::size_t>(peer) >= run.ranks.size())
           continue;
-        const auto it = recv_owner[static_cast<std::size_t>(peer)].find(
-            {static_cast<int>(r), tag});
-        if (it == recv_owner[static_cast<std::size_t>(peer)].end()) continue;
-        const int to = node_of[static_cast<std::size_t>(peer)]
-                              [static_cast<std::size_t>(it->second)];
+        const int owner =
+            index.recv_owner(static_cast<std::size_t>(peer), static_cast<int>(r), tag);
+        if (owner < 0) continue;
+        const int to =
+            node_of[static_cast<std::size_t>(peer)][static_cast<std::size_t>(owner)];
         if (to >= 0) add_edge(from, to);
       }
     }
@@ -129,7 +138,7 @@ CriticalPathReport analyze_critical_path(const RunObservation& run, int step) {
 
   for (int at = tail; at >= 0; at = best_pred[static_cast<std::size_t>(at)]) {
     const Node& node = nodes[static_cast<std::size_t>(at)];
-    report.chain.push_back(CriticalPathEntry{node.rank, node.task, node.name,
+    report.chain.push_back(CriticalPathEntry{node.rank, node.task, *node.name,
                                              node.patch, node.begin,
                                              node.duration});
   }
@@ -137,10 +146,23 @@ CriticalPathReport analyze_critical_path(const RunObservation& run, int step) {
 
   for (std::size_t i = 0; i < n; ++i) {
     const TimePs slack = report.total - (into[i] + outof[i] - nodes[i].duration);
-    auto [it, inserted] = report.slack_by_task.emplace(nodes[i].name, slack);
-    if (!inserted) it->second = std::min(it->second, slack);
+    const auto it = report.slack_by_task.find(*nodes[i].name);
+    if (it == report.slack_by_task.end())
+      report.slack_by_task.emplace(*nodes[i].name, slack);
+    else
+      it->second = std::min(it->second, slack);
   }
   return report;
+}
+
+CriticalPathReport analyze_critical_path(const RunObservation& run, int step) {
+  StepSpans spans;
+  for (std::size_t r = 0; r < run.ranks.size(); ++r) {
+    const std::vector<Span>& rank_spans = run.ranks[r].spans;
+    for (std::size_t i = 0; i < rank_spans.size(); ++i)
+      if (rank_spans[i].ids.step == step) spans.add(r, i, rank_spans[i]);
+  }
+  return analyze_step(run, CriticalPathIndex(run), step, spans);
 }
 
 }  // namespace usw::obs

@@ -15,8 +15,12 @@
 // completion, including CPE flight), and every dependency edge respects
 // virtual-time order, so `total` can never exceed the step's makespan.
 
+#include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/observation.h"
@@ -52,7 +56,40 @@ struct CriticalPathReport {
 
 /// Analyzes timestep `step` (-1 = initialization). Requires the
 /// observation to carry spans and graph skeletons (collect_trace);
-/// returns an empty report otherwise.
+/// returns an empty report otherwise. One scan of every span plus the
+/// per-step core below; to analyze every step, bucket the spans by step in
+/// one pass and call analyze_step() per step (build_metrics does).
 CriticalPathReport analyze_critical_path(const RunObservation& run, int step);
+
+/// Cross-rank send->recv edge lookup, built once per run: which task on a
+/// rank receives the message (peer, tag). The first task declaring a key
+/// owns it.
+class CriticalPathIndex {
+ public:
+  explicit CriticalPathIndex(const RunObservation& run);
+  /// Detailed-task index on `rank` receiving (peer, tag); -1 when none does.
+  int recv_owner(std::size_t rank, int peer, int tag) const;
+
+ private:
+  std::vector<std::map<std::pair<int, int>, int>> recv_owner_;
+};
+
+/// The spans of one step that the analysis reads: the step window over
+/// spans of every kind, and its task spans as (index into run.ranks, index
+/// into that rank's spans), added rank-major in span order.
+struct StepSpans {
+  TimePs lo = std::numeric_limits<TimePs>::max();
+  TimePs hi = std::numeric_limits<TimePs>::min();
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> tasks;
+
+  void add(std::size_t rank_index, std::size_t span_index, const Span& s);
+};
+
+/// The per-step core: the longest chain through the step's executed tasks.
+/// DAG nodes are numbered in the order `spans.tasks` lists them, which
+/// decides ties between equally long chains. O(step tasks + edges).
+CriticalPathReport analyze_step(const RunObservation& run,
+                                const CriticalPathIndex& index, int step,
+                                const StepSpans& spans);
 
 }  // namespace usw::obs

@@ -8,20 +8,31 @@
 
 namespace usw::obs {
 
-const Distribution* MetricsRegistry::distribution(const std::string& name) const {
+const Distribution* MetricsRegistry::distribution(std::string_view name) const {
   const auto it = dists_.find(name);
   return it == dists_.end() ? nullptr : &it->second;
 }
 
-double MetricsRegistry::counter(const std::string& name) const {
+double MetricsRegistry::counter(std::string_view name) const {
   const auto it = counters_.find(name);
   return it == counters_.end() ? 0.0 : it->second;
 }
 
+void MetricsRegistry::merge(const std::vector<const MetricsRegistry*>& parts) {
+  std::map<std::string_view, std::size_t> added;
+  for (const MetricsRegistry* part : parts)
+    for (const auto& [name, dist] : part->dists_) added[name] += dist.samples.size();
+  for (const auto& [name, n] : added) {
+    std::vector<double>& samples = slot(dists_, name).samples;
+    samples.reserve(samples.size() + n);
+  }
+  for (const MetricsRegistry* part : parts) merge(*part);
+}
+
 void MetricsRegistry::merge(const MetricsRegistry& other) {
-  for (const auto& [name, value] : other.counters_) counters_[name] += value;
+  for (const auto& [name, value] : other.counters_) slot(counters_, name) += value;
   for (const auto& [name, dist] : other.dists_) {
-    Distribution& mine = dists_[name];
+    Distribution& mine = slot(dists_, name);
     mine.stats.merge(dist.stats);
     mine.samples.insert(mine.samples.end(), dist.samples.begin(),
                         dist.samples.end());
@@ -32,75 +43,95 @@ MetricsReport build_metrics(const RunObservation& run) {
   MetricsReport report;
   report.nranks = run.nranks;
   report.timesteps = run.timesteps;
+  const auto nsteps = static_cast<std::size_t>(std::max(0, run.timesteps));
 
   bool have_spans = false;
   for (const RankObservation& r : run.ranks)
     if (!r.spans.empty()) have_spans = true;
 
-  TimePs all_wait = 0;
-  TimePs all_walls = 0;
-  TimePs comm_flight = 0;
-  for (int s = 0; s < run.timesteps; ++s) {
-    StepMetrics step;
-    step.step = s;
-    TimePs rank_walls = 0;
-    for (const RankObservation& r : run.ranks) {
-      const TimePs wall = s < static_cast<int>(r.step_walls.size())
-                              ? r.step_walls[static_cast<std::size_t>(s)]
-                              : 0;
-      step.wall = std::max(step.wall, wall);
-      rank_walls += wall;
-      TimePs rank_wait = 0;
-      for (const Span& span : r.spans) {
-        if (span.ids.step != s) continue;
-        switch (span.kind) {
-          case SpanKind::kKernel: step.kernel += span.duration(); break;
-          case SpanKind::kWait: rank_wait += span.duration(); break;
-          case SpanKind::kSend:
-            step.comm += span.duration();
-            step.messages += 1;
-            step.message_bytes += span.ids.bytes;
-            break;
-          default: break;
-        }
-      }
-      step.wait += rank_wait;
-      step.mpe_busy += std::max<TimePs>(0, wall - rank_wait);
-    }
-    if (have_spans && rank_walls > 0)
-      step.overlap_efficiency =
-          1.0 - static_cast<double>(step.wait) / static_cast<double>(rank_walls);
-    step.critical_path = analyze_critical_path(run, s).total;
-    all_wait += step.wait;
-    all_walls += rank_walls;
-    comm_flight += step.comm;
-    report.total_wall += step.wall;
-    report.steps.push_back(step);
-  }
-
-  // Per-task rollups over the timestepping phase (init excluded so the
-  // numbers line up with the per-step tables).
+  // One pass over every span: the per-step rollups, each step's spans for
+  // the critical path, and the per-task rollups over the timestepping phase
+  // (init excluded so the numbers line up with the per-step tables).
+  report.steps.resize(nsteps);
+  for (std::size_t s = 0; s < nsteps; ++s) report.steps[s].step = static_cast<int>(s);
+  std::vector<TimePs> rank_walls(nsteps, 0);
+  std::vector<StepSpans> step_spans(nsteps);
+  std::vector<TimePs> rank_wait(nsteps);
   std::map<std::string, TaskMetrics> tasks;
-  for (const RankObservation& r : run.ranks) {
-    for (const Span& span : r.spans) {
-      if (span.kind != SpanKind::kTask || span.ids.step < 0) continue;
-      // Group by the graph's task name (aggregating patches); fall back to
-      // the span label when no skeleton was recorded.
-      const std::string* name = &span.name;
-      if (span.ids.task >= 0 &&
-          static_cast<std::size_t>(span.ids.task) < r.graph.tasks.size())
-        name = &r.graph.tasks[static_cast<std::size_t>(span.ids.task)].name;
-      TaskMetrics& t = tasks[*name];
-      t.name = *name;
-      t.executions += 1;
-      t.total += span.duration();
-      t.max = std::max(t.max, span.duration());
+  std::vector<TaskMetrics*> task_slot;  ///< this rank's task index -> rollup
+  for (std::size_t ri = 0; ri < run.ranks.size(); ++ri) {
+    const RankObservation& r = run.ranks[ri];
+    std::fill(rank_wait.begin(), rank_wait.end(), 0);
+    task_slot.assign(r.graph.tasks.size(), nullptr);
+    for (std::size_t si = 0; si < r.spans.size(); ++si) {
+      const Span& span = r.spans[si];
+      if (span.kind == SpanKind::kTask && span.ids.step >= 0) {
+        // Group by the graph's task name (aggregating patches); fall back
+        // to the span label when no skeleton was recorded.
+        const bool in_graph =
+            span.ids.task >= 0 &&
+            static_cast<std::size_t>(span.ids.task) < r.graph.tasks.size();
+        TaskMetrics* t = in_graph ? task_slot[static_cast<std::size_t>(span.ids.task)]
+                                  : nullptr;
+        if (t == nullptr) {
+          const std::string& name =
+              in_graph ? r.graph.tasks[static_cast<std::size_t>(span.ids.task)].name
+                       : span.name;
+          t = &tasks[name];
+          t->name = name;
+          if (in_graph) task_slot[static_cast<std::size_t>(span.ids.task)] = t;
+        }
+        t->executions += 1;
+        t->total += span.duration();
+        t->max = std::max(t->max, span.duration());
+      }
+      if (span.ids.step < 0 || static_cast<std::size_t>(span.ids.step) >= nsteps)
+        continue;
+      const auto s = static_cast<std::size_t>(span.ids.step);
+      step_spans[s].add(ri, si, span);
+      StepMetrics& step = report.steps[s];
+      switch (span.kind) {
+        case SpanKind::kKernel: step.kernel += span.duration(); break;
+        case SpanKind::kWait: rank_wait[s] += span.duration(); break;
+        case SpanKind::kSend:
+          step.comm += span.duration();
+          step.messages += 1;
+          step.message_bytes += span.ids.bytes;
+          break;
+        default: break;
+      }
+    }
+    for (std::size_t s = 0; s < nsteps; ++s) {
+      const TimePs wall = s < r.step_walls.size() ? r.step_walls[s] : 0;
+      StepMetrics& step = report.steps[s];
+      step.wall = std::max(step.wall, wall);
+      rank_walls[s] += wall;
+      step.wait += rank_wait[s];
+      step.mpe_busy += std::max<TimePs>(0, wall - rank_wait[s]);
     }
   }
   for (auto& [name, t] : tasks) report.tasks.push_back(std::move(t));
 
+  const CriticalPathIndex index(run);
+  TimePs all_wait = 0;
+  TimePs all_walls = 0;
+  TimePs comm_flight = 0;
+  for (std::size_t s = 0; s < nsteps; ++s) {
+    StepMetrics& step = report.steps[s];
+    if (have_spans && rank_walls[s] > 0)
+      step.overlap_efficiency =
+          1.0 - static_cast<double>(step.wait) / static_cast<double>(rank_walls[s]);
+    step.critical_path = analyze_step(run, index, step.step, step_spans[s]).total;
+    all_wait += step.wait;
+    all_walls += rank_walls[s];
+    comm_flight += step.comm;
+    report.total_wall += step.wall;
+  }
+
   std::uint64_t dma_bytes = 0;
   std::uint64_t sent_bytes = 0;
+  std::vector<const MetricsRegistry*> registries;
+  registries.reserve(run.ranks.size());
   for (const RankObservation& r : run.ranks) {
     report.kernel_time += r.counters.kernel_time;
     report.mpe_task_time += r.counters.mpe_task_time;
@@ -109,8 +140,9 @@ MetricsReport build_metrics(const RunObservation& run) {
     report.counted_flops += r.counters.counted_flops;
     dma_bytes += r.counters.dma_bytes_in + r.counters.dma_bytes_out;
     sent_bytes += r.counters.bytes_sent;
-    report.registry.merge(r.metrics);
+    registries.push_back(&r.metrics);
   }
+  report.registry.merge(registries);
   if (have_spans && all_walls > 0)
     report.overlap_efficiency =
         1.0 - static_cast<double>(all_wait) / static_cast<double>(all_walls);
@@ -126,6 +158,7 @@ MetricsReport build_metrics(const RunObservation& run) {
 namespace {
 
 void write_histogram(JsonWriter& w, const Distribution& d) {
+  const std::vector<double> sorted = d.sorted_samples();
   w.begin_object();
   w.kv("count", static_cast<std::uint64_t>(d.stats.count()));
   w.kv("sum", d.stats.sum());
@@ -133,9 +166,9 @@ void write_histogram(JsonWriter& w, const Distribution& d) {
   w.kv("min", d.stats.min());
   w.kv("max", d.stats.max());
   w.kv("stddev", d.stats.stddev());
-  w.kv("p50", d.pct(50));
-  w.kv("p90", d.pct(90));
-  w.kv("p99", d.pct(99));
+  w.kv("p50", percentile_sorted(sorted, 50));
+  w.kv("p90", percentile_sorted(sorted, 90));
+  w.kv("p99", percentile_sorted(sorted, 99));
   w.end_object();
 }
 

@@ -16,6 +16,13 @@
 // write_metrics_json() is the stable machine-readable surface consumed by
 // the bench drivers (BENCH_*.json) and the CI smoke job; field names are
 // part of that contract.
+//
+// Cost: build_metrics() makes one pass over every span, bucketing the task
+// spans by step, builds the cross-rank send->recv lookup once, and runs the
+// critical-path core once per step: O(spans + steps x graph size), not
+// O(steps x spans). write_metrics_json() sorts each distribution's samples
+// once for its three percentiles and streams through JsonWriter's bounded
+// buffer (see json_writer.h for when it flushes).
 
 #include <iosfwd>
 #include <string>

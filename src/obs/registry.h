@@ -5,8 +5,11 @@
 // Split out from obs/metrics.h so RankObservation can hold a registry
 // without a header cycle (metrics.h builds reports *from* observations).
 
+#include <algorithm>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/stats.h"
@@ -23,34 +26,57 @@ struct Distribution {
     stats.add(v);
     samples.push_back(v);
   }
+  /// One percentile: copies and sorts the samples. For several, sort once
+  /// with sorted_samples() and query percentile_sorted().
   double pct(double p) const { return percentile(samples, p); }
+  std::vector<double> sorted_samples() const {
+    std::vector<double> sorted = samples;
+    std::sort(sorted.begin(), sorted.end());
+    return sorted;
+  }
 };
 
 /// Registry of named metrics. Cheap to feed (map lookup + push_back) and
-/// mergeable across ranks; absent names read as zero/empty.
+/// mergeable across ranks; absent names read as zero/empty. Lookups take a
+/// string_view and compare in place (std::less<>), so feeding an existing
+/// name never builds a temporary std::string.
 class MetricsRegistry {
  public:
+  using Distributions = std::map<std::string, Distribution, std::less<>>;
+  using Counters = std::map<std::string, double, std::less<>>;
+
   /// Adds one sample to distribution `name`.
-  void sample(const std::string& name, double v) { dists_[name].add(v); }
+  void sample(std::string_view name, double v) { slot(dists_, name).add(v); }
 
   /// Adds `v` to counter `name`.
-  void count(const std::string& name, double v = 1.0) { counters_[name] += v; }
+  void count(std::string_view name, double v = 1.0) { slot(counters_, name) += v; }
 
   /// Distribution lookup; nullptr when nothing was sampled under `name`.
-  const Distribution* distribution(const std::string& name) const;
+  const Distribution* distribution(std::string_view name) const;
   /// Counter value; 0 when never counted.
-  double counter(const std::string& name) const;
+  double counter(std::string_view name) const;
 
-  const std::map<std::string, Distribution>& distributions() const { return dists_; }
-  const std::map<std::string, double>& counters() const { return counters_; }
+  const Distributions& distributions() const { return dists_; }
+  const Counters& counters() const { return counters_; }
   bool empty() const { return dists_.empty() && counters_.empty(); }
 
   /// Folds `other` in: counters add, distributions concatenate.
   void merge(const MetricsRegistry& other);
+  /// merge() of every part in order, each distribution's samples allocated
+  /// once at their final size instead of grown part by part.
+  void merge(const std::vector<const MetricsRegistry*>& parts);
 
  private:
-  std::map<std::string, Distribution> dists_;
-  std::map<std::string, double> counters_;
+  /// The entry for `name`, default-constructed on first use.
+  template <typename Map>
+  static typename Map::mapped_type& slot(Map& map, std::string_view name) {
+    auto it = map.find(name);
+    if (it == map.end()) it = map.emplace(std::string(name), typename Map::mapped_type{}).first;
+    return it->second;
+  }
+
+  Distributions dists_;
+  Counters counters_;
 };
 
 }  // namespace usw::obs

@@ -42,9 +42,12 @@ void print_histograms(std::ostream& os, const MetricsReport& report) {
   TextTable table("Sampled distributions");
   table.set_header({"metric", "count", "mean", "p50", "p90", "p99", "max"});
   for (const auto& [name, d] : report.registry.distributions()) {
+    const std::vector<double> sorted = d.sorted_samples();
     table.add_row({name, std::to_string(d.stats.count()),
-                   TextTable::num(d.stats.mean()), TextTable::num(d.pct(50)),
-                   TextTable::num(d.pct(90)), TextTable::num(d.pct(99)),
+                   TextTable::num(d.stats.mean()),
+                   TextTable::num(percentile_sorted(sorted, 50)),
+                   TextTable::num(percentile_sorted(sorted, 90)),
+                   TextTable::num(percentile_sorted(sorted, 99)),
                    TextTable::num(d.stats.max())});
   }
   table.print(os);

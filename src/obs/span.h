@@ -49,6 +49,11 @@ struct Span {
 /// Tolerant: an end with no open begin is dropped; a begin that never ends
 /// is closed at the trace's latest event stamp. Spans are returned in
 /// begin order (stable for equal stamps).
+///
+/// Cost: one pass over the events through a hash table that holds only the
+/// currently open spans (keyed on kind, ids and a view of the label), so
+/// memory beyond the result is O(open spans); then a sortedness check, and
+/// an O(n log n) stable sort only when begins were recorded out of order.
 std::vector<Span> build_spans(const sim::Trace& trace, int rank);
 
 }  // namespace usw::obs

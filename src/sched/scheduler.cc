@@ -16,11 +16,19 @@
 namespace usw::sched {
 namespace {
 
+// Trace labels are formatted only when the trace records: every call site
+// checks trace_.enabled() first, so untraced runs build no label strings.
+
 /// Label shared by the posted/done events of one message, so the span
 /// builder pairs them and the viewers show which transfer was in flight.
 std::string comm_label(const task::ExtComm& c) {
   return c.label->name() + " p" + std::to_string(c.from_patch) + "->p" +
          std::to_string(c.to_patch);
+}
+
+/// Label of a detailed task's task/offload/kernel events: "name pPATCH".
+std::string task_label(const task::DetailedTask& dt) {
+  return dt.task->name() + " p" + std::to_string(dt.patch_id);
 }
 
 }  // namespace
@@ -154,9 +162,10 @@ void Scheduler::post_recvs(task::TaskContext& ctx) {
       open_recvs_.push_back(req);
       open_recv_dt_.push_back(static_cast<int>(i));
       open_recv_comm_.push_back(&rc);
-      trace_.record(comm_.now(), sim::EventKind::kRecvPosted, comm_label(rc),
-                    sim::EventIds{step_, static_cast<int>(i), rc.to_patch,
-                                  rc.peer_rank, rc.tag_base, -1, rc.bytes()});
+      if (trace_.enabled())
+        trace_.record(comm_.now(), sim::EventKind::kRecvPosted, comm_label(rc),
+                      sim::EventIds{step_, static_cast<int>(i), rc.to_patch,
+                                    rc.peer_rank, rc.tag_base, -1, rc.bytes()});
     }
   }
 }
@@ -182,9 +191,10 @@ void Scheduler::post_send(task::TaskContext& ctx, const task::ExtComm& sc,
   open_send_dt_.push_back(dt_index);
   if (config_.metrics != nullptr)
     config_.metrics->sample("msg.send_bytes", static_cast<double>(sc.bytes()));
-  trace_.record(comm_.now(), sim::EventKind::kSendPosted, comm_label(sc),
-                sim::EventIds{step_, dt_index, sc.from_patch, sc.peer_rank,
-                              sc.tag_base, -1, sc.bytes()});
+  if (trace_.enabled())
+    trace_.record(comm_.now(), sim::EventKind::kSendPosted, comm_label(sc),
+                  sim::EventIds{step_, dt_index, sc.from_patch, sc.peer_rank,
+                                sc.tag_base, -1, sc.bytes()});
 }
 
 void Scheduler::post_initial_sends(task::TaskContext& ctx) {
@@ -231,9 +241,9 @@ bool Scheduler::is_offloadable(int dt_index) const {
 void Scheduler::mpe_part(task::TaskContext& ctx, int dt_index) {
   const task::DetailedTask& dt = graph_.tasks[static_cast<std::size_t>(dt_index)];
   ready_.erase(dt_index);
-  trace_.record(comm_.now(), sim::EventKind::kTaskBegin,
-                dt.task->name() + " p" + std::to_string(dt.patch_id),
-                sim::EventIds{step_, dt_index, dt.patch_id, -1, -1, -1, 0});
+  if (trace_.enabled())
+    trace_.record(comm_.now(), sim::EventKind::kTaskBegin, task_label(dt),
+                  sim::EventIds{step_, dt_index, dt.patch_id, -1, -1, -1, 0});
   if (config_.checker != nullptr) config_.checker->begin_task(dt_index);
   const TimePs overhead = comm_.net().cost().mpe_task_overhead();
   comm_.advance(overhead);
@@ -357,9 +367,10 @@ void Scheduler::offload_stencil(task::TaskContext& ctx, int dt_index, int group)
     for (const auto& [cpe, box] : tile_writes(tiling, *plan))
       config_.metrics->sample("tile.cells", static_cast<double>(box.volume()));
   }
-  const std::string label = dt.task->name() + " p" + std::to_string(dt.patch_id);
+  const std::string label = trace_.enabled() ? task_label(dt) : std::string();
   const sim::EventIds ids{step_, dt_index, dt.patch_id, -1, -1, group, 0};
-  trace_.record(comm_.now(), sim::EventKind::kOffloadBegin, label, ids);
+  if (trace_.enabled())
+    trace_.record(comm_.now(), sim::EventKind::kOffloadBegin, label, ids);
   athread::CpeJob job = make_tile_job(args, plan);
   if (config_.faults != nullptr) {
     if (const auto stall = config_.faults->cpe_stall(step_, dt_index, attempt,
@@ -370,10 +381,12 @@ void Scheduler::offload_stencil(task::TaskContext& ctx, int dt_index, int group)
       // rounding below is a deterministic double->int conversion.
       counters_.fault_injected += 1;
       if (config_.metrics != nullptr) config_.metrics->count("fault.injected");
-      trace_.record(comm_.now(), sim::EventKind::kFaultBegin,
-                    "cpe_stall " + label, ids);
-      trace_.record(comm_.now(), sim::EventKind::kFaultEnd,
-                    "cpe_stall " + label, ids);
+      if (trace_.enabled()) {
+        trace_.record(comm_.now(), sim::EventKind::kFaultBegin,
+                      "cpe_stall " + label, ids);
+        trace_.record(comm_.now(), sim::EventKind::kFaultEnd,
+                      "cpe_stall " + label, ids);
+      }
       job = [inner = std::move(job), s = *stall](athread::CpeContext& cpe) {
         inner(cpe);
         if (cpe.cpe_id() == s.cpe)
@@ -400,13 +413,14 @@ void Scheduler::offload_stencil(task::TaskContext& ctx, int dt_index, int group)
     config_.hb->write(group, dt.task->stencil_out(), task::WhichDW::kNew,
                       dt.patch_id, patch.cells(), dt.task->name());
   }
-  trace_.record(comm_.now(), sim::EventKind::kKernelBegin, label, ids);
   // completion_time() blocks until the workers publish under the threads
   // backend; only pay for it when the event would actually be recorded,
   // so untraced runs keep the spawn->poll overlap window open.
-  if (trace_.enabled())
+  if (trace_.enabled()) {
+    trace_.record(comm_.now(), sim::EventKind::kKernelBegin, label, ids);
     trace_.record(cluster_.completion_time(group), sim::EventKind::kKernelEnd,
                   label, ids);
+  }
   offloaded_[static_cast<std::size_t>(group)] = dt_index;
   // The functional writes happened eagerly inside spawn(); the MPE-side
   // task scope ends here even though the offload is still in flight.
@@ -466,11 +480,12 @@ bool Scheduler::offload_fault_check(int dt_index, int group) {
     config_.flight->record(obs::FlightKind::kOffloadFail, comm_.now(), dt_index,
                            group);
   const task::DetailedTask& dt = graph_.tasks[static_cast<std::size_t>(dt_index)];
-  const sim::EventIds ids{step_, dt_index, dt.patch_id, -1, -1, group, 0};
-  const std::string label =
-      "offload_fail " + dt.task->name() + " p" + std::to_string(dt.patch_id);
-  trace_.record(comm_.now(), sim::EventKind::kFaultBegin, label, ids);
-  trace_.record(comm_.now(), sim::EventKind::kFaultEnd, label, ids);
+  if (trace_.enabled()) {
+    const sim::EventIds ids{step_, dt_index, dt.patch_id, -1, -1, group, 0};
+    const std::string label = "offload_fail " + task_label(dt);
+    trace_.record(comm_.now(), sim::EventKind::kFaultBegin, label, ids);
+    trace_.record(comm_.now(), sim::EventKind::kFaultEnd, label, ids);
+  }
   if (++fail_streak_[static_cast<std::size_t>(group)] >=
           config_.recovery.degrade_after &&
       !group_degraded(group)) {
@@ -492,10 +507,12 @@ void Scheduler::charge_retry_backoff(int dt_index, int attempt) {
   for (int a = 1; a < attempt; ++a) backoff *= 2;
   const task::DetailedTask& dt = graph_.tasks[static_cast<std::size_t>(dt_index)];
   const sim::EventIds ids{step_, dt_index, dt.patch_id, -1, -1, -1, 0};
-  trace_.record(comm_.now(), sim::EventKind::kFaultBegin, "retry backoff", ids);
+  if (trace_.enabled())
+    trace_.record(comm_.now(), sim::EventKind::kFaultBegin, "retry backoff", ids);
   comm_.advance(backoff);
   counters_.mpe_task_time += backoff;
-  trace_.record(comm_.now(), sim::EventKind::kFaultEnd, "retry backoff", ids);
+  if (trace_.enabled())
+    trace_.record(comm_.now(), sim::EventKind::kFaultEnd, "retry backoff", ids);
 }
 
 void Scheduler::recover_offload(task::TaskContext& ctx, int dt_index, int group) {
@@ -564,9 +581,9 @@ void Scheduler::on_finished(task::TaskContext& ctx, int dt_index) {
   USW_ASSERT_MSG(!st.done, "detailed task finished twice");
   st.done = true;
   ++done_count_;
-  trace_.record(comm_.now(), sim::EventKind::kTaskEnd,
-                dt.task->name() + " p" + std::to_string(dt.patch_id),
-                sim::EventIds{step_, dt_index, dt.patch_id, -1, -1, -1, 0});
+  if (trace_.enabled())
+    trace_.record(comm_.now(), sim::EventKind::kTaskEnd, task_label(dt),
+                  sim::EventIds{step_, dt_index, dt.patch_id, -1, -1, -1, 0});
   // Sec V-C 3(b)i: post nonblocking sends for the completed task — one
   // aggregate per neighbor when aggregation is on.
   for (const task::ExtComm& sc : dt.sends) post_send(ctx, sc, dt_index);
@@ -618,9 +635,10 @@ bool Scheduler::progress_comm(task::TaskContext& ctx) {
     }
     if (config_.metrics != nullptr)
       config_.metrics->sample("msg.recv_bytes", static_cast<double>(rc.bytes()));
-    trace_.record(comm_.now(), sim::EventKind::kRecvDone, comm_label(rc),
-                  sim::EventIds{step_, open_recv_dt_[r], rc.to_patch,
-                                rc.peer_rank, rc.tag_base, -1, rc.bytes()});
+    if (trace_.enabled())
+      trace_.record(comm_.now(), sim::EventKind::kRecvDone, comm_label(rc),
+                    sim::EventIds{step_, open_recv_dt_[r], rc.to_patch,
+                                  rc.peer_rank, rc.tag_base, -1, rc.bytes()});
     const int dti = open_recv_dt_[r];
     DtState& st = state_[static_cast<std::size_t>(dti)];
     USW_ASSERT(st.pending_recvs > 0);
@@ -638,9 +656,10 @@ bool Scheduler::progress_comm(task::TaskContext& ctx) {
     if (comm_.done(open_sends_[s])) {
       any = true;
       const task::ExtComm& sc = *open_send_comm_[s];
-      trace_.record(comm_.now(), sim::EventKind::kSendDone, comm_label(sc),
-                    sim::EventIds{step_, open_send_dt_[s], sc.from_patch,
-                                  sc.peer_rank, sc.tag_base, -1, sc.bytes()});
+      if (trace_.enabled())
+        trace_.record(comm_.now(), sim::EventKind::kSendDone, comm_label(sc),
+                      sim::EventIds{step_, open_send_dt_[s], sc.from_patch,
+                                    sc.peer_rank, sc.tag_base, -1, sc.bytes()});
     } else {
       open_sends_[sw] = open_sends_[s];
       open_send_comm_[sw] = open_send_comm_[s];
@@ -668,8 +687,9 @@ void Scheduler::idle_wait() {
   const TimePs wake =
       std::min(cluster_wake, comm_.earliest_known_completion(all));
   const TimePs before = comm_.now();
-  trace_.record(before, sim::EventKind::kWaitBegin, "idle",
-                sim::EventIds{step_, -1, -1, -1, -1, -1, 0});
+  if (trace_.enabled())
+    trace_.record(before, sim::EventKind::kWaitBegin, "idle",
+                  sim::EventIds{step_, -1, -1, -1, -1, -1, 0});
   comm_.wait_until_time(wake, refresh);
   // The wake may be a progress-engine deadline (folded into
   // earliest_known_completion above). Service it here: with both open
@@ -677,8 +697,9 @@ void Scheduler::idle_wait() {
   // test_bulk, so nothing else would drive the engine.
   comm_.service_progress();
   counters_.wait_time += comm_.now() - before;
-  trace_.record(comm_.now(), sim::EventKind::kWaitEnd, "idle",
-                sim::EventIds{step_, -1, -1, -1, -1, -1, 0});
+  if (trace_.enabled())
+    trace_.record(comm_.now(), sim::EventKind::kWaitEnd, "idle",
+                  sim::EventIds{step_, -1, -1, -1, -1, -1, 0});
 }
 
 void Scheduler::run_loop_sync(task::TaskContext& ctx) {
@@ -704,24 +725,26 @@ void Scheduler::run_loop_sync(task::TaskContext& ctx) {
           // reclaims, and the overlap-efficiency metric depends on seeing
           // it.
           const task::DetailedTask& dt = graph_.tasks[static_cast<std::size_t>(t)];
-          const std::string label =
-              dt.task->name() + " p" + std::to_string(dt.patch_id);
+          const std::string label = trace_.enabled() ? task_label(dt) : std::string();
           int g = g0;
           for (;;) {
             offload_stencil(ctx, t, g);
             const TimePs before = comm_.now();
-            trace_.record(before, sim::EventKind::kWaitBegin, "cpe-spin",
-                          sim::EventIds{step_, t, dt.patch_id, -1, -1, g, 0});
+            if (trace_.enabled())
+              trace_.record(before, sim::EventKind::kWaitBegin, "cpe-spin",
+                            sim::EventIds{step_, t, dt.patch_id, -1, -1, g, 0});
             cluster_.join(g);
             if (config_.hb != nullptr) config_.hb->join(g);
             sample_offload_imbalance(g);
             if (config_.flight != nullptr)
               config_.flight->record(obs::FlightKind::kOffloadDone, comm_.now(),
                                      t, g);
-            trace_.record(comm_.now(), sim::EventKind::kWaitEnd, "cpe-spin",
-                          sim::EventIds{step_, t, dt.patch_id, -1, -1, g, 0});
-            trace_.record(comm_.now(), sim::EventKind::kOffloadEnd, label,
-                          sim::EventIds{step_, t, dt.patch_id, -1, -1, g, 0});
+            if (trace_.enabled()) {
+              trace_.record(comm_.now(), sim::EventKind::kWaitEnd, "cpe-spin",
+                            sim::EventIds{step_, t, dt.patch_id, -1, -1, g, 0});
+              trace_.record(comm_.now(), sim::EventKind::kOffloadEnd, label,
+                            sim::EventIds{step_, t, dt.patch_id, -1, -1, g, 0});
+            }
             offloaded_[static_cast<std::size_t>(g)] = -1;
             if (!offload_fault_check(t, g)) break;
             const int attempt =
@@ -776,11 +799,12 @@ void Scheduler::run_loop_async(task::TaskContext& ctx) {
         if (config_.flight != nullptr)
           config_.flight->record(obs::FlightKind::kOffloadDone, comm_.now(),
                                  finished, g);
-        const task::DetailedTask& fdt =
-            graph_.tasks[static_cast<std::size_t>(finished)];
-        trace_.record(comm_.now(), sim::EventKind::kOffloadEnd,
-                      fdt.task->name() + " p" + std::to_string(fdt.patch_id),
-                      sim::EventIds{step_, finished, fdt.patch_id, -1, -1, g, 0});
+        if (trace_.enabled()) {
+          const task::DetailedTask& fdt =
+              graph_.tasks[static_cast<std::size_t>(finished)];
+          trace_.record(comm_.now(), sim::EventKind::kOffloadEnd, task_label(fdt),
+                        sim::EventIds{step_, finished, fdt.patch_id, -1, -1, g, 0});
+        }
         if (offload_fault_check(finished, g))
           recover_offload(ctx, finished, g);
         else
@@ -825,11 +849,13 @@ void Scheduler::drain_sends() {
     comm_.wait_all(open_sends_);
     // The wait completed these sends without passing through
     // progress_comm(); close their spans here.
-    for (std::size_t s = 0; s < open_sends_.size(); ++s) {
-      const task::ExtComm& sc = *open_send_comm_[s];
-      trace_.record(comm_.now(), sim::EventKind::kSendDone, comm_label(sc),
-                    sim::EventIds{step_, open_send_dt_[s], sc.from_patch,
-                                  sc.peer_rank, sc.tag_base, -1, sc.bytes()});
+    if (trace_.enabled()) {
+      for (std::size_t s = 0; s < open_sends_.size(); ++s) {
+        const task::ExtComm& sc = *open_send_comm_[s];
+        trace_.record(comm_.now(), sim::EventKind::kSendDone, comm_label(sc),
+                      sim::EventIds{step_, open_send_dt_[s], sc.from_patch,
+                                    sc.peer_rank, sc.tag_base, -1, sc.bytes()});
+      }
     }
   }
   open_sends_.clear();
@@ -843,8 +869,9 @@ void Scheduler::finalize_reductions(task::TaskContext& ctx) {
     const task::ReductionInfo& info = graph_.reductions[r];
     USW_ASSERT_MSG(reduction_remaining_[r] == 0,
                    "reduction finalized before all local parts ran");
-    trace_.record(comm_.now(), sim::EventKind::kReduceBegin, info.task->name(),
-                  sim::EventIds{step_, -1, -1, -1, -1, -1, 0});
+    if (trace_.enabled())
+      trace_.record(comm_.now(), sim::EventKind::kReduceBegin, info.task->name(),
+                    sim::EventIds{step_, -1, -1, -1, -1, -1, 0});
     double v = reduction_acc_[r];
     switch (info.task->reduce_op()) {
       case task::ReduceOp::kSum: v = comm_.allreduce_sum(v); break;
@@ -853,8 +880,9 @@ void Scheduler::finalize_reductions(task::TaskContext& ctx) {
     }
     counters_.reductions += 1;
     ctx.new_dw->put_reduction(info.task->reduction_result(), v);
-    trace_.record(comm_.now(), sim::EventKind::kReduceEnd, info.task->name(),
-                  sim::EventIds{step_, -1, -1, -1, -1, -1, 0});
+    if (trace_.enabled())
+      trace_.record(comm_.now(), sim::EventKind::kReduceEnd, info.task->name(),
+                    sim::EventIds{step_, -1, -1, -1, -1, -1, 0});
   }
 }
 

@@ -49,15 +49,19 @@ double RunningStats::variance() const {
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 double percentile(std::vector<double> samples, double p) {
-  if (samples.empty()) return 0.0;
-  USW_ASSERT(p >= 0.0 && p <= 100.0);
   std::sort(samples.begin(), samples.end());
-  if (samples.size() == 1) return samples.front();
-  const double pos = p / 100.0 * static_cast<double>(samples.size() - 1);
+  return percentile_sorted(samples, p);
+}
+
+double percentile_sorted(const std::vector<double>& sorted, double p) {
+  if (sorted.empty()) return 0.0;
+  USW_ASSERT(p >= 0.0 && p <= 100.0);
+  if (sorted.size() == 1) return sorted.front();
+  const double pos = p / 100.0 * static_cast<double>(sorted.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, samples.size() - 1);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = pos - static_cast<double>(lo);
-  return samples[lo] + frac * (samples[hi] - samples[lo]);
+  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
 }  // namespace usw

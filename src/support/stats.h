@@ -39,4 +39,8 @@ class RunningStats {
 /// Copies and sorts; intended for end-of-run summaries, not hot paths.
 double percentile(std::vector<double> samples, double p);
 
+/// percentile() of samples already sorted ascending: no copy, no sort, so
+/// several percentiles of one set cost a single sort between them.
+double percentile_sorted(const std::vector<double>& sorted, double p);
+
 }  // namespace usw

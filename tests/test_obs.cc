@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <limits>
 #include <sstream>
 
@@ -90,6 +93,60 @@ TEST(Span, UnmatchedEndDroppedUnmatchedBeginClosed) {
   EXPECT_EQ(spans[0].end, 70);
 }
 
+TEST(Span, KeyReusedAfterCloseOpensFreshSpan) {
+  // The same (kind, ids, label) recurs after its first span closed: the
+  // second begin must not pair with the first span's end.
+  sim::Trace t;
+  t.enable(true);
+  const EventIds ids{0, 2, 1, -1, -1, -1, 0};
+  t.record(10, EventKind::kTaskBegin, "a p1", ids);
+  t.record(20, EventKind::kTaskEnd, "a p1", ids);
+  t.record(30, EventKind::kTaskBegin, "a p1", ids);
+  t.record(55, EventKind::kTaskEnd, "a p1", ids);
+  const std::vector<Span> spans = build_spans(t, 0);
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].begin, 10);
+  EXPECT_EQ(spans[0].end, 20);
+  EXPECT_EQ(spans[1].begin, 30);
+  EXPECT_EQ(spans[1].end, 55);
+}
+
+TEST(Span, NestedSameKeySpansCloseLifo) {
+  sim::Trace t;
+  t.enable(true);
+  const EventIds ids{0, 0, 0, -1, -1, -1, 0};
+  t.record(0, EventKind::kReduceBegin, "r", ids);
+  t.record(10, EventKind::kReduceBegin, "r", ids);
+  t.record(20, EventKind::kReduceEnd, "r", ids);  // closes the inner one
+  t.record(40, EventKind::kReduceEnd, "r", ids);
+  t.record(45, EventKind::kReduceEnd, "r", ids);  // nothing open: dropped
+  const std::vector<Span> spans = build_spans(t, 0);
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].begin, 0);
+  EXPECT_EQ(spans[0].end, 40);
+  EXPECT_EQ(spans[1].begin, 10);
+  EXPECT_EQ(spans[1].end, 20);
+}
+
+TEST(Span, LabelOnlyPairingWithDefaultIds) {
+  // Hand-written traces carry no ids: the label alone tells spans apart,
+  // and a different label of the same kind never closes the open one.
+  sim::Trace t;
+  t.enable(true);
+  t.record(0, EventKind::kWaitBegin, "x");
+  t.record(5, EventKind::kWaitBegin, "y");
+  t.record(10, EventKind::kWaitEnd, "x");
+  t.record(30, EventKind::kWaitEnd, "y");
+  t.record(35, EventKind::kWaitEnd, "z");  // never opened: dropped
+  const std::vector<Span> spans = build_spans(t, 0);
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].name, "x");
+  EXPECT_EQ(spans[0].end, 10);
+  EXPECT_EQ(spans[1].name, "y");
+  EXPECT_EQ(spans[1].end, 30);
+  EXPECT_EQ(spans[0].ids.step, -1);
+}
+
 TEST(Span, SendCarriesBytesAndMpiLane) {
   sim::Trace t;
   t.enable(true);
@@ -128,6 +185,56 @@ TEST(JsonWriter, NonFiniteDoublesBecomeNull) {
   JsonWriter w(os, 0);
   w.begin_array().value(std::numeric_limits<double>::infinity()).end_array();
   EXPECT_EQ(os.str(), "[null]");
+}
+
+TEST(JsonWriter, DoublesMatchPrintfG12) {
+  // The exporters' documented number format is printf's %.12g; every
+  // magnitude, the %g notation switch points and signed zero included.
+  std::vector<double> values = {0.0, -0.0, 0.1, 1e-7, 1e21, 9007199254740993.0,
+                                1e-4, 9.99999999999e-5, 1e12, 999999999999.0,
+                                999999999999.5, 123456789012.345, 1.0 / 3.0,
+                                -2.5, 5e-324, std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::min(), 100.0,
+                                0.148033563673, 1e15, 4.5e-310};
+  for (int e = -300; e <= 300; e += 7)
+    for (const double m : {1.0, 1.23456789012345, -7.777777777777777})
+      values.push_back(m * std::pow(10.0, e));
+  for (const double v : values) {
+    std::ostringstream os;
+    JsonWriter w(os, 0);
+    w.value(v);
+    char want[40];
+    std::snprintf(want, sizeof(want), "%.12g", v);
+    EXPECT_EQ(os.str(), want) << "value " << want;
+  }
+}
+
+TEST(JsonWriter, IntegerExtremes) {
+  std::ostringstream os;
+  {
+    JsonWriter w(os, 0);
+    w.begin_array()
+        .value(std::numeric_limits<std::int64_t>::min())
+        .value(std::numeric_limits<std::int64_t>::max())
+        .value(std::numeric_limits<std::uint64_t>::max())
+        .value(std::uint64_t{0})
+        .value(-1)
+        .end_array();
+  }
+  EXPECT_EQ(os.str(),
+            "[-9223372036854775808,9223372036854775807,"
+            "18446744073709551615,0,-1]");
+}
+
+TEST(JsonWriter, OutputCompleteAtDepthZeroWhileWriterAlive) {
+  std::ostringstream os;
+  JsonWriter w(os, 1);
+  w.begin_object().kv("k", "v\x01").key("a").begin_array().end_array();
+  w.end_object();
+  EXPECT_EQ(os.str(), "{\n \"k\": \"v\\u0001\",\n \"a\": []\n}");
+  // A second top-level value continues on the same stream.
+  w.value(7);
+  EXPECT_EQ(os.str(), "{\n \"k\": \"v\\u0001\",\n \"a\": []\n}7");
 }
 
 // ------------------------------------------------------------- registry ---
@@ -436,6 +543,32 @@ TEST(EndToEnd, CriticalPathBoundedByWall) {
     EXPECT_LE(cp.total, cp.makespan);
     EXPECT_LE(cp.total, result.step_wall(s));
   }
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "cannot open " << path;
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+TEST(EndToEnd, ExportsMatchGoldenFiles) {
+  // Both exports of a fixed small run, byte for byte: any change to span
+  // pairing, the rollups, the critical path or number formatting shows
+  // here. Regenerate the files only for a deliberate format change.
+  const RunObservation run = runtime::observe(run_burgers("acc.async"));
+  std::ostringstream metrics;
+  write_metrics_json(metrics, build_metrics(run));
+  std::ostringstream trace;
+  write_chrome_trace(trace, run);
+  const std::string want_metrics =
+      slurp(USW_TEST_DATA_DIR "/obs_burgers8_metrics.json");
+  const std::string want_trace = slurp(USW_TEST_DATA_DIR "/obs_burgers8_trace.json");
+  ASSERT_FALSE(want_trace.empty());
+  EXPECT_TRUE(metrics.str() == want_metrics) << metrics.str();
+  EXPECT_EQ(trace.str().size(), want_trace.size());
+  EXPECT_TRUE(trace.str() == want_trace);
 }
 
 TEST(EndToEnd, SchedulerFeedsRegistry) {
