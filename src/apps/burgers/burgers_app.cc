@@ -6,6 +6,7 @@
 
 #include "apps/burgers/kernels.h"
 #include "apps/burgers/phi.h"
+#include "kern/fastexp.h"
 #include "support/error.h"
 
 namespace usw::apps::burgers {
@@ -26,12 +27,15 @@ hw::KernelCost analytic_cost() {
 /// Fills `region` of `u` with the exact solution at time `t`.
 void fill_exact(var::CCVariable<double>& u, const grid::Level& level,
                 const grid::Box& region, double t) {
-  for (int k = region.lo.z; k < region.hi.z; ++k) {
-    const double pz = phi_ieee(k * level.dz(), t);
-    for (int j = region.lo.y; j < region.hi.y; ++j) {
-      const double py = phi_ieee(j * level.dy(), t);
-      for (int i = region.lo.x; i < region.hi.x; ++i)
-        u(i, j, k) = phi_ieee(i * level.dx(), t) * py * pz;
+  const PhiAxes phi(region, level.dx(), level.dy(), level.dz(), t,
+                    kern::exp_ieee);
+  const grid::IntVec lo = region.lo;
+  for (int k = lo.z; k < region.hi.z; ++k) {
+    const double pz = phi.z[k - lo.z];
+    for (int j = lo.y; j < region.hi.y; ++j) {
+      const double py = phi.y[j - lo.y];
+      for (int i = lo.x; i < region.hi.x; ++i)
+        u(i, j, k) = phi.x[i - lo.x] * py * pz;
     }
   }
 }
@@ -135,10 +139,13 @@ void BurgersApp::build_step_graph(task::TaskGraph& graph,
         const var::CCVariable<double>& u = ctx.new_dw->get(u_label(), patch.id());
         double m = -std::numeric_limits<double>::infinity();
         const grid::Box& cells = patch.cells();
+        USW_ASSERT(u.box().contains(cells));
+        const int nx = cells.hi.x - cells.lo.x;
         for (int k = cells.lo.z; k < cells.hi.z; ++k)
-          for (int j = cells.lo.y; j < cells.hi.y; ++j)
-            for (int i = cells.lo.x; i < cells.hi.x; ++i)
-              m = std::max(m, std::abs(u(i, j, k)));
+          for (int j = cells.lo.y; j < cells.hi.y; ++j) {
+            const double* row = &u(cells.lo.x, j, k);
+            for (int i = 0; i < nx; ++i) m = std::max(m, std::abs(row[i]));
+          }
         return m;
       });
   reduce->add_requires(u_label(), task::WhichDW::kNew, 0);
@@ -166,12 +173,14 @@ void BurgersApp::on_rank_complete(const task::TaskContext& ctx,
   for (int pid : my_patches) {
     const var::CCVariable<double>& u = ctx.old_dw->get(u_label(), pid);
     const grid::Box interior = ctx.level->patch(pid).cells();
-    for (int k = interior.lo.z; k < interior.hi.z; ++k)
-      for (int j = interior.lo.y; j < interior.hi.y; ++j)
-        for (int i = interior.lo.x; i < interior.hi.x; ++i) {
+    const PhiAxes phi(interior, ctx.level->dx(), ctx.level->dy(),
+                      ctx.level->dz(), ctx.time, kern::exp_ieee);
+    const grid::IntVec lo = interior.lo;
+    for (int k = lo.z; k < interior.hi.z; ++k)
+      for (int j = lo.y; j < interior.hi.y; ++j)
+        for (int i = lo.x; i < interior.hi.x; ++i) {
           const double exact =
-              exact_solution(i * ctx.level->dx(), j * ctx.level->dy(),
-                             k * ctx.level->dz(), ctx.time);
+              phi.x[i - lo.x] * phi.y[j - lo.y] * phi.z[k - lo.z];
           const double err = u(i, j, k) - exact;
           linf = std::max(linf, std::abs(err));
           l2sum += err * err;

@@ -13,17 +13,14 @@ using kern::Vec4;
 
 /// One cell of Algorithm 1, shared by the scalar kernel and the SIMD
 /// epilogue so remainders match the vector lanes bit-for-bit.
-template <typename ExpFn>
 inline void cell(const KernelEnv& env, const FieldView& u0, const FieldView& u1,
-                 int i, int j, int k, ExpFn&& exp_fn) {
+                 int i, int j, int k, double phi_x, double phi_y,
+                 double phi_z) {
   const double dx = env.dx, dy = env.dy, dz = env.dz;
   const double u = *u0.ptr(i, j, k);
-  const double u_dudx =
-      phi(i * dx, env.time, exp_fn) * (*u0.ptr(i - 1, j, k) - u) / dx;
-  const double u_dudy =
-      phi(j * dy, env.time, exp_fn) * (*u0.ptr(i, j - 1, k) - u) / dy;
-  const double u_dudz =
-      phi(k * dz, env.time, exp_fn) * (*u0.ptr(i, j, k - 1) - u) / dz;
+  const double u_dudx = phi_x * (*u0.ptr(i - 1, j, k) - u) / dx;
+  const double u_dudy = phi_y * (*u0.ptr(i, j - 1, k) - u) / dy;
+  const double u_dudz = phi_z * (*u0.ptr(i, j, k - 1) - u) / dz;
   // Parenthesized to match the SIMD variant's vmad(-2,u, uxm+uxp) rounding
   // exactly, so scalar and vector runs agree bit-for-bit.
   const double d2udx2 =
@@ -37,22 +34,23 @@ inline void cell(const KernelEnv& env, const FieldView& u0, const FieldView& u1,
   *u1.ptr(i, j, k) = u + env.dt * du;
 }
 
-template <typename ExpFn>
 void scalar_kernel(const KernelEnv& env, const FieldView& u0,
                    const FieldView& u1, const grid::Box& region,
-                   ExpFn&& exp_fn) {
-  for (int k = region.lo.z; k < region.hi.z; ++k)
-    for (int j = region.lo.y; j < region.hi.y; ++j)
-      for (int i = region.lo.x; i < region.hi.x; ++i)
-        cell(env, u0, u1, i, j, k, exp_fn);
+                   const PhiAxes& phi) {
+  const grid::IntVec lo = region.lo;
+  for (int k = lo.z; k < region.hi.z; ++k)
+    for (int j = lo.y; j < region.hi.y; ++j)
+      for (int i = lo.x; i < region.hi.x; ++i)
+        cell(env, u0, u1, i, j, k, phi.x[i - lo.x], phi.y[j - lo.y],
+             phi.z[k - lo.z]);
 }
 
-/// Vectorized along x with width 4 (Algorithm 2); the y/z phi factors are
-/// broadcast, and a scalar epilogue handles the remainder cells. The
-/// scalar and vector phi agree exactly because exp(0) == 1 exactly.
-template <typename ScalarExp, typename VecExp>
+/// Vectorized along x with width 4 (Algorithm 2): the x phi factors load
+/// from the table, the y/z factors are broadcast, and a scalar epilogue
+/// handles the remainder cells.
 void simd_kernel(const KernelEnv& env, const FieldView& u0, const FieldView& u1,
-                 const grid::Box& region, ScalarExp&& sexp, VecExp&& vexp) {
+                 const grid::Box& region, const PhiAxes& phi) {
+  const grid::IntVec lo = region.lo;
   const double dx = env.dx, dy = env.dy, dz = env.dz;
   const Vec4 vdx = Vec4::broadcast(dx);
   const Vec4 vdy = Vec4::broadcast(dy);
@@ -64,14 +62,13 @@ void simd_kernel(const KernelEnv& env, const FieldView& u0, const FieldView& u1,
   const Vec4 vdt = Vec4::broadcast(env.dt);
   const Vec4 vm2 = Vec4::broadcast(-2.0);
 
-  for (int k = region.lo.z; k < region.hi.z; ++k) {
-    const Vec4 phi_z = Vec4::broadcast(phi(k * dz, env.time, sexp));
-    for (int j = region.lo.y; j < region.hi.y; ++j) {
-      const Vec4 phi_y = Vec4::broadcast(phi(j * dy, env.time, sexp));
-      int i = region.lo.x;
+  for (int k = lo.z; k < region.hi.z; ++k) {
+    const Vec4 phi_z = Vec4::broadcast(phi.z[k - lo.z]);
+    for (int j = lo.y; j < region.hi.y; ++j) {
+      const Vec4 phi_y = Vec4::broadcast(phi.y[j - lo.y]);
+      int i = lo.x;
       for (; i + 4 <= region.hi.x; i += 4) {
-        const Vec4 xi{i * dx, (i + 1) * dx, (i + 2) * dx, (i + 3) * dx};
-        const Vec4 phi_x = phi(xi, env.time, vexp);
+        const Vec4 phi_x = Vec4::loadu(&phi.x[i - lo.x]);
         const Vec4 u = Vec4::loadu(u0.ptr(i, j, k));
         const Vec4 uxm = Vec4::loadu(u0.ptr(i - 1, j, k));
         const Vec4 uxp = Vec4::loadu(u0.ptr(i + 1, j, k));
@@ -90,7 +87,9 @@ void simd_kernel(const KernelEnv& env, const FieldView& u0, const FieldView& u1,
                         Vec4::vmuld(vnu, (d2udx2 + d2udy2 + d2udz2));
         Vec4::vmad(vdt, du, u).storeu(u1.ptr(i, j, k));
       }
-      for (; i < region.hi.x; ++i) cell(env, u0, u1, i, j, k, sexp);
+      for (; i < region.hi.x; ++i)
+        cell(env, u0, u1, i, j, k, phi.x[i - lo.x], phi.y[j - lo.y],
+             phi.z[k - lo.z]);
     }
   }
 }
@@ -114,34 +113,22 @@ kern::KernelVariants make_burgers_kernel(bool use_ieee_exp,
   kv.ghost = 1;
   kv.tile_shape = tile_shape;
   kv.use_ieee_exp = use_ieee_exp;
-  if (use_ieee_exp) {
-    kv.scalar = [](const KernelEnv& env, const FieldView& in,
-                   const FieldView& out, const grid::Box& region) {
-      scalar_kernel(env, in, out, region,
-                    [](double v) { return kern::exp_ieee(v); });
-    };
-    kv.simd = [](const KernelEnv& env, const FieldView& in,
-                 const FieldView& out, const grid::Box& region) {
-      simd_kernel(env, in, out, region,
-                  [](double v) { return kern::exp_ieee(v); },
-                  [](Vec4 v) {
-                    return Vec4{kern::exp_ieee(v[0]), kern::exp_ieee(v[1]),
-                                kern::exp_ieee(v[2]), kern::exp_ieee(v[3])};
-                  });
-    };
-  } else {
-    kv.scalar = [](const KernelEnv& env, const FieldView& in,
-                   const FieldView& out, const grid::Box& region) {
-      scalar_kernel(env, in, out, region,
-                    [](double v) { return kern::exp_fast(v); });
-    };
-    kv.simd = [](const KernelEnv& env, const FieldView& in,
-                 const FieldView& out, const grid::Box& region) {
-      simd_kernel(env, in, out, region,
-                  [](double v) { return kern::exp_fast(v); },
-                  [](Vec4 v) { return kern::exp_fast(v); });
-    };
-  }
+  // The paper's kernel evaluates the three phi factors per cell (six
+  // exponentials, as burgers_kernel_cost() charges in virtual time). Each
+  // depends on one coordinate only, so every call evaluates them once per
+  // coordinate of its region with the same scalar phi.
+  double (*const exp_fn)(double) =
+      use_ieee_exp ? kern::exp_ieee : kern::exp_fast;
+  kv.scalar = [exp_fn](const KernelEnv& env, const FieldView& in,
+                       const FieldView& out, const grid::Box& region) {
+    scalar_kernel(env, in, out, region,
+                  PhiAxes(region, env.dx, env.dy, env.dz, env.time, exp_fn));
+  };
+  kv.simd = [exp_fn](const KernelEnv& env, const FieldView& in,
+                     const FieldView& out, const grid::Box& region) {
+    simd_kernel(env, in, out, region,
+                PhiAxes(region, env.dx, env.dy, env.dz, env.time, exp_fn));
+  };
   return kv;
 }
 

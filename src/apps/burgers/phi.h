@@ -14,48 +14,25 @@
 //
 // As in the paper, the numerator and denominator are divided by the
 // largest of e^a, e^b, e^c, reducing the exponential count per call from
-// three to two (six per cell for the three calls in the kernel). The
-// function is templated over the arithmetic type (double or Vec4) and the
-// exponential implementation (fast or IEEE), mirroring the scalar / SIMD
-// and fast-exp / IEEE-exp kernel variants.
+// three to two. The kernel multiplies three phi factors per cell, so the
+// paper's kernel does six exponentials per cell; that is what
+// burgers_kernel_cost() charges in virtual time (Table I). Each factor
+// depends on one coordinate only, so the host evaluates phi once per grid
+// coordinate (phi_axis, PhiAxes) and the cells read it from those tables.
+// phi is templated over the exponential implementation (fast or IEEE),
+// mirroring the fast-exp / IEEE-exp kernel variants.
 
+#include <vector>
+
+#include "grid/box.h"
 #include "kern/fastexp.h"
-#include "kern/simd4.h"
 
 namespace usw::apps::burgers {
 
 inline constexpr double kViscosity = 0.01;
 
-namespace detail {
-inline double max3(double a, double b, double c) {
-  const double m = a > b ? a : b;
-  return m > c ? m : c;
-}
-inline kern::Vec4 max3(kern::Vec4 a, kern::Vec4 b, kern::Vec4 c) {
-  return kern::Vec4::max(kern::Vec4::max(a, b), c);
-}
-}  // namespace detail
-
-/// Vector phi: the reduction by the lane-wise maximum still evaluates all
-/// three exponentials (one of them is exp(0) per lane) — per-lane branching
-/// does not vectorize, which is exactly why the paper's SIMD exponential
-/// speedup is modest.
-template <typename ExpFn>
-inline kern::Vec4 phi(kern::Vec4 x, double t, ExpFn&& exp_fn) {
-  constexpr double inv_nu = 1.0 / kViscosity;
-  const kern::Vec4 a = -0.05 * (x - 0.5 + 4.95 * t) * inv_nu;
-  const kern::Vec4 b = -0.25 * (x - 0.5 + 0.75 * t) * inv_nu;
-  const kern::Vec4 c = -0.50 * (x - 0.375) * inv_nu;
-  const kern::Vec4 m = detail::max3(a, b, c);
-  const kern::Vec4 ea = exp_fn(a - m);
-  const kern::Vec4 eb = exp_fn(b - m);
-  const kern::Vec4 ec = exp_fn(c - m);
-  return (0.1 * ea + 0.5 * eb + ec) / (ea + eb + ec);
-}
-
-/// Scalar phi: branches on the largest exponent and skips its exponential,
-/// so only two exponentials are evaluated per call — six per cell for the
-/// kernel's three calls, matching the paper's count.
+/// phi at x: branches on the largest exponent and skips its exponential
+/// (exp(0) == 1), so only two exponentials are evaluated per call.
 template <typename ExpFn>
 inline double phi(double x, double t, ExpFn&& exp_fn) {
   constexpr double inv_nu = 1.0 / kViscosity;
@@ -79,12 +56,35 @@ inline double phi(double x, double t, ExpFn&& exp_fn) {
   return (0.1 * ea + 0.5 * eb + ec) / (ea + eb + ec);
 }
 
-/// Scalar phi with the fast exponential (the production configuration).
+/// phi at c*h for every grid coordinate c in [lo, hi), indexed by c - lo.
+template <typename ExpFn>
+std::vector<double> phi_axis(int lo, int hi, double h, double t,
+                             ExpFn&& exp_fn) {
+  std::vector<double> out;
+  out.reserve(static_cast<std::size_t>(hi > lo ? hi - lo : 0));
+  for (int c = lo; c < hi; ++c) out.push_back(phi(c * h, t, exp_fn));
+  return out;
+}
+
+/// phi along the three axes of `box` (cell spacings dx, dy, dz) at time t,
+/// each indexed by offset from box.lo.
+struct PhiAxes {
+  std::vector<double> x, y, z;
+
+  template <typename ExpFn>
+  PhiAxes(const grid::Box& box, double dx, double dy, double dz, double t,
+          ExpFn&& exp_fn)
+      : x(phi_axis(box.lo.x, box.hi.x, dx, t, exp_fn)),
+        y(phi_axis(box.lo.y, box.hi.y, dy, t, exp_fn)),
+        z(phi_axis(box.lo.z, box.hi.z, dz, t, exp_fn)) {}
+};
+
+/// phi with the fast exponential (the production configuration).
 inline double phi_fast(double x, double t) {
   return phi(x, t, [](double v) { return kern::exp_fast(v); });
 }
 
-/// Scalar phi with the IEEE exponential (reference accuracy).
+/// phi with the IEEE exponential (reference accuracy).
 inline double phi_ieee(double x, double t) {
   return phi(x, t, [](double v) { return kern::exp_ieee(v); });
 }

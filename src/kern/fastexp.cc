@@ -14,6 +14,11 @@ constexpr double kLn2Hi = 6.93147180369123816490e-01;
 constexpr double kLn2Lo = 1.90821492927058770002e-10;
 constexpr double kInvLn2 = 1.44269504088896338700e+00;
 
+// exp(x) overflows above ln(DBL_MAX) and rounds to zero below ln(2^-1075),
+// half the smallest subnormal.
+constexpr double kOverflowArg = 7.09782712893383973096e+02;
+constexpr double kUnderflowArg = -7.45133219101941108420e+02;
+
 /// 2^k for integer k in [-1022, 1023] via exponent-field construction.
 inline double pow2i(int k) {
   const std::uint64_t bits = static_cast<std::uint64_t>(k + 1023) << 52;
@@ -42,21 +47,15 @@ double exp_ieee(double x) { return std::exp(x); }
 
 double exp_fast(double x) {
   if (std::isnan(x)) return x;
-  if (x > 709.0) return std::numeric_limits<double>::infinity();
-  if (x < -708.0) return 0.0;
+  if (x > kOverflowArg) return std::numeric_limits<double>::infinity();
+  if (x < kUnderflowArg) return 0.0;
   const int k = static_cast<int>(std::lround(x * kInvLn2));
   const double r = (x - k * kLn2Hi) - k * kLn2Lo;
   const double p = exp_poly(r);
-  // Split the scaling for |k| near the subnormal boundary.
+  // Split the scaling in two normal powers of two where 2^k alone would
+  // overflow (k = 1024) or the product may be subnormal (k < -1021).
   if (k >= -1021 && k <= 1023) return p * pow2i(k);
   return p * pow2i(k / 2) * pow2i(k - k / 2);
-}
-
-Vec4 exp_fast(Vec4 x) {
-  // The argument reduction and polynomial vectorize; the final per-lane
-  // scaling does not (mirroring the partially-vectorized software exp the
-  // cost model charges for).
-  return Vec4{exp_fast(x[0]), exp_fast(x[1]), exp_fast(x[2]), exp_fast(x[3])};
 }
 
 }  // namespace usw::kern

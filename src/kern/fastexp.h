@@ -6,27 +6,23 @@
 // non-IEEE-conforming vendor library over the slow conforming one and
 // accepts a small accuracy loss. This module reproduces that choice:
 //
-//   * exp_ieee     - the accurate reference (std::exp),
-//   * exp_fast     - a range-reduction + degree-6 polynomial approximation
-//                    with relative error < 3e-11 over double range,
-//   * exp_fast(Vec4) - the vectorized version used by SIMD kernels.
+//   * exp_ieee - the accurate reference (std::exp),
+//   * exp_fast - a range-reduction + degree-9 polynomial approximation
+//                with relative error < 3e-11 over the normal double range.
 //
 // Tests pin the accuracy bound; benchmarks charge different virtual-time
 // costs for the two libraries via MachineParams::cpe_exp_*.
-
-#include "kern/simd4.h"
 
 namespace usw::kern {
 
 /// IEEE-conforming exponential (the "slow library").
 double exp_ieee(double x);
 
-/// Fast non-conforming exponential: relative error < 3e-11 for |x| <= 700;
-/// clamps to 0 / +inf outside the representable range, does not honor
-/// signaling NaN semantics or set floating-point flags.
+/// Fast non-conforming exponential: relative error < 3e-11 wherever the
+/// result is a normal double (x >= about -708.39). Returns +inf above
+/// ln(DBL_MAX) ~ 709.78 and 0 below ~ -745.13, where exp(x) rounds to zero;
+/// in between the results are finite, subnormal below ~ -708.39. Does not
+/// honor signaling NaN semantics or set floating-point flags.
 double exp_fast(double x);
-
-/// Lane-wise fast exponential.
-Vec4 exp_fast(Vec4 x);
 
 }  // namespace usw::kern

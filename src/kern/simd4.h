@@ -81,12 +81,6 @@ struct Vec4 {
   friend Vec4 operator/(double a, Vec4 b) { return broadcast(a) / b; }
   friend Vec4 operator-(Vec4 a) { return broadcast(0.0) - a; }
 
-  /// Lane-wise maximum.
-  static Vec4 max(Vec4 a, Vec4 b) {
-    return Vec4{a[0] > b[0] ? a[0] : b[0], a[1] > b[1] ? a[1] : b[1],
-                a[2] > b[2] ? a[2] : b[2], a[3] > b[3] ? a[3] : b[3]};
-  }
-
   /// SIMD_VMAD: a*b + c. Kept as separate multiply and add so results match
   /// the scalar kernels exactly (no fused rounding difference).
   static Vec4 vmad(Vec4 a, Vec4 b, Vec4 c) { return a * b + c; }

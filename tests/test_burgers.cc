@@ -1,14 +1,21 @@
 // Tests of the Burgers model problem: phi properties, exactness of the
-// product solution, kernel correctness (scalar == SIMD bit-for-bit),
-// convergence under mesh refinement, and boundary handling.
+// product solution, kernel correctness (scalar == SIMD == a per-cell
+// reference, bit-for-bit), golden end-to-end numerics, convergence under
+// mesh refinement, and boundary handling.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "apps/burgers/burgers_app.h"
 #include "apps/burgers/kernels.h"
 #include "apps/burgers/phi.h"
+#include "athread/athread.h"
 #include "runtime/controller.h"
 #include "support/rng.h"
 
@@ -49,20 +56,6 @@ TEST(Phi, FastAndIeeeAgree) {
     const double x = rng.next_in(0.0, 1.0);
     const double t = rng.next_in(0.0, 0.2);
     EXPECT_NEAR(phi_fast(x, t), phi_ieee(x, t), 1e-9);
-  }
-}
-
-TEST(Phi, VectorMatchesScalarBitwise) {
-  SplitMix64 rng(6);
-  auto sexp = [](double v) { return kern::exp_fast(v); };
-  auto vexp = [](kern::Vec4 v) { return kern::exp_fast(v); };
-  for (int i = 0; i < 500; ++i) {
-    const double t = rng.next_in(0.0, 0.3);
-    const kern::Vec4 x{rng.next_in(0, 1), rng.next_in(0, 1), rng.next_in(0, 1),
-                       rng.next_in(0, 1)};
-    const kern::Vec4 v = phi(x, t, vexp);
-    for (int lane = 0; lane < 4; ++lane)
-      EXPECT_EQ(v[lane], phi(x[lane], t, sexp)) << "lane " << lane;
   }
 }
 
@@ -145,6 +138,67 @@ TEST(BurgersKernel, IeeeVariantsAlsoBitwiseIdentical) {
     ASSERT_EQ(a.data()[i], b.data()[i]);
 }
 
+/// One cell of Algorithm 1 with phi evaluated at the cell's own
+/// coordinates, written out independently of the kernels' phi tables.
+double reference_cell(const kern::KernelEnv& env,
+                      const var::CCVariable<double>& u0, int i, int j, int k,
+                      bool ieee_exp) {
+  auto exp_fn = [ieee_exp](double v) {
+    return ieee_exp ? kern::exp_ieee(v) : kern::exp_fast(v);
+  };
+  const double dx = env.dx, dy = env.dy, dz = env.dz;
+  const double u = u0(i, j, k);
+  const double u_dudx =
+      phi(i * dx, env.time, exp_fn) * (u0(i - 1, j, k) - u) / dx;
+  const double u_dudy =
+      phi(j * dy, env.time, exp_fn) * (u0(i, j - 1, k) - u) / dy;
+  const double u_dudz =
+      phi(k * dz, env.time, exp_fn) * (u0(i, j, k - 1) - u) / dz;
+  const double d2udx2 =
+      (-2.0 * u + (u0(i - 1, j, k) + u0(i + 1, j, k))) / (dx * dx);
+  const double d2udy2 =
+      (-2.0 * u + (u0(i, j - 1, k) + u0(i, j + 1, k))) / (dy * dy);
+  const double d2udz2 =
+      (-2.0 * u + (u0(i, j, k - 1) + u0(i, j, k + 1))) / (dz * dz);
+  const double du =
+      (u_dudx + u_dudy + u_dudz) + kViscosity * (d2udx2 + d2udy2 + d2udz2);
+  return u + env.dt * du;
+}
+
+TEST(BurgersKernel, OffsetRegionsMatchPerCellReference) {
+  // Regions away from the origin catch a phi lookup indexed by the global
+  // cell index instead of its offset in the region: the first has lo.x not
+  // a multiple of 4 and a SIMD remainder of 2, the second is a full LDM
+  // tile.
+  const grid::Box regions[] = {{{5, 3, 2}, {27, 9, 7}},
+                               {{16, 32, 8}, {32, 48, 16}}};
+  kern::KernelEnv env;
+  env.time = 0.05;
+  env.dt = 1e-4;
+  env.dx = env.dy = env.dz = 1.0 / 64;
+  SplitMix64 rng(21);
+  for (const bool ieee_exp : {false, true}) {
+    SCOPED_TRACE(ieee_exp ? "IEEE exp" : "fast exp");
+    const kern::KernelVariants kv = make_burgers_kernel(ieee_exp);
+    for (const grid::Box& region : regions) {
+      var::CCVariable<double> u0(region.grown(1)), scalar(region), simd(region);
+      for (double& x : u0.data()) x = rng.next_in(0.0, 1.0);
+      const kern::FieldView in = kern::FieldView::of(u0);
+      kv.scalar(env, in, kern::FieldView::of(scalar), region);
+      kv.simd(env, in, kern::FieldView::of(simd), region);
+      for (int k = region.lo.z; k < region.hi.z; ++k)
+        for (int j = region.lo.y; j < region.hi.y; ++j)
+          for (int i = region.lo.x; i < region.hi.x; ++i) {
+            const double want = reference_cell(env, u0, i, j, k, ieee_exp);
+            ASSERT_EQ(scalar(i, j, k), want) << "scalar at " << i << "," << j
+                                             << "," << k;
+            ASSERT_EQ(simd(i, j, k), want) << "simd at " << i << "," << j
+                                           << "," << k;
+          }
+    }
+  }
+}
+
 TEST(BurgersKernel, CostDeclarationMatchesPaperScale) {
   const hw::KernelCost c = burgers_kernel_cost();
   EXPECT_DOUBLE_EQ(c.exps_per_cell, 6.0);
@@ -167,6 +221,52 @@ double solve_and_get_linf(grid::IntVec layout, grid::IntVec patch, int steps,
   BurgersApp app(app_cfg);
   const auto result = runtime::run_simulation(cfg, app);
   return result.ranks[0].metrics.at("linf_error");
+}
+
+/// One line of tests/data/burgers_numerics.txt: the case, then linf_error,
+/// l2_error and u_max as hexfloats, on a 2x3x2 layout of 22x13x10 patches
+/// (partial LDM tiles and SIMD remainder columns), 3 ranks, 4 steps.
+std::string numerics_line(const std::string& variant, bool ieee_exp,
+                          athread::Backend backend) {
+  runtime::RunConfig cfg;
+  cfg.problem = runtime::tiny_problem({2, 3, 2}, {22, 13, 10});
+  cfg.variant = runtime::variant_by_name(variant);
+  cfg.nranks = 3;
+  cfg.timesteps = 4;
+  cfg.storage = var::StorageMode::kFunctional;
+  cfg.backend = backend;
+  cfg.backend_threads = 2;
+  BurgersApp::Config app_cfg;
+  app_cfg.use_ieee_exp = ieee_exp;
+  const auto result = runtime::run_simulation(cfg, BurgersApp(app_cfg));
+  const std::map<std::string, double>& m = result.ranks[0].metrics;
+  char line[256];
+  std::snprintf(line, sizeof line, "%s %s %s %a %a %a", variant.c_str(),
+                ieee_exp ? "ieee" : "fast", athread::to_string(backend),
+                m.at("linf_error"), m.at("l2_error"), m.at("u_max"));
+  return line;
+}
+
+TEST(BurgersSolver, NumericsMatchGoldenFile) {
+  // Recorded once from the per-cell phi implementation; any change to the
+  // kernels, the boundary fill, the reduction or the error check that is
+  // not bit-exact moves one of these values.
+  std::ifstream in(USW_TEST_DATA_DIR "/burgers_numerics.txt");
+  ASSERT_TRUE(in) << "missing tests/data/burgers_numerics.txt";
+  std::vector<std::string> want;
+  for (std::string line; std::getline(in, line);)
+    if (!line.empty() && line[0] != '#') want.push_back(line);
+
+  std::vector<std::string> got;
+  for (const runtime::Variant& v : runtime::all_variants())
+    for (const bool ieee_exp : {false, true})
+      got.push_back(
+          numerics_line(v.name, ieee_exp, athread::Backend::kSerial));
+  got.push_back(
+      numerics_line("acc_simd.async", false, athread::Backend::kThreads));
+
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], want[i]);
 }
 
 TEST(BurgersSolver, ErrorShrinksUnderRefinement) {
