@@ -8,12 +8,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <memory>
 #include <ostream>
 #include <streambuf>
 
 #include "apps/burgers/burgers_app.h"
 #include "apps/burgers/kernels.h"
 #include "apps/burgers/phi.h"
+#include "athread/athread.h"
 #include "hw/ldm.h"
 #include "kern/fastexp.h"
 #include "obs/chrome_trace.h"
@@ -21,6 +23,7 @@
 #include "obs/span.h"
 #include "runtime/controller.h"
 #include "runtime/observe.h"
+#include "sched/tile_exec.h"
 #include "sim/coordinator.h"
 #include "support/rng.h"
 #include "var/ccvariable.h"
@@ -158,6 +161,37 @@ void BM_CoordinatorHandoff(benchmark::State& state) {
                     benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_CoordinatorHandoff)->Arg(2)->Arg(128)->Arg(1024)->UseManualTime();
+
+void BM_OffloadPath(benchmark::State& state) {
+  // Host cost of one CPE offload as Scheduler::offload_stencil runs it
+  // for the acc_simd variants: tile the patch, plan the tile->CPE
+  // assignment, build the job, spawn it on the serial backend and join,
+  // timing-only. The argument is the tile count: 1 for an 8^3 patch, 256
+  // for the Table III 32x32x512 patch (16x16x8 tiles). Items are tiles.
+  const grid::Box patch = state.range(0) == 1
+                              ? grid::Box{{0, 0, 0}, {8, 8, 8}}
+                              : grid::Box{{0, 0, 0}, {32, 32, 512}};
+  const kern::KernelVariants kv = apps::burgers::make_burgers_kernel(false);
+  const hw::CostModel cost(hw::MachineParams::sunway_taihulight());
+  sched::TileExecArgs args;
+  args.kernel = &kv;
+  args.env = burgers_env();
+  args.vectorize = true;
+  sim::run_ranks(1, [&](sim::Coordinator& coord, int rank) {
+    athread::CpeCluster cluster(cost, coord, rank);
+    for (auto _ : state) {
+      auto tiling = std::make_shared<const grid::Tiling>(patch, kv.tile_shape);
+      auto plan = std::make_shared<const sched::TileAssignment>(
+          sched::plan_tile_assignment(args, *tiling, cluster.group_size(),
+                                      cluster.n_cpes(), cost));
+      cluster.spawn(
+          sched::make_tile_job(args, std::move(tiling), std::move(plan)));
+      cluster.join();
+    }
+  });
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_OffloadPath)->Arg(1)->Arg(256)->UseRealTime();
 
 /// Accepts and drops everything written to it, so the exporters do their
 /// full formatting work without touching a file.

@@ -173,6 +173,9 @@ void CpeCluster::sync_group(Group& group) const {
 
 void CpeCluster::publish_group(Group& group) const {
   group.published = true;
+  // Every body has run: free what the job captured (a tile offload's
+  // tiling and plan) with the offload rather than at the next spawn.
+  group.job = nullptr;
   for (std::size_t id = 0; id < group.cpe_errors.size(); ++id) {
     if (group.cpe_errors[id] != nullptr) {
       // Deterministic error surface: the lowest-id failing CPE wins, as it

@@ -93,8 +93,6 @@ class CpeContext {
   int cpe_id() const { return cpe_id_; }
   /// CPEs in this group (64 for whole-cluster offloads).
   int n_cpes() const { return n_cpes_; }
-  /// CPEs in the whole cluster — what DMA contention is priced against.
-  int cluster_cpes() const { return cluster_cpes_; }
 
   /// This CPE's scratch-pad. Allocate tile buffers from it; overflow
   /// throws ResourceError exactly like exceeding the hardware LDM.
@@ -198,7 +196,9 @@ class CpeCluster {
   /// Offloads `job` to group `g`. Charges offload_launch of MPE time and
   /// records the spawn time. Backend::kSerial executes the per-CPE bodies
   /// before returning; Backend::kThreads dispatches them onto the worker
-  /// pool and returns immediately. The group must be idle.
+  /// pool and returns immediately. The group must be idle. The copy of
+  /// `job` is dropped when the offload publishes: inside spawn() under
+  /// kSerial, at the first completion query (poll, join, ...) under kThreads.
   void spawn(const CpeJob& job, int g = 0);
 
   /// True between spawn() and the flag being observed complete.
@@ -252,7 +252,9 @@ class CpeCluster {
     TimePs spawn_time = 0;
     TimePs completion = 0;
     std::vector<TimePs> cpe_done;
-    CpeJob job;  ///< shared copy the workers invoke (set before dispatch)
+    /// Shared copy the workers invoke; lives from spawn() to publish (a
+    /// serial body that throws out of spawn() leaves it to the next spawn).
+    CpeJob job;
 
     // Per-CPE slots: each worker writes exactly its own index, then bumps
     // `faaw`. The MPE reads them only after faaw == group size, so the

@@ -1,5 +1,7 @@
 #include "grid/tiling.h"
 
+#include <numeric>
+
 #include "support/error.h"
 
 namespace usw::grid {
@@ -25,15 +27,18 @@ Tiling::Tiling(const Box& patch_cells, IntVec tile_shape)
 
 std::vector<int> Tiling::tiles_for_cpe(int cpe_id, int n_cpes) const {
   USW_ASSERT(cpe_id >= 0 && cpe_id < n_cpes);
-  // Partition z-slabs contiguously: slab s goes to CPE s * n_cpes / nz.
+  // Slab s goes to CPE s * n_cpes / nz, which owns exactly the slabs s with
+  // c * nz <= s * n_cpes < (c + 1) * nz: the run [first(c), first(c + 1)).
   // Each slab carries all of its x-y tiles.
-  const int nz = tile_grid_.z;
+  const long nz = tile_grid_.z;
+  const auto first_slab = [&](long c) {
+    return static_cast<int>((c * nz + n_cpes - 1) / n_cpes);
+  };
   const int per_slab = tile_grid_.x * tile_grid_.y;
-  std::vector<int> out;
-  for (int s = 0; s < nz; ++s) {
-    if (static_cast<long>(s) * n_cpes / nz != cpe_id) continue;
-    for (int t = 0; t < per_slab; ++t) out.push_back(s * per_slab + t);
-  }
+  const int lo = first_slab(cpe_id) * per_slab;
+  const int hi = first_slab(cpe_id + 1) * per_slab;
+  std::vector<int> out(static_cast<std::size_t>(hi - lo));
+  std::iota(out.begin(), out.end(), lo);
   return out;
 }
 

@@ -34,7 +34,10 @@ class Tiling {
   const std::vector<Box>& tiles() const { return tiles_; }
 
   /// Tile indices assigned to `cpe_id` of `n_cpes`: z-slabs are divided
-  /// contiguously and as evenly as possible among the CPEs.
+  /// contiguously and as evenly as possible among the CPEs. With nz slabs,
+  /// CPE c gets every tile of slabs [ceil(c*nz/n_cpes),
+  /// ceil((c+1)*nz/n_cpes)) in tile order — the slabs s with
+  /// s * n_cpes / nz == c.
   std::vector<int> tiles_for_cpe(int cpe_id, int n_cpes) const;
 
   /// Bytes of LDM needed to stage one full (unclipped) tile of a kernel

@@ -331,7 +331,6 @@ void Scheduler::offload_stencil(task::TaskContext& ctx, int dt_index, int group)
                     dt.task->stencil_in(), dt.patch_id);
   args.out = view_of(*ctx.new_dw, dt.task->stencil_out(), dt.patch_id,
                      /*for_write=*/true);
-  args.patch_cells = patch.cells();
   args.vectorize = config_.vectorize && kernel.has_simd();
   args.async_dma = config_.async_dma;
   args.packed_tiles = config_.packed_tiles;
@@ -344,12 +343,14 @@ void Scheduler::offload_stencil(task::TaskContext& ctx, int dt_index, int group)
     args.fault.step = step_;
     args.fault.task = dt_index;
   }
-  // Plan the tile->CPE assignment once per offload on the MPE and hand the
-  // same plan to the job, the race detector, and the telemetry, so all
-  // three see the assignment actually executed.
-  const grid::Tiling tiling(patch.cells(), kernel.tile_shape);
+  // Tile the patch and plan the tile->CPE assignment once per offload on
+  // the MPE, and hand the same tiling and plan to the job, the race
+  // detector, and the telemetry, so all three see the assignment actually
+  // executed.
+  const auto tiling =
+      std::make_shared<const grid::Tiling>(patch.cells(), kernel.tile_shape);
   const auto plan = std::make_shared<const TileAssignment>(plan_tile_assignment(
-      args, tiling, cluster_.group_size(), cluster_.n_cpes(),
+      args, *tiling, cluster_.group_size(), cluster_.n_cpes(),
       comm_.net().cost(), config_.schedule, comm_.rank()));
   if (config_.checker != nullptr) {
     config_.checker->record_stencil_read(dt_index, dt.task->stencil_in(),
@@ -359,19 +360,19 @@ void Scheduler::offload_stencil(task::TaskContext& ctx, int dt_index, int group)
     // The tile-partition race detector: the per-CPE write-sets of this
     // offload must partition the patch interior exactly.
     config_.checker->record_tile_partition(dt_index, patch.cells(),
-                                           tile_writes(tiling, *plan));
+                                           tile_writes(*tiling, *plan));
   }
   if (config_.metrics != nullptr) {
     config_.metrics->sample(
         "offload.cells", static_cast<double>(patch.cells().volume()));
-    for (const auto& [cpe, box] : tile_writes(tiling, *plan))
+    for (const auto& [cpe, box] : tile_writes(*tiling, *plan))
       config_.metrics->sample("tile.cells", static_cast<double>(box.volume()));
   }
   const std::string label = trace_.enabled() ? task_label(dt) : std::string();
   const sim::EventIds ids{step_, dt_index, dt.patch_id, -1, -1, group, 0};
   if (trace_.enabled())
     trace_.record(comm_.now(), sim::EventKind::kOffloadBegin, label, ids);
-  athread::CpeJob job = make_tile_job(args, plan);
+  athread::CpeJob job = make_tile_job(args, tiling, plan);
   if (config_.faults != nullptr) {
     if (const auto stall = config_.faults->cpe_stall(step_, dt_index, attempt,
                                                      cluster_.group_size())) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -180,17 +179,31 @@ TileAssignment plan_tile_assignment(const TileExecArgs& args,
   // with the sync estimate keeps the assignment identical across both DMA
   // modes (it is what the shared counter would see on the hardware, where
   // the grab happens before the pipeline hides anything).
+  //
+  // The price is a pure function of the tile's extent and per-tile scale,
+  // so a tile whose key equals the previous tile's reuses its price: every
+  // tile of an unclipped, unscaled patch is priced once.
+  grid::IntVec last_extent{-1, -1, -1};
+  double last_scale = 0.0;
+  TimePs last_price = 0;
   const TileCostFn tile_cost = [&](int t) {
-    const grid::Box tile = tiling.tile(t);
+    const grid::Box& tile = tiling.tile(t);
+    const grid::IntVec extent = tile.size();
+    const double scale = kernel.scale_for_tile(tile);
+    if (extent == last_extent && scale == last_scale) return last_price;
     const grid::Box ghosted = tile.grown(kernel.ghost);
     const hw::KernelCost kc = tile_kernel_cost(kernel, base, tile);
-    return cost.cpe_tile_overhead() +
-           cost.cpe_dma(static_cast<std::uint64_t>(ghosted.volume()) * sizeof(double),
-                        cluster_cpes, strided) +
-           cost.cpe_compute(static_cast<std::uint64_t>(tile.volume()), kc,
-                            args.vectorize, kernel.use_ieee_exp) +
-           cost.cpe_dma(static_cast<std::uint64_t>(tile.volume()) * sizeof(double),
-                        cluster_cpes, strided);
+    last_extent = extent;
+    last_scale = scale;
+    last_price =
+        cost.cpe_tile_overhead() +
+        cost.cpe_dma(static_cast<std::uint64_t>(ghosted.volume()) * sizeof(double),
+                     cluster_cpes, strided) +
+        cost.cpe_compute(static_cast<std::uint64_t>(tile.volume()), kc,
+                         args.vectorize, kernel.use_ieee_exp) +
+        cost.cpe_dma(static_cast<std::uint64_t>(tile.volume()) * sizeof(double),
+                     cluster_cpes, strided);
+    return last_price;
   };
   return assign_tiles(tiling, n_cpes, args.policy, tile_cost, cost.cpe_faaw(),
                       schedule, rank);
@@ -207,50 +220,24 @@ std::vector<std::pair<int, grid::Box>> tile_writes(const grid::Tiling& tiling,
 }
 
 athread::CpeJob make_tile_job(TileExecArgs args,
+                              std::shared_ptr<const grid::Tiling> tiling,
                               std::shared_ptr<const TileAssignment> plan) {
-  USW_ASSERT(args.kernel != nullptr);
-  // Fallback for callers that did not plan (direct make_tile_job users):
-  // the first CPE body to enter computes the plan once and the rest reuse
-  // it — call_once makes that safe under the threads backend, and the plan
-  // is a pure function so every backend computes the same one.
-  struct LazyPlan {
-    std::once_flag once;
-    TileAssignment plan;
-  };
-  std::shared_ptr<LazyPlan> lazy;
-  if (plan == nullptr && args.policy != TilePolicy::kStaticZ)
-    lazy = std::make_shared<LazyPlan>();
-  return [args, plan = std::move(plan), lazy](athread::CpeContext& ctx) {
-    const grid::Tiling tiling(args.patch_cells, args.kernel->tile_shape);
-    const bool functional = args.in.valid() && args.out.valid();
-    const TileAssignment* assignment = plan.get();
-    if (assignment == nullptr && lazy != nullptr) {
-      std::call_once(lazy->once, [&] {
-        lazy->plan = plan_tile_assignment(args, tiling, ctx.n_cpes(),
-                                          ctx.cluster_cpes(), ctx.cost());
-      });
-      assignment = &lazy->plan;
-    }
-    std::vector<int> static_mine;
-    const std::vector<int>* mine = &static_mine;
-    int grabs = 0;
-    if (assignment != nullptr) {
-      USW_ASSERT_MSG(assignment->n_cpes() == ctx.n_cpes(),
-                     "tile plan sized for a different CPE group");
-      const auto cpe = static_cast<std::size_t>(ctx.cpe_id());
-      mine = &assignment->tiles_per_cpe[cpe];
-      grabs = assignment->grabs_per_cpe[cpe];
-    } else {
-      static_mine = tiling.tiles_for_cpe(ctx.cpe_id(), ctx.n_cpes());
-    }
+  USW_ASSERT(args.kernel != nullptr && tiling != nullptr && plan != nullptr);
+  return [args = std::move(args), tiling = std::move(tiling),
+          plan = std::move(plan)](athread::CpeContext& ctx) {
+    USW_ASSERT_MSG(plan->n_cpes() == ctx.n_cpes(),
+                   "tile plan sized for a different CPE group");
+    const auto cpe = static_cast<std::size_t>(ctx.cpe_id());
+    const std::vector<int>& mine = plan->tiles_per_cpe[cpe];
     // Self-scheduling arbitration is paid whether or not this CPE won any
     // tiles (the losing faaw is what ends its loop).
-    if (grabs > 0) ctx.grab(grabs);
-    if (mine->empty()) return;
+    if (const int grabs = plan->grabs_per_cpe[cpe]; grabs > 0) ctx.grab(grabs);
+    if (mine.empty()) return;
+    const bool functional = args.in.valid() && args.out.valid();
     if (args.async_dma)
-      run_double_buffered(args, ctx, tiling, *mine, functional);
+      run_double_buffered(args, ctx, *tiling, mine, functional);
     else
-      run_sync(args, ctx, tiling, *mine, functional);
+      run_sync(args, ctx, *tiling, mine, functional);
   };
 }
 

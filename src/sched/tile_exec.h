@@ -51,7 +51,6 @@ struct TileExecArgs {
   kern::FieldView in;
   /// Output covering at least the patch interior.
   kern::FieldView out;
-  grid::Box patch_cells;
   bool vectorize = false;
   bool async_dma = false;    ///< double-buffered DMA pipeline (Sec IX)
   bool packed_tiles = false; ///< contiguous tile transfers (Sec IX)
@@ -66,22 +65,23 @@ struct TileExecArgs {
 /// the faaw grab cost. `n_cpes` is the offload's group size and
 /// `cluster_cpes` the whole cluster's CPE count (DMA contention).
 /// Deterministic: a pure function of its arguments. `schedule`/`rank`
-/// feed the kTileGrab schedule point (see assign_tiles); the lazy planning
-/// path inside make_tile_job always plans canonically — CPE worker threads
-/// must never consult the controller.
+/// feed the kTileGrab schedule point (see assign_tiles). Runs on the MPE:
+/// CPE worker threads must never consult the controller.
 TileAssignment plan_tile_assignment(const TileExecArgs& args,
                                     const grid::Tiling& tiling, int n_cpes,
                                     int cluster_cpes, const hw::CostModel& cost,
                                     schedpt::ScheduleController* schedule = nullptr,
                                     int rank = 0);
 
-/// Job for CpeCluster::spawn. Copies `args` by value; the views must stay
-/// valid until the offload completes. `plan` is the assignment from
-/// plan_tile_assignment (shared so the scheduler plans once per offload);
-/// when null, the job plans lazily on first CPE entry — callers that also
-/// feed the checker or telemetry should plan explicitly and pass it in.
+/// Job for CpeCluster::spawn over one offload's `tiling` of the patch and
+/// its `plan` from plan_tile_assignment (sized for the target group). The
+/// MPE builds both once per offload; every CPE body, the access checker and
+/// the telemetry read those same copies, and the job keeps them alive until
+/// the offload publishes. Copies `args` by value; the views must stay valid
+/// until the offload completes.
 athread::CpeJob make_tile_job(TileExecArgs args,
-                              std::shared_ptr<const TileAssignment> plan = nullptr);
+                              std::shared_ptr<const grid::Tiling> tiling,
+                              std::shared_ptr<const TileAssignment> plan);
 
 /// The per-CPE write-sets — (cpe id, tile interior box) pairs — of the
 /// assignment actually executed, in execution order. Feeds the access

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "athread/athread.h"
@@ -156,6 +157,18 @@ TEST(CpeCluster, JoinAccountsWaitTime) {
     cluster.spawn([](CpeContext& ctx) { ctx.charge(5 * kMicrosecond); });
     cluster.join();
     EXPECT_EQ(counters.wait_time, 5 * kMicrosecond);
+  });
+}
+
+TEST(CpeCluster, JobIsReleasedWhenTheOffloadPublishes) {
+  with_cluster([](sim::Coordinator&, CpeCluster& cluster, hw::PerfCounters&,
+                  const hw::CostModel&) {
+    // What a job captures (a tile offload's tiling and plan) is freed with
+    // its offload, not held until the group's next spawn.
+    const auto sentinel = std::make_shared<int>(0);
+    cluster.spawn([sentinel](CpeContext& ctx) { ctx.charge(kMicrosecond); });
+    cluster.join();
+    EXPECT_EQ(sentinel.use_count(), 1);
   });
 }
 

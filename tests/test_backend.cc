@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -156,6 +157,21 @@ TEST(ThreadsBackend, ExceptionInCpeBodySurfacesAtSync) {
         cluster.join();  // first failing CPE id rethrown here
       }),
       StateError);
+}
+
+TEST(ThreadsBackend, JobIsReleasedWhenPollSeesCompletion) {
+  with_cluster(athread::Backend::kThreads, 1,
+               [](sim::Coordinator&, athread::CpeCluster& cluster,
+                  hw::PerfCounters&) {
+    // The workers' shared copy of the job is dropped when the offload
+    // publishes, so what it captures is freed with the offload.
+    const auto sentinel = std::make_shared<int>(0);
+    cluster.spawn(
+        [sentinel](athread::CpeContext& ctx) { ctx.charge(kMicrosecond); });
+    while (!cluster.poll()) {
+    }
+    EXPECT_EQ(sentinel.use_count(), 1);
+  });
 }
 
 TEST(ThreadsBackend, DestructorWaitsForDispatchedBodies) {

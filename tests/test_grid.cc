@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <set>
+#include <vector>
 
 #include "grid/box.h"
 #include "grid/intvec.h"
@@ -236,6 +238,34 @@ TEST(Tiling, ZPartitionAssignsAllTilesOnce) {
     for (int t : mine) EXPECT_TRUE(seen.insert(t).second);
   }
   EXPECT_EQ(seen.size(), static_cast<std::size_t>(tiling.num_tiles()));
+}
+
+TEST(Tiling, ZPartitionMatchesSlabRule) {
+  // tiles_for_cpe against the per-slab rule it must implement: slab s goes
+  // to CPE s * n / nz, carrying its x-y tiles (two per slab here) in tile
+  // order. Every slab count up to 300 against every group size up to 64.
+  for (int nz = 1; nz <= 300; ++nz) {
+    const Tiling tiling(Box{{0, 0, 0}, {2, 1, nz}}, {1, 1, 1});
+    for (int n = 1; n <= 64; ++n) {
+      std::vector<std::vector<int>> expected(static_cast<std::size_t>(n));
+      for (int s = 0; s < nz; ++s) {
+        std::vector<int>& owned = expected[static_cast<std::size_t>(s * n / nz)];
+        owned.push_back(2 * s);
+        owned.push_back(2 * s + 1);
+      }
+      std::vector<int> times_assigned(
+          static_cast<std::size_t>(tiling.num_tiles()), 0);
+      for (int c = 0; c < n; ++c) {
+        const std::vector<int> mine = tiling.tiles_for_cpe(c, n);
+        ASSERT_EQ(mine, expected[static_cast<std::size_t>(c)])
+            << "nz=" << nz << " n=" << n << " c=" << c;
+        for (int t : mine) ++times_assigned[static_cast<std::size_t>(t)];
+      }
+      ASSERT_EQ(std::count(times_assigned.begin(), times_assigned.end(), 1),
+                tiling.num_tiles())
+          << "nz=" << nz << " n=" << n;
+    }
+  }
 }
 
 TEST(Tiling, FewSlabsLeaveCpesIdle) {

@@ -25,6 +25,19 @@ kern::KernelEnv test_env() {
   return env;
 }
 
+/// The job Scheduler::offload_stencil spawns for `args` over `patch` on a
+/// one-group cluster: one tiling and one tile->CPE plan, shared by every
+/// CPE body.
+athread::CpeJob tile_job(const TileExecArgs& args, const grid::Box& patch,
+                         const hw::CostModel& cost) {
+  const int cpes = cost.params().cpes_per_cg;
+  auto tiling =
+      std::make_shared<const grid::Tiling>(patch, args.kernel->tile_shape);
+  auto plan = std::make_shared<const TileAssignment>(
+      plan_tile_assignment(args, *tiling, cpes, cpes, cost));
+  return make_tile_job(args, std::move(tiling), std::move(plan));
+}
+
 TEST(TileExec, MatchesDirectKernelApplication) {
   const grid::Box patch{{0, 0, 0}, {32, 32, 24}};
   var::CCVariable<double> u0(patch.grown(1)), direct(patch), tiled(patch);
@@ -43,8 +56,7 @@ TEST(TileExec, MatchesDirectKernelApplication) {
     args.env = env;
     args.in = kern::FieldView::of(u0);
     args.out = kern::FieldView::of(tiled);
-    args.patch_cells = patch;
-    cluster.spawn(make_tile_job(args));
+    cluster.spawn(tile_job(args, patch, cost));
     cluster.join();
   });
 
@@ -70,9 +82,8 @@ TEST(TileExec, SimdTilingAlsoMatchesDirect) {
     args.env = env;
     args.in = kern::FieldView::of(u0);
     args.out = kern::FieldView::of(tiled);
-    args.patch_cells = patch;
     args.vectorize = true;
-    cluster.spawn(make_tile_job(args));
+    cluster.spawn(tile_job(args, patch, cost));
     cluster.join();
   });
   for (std::size_t i = 0; i < direct.data().size(); ++i)
@@ -92,8 +103,7 @@ TEST(TileExec, CountsTilesAndDmaTraffic) {
     args.env = test_env();
     args.in = kern::FieldView::of(u0);
     args.out = kern::FieldView::of(out);
-    args.patch_cells = patch;
-    cluster.spawn(make_tile_job(args));
+    cluster.spawn(tile_job(args, patch, cost));
     cluster.join();
   });
   EXPECT_EQ(counters.tiles_executed, 8u);
@@ -116,10 +126,9 @@ TEST(TileExec, TimingOnlyChargesWithoutData) {
     athread::CpeCluster cluster(cost, coord, rank, &counters);
     TileExecArgs args;
     args.kernel = &kv;
-    args.env = test_env();
-    args.patch_cells = patch;  // views left invalid: timing-only
+    args.env = test_env();  // views left invalid: timing-only
     const TimePs before = coord.now(rank);
-    cluster.spawn(make_tile_job(args));
+    cluster.spawn(tile_job(args, patch, cost));
     cluster.join();
     elapsed = coord.now(rank) - before;
   });
@@ -155,10 +164,9 @@ TEST(TileExec, DoubleBufferedSingleTileMatchesDirect) {
     args.env = env;
     args.in = kern::FieldView::of(u0);
     args.out = kern::FieldView::of(tiled);
-    args.patch_cells = patch;
     args.async_dma = true;
     const TimePs before = coord.now(rank);
-    cluster.spawn(make_tile_job(args));
+    cluster.spawn(tile_job(args, patch, cost));
     cluster.join();
     elapsed = coord.now(rank) - before;
   });
@@ -193,9 +201,8 @@ TEST(TileExec, DoubleBufferedHeterogeneousTilesMatchDirect) {
     args.env = env;
     args.in = kern::FieldView::of(u0);
     args.out = kern::FieldView::of(tiled);
-    args.patch_cells = patch;
     args.async_dma = true;
-    cluster.spawn(make_tile_job(args));
+    cluster.spawn(tile_job(args, patch, cost));
     cluster.join();
   });
   for (std::size_t i = 0; i < direct.data().size(); ++i)
@@ -227,10 +234,9 @@ TEST(TileExec, DoubleBufferedDynamicWithEmptyCpesMatchesDirect) {
     args.env = env;
     args.in = kern::FieldView::of(u0);
     args.out = kern::FieldView::of(tiled);
-    args.patch_cells = patch;
     args.async_dma = true;
     args.policy = TilePolicy::kDynamic;
-    cluster.spawn(make_tile_job(args));
+    cluster.spawn(tile_job(args, patch, cost));
     cluster.join();
   });
   for (std::size_t i = 0; i < direct.data().size(); ++i)
@@ -252,8 +258,7 @@ TEST(TileExec, OversizedTileOverflowsLdm) {
                        TileExecArgs args;
                        args.kernel = &kv;
                        args.env = test_env();
-                       args.patch_cells = patch;
-                       cluster.spawn(make_tile_job(args));
+                       cluster.spawn(tile_job(args, patch, cost));
                        cluster.join();
                      }),
       ResourceError);

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "apps/burgers/kernels.h"
@@ -147,36 +148,49 @@ TEST(TilePolicy, GuidedPaysFewerGrabsThanDynamic) {
 // accumulates are exactly the busy times the CPEs charge, for every policy.
 
 TEST(TilePolicy, PlannedClocksMatchSyncExecution) {
-  const grid::Box patch{{0, 0, 0}, {16, 16, 32}};
-  kern::KernelVariants kv = apps::burgers::make_burgers_kernel(false, {8, 8, 8});
-  // Per-tile cost variation so the dynamic assignment is non-trivial.
-  kv.tile_cost_scale = [](const grid::Box& tile) {
+  // Per-tile cost variation on equal tiles, so the dynamic assignment is
+  // non-trivial; and no variation on a patch clipped on every axis, so
+  // consecutive tiles change extent. The planner prices a tile once per
+  // run of equal (extent, scale) keys; both inputs change the key.
+  kern::KernelVariants skewed =
+      apps::burgers::make_burgers_kernel(false, {8, 8, 8});
+  skewed.tile_cost_scale = [](const grid::Box& tile) {
     return tile.lo.z == 0 ? 5.0 : 1.0;
   };
+  const kern::KernelVariants clipped =
+      apps::burgers::make_burgers_kernel(false, {8, 8, 8});
+  const struct {
+    const kern::KernelVariants* kernel;
+    grid::Box patch;
+  } inputs[] = {{&skewed, {{0, 0, 0}, {16, 16, 32}}},
+                {&clipped, {{0, 0, 0}, {20, 12, 20}}}};
   const hw::CostModel cost(hw::MachineParams::sunway_taihulight());
-  for (TilePolicy policy : kAllPolicies) {
-    TileExecArgs args;
-    args.kernel = &kv;
-    args.patch_cells = patch;  // timing-only: views left invalid
-    args.policy = policy;
-    const grid::Tiling tiling(patch, kv.tile_shape);
-    const auto plan = std::make_shared<const TileAssignment>(
-        plan_tile_assignment(args, tiling, 64, 64, cost));
-    hw::PerfCounters counters;
-    std::vector<TimePs> busy;
-    sim::run_ranks(1, [&](sim::Coordinator& coord, int rank) {
-      athread::CpeCluster cluster(cost, coord, rank, &counters);
-      cluster.spawn(make_tile_job(args, plan));
-      busy = cluster.cpe_busy();
-      cluster.join();
-    });
-    ASSERT_EQ(busy.size(), plan->est_busy.size());
-    for (std::size_t cpe = 0; cpe < busy.size(); ++cpe)
-      EXPECT_EQ(busy[cpe], plan->est_busy[cpe])
-          << to_string(policy) << " CPE " << cpe;
-    const std::uint64_t grabs = std::accumulate(
-        plan->grabs_per_cpe.begin(), plan->grabs_per_cpe.end(), 0ull);
-    EXPECT_EQ(counters.tile_grabs, grabs) << to_string(policy);
+  for (const auto& [kernel, patch] : inputs) {
+    for (TilePolicy policy : kAllPolicies) {
+      TileExecArgs args;  // timing-only: views left invalid
+      args.kernel = kernel;
+      args.policy = policy;
+      const auto tiling =
+          std::make_shared<const grid::Tiling>(patch, kernel->tile_shape);
+      const auto plan = std::make_shared<const TileAssignment>(
+          plan_tile_assignment(args, *tiling, 64, 64, cost));
+      hw::PerfCounters counters;
+      std::vector<TimePs> busy;
+      sim::run_ranks(1, [&](sim::Coordinator& coord, int rank) {
+        athread::CpeCluster cluster(cost, coord, rank, &counters);
+        cluster.spawn(make_tile_job(args, tiling, plan));
+        busy = cluster.cpe_busy();
+        cluster.join();
+      });
+      const std::string where =
+          std::string(to_string(policy)) + " on " + patch.to_string();
+      ASSERT_EQ(busy.size(), plan->est_busy.size());
+      for (std::size_t cpe = 0; cpe < busy.size(); ++cpe)
+        EXPECT_EQ(busy[cpe], plan->est_busy[cpe]) << where << " CPE " << cpe;
+      const std::uint64_t grabs = std::accumulate(
+          plan->grabs_per_cpe.begin(), plan->grabs_per_cpe.end(), 0ull);
+      EXPECT_EQ(counters.tile_grabs, grabs) << where;
+    }
   }
 }
 
