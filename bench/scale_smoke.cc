@@ -7,23 +7,18 @@
 //
 // The bench asserts the tentpole contracts on every case:
 //   - virtual step walls and counted flops are bit-identical between the
-//     serial and parallel coordinators, aggregation off AND on, and with
-//     the dedicated progress engine (--comm-progress=engine) on top —
-//     the parallel+engine leg is the one that exercises the per-rank host
-//     progress thread;
+//     serial and parallel coordinators, aggregation off AND on;
 //   - aggregation preserves the logical message stream (msgs_total equal)
-//     while strictly reducing emulated MPI posts (mpi_post_count);
-//   - the progress engine keeps the logical stream unchanged and never
-//     inflates posts relative to inline-driven aggregation.
+//     while strictly reducing emulated MPI posts (mpi_post_count).
 // The virtual step direction is measured, not asserted: post savings
 // dominate where ranks hold many patches (128 CGs), while at 1-2 patches
 // per CG the append costs sit on the critical path and the step is flat
 // to marginally slower — the honest trade-off lands in EXPERIMENTS.md.
 // Host wall-clock is reported side by side so the serial-vs-parallel
-// speedup lands in EXPERIMENTS.md. In the JSON report the coordinator
-// and aggregation are folded into the variant key
-// ("acc_simd.async@parallel+agg"): virtual metrics are gated as usual,
-// host_ms only at the LOOSE class.
+// speedup and the host cost of aggregation land in EXPERIMENTS.md. In
+// the JSON report the coordinator and aggregation are folded into the
+// variant key ("acc_simd.async@parallel+agg"): virtual metrics are gated
+// as usual, host_ms only at the LOOSE class.
 //
 // Options:
 //   --max-ranks=N    largest CG count (default 1024; CI budget knob)
@@ -37,7 +32,6 @@
 #include <vector>
 
 #include "comm/agg.h"
-#include "comm/progress.h"
 #include "json_report.h"
 #include "runtime/problem.h"
 #include "runtime/variant.h"
@@ -62,7 +56,6 @@ int main(int argc, char** argv) {
       runtime::tiny_problem({16, 16, 8}, {8, 8, 8});
   const runtime::Variant variant = runtime::variant_by_name("acc_simd.async");
   const comm::AggSpec agg = comm::AggSpec::parse("on");
-  const comm::ProgressSpec engine = comm::ProgressSpec::parse("engine");
 
   std::vector<int> cg_counts;
   for (int cgs : {128, 512, 1024})
@@ -71,13 +64,12 @@ int main(int argc, char** argv) {
   TextTable table("Scale smoke: " + variant.name + " on " + problem.name +
                   ", " + std::to_string(steps) + " steps, agg " +
                   agg.describe());
-  table.set_header({"CGs", "step (virtual)", "step (agg)", "step (agg+eng)",
-                    "posts", "posts (agg)", "serial host", "parallel host",
-                    "speedup"});
+  table.set_header({"CGs", "step (virtual)", "step (agg)", "posts",
+                    "posts (agg)", "serial host", "serial+agg host",
+                    "parallel host", "speedup"});
   bool mismatch = false;
   for (int cgs : cg_counts) {
     sweep.set_comm_agg(comm::AggSpec{});
-    sweep.set_comm_progress(comm::ProgressSpec{});
     sweep.set_coordinator(sim::CoordinatorSpec{});
     const bench::CaseResult serial = sweep.run(problem, variant, cgs);
     sweep.set_coordinator(sim::CoordinatorSpec::parse("parallel"));
@@ -88,16 +80,6 @@ int main(int argc, char** argv) {
     const bench::CaseResult serial_agg = sweep.run(problem, variant, cgs);
     sweep.set_coordinator(sim::CoordinatorSpec::parse("parallel"));
     const bench::CaseResult parallel_agg = sweep.run(problem, variant, cgs);
-
-    // Engine legs: aggregation plus the dedicated progress engine, under
-    // both coordinators (the per-rank host progress thread only exists
-    // under --coordinator=parallel, so this is the equivalence that
-    // actually exercises it).
-    sweep.set_comm_progress(engine);
-    sweep.set_coordinator(sim::CoordinatorSpec{});
-    const bench::CaseResult serial_eng = sweep.run(problem, variant, cgs);
-    sweep.set_coordinator(sim::CoordinatorSpec::parse("parallel"));
-    const bench::CaseResult parallel_eng = sweep.run(problem, variant, cgs);
 
     const auto coords_equal = [&](const bench::CaseResult& a,
                                   const bench::CaseResult& b,
@@ -114,7 +96,6 @@ int main(int argc, char** argv) {
     };
     coords_equal(serial, parallel, "agg off");
     coords_equal(serial_agg, parallel_agg, "agg on");
-    coords_equal(serial_eng, parallel_eng, "agg+engine");
 
     // Aggregation contract: same logical message stream, fewer posts, and
     // the virtual step must not get slower — that is the whole point.
@@ -132,46 +113,25 @@ int main(int argc, char** argv) {
                    cgs, serial_agg.mpi_post_count, serial.mpi_post_count);
       mismatch = true;
     }
-    // Engine contract: the progress driver changes WHEN buffers flush, not
-    // WHAT is sent — logical message stream unchanged, and deadline-driven
-    // flushes must not splinter aggregates into more posts than inline.
-    if (serial_eng.msgs_total != serial.msgs_total) {
-      std::fprintf(stderr,
-                   "ERROR: progress engine changed the logical message count "
-                   "at %d CGs: %.0f vs %.0f\n",
-                   cgs, serial_eng.msgs_total, serial.msgs_total);
-      mismatch = true;
-    }
-    if (serial_eng.mpi_post_count > serial_agg.mpi_post_count) {
-      std::fprintf(stderr,
-                   "ERROR: progress engine inflated MPI posts at %d CGs: "
-                   "%.0f vs %.0f\n",
-                   cgs, serial_eng.mpi_post_count, serial_agg.mpi_post_count);
-      mismatch = true;
-    }
     json.add({problem.name, variant.name + "@serial", cgs}, serial);
     json.add({problem.name, variant.name + "@parallel", cgs}, parallel);
     json.add({problem.name, variant.name + "@serial+agg", cgs}, serial_agg);
     json.add({problem.name, variant.name + "@parallel+agg", cgs},
              parallel_agg);
-    json.add({problem.name, variant.name + "@serial+agg+eng", cgs},
-             serial_eng);
-    json.add({problem.name, variant.name + "@parallel+agg+eng", cgs},
-             parallel_eng);
 
     char speedup[32];
     std::snprintf(speedup, sizeof speedup, "%.2fx",
                   parallel.host_ms > 0.0 ? serial.host_ms / parallel.host_ms
                                          : 0.0);
-    char shost[32], phost[32];
+    char shost[32], sahost[32], phost[32];
     std::snprintf(shost, sizeof shost, "%.0f ms", serial.host_ms);
+    std::snprintf(sahost, sizeof sahost, "%.0f ms", serial_agg.host_ms);
     std::snprintf(phost, sizeof phost, "%.0f ms", parallel.host_ms);
     table.add_row({std::to_string(cgs), format_duration(serial.mean_step),
                    format_duration(serial_agg.mean_step),
-                   format_duration(serial_eng.mean_step),
                    TextTable::num(serial.mpi_post_count, 0),
-                   TextTable::num(serial_agg.mpi_post_count, 0), shost, phost,
-                   speedup});
+                   TextTable::num(serial_agg.mpi_post_count, 0), shost, sahost,
+                   phost, speedup});
   }
   table.print(std::cout);
   const std::string path = json.write();

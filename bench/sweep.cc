@@ -12,14 +12,9 @@ namespace usw::bench {
 
 const CaseResult& Sweep::run(const runtime::ProblemSpec& problem,
                              const runtime::Variant& variant, int ranks) {
-  std::string comm_desc = comm_agg_.enabled ? comm_agg_.describe() : "";
-  if (comm_progress_.engine) {
-    if (!comm_desc.empty()) comm_desc += "+";
-    comm_desc += comm_progress_.describe();
-  }
   const CaseKey key{problem.name, variant.name, ranks,
                     coordinator_.parallel() ? coordinator_.describe() : "",
-                    comm_desc};
+                    comm_agg_.enabled ? comm_agg_.describe() : ""};
   auto it = cache_.find(key);
   if (it != cache_.end()) return it->second;
 
@@ -35,7 +30,6 @@ const CaseResult& Sweep::run(const runtime::ProblemSpec& problem,
   config.backend_threads = backend_threads_;
   config.coordinator = coordinator_;
   config.comm_agg = comm_agg_;
-  config.comm_progress = comm_progress_;
 
   apps::burgers::BurgersApp app;
   const auto host_start = std::chrono::steady_clock::now();

@@ -25,11 +25,10 @@ struct CaseKey {
   /// Coordinator description ("" = serial). Only the scale benches vary
   /// it; it stays out of the JSON key (virtual results are identical).
   std::string coordinator{};
-  /// Comm-layer description: aggregation policy and/or progress driver
-  /// ("" = off/inline, "+"-joined otherwise — see AggSpec::describe and
-  /// ProgressSpec::describe). Unlike the coordinator this DOES change
-  /// virtual comm timing, so the benches that vary it fold it into the
-  /// variant name for the JSON key.
+  /// Comm-layer description: the aggregation policy ("" = off, see
+  /// AggSpec::describe). Unlike the coordinator this DOES change virtual
+  /// comm timing, so the benches that vary it fold it into the variant
+  /// name for the JSON key.
   std::string comm{};
 
   friend bool operator<(const CaseKey& a, const CaseKey& b) {
@@ -90,13 +89,6 @@ class Sweep {
   /// comm timing, so aggregated cases cache under a distinct key.
   void set_comm_agg(const comm::AggSpec& spec) { comm_agg_ = spec; }
 
-  /// Progress driver for subsequent runs (see comm/progress.h). Like
-  /// aggregation this changes virtual comm timing; engine cases cache
-  /// under a distinct key.
-  void set_comm_progress(const comm::ProgressSpec& spec) {
-    comm_progress_ = spec;
-  }
-
   /// Runs (or returns the cached) case.
   const CaseResult& run(const runtime::ProblemSpec& problem,
                         const runtime::Variant& variant, int ranks);
@@ -114,7 +106,6 @@ class Sweep {
   int backend_threads_ = 0;
   sim::CoordinatorSpec coordinator_;
   comm::AggSpec comm_agg_;
-  comm::ProgressSpec comm_progress_;
   std::map<CaseKey, CaseResult> cache_;
 };
 

@@ -92,20 +92,6 @@ void print_help() {
       "                                Numerics/archives are bit-equal to\n"
       "                                --comm-agg=off; only virtual comm\n"
       "                                time moves (default off)\n"
-      "  --comm-progress=inline|engine[:interval=US]\n"
-      "                                message progress driver: inline\n"
-      "                                piggybacks on test/flush calls (the\n"
-      "                                historical behavior); engine services\n"
-      "                                aggregate-buffer age deadlines,\n"
-      "                                rendezvous handshakes and lost-send\n"
-      "                                retransmits at a deterministic\n"
-      "                                virtual-time cadence of US\n"
-      "                                microseconds (default: cost-model\n"
-      "                                flush latency), with a dedicated\n"
-      "                                host progress thread per rank under\n"
-      "                                --coordinator=parallel. Numerics are\n"
-      "                                bit-equal either way; only virtual\n"
-      "                                comm time moves (default inline)\n"
       "  --timing-only                 skip field allocation (big problems)\n"
       "  --partition=block|roundrobin|cost\n"
       "  --cpe-groups=N  --async-dma  --packed-tiles\n"
@@ -180,7 +166,10 @@ void print_help() {
       "\n"
       "output / restart (functional storage only):\n"
       "  --output=DIR --output-interval=N\n"
-      "  --restart=DIR [--restart-step=S]\n");
+      "  --restart=DIR [--restart-step=S]\n"
+      "\n"
+      "Any other --option, or one the chosen --app does not take, is an\n"
+      "error.\n");
 }
 
 grid::IntVec parse_triple(const std::string& s, const char* what) {
@@ -228,7 +217,7 @@ int main(int argc, char** argv) {
     std::printf("%s\n", build_info_line().c_str());
     std::printf("features: backends=serial,threads coordinators=serial,parallel "
                 "schedule=fuzz,record,replay diagnostics=flight,watchdog,stream "
-                "comm=agg,rendezvous,progress-engine\n");
+                "comm=agg,rendezvous\n");
     return 0;
   }
   try {
@@ -247,8 +236,6 @@ int main(int argc, char** argv) {
     config.coordinator =
         sim::CoordinatorSpec::parse(opts.get("coordinator", "serial"));
     config.comm_agg = comm::AggSpec::parse(opts.get("comm-agg", "off"));
-    config.comm_progress =
-        comm::ProgressSpec::parse(opts.get("comm-progress", "inline"));
     config.nranks = static_cast<int>(get_int_min(opts, "ranks", 4, 1));
     config.timesteps = static_cast<int>(get_int_min(opts, "steps", 10, 0));
     config.storage = opts.get_bool("timing-only", false)
@@ -328,16 +315,24 @@ int main(int argc, char** argv) {
       throw ConfigError("unknown --app '" + app_name + "' (burgers|heat|advect)");
     }
 
+    // Every flag this run uses has been read by now. Running with a typo
+    // or a removed flag as if it were absent would silently change the
+    // experiment, so anything left over is an error.
+    if (const std::vector<std::string> unread = opts.unread(); !unread.empty()) {
+      std::string names;
+      for (const std::string& key : unread)
+        names += (names.empty() ? "--" : ", --") + key;
+      throw ConfigError("unrecognized option(s) " + names +
+                        " (unknown, or not taken by --app=" + app_name + ")");
+    }
+
     // Everything host-configuration-dependent (backend, coordinator) stays
     // on this first line: equivalence tests diff stdout with `tail -n +2`.
     // The aggregation policy rides along here too — it is part of the
     // configuration under comparison, not of the simulated results.
     const std::string agg_note =
-        (config.comm_agg.enabled ? ", comm-agg " + config.comm_agg.describe()
-                                 : "") +
-        (config.comm_progress.engine
-             ? ", comm-progress " + config.comm_progress.describe()
-             : "");
+        config.comm_agg.enabled ? ", comm-agg " + config.comm_agg.describe()
+                                : "";
     std::printf("uswsim: %s on %s (%d patches of %s), %d CGs, %d steps, %s, "
                 "%s backend, %s tiles, %s coordinator%s\n",
                 app->name().c_str(), config.problem.grid_size().to_string().c_str(),
@@ -404,13 +399,6 @@ int main(int argc, char** argv) {
       table.add_row({"agg flushes", std::to_string(sum.agg_flushes)});
       table.add_row({"agg bytes saved", std::to_string(sum.agg_bytes_saved)});
       table.add_row({"rendezvous sends", std::to_string(sum.msgs_rendezvous)});
-    }
-    if (config.comm_progress.engine) {
-      table.add_row({"progress polls", std::to_string(sum.progress_polls)});
-      table.add_row(
-          {"progress flushes", std::to_string(sum.progress_flushes_driven)});
-      table.add_row({"progress retransmits",
-                     std::to_string(sum.progress_retransmits_driven)});
     }
     if (!config.faults.empty()) {
       table.add_row({"faults injected", std::to_string(sum.fault_injected)});

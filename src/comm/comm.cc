@@ -87,34 +87,17 @@ Comm::Comm(Network& net, sim::Coordinator& coord, int rank,
 
 Comm::~Comm() {
   // Finalize semantics for buffered sends: an endpoint must not tear down
-  // with sub-messages still coalescing or rendezvous handshakes still
-  // deferred — inline mode's head-of-test flushes used to hide this leak,
-  // the engine removes them. The drain runs on the owning rank thread
-  // while it is still granted, so the virtual operations are as legal (and
-  // as deterministic) as in the rank body. Skipped during unwinding, and
-  // a cancellation thrown mid-drain is swallowed: the run is already dead
-  // and destructors must not throw.
+  // with sub-messages still coalescing. The flush runs on the owning rank
+  // thread while it is still granted, so its virtual operations are as
+  // legal (and as deterministic) as in the rank body. Skipped during
+  // unwinding, and a cancellation thrown mid-flush is swallowed: the run
+  // is already dead and destructors must not throw.
   if (std::uncaught_exceptions() == 0) {
     try {
       flush_sends();
-      while (!rdv_pending_.empty()) {
-        RdvPending pending = std::move(rdv_pending_.front());
-        rdv_pending_.erase(rdv_pending_.begin());
-        if (coord_.now(rank_) < pending.ready)
-          coord_.wait_until(rank_, pending.ready);
-        inject_rendezvous(std::move(pending));
-      }
     } catch (...) {
-      // Run cancelled while draining; nothing left to salvage.
+      // Run cancelled while flushing; nothing left to salvage.
     }
-  }
-  if (progress_thread_ != nullptr) {
-    {
-      std::lock_guard<std::mutex> lk(progress_thread_->mu);
-      progress_thread_->exit = true;
-    }
-    progress_thread_->cv.notify_all();
-    progress_thread_->thread.join();
   }
 }
 
@@ -180,7 +163,6 @@ void Comm::maybe_retransmit(Request& req) {
       flight_->record(obs::FlightKind::kMsgLost, coord_.now(rank_), req.peer,
                       static_cast<std::int64_t>(req.msg_seq), attempt);
     req.complete_stamp = injected + retransmit_timeout(req.bytes);
-    lost_deadline_min_ = std::min(lost_deadline_min_, req.complete_stamp);
   } else {
     if (d.status == Network::DeliveryStatus::kDelayed && counters_ != nullptr)
       counters_->fault_injected += 1;
@@ -204,80 +186,12 @@ void Comm::set_agg(const AggSpec& spec) {
   }
 }
 
-void Comm::set_progress(const ProgressSpec& spec) {
-  spec.validate();
-  progress_ = spec;
-  progress_interval_ = 0;
-  rdv_pending_.clear();
-  agg_deadline_min_ = sim::kNever;
-  lost_deadline_min_ = sim::kNever;
-  if (!progress_.engine) return;
-  progress_interval_ =
-      spec.interval_us > 0
-          ? static_cast<TimePs>(spec.interval_us) * kMicrosecond
-          : net_.cost().progress_interval();
-  // Under the parallel coordinator the engine gets a real host thread: it
-  // runs wait_all's wait/service loop on this rank's behalf between
-  // window barriers (strict grant handoff, see progress_thread_main).
-  if (coord_.parallel_active() && progress_thread_ == nullptr) {
-    progress_thread_ = std::make_unique<ProgressThread>();
-    progress_thread_->thread = std::thread([this] { progress_thread_main(); });
-  }
+bool Comm::loss_armed() const {
+  return net_.fault_plan() != nullptr &&
+         net_.fault_plan()->has(fault::FaultKind::kMsgLoss);
 }
 
-TimePs Comm::progress_due() const {
-  if (!progress_.engine) return sim::kNever;
-  TimePs due = std::min(agg_deadline_min_, lost_deadline_min_);
-  if (!rdv_pending_.empty()) due = std::min(due, rdv_pending_.front().ready);
-  return due;
-}
-
-void Comm::service_progress() {
-  if (!progress_.engine) return;
-  TimePs now = coord_.now(rank_);
-  if (progress_due() > now) return;
-  if (counters_ != nullptr) counters_->progress_polls += 1;
-  // Completed rendezvous handshakes inject first (their wire seqs predate
-  // anything a flush below would assign); a fixed service order keeps the
-  // link-reservation sequence deterministic.
-  while (!rdv_pending_.empty() && rdv_pending_.front().ready <= now) {
-    RdvPending pending = std::move(rdv_pending_.front());
-    rdv_pending_.erase(rdv_pending_.begin());
-    inject_rendezvous(std::move(pending));
-  }
-  if (agg_.enabled && agg_deadline_min_ <= now) {
-    for (int dst = 0; dst < size(); ++dst) {
-      AggBuffer& buf = agg_bufs_[static_cast<std::size_t>(dst)];
-      if (buf.subs.empty() || buf.deadline > now) continue;
-      if (counters_ != nullptr) counters_->progress_flushes_driven += 1;
-      flush_dst(dst);  // advances virtual time (post overhead)
-    }
-    recompute_agg_deadline();
-    now = coord_.now(rank_);
-  }
-  if (lost_deadline_min_ <= now) {
-    // The engine drives every lost send whose timeout has passed, whether
-    // or not anyone ever tests that request — the retransmit-stall fix.
-    TimePs next = sim::kNever;
-    for (Request& req : requests_) {
-      if (req.kind != Kind::kSend || !req.lost) continue;
-      if (req.complete_stamp <= now) {
-        if (counters_ != nullptr) counters_->progress_retransmits_driven += 1;
-        maybe_retransmit(req);
-        now = coord_.now(rank_);
-      }
-      if (req.lost) next = std::min(next, req.complete_stamp);
-    }
-    lost_deadline_min_ = next;
-  }
-}
-
-void Comm::recompute_agg_deadline() {
-  TimePs min = sim::kNever;
-  for (const AggBuffer& buf : agg_bufs_)
-    if (!buf.subs.empty()) min = std::min(min, buf.deadline);
-  agg_deadline_min_ = min;
-}
+void Comm::service_progress() { flush_sends(); }
 
 std::uint64_t Comm::wire_seq() {
   const std::uint64_t seq = net_.next_seq();
@@ -330,9 +244,7 @@ RequestId Comm::post_direct(int dst, int tag, std::uint64_t bytes,
   req.msg_seq = msg.seq;
   // Keep a retransmit copy of the payload only while loss injection could
   // drop this message; fault-free runs pay nothing.
-  if (net_.fault_plan() != nullptr &&
-      net_.fault_plan()->has(fault::FaultKind::kMsgLoss))
-    req.payload = msg.payload;
+  if (loss_armed()) req.payload = msg.payload;
 
   if (flight_ != nullptr)
     flight_->record(obs::FlightKind::kMsgSend, now, dst,
@@ -353,7 +265,6 @@ RequestId Comm::post_direct(int dst, int tag, std::uint64_t bytes,
     req.lost = true;
     req.complete_stamp =
         retransmit_ ? injected + retransmit_timeout(bytes) : sim::kNever;
-    lost_deadline_min_ = std::min(lost_deadline_min_, req.complete_stamp);
   } else {
     if (d.status == Network::DeliveryStatus::kDelayed) {
       if (counters_ != nullptr) counters_->fault_injected += 1;
@@ -370,93 +281,6 @@ RequestId Comm::post_direct(int dst, int tag, std::uint64_t bytes,
 
   requests_.push_back(std::move(req));
   return make_id(requests_.size() - 1);
-}
-
-RequestId Comm::post_rendezvous_deferred(int dst, int tag, std::uint64_t bytes,
-                                         std::vector<std::byte> payload) {
-  USW_ASSERT_MSG(dst >= 0 && dst < size(), "send to invalid rank");
-  USW_ASSERT_MSG(dst != rank_, "self-sends are not modeled; use local copies");
-  // Engine-mode rendezvous: the MPE only pays for posting the RTS; the
-  // RTS/CTS round trip runs in the background and the payload injects at
-  // the handshake-ready deadline, driven by service_progress. Inline mode
-  // instead blocks the MPE for the whole handshake (post_direct).
-  const TimePs post = net_.cost().mpi_post_overhead();
-  coord_.advance(rank_, post);
-  if (counters_ != nullptr) {
-    counters_->comm_time += post;
-    counters_->messages_sent += 1;
-    counters_->bytes_sent += bytes;
-    counters_->mpi_posts += 1;
-    counters_->msgs_rendezvous += 1;
-  }
-  Request req;
-  req.kind = Kind::kSend;
-  req.peer = dst;
-  req.tag = tag;
-  req.bytes = bytes;
-  req.rdv_pending = true;
-  // The wire seq is reserved at post time, so per-sender seqs — and with
-  // them MPI non-overtaking within a (src, tag) class — keep program
-  // order even though the injection happens later.
-  req.msg_seq = wire_seq();
-  req.complete_stamp = coord_.now(rank_) + net_.cost().rdv_handshake();
-  requests_.push_back(std::move(req));
-  RdvPending pending;
-  pending.req = requests_.size() - 1;
-  pending.ready = requests_.back().complete_stamp;
-  pending.payload = std::move(payload);
-  rdv_pending_.push_back(std::move(pending));
-  return make_id(requests_.size() - 1);
-}
-
-void Comm::inject_rendezvous(RdvPending&& pending) {
-  Request& req = requests_[pending.req];
-  USW_ASSERT(req.rdv_pending);
-  Message msg;
-  msg.src = rank_;
-  msg.dst = req.peer;
-  msg.tag = req.tag;
-  msg.bytes = req.bytes;
-  msg.seq = req.msg_seq;
-  msg.payload = std::move(pending.payload);
-  const TimePs now = coord_.now(rank_);
-  // The handshake completed at `ready` <= now; the injection is NIC work
-  // the engine drives at this service point. Starting it at now preserves
-  // the parallel coordinator's causality bound (arrival >= the servicing
-  // segment start + lookahead), exactly like a fresh post.
-  const TimePs injected = net_.reserve_link(rank_, now, req.bytes);
-  msg.arrival = injected + net_.cost().params().net_latency +
-                net_.cost().params().mpi_sw_latency;
-  req.attempts = 1;
-  req.rdv_pending = false;
-  if (net_.fault_plan() != nullptr &&
-      net_.fault_plan()->has(fault::FaultKind::kMsgLoss))
-    req.payload = msg.payload;
-  if (flight_ != nullptr)
-    flight_->record(obs::FlightKind::kMsgSend, now, req.peer,
-                    static_cast<std::int64_t>(req.msg_seq),
-                    static_cast<std::int64_t>(req.bytes));
-  const Network::Delivery d = net_.deliver(std::move(msg), 1);
-  if (d.status == Network::DeliveryStatus::kLost) {
-    if (counters_ != nullptr) counters_->fault_injected += 1;
-    if (flight_ != nullptr)
-      flight_->record(obs::FlightKind::kMsgLost, now, req.peer,
-                      static_cast<std::int64_t>(req.msg_seq), 1);
-    req.lost = true;
-    req.complete_stamp =
-        retransmit_ ? injected + retransmit_timeout(req.bytes) : sim::kNever;
-    lost_deadline_min_ = std::min(lost_deadline_min_, req.complete_stamp);
-  } else {
-    if (d.status == Network::DeliveryStatus::kDelayed) {
-      if (counters_ != nullptr) counters_->fault_injected += 1;
-      if (flight_ != nullptr)
-        flight_->record(obs::FlightKind::kMsgDelayed, now, req.peer,
-                        static_cast<std::int64_t>(req.msg_seq));
-    }
-    req.complete_stamp = injected;
-    req.payload.clear();
-    coord_.notify(req.peer, d.arrival, rank_);
-  }
 }
 
 RequestId Comm::append_agg(int dst, int tag, std::uint64_t bytes,
@@ -478,9 +302,7 @@ RequestId Comm::append_agg(int dst, int tag, std::uint64_t bytes,
   // payload is in the coalescing buffer — unless loss injection is armed,
   // in which case completion is decided at flush like any eager send
   // (complete_stamp doubles as the retransmit deadline on loss).
-  const bool loss_armed = net_.fault_plan() != nullptr &&
-                          net_.fault_plan()->has(fault::FaultKind::kMsgLoss);
-  if (loss_armed) {
+  if (loss_armed()) {
     req.complete_stamp = sim::kNever;  // resolved by flush_dst
   } else {
     req.done = true;
@@ -489,11 +311,9 @@ RequestId Comm::append_agg(int dst, int tag, std::uint64_t bytes,
   requests_.push_back(std::move(req));
 
   AggBuffer& buf = agg_bufs_[static_cast<std::size_t>(dst)];
-  // Engine mode bounds how long the buffer may coalesce: the deadline is
-  // the first append into the empty buffer plus the progress interval.
-  if (progress_.engine && buf.subs.empty()) {
-    buf.deadline = coord_.now(rank_) + progress_interval_;
-    agg_deadline_min_ = std::min(agg_deadline_min_, buf.deadline);
+  if (!buf.listed) {
+    buf.listed = true;
+    open_dsts_.push_back(dst);
   }
   AggSub sub;
   sub.req = requests_.size() - 1;
@@ -521,8 +341,7 @@ void Comm::flush_dst(int dst) {
         static_cast<std::int64_t>((n - 1) * net_.cost().msg_envelope_bytes()) -
         static_cast<std::int64_t>(n * net_.cost().agg_sub_header_bytes());
   }
-  const bool loss_armed = net_.fault_plan() != nullptr &&
-                          net_.fault_plan()->has(fault::FaultKind::kMsgLoss);
+  const bool keep_copy = loss_armed();
   const TimePs now = coord_.now(rank_);
 
   Message msg;
@@ -544,7 +363,7 @@ void Comm::flush_dst(int dst) {
     SubMessage wire_sub;
     wire_sub.tag = sub.tag;
     wire_sub.bytes = sub.bytes;
-    if (loss_armed) req.payload = sub.payload;  // retransmit copy
+    if (keep_copy) req.payload = sub.payload;  // retransmit copy
     wire_sub.payload = std::move(sub.payload);
     msg.subs.push_back(std::move(wire_sub));
   }
@@ -567,7 +386,6 @@ void Comm::flush_dst(int dst) {
       req.lost = true;
       req.complete_stamp =
           retransmit_ ? injected + retransmit_timeout(req.bytes) : sim::kNever;
-      lost_deadline_min_ = std::min(lost_deadline_min_, req.complete_stamp);
       if (flight_ != nullptr)
         flight_->record(obs::FlightKind::kMsgLost, now, dst,
                         static_cast<std::int64_t>(req.msg_seq), 1);
@@ -590,13 +408,18 @@ void Comm::flush_dst(int dst) {
   }
   buf.subs.clear();
   buf.bytes = 0;
-  buf.deadline = sim::kNever;
 }
 
 void Comm::flush_sends() {
-  if (!agg_.enabled) return;
-  for (int dst = 0; dst < size(); ++dst) flush_dst(dst);
-  agg_deadline_min_ = sim::kNever;
+  if (open_dsts_.empty()) return;
+  // Ascending destination order fixes the aggregates' wire seqs and NIC
+  // reservations; a destination a policy flush already emptied is a no-op.
+  std::sort(open_dsts_.begin(), open_dsts_.end());
+  for (const int dst : open_dsts_) {
+    flush_dst(dst);
+    agg_bufs_[static_cast<std::size_t>(dst)].listed = false;
+  }
+  open_dsts_.clear();
 }
 
 RequestId Comm::route_send(int dst, int tag, std::uint64_t bytes,
@@ -610,8 +433,6 @@ RequestId Comm::route_send(int dst, int tag, std::uint64_t bytes,
   // order: buffered predecessors always hit the wire first.
   if (bytes >= rdv_threshold_bytes_) {
     flush_dst(dst);
-    if (progress_.engine)
-      return post_rendezvous_deferred(dst, tag, bytes, std::move(payload));
     return post_direct(dst, tag, bytes, std::move(payload),
                        Protocol::kRendezvous);
   }
@@ -641,20 +462,6 @@ RequestId Comm::isend(int dst, int tag, std::vector<std::byte>&& data) {
 
 RequestId Comm::isend_bytes(int dst, int tag, std::uint64_t bytes) {
   return route_send(dst, tag, bytes, {});
-}
-
-void Comm::isend_multi(std::span<SendDesc> descs, std::vector<RequestId>* out) {
-  for (SendDesc& desc : descs) {
-    const std::uint64_t bytes =
-        desc.payload.empty() ? desc.bytes : desc.payload.size();
-    const RequestId id =
-        route_send(desc.dst, desc.tag, bytes, std::move(desc.payload));
-    if (out != nullptr) out->push_back(id);
-  }
-  // Inline mode flushes at the burst boundary so progress never depends
-  // on a later call. The engine keeps coalescing across bursts: the age
-  // deadline (or the size/count policy) flushes instead.
-  if (!progress_.engine) flush_sends();
 }
 
 RequestId Comm::irecv(int src, int tag) {
@@ -753,15 +560,9 @@ void Comm::match_visible() {
 }
 
 bool Comm::test(RequestId id) {
-  // Progress guarantee: inline mode conservatively pushes anything still
-  // coalescing to the wire before this endpoint inspects or waits on
-  // state that could depend on it; the engine instead services whatever
-  // deadline is actually due (aged buffers, completed handshakes, lost
-  // sends) and lets the rest keep coalescing.
-  if (progress_.engine)
-    service_progress();
-  else
-    flush_sends();
+  // Progress guarantee: push anything still coalescing to the wire before
+  // this endpoint inspects or waits on state that could depend on it.
+  service_progress();
   Request& req = checked(id);
   if (req.done) return true;
   coord_.gate(rank_);
@@ -770,9 +571,7 @@ bool Comm::test(RequestId id) {
   if (counters_ != nullptr) counters_->comm_time += cost;
   if (req.kind == Kind::kSend) {
     if (req.lost) maybe_retransmit(req);
-    if (!req.lost && !req.rdv_pending &&
-        coord_.now(rank_) >= req.complete_stamp)
-      req.done = true;
+    if (!req.lost && coord_.now(rank_) >= req.complete_stamp) req.done = true;
   } else {
     match_visible();
   }
@@ -780,10 +579,7 @@ bool Comm::test(RequestId id) {
 }
 
 std::size_t Comm::test_bulk(std::span<const RequestId> ids) {
-  if (progress_.engine)
-    service_progress();
-  else
-    flush_sends();
+  service_progress();
   coord_.gate(rank_);
   const TimePs cost =
       net_.cost().mpi_test_overhead() +
@@ -796,8 +592,7 @@ std::size_t Comm::test_bulk(std::span<const RequestId> ids) {
     Request& req = checked(id);
     if (!req.done && req.kind == Kind::kSend) {
       if (req.lost) maybe_retransmit(req);  // advances time on retransmit
-      if (!req.lost && !req.rdv_pending &&
-          coord_.now(rank_) >= req.complete_stamp)
+      if (!req.lost && coord_.now(rank_) >= req.complete_stamp)
         req.done = true;
     }
     if (req.done) ++n_done;
@@ -813,67 +608,41 @@ void Comm::wait(RequestId id) {
 }
 
 void Comm::wait_all(std::span<const RequestId> ids) {
-  if (progress_thread_ != nullptr) {
-    // Strict grant handoff: the progress thread acts as this rank (tests,
-    // waits, services progress deadlines) while this thread sleeps on the
-    // cv. Exactly one host thread performs virtual operations for the
-    // rank at any time, and the mutex orders the two, so the virtual
-    // operation sequence is identical to running the loop here.
-    ProgressThread& pt = *progress_thread_;
-    std::unique_lock<std::mutex> lk(pt.mu);
-    pt.ids = ids;
-    pt.error = nullptr;
-    pt.done = false;
-    pt.job = true;
-    pt.cv.notify_all();
-    pt.cv.wait(lk, [&pt] { return pt.done; });
-    if (pt.error != nullptr) std::rethrow_exception(pt.error);
-    return;
-  }
-  wait_all_impl(ids);
-}
-
-void Comm::wait_all_impl(std::span<const RequestId> ids) {
   // The wake below comes from a shared-state scan; under the parallel
   // coordinator it is recomputed at window barriers, where concurrent
   // senders' pushes are ordered before us (see the 3-arg wait_until).
-  const std::function<TimePs()> refresh = [this, ids] {
-    return earliest_known_completion(ids);
+  // `unwaited` is local state, fixed while parked.
+  TimePs unwaited = sim::kNever;
+  const std::function<TimePs()> refresh = [this, ids, &unwaited] {
+    return std::min(unwaited, earliest_known_completion(ids));
   };
   for (;;) {
     bool all_done = true;
     for (RequestId id : ids)
       if (!test(id)) all_done = false;
     if (all_done) return;
-    const TimePs wake = earliest_known_completion(ids);
+    unwaited = drive_unwaited_sends(ids);
     const TimePs before = coord_.now(rank_);
-    coord_.wait_until(rank_, wake, refresh);
+    coord_.wait_until(rank_, refresh(), refresh);
     if (counters_ != nullptr) counters_->wait_time += coord_.now(rank_) - before;
   }
 }
 
-void Comm::progress_thread_main() {
-  ProgressThread& pt = *progress_thread_;
-  std::unique_lock<std::mutex> lk(pt.mu);
-  for (;;) {
-    pt.cv.wait(lk, [&pt] { return pt.job || pt.exit; });
-    if (pt.exit) return;
-    pt.job = false;
-    const std::span<const RequestId> ids = pt.ids;
-    lk.unlock();
-    std::exception_ptr error;
-    try {
-      wait_all_impl(ids);
-    } catch (...) {
-      // Cancellation (or any rank error) transfers to the rank thread,
-      // which rethrows it from wait_all.
-      error = std::current_exception();
-    }
-    lk.lock();
-    pt.error = error;
-    pt.done = true;
-    pt.cv.notify_all();
+TimePs Comm::drive_unwaited_sends(std::span<const RequestId> ids) {
+  // Only loss leaves a send that nobody but its own test would complete.
+  // The scheduler's waits cover every open send, so on the runtime's paths
+  // this finds nothing and moves no virtual time.
+  if (!loss_armed()) return sim::kNever;
+  std::vector<char> waited(requests_.size(), 0);
+  for (RequestId id : ids) waited[id & kIndexMask] = 1;
+  TimePs next = sim::kNever;
+  for (std::size_t i = 0; i < requests_.size(); ++i) {
+    Request& req = requests_[i];
+    if (waited[i] != 0 || req.kind != Kind::kSend || !req.lost) continue;
+    maybe_retransmit(req);
+    if (req.lost) next = std::min(next, req.complete_stamp);
   }
+  return next;
 }
 
 std::vector<std::byte> Comm::take_payload(RequestId id) {
@@ -890,11 +659,7 @@ std::uint64_t Comm::request_bytes(RequestId id) const {
 }
 
 TimePs Comm::earliest_known_completion(std::span<const RequestId> ids) const {
-  // Fold in the progress engine's next deadline (kNever with the engine
-  // off) so a blocked wait wakes in time to drive aged buffer flushes,
-  // deferred rendezvous injection, and retransmits of lost sends that are
-  // NOT in `ids` — the inline-mode stall this engine exists to fix.
-  TimePs wake = progress_due();
+  TimePs wake = sim::kNever;
   // Lock against concurrent senders (parallel coordinator). This scan can
   // race an in-window sender's push in either direction; callers that park
   // on the result pass this function as the wait_until refresh so the
@@ -991,8 +756,6 @@ void Comm::reset_requests() {
   // strand its sub-messages (and, under loss injection, leave pending
   // requests). Flush before the hygiene check.
   flush_sends();
-  USW_ASSERT_MSG(rdv_pending_.empty(),
-                 "reset_requests with rendezvous handshakes still in flight");
   USW_ASSERT_MSG(pending_requests() == 0,
                  "reset_requests with operations still pending");
   requests_.clear();

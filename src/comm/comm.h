@@ -38,35 +38,19 @@
 // completes locally at append time (MPI_Bsend semantics) unless loss
 // injection is armed, in which case it completes at flush like any other
 // eager send. Buffers are flushed on the size/count policy, by
-// flush_sends() (schedulers call it after each halo burst), and as a
-// progress guarantee at the head of test/test_bulk and reset_requests.
+// flush_sends() (schedulers call it after each halo burst), by the
+// poll-time progress step, and by reset_requests.
 //
-// Progress engine (--comm-progress, see progress.h): in the default
-// `inline` mode all of the above progress piggybacks on application
-// test/flush calls. With a ProgressSpec installed via set_progress in
-// `engine` mode, the endpoint instead tracks explicit virtual-time
-// deadlines — the age of every non-empty coalescing buffer (bounded by
-// the progress interval), the completion of every deferred rendezvous
-// handshake, and the retransmit timeout of every lost send — and services
-// whatever is due (service_progress) at the head of test/test_bulk and
-// whenever the rank wakes from a wait. progress_due() folds the earliest
-// deadline into earliest_known_completion(), so waits always wake in time
-// to drive progress even when the application never tests the request
-// that needs it (the retransmit-stall bug class inline mode exhibits).
-// Engine mode also overlaps the rendezvous handshake with MPE work: the
-// RTS is posted for one mpi_post_overhead, the payload injects when the
-// handshake completes (a deadline), and the 30 µs round trip never blocks
-// the MPE. The scattered defensive flushes (scheduler burst boundaries,
-// isend_multi) are skipped under the engine, letting aggregates coalesce
-// across task boundaries until the size/count policy or the age deadline
-// flushes them. Under the parallel coordinator a real host-side progress
-// thread per rank performs the wait/service loop of wait_all between
-// window barriers: the rank thread hands it the grant via a strict
-// condition-variable handoff (the coordinator keys grants on the rank id,
-// not the host thread — see sim/coordinator.h), executes no virtual
-// operation while the progress thread holds it, and takes the grant back
-// when the wait completes, so the virtual operation sequence — and with
-// it the byte-equality contract — is identical with the thread on or off.
+// Progress: nonblocking MPI on Sunway progresses only when the MPE polls,
+// and so does this endpoint — nothing moves between calls. The one
+// poll-time progress step is service_progress(): test/test_bulk run it
+// at their head, and schedulers run it after an idle wake; it pushes
+// whatever is still coalescing to the wire. A lost send is re-posted by
+// the first poll that finds its retransmit deadline passed: a test of
+// that request or, while the rank blocks in wait/wait_all, the wait loop
+// itself. The wait loop also sleeps no later than the retransmit deadline
+// of any lost send outside the waited set, so a rank waiting on a reply
+// that depends on its own lost request cannot stall in virtual time.
 //
 // Thread safety: the Network object is shared by all rank threads. Under
 // the serial coordinator only the token-holding rank touches it, with the
@@ -87,18 +71,15 @@
 // seq, which is why message faults force the serial coordinator.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "comm/agg.h"
-#include "comm/progress.h"
 #include "fault/fault.h"
 #include "hw/cost_model.h"
 #include "hw/perf_counters.h"
@@ -257,26 +238,9 @@ class Comm {
   void set_agg(const AggSpec& spec);
   const AggSpec& agg() const { return agg_; }
 
-  /// Installs the progress policy (validates it first). Must be called
-  /// before any send is posted. In engine mode this also resolves the
-  /// service interval (explicit or cost-model default) and, under the
-  /// parallel coordinator, starts the host-side progress thread that runs
-  /// wait_all's wait/service loop on this rank's behalf.
-  void set_progress(const ProgressSpec& spec);
-  const ProgressSpec& progress() const { return progress_; }
-
-  /// Earliest virtual-time deadline the progress engine must service:
-  /// the oldest non-empty coalescing buffer's age bound, the earliest
-  /// deferred rendezvous handshake completion, and the earliest lost-send
-  /// retransmit timeout. kNever with the engine off or nothing pending.
-  /// Folded into earliest_known_completion() so waits wake in time.
-  TimePs progress_due() const;
-
-  /// Services every progress deadline at or before now(): flushes aged
-  /// buffers, injects completed rendezvous handshakes, retransmits
-  /// timed-out lost sends. No-op with the engine off or nothing due.
-  /// Runs at the head of test/test_bulk (replacing inline mode's
-  /// unconditional flush) and after every wait wake.
+  /// The poll-time progress step: flushes every open coalescing buffer
+  /// (flush_sends). Runs at the head of test/test_bulk; schedulers also
+  /// call it after an idle wake.
   void service_progress();
 
   /// Nonblocking send with payload (functional mode). The data is copied
@@ -290,22 +254,10 @@ class Comm {
   /// Nonblocking send of `bytes` without payload (timing-only mode).
   RequestId isend_bytes(int dst, int tag, std::uint64_t bytes);
 
-  /// One send of a bulk burst (isend_multi).
-  struct SendDesc {
-    int dst = -1;
-    int tag = -1;
-    std::uint64_t bytes = 0;         ///< used when payload is empty
-    std::vector<std::byte> payload;  ///< moved from; empty in timing-only
-  };
-
-  /// Bulk send: posts every descriptor (coalescing same-destination small
-  /// messages when aggregation is on) then flushes, so each neighbor gets
-  /// at most one aggregate for the burst. Appends one RequestId per
-  /// descriptor to `out` (in order) when non-null.
-  void isend_multi(std::span<SendDesc> descs, std::vector<RequestId>* out);
-
-  /// Flushes every open coalescing buffer (ascending destination order).
-  /// No-op with aggregation off or nothing buffered.
+  /// Flushes every open coalescing buffer, in ascending destination order
+  /// (the order fixes the aggregates' wire seqs and NIC reservations).
+  /// Visits only destinations appended to since the last call, so a poll
+  /// with nothing buffered costs nothing. No-op with aggregation off.
   void flush_sends();
 
   /// Nonblocking receive matching (src, tag).
@@ -327,7 +279,10 @@ class Comm {
   /// Blocks (in virtual time) until the request completes.
   void wait(RequestId id);
 
-  /// Blocks until all listed requests complete.
+  /// Blocks until all listed requests complete. Under loss injection the
+  /// wait also re-posts lost sends OUTSIDE `ids` once their retransmit
+  /// deadline passes, waking for it if need be: a rank blocked on a reply
+  /// that depends on its own lost request must not stall.
   void wait_all(std::span<const RequestId> ids);
 
   /// Payload of a completed receive (moves it out). Empty in timing-only.
@@ -406,10 +361,6 @@ class Comm {
     TimePs complete_stamp = 0;
     bool done = false;
     bool lost = false;      ///< send dropped by fault injection, not yet resent
-    /// Engine-mode rendezvous send whose handshake is still in flight:
-    /// complete_stamp holds the handshake-ready deadline and the payload
-    /// has not been injected yet (rdv_pending_ owns it).
-    bool rdv_pending = false;
     int attempts = 0;       ///< transmissions so far (sends under faults)
     std::uint64_t msg_seq = 0;  ///< wire seq, reused verbatim on retransmit
     std::vector<std::byte> payload;  ///< recv data; sends: retransmit copy
@@ -423,13 +374,6 @@ class Comm {
   /// Posts one wire message now (the pre-aggregation post_send).
   RequestId post_direct(int dst, int tag, std::uint64_t bytes,
                         std::vector<std::byte> payload, Protocol proto);
-
-  /// Engine-mode rendezvous: posts the RTS (one mpi_post_overhead, wire
-  /// seq reserved now for program order) and defers the payload injection
-  /// to the handshake-ready deadline, which service_progress drives. The
-  /// 30 µs handshake overlaps MPE work instead of blocking it.
-  RequestId post_rendezvous_deferred(int dst, int tag, std::uint64_t bytes,
-                                     std::vector<std::byte> payload);
 
   /// Appends a small send to `dst`'s coalescing buffer (request completes
   /// per buffered-send semantics; wire seq assigned at flush).
@@ -458,6 +402,15 @@ class Comm {
   /// it (charging post overhead + link occupancy in virtual time).
   void maybe_retransmit(Request& req);
 
+  /// True when the fault plan can drop messages (sends keep a retransmit
+  /// copy and buffered sends complete at flush, not at append).
+  bool loss_armed() const;
+
+  /// wait_all's guard against the retransmit stall: re-posts every lost
+  /// send outside `ids` whose deadline has passed and returns the earliest
+  /// remaining such deadline (kNever if none, or loss injection is off).
+  TimePs drive_unwaited_sends(std::span<const RequestId> ids);
+
   /// Matches visible mailbox messages against pending receives, respecting
   /// MPI ordering (message send order vs. receive post order).
   void match_visible();
@@ -476,44 +429,8 @@ class Comm {
   struct AggBuffer {
     std::vector<AggSub> subs;
     std::uint64_t bytes = 0;  ///< buffered payload + sub-header bytes
-    /// Engine mode: flush deadline = time of the first append into the
-    /// empty buffer + the progress interval. kNever while empty.
-    TimePs deadline = sim::kNever;
+    bool listed = false;      ///< dst is in open_dsts_
   };
-
-  /// An engine-mode rendezvous send whose handshake is in flight.
-  struct RdvPending {
-    std::size_t req = 0;  ///< request-table slot of the logical send
-    TimePs ready = 0;     ///< handshake completes; payload may inject
-    std::vector<std::byte> payload;
-  };
-
-  /// The actual wait/service loop of wait_all (runs on the rank thread,
-  /// or on the progress thread under the parallel coordinator).
-  void wait_all_impl(std::span<const RequestId> ids);
-
-  /// Injects a rendezvous payload whose handshake has completed.
-  void inject_rendezvous(RdvPending&& pending);
-
-  /// Recomputes the cached minimum agg-buffer deadline after flushes.
-  void recompute_agg_deadline();
-
-  /// Host-side progress thread (engine mode + parallel coordinator): runs
-  /// wait_all_impl on the rank's behalf via a strict cv handoff — the
-  /// rank thread blocks on `cv` and performs no virtual operation while
-  /// `job` is outstanding, so exactly one host thread ever acts as this
-  /// rank and the mutex provides the happens-before edges between them.
-  struct ProgressThread {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool job = false;   ///< a wait job has been handed over
-    bool done = false;  ///< the wait job completed (or threw)
-    bool exit = false;
-    std::span<const RequestId> ids;
-    std::exception_ptr error;
-    std::thread thread;
-  };
-  void progress_thread_main();
 
   Network& net_;
   sim::Coordinator& coord_;
@@ -528,18 +445,9 @@ class Comm {
   std::uint64_t rdv_threshold_bytes_ = 0;  ///< resolved at set_agg
   std::vector<AggBuffer> agg_bufs_;        ///< one per destination rank
   std::vector<char> match_consumed_;       ///< match_visible scratch
-  ProgressSpec progress_;
-  TimePs progress_interval_ = 0;  ///< resolved at set_progress
-  /// Cached minimum over the non-empty buffers' deadlines. Conservative:
-  /// a policy flush can leave it pointing at an already-empty buffer, in
-  /// which case service_progress finds nothing due and recomputes.
-  TimePs agg_deadline_min_ = sim::kNever;
-  /// Cached minimum lost-send retransmit deadline, same contract.
-  TimePs lost_deadline_min_ = sim::kNever;
-  /// Deferred rendezvous sends in post order (ready stamps are monotone:
-  /// each is its post time plus the constant handshake cost).
-  std::vector<RdvPending> rdv_pending_;
-  std::unique_ptr<ProgressThread> progress_thread_;
+  /// Destinations appended to since the last flush_sends (unsorted; a
+  /// policy flush may have emptied some of them already).
+  std::vector<int> open_dsts_;
 };
 
 }  // namespace usw::comm

@@ -111,11 +111,6 @@ class CostModel {
   /// Break-even where the eager copy cost equals the handshake cost.
   std::uint64_t rendezvous_threshold_bytes() const;
 
-  /// Default service cadence of the dedicated progress engine
-  /// (--comm-progress=engine): the maximum age a non-empty coalescing
-  /// buffer reaches before the engine flushes it.
-  TimePs progress_interval() const { return params_.comm_progress_interval; }
-
   /// Wire bytes of one sub-message header inside an aggregate.
   std::uint64_t agg_sub_header_bytes() const {
     return params_.comm_agg_sub_header_bytes;

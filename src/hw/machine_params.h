@@ -106,7 +106,7 @@ struct MachineParams {
   double net_bw_bytes_per_s = 2.0e9;
   /// MPE cost to post a nonblocking send/receive.
   TimePs mpi_post_overhead = 6 * kMicrosecond;
-  /// MPE cost of one MPI_Test (progress engine poll, Sec V-C 3c).
+  /// MPE cost of one MPI_Test (one progress poll, Sec V-C 3c).
   TimePs mpi_test_overhead = 1 * kMicrosecond;
   /// Incremental MPE cost per request in a bulk MPI_Testsome sweep.
   TimePs mpi_test_each = 100 * kNanosecond;
@@ -130,14 +130,6 @@ struct MachineParams {
   /// pays before its payload moves; eager messages skip it but pay the
   /// bounce-buffer copy at pack_bw_bytes_per_s instead.
   TimePs comm_rdv_handshake = 30 * kMicrosecond;
-  /// Default service cadence of the dedicated progress engine
-  /// (--comm-progress=engine): the maximum age a non-empty coalescing
-  /// buffer may reach before the engine flushes it. Set to the latency one
-  /// aggregate flush adds to a buffered message (post overhead + MPI
-  /// software latency + wire latency), so engine-deferred flushes never
-  /// delay a message by more than one flush already costs.
-  TimePs comm_progress_interval =
-      mpi_post_overhead + mpi_sw_latency + net_latency;
 
   /// Theoretical peak of one CG in Gflop/s (MPE + CPE cluster), the
   /// denominator of Fig 10.

@@ -24,9 +24,6 @@ void PerfCounters::merge(const PerfCounters& other) {
   agg_flushes += other.agg_flushes;
   msgs_rendezvous += other.msgs_rendezvous;
   agg_bytes_saved += other.agg_bytes_saved;
-  progress_polls += other.progress_polls;
-  progress_flushes_driven += other.progress_flushes_driven;
-  progress_retransmits_driven += other.progress_retransmits_driven;
   fault_injected += other.fault_injected;
   fault_retries += other.fault_retries;
   fault_degraded += other.fault_degraded;

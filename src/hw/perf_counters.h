@@ -65,13 +65,6 @@ struct PerfCounters {
   /// per aggregate wastes header bytes and goes negative.
   std::int64_t agg_bytes_saved = 0;
 
-  // Progress engine (--comm-progress=engine): work the dedicated engine
-  // performed at its virtual-time deadlines, as opposed to progress
-  // piggybacked on application test/flush calls.
-  std::uint64_t progress_polls = 0;               ///< deadline services run
-  std::uint64_t progress_flushes_driven = 0;      ///< buffer flushes it drove
-  std::uint64_t progress_retransmits_driven = 0;  ///< retransmits it drove
-
   // Resilience (src/fault): injected faults and the recovery they drove.
   std::uint64_t fault_injected = 0;   ///< faults fired (all kinds)
   std::uint64_t fault_retries = 0;    ///< offload re-runs, DMA re-issues, retransmits

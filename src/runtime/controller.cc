@@ -79,7 +79,6 @@ void RunConfig::validate() const {
   if (stream.enabled() && stream.interval < 1)
     throw ConfigError("stream.interval must be >= 1");
   comm_agg.validate();
-  comm_progress.validate();
 }
 
 TimePs RunResult::step_wall(int s) const {
@@ -259,7 +258,6 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
     comm.set_flight(&flight);
     comm.set_retransmit(config.recovery.retransmit);
     comm.set_agg(config.comm_agg);
-    comm.set_progress(config.comm_progress);
     athread::CpeCluster cluster(cost, coord, rank, &out.counters,
                                 config.cpe_groups, config.backend,
                                 cpe_pool.get());
@@ -271,7 +269,6 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
     sched_config.cpe_groups = config.cpe_groups;
     sched_config.async_dma = config.async_dma;
     sched_config.packed_tiles = config.packed_tiles;
-    sched_config.selection = config.selection;
     sched_config.tile_policy = config.tile_policy;
     sched_config.mpe_kernel_threshold_cells = config.mpe_kernel_threshold_cells;
     sched_config.recovery = config.recovery;
@@ -534,16 +531,6 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
                             static_cast<double>(c.msgs_rendezvous));
       out.obs_metrics.count("comm.mpi_posts",
                             static_cast<double>(c.mpi_posts));
-    }
-
-    if (config.collect_metrics && config.comm_progress.engine) {
-      const hw::PerfCounters& c = out.counters;
-      out.obs_metrics.count("comm.progress.polls",
-                            static_cast<double>(c.progress_polls));
-      out.obs_metrics.count("comm.progress.flushes_driven",
-                            static_cast<double>(c.progress_flushes_driven));
-      out.obs_metrics.count("comm.progress.retransmits_driven",
-                            static_cast<double>(c.progress_retransmits_driven));
     }
 
     if (init_checker)

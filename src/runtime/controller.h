@@ -14,7 +14,6 @@
 #include "athread/athread.h"
 #include "check/check.h"
 #include "comm/agg.h"
-#include "comm/progress.h"
 #include "fault/fault.h"
 #include "grid/partition.h"
 #include "hw/machine_params.h"
@@ -74,22 +73,14 @@ struct RunConfig {
   /// and archives are bit-equal with aggregation on or off, and the
   /// serial/parallel coordinator byte-equality contract holds with it
   /// enabled; only virtual comm timing (and the comm.agg.* metrics) move.
+  /// Messages progress only when a rank polls (see comm/comm.h), with or
+  /// without aggregation.
   comm::AggSpec comm_agg;
-
-  /// Communication progress mode (uswsim --comm-progress, see
-  /// comm/progress.h). Inline (default) reproduces the historical
-  /// behavior: progress piggybacks on test/flush calls. The engine
-  /// services aggregate-buffer age deadlines, deferred rendezvous
-  /// handshakes, and lost-send retransmit deadlines at deterministic
-  /// virtual-time intervals instead; numerics stay bit-equal, virtual
-  /// comm timing (and comm.progress.* metrics) move.
-  comm::ProgressSpec comm_progress;
 
   // Future-work options (paper Sec IX), orthogonal to the variant:
   int cpe_groups = 1;         ///< concurrent kernels per CG (async modes)
   bool async_dma = false;     ///< double-buffered tile DMA
   bool packed_tiles = false;  ///< contiguous tile transfers
-  sched::SelectionPolicy selection = sched::SelectionPolicy::kGraphOrder;
   /// Tile->CPE assignment within each offload (uswsim --tile-policy):
   /// the paper's static z-partition, or the deterministic atomic-counter
   /// self-scheduling emulations. See sched/tile_policy.h.

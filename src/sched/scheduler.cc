@@ -202,26 +202,13 @@ void Scheduler::post_initial_sends(task::TaskContext& ctx) {
   // With aggregation on this burst coalesces into (at most) one aggregate
   // per neighbor, posted by the flush.
   for (const task::ExtComm& sc : graph_.initial_sends) post_send(ctx, sc);
-  // With the progress engine on, the buffers keep coalescing across task
-  // boundaries; the engine's age deadline (or the size/count policy)
-  // flushes them instead of this defensive burst-boundary flush.
-  if (!comm_.progress().engine) comm_.flush_sends();
+  comm_.flush_sends();
 }
 
 int Scheduler::pick_ready(int want_stencil) {
-  int best = -1;
-  std::size_t best_sends = 0;
-  for (int i : ready_) {
-    const bool offloadable = is_offloadable(i);
-    if (want_stencil >= 0 && (want_stencil == 1) != offloadable) continue;
-    if (config_.selection == SelectionPolicy::kGraphOrder) return i;
-    const std::size_t sends = graph_.tasks[static_cast<std::size_t>(i)].sends.size();
-    if (best < 0 || sends > best_sends) {
-      best = i;
-      best_sends = sends;
-    }
-  }
-  return best;
+  for (int i : ready_)
+    if (want_stencil < 0 || (want_stencil == 1) == is_offloadable(i)) return i;
+  return -1;
 }
 
 bool Scheduler::is_stencil(int dt_index) const {
@@ -588,7 +575,7 @@ void Scheduler::on_finished(task::TaskContext& ctx, int dt_index) {
   // Sec V-C 3(b)i: post nonblocking sends for the completed task — one
   // aggregate per neighbor when aggregation is on.
   for (const task::ExtComm& sc : dt.sends) post_send(ctx, sc, dt_index);
-  if (!comm_.progress().engine) comm_.flush_sends();
+  comm_.flush_sends();
   for (int succ : dt.successors) {
     DtState& ss = state_[static_cast<std::size_t>(succ)];
     USW_ASSERT(ss.pending_preds > 0);
@@ -692,10 +679,8 @@ void Scheduler::idle_wait() {
     trace_.record(before, sim::EventKind::kWaitBegin, "idle",
                   sim::EventIds{step_, -1, -1, -1, -1, -1, 0});
   comm_.wait_until_time(wake, refresh);
-  // The wake may be a progress-engine deadline (folded into
-  // earliest_known_completion above). Service it here: with both open
-  // lists empty, progress_comm() early-returns without reaching
-  // test_bulk, so nothing else would drive the engine.
+  // Poll after waking: with both open lists empty, progress_comm()
+  // early-returns without reaching test_bulk's own progress step.
   comm_.service_progress();
   counters_.wait_time += comm_.now() - before;
   if (trace_.enabled())

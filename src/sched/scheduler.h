@@ -60,18 +60,9 @@ enum class SchedulerMode { kMpeOnly, kSyncMpeCpe, kAsyncMpeCpe };
 
 const char* to_string(SchedulerMode mode);
 
-/// Order in which ready tasks are selected (Sec V-C 3(b)ii leaves this
-/// open; Uintah's schedulers expose similar policies).
-enum class SelectionPolicy {
-  kGraphOrder,        ///< compiled order (task-major, patch-major)
-  kRemoteFeedsFirst,  ///< tasks with the most remote consumers first, so
-                      ///< their sends enter the network earliest
-};
-
 struct SchedulerConfig {
   SchedulerMode mode = SchedulerMode::kAsyncMpeCpe;
   bool vectorize = false;  ///< use the SIMD kernel variants
-  SelectionPolicy selection = SelectionPolicy::kGraphOrder;
 
   /// How each offload's tiles are assigned to the CPEs of its group:
   /// the paper's static z-partition, or the atomic-counter self-scheduling
@@ -191,8 +182,8 @@ class Scheduler {
   void finalize_reductions(task::TaskContext& ctx);
 
   // --- helpers ---
-  /// First ready detailed task satisfying `want_stencil` (or any when
-  /// want_stencil < 0); -1 if none.
+  /// First ready detailed task in compiled order satisfying
+  /// `want_stencil` (or any when want_stencil < 0); -1 if none.
   int pick_ready(int want_stencil);
   bool is_stencil(int dt_index) const;
   /// Stencil destined for the CPE cluster (above the small-kernel

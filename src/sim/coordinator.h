@@ -117,18 +117,6 @@
 // conservative invariant therefore holds unchanged: all virtual-time
 // mutation still happens on granted rank threads.
 //
-// Rank-id grant contract (relied on by the comm progress thread): grants,
-// gates, waits and clocks are keyed on the integer rank id, never on a
-// host thread identity — no API here inspects std::this_thread. A rank may
-// therefore be DRIVEN by more than one host thread over its lifetime, as
-// long as exactly one of them performs virtual operations for that rank at
-// any moment and the handoffs establish happens-before (a mutex). Comm's
-// host-side progress thread (--comm-progress=engine under kParallel) uses
-// exactly this: while the rank's own thread blocks in wait_all, the
-// progress thread takes over the rank's grant, runs the identical
-// test/service/wait sequence, and hands back — the virtual-operation
-// sequence, and hence every simulated outcome, is unchanged.
-//
 // Rank states:
 //   kReady    - wants to run; eligible at its clock.
 //   kRunning  - granted (serial: at most one; parallel: up to the window).

@@ -24,40 +24,53 @@ void Options::parse(int argc, const char* const* argv) {
   }
 }
 
-bool Options::has(const std::string& key) const { return values_.count(key) > 0; }
+const std::string* Options::find(const std::string& key) const {
+  read_.insert(key);
+  const auto it = values_.find(key);
+  return it == values_.end() ? nullptr : &it->second;
+}
+
+bool Options::has(const std::string& key) const { return find(key) != nullptr; }
 
 std::string Options::get(const std::string& key, const std::string& def) const {
-  const auto it = values_.find(key);
-  return it == values_.end() ? def : it->second;
+  const std::string* v = find(key);
+  return v == nullptr ? def : *v;
 }
 
 std::int64_t Options::get_int(const std::string& key, std::int64_t def) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return def;
+  const std::string* v = find(key);
+  if (v == nullptr) return def;
   try {
-    return std::stoll(it->second);
+    return std::stoll(*v);
   } catch (const std::exception&) {
-    throw ConfigError("option --" + key + " expects an integer, got '" + it->second + "'");
+    throw ConfigError("option --" + key + " expects an integer, got '" + *v + "'");
   }
 }
 
 double Options::get_double(const std::string& key, double def) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return def;
+  const std::string* v = find(key);
+  if (v == nullptr) return def;
   try {
-    return std::stod(it->second);
+    return std::stod(*v);
   } catch (const std::exception&) {
-    throw ConfigError("option --" + key + " expects a number, got '" + it->second + "'");
+    throw ConfigError("option --" + key + " expects a number, got '" + *v + "'");
   }
 }
 
 bool Options::get_bool(const std::string& key, bool def) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return def;
-  const std::string& v = it->second;
+  const std::string* found = find(key);
+  if (found == nullptr) return def;
+  const std::string& v = *found;
   if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
   if (v == "false" || v == "0" || v == "no" || v == "off") return false;
   throw ConfigError("option --" + key + " expects a boolean, got '" + v + "'");
+}
+
+std::vector<std::string> Options::unread() const {
+  std::vector<std::string> out;
+  for (const auto& [key, value] : values_)
+    if (read_.count(key) == 0) out.push_back(key);
+  return out;
 }
 
 }  // namespace usw

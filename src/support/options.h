@@ -5,10 +5,13 @@
 // Accepts "--key=value" and bare "--flag" (boolean true). Anything not
 // starting with "--" is collected as a positional argument. The space-
 // separated "--key value" form is intentionally not supported: it is
-// ambiguous against positionals following a bare flag.
+// ambiguous against positionals following a bare flag. The parser
+// remembers which keys the program asked about, so a driver can reject
+// the ones it never reads (typos, removed flags) instead of ignoring them.
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -33,9 +36,17 @@ class Options {
   /// All parsed key/value pairs (for echoing the configuration).
   const std::map<std::string, std::string>& values() const { return values_; }
 
+  /// Keys given on the command line that no has()/get*() call has asked
+  /// about yet, in sorted order.
+  std::vector<std::string> unread() const;
+
  private:
+  /// Looks `key` up and records that it was asked about.
+  const std::string* find(const std::string& key) const;
+
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace usw

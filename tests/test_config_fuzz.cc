@@ -1,6 +1,6 @@
 // Configuration-space fuzz: across random combinations of every runtime
 // knob — variant, rank count, partition policy, ghost pattern, CPE groups,
-// DMA options, selection policy, small-kernel threshold — the *functional*
+// DMA options, small-kernel threshold — the *functional*
 // result of a simulation must be bit-for-bit identical. Scheduling and
 // hardware options may only change virtual time, never physics.
 
@@ -45,9 +45,6 @@ TEST_P(ConfigFuzz, EveryConfigurationComputesTheSameSolution) {
     cfg.cpe_groups = static_cast<int>(group_choices[rng.next_below(3)]);
     cfg.async_dma = rng.next_below(2) == 0;
     cfg.packed_tiles = rng.next_below(2) == 0;
-    cfg.selection = rng.next_below(2) == 0
-                        ? sched::SelectionPolicy::kGraphOrder
-                        : sched::SelectionPolicy::kRemoteFeedsFirst;
     const std::uint64_t threshold_choices[] = {0, 600, 1u << 20};
     cfg.mpe_kernel_threshold_cells = threshold_choices[rng.next_below(3)];
 

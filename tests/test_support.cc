@@ -188,6 +188,16 @@ TEST(Options, BadValuesThrow) {
   EXPECT_THROW(o.get_bool("b", false), ConfigError);
 }
 
+TEST(Options, UnreadListsKeysNobodyAskedAbout) {
+  const char* argv[] = {"prog", "--used=1", "--typo=2", "--probed", "--ghost", "pos"};
+  Options o(6, argv);
+  EXPECT_EQ(o.unread(), (std::vector<std::string>{"ghost", "probed", "typo", "used"}));
+  EXPECT_EQ(o.get_int("used", 0), 1);
+  EXPECT_TRUE(o.has("probed"));
+  EXPECT_EQ(o.get("absent", "d"), "d");  // asking about a missing key is fine
+  EXPECT_EQ(o.unread(), (std::vector<std::string>{"ghost", "typo"}));
+}
+
 TEST(Units, Conversions) {
   EXPECT_EQ(seconds_to_ps(1.0), kSecond);
   EXPECT_EQ(seconds_to_ps(1e-6), kMicrosecond);
