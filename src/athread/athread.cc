@@ -62,6 +62,17 @@ void CpeContext::count_compute(std::uint64_t cells, const hw::KernelCost& kc) {
   if (counters_ != nullptr) counters_->count_kernel_cells(cells, kc);
 }
 
+void CpeContext::apply(const CpeCharge& charge) {
+  busy_ += charge.busy;
+  if (counters_ == nullptr) return;
+  counters_->tiles_executed += charge.tiles;
+  counters_->tile_grabs += charge.grabs;
+  counters_->dma_bytes_in += charge.dma_in;
+  counters_->dma_bytes_out += charge.dma_out;
+  counters_->cells_computed += charge.cells;
+  counters_->counted_flops += charge.flops;
+}
+
 CpeCluster::CpeCluster(const hw::CostModel& cost, sim::Coordinator& coord,
                        int rank, hw::PerfCounters* counters, int n_groups,
                        Backend backend, WorkerPool* pool)
@@ -76,6 +87,7 @@ CpeCluster::CpeCluster(const hw::CostModel& cost, sim::Coordinator& coord,
     groups_.push_back(std::make_unique<Group>());
     groups_.back()->cpe_done.assign(
         static_cast<std::size_t>(cpes / n_groups), 0);
+    all_groups_.push_back(g);
   }
   if (backend_ == Backend::kThreads) {
     if (pool == nullptr) {
@@ -98,8 +110,9 @@ CpeCluster::~CpeCluster() {
   for (const std::unique_ptr<Group>& g : groups_) {
     if (g->published) continue;
     std::unique_lock<std::mutex> lk(sync_mu_);
-    sync_cv_.wait(lk, [this, &g] {
-      return g->faaw.load(std::memory_order_acquire) == group_size();
+    sync_cv_.wait(lk, [&g] {
+      return g->faaw.load(std::memory_order_acquire) ==
+             static_cast<int>(g->active.size());
     });
   }
 }
@@ -121,21 +134,35 @@ void CpeCluster::spawn(const CpeJob& job, int g) {
   group.completion = group.spawn_time;
   const int n = group_size();
   group.job = job;
+  group.active.clear();
+  if (next_active_) {
+    group.active.assign(next_active_->begin(), next_active_->end());
+    next_active_.reset();
+  } else {
+    for (int id = 0; id < n; ++id) group.active.push_back(id);
+  }
   group.cpe_busy.assign(static_cast<std::size_t>(n), 0);
-  group.cpe_counters.assign(static_cast<std::size_t>(n), hw::PerfCounters{});
-  group.cpe_errors.assign(static_cast<std::size_t>(n), nullptr);
+  // The counter and error slots are sized at the group's first offload;
+  // after that only the active CPEs' slots are reset and read.
+  group.cpe_counters.resize(static_cast<std::size_t>(n));
+  group.cpe_errors.resize(static_cast<std::size_t>(n));
+  for (const int id : group.active) {
+    USW_ASSERT_MSG(id >= 0 && id < n, "active CPE outside the group");
+    group.cpe_counters[static_cast<std::size_t>(id)] = hw::PerfCounters{};
+    group.cpe_errors[static_cast<std::size_t>(id)] = nullptr;
+  }
   group.faaw.store(0, std::memory_order_relaxed);
   if (backend_ == Backend::kSerial) {
     // A throwing body (e.g. LDM overflow) propagates out of spawn() and
     // leaves the group idle, exactly as before backends existed.
-    for (int id = 0; id < n; ++id) run_cpe(group, id, ldm_);
+    for (const int id : group.active) run_cpe(group, id, ldm_);
     group.in_flight = true;
     group.published = false;
     publish_group(group);
   } else {
     group.in_flight = true;
     group.published = false;
-    for (int id = 0; id < n; ++id) {
+    for (const int id : group.active) {
       pool_->submit([this, &group, id](int worker) {
         try {
           run_cpe(group, id, worker_ldms_[static_cast<std::size_t>(worker)]);
@@ -164,8 +191,9 @@ void CpeCluster::sync_group(Group& group) const {
   if (group.published) return;
   {
     std::unique_lock<std::mutex> lk(sync_mu_);
-    sync_cv_.wait(lk, [this, &group] {
-      return group.faaw.load(std::memory_order_acquire) == group_size();
+    sync_cv_.wait(lk, [&group] {
+      return group.faaw.load(std::memory_order_acquire) ==
+             static_cast<int>(group.active.size());
     });
   }
   publish_group(group);
@@ -173,26 +201,29 @@ void CpeCluster::sync_group(Group& group) const {
 
 void CpeCluster::publish_group(Group& group) const {
   group.published = true;
-  // Every body has run: free what the job captured (a tile offload's
-  // tiling and plan) with the offload rather than at the next spawn.
+  // Every body has run: drop the job's copy of what it captured with the
+  // offload rather than at the next spawn.
   group.job = nullptr;
-  for (std::size_t id = 0; id < group.cpe_errors.size(); ++id) {
-    if (group.cpe_errors[id] != nullptr) {
+  for (const int id : group.active) {
+    if (const std::exception_ptr& error =
+            group.cpe_errors[static_cast<std::size_t>(id)]) {
       // Deterministic error surface: the lowest-id failing CPE wins, as it
       // would have in serial execution. The offload is abandoned.
       group.in_flight = false;
-      std::rethrow_exception(group.cpe_errors[id]);
+      std::rethrow_exception(error);
     }
   }
-  // Fold the per-CPE slots in CPE-id order so the merged counters (double
-  // accumulation included) are bit-identical across backends.
   for (std::size_t id = 0; id < group.cpe_busy.size(); ++id) {
     group.cpe_done[id] = group.spawn_time + group.cpe_busy[id];
     group.completion = std::max(group.completion, group.cpe_done[id]);
   }
   if (counters_ != nullptr) {
-    for (const hw::PerfCounters& slot : group.cpe_counters)
-      counters_->merge(slot);
+    // Fold the active CPEs' slots in CPE-id order so the merged counters
+    // (double accumulation included) are bit-identical across backends.
+    // An idle CPE's slot would be all zeros, and adding +0.0 changes no
+    // sum, so skipping it changes nothing.
+    for (const int id : group.active)
+      counters_->merge(group.cpe_counters[static_cast<std::size_t>(id)]);
     counters_->kernels_offloaded += 1;
     counters_->kernel_time += group.completion - group.spawn_time;
   }
@@ -261,25 +292,21 @@ void CpeCluster::join(int g) {
   group.in_flight = false;
 }
 
-std::vector<int> CpeCluster::poll_order() const {
-  std::vector<int> order;
-  if (schedule_ == nullptr) {
-    // Canonical sweep: every group, ascending — byte-identical to the
-    // historical poll loop.
-    order.resize(static_cast<std::size_t>(n_groups()));
-    for (int g = 0; g < n_groups(); ++g)
-      order[static_cast<std::size_t>(g)] = g;
-    return order;
-  }
+std::span<const int> CpeCluster::poll_order() {
+  // Canonical sweep: every group, ascending — byte-identical to the
+  // historical poll loop.
+  if (schedule_ == nullptr) return all_groups_;
+  poll_order_.clear();
   for (int g = 0; g < n_groups(); ++g)
-    if (group(g).in_flight) order.push_back(g);
-  if (order.size() > 1) {
+    if (group(g).in_flight) poll_order_.push_back(g);
+  if (poll_order_.size() > 1) {
     const int k =
         schedule_->choose(schedpt::PointKind::kOffloadPoll, rank_,
-                          static_cast<int>(order.size()));
-    std::rotate(order.begin(), order.begin() + k, order.end());
+                          static_cast<int>(poll_order_.size()));
+    std::rotate(poll_order_.begin(), poll_order_.begin() + k,
+                poll_order_.end());
   }
-  return order;
+  return poll_order_;
 }
 
 }  // namespace usw::athread

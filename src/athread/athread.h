@@ -41,6 +41,15 @@
 // earliest_completion) first blocks — in host wall-clock only — until the
 // workers have published.
 //
+// An offload runs bodies only for the CPEs that have work. A planner that
+// knows the tile->CPE assignment up front (sched/tile_exec.h) names those
+// CPEs with set_active_cpes() before spawn(); every other CPE of the group
+// runs no body and publishes zero busy time and zero counters — exactly
+// what an empty body publishes — and the threads backend submits and
+// counts only the active bodies. A spawn() with no active set runs every
+// CPE. The same planner can hand each body its precomputed CpeCharge, which
+// the body applies in place of walking its tiles through the cost model.
+//
 // The cluster can be partitioned into 1..64 equal CPE *groups* (the paper's
 // future-work item "group CPEs and schedule different patches to different
 // groups"): each group has its own completion flag and can run its own
@@ -58,6 +67,8 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -80,6 +91,23 @@ const char* to_string(Backend backend);
 
 /// Parses "serial" / "threads"; throws ConfigError otherwise.
 Backend backend_from_string(const std::string& name);
+
+/// What one CPE's share of an offload adds to its busy time and counter
+/// slot, known before the offload runs. A timing-only tile body applies it
+/// with CpeContext::apply() instead of walking its tiles.
+struct CpeCharge {
+  TimePs busy = 0;
+  std::uint64_t tiles = 0;
+  std::uint64_t grabs = 0;
+  std::uint64_t dma_in = 0;   ///< bytes main memory -> LDM
+  std::uint64_t dma_out = 0;  ///< bytes LDM -> main memory
+  std::uint64_t cells = 0;
+  /// Counted flops, accumulated tile by tile in execution order from 0.0:
+  /// the sum the CPE's fresh counter slot would reach, bit for bit.
+  double flops = 0.0;
+
+  friend bool operator==(const CpeCharge&, const CpeCharge&) = default;
+};
 
 /// Per-CPE execution context handed to the kernel body.
 class CpeContext {
@@ -149,6 +177,9 @@ class CpeContext {
       counters_->tile_grabs += static_cast<std::uint64_t>(grabs);
   }
 
+  /// Charges a precomputed share: its busy time plus its counter deltas.
+  void apply(const CpeCharge& charge);
+
   const hw::CostModel& cost() const { return cost_; }
 
   TimePs busy() const { return busy_; }
@@ -193,12 +224,19 @@ class CpeCluster {
   int group_size() const { return n_cpes() / n_groups(); }
   Backend backend() const { return backend_; }
 
+  /// Restricts the next spawn() to the CPEs `cpes` of its group: distinct
+  /// ids in ascending order, read during that spawn only. The others run
+  /// no body; they publish zero busy time and zero counters.
+  void set_active_cpes(std::span<const int> cpes) { next_active_ = cpes; }
+
   /// Offloads `job` to group `g`. Charges offload_launch of MPE time and
-  /// records the spawn time. Backend::kSerial executes the per-CPE bodies
-  /// before returning; Backend::kThreads dispatches them onto the worker
-  /// pool and returns immediately. The group must be idle. The copy of
-  /// `job` is dropped when the offload publishes: inside spawn() under
-  /// kSerial, at the first completion query (poll, join, ...) under kThreads.
+  /// records the spawn time. Runs a body for every CPE of the group, or
+  /// only for those named by a preceding set_active_cpes(), which this call
+  /// consumes. Backend::kSerial executes the bodies before returning;
+  /// Backend::kThreads dispatches them onto the worker pool and returns
+  /// immediately. The group must be idle. The copy of `job` is dropped
+  /// when the offload publishes: inside spawn() under kSerial, at the first
+  /// completion query (poll, join, ...) under kThreads.
   void spawn(const CpeJob& job, int g = 0);
 
   /// True between spawn() and the flag being observed complete.
@@ -241,8 +279,8 @@ class CpeCluster {
   /// the in-flight groups, rotated by a kOffloadPoll decision when more
   /// than one offload is in flight (polling order only changes which
   /// completion the MPE *processes* first; each group's completion time is
-  /// fixed at spawn, so numerics are unaffected).
-  std::vector<int> poll_order() const;
+  /// fixed at spawn, so numerics are unaffected). Valid until the next call.
+  std::span<const int> poll_order();
 
  private:
   struct Group {
@@ -255,10 +293,13 @@ class CpeCluster {
     /// Shared copy the workers invoke; lives from spawn() to publish (a
     /// serial body that throws out of spawn() leaves it to the next spawn).
     CpeJob job;
+    /// CPEs whose bodies the offload runs, ascending; the faaw target.
+    std::vector<int> active;
 
     // Per-CPE slots: each worker writes exactly its own index, then bumps
-    // `faaw`. The MPE reads them only after faaw == group size, so the
+    // `faaw`. The MPE reads them only after faaw == active.size(), so the
     // fetch-add release sequence orders every slot write before the read.
+    // Only active CPEs' counter and error slots are reset and read.
     std::vector<TimePs> cpe_busy;
     std::vector<hw::PerfCounters> cpe_counters;
     std::vector<std::exception_ptr> cpe_errors;
@@ -284,6 +325,9 @@ class CpeCluster {
   int rank_;
   hw::PerfCounters* counters_;
   schedpt::ScheduleController* schedule_ = nullptr;
+  std::optional<std::span<const int>> next_active_;  ///< set_active_cpes()
+  std::vector<int> all_groups_;  ///< 0..n_groups-1: the canonical sweep
+  std::vector<int> poll_order_;  ///< scratch for a controlled sweep
   Backend backend_;
   hw::Ldm ldm_;                       ///< kSerial: shared, reset per CPE
   std::vector<hw::Ldm> worker_ldms_;  ///< kThreads: one per pool worker

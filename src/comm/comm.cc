@@ -499,7 +499,8 @@ void Comm::match_visible() {
   // a schedule point: the controller picks which class goes first. A
   // receive matches exactly one class, so the permutation cannot change
   // which request gets which payload — only the delivery order.
-  std::vector<std::pair<int, int>> classes;
+  std::vector<std::pair<int, int>>& classes = match_classes_;
+  classes.clear();
   for (const Message& msg : box) {
     if (msg.arrival > now) continue;
     const std::pair<int, int> key{msg.src, msg.tag};
@@ -611,17 +612,22 @@ void Comm::wait_all(std::span<const RequestId> ids) {
   // The wake below comes from a shared-state scan; under the parallel
   // coordinator it is recomputed at window barriers, where concurrent
   // senders' pushes are ordered before us (see the 3-arg wait_until).
-  // `unwaited` is local state, fixed while parked.
-  TimePs unwaited = sim::kNever;
-  const std::function<TimePs()> refresh = [this, ids, &unwaited] {
-    return std::min(unwaited, earliest_known_completion(ids));
+  // `unwaited` is local state, fixed while parked. The refresh captures
+  // one pointer, which std::function holds without allocating.
+  struct Wait {
+    Comm* comm;
+    std::span<const RequestId> ids;
+    TimePs unwaited = sim::kNever;
+  } w{this, ids};
+  const std::function<TimePs()> refresh = [&w] {
+    return std::min(w.unwaited, w.comm->earliest_known_completion(w.ids));
   };
   for (;;) {
     bool all_done = true;
     for (RequestId id : ids)
       if (!test(id)) all_done = false;
     if (all_done) return;
-    unwaited = drive_unwaited_sends(ids);
+    w.unwaited = drive_unwaited_sends(ids);
     const TimePs before = coord_.now(rank_);
     coord_.wait_until(rank_, refresh(), refresh);
     if (counters_ != nullptr) counters_->wait_time += coord_.now(rank_) - before;

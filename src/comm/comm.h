@@ -77,6 +77,7 @@
 #include <mutex>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "comm/agg.h"
@@ -445,6 +446,7 @@ class Comm {
   std::uint64_t rdv_threshold_bytes_ = 0;  ///< resolved at set_agg
   std::vector<AggBuffer> agg_bufs_;        ///< one per destination rank
   std::vector<char> match_consumed_;       ///< match_visible scratch
+  std::vector<std::pair<int, int>> match_classes_;  ///< match_visible scratch
   /// Destinations appended to since the last flush_sends (unsorted; a
   /// policy flush may have emptied some of them already).
   std::vector<int> open_dsts_;

@@ -7,7 +7,7 @@
 namespace usw::grid {
 
 Tiling::Tiling(const Box& patch_cells, IntVec tile_shape)
-    : tile_shape_(tile_shape) {
+    : patch_(patch_cells), tile_shape_(tile_shape) {
   if (tile_shape.x <= 0 || tile_shape.y <= 0 || tile_shape.z <= 0)
     throw ConfigError("tile shape must be positive: " + tile_shape.to_string());
   USW_ASSERT_MSG(!patch_cells.empty(), "tiling an empty patch");
@@ -15,17 +15,19 @@ Tiling::Tiling(const Box& patch_cells, IntVec tile_shape)
   tile_grid_ = IntVec{(size.x + tile_shape.x - 1) / tile_shape.x,
                       (size.y + tile_shape.y - 1) / tile_shape.y,
                       (size.z + tile_shape.z - 1) / tile_shape.z};
-  tiles_.reserve(static_cast<std::size_t>(tile_grid_.volume()));
-  for (int tk = 0; tk < tile_grid_.z; ++tk)
-    for (int tj = 0; tj < tile_grid_.y; ++tj)
-      for (int ti = 0; ti < tile_grid_.x; ++ti) {
-        const IntVec lo = patch_cells.lo + IntVec{ti, tj, tk} * tile_shape;
-        const IntVec hi = IntVec::min(lo + tile_shape, patch_cells.hi);
-        tiles_.emplace_back(lo, hi);
-      }
 }
 
-std::vector<int> Tiling::tiles_for_cpe(int cpe_id, int n_cpes) const {
+Box Tiling::tile(int index) const {
+  USW_ASSERT_MSG(index >= 0 && index < num_tiles(), "tile index out of range");
+  const int per_slab = tile_grid_.x * tile_grid_.y;
+  const int in_slab = index % per_slab;
+  const IntVec t{in_slab % tile_grid_.x, in_slab / tile_grid_.x,
+                 index / per_slab};
+  const IntVec lo = patch_.lo + t * tile_shape_;
+  return Box{lo, IntVec::min(lo + tile_shape_, patch_.hi)};
+}
+
+std::pair<int, int> Tiling::slab_range(int cpe_id, int n_cpes) const {
   USW_ASSERT(cpe_id >= 0 && cpe_id < n_cpes);
   // Slab s goes to CPE s * n_cpes / nz, which owns exactly the slabs s with
   // c * nz <= s * n_cpes < (c + 1) * nz: the run [first(c), first(c + 1)).
@@ -35,8 +37,11 @@ std::vector<int> Tiling::tiles_for_cpe(int cpe_id, int n_cpes) const {
     return static_cast<int>((c * nz + n_cpes - 1) / n_cpes);
   };
   const int per_slab = tile_grid_.x * tile_grid_.y;
-  const int lo = first_slab(cpe_id) * per_slab;
-  const int hi = first_slab(cpe_id + 1) * per_slab;
+  return {first_slab(cpe_id) * per_slab, first_slab(cpe_id + 1) * per_slab};
+}
+
+std::vector<int> Tiling::tiles_for_cpe(int cpe_id, int n_cpes) const {
+  const auto [lo, hi] = slab_range(cpe_id, n_cpes);
   std::vector<int> out(static_cast<std::size_t>(hi - lo));
   std::iota(out.begin(), out.end(), lo);
   return out;

@@ -6,13 +6,17 @@
 // into tiles whose working set (all fields incl. ghost halo) fits the 64 KB
 // LDM. The paper assigns tiles to CPEs by "naturally partitioning the
 // blocks in the z dimension" (Sec V-D step 1): contiguous runs of z-slabs
-// per CPE, which tiles_for_cpe() implements and which ignores per-tile
-// load imbalance. sched/tile_policy.h layers the self-scheduled
+// per CPE, which slab_range()/tiles_for_cpe() implement and which ignores
+// per-tile load imbalance. sched/tile_policy.h layers the self-scheduled
 // (dynamic/guided) assignments on top of this class; the Tiling itself only
 // defines the tile geometry and ordering (x-fastest, then y, then z) that
 // the shared grab counter walks.
+//
+// A Tiling is a value of a few words: tile(t) is computed from the index,
+// so a scheduler can keep one per offloaded task for the whole run.
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "grid/box.h"
@@ -29,15 +33,18 @@ class Tiling {
   IntVec tile_shape() const { return tile_shape_; }
   /// Number of tiles along each axis.
   IntVec tile_grid() const { return tile_grid_; }
-  int num_tiles() const { return static_cast<int>(tiles_.size()); }
-  const Box& tile(int index) const { return tiles_.at(static_cast<std::size_t>(index)); }
-  const std::vector<Box>& tiles() const { return tiles_; }
+  int num_tiles() const { return static_cast<int>(tile_grid_.volume()); }
+  /// Tile `index` in x-fastest, then y, then z (slab-major) order, clipped
+  /// to the patch. Tile 0 is the largest along every axis.
+  Box tile(int index) const;
 
-  /// Tile indices assigned to `cpe_id` of `n_cpes`: z-slabs are divided
-  /// contiguously and as evenly as possible among the CPEs. With nz slabs,
-  /// CPE c gets every tile of slabs [ceil(c*nz/n_cpes),
-  /// ceil((c+1)*nz/n_cpes)) in tile order — the slabs s with
-  /// s * n_cpes / nz == c.
+  /// Tile ids [first, second) of the z-slabs assigned to `cpe_id` of
+  /// `n_cpes`: slabs are divided contiguously and as evenly as possible
+  /// among the CPEs. With nz slabs, CPE c gets every tile of slabs
+  /// [ceil(c*nz/n_cpes), ceil((c+1)*nz/n_cpes)) — the slabs s with
+  /// s * n_cpes / nz == c. Empty when the CPE gets no slab.
+  std::pair<int, int> slab_range(int cpe_id, int n_cpes) const;
+  /// The ids of slab_range() as a list.
   std::vector<int> tiles_for_cpe(int cpe_id, int n_cpes) const;
 
   /// Bytes of LDM needed to stage one full (unclipped) tile of a kernel
@@ -49,9 +56,9 @@ class Tiling {
                                          int fields_read, int fields_written);
 
  private:
+  Box patch_;
   IntVec tile_shape_;
   IntVec tile_grid_;
-  std::vector<Box> tiles_;  ///< x-fastest, then y, then z (slab-major)
 };
 
 }  // namespace usw::grid

@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <span>
 
@@ -40,12 +41,22 @@ class Ldm {
   /// Releases everything (end of a tile); pointers become invalid.
   void reset() { used_ = 0; }
 
+  /// Throws the ResourceError that alloc() calls of `bytes` each, made in
+  /// order on an empty LDM of `capacity` bytes, would throw. Lets a planner
+  /// reject a tile before any CPE stages it.
+  static void check_fits(std::size_t capacity,
+                         std::initializer_list<std::size_t> bytes);
+
  private:
   static constexpr std::size_t kBaseAlign = 32;
   struct AlignedDelete {
     void operator()(std::byte* p) const;
   };
 
+  /// Offset of a `bytes`-long block placed after `used` bytes; throws
+  /// ResourceError if it would end past `capacity`.
+  static std::size_t place(std::size_t used, std::size_t bytes,
+                           std::size_t align, std::size_t capacity);
   void* alloc_bytes(std::size_t bytes, std::size_t align);
 
   std::unique_ptr<std::byte, AlignedDelete> storage_;  ///< kBaseAlign-aligned

@@ -70,7 +70,8 @@ struct KernelVariants {
     if (!tile_cost_scale) return 1.0;
     double weighted = 0.0;
     double cells = 0.0;
-    for (const grid::Box& tile : tiling.tiles()) {
+    for (int t = 0; t < tiling.num_tiles(); ++t) {
+      const grid::Box tile = tiling.tile(t);
       const auto volume = static_cast<double>(tile.volume());
       weighted += scale_for_tile(tile) * volume;
       cells += volume;

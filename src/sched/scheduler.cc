@@ -48,8 +48,21 @@ Scheduler::Scheduler(SchedulerConfig config, const grid::Level& level,
                      sim::Trace& trace)
     : config_(config), level_(level), graph_(graph), comm_(comm),
       cluster_(cluster), counters_(counters), trace_(trace),
+      plans_(graph.tasks.size()),
       degraded_(static_cast<std::size_t>(cluster.n_groups()), 0),
-      fail_streak_(static_cast<std::size_t>(cluster.n_groups()), 0) {}
+      fail_streak_(static_cast<std::size_t>(cluster.n_groups()), 0) {
+  for (std::size_t i = 0; i < graph_.tasks.size(); ++i) {
+    if (!is_stencil(static_cast<int>(i))) continue;
+    const task::DetailedTask& dt = graph_.tasks[i];
+    const kern::KernelVariants& kernel = dt.task->kernel();
+    const grid::Patch& patch = level_.patch(dt.patch_id);
+    double scale = kernel.scale_for(patch);
+    if (kernel.tile_cost_scale)
+      scale *= kernel.mean_tile_scale(
+          grid::Tiling(patch.cells(), kernel.tile_shape));
+    plans_[i].mpe_cost_scale = scale;
+  }
+}
 
 Scheduler::DiagStats Scheduler::diag_stats() const {
   DiagStats out;
@@ -289,13 +302,8 @@ void Scheduler::run_stencil_on_mpe(task::TaskContext& ctx, int dt_index) {
   const kern::FieldView out = view_of(*ctx.new_dw, dt.task->stencil_out(),
                                       dt.patch_id, /*for_write=*/true);
   if (in.valid() && out.valid()) kernel.scalar(env_of(ctx), in, out, patch.cells());
-  // The untiled MPE run pays the cell-weighted mean of any per-tile cost
-  // variation, so counted flops stay identical across scheduler modes.
-  double scale = kernel.scale_for(patch);
-  if (kernel.tile_cost_scale)
-    scale *= kernel.mean_tile_scale(
-        grid::Tiling(patch.cells(), kernel.tile_shape));
-  const hw::KernelCost scaled = kernel.cost.scaled(scale);
+  const hw::KernelCost scaled = kernel.cost.scaled(
+      plans_[static_cast<std::size_t>(dt_index)].mpe_cost_scale);
   const TimePs cost = comm_.net().cost().mpe_compute(cells, scaled);
   comm_.advance(cost);
   counters_.kernel_time += cost;
@@ -323,22 +331,27 @@ void Scheduler::offload_stencil(task::TaskContext& ctx, int dt_index, int group)
   args.packed_tiles = config_.packed_tiles;
   args.cost_scale = kernel.scale_for(patch);
   args.policy = config_.tile_policy;
-  if (config_.faults != nullptr) {
+  if (config_.faults != nullptr &&
+      config_.faults->plan().has(fault::FaultKind::kDmaError)) {
     args.fault.plan = &config_.faults->plan();
     args.fault.incarnation = config_.faults->incarnation();
     args.fault.rank = comm_.rank();
     args.fault.step = step_;
     args.fault.task = dt_index;
   }
-  // Tile the patch and plan the tile->CPE assignment once per offload on
-  // the MPE, and hand the same tiling and plan to the job, the race
-  // detector, and the telemetry, so all three see the assignment actually
-  // executed.
-  const auto tiling =
-      std::make_shared<const grid::Tiling>(patch.cells(), kernel.tile_shape);
-  const auto plan = std::make_shared<const TileAssignment>(plan_tile_assignment(
-      args, *tiling, cluster_.group_size(), cluster_.n_cpes(),
-      comm_.net().cost(), config_.schedule, comm_.rank()));
+  // The task's tiling, tile->CPE assignment and CPE charges, planned on the
+  // MPE at its first offload. The job, the race detector and the telemetry
+  // all read this one plan, so all three see the assignment executed.
+  // A schedule controller draws kTileGrab decisions inside the planner,
+  // so under one every offload plans afresh.
+  StencilPlan& kept = plans_[static_cast<std::size_t>(dt_index)];
+  std::shared_ptr<const TilePlan> plan = kept.tiles;
+  if (plan == nullptr) {
+    plan = std::make_shared<const TilePlan>(plan_tile_assignment(
+        args, patch.cells(), cluster_.group_size(), cluster_.n_cpes(),
+        comm_.net().cost(), config_.schedule, comm_.rank()));
+    if (config_.schedule == nullptr) kept.tiles = plan;
+  }
   if (config_.checker != nullptr) {
     config_.checker->record_stencil_read(dt_index, dt.task->stencil_in(),
                                          dt.task->stencil_in_dw(),
@@ -346,20 +359,23 @@ void Scheduler::offload_stencil(task::TaskContext& ctx, int dt_index, int group)
     config_.checker->record_write(dt_index, dt.task->stencil_out(), patch.cells());
     // The tile-partition race detector: the per-CPE write-sets of this
     // offload must partition the patch interior exactly.
-    config_.checker->record_tile_partition(dt_index, patch.cells(),
-                                           tile_writes(*tiling, *plan));
+    config_.checker->record_tile_partition(
+        dt_index, patch.cells(), tile_writes(plan->tiling, plan->assignment));
   }
   if (config_.metrics != nullptr) {
     config_.metrics->sample(
         "offload.cells", static_cast<double>(patch.cells().volume()));
-    for (const auto& [cpe, box] : tile_writes(*tiling, *plan))
-      config_.metrics->sample("tile.cells", static_cast<double>(box.volume()));
+    const TileAssignment& a = plan->assignment;
+    for (int i = 0; i < static_cast<int>(a.shares.size()); ++i)
+      for (const int t : a.tiles(i))
+        config_.metrics->sample(
+            "tile.cells", static_cast<double>(plan->tiling.tile(t).volume()));
   }
   const std::string label = trace_.enabled() ? task_label(dt) : std::string();
   const sim::EventIds ids{step_, dt_index, dt.patch_id, -1, -1, group, 0};
   if (trace_.enabled())
     trace_.record(comm_.now(), sim::EventKind::kOffloadBegin, label, ids);
-  athread::CpeJob job = make_tile_job(args, tiling, plan);
+  athread::CpeJob job = make_tile_job(args, plan);
   if (config_.faults != nullptr) {
     if (const auto stall = config_.faults->cpe_stall(step_, dt_index, attempt,
                                                      cluster_.group_size())) {
@@ -383,7 +399,10 @@ void Scheduler::offload_stencil(task::TaskContext& ctx, int dt_index, int group)
       };
     }
   }
-  cluster_.spawn(std::move(job), group);
+  // Only CPEs with tiles or grabs run a body. A stalled CPE without work
+  // charges factor x 0, so skipping it changes nothing.
+  cluster_.set_active_cpes(plan->assignment.cpes);
+  cluster_.spawn(job, group);
   if (config_.flight != nullptr)
     config_.flight->record(obs::FlightKind::kOffloadSpawn, comm_.now(), dt_index,
                            group);
@@ -584,13 +603,16 @@ void Scheduler::on_finished(task::TaskContext& ctx, int dt_index) {
   }
 }
 
+void Scheduler::collect_open_ids() {
+  open_ids_.clear();
+  open_ids_.insert(open_ids_.end(), open_recvs_.begin(), open_recvs_.end());
+  open_ids_.insert(open_ids_.end(), open_sends_.begin(), open_sends_.end());
+}
+
 bool Scheduler::progress_comm(task::TaskContext& ctx) {
   if (open_recvs_.empty() && open_sends_.empty()) return false;
-  std::vector<comm::RequestId> all;
-  all.reserve(open_recvs_.size() + open_sends_.size());
-  all.insert(all.end(), open_recvs_.begin(), open_recvs_.end());
-  all.insert(all.end(), open_sends_.begin(), open_sends_.end());
-  comm_.test_bulk(all);
+  collect_open_ids();
+  comm_.test_bulk(open_ids_);
 
   bool any = false;
   // Completed receives: unpack into the consumer's halo and update deps.
@@ -662,18 +684,17 @@ bool Scheduler::progress_comm(task::TaskContext& ctx) {
 }
 
 void Scheduler::idle_wait() {
-  const TimePs cluster_wake = cluster_.earliest_completion();
-  std::vector<comm::RequestId> all;
-  all.insert(all.end(), open_recvs_.begin(), open_recvs_.end());
-  all.insert(all.end(), open_sends_.begin(), open_sends_.end());
+  idle_cluster_wake_ = cluster_.earliest_completion();
+  collect_open_ids();
   // The comm part of the wake scans shared mailbox state; the refresh lets
   // parallel window barriers recompute it (the cluster part is local and
-  // fixed while parked). See sim/coordinator.h.
-  const std::function<TimePs()> refresh = [this, cluster_wake, &all] {
-    return std::min(cluster_wake, comm_.earliest_known_completion(all));
+  // fixed while parked). See sim/coordinator.h. Capturing one pointer
+  // keeps the std::function in its inline buffer.
+  const std::function<TimePs()> refresh = [this] {
+    return std::min(idle_cluster_wake_,
+                    comm_.earliest_known_completion(open_ids_));
   };
-  const TimePs wake =
-      std::min(cluster_wake, comm_.earliest_known_completion(all));
+  const TimePs wake = refresh();
   const TimePs before = comm_.now();
   if (trace_.enabled())
     trace_.record(before, sim::EventKind::kWaitBegin, "idle",

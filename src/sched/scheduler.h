@@ -28,6 +28,7 @@
 //   4.   per-step bookkeeping (fixed cost), reduction allreduces.
 
 #include <deque>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -55,6 +56,8 @@ class ScheduleController;
 }  // namespace usw::schedpt
 
 namespace usw::sched {
+
+struct TilePlan;
 
 enum class SchedulerMode { kMpeOnly, kSyncMpeCpe, kAsyncMpeCpe };
 
@@ -106,6 +109,8 @@ struct SchedulerConfig {
   /// points of each offload's tile planning. The same controller should be
   /// installed on the Network, the CpeCluster, and the Coordinator so the
   /// whole run shares one global decision sequence. Null = canonical.
+  /// With a controller every offload plans its tiles afresh, so each draws
+  /// its own decisions; without one a task's plan is built once.
   schedpt::ScheduleController* schedule = nullptr;
 
   /// Opt-in dynamic happens-before race oracle (src/check/hb.h): when set,
@@ -221,6 +226,8 @@ class Scheduler {
   /// Returns true if anything completed.
   bool progress_comm(task::TaskContext& ctx);
   void idle_wait();
+  /// Fills open_ids_ with every open receive, then every open send.
+  void collect_open_ids();
   var::DataWarehouse& dw_for(task::TaskContext& ctx, task::WhichDW which) const;
   kern::FieldView view_of(var::DataWarehouse& dw, const var::VarLabel* label,
                           int patch_id, bool for_write = false) const;
@@ -233,6 +240,20 @@ class Scheduler {
   athread::CpeCluster& cluster_;
   hw::PerfCounters& counters_;
   sim::Trace& trace_;
+
+  /// What a stencil task needs on every run of its kernel that does not
+  /// change from step to step (the graph is compiled once, Sec V-C 1-2).
+  struct StencilPlan {
+    /// Cost scale of an untiled MPE run: the patch scale times the
+    /// cell-weighted mean of the per-tile scales, so counted flops stay
+    /// identical across scheduler modes.
+    double mpe_cost_scale = 1.0;
+    /// The offload plan, built at the task's first offload and reused by
+    /// every later one: later steps, retries and spare groups. Left null
+    /// under a schedule controller, which plans each offload afresh.
+    std::shared_ptr<const TilePlan> tiles;
+  };
+  std::vector<StencilPlan> plans_;  ///< per detailed task, for the run
 
   // Transient per-step state.
   std::vector<DtState> state_;
@@ -248,6 +269,9 @@ class Scheduler {
   int done_count_ = 0;
   int step_ = -1;                          ///< current ctx.step (-1 = init)
   std::vector<int> offloaded_;             ///< per CPE group: dt index or -1
+  // Polling scratch, reused so a poll allocates nothing.
+  std::vector<comm::RequestId> open_ids_;  ///< collect_open_ids()
+  TimePs idle_cluster_wake_ = 0;           ///< idle_wait()'s CPE wake-up
 
   // Resilience state, persistent across steps (a degraded group stays
   // degraded for the remainder of the run).

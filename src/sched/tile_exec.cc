@@ -5,6 +5,7 @@
 #include <span>
 #include <vector>
 
+#include "hw/ldm.h"
 #include "support/error.h"
 
 namespace usw::sched {
@@ -22,7 +23,7 @@ void copy_region(const kern::FieldView& src, const kern::FieldView& dst,
 }
 
 /// One tile, functionally: stage in, run the kernel, stage out. Used by
-/// both the synchronous and the double-buffered timing paths (the pipeline
+/// both the synchronous and the double-buffered paths (the pipeline
 /// changes when time is charged, not what is computed).
 void run_tile_functional(const TileExecArgs& args, const grid::Box& tile,
                          const grid::Box& ghosted, kern::FieldView ldm_in,
@@ -34,13 +35,19 @@ void run_tile_functional(const TileExecArgs& args, const grid::Box& tile,
 
 /// The operation mix charged for `tile`: the patch-scaled base, optionally
 /// further scaled by the kernel's per-tile cost function. The planner's
-/// estimator calls this too, so estimated and charged costs are the same
+/// pricer calls this too, so planned and charged costs are the same
 /// expression (bit-identical).
 hw::KernelCost tile_kernel_cost(const kern::KernelVariants& kernel,
                                 const hw::KernelCost& base,
                                 const grid::Box& tile) {
   if (!kernel.tile_cost_scale) return base;
   return base.scaled(kernel.scale_for_tile(tile));
+}
+
+std::size_t ghosted_bytes(const kern::KernelVariants& kernel,
+                          const grid::Box& tile) {
+  return static_cast<std::size_t>(tile.grown(kernel.ghost).volume()) *
+         sizeof(double);
 }
 
 /// Injected DMA error on tile `t`? A failed athread_get is detected by the
@@ -54,16 +61,29 @@ bool tile_dma_error(const TileExecArgs& args, int t) {
                                     args.fault.step, args.fault.task, t);
 }
 
+/// The recovery of one failed get of `bytes`: the synchronous path
+/// re-issues it; the double-buffered pipeline stalls for one exposed
+/// re-transfer before the tile's stage can start.
+void reissue_get(const TileExecArgs& args, athread::CpeContext& ctx,
+                 std::size_t bytes) {
+  const bool strided = !args.packed_tiles;
+  if (args.async_dma)
+    ctx.charge(ctx.dma_cost(bytes, strided));
+  else
+    ctx.get(nullptr, nullptr, bytes, strided);
+  ctx.count_fault_injected();
+  ctx.count_fault_retry();
+}
+
 /// Synchronous per-tile loop: the paper's current implementation
 /// (Sec V-D: "does not make use of the fact that the memory-LDM transfer
 /// can be asynchronous").
 void run_sync(const TileExecArgs& args, athread::CpeContext& ctx,
-              const grid::Tiling& tiling, const std::vector<int>& mine,
-              bool functional) {
+              const grid::Tiling& tiling, TileRun mine) {
   const kern::KernelVariants& kernel = *args.kernel;
   const hw::KernelCost base = kernel.cost.scaled(args.cost_scale);
   const bool strided = !args.packed_tiles;
-  for (int t : mine) {
+  for (const int t : mine) {
     const grid::Box tile = tiling.tile(t);
     const grid::Box ghosted = tile.grown(kernel.ghost);
     const hw::KernelCost cost = tile_kernel_cost(kernel, base, tile);
@@ -71,19 +91,14 @@ void run_sync(const TileExecArgs& args, athread::CpeContext& ctx,
     ctx.ldm().reset();
     auto in_buf = ctx.ldm().alloc<double>(static_cast<std::size_t>(ghosted.volume()));
     auto out_buf = ctx.ldm().alloc<double>(static_cast<std::size_t>(tile.volume()));
-    if (functional)
-      run_tile_functional(args, tile, ghosted,
-                          kern::FieldView(in_buf.data(), ghosted),
-                          kern::FieldView(out_buf.data(), tile));
+    run_tile_functional(args, tile, ghosted,
+                        kern::FieldView(in_buf.data(), ghosted),
+                        kern::FieldView(out_buf.data(), tile));
     ctx.get(nullptr, nullptr,
             static_cast<std::size_t>(ghosted.volume()) * sizeof(double), strided);
-    if (tile_dma_error(args, t)) {
-      ctx.get(nullptr, nullptr,
-              static_cast<std::size_t>(ghosted.volume()) * sizeof(double),
-              strided);
-      ctx.count_fault_injected();
-      ctx.count_fault_retry();
-    }
+    if (tile_dma_error(args, t))
+      reissue_get(args, ctx,
+                  static_cast<std::size_t>(ghosted.volume()) * sizeof(double));
     ctx.compute(static_cast<std::uint64_t>(tile.volume()), cost,
                 args.vectorize, kernel.use_ieee_exp);
     ctx.put(nullptr, nullptr,
@@ -96,15 +111,14 @@ void run_sync(const TileExecArgs& args, athread::CpeContext& ctx,
 /// overlaps tile i+1's get and tile i-1's put. Requires two in/out buffer
 /// pairs in the LDM, which the allocation below genuinely enforces.
 void run_double_buffered(const TileExecArgs& args, athread::CpeContext& ctx,
-                         const grid::Tiling& tiling, const std::vector<int>& mine,
-                         bool functional) {
+                         const grid::Tiling& tiling, TileRun mine) {
   const kern::KernelVariants& kernel = *args.kernel;
   const hw::KernelCost base = kernel.cost.scaled(args.cost_scale);
   const bool strided = !args.packed_tiles;
 
   // Buffers sized for the largest assigned tile, two of each.
   std::size_t max_ghosted = 0, max_interior = 0;
-  for (int t : mine) {
+  for (const int t : mine) {
     const grid::Box tile = tiling.tile(t);
     max_ghosted = std::max(
         max_ghosted, static_cast<std::size_t>(tile.grown(kernel.ghost).volume()));
@@ -116,36 +130,26 @@ void run_double_buffered(const TileExecArgs& args, athread::CpeContext& ctx,
   std::span<double> out_buf[2] = {ctx.ldm().alloc<double>(max_interior),
                                   ctx.ldm().alloc<double>(max_interior)};
 
-  const int n = static_cast<int>(mine.size());
+  const int n = mine.size();
   auto in_bytes = [&](int i) {
-    return static_cast<std::size_t>(
-               tiling.tile(mine[static_cast<std::size_t>(i)]).grown(kernel.ghost).volume()) *
-           sizeof(double);
+    return ghosted_bytes(kernel, tiling.tile(mine[i]));
   };
   auto out_bytes = [&](int i) {
-    return static_cast<std::size_t>(
-               tiling.tile(mine[static_cast<std::size_t>(i)]).volume()) *
+    return static_cast<std::size_t>(tiling.tile(mine[i]).volume()) *
            sizeof(double);
   };
 
   for (int i = 0; i < n; ++i) {
-    const grid::Box tile = tiling.tile(mine[static_cast<std::size_t>(i)]);
+    const grid::Box tile = tiling.tile(mine[i]);
     const grid::Box ghosted = tile.grown(kernel.ghost);
     const hw::KernelCost cost = tile_kernel_cost(kernel, base, tile);
-    if (functional)
-      run_tile_functional(args, tile, ghosted,
-                          kern::FieldView(in_buf[i % 2].data(), ghosted),
-                          kern::FieldView(out_buf[i % 2].data(), tile));
+    run_tile_functional(args, tile, ghosted,
+                        kern::FieldView(in_buf[i % 2].data(), ghosted),
+                        kern::FieldView(out_buf[i % 2].data(), tile));
     ctx.count_dma(in_bytes(i), out_bytes(i));
     ctx.count_compute(static_cast<std::uint64_t>(tile.volume()), cost);
     ctx.count_tile();
-    // A failed get stalls the pipeline for one exposed re-transfer before
-    // this tile's stage can start.
-    if (tile_dma_error(args, mine[static_cast<std::size_t>(i)])) {
-      ctx.charge(ctx.dma_cost(in_bytes(i), strided));
-      ctx.count_fault_injected();
-      ctx.count_fault_retry();
-    }
+    if (tile_dma_error(args, mine[i])) reissue_get(args, ctx, in_bytes(i));
 
     // Timing: prologue get for tile 0 is exposed; afterwards each stage
     // takes max(compute_i, get_{i+1} + put_{i-1}); the last put is exposed.
@@ -162,82 +166,188 @@ void run_double_buffered(const TileExecArgs& args, athread::CpeContext& ctx,
   if (n > 0) ctx.charge(ctx.dma_cost(out_bytes(n - 1), strided));
 }
 
+/// What one tile moves and costs: the exact terms run_sync charges.
+struct TileTerms {
+  std::uint64_t cells = 0;
+  std::uint64_t bytes_in = 0;   ///< the ghosted tile
+  std::uint64_t bytes_out = 0;  ///< the interior
+  double flops = 0.0;           ///< counted flops of the tile's cells
+  TimePs work = 0;              ///< tile overhead + compute
+  TimePs get = 0;
+  TimePs put = 0;
+  TimePs price() const { return work + get + put; }
+};
+
+/// Prices tiles for one plan. The terms are a pure function of the tile's
+/// extent and per-tile scale, so a tile whose key equals the previous
+/// tile's reuses them: every tile of an unclipped, unscaled patch is
+/// priced once.
+class TilePricer {
+ public:
+  TilePricer(const TileExecArgs& args, int cluster_cpes,
+             const hw::CostModel& cost)
+      : args_(args), kernel_(*args.kernel),
+        base_(kernel_.cost.scaled(args.cost_scale)),
+        cluster_cpes_(cluster_cpes), cost_(cost) {}
+
+  /// Valid until the next call.
+  const TileTerms& operator()(const grid::Box& tile) {
+    const grid::IntVec extent = tile.size();
+    const double scale = kernel_.scale_for_tile(tile);
+    if (extent == last_extent_ && scale == last_scale_) return last_;
+    last_extent_ = extent;
+    last_scale_ = scale;
+    const bool strided = !args_.packed_tiles;
+    const hw::KernelCost kc = tile_kernel_cost(kernel_, base_, tile);
+    TileTerms& t = last_;
+    t.cells = static_cast<std::uint64_t>(tile.volume());
+    t.bytes_in = ghosted_bytes(kernel_, tile);
+    t.bytes_out = t.cells * sizeof(double);
+    t.flops = static_cast<double>(t.cells) * kc.counted_flops_per_cell();
+    t.work = cost_.cpe_tile_overhead() +
+             cost_.cpe_compute(t.cells, kc, args_.vectorize,
+                               kernel_.use_ieee_exp);
+    t.get = cost_.cpe_dma(t.bytes_in, cluster_cpes_, strided);
+    t.put = cost_.cpe_dma(t.bytes_out, cluster_cpes_, strided);
+    return last_;
+  }
+
+ private:
+  const TileExecArgs& args_;
+  const kern::KernelVariants& kernel_;
+  const hw::KernelCost base_;
+  int cluster_cpes_;
+  const hw::CostModel& cost_;
+  grid::IntVec last_extent_{-1, -1, -1};
+  double last_scale_ = 0.0;
+  TileTerms last_;
+};
+
+/// What the CPE running `mine` after `grabs` grabs charges: the sums its
+/// functional body would charge tile by tile, flops accumulated in
+/// execution order from 0.0 as in its fresh counter slot.
+athread::CpeCharge cpe_charge(const TileExecArgs& args,
+                              const grid::Tiling& tiling, TileRun mine,
+                              int grabs, TilePricer& price,
+                              const hw::CostModel& cost) {
+  athread::CpeCharge c;
+  c.tiles = static_cast<std::uint64_t>(mine.size());
+  c.grabs = static_cast<std::uint64_t>(grabs);
+  c.busy = static_cast<TimePs>(grabs) * cost.cpe_faaw();
+  TimePs prev_put = 0;  // double-buffered: tile i-1's put
+  for (int i = 0; i < mine.size(); ++i) {
+    const TileTerms t = price(tiling.tile(mine[i]));
+    c.dma_in += t.bytes_in;
+    c.dma_out += t.bytes_out;
+    c.cells += t.cells;
+    c.flops += t.flops;
+    if (!args.async_dma) {
+      c.busy += t.price();
+      continue;
+    }
+    // The pipeline of run_double_buffered: the first get and the last put
+    // are exposed; each stage takes max(work_i, get_{i+1} + put_{i-1}).
+    if (i == 0) c.busy += t.get;
+    TimePs overlapped = prev_put;
+    if (i + 1 < mine.size()) overlapped += price(tiling.tile(mine[i + 1])).get;
+    c.busy += std::max(t.work, overlapped);
+    prev_put = t.put;
+  }
+  c.busy += prev_put;
+  return c;
+}
+
 }  // namespace
 
-TileAssignment plan_tile_assignment(const TileExecArgs& args,
-                                    const grid::Tiling& tiling, int n_cpes,
-                                    int cluster_cpes, const hw::CostModel& cost,
-                                    schedpt::ScheduleController* schedule,
-                                    int rank) {
+TilePlan plan_tile_assignment(const TileExecArgs& args, const grid::Box& patch,
+                              int n_cpes, int cluster_cpes,
+                              const hw::CostModel& cost,
+                              schedpt::ScheduleController* schedule, int rank) {
   USW_ASSERT(args.kernel != nullptr);
   const kern::KernelVariants& kernel = *args.kernel;
-  const hw::KernelCost base = kernel.cost.scaled(args.cost_scale);
-  const bool strided = !args.packed_tiles;
-  // The synchronous end-to-end price of one tile — the exact sum run_sync
-  // charges, so under sync DMA the planned clocks equal the executed busy
-  // times. The double-buffered executor overlaps the DMA terms; planning
-  // with the sync estimate keeps the assignment identical across both DMA
-  // modes (it is what the shared counter would see on the hardware, where
-  // the grab happens before the pipeline hides anything).
-  //
-  // The price is a pure function of the tile's extent and per-tile scale,
-  // so a tile whose key equals the previous tile's reuses its price: every
-  // tile of an unclipped, unscaled patch is priced once.
-  grid::IntVec last_extent{-1, -1, -1};
-  double last_scale = 0.0;
-  TimePs last_price = 0;
-  const TileCostFn tile_cost = [&](int t) {
-    const grid::Box& tile = tiling.tile(t);
-    const grid::IntVec extent = tile.size();
-    const double scale = kernel.scale_for_tile(tile);
-    if (extent == last_extent && scale == last_scale) return last_price;
-    const grid::Box ghosted = tile.grown(kernel.ghost);
-    const hw::KernelCost kc = tile_kernel_cost(kernel, base, tile);
-    last_extent = extent;
-    last_scale = scale;
-    last_price =
-        cost.cpe_tile_overhead() +
-        cost.cpe_dma(static_cast<std::uint64_t>(ghosted.volume()) * sizeof(double),
-                     cluster_cpes, strided) +
-        cost.cpe_compute(static_cast<std::uint64_t>(tile.volume()), kc,
-                         args.vectorize, kernel.use_ieee_exp) +
-        cost.cpe_dma(static_cast<std::uint64_t>(tile.volume()) * sizeof(double),
-                     cluster_cpes, strided);
-    return last_price;
-  };
-  return assign_tiles(tiling, n_cpes, args.policy, tile_cost, cost.cpe_faaw(),
-                      schedule, rank);
+  TilePlan plan{grid::Tiling(patch, kernel.tile_shape), {}, {}, {}};
+  const grid::Tiling& tiling = plan.tiling;
+
+  // Tile 0 is the largest along every axis, so its staging buffers are the
+  // largest any CPE allocates: one in/out pair per tile, or two pairs
+  // under the double-buffered pipeline.
+  const grid::Box largest = tiling.tile(0);
+  const std::size_t in = ghosted_bytes(kernel, largest);
+  const std::size_t out =
+      static_cast<std::size_t>(largest.volume()) * sizeof(double);
+  const std::size_t ldm = cost.params().ldm_bytes;
+  if (args.async_dma)
+    hw::Ldm::check_fits(ldm, {in, in, out, out});
+  else
+    hw::Ldm::check_fits(ldm, {in, out});
+
+  // Plan with the synchronous end-to-end price of a tile — the exact sum
+  // run_sync charges, so under sync DMA the planned clocks equal the
+  // charged busy times. The double-buffered executor overlaps the DMA
+  // terms; planning with the sync estimate keeps the assignment identical
+  // across both DMA modes (it is what the shared counter would see on the
+  // hardware, where the grab happens before the pipeline hides anything).
+  TilePricer price(args, cluster_cpes, cost);
+  plan.assignment = assign_tiles(
+      tiling, n_cpes, args.policy,
+      [&](int t) { return price(tiling.tile(t)).price(); }, cost.cpe_faaw(),
+      schedule, rank);
+
+  const TileAssignment& a = plan.assignment;
+  plan.charge_of.reserve(a.shares.size());
+  for (std::size_t i = 0; i < a.shares.size(); ++i) {
+    const athread::CpeCharge c = cpe_charge(
+        args, tiling, a.tiles(static_cast<int>(i)), a.shares[i].grabs, price,
+        cost);
+    const auto it = std::find(plan.charges.begin(), plan.charges.end(), c);
+    plan.charge_of.push_back(
+        static_cast<std::uint16_t>(it - plan.charges.begin()));
+    if (it == plan.charges.end()) plan.charges.push_back(c);
+  }
+  return plan;
 }
 
 std::vector<std::pair<int, grid::Box>> tile_writes(const grid::Tiling& tiling,
                                                    const TileAssignment& plan) {
   std::vector<std::pair<int, grid::Box>> writes;
-  writes.reserve(static_cast<std::size_t>(tiling.num_tiles()));
-  for (int cpe = 0; cpe < plan.n_cpes(); ++cpe)
-    for (int t : plan.tiles_per_cpe[static_cast<std::size_t>(cpe)])
-      writes.emplace_back(cpe, tiling.tile(t));
+  writes.reserve(static_cast<std::size_t>(plan.num_tiles()));
+  for (std::size_t i = 0; i < plan.cpes.size(); ++i)
+    for (const int t : plan.tiles(static_cast<int>(i)))
+      writes.emplace_back(plan.cpes[i], tiling.tile(t));
   return writes;
 }
 
 athread::CpeJob make_tile_job(TileExecArgs args,
-                              std::shared_ptr<const grid::Tiling> tiling,
-                              std::shared_ptr<const TileAssignment> plan) {
-  USW_ASSERT(args.kernel != nullptr && tiling != nullptr && plan != nullptr);
-  return [args = std::move(args), tiling = std::move(tiling),
+                              std::shared_ptr<const TilePlan> plan) {
+  USW_ASSERT(args.kernel != nullptr && plan != nullptr);
+  return [args = std::move(args),
           plan = std::move(plan)](athread::CpeContext& ctx) {
-    USW_ASSERT_MSG(plan->n_cpes() == ctx.n_cpes(),
+    const TileAssignment& assignment = plan->assignment;
+    USW_ASSERT_MSG(assignment.n_cpes == ctx.n_cpes(),
                    "tile plan sized for a different CPE group");
-    const auto cpe = static_cast<std::size_t>(ctx.cpe_id());
-    const std::vector<int>& mine = plan->tiles_per_cpe[cpe];
+    const int share = assignment.find(ctx.cpe_id());
+    if (share < 0) return;  // no tiles, no grabs
+    const TileRun mine = assignment.tiles(share);
+    if (!args.in.valid() || !args.out.valid()) {
+      // Timing-only: the planned charge, plus the re-issue of any DMA
+      // error this step draws.
+      ctx.apply(plan->charge(share));
+      if (args.fault.plan != nullptr)
+        for (const int t : mine)
+          if (tile_dma_error(args, t))
+            reissue_get(args, ctx,
+                        ghosted_bytes(*args.kernel, plan->tiling.tile(t)));
+      return;
+    }
     // Self-scheduling arbitration is paid whether or not this CPE won any
     // tiles (the losing faaw is what ends its loop).
-    if (const int grabs = plan->grabs_per_cpe[cpe]; grabs > 0) ctx.grab(grabs);
+    const int grabs = assignment.shares[static_cast<std::size_t>(share)].grabs;
+    if (grabs > 0) ctx.grab(grabs);
     if (mine.empty()) return;
-    const bool functional = args.in.valid() && args.out.valid();
     if (args.async_dma)
-      run_double_buffered(args, ctx, *tiling, mine, functional);
+      run_double_buffered(args, ctx, plan->tiling, mine);
     else
-      run_sync(args, ctx, *tiling, mine, functional);
+      run_sync(args, ctx, plan->tiling, mine);
   };
 }
 

@@ -8,8 +8,19 @@
 // counter (TilePolicy) — and for each tile performs
 //   athread_get (ghosted tile -> LDM) -> kernel on LDM -> athread_put,
 // finishing with the faaw increment modeled inside CpeCluster. LDM
-// capacity is genuinely enforced: staging buffers are allocated from the
-// 64 KB Ldm model and overflow throws ResourceError.
+// capacity is genuinely enforced: the planner rejects a tile whose staging
+// buffers overflow the 64 KB Ldm model, and functional bodies allocate
+// them from it.
+//
+// An offload's tiling, its tile->CPE assignment and every CPE's cost
+// depend only on the task, so they are planned once (plan_tile_assignment)
+// into an immutable TilePlan that a scheduler keeps for the whole run. The
+// planner prices every tile with the exact terms the per-tile executor
+// charges and records each working CPE's busy time and counter deltas
+// (athread::CpeCharge). A timing-only body applies that charge instead of
+// walking its tiles; it walks them only to add the re-issue of an injected
+// DMA error, which is drawn per step. A functional body walks its tiles,
+// moving real data through the LDM and charging the same terms as it goes.
 //
 // Two of the paper's future-work optimizations (Sec IX) are available:
 //   * async_dma  - double-buffered tiles: the next tile's athread_get and
@@ -19,6 +30,7 @@
 //   * packed_tiles - tiles are stored contiguously in main memory, so DMA
 //     runs at the packed (higher) efficiency instead of the strided one.
 
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -35,7 +47,8 @@ namespace usw::sched {
 /// Identity of an offload for deterministic DMA-error injection. The plan
 /// is consulted per tile with a pure hash, so the serial and threads
 /// backends (and any tile policy) see the same errors. Inactive when
-/// `plan` is null.
+/// `plan` is null; set it only when the plan can draw DMA errors, since
+/// an active probe makes timing-only bodies walk their tiles.
 struct TileFaultProbe {
   const fault::FaultPlan* plan = nullptr;
   std::uint64_t incarnation = 0;
@@ -59,29 +72,49 @@ struct TileExecArgs {
   TileFaultProbe fault;      ///< deterministic DMA-error injection
 };
 
-/// Plans the tile->CPE assignment the job will execute: args.policy applied
-/// to the patch's tiling with the synchronous per-tile cost estimate
-/// (tile overhead + get + compute + put, per-tile cost scale included) and
-/// the faaw grab cost. `n_cpes` is the offload's group size and
-/// `cluster_cpes` the whole cluster's CPE count (DMA contention).
-/// Deterministic: a pure function of its arguments. `schedule`/`rank`
-/// feed the kTileGrab schedule point (see assign_tiles). Runs on the MPE:
-/// CPE worker threads must never consult the controller.
-TileAssignment plan_tile_assignment(const TileExecArgs& args,
-                                    const grid::Tiling& tiling, int n_cpes,
-                                    int cluster_cpes, const hw::CostModel& cost,
-                                    schedpt::ScheduleController* schedule = nullptr,
-                                    int rank = 0);
+/// Everything an offload of one stencil task needs that stays the same
+/// from step to step: the patch's tiling, the tile->CPE assignment, and
+/// what each CPE with work charges under the planned DMA mode. Immutable
+/// once built; CPE bodies on the threads backend only read it. O(CPEs with
+/// work + tiles) words: CPEs with identical work share one charge record.
+struct TilePlan {
+  grid::Tiling tiling;
+  TileAssignment assignment;
+  std::vector<athread::CpeCharge> charges;  ///< distinct records
+  std::vector<std::uint16_t> charge_of;     ///< per share: index into charges
 
-/// Job for CpeCluster::spawn over one offload's `tiling` of the patch and
-/// its `plan` from plan_tile_assignment (sized for the target group). The
-/// MPE builds both once per offload; every CPE body, the access checker and
-/// the telemetry read those same copies, and the job keeps them alive until
-/// the offload publishes. Copies `args` by value; the views must stay valid
-/// until the offload completes.
+  /// What the CPE of share `i` charges.
+  const athread::CpeCharge& charge(int i) const {
+    return charges[charge_of[static_cast<std::size_t>(i)]];
+  }
+};
+
+/// Plans an offload of args.kernel over `patch`: tiles it by the kernel's
+/// tile shape, applies args.policy with the synchronous per-tile price
+/// (tile overhead + get + compute + put, per-tile cost scale included) and
+/// the faaw grab cost, and records each working CPE's charge. `n_cpes` is
+/// the offload's group size and `cluster_cpes` the whole cluster's CPE
+/// count (DMA contention). Throws ResourceError ("LDM overflow") if the
+/// largest tile's staging buffers do not fit the LDM. Deterministic: a
+/// pure function of its arguments, of which only the kernel, cost_scale,
+/// policy, vectorize, async_dma and packed_tiles fields of `args` matter.
+/// `schedule`/`rank` feed the kTileGrab schedule point (see assign_tiles).
+/// Runs on the MPE: CPE worker threads must never consult the controller.
+TilePlan plan_tile_assignment(const TileExecArgs& args, const grid::Box& patch,
+                              int n_cpes, int cluster_cpes,
+                              const hw::CostModel& cost,
+                              schedpt::ScheduleController* schedule = nullptr,
+                              int rank = 0);
+
+/// Job for CpeCluster::spawn that executes `plan` (sized for the target
+/// group) with `args`' data views, environment and fault probe. Every CPE
+/// body, the access checker and the telemetry read that one plan; the job
+/// shares ownership of it. Copies `args` by value; the views must stay
+/// valid until the offload completes. Pair it with
+/// CpeCluster::set_active_cpes(plan->assignment.cpes) so only CPEs with
+/// work run a body; a body run for any other CPE does nothing.
 athread::CpeJob make_tile_job(TileExecArgs args,
-                              std::shared_ptr<const grid::Tiling> tiling,
-                              std::shared_ptr<const TileAssignment> plan);
+                              std::shared_ptr<const TilePlan> plan);
 
 /// The per-CPE write-sets — (cpe id, tile interior box) pairs — of the
 /// assignment actually executed, in execution order. Feeds the access

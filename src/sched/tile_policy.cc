@@ -27,17 +27,13 @@ TileAssignment self_schedule(const grid::Tiling& tiling, int n_cpes,
                              TilePolicy policy, const TileCostFn& tile_cost,
                              TimePs grab_cost,
                              schedpt::ScheduleController* schedule, int rank) {
-  TileAssignment plan;
-  plan.policy = policy;
-  plan.tiles_per_cpe.assign(static_cast<std::size_t>(n_cpes), {});
-  plan.grabs_per_cpe.assign(static_cast<std::size_t>(n_cpes), 0);
-  plan.est_busy.assign(static_cast<std::size_t>(n_cpes), 0);
-
   std::priority_queue<GrabSlot, std::vector<GrabSlot>, std::greater<GrabSlot>>
       heap;
   for (int cpe = 0; cpe < n_cpes; ++cpe) heap.push(GrabSlot{0, cpe});
 
   const int total = tiling.num_tiles();
+  std::vector<int> owner(static_cast<std::size_t>(total));  // by tile id
+  std::vector<int> grabs(static_cast<std::size_t>(n_cpes), 0);
   int next = 0;  // the shared tile counter every grab faaw's
   while (next < total) {
     GrabSlot slot = heap.top();
@@ -65,39 +61,66 @@ TileAssignment self_schedule(const grid::Tiling& tiling, int n_cpes,
     const int remaining = total - next;
     const int chunk =
         policy == TilePolicy::kGuided ? std::max(1, remaining / n_cpes) : 1;
-    const auto c = static_cast<std::size_t>(slot.cpe);
-    plan.grabs_per_cpe[c] += 1;
+    grabs[static_cast<std::size_t>(slot.cpe)] += 1;
     slot.clock += grab_cost;
     for (int i = 0; i < chunk; ++i, ++next) {
-      plan.tiles_per_cpe[c].push_back(next);
+      owner[static_cast<std::size_t>(next)] = slot.cpe;
       slot.clock += tile_cost(next);
     }
     heap.push(slot);
   }
-  // Every CPE pays one terminating grab: the faaw that finds the counter
-  // past the tile count and ends its loop.
+
+  // Every CPE pays one terminating grab — the faaw that finds the counter
+  // past the tile count and ends its loop — so every CPE has a share.
+  TileAssignment plan;
+  plan.policy = policy;
+  plan.n_cpes = n_cpes;
+  plan.cpes.resize(static_cast<std::size_t>(n_cpes));
+  plan.shares.resize(static_cast<std::size_t>(n_cpes));
+  for (const int cpe : owner)
+    plan.shares[static_cast<std::size_t>(cpe)].end += 1;
+  int end = 0;
   for (int cpe = 0; cpe < n_cpes; ++cpe) {
-    plan.grabs_per_cpe[static_cast<std::size_t>(cpe)] += 1;
+    const auto c = static_cast<std::size_t>(cpe);
+    plan.cpes[c] = cpe;
+    plan.shares[c].grabs = grabs[c] + 1;
+    end += plan.shares[c].end;
+    plan.shares[c].end = end;
   }
   while (!heap.empty()) {
     const GrabSlot slot = heap.top();
     heap.pop();
-    plan.est_busy[static_cast<std::size_t>(slot.cpe)] = slot.clock + grab_cost;
+    plan.shares[static_cast<std::size_t>(slot.cpe)].est_busy =
+        slot.clock + grab_cost;
+  }
+  // Group the tile ids by CPE. The counter hands tiles out in ascending
+  // id, so a CPE's ids in ascending order are its execution order.
+  std::vector<int> slot(static_cast<std::size_t>(n_cpes), 0);
+  for (std::size_t c = 1; c < slot.size(); ++c)
+    slot[c] = plan.shares[c - 1].end;
+  plan.order.resize(static_cast<std::size_t>(total));
+  for (int t = 0; t < total; ++t) {
+    int& s = slot[static_cast<std::size_t>(owner[static_cast<std::size_t>(t)])];
+    plan.order[static_cast<std::size_t>(s++)] = t;
   }
   return plan;
 }
 
 TileAssignment static_z(const grid::Tiling& tiling, int n_cpes,
                         const TileCostFn& tile_cost) {
+  // The z-slab runs of successive CPEs are successive tile-id ranges, so
+  // the tile order is the identity and each share is a range of ids.
   TileAssignment plan;
   plan.policy = TilePolicy::kStaticZ;
-  plan.tiles_per_cpe.reserve(static_cast<std::size_t>(n_cpes));
-  plan.grabs_per_cpe.assign(static_cast<std::size_t>(n_cpes), 0);
-  plan.est_busy.assign(static_cast<std::size_t>(n_cpes), 0);
+  plan.n_cpes = n_cpes;
   for (int cpe = 0; cpe < n_cpes; ++cpe) {
-    plan.tiles_per_cpe.push_back(tiling.tiles_for_cpe(cpe, n_cpes));
-    TimePs& busy = plan.est_busy[static_cast<std::size_t>(cpe)];
-    for (int t : plan.tiles_per_cpe.back()) busy += tile_cost(t);
+    const auto [lo, hi] = tiling.slab_range(cpe, n_cpes);
+    if (lo == hi) continue;
+    TileAssignment::Share share;
+    share.end = hi;
+    for (int t = lo; t < hi; ++t) share.est_busy += tile_cost(t);
+    plan.cpes.push_back(cpe);
+    plan.shares.push_back(share);
   }
   return plan;
 }
@@ -119,6 +142,12 @@ TilePolicy tile_policy_from_string(const std::string& name) {
   if (name == "guided") return TilePolicy::kGuided;
   throw ConfigError("unknown tile policy '" + name +
                     "' (expected static|dynamic|guided)");
+}
+
+int TileAssignment::find(int cpe) const {
+  const auto it = std::lower_bound(cpes.begin(), cpes.end(), cpe);
+  return it != cpes.end() && *it == cpe ? static_cast<int>(it - cpes.begin())
+                                        : -1;
 }
 
 TileAssignment assign_tiles(const grid::Tiling& tiling, int n_cpes,

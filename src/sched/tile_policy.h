@@ -45,29 +45,83 @@ const char* to_string(TilePolicy policy);
 /// Parses "static" / "dynamic" / "guided"; throws ConfigError otherwise.
 TilePolicy tile_policy_from_string(const std::string& name);
 
-/// The executed tile->CPE assignment of one offload, plus the planner's
-/// virtual-time bookkeeping. Produced once per offload and shared by the
-/// executor (which tiles each CPE runs), the access checker (the write-set
-/// partition), and the imbalance telemetry.
-struct TileAssignment {
-  TilePolicy policy = TilePolicy::kStaticZ;
-  /// Tile indices per CPE, in execution order.
-  std::vector<std::vector<int>> tiles_per_cpe;
-  /// Atomic-counter grabs (faaw round trips) each CPE pays, including the
-  /// final grab that finds the counter exhausted. Zero under kStaticZ.
-  std::vector<int> grabs_per_cpe;
-  /// Each CPE's accumulated virtual clock under the planner's cost
-  /// estimate. For the synchronous DMA path this equals the busy time the
-  /// executor charges; the double-buffered path overlaps DMA and runs
-  /// below it.
-  std::vector<TimePs> est_busy;
+/// The tiles one CPE executes, in execution order: a run of slots in an
+/// assignment's tile order. Without an explicit order (static-z) a slot is
+/// the tile id itself.
+class TileRun {
+ public:
+  /// Yields tile ids for range-for.
+  class Iterator {
+   public:
+    Iterator(const int* order, int slot) : order_(order), slot_(slot) {}
+    int operator*() const { return order_ != nullptr ? order_[slot_] : slot_; }
+    Iterator& operator++() {
+      ++slot_;
+      return *this;
+    }
+    friend bool operator==(const Iterator& a, const Iterator& b) {
+      return a.slot_ == b.slot_;
+    }
 
-  int n_cpes() const { return static_cast<int>(tiles_per_cpe.size()); }
-  int num_tiles() const {
-    int n = 0;
-    for (const std::vector<int>& t : tiles_per_cpe)
-      n += static_cast<int>(t.size());
-    return n;
+   private:
+    const int* order_;
+    int slot_;
+  };
+
+  TileRun(const int* order, int begin, int end)
+      : order_(order), begin_(begin), end_(end) {}
+
+  int size() const { return end_ - begin_; }
+  bool empty() const { return end_ == begin_; }
+  int operator[](int i) const { return *Iterator(order_, begin_ + i); }
+  Iterator begin() const { return {order_, begin_}; }
+  Iterator end() const { return {order_, end_}; }
+
+ private:
+  const int* order_;  ///< null: slot == tile id
+  int begin_;
+  int end_;
+};
+
+/// The executed tile->CPE assignment of one offload, plus the planner's
+/// virtual-time bookkeeping. Shared by the executor (which tiles each CPE
+/// runs), the access checker (the write-set partition), and the imbalance
+/// telemetry. Compact, because a scheduler keeps one per offloaded task for
+/// the whole run: O(CPEs with work + tiles) words, and nothing at all per
+/// tile under static-z.
+struct TileAssignment {
+  /// One CPE's share. Shares are laid out back to back in the tile order:
+  /// share i owns slots [shares[i-1].end, shares[i].end).
+  struct Share {
+    /// Atomic-counter grabs (faaw round trips) the CPE pays, including the
+    /// final grab that finds the counter exhausted. Zero under kStaticZ.
+    int grabs = 0;
+    int end = 0;  ///< one past the share's last slot in the tile order
+    /// The CPE's accumulated virtual clock under the planner's cost
+    /// estimate. For the synchronous DMA path this equals the busy time
+    /// the executor charges; the double-buffered path overlaps DMA and
+    /// runs below it.
+    TimePs est_busy = 0;
+  };
+
+  TilePolicy policy = TilePolicy::kStaticZ;
+  int n_cpes = 0;  ///< the group size the assignment was planned for
+  /// The CPEs with tiles or grabs, ascending. The others sit the offload
+  /// out: no tiles, no grabs, zero busy time.
+  std::vector<int> cpes;
+  std::vector<Share> shares;  ///< parallel to `cpes`
+  /// Tile ids by slot: each share's tiles in execution order. Empty under
+  /// kStaticZ, whose z-slab runs are contiguous tile ids (slot == id).
+  std::vector<int> order;
+
+  int num_tiles() const { return shares.empty() ? 0 : shares.back().end; }
+  /// Index of `cpe` in `cpes`/`shares`, or -1 when it has no work.
+  int find(int cpe) const;
+  /// The tiles of share `i`, in execution order.
+  TileRun tiles(int i) const {
+    const auto s = static_cast<std::size_t>(i);
+    return TileRun(order.empty() ? nullptr : order.data(),
+                   s == 0 ? 0 : shares[s - 1].end, shares[s].end);
   }
 };
 

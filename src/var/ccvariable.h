@@ -30,6 +30,9 @@ class CCVariable {
   }
 
   bool allocated() const { return !data_.empty(); }
+  /// Cells the storage holds without reallocating; allocate() of a box of
+  /// at most this volume reuses it.
+  std::size_t capacity() const { return data_.capacity(); }
   const grid::Box& box() const { return box_; }
 
   /// Linear index of global cell (i,j,k); x-fastest.

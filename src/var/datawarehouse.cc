@@ -17,7 +17,7 @@ CCVariable<double>& DataWarehouse::allocate(const VarLabel* label,
   Entry& e = it->second;
   e.box = patch.ghosted(ghost);
   e.ghost = ghost;
-  e.data = std::make_unique<CCVariable<double>>();
+  e.data = reuse_or_make(static_cast<std::size_t>(e.box.volume()));
   if (functional()) e.data->allocate(e.box);
   if (observer_ != nullptr) observer_->on_allocate(*this, label, patch.id());
   return *e.data;
@@ -92,16 +92,35 @@ bool DataWarehouse::has_reduction(const VarLabel* label) const {
   return reductions_.count(label->id()) > 0;
 }
 
+std::unique_ptr<CCVariable<double>> DataWarehouse::reuse_or_make(
+    std::size_t cells) {
+  for (std::unique_ptr<CCVariable<double>>& var : retired_) {
+    if (var->capacity() < cells) continue;
+    std::swap(var, retired_.back());
+    std::unique_ptr<CCVariable<double>> reused = std::move(retired_.back());
+    retired_.pop_back();
+    return reused;
+  }
+  return std::make_unique<CCVariable<double>>();
+}
+
 void DataWarehouse::clear() {
   grid_vars_.clear();
   reductions_.clear();
+  retired_.clear();
 }
 
 void DataWarehouse::swap_in(DataWarehouse& newer) {
+  std::vector<std::unique_ptr<CCVariable<double>>> retired;
+  if (functional())
+    for (auto& [key, e] : grid_vars_)
+      if (e.data != nullptr && e.data->allocated())
+        retired.push_back(std::move(e.data));
   grid_vars_ = std::move(newer.grid_vars_);
   reductions_ = std::move(newer.reductions_);
   step_ = newer.step_;
   newer.clear();
+  newer.retired_ = std::move(retired);
 }
 
 }  // namespace usw::var

@@ -11,10 +11,18 @@
 // tracked (box, ghost extent) but never allocated: the benchmark harness
 // uses this to simulate the paper's largest problems (up to 1024^3 cells,
 // 16 GB of field data) without materializing them.
+//
+// Functional storage is recycled across the swap: the old warehouse's
+// retired fields go to the new one, whose next step allocates the same
+// fields again, and allocate() reuses a retired field's storage before it
+// allocates. Reused storage is zero-filled like fresh storage, so every
+// field (ghost cells included) starts exactly as a fresh one; the step
+// only saves freeing it and faulting new pages in.
 
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "grid/level.h"
 #include "var/ccvariable.h"
@@ -61,8 +69,9 @@ class DataWarehouse {
   // ---- Grid variables ----
 
   /// Allocates `label` on `patch` with `ghost` halo layers and registers
-  /// it. In timing-only mode, only the extent is recorded. Throws
-  /// StateError if already present.
+  /// it, zero-filled, in storage retired by the last swap_in() when one is
+  /// large enough. In timing-only mode, only the extent is recorded.
+  /// Throws StateError if already present.
   CCVariable<double>& allocate(const VarLabel* label, const grid::Patch& patch,
                                int ghost);
 
@@ -93,14 +102,15 @@ class DataWarehouse {
   double get_reduction(const VarLabel* label) const;
   bool has_reduction(const VarLabel* label) const;
 
-  /// Discards everything (start of a fresh timestep for the new DW).
+  /// Discards everything, retired storage included.
   void clear();
 
   /// Number of grid variables held (test hygiene).
   std::size_t num_variables() const { return grid_vars_.size(); }
 
   /// Transfers all contents of `newer` into this warehouse, replacing it
-  /// (the "new DW becomes the old DW" swap, Sec II).
+  /// (the "new DW becomes the old DW" swap, Sec II). The replaced fields'
+  /// storage becomes `newer`'s retired storage for its next allocate()s.
   void swap_in(DataWarehouse& newer);
 
   /// Installs (or, with nullptr, removes) the access observer. The
@@ -117,10 +127,15 @@ class DataWarehouse {
   };
   using Key = std::pair<int, int>;  ///< (label id, patch id)
 
+  /// A retired variable whose storage holds `cells`, or a fresh one.
+  std::unique_ptr<CCVariable<double>> reuse_or_make(std::size_t cells);
+
   StorageMode mode_;
   int step_;
   std::map<Key, Entry> grid_vars_;
   std::map<int, double> reductions_;
+  /// Functional storage retired by the last swap_in(), for allocate().
+  std::vector<std::unique_ptr<CCVariable<double>>> retired_;
   AccessObserver* observer_ = nullptr;
 };
 

@@ -172,5 +172,65 @@ TEST(CpeCluster, JobIsReleasedWhenTheOffloadPublishes) {
   });
 }
 
+TEST(CpeCluster, OneActiveCpeRunsOneBodyAndPublishesTheSame) {
+  // Only CPE 5 has work. Naming it with set_active_cpes() runs one body
+  // instead of 64, and the offload publishes the same busy vector, flag
+  // counts and counters. The next plain spawn runs every CPE again.
+  struct Outcome {
+    int bodies = 0;
+    int plain_bodies = 0;
+    std::vector<TimePs> busy;
+    int flag_mid = 0;
+    int flag_end = 0;
+    hw::PerfCounters counters;
+  };
+  const auto run = [](bool only_five) {
+    Outcome out;
+    with_cluster([&](sim::Coordinator& coord, CpeCluster& cluster,
+                     hw::PerfCounters& counters, const hw::CostModel&) {
+      CpeCharge work;
+      work.busy = 3 * kMicrosecond;
+      work.tiles = 2;
+      work.dma_in = 800;
+      work.dma_out = 512;
+      work.cells = 64;
+      work.flops = 0.1 + 0.2;
+      const int five[] = {5};
+      if (only_five) cluster.set_active_cpes(five);
+      cluster.spawn([&](CpeContext& ctx) {
+        ++out.bodies;
+        if (ctx.cpe_id() == 5) ctx.apply(work);
+      });
+      out.busy = cluster.cpe_busy();
+      coord.advance(0, kMicrosecond);
+      out.flag_mid = cluster.flag();
+      cluster.join();
+      out.flag_end = cluster.flag();
+      out.counters = counters;
+      cluster.spawn([&](CpeContext&) { ++out.plain_bodies; });
+      cluster.join();
+    });
+    return out;
+  };
+  const Outcome all = run(false);
+  const Outcome one = run(true);
+  EXPECT_EQ(all.bodies, 64);
+  EXPECT_EQ(one.bodies, 1);
+  EXPECT_EQ(one.plain_bodies, 64);
+  EXPECT_EQ(one.busy, all.busy);
+  EXPECT_EQ(one.busy[5], 3 * kMicrosecond);
+  EXPECT_EQ(one.flag_mid, all.flag_mid);
+  EXPECT_EQ(one.flag_mid, 63);
+  EXPECT_EQ(one.flag_end, all.flag_end);
+  EXPECT_EQ(one.counters.tiles_executed, all.counters.tiles_executed);
+  EXPECT_EQ(one.counters.dma_bytes_in, all.counters.dma_bytes_in);
+  EXPECT_EQ(one.counters.dma_bytes_out, all.counters.dma_bytes_out);
+  EXPECT_EQ(one.counters.cells_computed, all.counters.cells_computed);
+  EXPECT_EQ(one.counters.counted_flops, all.counters.counted_flops);  // bitwise
+  EXPECT_EQ(one.counters.kernels_offloaded, all.counters.kernels_offloaded);
+  EXPECT_EQ(one.counters.kernel_time, all.counters.kernel_time);
+  EXPECT_EQ(one.counters.wait_time, all.counters.wait_time);
+}
+
 }  // namespace
 }  // namespace usw::athread

@@ -264,6 +264,54 @@ void expect_counters_identical(const hw::PerfCounters& a,
   EXPECT_EQ(a.fault_restarts, b.fault_restarts);
 }
 
+TEST(ThreadsBackend, OneActiveCpeRunsOneBodyAndPublishesTheSame) {
+  // The threads backend submits only the active CPE's body and waits for
+  // its one completion; the offload publishes what all 64 bodies publish.
+  struct Outcome {
+    std::atomic<int> bodies{0};
+    std::vector<TimePs> busy;
+    int flag_mid = 0;
+    int flag_end = 0;
+    hw::PerfCounters counters;
+  };
+  const auto run = [](bool only_five, Outcome& out) {
+    with_cluster(athread::Backend::kThreads, 1,
+                 [&](sim::Coordinator& coord, athread::CpeCluster& cluster,
+                     hw::PerfCounters& counters) {
+      athread::CpeCharge work;
+      work.busy = 3 * kMicrosecond;
+      work.tiles = 2;
+      work.dma_in = 800;
+      work.dma_out = 512;
+      work.cells = 64;
+      work.flops = 0.1 + 0.2;
+      const int five[] = {5};
+      if (only_five) cluster.set_active_cpes(five);
+      cluster.spawn([&](athread::CpeContext& ctx) {
+        out.bodies.fetch_add(1);
+        if (ctx.cpe_id() == 5) ctx.apply(work);
+      });
+      out.busy = cluster.cpe_busy();
+      coord.advance(0, kMicrosecond);
+      out.flag_mid = cluster.flag();
+      cluster.join();
+      out.flag_end = cluster.flag();
+      out.counters = counters;
+    });
+  };
+  Outcome all;
+  Outcome one;
+  run(false, all);
+  run(true, one);
+  EXPECT_EQ(all.bodies.load(), 64);
+  EXPECT_EQ(one.bodies.load(), 1);
+  EXPECT_EQ(one.busy, all.busy);
+  EXPECT_EQ(one.flag_mid, all.flag_mid);
+  EXPECT_EQ(one.flag_mid, 63);
+  EXPECT_EQ(one.flag_end, all.flag_end);
+  expect_counters_identical(one.counters, all.counters);
+}
+
 TEST(BackendStress, ManySmallOffloadsAcrossGroups) {
   const StressOutcome serial = run_stress(athread::Backend::kSerial);
   const StressOutcome threads = run_stress(athread::Backend::kThreads);

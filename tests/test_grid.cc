@@ -211,7 +211,8 @@ TEST(Tiling, CoversPatchExactlyOnce) {
   const Tiling tiling(patch, {16, 16, 8});
   EXPECT_EQ(tiling.num_tiles(), 64);
   std::int64_t total = 0;
-  for (const Box& t : tiling.tiles()) {
+  for (int i = 0; i < tiling.num_tiles(); ++i) {
+    const Box t = tiling.tile(i);
     total += t.volume();
     EXPECT_TRUE(patch.contains(t));
   }
@@ -223,9 +224,35 @@ TEST(Tiling, ClipsBoundaryTiles) {
   const Tiling tiling(patch, {16, 16, 8});
   EXPECT_EQ(tiling.tile_grid(), (IntVec{2, 1, 2}));
   std::int64_t total = 0;
-  for (const Box& t : tiling.tiles()) total += t.volume();
+  for (int i = 0; i < tiling.num_tiles(); ++i) total += tiling.tile(i).volume();
   EXPECT_EQ(total, patch.volume());
   EXPECT_EQ(tiling.tile(1).size(), (IntVec{4, 10, 8}));  // clipped in x
+}
+
+TEST(Tiling, TileBoxesMatchEnumeration) {
+  // tile(t) is computed from the index; it must equal the x-fastest, then
+  // y, then z enumeration of clipped boxes, on patches clipped on each axis
+  // in turn, on all three, and on none, with an offset origin.
+  const IntVec shape{16, 16, 8};
+  const IntVec lo{-3, 5, 7};
+  for (const IntVec size : {IntVec{20, 32, 16}, IntVec{32, 20, 16},
+                            IntVec{32, 32, 13}, IntVec{21, 9, 5},
+                            IntVec{32, 32, 16}}) {
+    const Box patch{lo, lo + size};
+    const Tiling tiling(patch, shape);
+    std::vector<Box> enumerated;
+    for (int z = patch.lo.z; z < patch.hi.z; z += shape.z)
+      for (int y = patch.lo.y; y < patch.hi.y; y += shape.y)
+        for (int x = patch.lo.x; x < patch.hi.x; x += shape.x) {
+          const IntVec tlo{x, y, z};
+          enumerated.push_back(Box{tlo, IntVec::min(tlo + shape, patch.hi)});
+        }
+    ASSERT_EQ(tiling.num_tiles(), static_cast<int>(enumerated.size()))
+        << size.to_string();
+    for (int t = 0; t < tiling.num_tiles(); ++t)
+      EXPECT_EQ(tiling.tile(t), enumerated[static_cast<std::size_t>(t)])
+          << size.to_string() << " tile " << t;
+  }
 }
 
 TEST(Tiling, ZPartitionAssignsAllTilesOnce) {

@@ -26,16 +26,12 @@ kern::KernelEnv test_env() {
 }
 
 /// The job Scheduler::offload_stencil spawns for `args` over `patch` on a
-/// one-group cluster: one tiling and one tile->CPE plan, shared by every
-/// CPE body.
+/// one-group cluster: one plan, shared by every CPE body.
 athread::CpeJob tile_job(const TileExecArgs& args, const grid::Box& patch,
                          const hw::CostModel& cost) {
   const int cpes = cost.params().cpes_per_cg;
-  auto tiling =
-      std::make_shared<const grid::Tiling>(patch, args.kernel->tile_shape);
-  auto plan = std::make_shared<const TileAssignment>(
-      plan_tile_assignment(args, *tiling, cpes, cpes, cost));
-  return make_tile_job(args, std::move(tiling), std::move(plan));
+  return make_tile_job(args, std::make_shared<const TilePlan>(plan_tile_assignment(
+                                 args, patch, cpes, cpes, cost)));
 }
 
 TEST(TileExec, MatchesDirectKernelApplication) {

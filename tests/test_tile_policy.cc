@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "sched/tile_policy.h"
 #include "sim/coordinator.h"
 #include "support/error.h"
+#include "var/ccvariable.h"
 
 namespace usw::sched {
 namespace {
@@ -31,6 +33,26 @@ grid::Tiling make_tiling(grid::IntVec cells, grid::IntVec shape) {
 }
 
 TimePs uniform(int) { return 1000; }
+
+// Lookups by CPE id; an idle CPE has no share: no tiles, grabs or busy time.
+
+/// The tiles `cpe` runs, in execution order.
+std::vector<int> tiles_of(const TileAssignment& plan, int cpe) {
+  std::vector<int> tiles;
+  if (const int i = plan.find(cpe); i >= 0)
+    for (const int t : plan.tiles(i)) tiles.push_back(t);
+  return tiles;
+}
+
+int grabs_of(const TileAssignment& plan, int cpe) {
+  const int i = plan.find(cpe);
+  return i < 0 ? 0 : plan.shares[static_cast<std::size_t>(i)].grabs;
+}
+
+TimePs est_busy_of(const TileAssignment& plan, int cpe) {
+  const int i = plan.find(cpe);
+  return i < 0 ? 0 : plan.shares[static_cast<std::size_t>(i)].est_busy;
+}
 
 TEST(TilePolicy, ParsesAndPrints) {
   for (TilePolicy policy : kAllPolicies)
@@ -48,11 +70,13 @@ TEST(TilePolicy, EveryPolicyIsAnExactPartition) {
   for (TilePolicy policy : kAllPolicies) {
     const TileAssignment plan = assign_tiles(tiling, 7, policy, uniform, 100);
     EXPECT_EQ(plan.policy, policy);
-    EXPECT_EQ(plan.n_cpes(), 7);
+    EXPECT_EQ(plan.n_cpes, 7);
     EXPECT_EQ(plan.num_tiles(), tiling.num_tiles());
     std::vector<int> all;
-    for (const std::vector<int>& tiles : plan.tiles_per_cpe)
+    for (int cpe = 0; cpe < plan.n_cpes; ++cpe) {
+      const std::vector<int> tiles = tiles_of(plan, cpe);
       all.insert(all.end(), tiles.begin(), tiles.end());
+    }
     std::sort(all.begin(), all.end());
     std::vector<int> expected(static_cast<std::size_t>(tiling.num_tiles()));
     std::iota(expected.begin(), expected.end(), 0);
@@ -65,9 +89,8 @@ TEST(TilePolicy, StaticMatchesZSlabPartitionAndPaysNoGrabs) {
   const TileAssignment plan =
       assign_tiles(tiling, 64, TilePolicy::kStaticZ, uniform, 100);
   for (int cpe = 0; cpe < 64; ++cpe) {
-    EXPECT_EQ(plan.tiles_per_cpe[static_cast<std::size_t>(cpe)],
-              tiling.tiles_for_cpe(cpe, 64));
-    EXPECT_EQ(plan.grabs_per_cpe[static_cast<std::size_t>(cpe)], 0);
+    EXPECT_EQ(tiles_of(plan, cpe), tiling.tiles_for_cpe(cpe, 64));
+    EXPECT_EQ(grabs_of(plan, cpe), 0);
   }
 }
 
@@ -77,10 +100,10 @@ TEST(TilePolicy, DynamicSpreadsUniformTilesEvenly) {
   const TileAssignment plan =
       assign_tiles(tiling, 64, TilePolicy::kDynamic, uniform, 100);
   for (int cpe = 0; cpe < 64; ++cpe) {
-    EXPECT_EQ(plan.tiles_per_cpe[static_cast<std::size_t>(cpe)].size(), 2u);
+    EXPECT_EQ(tiles_of(plan, cpe).size(), 2u);
     // Two winning grabs plus the terminating one.
-    EXPECT_EQ(plan.grabs_per_cpe[static_cast<std::size_t>(cpe)], 3);
-    EXPECT_EQ(plan.est_busy[static_cast<std::size_t>(cpe)], plan.est_busy[0]);
+    EXPECT_EQ(grabs_of(plan, cpe), 3);
+    EXPECT_EQ(est_busy_of(plan, cpe), est_busy_of(plan, 0));
   }
 }
 
@@ -92,15 +115,14 @@ TEST(TilePolicy, IdleCpesStillPayTheTerminatingGrab) {
       assign_tiles(tiling, 8, TilePolicy::kDynamic, uniform, 100);
   int total_grabs = 0;
   for (int cpe = 0; cpe < 8; ++cpe) {
-    const auto c = static_cast<std::size_t>(cpe);
-    total_grabs += plan.grabs_per_cpe[c];
+    total_grabs += grabs_of(plan, cpe);
     if (cpe < 4) {
-      EXPECT_EQ(plan.tiles_per_cpe[c].size(), 1u);
-      EXPECT_EQ(plan.grabs_per_cpe[c], 2);
+      EXPECT_EQ(tiles_of(plan, cpe).size(), 1u);
+      EXPECT_EQ(grabs_of(plan, cpe), 2);
     } else {
-      EXPECT_TRUE(plan.tiles_per_cpe[c].empty());
-      EXPECT_EQ(plan.grabs_per_cpe[c], 1);
-      EXPECT_EQ(plan.est_busy[c], 100);  // one grab, no tiles
+      EXPECT_TRUE(tiles_of(plan, cpe).empty());
+      EXPECT_EQ(grabs_of(plan, cpe), 1);
+      EXPECT_EQ(est_busy_of(plan, cpe), 100);  // one grab, no tiles
     }
   }
   EXPECT_EQ(total_grabs, tiling.num_tiles() + 8);
@@ -118,7 +140,10 @@ TEST(TilePolicy, DynamicAndGuidedBalanceSkewedCosts) {
     return t == 37 ? 10000 : 1000;
   };
   const auto max_busy = [](const TileAssignment& plan) {
-    return *std::max_element(plan.est_busy.begin(), plan.est_busy.end());
+    TimePs max = 0;
+    for (const TileAssignment::Share& share : plan.shares)
+      max = std::max(max, share.est_busy);
+    return max;
   };
   const TimePs st =
       max_busy(assign_tiles(tiling, 8, TilePolicy::kStaticZ, skewed, 100));
@@ -134,8 +159,9 @@ TEST(TilePolicy, GuidedPaysFewerGrabsThanDynamic) {
   const grid::Tiling tiling = make_tiling({16, 16, 512}, {16, 16, 8});
   const auto grabs = [&](TilePolicy policy) {
     const TileAssignment plan = assign_tiles(tiling, 4, policy, uniform, 100);
-    return std::accumulate(plan.grabs_per_cpe.begin(),
-                           plan.grabs_per_cpe.end(), 0);
+    int total = 0;
+    for (const TileAssignment::Share& share : plan.shares) total += share.grabs;
+    return total;
   };
   // 64 tiles over 4 CPEs: dynamic grabs once per tile (+4 terminating);
   // guided's shrinking chunks need far fewer trips to the shared counter.
@@ -147,49 +173,119 @@ TEST(TilePolicy, GuidedPaysFewerGrabsThanDynamic) {
 // Planner vs executor: under synchronous DMA the virtual clocks the planner
 // accumulates are exactly the busy times the CPEs charge, for every policy.
 
-TEST(TilePolicy, PlannedClocksMatchSyncExecution) {
-  // Per-tile cost variation on equal tiles, so the dynamic assignment is
-  // non-trivial; and no variation on a patch clipped on every axis, so
-  // consecutive tiles change extent. The planner prices a tile once per
-  // run of equal (extent, scale) keys; both inputs change the key.
+/// The planner's inputs: per-tile cost variation on equal tiles, so the
+/// dynamic assignment is non-trivial; and no variation on a patch clipped
+/// on every axis, so consecutive tiles change extent. The planner prices a
+/// tile once per run of equal (extent, scale) keys; both inputs change the
+/// key.
+struct PlanInput {
+  kern::KernelVariants kernel;
+  grid::Box patch;
+};
+
+std::vector<PlanInput> skewed_and_clipped_inputs() {
   kern::KernelVariants skewed =
       apps::burgers::make_burgers_kernel(false, {8, 8, 8});
   skewed.tile_cost_scale = [](const grid::Box& tile) {
     return tile.lo.z == 0 ? 5.0 : 1.0;
   };
-  const kern::KernelVariants clipped =
-      apps::burgers::make_burgers_kernel(false, {8, 8, 8});
-  const struct {
-    const kern::KernelVariants* kernel;
-    grid::Box patch;
-  } inputs[] = {{&skewed, {{0, 0, 0}, {16, 16, 32}}},
-                {&clipped, {{0, 0, 0}, {20, 12, 20}}}};
+  return {{skewed, {{0, 0, 0}, {16, 16, 32}}},
+          {apps::burgers::make_burgers_kernel(false, {8, 8, 8}),
+           {{0, 0, 0}, {20, 12, 20}}}};
+}
+
+TEST(TilePolicy, PlannedClocksMatchSyncExecution) {
   const hw::CostModel cost(hw::MachineParams::sunway_taihulight());
-  for (const auto& [kernel, patch] : inputs) {
+  for (const PlanInput& in : skewed_and_clipped_inputs()) {
     for (TilePolicy policy : kAllPolicies) {
       TileExecArgs args;  // timing-only: views left invalid
-      args.kernel = kernel;
+      args.kernel = &in.kernel;
       args.policy = policy;
-      const auto tiling =
-          std::make_shared<const grid::Tiling>(patch, kernel->tile_shape);
-      const auto plan = std::make_shared<const TileAssignment>(
-          plan_tile_assignment(args, *tiling, 64, 64, cost));
+      const auto plan = std::make_shared<const TilePlan>(
+          plan_tile_assignment(args, in.patch, 64, 64, cost));
       hw::PerfCounters counters;
       std::vector<TimePs> busy;
       sim::run_ranks(1, [&](sim::Coordinator& coord, int rank) {
         athread::CpeCluster cluster(cost, coord, rank, &counters);
-        cluster.spawn(make_tile_job(args, tiling, plan));
+        cluster.spawn(make_tile_job(args, plan));
         busy = cluster.cpe_busy();
         cluster.join();
       });
       const std::string where =
-          std::string(to_string(policy)) + " on " + patch.to_string();
-      ASSERT_EQ(busy.size(), plan->est_busy.size());
-      for (std::size_t cpe = 0; cpe < busy.size(); ++cpe)
-        EXPECT_EQ(busy[cpe], plan->est_busy[cpe]) << where << " CPE " << cpe;
-      const std::uint64_t grabs = std::accumulate(
-          plan->grabs_per_cpe.begin(), plan->grabs_per_cpe.end(), 0ull);
+          std::string(to_string(policy)) + " on " + in.patch.to_string();
+      ASSERT_EQ(busy.size(), 64u);
+      std::uint64_t grabs = 0;
+      for (int cpe = 0; cpe < 64; ++cpe) {
+        EXPECT_EQ(busy[static_cast<std::size_t>(cpe)],
+                  est_busy_of(plan->assignment, cpe))
+            << where << " CPE " << cpe;
+        grabs += static_cast<std::uint64_t>(grabs_of(plan->assignment, cpe));
+      }
       EXPECT_EQ(counters.tile_grabs, grabs) << where;
+    }
+  }
+}
+
+TEST(TilePolicy, PlannedChargesMatchSyncExecution) {
+  // Every CPE's planned charge must equal what its functional body — the
+  // per-tile walk that moves real data through the LDM — charges into a
+  // fresh context and counter slot: busy time, tiles, grabs, DMA bytes and
+  // cells exactly, counted flops bit for bit. Under sync DMA the charge is
+  // also the planner's clock; the double-buffered pipeline is covered too.
+  const hw::CostModel cost(hw::MachineParams::sunway_taihulight());
+  kern::KernelEnv env;
+  env.time = 0.02;
+  env.dt = 1e-4;
+  env.dx = env.dy = env.dz = 1.0 / 32;
+  for (const PlanInput& in : skewed_and_clipped_inputs()) {
+    var::CCVariable<double> u(in.patch.grown(in.kernel.ghost));
+    var::CCVariable<double> out(in.patch);
+    for (std::size_t i = 0; i < u.data().size(); ++i)
+      u.data()[i] = 0.25 + 1e-3 * static_cast<double>(i % 97);
+    for (const bool async_dma : {false, true}) {
+      for (TilePolicy policy : kAllPolicies) {
+        TileExecArgs args;
+        args.kernel = &in.kernel;
+        args.env = env;
+        args.in = kern::FieldView::of(u);
+        args.out = kern::FieldView::of(out);
+        args.policy = policy;
+        args.async_dma = async_dma;
+        const auto plan = std::make_shared<const TilePlan>(
+            plan_tile_assignment(args, in.patch, 64, 64, cost));
+        const athread::CpeJob job = make_tile_job(args, plan);
+        const std::string where = std::string(to_string(policy)) +
+                                  (async_dma ? " async on " : " sync on ") +
+                                  in.patch.to_string();
+        hw::Ldm ldm(cost.params().ldm_bytes);
+        for (int cpe = 0; cpe < 64; ++cpe) {
+          hw::PerfCounters slot;
+          athread::CpeContext ctx(cpe, 64, 64, ldm, cost, &slot);
+          job(ctx);
+          const int share = plan->assignment.find(cpe);
+          if (share < 0) {
+            EXPECT_EQ(ctx.busy(), 0) << where << " idle CPE " << cpe;
+            EXPECT_EQ(slot.tiles_executed + slot.tile_grabs + slot.cells_computed,
+                      0u)
+                << where << " idle CPE " << cpe;
+            continue;
+          }
+          const athread::CpeCharge& c = plan->charge(share);
+          EXPECT_EQ(ctx.busy(), c.busy) << where << " CPE " << cpe;
+          if (!async_dma) {
+            EXPECT_EQ(c.busy, est_busy_of(plan->assignment, cpe))
+                << where << " CPE " << cpe;
+          }
+          EXPECT_EQ(slot.tiles_executed, c.tiles) << where << " CPE " << cpe;
+          EXPECT_EQ(slot.tile_grabs, c.grabs) << where << " CPE " << cpe;
+          EXPECT_EQ(slot.dma_bytes_in, c.dma_in) << where << " CPE " << cpe;
+          EXPECT_EQ(slot.dma_bytes_out, c.dma_out) << where << " CPE " << cpe;
+          EXPECT_EQ(slot.cells_computed, c.cells) << where << " CPE " << cpe;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(slot.counted_flops),
+                    std::bit_cast<std::uint64_t>(c.flops))
+              << where << " CPE " << cpe;
+        }
+      }
     }
   }
 }

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 
 #include "grid/level.h"
@@ -130,6 +131,31 @@ TEST(DataWarehouse, SwapInMovesEverything) {
   EXPECT_EQ(old_dw.step(), 1);
   EXPECT_EQ(new_dw.num_variables(), 0u);
   EXPECT_FALSE(new_dw.has_reduction(r));
+}
+
+TEST(DataWarehouse, RecycledStorageStartsZeroed) {
+  // The first swap moves the field to the old DW; the second retires it
+  // and hands its storage to the new DW, whose next allocate of the same
+  // field reuses it — zero-filled, ghost cells included, like fresh storage.
+  const grid::Level level({1, 1, 1}, {6, 5, 4});
+  const VarLabel* u = VarLabel::create("dw_recycle_u");
+  DataWarehouse old_dw(StorageMode::kFunctional, 0);
+  DataWarehouse new_dw(StorageMode::kFunctional, 1);
+  CCVariable<double>& field = new_dw.allocate(u, level.patch(0), 2);
+  field.fill(-123.25);
+  const double* storage = field.data().data();
+
+  old_dw.swap_in(new_dw);
+  old_dw.swap_in(new_dw);
+  EXPECT_EQ(old_dw.num_variables(), 0u);
+
+  const CCVariable<double>& reused = new_dw.allocate(u, level.patch(0), 2);
+  EXPECT_EQ(reused.data().data(), storage);
+  EXPECT_EQ(reused.box(), level.patch(0).ghosted(2));
+  ASSERT_EQ(reused.data().size(),
+            static_cast<std::size_t>(level.patch(0).ghosted(2).volume()));
+  for (const double x : reused.data()) ASSERT_EQ(x, 0.0);
+  EXPECT_FALSE(std::signbit(reused.data()[0]));
 }
 
 TEST(GhostGeometry, InteriorPatchNeedsSixFaceRegions) {
