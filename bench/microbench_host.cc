@@ -257,9 +257,11 @@ void BM_ObserveExport(benchmark::State& state, ExportStage stage) {
   for (auto _ : state) {
     switch (stage) {
       case ExportStage::kBuildSpans:
-        for (std::size_t i = 0; i < in.result.ranks.size(); ++i)
-          benchmark::DoNotOptimize(
-              obs::build_spans(in.result.ranks[i].trace, static_cast<int>(i)));
+        for (std::size_t i = 0; i < in.result.ranks.size(); ++i) {
+          const runtime::RankResult& r = in.result.ranks[i];
+          benchmark::DoNotOptimize(obs::build_spans(
+              r.trace, r.init_graph_info, r.graph_info, static_cast<int>(i)));
+        }
         break;
       case ExportStage::kBuildMetrics:
         benchmark::DoNotOptimize(obs::build_metrics(in.run));

@@ -12,6 +12,7 @@
 
 #include "apps/burgers/burgers_app.h"
 #include "obs/chrome_trace.h"
+#include "obs/span.h"
 #include "runtime/controller.h"
 #include "runtime/observe.h"
 #include "support/options.h"
@@ -45,16 +46,15 @@ int main(int argc, char** argv) {
   }
 
   const int rank = static_cast<int>(opts.get_int("rank", 0));
-  const auto& trace = result.ranks.at(static_cast<std::size_t>(rank)).trace;
+  const runtime::RankResult& r = result.ranks.at(static_cast<std::size_t>(rank));
   std::printf("--- rank %d event trace (%zu events), variant %s ---\n", rank,
-              trace.events().size(), config.variant.name.c_str());
-  std::fputs(trace.dump().c_str(), stdout);
+              r.trace.size(), config.variant.name.c_str());
+  std::fputs(obs::dump_span_edges(r.trace, r.init_graph_info, r.graph_info).c_str(),
+             stdout);
+  const std::vector<obs::Span> spans =
+      obs::build_spans(r.trace, r.init_graph_info, r.graph_info, rank);
   std::printf("--- total CPE kernel time: %s; total MPE idle: %s ---\n",
-              format_duration(trace.total_between(sim::EventKind::kKernelBegin,
-                                                  sim::EventKind::kKernelEnd))
-                  .c_str(),
-              format_duration(trace.total_between(sim::EventKind::kWaitBegin,
-                                                  sim::EventKind::kWaitEnd))
-                  .c_str());
+              format_duration(obs::covered_time(spans, obs::SpanKind::kKernel)).c_str(),
+              format_duration(obs::covered_time(spans, obs::SpanKind::kWait)).c_str());
   return 0;
 }

@@ -29,6 +29,7 @@
 #include "obs/host_profile.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
+#include "obs/span.h"
 #include "runtime/controller.h"
 #include "runtime/observe.h"
 #include "schedpt/schedule.h"
@@ -102,7 +103,8 @@ void print_help() {
       "                                (one tile per grab), guided = shrinking\n"
       "                                chunks; all deterministic\n"
       "  --mpe-threshold=CELLS         small-kernel MPE heuristic\n"
-      "  --trace                       record + dump rank 0's event trace\n"
+      "  --trace                       keep every rank's full event log\n"
+      "                                and print rank 0's span edges\n"
       "  --validate                    check every DW access against the\n"
       "                                task graph and lint the comm plan;\n"
       "                                also runs the happens-before race\n"
@@ -137,12 +139,15 @@ void print_help() {
       "                                dump on crash/hang AND on clean exit\n"
       "                                (without it, crashes still auto-dump\n"
       "                                to uswsim_crash_diag.json)\n"
-      "  --flight-capacity=N           per-rank flight-ring size (default\n"
-      "                                256; 0 disables event recording)\n"
+      "  --flight-capacity=N           events kept in each rank's flight\n"
+      "                                ring for dumps (default 256; 0 turns\n"
+      "                                the rings off; a traced run still\n"
+      "                                keeps its full log)\n"
       "  --hang-threshold-us=N         hang watchdog: cancel + dump when\n"
       "                                virtual time advances N us past the\n"
-      "                                last completed step (default 600e6 =\n"
-      "                                10 virtual minutes; 0 disables)\n"
+      "                                last completed step (default\n"
+      "                                600000000 = 10 virtual minutes; 0\n"
+      "                                disables)\n"
       "  --retransmit=0|1              message-loss retransmission (default\n"
       "                                1; 0 turns an all-lost exchange into\n"
       "                                a detectable hang - diagnostics\n"
@@ -414,8 +419,10 @@ int main(int argc, char** argv) {
         std::printf("  %-12s %.6e\n", key.c_str(), value);
     }
     if (opts.get_bool("trace", false)) {
+      const runtime::RankResult& r0 = result.ranks[0];
       std::printf("\nrank 0 event trace:\n%s",
-                  result.ranks[0].trace.dump().c_str());
+                  obs::dump_span_edges(r0.trace, r0.init_graph_info, r0.graph_info)
+                      .c_str());
     }
     if (!trace_json.empty() || !metrics_json.empty() || report) {
       const obs::RunObservation observation = runtime::observe(result);

@@ -267,7 +267,6 @@ const std::vector<TimePs>& CpeCluster::cpe_busy(int g) const {
 
 TimePs CpeCluster::completion_time(int g) const {
   Group& group = this->group(g);
-  USW_ASSERT_MSG(group.in_flight, "completion_time with no offload in flight");
   sync_group(group);
   return group.completion;
 }

@@ -251,7 +251,8 @@ class CpeCluster {
   /// clock has passed (the faaw counter an MPE would read).
   int flag(int g = 0) const;
 
-  /// Completion time of the offload in flight on group g.
+  /// Completion time of group g's offload in flight or, once poll()/join()
+  /// observed it, of its most recent one (valid until the next spawn()).
   TimePs completion_time(int g = 0) const;
 
   /// Per-CPE virtual busy times of group g's most recent offload (blocks

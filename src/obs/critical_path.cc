@@ -55,12 +55,9 @@ CriticalPathReport analyze_step(const RunObservation& run,
     const auto t = static_cast<std::size_t>(s->ids.task);
     if (t >= node_of[r].size() || node_of[r][t] >= 0) continue;
     node_of[r][t] = static_cast<int>(nodes.size());
-    // Name nodes by the graph's task name (the patch is a separate field);
-    // the span label doubles as a fallback.
-    const std::string& name =
-        rank.graph.tasks[t].name.empty() ? s->name : rank.graph.tasks[t].name;
-    nodes.push_back(Node{rank.rank, s->ids.task, &name, s->ids.patch, s->begin,
-                         s->duration()});
+    // Name nodes by the graph's task name (the patch is a separate field).
+    nodes.push_back(Node{rank.rank, s->ids.task, &rank.graph.tasks[t].name,
+                         s->ids.patch, s->begin, s->duration()});
   }
   if (nodes.empty()) return report;
   report.makespan = spans.hi - spans.lo;

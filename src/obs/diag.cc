@@ -23,9 +23,10 @@ void write_provenance(JsonWriter& w) {
 
 void write_ring(JsonWriter& w, const FlightRecorder& ring) {
   w.key("flight").begin_array();
-  for (const FlightEvent& ev : ring.snapshot()) {
+  for (const RingEvent& e : ring.snapshot()) {
+    const FlightEvent& ev = e.event;
     w.begin_object();
-    w.kv("seq", ev.seq);
+    w.kv("seq", e.seq);
     w.kv("t_ps", static_cast<std::int64_t>(ev.time));
     w.kv("kind", to_string(ev.kind));
     w.kv("a", ev.a);

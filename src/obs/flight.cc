@@ -14,13 +14,27 @@ const char* to_string(FlightKind kind) {
     case FlightKind::kMsgLost: return "msg_lost";
     case FlightKind::kMsgRetransmit: return "msg_retransmit";
     case FlightKind::kMsgDelayed: return "msg_delayed";
-    case FlightKind::kOffloadSpawn: return "offload_spawn";
-    case FlightKind::kOffloadDone: return "offload_done";
-    case FlightKind::kOffloadFail: return "offload_fail";
-    case FlightKind::kOffloadRetry: return "offload_retry";
     case FlightKind::kGroupDegraded: return "group_degraded";
     case FlightKind::kCheckpoint: return "checkpoint";
     case FlightKind::kRestart: return "restart";
+    case FlightKind::kTaskBegin: return "task_begin";
+    case FlightKind::kTaskEnd: return "task_end";
+    case FlightKind::kOffloadBegin: return "offload_begin";
+    case FlightKind::kOffloadEnd: return "offload_end";
+    case FlightKind::kKernelBegin: return "kernel_begin";
+    case FlightKind::kKernelEnd: return "kernel_end";
+    case FlightKind::kSendPosted: return "send_posted";
+    case FlightKind::kSendDone: return "send_done";
+    case FlightKind::kRecvPosted: return "recv_posted";
+    case FlightKind::kRecvDone: return "recv_done";
+    case FlightKind::kReduceBegin: return "reduce_begin";
+    case FlightKind::kReduceEnd: return "reduce_end";
+    case FlightKind::kWaitBegin: return "wait_begin";
+    case FlightKind::kWaitEnd: return "wait_end";
+    case FlightKind::kCpeStall: return "cpe_stall";
+    case FlightKind::kOffloadFail: return "offload_fail";
+    case FlightKind::kOffloadRetry: return "offload_retry";
+    case FlightKind::kBackoffEnd: return "backoff_end";
   }
   return "unknown";
 }
@@ -29,11 +43,13 @@ FlightRecorder::FlightRecorder(std::size_t capacity) : slots_(capacity) {}
 
 void FlightRecorder::record(FlightKind kind, TimePs time, std::int64_t a,
                             std::int64_t b, std::int64_t c) {
+  const FlightEvent event{time, kind, a, b, c};
+  if (logging_) log_.push_back(event);
   if (slots_.empty()) return;
   const std::uint64_t seq = head_.load(std::memory_order_relaxed);
   Slot& slot = slots_[static_cast<std::size_t>(seq % slots_.size())];
   slot.stamp.store(0, std::memory_order_release);
-  slot.ev = FlightEvent{seq, time, kind, a, b, c};
+  slot.event = event;
   slot.stamp.store(seq + 1, std::memory_order_release);
   head_.store(seq + 1, std::memory_order_release);
 }
@@ -43,8 +59,8 @@ std::uint64_t FlightRecorder::dropped() const {
   return head > slots_.size() ? head - slots_.size() : 0;
 }
 
-std::vector<FlightEvent> FlightRecorder::snapshot() const {
-  std::vector<FlightEvent> out;
+std::vector<RingEvent> FlightRecorder::snapshot() const {
+  std::vector<RingEvent> out;
   if (slots_.empty()) return out;
   const std::uint64_t head = head_.load(std::memory_order_acquire);
   const std::uint64_t n = std::min<std::uint64_t>(head, slots_.size());
@@ -52,7 +68,7 @@ std::vector<FlightEvent> FlightRecorder::snapshot() const {
   for (std::uint64_t seq = head - n; seq < head; ++seq) {
     const Slot& slot = slots_[static_cast<std::size_t>(seq % slots_.size())];
     if (slot.stamp.load(std::memory_order_acquire) != seq + 1) continue;
-    out.push_back(slot.ev);
+    out.push_back(RingEvent{seq, slot.event});
   }
   return out;
 }

@@ -1,30 +1,32 @@
 #pragma once
 
-// Flight recorder: a fixed-capacity ring buffer of recent runtime events,
-// kept per rank (plus one for the coordinator) so that a crash or hang dump
-// can show the last N decisions that led up to the failure.
+// Flight recorder: the runtime's one event record. Every fact the runtime
+// observes (a step boundary, a message, a task, an offload, a wait) is one
+// record() call with integer operands; no recording path builds a string.
+// Two sinks take the events:
+//  - a fixed-capacity ring per rank (plus one for the coordinator), so a
+//    crash or hang dump shows the last N events, task and offload context
+//    included. Old events are overwritten, never reallocated;
+//  - when the run collects a trace, the rank's full log, which RankResult
+//    carries; src/obs/span.h pairs its span edges into spans and names them
+//    from the compiled-graph skeleton at export.
+// Recording only copies already-computed values (virtual times, ids): it
+// never reads host clocks and never feeds back into scheduling decisions.
 //
-// Design constraints:
-//  - Bounded memory: capacity is fixed at construction; old events are
-//    overwritten, never reallocated.
-//  - No effect on determinism: recording only copies already-computed
-//    values (virtual times, ids) into the ring; it never reads host clocks
-//    and never feeds anything back into scheduling decisions.
-//  - Cheap writes: a record() is two atomic stores and a struct copy.
-//
-// Concurrency contract: each ring has a SINGLE logical writer — the rank
-// thread that owns it (which only records while holding the coordinator
-// token) or, for the coordinator ring, whichever thread currently holds the
-// coordinator lock. snapshot() is only called from crash/final dump paths,
-// where every writer is either parked on the coordinator (the dump runs
-// before cancellation wakes them, with the coordinator lock providing the
-// happens-before edge) or already joined. The per-slot stamp makes a
-// snapshot additionally tolerant of a torn slot: a half-written event is
-// simply dropped from the snapshot instead of being reported garbled.
+// Concurrency contract: each recorder has a SINGLE logical writer — the
+// rank thread that owns it (which only records while holding the
+// coordinator token) or, for the coordinator ring, whichever thread
+// currently holds the coordinator lock. snapshot() is only called from
+// crash/final dump paths, where every writer is either parked on the
+// coordinator (the dump runs before cancellation wakes them, with the
+// coordinator lock providing the happens-before edge) or already joined.
+// The per-slot stamp makes a snapshot additionally tolerant of a torn slot:
+// a half-written event is simply dropped from the snapshot instead of being
+// reported garbled. The log is read only after the writer has finished.
 
 #include <atomic>
 #include <cstdint>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "support/units.h"
@@ -41,32 +43,58 @@ enum class FlightKind : std::uint8_t {
   kMsgLost,        // fault plane dropped a send: a=dst, b=msg seq, c=attempt
   kMsgRetransmit,  // retransmit after timeout: a=dst, b=msg seq, c=attempt
   kMsgDelayed,     // fault plane delayed a send: a=dst, b=msg seq
-  kOffloadSpawn,   // CPE offload started: a=task/dt index, b=group
-  kOffloadDone,    // CPE offload completed: a=task/dt index, b=group
-  kOffloadFail,    // fault plane failed an offload: a=task/dt index, b=group
-  kOffloadRetry,   // offload retry scheduled: a=task/dt index, b=attempt
   kGroupDegraded,  // CPE group degraded to MPE-only: a=group
   kCheckpoint,     // checkpoint written: a=step
   kRestart,        // restart from checkpoint: a=restart number, b=resume step
+
+  // Span edges, recorded by the scheduler. a=step (-1 = initialization),
+  // b=detailed-task index in that step's compiled graph, c as noted.
+  // kTaskBegin .. kWaitEnd are (begin, end) pairs in obs::SpanKind order.
+  kTaskBegin,      // MPE part of a task starts
+  kTaskEnd,        // task finished (offloaded ones: completion observed)
+  kOffloadBegin,   // kernel handed to CPE group c
+  kOffloadEnd,     // group c's completion flag observed set
+  kKernelBegin,    // group c starts computing (spawned)
+  kKernelEnd,      // group c done; stamped with its completion time and
+                   // recorded at the poll or join that observed it
+  kSendPosted,     // b=producing task (-1: old-DW send at step start),
+  kSendDone,       //   c=message index in the compiled graph (ExtComm::id)
+  kRecvPosted,     // b=consuming task, c=message index
+  kRecvDone,
+  kReduceBegin,    // b=reduction index in the compiled graph
+  kReduceEnd,
+  kWaitBegin,      // MPE idle (b=-1), or the synchronous scheduler
+  kWaitEnd,        //   spinning on task b's kernel on group c
+  kCpeStall,       // injected CPE stall: a zero-length fault span, c=group
+  kOffloadFail,    // injected offload failure: a zero-length fault span,
+                   //   c=group
+  kOffloadRetry,   // retry backoff begins (a fault span): c=attempt
+  kBackoffEnd,     // retry backoff charged: c=attempt
 };
 
 const char* to_string(FlightKind kind);
 
 struct FlightEvent {
-  std::uint64_t seq = 0;  // monotonically increasing per ring
-  TimePs time = 0;        // virtual time when recorded
+  TimePs time = 0;  // virtual time of the event
   FlightKind kind = FlightKind::kRankPick;
   std::int64_t a = 0;
   std::int64_t b = 0;
   std::int64_t c = 0;
 };
 
+/// A ring event with its position in the ring's recording order.
+struct RingEvent {
+  std::uint64_t seq = 0;
+  FlightEvent event;
+};
+
 class FlightRecorder {
  public:
   static constexpr std::size_t kDefaultCapacity = 256;
 
-  /// capacity == 0 disables the recorder: record() becomes a no-op and
-  /// snapshot() returns nothing. Not resizable after construction.
+  /// capacity == 0 disables the ring: it keeps nothing and snapshot()
+  /// returns nothing. The log (keep_log) is independent of the ring. Not
+  /// resizable after construction.
   explicit FlightRecorder(std::size_t capacity = kDefaultCapacity);
 
   FlightRecorder(const FlightRecorder&) = delete;
@@ -75,29 +103,36 @@ class FlightRecorder {
   bool enabled() const { return !slots_.empty(); }
   std::size_t capacity() const { return slots_.size(); }
 
-  /// Records one event. Single-writer (see file comment); wait-free.
+  /// Also appends every event to the full log (the run's trace).
+  void keep_log(bool on) { logging_ = on; }
+  /// Moves the log out (empty unless keep_log was on).
+  std::vector<FlightEvent> take_log() { return std::move(log_); }
+
+  /// Records one event. Single-writer (see file comment).
   void record(FlightKind kind, TimePs time, std::int64_t a = 0, std::int64_t b = 0,
               std::int64_t c = 0);
 
-  /// Total events ever recorded (recorded() - capacity() of them have been
-  /// overwritten once recorded() exceeds capacity()).
+  /// Total events ever recorded into the ring (recorded() - capacity() of
+  /// them have been overwritten once recorded() exceeds capacity()).
   std::uint64_t recorded() const { return head_.load(std::memory_order_acquire); }
 
   std::uint64_t dropped() const;
 
-  /// The surviving events, oldest first. See the concurrency contract.
-  std::vector<FlightEvent> snapshot() const;
+  /// The surviving ring events, oldest first. See the concurrency contract.
+  std::vector<RingEvent> snapshot() const;
 
  private:
   struct Slot {
     // 0 = never written; seq+1 = event `seq` fully written; writes go
     // through 0 so a concurrent snapshot can detect the torn window.
     std::atomic<std::uint64_t> stamp{0};
-    FlightEvent ev;
+    FlightEvent event;
   };
 
   std::vector<Slot> slots_;
   std::atomic<std::uint64_t> head_{0};
+  bool logging_ = false;
+  std::vector<FlightEvent> log_;
 };
 
 }  // namespace usw::obs

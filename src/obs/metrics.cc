@@ -65,21 +65,14 @@ MetricsReport build_metrics(const RunObservation& run) {
     task_slot.assign(r.graph.tasks.size(), nullptr);
     for (std::size_t si = 0; si < r.spans.size(); ++si) {
       const Span& span = r.spans[si];
-      if (span.kind == SpanKind::kTask && span.ids.step >= 0) {
-        // Group by the graph's task name (aggregating patches); fall back
-        // to the span label when no skeleton was recorded.
-        const bool in_graph =
-            span.ids.task >= 0 &&
-            static_cast<std::size_t>(span.ids.task) < r.graph.tasks.size();
-        TaskMetrics* t = in_graph ? task_slot[static_cast<std::size_t>(span.ids.task)]
-                                  : nullptr;
+      const auto ti = static_cast<std::size_t>(span.ids.task);
+      if (span.kind == SpanKind::kTask && span.ids.step >= 0 && span.ids.task >= 0 &&
+          ti < r.graph.tasks.size()) {
+        // Group by the graph's task name, aggregating patches.
+        TaskMetrics*& t = task_slot[ti];
         if (t == nullptr) {
-          const std::string& name =
-              in_graph ? r.graph.tasks[static_cast<std::size_t>(span.ids.task)].name
-                       : span.name;
-          t = &tasks[name];
-          t->name = name;
-          if (in_graph) task_slot[static_cast<std::size_t>(span.ids.task)] = t;
+          t = &tasks[r.graph.tasks[ti].name];
+          t->name = r.graph.tasks[ti].name;
         }
         t->executions += 1;
         t->total += span.duration();

@@ -4,11 +4,15 @@
 // data needed to interpret them (task-graph skeleton, counters, walls).
 //
 // These are deliberately dumb structs with no dependency on the runtime
-// layer — the controller fills a TaskGraphInfo from its compiled graph and
+// layer — the controller fills a TaskGraphInfo from each compiled graph and
 // runtime::observe() assembles the RunObservation from a RunResult, so the
 // exporters and analyzers below obs/ never need to see scheduler or
 // controller types (and unit tests can fabricate observations directly).
+// The skeleton is also where recorded events get their names: events carry
+// integer ids only, and every task, message and reduction label is
+// formatted once per run, here.
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,6 +28,7 @@ namespace usw::obs {
 /// that the critical-path analyzer walks.
 struct TaskNodeInfo {
   std::string name;
+  std::string label;  ///< "name pPATCH": names its task/offload/kernel spans
   int patch = -1;
   std::vector<int> successors;  ///< local detailed-task indices
   /// External messages as (peer rank, step-independent tag component);
@@ -33,14 +38,26 @@ struct TaskNodeInfo {
   std::vector<std::pair<int, int>> send_keys;
 };
 
+/// One message of a compiled graph (task::ExtComm), as its send or
+/// receive span shows it.
+struct MessageInfo {
+  std::string label;  ///< "var pFROM->pTO"
+  int patch = -1;     ///< the local end: a send's source, a receive's target
+  int peer = -1;      ///< remote rank
+  int tag = -1;       ///< step-independent tag component
+  std::uint64_t bytes = 0;
+};
+
 struct TaskGraphInfo {
-  std::vector<TaskNodeInfo> tasks;
+  std::vector<TaskNodeInfo> tasks;      ///< by detailed-task index
+  std::vector<MessageInfo> messages;    ///< by message index (ExtComm::id)
+  std::vector<std::string> reductions;  ///< names, by reduction index
 };
 
 struct RankObservation {
   int rank = -1;
   std::vector<Span> spans;
-  TaskGraphInfo graph;
+  TaskGraphInfo graph;  ///< timestep-graph skeleton
   hw::PerfCounters counters;
   MetricsRegistry metrics;  ///< scheduler-fed samples/counters (may be empty)
   std::vector<TimePs> step_walls;

@@ -2,30 +2,37 @@
 
 // Structured spans: the observability layer's view of a rank's trace.
 //
-// The scheduler records flat begin/end events (src/sim/trace.h); this
-// module pairs them into spans carrying the full identity — rank, step,
-// detailed-task index, patch, peer/tag, CPE group — and assigns each span
-// to a *lane*, the track it renders on in the Chrome-trace exporter and
-// the resource it occupies in the metrics rollups:
+// The scheduler records span edges into the flight recorder's log
+// (src/obs/flight.h) as events with integer operands only: step,
+// detailed-task index, and CPE group or message index. This module pairs
+// them into spans and resolves, from the compiled-graph skeletons
+// (src/obs/observation.h), each span's full identity — rank, step,
+// detailed-task index, patch, peer/tag, CPE group, bytes — and its name.
+// Each span is assigned a *lane*, the track it renders on in the
+// Chrome-trace exporter and the resource it occupies in the metrics
+// rollups:
 //
 //   MPE  - task execution, offload windows, reductions, idle waits
 //   CPE  - kernel flight time on a CPE group
 //   MPI  - message flight time (posted -> done)
 //
-// Pairing matches on the structured ids, so overlapping spans of one kind
+// Pairing matches on the integer operands, so overlapping spans of one kind
 // (two in-flight offloads with cpe_groups > 1, many posted messages) pair
 // correctly where a stack discipline would not.
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "sim/trace.h"
+#include "obs/flight.h"
 #include "support/units.h"
 
 namespace usw::obs {
 
+struct TaskGraphInfo;
+
 enum class Lane { kMpe = 0, kCpe = 1, kMpi = 2 };
-const char* to_string(Lane lane);
 
 enum class SpanKind { kTask, kOffload, kKernel, kSend, kRecv, kReduce, kWait, kFault };
 const char* to_string(SpanKind kind);
@@ -33,27 +40,58 @@ const char* to_string(SpanKind kind);
 /// Lane a span kind renders on / the resource it occupies.
 Lane lane_of(SpanKind kind);
 
+/// Structured identity of a span, so exported spans are machine-matchable
+/// instead of only carrying a display string. Fields left at their
+/// defaults mean "not applicable"; `step` -1 doubles as the initialization
+/// timestep, which is how the scheduler labels it.
+struct EventIds {
+  int step = -1;   ///< timestep (-1 = initialization / unset)
+  int task = -1;   ///< detailed-task index in the rank's compiled graph
+  int patch = -1;  ///< patch id
+  int peer = -1;   ///< remote rank (comm spans)
+  int tag = -1;    ///< step-independent tag component (comm spans)
+  int group = -1;  ///< CPE group (offload/kernel spans)
+  std::uint64_t bytes = 0;  ///< message volume
+};
+
 struct Span {
   TimePs begin = 0;
   TimePs end = 0;
   SpanKind kind = SpanKind::kTask;
   Lane lane = Lane::kMpe;
   int rank = -1;
-  sim::EventIds ids;
+  EventIds ids;
   std::string name;
 
   TimePs duration() const { return end - begin; }
 };
 
-/// Pairs `trace`'s begin/end events into spans (stamped with `rank`).
+/// Pairs the span edges among `events` into spans (stamped with `rank`),
+/// resolving ids and names in `init` for initialization events (step -1)
+/// and in `step` for timestep events. Other event kinds are skipped.
 /// Tolerant: an end with no open begin is dropped; a begin that never ends
-/// is closed at the trace's latest event stamp. Spans are returned in
-/// begin order (stable for equal stamps).
+/// is closed at the latest span-edge stamp. Spans are returned in begin
+/// order (stable for equal stamps).
 ///
 /// Cost: one pass over the events through a hash table that holds only the
-/// currently open spans (keyed on kind, ids and a view of the label), so
-/// memory beyond the result is O(open spans); then a sortedness check, and
-/// an O(n log n) stable sort only when begins were recorded out of order.
-std::vector<Span> build_spans(const sim::Trace& trace, int rank);
+/// currently open spans (keyed on the edge's kind and operands), so memory
+/// beyond the result is O(open spans); then a sortedness check, and an
+/// O(n log n) stable sort only when begins were recorded out of order.
+/// Names are copied from the skeleton; only a fault span's name is
+/// formatted, once per task.
+std::vector<Span> build_spans(std::span<const FlightEvent> events,
+                              const TaskGraphInfo& init, const TaskGraphInfo& step,
+                              int rank);
+
+/// Renders one line per span edge among `events` (a zero-length fault span
+/// gives its begin and end line), named and identified as build_spans()
+/// does. Other event kinds are left out. For debugging (uswsim --trace).
+std::string dump_span_edges(std::span<const FlightEvent> events,
+                            const TaskGraphInfo& init, const TaskGraphInfo& step);
+
+/// Virtual time covered by spans of `kind`: the union of their intervals,
+/// so overlapping spans (two in-flight kernels) count once. `spans` must be
+/// in begin order, as build_spans() returns them.
+TimePs covered_time(std::span<const Span> spans, SpanKind kind);
 
 }  // namespace usw::obs

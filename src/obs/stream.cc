@@ -1,6 +1,7 @@
 #include "obs/stream.h"
 
 #include <cctype>
+#include <stdexcept>
 
 #include "obs/json_writer.h"
 #include "support/build_info.h"
@@ -18,7 +19,12 @@ StreamSpec StreamSpec::parse(const std::string& spec) {
       if (std::isdigit(static_cast<unsigned char>(spec[i])) == 0) digits = false;
     if (digits) {
       out.file = spec.substr(0, colon);
-      out.interval = std::stoi(spec.substr(colon + 1));
+      try {
+        out.interval = std::stoi(spec.substr(colon + 1));
+      } catch (const std::out_of_range&) {
+        throw ConfigError("--metrics-stream interval is out of range: '" +
+                          spec.substr(colon + 1) + "'");
+      }
     }
   }
   if (out.file.empty())

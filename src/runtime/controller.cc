@@ -251,9 +251,11 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
 
   sim::run_ranks(config.nranks, [&](sim::Coordinator& coord, int rank) {
     RankResult& out = result.ranks[static_cast<std::size_t>(rank)];
-    out.trace.enable(config.collect_trace);
 
+    // The rank's one event record: the ring for dumps and, when tracing,
+    // the full log that becomes out.trace.
     obs::FlightRecorder& flight = diag_hub.rank_ring(rank);
+    flight.keep_log(config.collect_trace);
     comm::Comm comm(network, coord, rank, &out.counters);
     comm.set_flight(&flight);
     comm.set_retransmit(config.recovery.retransmit);
@@ -289,6 +291,7 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
         step_graph.compile(level, part, rank, config.pattern);
     if (config.collect_trace || config.collect_metrics)
       out.graph_info = graph_info_of(cg_step);
+    if (config.collect_trace) out.init_graph_info = graph_info_of(cg_init);
 
     // Opt-in validation: one checker per compiled graph (declarations and
     // the happens-before closure differ between init and step), plus a
@@ -415,8 +418,8 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
       // returns.
       sched::SchedulerConfig init_config = sched_config;
       init_config.checker = init_checker.get();
-      sched::Scheduler init_sched(init_config, level,
-                                  cg_init, comm, cluster, out.counters, out.trace);
+      sched::Scheduler init_sched(init_config, level, cg_init, comm, cluster,
+                                  out.counters);
       ctx.step = -1;
       out.init_wall = init_sched.execute(ctx).wall;
       old_dw.swap_in(new_dw);
@@ -429,8 +432,8 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
     sched::SchedulerConfig step_config = sched_config;
     step_config.checker = step_checker.get();
     if (injector.active()) step_config.faults = &injector;
-    sched::Scheduler sched(step_config, level, cg_step,
-                           comm, cluster, out.counters, out.trace);
+    sched::Scheduler sched(step_config, level, cg_step, comm, cluster,
+                           out.counters);
     diag_sched = &sched;
 
     // Restart-capable step driver. Without a deadline this walks the steps
@@ -551,6 +554,7 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
                               static_cast<double>(hb_checker->forks()));
       }
     }
+    out.trace = flight.take_log();
   }, schedule.get(), lookahead, &diag_hub, config.diag.hang_threshold,
                  coord_spec);
   result.coordinator_used = coord_spec;

@@ -28,7 +28,6 @@
 #include "runtime/variant.h"
 #include "schedpt/schedule.h"
 #include "sim/coordinator.h"
-#include "sim/trace.h"
 #include "support/units.h"
 #include "var/datawarehouse.h"
 
@@ -143,12 +142,18 @@ struct RankResult {
   hw::PerfCounters counters;
   std::vector<TimePs> step_walls;  ///< per-timestep virtual wall time
   TimePs init_wall = 0;
-  sim::Trace trace;
+  /// The rank's flight-recorder log: every event of the run, span edges
+  /// included, with integer operands (filled when collect_trace is on).
+  /// runtime::observe() pairs and names its spans from the skeletons.
+  std::vector<obs::FlightEvent> trace;
   std::map<std::string, double> metrics;  ///< application verification data
   obs::MetricsRegistry obs_metrics;  ///< scheduler-fed (collect_metrics)
-  /// Timestep-graph skeleton for the critical-path analyzer (filled when
-  /// collect_trace or collect_metrics is on).
+  /// Timestep-graph skeleton for the critical-path analyzer and the trace's
+  /// names (filled when collect_trace or collect_metrics is on).
   obs::TaskGraphInfo graph_info;
+  /// Initialization-graph skeleton: names the trace's step -1 events
+  /// (filled when collect_trace is on).
+  obs::TaskGraphInfo init_graph_info;
   /// Validator findings for this rank (empty unless RunConfig::check is on).
   std::vector<check::Violation> violations;
   /// Host (real) wall-clock per executed timestep, milliseconds. Restarted

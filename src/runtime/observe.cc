@@ -9,17 +9,35 @@ namespace usw::runtime {
 obs::TaskGraphInfo graph_info_of(const task::CompiledGraph& graph) {
   obs::TaskGraphInfo info;
   info.tasks.reserve(graph.tasks.size());
+  std::size_t messages = graph.initial_sends.size();
+  for (const task::DetailedTask& dt : graph.tasks)
+    messages += dt.recvs.size() + dt.sends.size();
+  info.messages.resize(messages);
+  const auto add_message = [&info](const task::ExtComm& c, int local_patch) {
+    info.messages.at(static_cast<std::size_t>(c.id)) = obs::MessageInfo{
+        c.label->name() + " p" + std::to_string(c.from_patch) + "->p" +
+            std::to_string(c.to_patch),
+        local_patch, c.peer_rank, c.tag_base, c.bytes()};
+  };
+  for (const task::ExtComm& sc : graph.initial_sends) add_message(sc, sc.from_patch);
   for (const task::DetailedTask& dt : graph.tasks) {
     obs::TaskNodeInfo node;
     node.name = dt.task->name();
+    node.label = node.name + " p" + std::to_string(dt.patch_id);
     node.patch = dt.patch_id;
     node.successors = dt.successors;
-    for (const task::ExtComm& rc : dt.recvs)
+    for (const task::ExtComm& rc : dt.recvs) {
       node.recv_keys.emplace_back(rc.peer_rank, rc.tag_base);
-    for (const task::ExtComm& sc : dt.sends)
+      add_message(rc, rc.to_patch);
+    }
+    for (const task::ExtComm& sc : dt.sends) {
       node.send_keys.emplace_back(sc.peer_rank, sc.tag_base);
+      add_message(sc, sc.from_patch);
+    }
     info.tasks.push_back(std::move(node));
   }
+  for (const task::ReductionInfo& r : graph.reductions)
+    info.reductions.push_back(r.task->name());
   return info;
 }
 
@@ -32,7 +50,7 @@ obs::RunObservation observe(const RunResult& result) {
     const RankResult& r = result.ranks[i];
     obs::RankObservation ro;
     ro.rank = static_cast<int>(i);
-    ro.spans = obs::build_spans(r.trace, ro.rank);
+    ro.spans = obs::build_spans(r.trace, r.init_graph_info, r.graph_info, ro.rank);
     ro.graph = r.graph_info;
     ro.counters = r.counters;
     ro.metrics = r.obs_metrics;

@@ -1,7 +1,8 @@
 #pragma once
 
 // Bridge from a finished RunResult to the observability layer: pairs each
-// rank's trace into spans and bundles them with the task-graph skeleton,
+// rank's trace (its flight-recorder log) into spans named from the
+// task-graph skeletons, and bundles them with the timestep skeleton,
 // counters, and walls into an obs::RunObservation that the exporters
 // (chrome trace, metrics JSON, report, critical path) consume.
 
@@ -11,8 +12,10 @@
 
 namespace usw::runtime {
 
-/// Extracts the plain-data dependency skeleton the critical-path analyzer
-/// needs from a compiled graph.
+/// Extracts the plain-data skeleton of a compiled graph: the dependency
+/// DAG the critical-path analyzer walks, and the task, message and
+/// reduction labels that name trace spans (each formatted once, here).
+/// Messages are indexed by ExtComm::id.
 obs::TaskGraphInfo graph_info_of(const task::CompiledGraph& graph);
 
 /// Assembles the observability view of `result`. Spans are present only

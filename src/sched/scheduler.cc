@@ -14,24 +14,6 @@
 #include "support/log.h"
 
 namespace usw::sched {
-namespace {
-
-// Trace labels are formatted only when the trace records: every call site
-// checks trace_.enabled() first, so untraced runs build no label strings.
-
-/// Label shared by the posted/done events of one message, so the span
-/// builder pairs them and the viewers show which transfer was in flight.
-std::string comm_label(const task::ExtComm& c) {
-  return c.label->name() + " p" + std::to_string(c.from_patch) + "->p" +
-         std::to_string(c.to_patch);
-}
-
-/// Label of a detailed task's task/offload/kernel events: "name pPATCH".
-std::string task_label(const task::DetailedTask& dt) {
-  return dt.task->name() + " p" + std::to_string(dt.patch_id);
-}
-
-}  // namespace
 
 const char* to_string(SchedulerMode mode) {
   switch (mode) {
@@ -44,10 +26,9 @@ const char* to_string(SchedulerMode mode) {
 
 Scheduler::Scheduler(SchedulerConfig config, const grid::Level& level,
                      const task::CompiledGraph& graph, comm::Comm& comm,
-                     athread::CpeCluster& cluster, hw::PerfCounters& counters,
-                     sim::Trace& trace)
+                     athread::CpeCluster& cluster, hw::PerfCounters& counters)
     : config_(config), level_(level), graph_(graph), comm_(comm),
-      cluster_(cluster), counters_(counters), trace_(trace),
+      cluster_(cluster), counters_(counters),
       plans_(graph.tasks.size()),
       degraded_(static_cast<std::size_t>(cluster.n_groups()), 0),
       fail_streak_(static_cast<std::size_t>(cluster.n_groups()), 0) {
@@ -108,11 +89,7 @@ StepStats Scheduler::execute(task::TaskContext& ctx) {
   state_.assign(n, DtState{});
   ready_.clear();
   open_recvs_.clear();
-  open_recv_dt_.clear();
-  open_recv_comm_.clear();
   open_sends_.clear();
-  open_send_comm_.clear();
-  open_send_dt_.clear();
   done_count_ = 0;
   offloaded_.assign(static_cast<std::size_t>(cluster_.n_groups()), -1);
 
@@ -172,13 +149,8 @@ void Scheduler::post_recvs(task::TaskContext& ctx) {
   for (std::size_t i = 0; i < graph_.tasks.size(); ++i) {
     for (const task::ExtComm& rc : graph_.tasks[i].recvs) {
       const comm::RequestId req = comm_.irecv(rc.peer_rank, rc.tag(ctx.step));
-      open_recvs_.push_back(req);
-      open_recv_dt_.push_back(static_cast<int>(i));
-      open_recv_comm_.push_back(&rc);
-      if (trace_.enabled())
-        trace_.record(comm_.now(), sim::EventKind::kRecvPosted, comm_label(rc),
-                      sim::EventIds{step_, static_cast<int>(i), rc.to_patch,
-                                    rc.peer_rank, rc.tag_base, -1, rc.bytes()});
+      open_recvs_.push_back(OpenRequest{req, static_cast<int>(i), &rc});
+      record(obs::FlightKind::kRecvPosted, comm_.now(), static_cast<int>(i), rc.id);
     }
   }
 }
@@ -199,15 +171,10 @@ void Scheduler::post_send(task::TaskContext& ctx, const task::ExtComm& sc,
   } else {
     req = comm_.isend_bytes(sc.peer_rank, sc.tag(ctx.step), sc.bytes());
   }
-  open_sends_.push_back(req);
-  open_send_comm_.push_back(&sc);
-  open_send_dt_.push_back(dt_index);
+  open_sends_.push_back(OpenRequest{req, dt_index, &sc});
   if (config_.metrics != nullptr)
     config_.metrics->sample("msg.send_bytes", static_cast<double>(sc.bytes()));
-  if (trace_.enabled())
-    trace_.record(comm_.now(), sim::EventKind::kSendPosted, comm_label(sc),
-                  sim::EventIds{step_, dt_index, sc.from_patch, sc.peer_rank,
-                                sc.tag_base, -1, sc.bytes()});
+  record(obs::FlightKind::kSendPosted, comm_.now(), dt_index, sc.id);
 }
 
 void Scheduler::post_initial_sends(task::TaskContext& ctx) {
@@ -241,9 +208,7 @@ bool Scheduler::is_offloadable(int dt_index) const {
 void Scheduler::mpe_part(task::TaskContext& ctx, int dt_index) {
   const task::DetailedTask& dt = graph_.tasks[static_cast<std::size_t>(dt_index)];
   ready_.erase(dt_index);
-  if (trace_.enabled())
-    trace_.record(comm_.now(), sim::EventKind::kTaskBegin, task_label(dt),
-                  sim::EventIds{step_, dt_index, dt.patch_id, -1, -1, -1, 0});
+  record(obs::FlightKind::kTaskBegin, comm_.now(), dt_index);
   if (config_.checker != nullptr) config_.checker->begin_task(dt_index);
   const TimePs overhead = comm_.net().cost().mpe_task_overhead();
   comm_.advance(overhead);
@@ -371,10 +336,7 @@ void Scheduler::offload_stencil(task::TaskContext& ctx, int dt_index, int group)
         config_.metrics->sample(
             "tile.cells", static_cast<double>(plan->tiling.tile(t).volume()));
   }
-  const std::string label = trace_.enabled() ? task_label(dt) : std::string();
-  const sim::EventIds ids{step_, dt_index, dt.patch_id, -1, -1, group, 0};
-  if (trace_.enabled())
-    trace_.record(comm_.now(), sim::EventKind::kOffloadBegin, label, ids);
+  record(obs::FlightKind::kOffloadBegin, comm_.now(), dt_index, group);
   athread::CpeJob job = make_tile_job(args, plan);
   if (config_.faults != nullptr) {
     if (const auto stall = config_.faults->cpe_stall(step_, dt_index, attempt,
@@ -385,12 +347,7 @@ void Scheduler::offload_stencil(task::TaskContext& ctx, int dt_index, int group)
       // rounding below is a deterministic double->int conversion.
       counters_.fault_injected += 1;
       if (config_.metrics != nullptr) config_.metrics->count("fault.injected");
-      if (trace_.enabled()) {
-        trace_.record(comm_.now(), sim::EventKind::kFaultBegin,
-                      "cpe_stall " + label, ids);
-        trace_.record(comm_.now(), sim::EventKind::kFaultEnd,
-                      "cpe_stall " + label, ids);
-      }
+      record(obs::FlightKind::kCpeStall, comm_.now(), dt_index, group);
       job = [inner = std::move(job), s = *stall](athread::CpeContext& cpe) {
         inner(cpe);
         if (cpe.cpe_id() == s.cpe)
@@ -403,9 +360,7 @@ void Scheduler::offload_stencil(task::TaskContext& ctx, int dt_index, int group)
   // charges factor x 0, so skipping it changes nothing.
   cluster_.set_active_cpes(plan->assignment.cpes);
   cluster_.spawn(job, group);
-  if (config_.flight != nullptr)
-    config_.flight->record(obs::FlightKind::kOffloadSpawn, comm_.now(), dt_index,
-                           group);
+  record(obs::FlightKind::kKernelBegin, comm_.now(), dt_index, group);
   if (config_.hb != nullptr) {
     // The offload is a forked logical thread: its accesses are ordered
     // after everything the MPE did before the spawn, and before anything
@@ -419,14 +374,6 @@ void Scheduler::offload_stencil(task::TaskContext& ctx, int dt_index, int group)
                      dt.task->name());
     config_.hb->write(group, dt.task->stencil_out(), task::WhichDW::kNew,
                       dt.patch_id, patch.cells(), dt.task->name());
-  }
-  // completion_time() blocks until the workers publish under the threads
-  // backend; only pay for it when the event would actually be recorded,
-  // so untraced runs keep the spawn->poll overlap window open.
-  if (trace_.enabled()) {
-    trace_.record(comm_.now(), sim::EventKind::kKernelBegin, label, ids);
-    trace_.record(cluster_.completion_time(group), sim::EventKind::kKernelEnd,
-                  label, ids);
   }
   offloaded_[static_cast<std::size_t>(group)] = dt_index;
   // The functional writes happened eagerly inside spawn(); the MPE-side
@@ -483,16 +430,7 @@ bool Scheduler::offload_fault_check(int dt_index, int group) {
   }
   counters_.fault_injected += 1;
   if (config_.metrics != nullptr) config_.metrics->count("fault.injected");
-  if (config_.flight != nullptr)
-    config_.flight->record(obs::FlightKind::kOffloadFail, comm_.now(), dt_index,
-                           group);
-  const task::DetailedTask& dt = graph_.tasks[static_cast<std::size_t>(dt_index)];
-  if (trace_.enabled()) {
-    const sim::EventIds ids{step_, dt_index, dt.patch_id, -1, -1, group, 0};
-    const std::string label = "offload_fail " + task_label(dt);
-    trace_.record(comm_.now(), sim::EventKind::kFaultBegin, label, ids);
-    trace_.record(comm_.now(), sim::EventKind::kFaultEnd, label, ids);
-  }
+  record(obs::FlightKind::kOffloadFail, comm_.now(), dt_index, group);
   if (++fail_streak_[static_cast<std::size_t>(group)] >=
           config_.recovery.degrade_after &&
       !group_degraded(group)) {
@@ -500,26 +438,18 @@ bool Scheduler::offload_fault_check(int dt_index, int group) {
     counters_.fault_degraded += 1;
     if (config_.metrics != nullptr) config_.metrics->count("fault.degraded");
     if (config_.flight != nullptr)
-      config_.flight->record(obs::FlightKind::kGroupDegraded, comm_.now(),
-                             group);
+      config_.flight->record(obs::FlightKind::kGroupDegraded, comm_.now(), group);
   }
   return true;
 }
 
 void Scheduler::charge_retry_backoff(int dt_index, int attempt) {
-  if (config_.flight != nullptr)
-    config_.flight->record(obs::FlightKind::kOffloadRetry, comm_.now(), dt_index,
-                           attempt);
+  record(obs::FlightKind::kOffloadRetry, comm_.now(), dt_index, attempt);
   TimePs backoff = config_.recovery.retry_backoff;
   for (int a = 1; a < attempt; ++a) backoff *= 2;
-  const task::DetailedTask& dt = graph_.tasks[static_cast<std::size_t>(dt_index)];
-  const sim::EventIds ids{step_, dt_index, dt.patch_id, -1, -1, -1, 0};
-  if (trace_.enabled())
-    trace_.record(comm_.now(), sim::EventKind::kFaultBegin, "retry backoff", ids);
   comm_.advance(backoff);
   counters_.mpe_task_time += backoff;
-  if (trace_.enabled())
-    trace_.record(comm_.now(), sim::EventKind::kFaultEnd, "retry backoff", ids);
+  record(obs::FlightKind::kBackoffEnd, comm_.now(), dt_index, attempt);
 }
 
 void Scheduler::recover_offload(task::TaskContext& ctx, int dt_index, int group) {
@@ -588,9 +518,7 @@ void Scheduler::on_finished(task::TaskContext& ctx, int dt_index) {
   USW_ASSERT_MSG(!st.done, "detailed task finished twice");
   st.done = true;
   ++done_count_;
-  if (trace_.enabled())
-    trace_.record(comm_.now(), sim::EventKind::kTaskEnd, task_label(dt),
-                  sim::EventIds{step_, dt_index, dt.patch_id, -1, -1, -1, 0});
+  record(obs::FlightKind::kTaskEnd, comm_.now(), dt_index);
   // Sec V-C 3(b)i: post nonblocking sends for the completed task — one
   // aggregate per neighbor when aggregation is on.
   for (const task::ExtComm& sc : dt.sends) post_send(ctx, sc, dt_index);
@@ -605,8 +533,8 @@ void Scheduler::on_finished(task::TaskContext& ctx, int dt_index) {
 
 void Scheduler::collect_open_ids() {
   open_ids_.clear();
-  open_ids_.insert(open_ids_.end(), open_recvs_.begin(), open_recvs_.end());
-  open_ids_.insert(open_ids_.end(), open_sends_.begin(), open_sends_.end());
+  for (const OpenRequest& r : open_recvs_) open_ids_.push_back(r.id);
+  for (const OpenRequest& s : open_sends_) open_ids_.push_back(s.id);
 }
 
 bool Scheduler::progress_comm(task::TaskContext& ctx) {
@@ -617,23 +545,19 @@ bool Scheduler::progress_comm(task::TaskContext& ctx) {
   bool any = false;
   // Completed receives: unpack into the consumer's halo and update deps.
   std::size_t w = 0;
-  for (std::size_t r = 0; r < open_recvs_.size(); ++r) {
-    const comm::RequestId req = open_recvs_[r];
+  for (const OpenRequest& open : open_recvs_) {
+    const comm::RequestId req = open.id;
     if (!comm_.done(req)) {
-      open_recvs_[w] = open_recvs_[r];
-      open_recv_dt_[w] = open_recv_dt_[r];
-      open_recv_comm_[w] = open_recv_comm_[r];
-      ++w;
+      open_recvs_[w++] = open;
       continue;
     }
     any = true;
-    const task::ExtComm& rc = *open_recv_comm_[r];
-    if (config_.checker != nullptr)
-      config_.checker->record_recv_unpack(open_recv_dt_[r], rc);
+    const task::ExtComm& rc = *open.comm;
+    const int dti = open.dt;
+    if (config_.checker != nullptr) config_.checker->record_recv_unpack(dti, rc);
     if (config_.hb != nullptr)
-      config_.hb->write(
-          -1, rc.label, rc.dw, rc.to_patch, rc.region,
-          graph_.tasks[static_cast<std::size_t>(open_recv_dt_[r])].task->name());
+      config_.hb->write(-1, rc.label, rc.dw, rc.to_patch, rc.region,
+                        graph_.tasks[static_cast<std::size_t>(dti)].task->name());
     const TimePs unpack_cost = comm_.net().cost().mpe_pack(rc.bytes());
     comm_.advance(unpack_cost);
     counters_.comm_time += unpack_cost;
@@ -645,41 +569,26 @@ bool Scheduler::progress_comm(task::TaskContext& ctx) {
     }
     if (config_.metrics != nullptr)
       config_.metrics->sample("msg.recv_bytes", static_cast<double>(rc.bytes()));
-    if (trace_.enabled())
-      trace_.record(comm_.now(), sim::EventKind::kRecvDone, comm_label(rc),
-                    sim::EventIds{step_, open_recv_dt_[r], rc.to_patch,
-                                  rc.peer_rank, rc.tag_base, -1, rc.bytes()});
-    const int dti = open_recv_dt_[r];
+    record(obs::FlightKind::kRecvDone, comm_.now(), dti, rc.id);
     DtState& st = state_[static_cast<std::size_t>(dti)];
     USW_ASSERT(st.pending_recvs > 0);
     if (--st.pending_recvs == 0 && st.pending_preds == 0 && !st.done)
       ready_.insert(dti);
   }
   open_recvs_.resize(w);
-  open_recv_dt_.resize(w);
-  open_recv_comm_.resize(w);
 
-  // Completed sends leave the outstanding set, stamped with the message
-  // they carried so the injection span pairs up.
+  // Completed sends leave the outstanding set, closing their message's
+  // injection span.
   std::size_t sw = 0;
-  for (std::size_t s = 0; s < open_sends_.size(); ++s) {
-    if (comm_.done(open_sends_[s])) {
+  for (const OpenRequest& open : open_sends_) {
+    if (comm_.done(open.id)) {
       any = true;
-      const task::ExtComm& sc = *open_send_comm_[s];
-      if (trace_.enabled())
-        trace_.record(comm_.now(), sim::EventKind::kSendDone, comm_label(sc),
-                      sim::EventIds{step_, open_send_dt_[s], sc.from_patch,
-                                    sc.peer_rank, sc.tag_base, -1, sc.bytes()});
+      record(obs::FlightKind::kSendDone, comm_.now(), open.dt, open.comm->id);
     } else {
-      open_sends_[sw] = open_sends_[s];
-      open_send_comm_[sw] = open_send_comm_[s];
-      open_send_dt_[sw] = open_send_dt_[s];
-      ++sw;
+      open_sends_[sw++] = open;
     }
   }
   open_sends_.resize(sw);
-  open_send_comm_.resize(sw);
-  open_send_dt_.resize(sw);
   return any;
 }
 
@@ -696,17 +605,13 @@ void Scheduler::idle_wait() {
   };
   const TimePs wake = refresh();
   const TimePs before = comm_.now();
-  if (trace_.enabled())
-    trace_.record(before, sim::EventKind::kWaitBegin, "idle",
-                  sim::EventIds{step_, -1, -1, -1, -1, -1, 0});
+  record(obs::FlightKind::kWaitBegin, before, -1);
   comm_.wait_until_time(wake, refresh);
   // Poll after waking: with both open lists empty, progress_comm()
   // early-returns without reaching test_bulk's own progress step.
   comm_.service_progress();
   counters_.wait_time += comm_.now() - before;
-  if (trace_.enabled())
-    trace_.record(comm_.now(), sim::EventKind::kWaitEnd, "idle",
-                  sim::EventIds{step_, -1, -1, -1, -1, -1, 0});
+  record(obs::FlightKind::kWaitEnd, comm_.now(), -1);
 }
 
 void Scheduler::run_loop_sync(task::TaskContext& ctx) {
@@ -731,27 +636,16 @@ void Scheduler::run_loop_sync(task::TaskContext& ctx) {
           // wait span: it is exactly the MPE idle time the async scheduler
           // reclaims, and the overlap-efficiency metric depends on seeing
           // it.
-          const task::DetailedTask& dt = graph_.tasks[static_cast<std::size_t>(t)];
-          const std::string label = trace_.enabled() ? task_label(dt) : std::string();
           int g = g0;
           for (;;) {
             offload_stencil(ctx, t, g);
-            const TimePs before = comm_.now();
-            if (trace_.enabled())
-              trace_.record(before, sim::EventKind::kWaitBegin, "cpe-spin",
-                            sim::EventIds{step_, t, dt.patch_id, -1, -1, g, 0});
+            record(obs::FlightKind::kWaitBegin, comm_.now(), t, g);
             cluster_.join(g);
+            record(obs::FlightKind::kKernelEnd, cluster_.completion_time(g), t, g);
             if (config_.hb != nullptr) config_.hb->join(g);
             sample_offload_imbalance(g);
-            if (config_.flight != nullptr)
-              config_.flight->record(obs::FlightKind::kOffloadDone, comm_.now(),
-                                     t, g);
-            if (trace_.enabled()) {
-              trace_.record(comm_.now(), sim::EventKind::kWaitEnd, "cpe-spin",
-                            sim::EventIds{step_, t, dt.patch_id, -1, -1, g, 0});
-              trace_.record(comm_.now(), sim::EventKind::kOffloadEnd, label,
-                            sim::EventIds{step_, t, dt.patch_id, -1, -1, g, 0});
-            }
+            record(obs::FlightKind::kWaitEnd, comm_.now(), t, g);
+            record(obs::FlightKind::kOffloadEnd, comm_.now(), t, g);
             offloaded_[static_cast<std::size_t>(g)] = -1;
             if (!offload_fault_check(t, g)) break;
             const int attempt =
@@ -801,17 +695,10 @@ void Scheduler::run_loop_async(task::TaskContext& ctx) {
       if (offloaded_[static_cast<std::size_t>(g)] >= 0 && cluster_.poll(g)) {
         const int finished = offloaded_[static_cast<std::size_t>(g)];
         offloaded_[static_cast<std::size_t>(g)] = -1;
+        record(obs::FlightKind::kKernelEnd, cluster_.completion_time(g), finished, g);
         if (config_.hb != nullptr) config_.hb->join(g);
         sample_offload_imbalance(g);
-        if (config_.flight != nullptr)
-          config_.flight->record(obs::FlightKind::kOffloadDone, comm_.now(),
-                                 finished, g);
-        if (trace_.enabled()) {
-          const task::DetailedTask& fdt =
-              graph_.tasks[static_cast<std::size_t>(finished)];
-          trace_.record(comm_.now(), sim::EventKind::kOffloadEnd, task_label(fdt),
-                        sim::EventIds{step_, finished, fdt.patch_id, -1, -1, g, 0});
-        }
+        record(obs::FlightKind::kOffloadEnd, comm_.now(), finished, g);
         if (offload_fault_check(finished, g))
           recover_offload(ctx, finished, g);
         else
@@ -852,23 +739,16 @@ void Scheduler::run_loop_async(task::TaskContext& ctx) {
 }
 
 void Scheduler::drain_sends() {
+  USW_ASSERT_MSG(open_recvs_.empty(), "timestep ended with unmatched receives");
   if (!open_sends_.empty()) {
-    comm_.wait_all(open_sends_);
+    collect_open_ids();
+    comm_.wait_all(open_ids_);
     // The wait completed these sends without passing through
     // progress_comm(); close their spans here.
-    if (trace_.enabled()) {
-      for (std::size_t s = 0; s < open_sends_.size(); ++s) {
-        const task::ExtComm& sc = *open_send_comm_[s];
-        trace_.record(comm_.now(), sim::EventKind::kSendDone, comm_label(sc),
-                      sim::EventIds{step_, open_send_dt_[s], sc.from_patch,
-                                    sc.peer_rank, sc.tag_base, -1, sc.bytes()});
-      }
-    }
+    for (const OpenRequest& open : open_sends_)
+      record(obs::FlightKind::kSendDone, comm_.now(), open.dt, open.comm->id);
   }
   open_sends_.clear();
-  open_send_comm_.clear();
-  open_send_dt_.clear();
-  USW_ASSERT_MSG(open_recvs_.empty(), "timestep ended with unmatched receives");
 }
 
 void Scheduler::finalize_reductions(task::TaskContext& ctx) {
@@ -876,9 +756,7 @@ void Scheduler::finalize_reductions(task::TaskContext& ctx) {
     const task::ReductionInfo& info = graph_.reductions[r];
     USW_ASSERT_MSG(reduction_remaining_[r] == 0,
                    "reduction finalized before all local parts ran");
-    if (trace_.enabled())
-      trace_.record(comm_.now(), sim::EventKind::kReduceBegin, info.task->name(),
-                    sim::EventIds{step_, -1, -1, -1, -1, -1, 0});
+    record(obs::FlightKind::kReduceBegin, comm_.now(), static_cast<int>(r));
     double v = reduction_acc_[r];
     switch (info.task->reduce_op()) {
       case task::ReduceOp::kSum: v = comm_.allreduce_sum(v); break;
@@ -887,9 +765,7 @@ void Scheduler::finalize_reductions(task::TaskContext& ctx) {
     }
     counters_.reductions += 1;
     ctx.new_dw->put_reduction(info.task->reduction_result(), v);
-    if (trace_.enabled())
-      trace_.record(comm_.now(), sim::EventKind::kReduceEnd, info.task->name(),
-                    sim::EventIds{step_, -1, -1, -1, -1, -1, 0});
+    record(obs::FlightKind::kReduceEnd, comm_.now(), static_cast<int>(r));
   }
 }
 

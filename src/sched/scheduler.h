@@ -26,6 +26,11 @@
 //   3c.  test posted sends/receives, update dependent task status;
 //   3d.  run ready MPE tasks (reductions, small kernels);
 //   4.   per-step bookkeeping (fixed cost), reduction allreduces.
+//
+// Every span edge the loop observes (task, offload, kernel, send, receive,
+// reduction, wait, fault) is recorded once into the rank's flight recorder
+// as (kind, time, step, task, group or message); names are resolved from
+// the compiled graph only at export (src/obs/span.h).
 
 #include <deque>
 #include <memory>
@@ -36,8 +41,8 @@
 #include "comm/comm.h"
 #include "fault/fault.h"
 #include "hw/perf_counters.h"
+#include "obs/flight.h"
 #include "sched/tile_policy.h"
-#include "sim/trace.h"
 #include "task/graph.h"
 #include "var/datawarehouse.h"
 
@@ -47,7 +52,6 @@ class HbChecker;
 }  // namespace usw::check
 
 namespace usw::obs {
-class FlightRecorder;
 class MetricsRegistry;
 }  // namespace usw::obs
 
@@ -128,10 +132,12 @@ struct SchedulerConfig {
   /// MPE-only execution after repeated failures.
   fault::RecoveryConfig recovery;
 
-  /// Opt-in flight recorder (src/obs/flight.h): offload spawn/complete/
-  /// fail/retry and degradation events are logged as they happen so a
-  /// crash dump can show the runtime's last moves. Timing side-effect
-  /// free. Null (the default) costs nothing.
+  /// The rank's event record (src/obs/flight.h): every span edge — task,
+  /// offload, kernel, send, receive, reduction, wait and fault — and every
+  /// group degradation is recorded once, with integer operands, as it is
+  /// observed. The ring lets a crash dump show the runtime's last moves;
+  /// a traced run's log is the trace. Timing side-effect free. Null (the
+  /// default) records nothing.
   obs::FlightRecorder* flight = nullptr;
 };
 
@@ -144,8 +150,7 @@ class Scheduler {
  public:
   Scheduler(SchedulerConfig config, const grid::Level& level,
             const task::CompiledGraph& graph, comm::Comm& comm,
-            athread::CpeCluster& cluster, hw::PerfCounters& counters,
-            sim::Trace& trace);
+            athread::CpeCluster& cluster, hw::PerfCounters& counters);
 
   /// Executes one timestep of the compiled graph. `ctx` supplies the data
   /// warehouses and time information; reduction results are stored into
@@ -215,7 +220,7 @@ class Scheduler {
   /// Returns true if the offload failed (caller drives retry/fallback).
   bool offload_fault_check(int dt_index, int group);
   /// Charges the exponential retry backoff before re-offloading attempt
-  /// `attempt` + 1, bracketed by fault trace spans.
+  /// `attempt` + 1, recorded as a fault span.
   void charge_retry_backoff(int dt_index, int attempt);
   /// Retry a failed offload (async path): re-offload with backoff onto
   /// `group` or a spare, or fall back to the MPE when out of retries.
@@ -228,6 +233,11 @@ class Scheduler {
   void idle_wait();
   /// Fills open_ids_ with every open receive, then every open send.
   void collect_open_ids();
+  /// Records one span edge of the current step: b is the detailed task
+  /// (or reduction), c the CPE group, message index or retry attempt.
+  void record(obs::FlightKind kind, TimePs time, int b, int c = -1) {
+    if (config_.flight != nullptr) config_.flight->record(kind, time, step_, b, c);
+  }
   var::DataWarehouse& dw_for(task::TaskContext& ctx, task::WhichDW which) const;
   kern::FieldView view_of(var::DataWarehouse& dw, const var::VarLabel* label,
                           int patch_id, bool for_write = false) const;
@@ -239,7 +249,6 @@ class Scheduler {
   comm::Comm& comm_;
   athread::CpeCluster& cluster_;
   hw::PerfCounters& counters_;
-  sim::Trace& trace_;
 
   /// What a stencil task needs on every run of its kernel that does not
   /// change from step to step (the graph is compiled once, Sec V-C 1-2).
@@ -258,12 +267,14 @@ class Scheduler {
   // Transient per-step state.
   std::vector<DtState> state_;
   std::set<int> ready_;                    ///< deterministic (index order)
-  std::vector<comm::RequestId> open_recvs_;
-  std::vector<int> open_recv_dt_;          ///< parallel: owning dt index
-  std::vector<const task::ExtComm*> open_recv_comm_;  ///< parallel: metadata
-  std::vector<comm::RequestId> open_sends_;
-  std::vector<const task::ExtComm*> open_send_comm_;  ///< parallel: metadata
-  std::vector<int> open_send_dt_;          ///< parallel: producing dt or -1
+  /// A posted receive or send the step has not seen complete.
+  struct OpenRequest {
+    comm::RequestId id;
+    int dt;  ///< consuming (receive) or producing (send) task; -1 = step start
+    const task::ExtComm* comm;
+  };
+  std::vector<OpenRequest> open_recvs_;
+  std::vector<OpenRequest> open_sends_;
   std::vector<double> reduction_acc_;
   std::vector<int> reduction_remaining_;
   int done_count_ = 0;

@@ -40,21 +40,26 @@ std::string Options::get(const std::string& key, const std::string& def) const {
 std::int64_t Options::get_int(const std::string& key, std::int64_t def) const {
   const std::string* v = find(key);
   if (v == nullptr) return def;
+  // The whole value must parse: "2junk" or "600e6" is an error, not 2 or 600.
   try {
-    return std::stoll(*v);
-  } catch (const std::exception&) {
-    throw ConfigError("option --" + key + " expects an integer, got '" + *v + "'");
+    std::size_t used = 0;
+    const std::int64_t out = std::stoll(*v, &used);
+    if (used == v->size()) return out;
+  } catch (const std::exception&) {  // not a number, or out of range
   }
+  throw ConfigError("option --" + key + " expects an integer, got '" + *v + "'");
 }
 
 double Options::get_double(const std::string& key, double def) const {
   const std::string* v = find(key);
   if (v == nullptr) return def;
   try {
-    return std::stod(*v);
-  } catch (const std::exception&) {
-    throw ConfigError("option --" + key + " expects a number, got '" + *v + "'");
+    std::size_t used = 0;
+    const double out = std::stod(*v, &used);
+    if (used == v->size()) return out;
+  } catch (const std::exception&) {  // not a number, or out of range
   }
+  throw ConfigError("option --" + key + " expects a number, got '" + *v + "'");
 }
 
 bool Options::get_bool(const std::string& key, bool def) const {

@@ -246,6 +246,12 @@ CompiledGraph TaskGraph::compile(const grid::Level& level,
       out.reductions.push_back(
           ReductionInfo{t.get(), static_cast<int>(local.size())});
 
+  int next_id = 0;
+  for (ExtComm& sc : out.initial_sends) sc.id = next_id++;
+  for (DetailedTask& dt : out.tasks) {
+    for (ExtComm& rc : dt.recvs) rc.id = next_id++;
+    for (ExtComm& sc : dt.sends) sc.id = next_id++;
+  }
   return out;
 }
 

@@ -36,6 +36,9 @@ struct ExtComm {
   int from_patch = -1;
   int to_patch = -1;
   grid::Box region;
+  /// Index among the compiled graph's messages (initial sends first, then
+  /// each detailed task's receives and sends): the id trace events carry.
+  int id = -1;
 
   std::uint64_t bytes() const {
     return static_cast<std::uint64_t>(region.volume()) * sizeof(double);

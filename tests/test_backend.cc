@@ -24,6 +24,9 @@
 #include "runtime/controller.h"
 #include "sched/tile_policy.h"
 #include "sim/coordinator.h"
+#include "support/test_helpers.h"
+
+using usw::test::slurp_tree;
 
 namespace usw {
 namespace {
@@ -328,18 +331,6 @@ TEST(BackendStress, ManySmallOffloadsAcrossGroups) {
 // archived fields, identical per-step virtual walls, identical application
 // metrics, and identical merged counters.
 
-std::map<std::string, std::string> slurp_tree(const std::string& dir) {
-  std::map<std::string, std::string> files;
-  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
-    if (!entry.is_regular_file()) continue;
-    std::ifstream is(entry.path(), std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(is)),
-                      std::istreambuf_iterator<char>());
-    files.emplace(fs::relative(entry.path(), dir).string(), std::move(bytes));
-  }
-  return files;
-}
-
 runtime::RunResult run_app(const std::string& app_name,
                            const std::string& variant,
                            athread::Backend backend,
@@ -549,9 +540,10 @@ INSTANTIATE_TEST_SUITE_P(InjectionSeeds, BackendEquivalenceFaults,
                          ::testing::Values(1, 7, 42));
 
 TEST(BackendTrace, SerialAndThreadsRecordIdenticalEvents) {
-  // With tracing on, the scheduler queries completion_time right after
-  // spawn (forcing an early publish under kThreads); the recorded events —
-  // including the future-stamped kernel completions — must still agree.
+  // Kernel ends are recorded at the poll or join that observes them,
+  // stamped with the group's completion time; under kThreads the workers
+  // may still be running at spawn. The recorded events must still agree,
+  // operand for operand.
   runtime::RunConfig config;
   config.problem = runtime::tiny_problem({2, 1, 1}, {8, 8, 8});
   config.variant = runtime::variant_by_name("acc.async");
@@ -568,13 +560,15 @@ TEST(BackendTrace, SerialAndThreadsRecordIdenticalEvents) {
       runtime::run_simulation(config, apps::burgers::BurgersApp());
 
   for (std::size_t r = 0; r < serial.ranks.size(); ++r) {
-    const auto& es = serial.ranks[r].trace.events();
-    const auto& et = threads.ranks[r].trace.events();
+    const auto& es = serial.ranks[r].trace;
+    const auto& et = threads.ranks[r].trace;
     ASSERT_EQ(es.size(), et.size());
     for (std::size_t i = 0; i < es.size(); ++i) {
       EXPECT_EQ(es[i].time, et[i].time) << "event " << i;
       EXPECT_EQ(es[i].kind, et[i].kind) << "event " << i;
-      EXPECT_EQ(es[i].label, et[i].label) << "event " << i;
+      EXPECT_EQ(es[i].a, et[i].a) << "event " << i;
+      EXPECT_EQ(es[i].b, et[i].b) << "event " << i;
+      EXPECT_EQ(es[i].c, et[i].c) << "event " << i;
     }
   }
 }

@@ -10,6 +10,10 @@
 #include "comm/comm.h"
 #include "fault/fault.h"
 #include "sim/coordinator.h"
+#include "support/test_helpers.h"
+
+using usw::test::bytes_of;
+using usw::test::str_of;
 
 namespace usw::comm {
 namespace {
@@ -25,16 +29,6 @@ void with_ranks(int n, Fn&& body) {
     Comm comm(net, coord, rank);
     body(comm, rank);
   });
-}
-
-std::vector<std::byte> bytes_of(const std::string& s) {
-  std::vector<std::byte> out(s.size());
-  std::memcpy(out.data(), s.data(), s.size());
-  return out;
-}
-
-std::string str_of(const std::vector<std::byte>& b) {
-  return std::string(reinterpret_cast<const char*>(b.data()), b.size());
 }
 
 TEST(Comm, SendRecvPayloadRoundtrip) {

@@ -18,6 +18,10 @@
 #include "runtime/controller.h"
 #include "sim/coordinator.h"
 #include "support/error.h"
+#include "support/test_helpers.h"
+
+using usw::test::bytes_of;
+using usw::test::str_of;
 
 namespace usw::comm {
 namespace {
@@ -39,16 +43,6 @@ void with_agg_ranks(int n, const AggSpec& spec, Fn&& body,
     comm.set_agg(spec);
     body(comm, rank);
   });
-}
-
-std::vector<std::byte> bytes_of(const std::string& s) {
-  std::vector<std::byte> out(s.size());
-  std::memcpy(out.data(), s.data(), s.size());
-  return out;
-}
-
-std::string str_of(const std::vector<std::byte>& b) {
-  return std::string(reinterpret_cast<const char*>(b.data()), b.size());
 }
 
 // ---------------------------------------------------------------------------

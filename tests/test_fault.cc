@@ -20,6 +20,9 @@
 #include "fault/fault.h"
 #include "runtime/controller.h"
 #include "support/error.h"
+#include "support/test_helpers.h"
+
+using usw::test::slurp_tree;
 
 namespace usw {
 namespace {
@@ -130,18 +133,6 @@ TEST(FaultPlan, IncarnationGivesFreshDrawsButStepPinnedAlwaysFires) {
 
 // ---------------------------------------------------------------------------
 // End-to-end recovery: faulted runs must be bit-equal to fault-free runs.
-
-std::map<std::string, std::string> slurp_tree(const std::string& dir) {
-  std::map<std::string, std::string> files;
-  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
-    if (!entry.is_regular_file()) continue;
-    std::ifstream is(entry.path(), std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(is)),
-                      std::istreambuf_iterator<char>());
-    files.emplace(fs::relative(entry.path(), dir).string(), std::move(bytes));
-  }
-  return files;
-}
 
 runtime::RunConfig base_config() {
   runtime::RunConfig config;

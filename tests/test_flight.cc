@@ -16,28 +16,26 @@
 #include <vector>
 
 #include "athread/worker_pool.h"
+#include "obs/chrome_trace.h"
 #include "obs/diag.h"
 #include "obs/flight.h"
 #include "obs/host_profile.h"
 #include "obs/stream.h"
 #include "runtime/controller.h"
+#include "runtime/observe.h"
 #include "apps/burgers/burgers_app.h"
 #include "schedpt/schedule.h"
 #include "support/build_info.h"
 #include "support/error.h"
+#include "support/test_helpers.h"
+
+using usw::test::slurp;
 
 namespace usw {
 namespace {
 
 std::string temp_path(const std::string& name) {
   return testing::TempDir() + name;
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream is(path);
-  std::stringstream ss;
-  ss << is.rdbuf();
-  return ss.str();
 }
 
 runtime::RunConfig tiny_config() {
@@ -60,14 +58,14 @@ TEST(FlightRecorder, RecordsInOrder) {
   ring.record(obs::FlightKind::kStepEnd, 300, 0);
   EXPECT_EQ(ring.recorded(), 3u);
   EXPECT_EQ(ring.dropped(), 0u);
-  const std::vector<obs::FlightEvent> evs = ring.snapshot();
+  const std::vector<obs::RingEvent> evs = ring.snapshot();
   ASSERT_EQ(evs.size(), 3u);
-  EXPECT_EQ(evs[0].kind, obs::FlightKind::kStepBegin);
-  EXPECT_EQ(evs[1].kind, obs::FlightKind::kMsgSend);
-  EXPECT_EQ(evs[1].a, 1);
-  EXPECT_EQ(evs[1].b, 7);
-  EXPECT_EQ(evs[1].c, 512);
-  EXPECT_EQ(evs[2].time, 300);
+  EXPECT_EQ(evs[0].event.kind, obs::FlightKind::kStepBegin);
+  EXPECT_EQ(evs[1].event.kind, obs::FlightKind::kMsgSend);
+  EXPECT_EQ(evs[1].event.a, 1);
+  EXPECT_EQ(evs[1].event.b, 7);
+  EXPECT_EQ(evs[1].event.c, 512);
+  EXPECT_EQ(evs[2].event.time, 300);
   EXPECT_LT(evs[0].seq, evs[2].seq);
 }
 
@@ -77,11 +75,12 @@ TEST(FlightRecorder, WrapsKeepingNewest) {
     ring.record(obs::FlightKind::kRankPick, i, i);
   EXPECT_EQ(ring.recorded(), 10u);
   EXPECT_EQ(ring.dropped(), 6u);
-  const std::vector<obs::FlightEvent> evs = ring.snapshot();
+  const std::vector<obs::RingEvent> evs = ring.snapshot();
   ASSERT_EQ(evs.size(), 4u);
   // Oldest first, and only the newest four survive.
-  EXPECT_EQ(evs.front().a, 6);
-  EXPECT_EQ(evs.back().a, 9);
+  EXPECT_EQ(evs.front().event.a, 6);
+  EXPECT_EQ(evs.back().event.a, 9);
+  EXPECT_EQ(evs.back().seq, 9u);
 }
 
 TEST(FlightRecorder, CapacityZeroDisables) {
@@ -179,6 +178,45 @@ TEST(Diag, InducedHangDumpNamesLostMessageAndPendingRequest) {
   EXPECT_NE(dump.find("\"pending\""), std::string::npos);
   EXPECT_NE(dump.find("rank_pick"), std::string::npos);      // coord ring
   std::remove(c.diag.dump_path.c_str());
+}
+
+TEST(Diag, CrashDumpRingHoldsTaskAndKernelEdges) {
+  // The rank rings record every event kind, so a crash dump shows the task
+  // and offload context that led up to the failure: a watchdog tripped
+  // mid-step 0, after the first kernels completed.
+  runtime::RunConfig c = tiny_config();
+  c.diag.hang_threshold = 3 * kMillisecond;
+  c.diag.dump_path = temp_path("diag_ring_context.json");
+  apps::burgers::BurgersApp app;
+  EXPECT_THROW(runtime::run_simulation(c, app), StateError);
+  const std::string dump = slurp(c.diag.dump_path);
+  EXPECT_NE(dump.find("\"diag\": \"crash\""), std::string::npos);
+  for (const char* kind : {"task_begin", "task_end", "offload_begin", "kernel_begin",
+                           "kernel_end", "offload_end", "step_begin"})
+    EXPECT_NE(dump.find(std::string("\"kind\": \"") + kind + "\""), std::string::npos)
+        << kind;
+  EXPECT_EQ(dump.find("\"kind\": \"step_end\""), std::string::npos);
+  std::remove(c.diag.dump_path.c_str());
+}
+
+TEST(Diag, TraceIsKeptWithTheRingsOff) {
+  // --flight-capacity=0 turns the rings off, not the trace: a traced run
+  // still records and exports every event.
+  apps::burgers::BurgersApp app;
+  runtime::RunConfig on = tiny_config();
+  on.collect_trace = true;
+  runtime::RunConfig off = on;
+  off.diag.flight_capacity = 0;
+  const runtime::RunResult a = runtime::run_simulation(on, app);
+  const runtime::RunResult b = runtime::run_simulation(off, app);
+  std::ostringstream trace_on;
+  std::ostringstream trace_off;
+  obs::write_chrome_trace(trace_on, runtime::observe(a));
+  obs::write_chrome_trace(trace_off, runtime::observe(b));
+  EXPECT_NE(trace_off.str().find("\"ph\":\"X\""), std::string::npos);
+  EXPECT_TRUE(trace_on.str() == trace_off.str());
+  for (std::size_t r = 0; r < a.ranks.size(); ++r)
+    EXPECT_EQ(a.ranks[r].trace.size(), b.ranks[r].trace.size());
 }
 
 TEST(Diag, RetransmissionOnRecoversTheSameExchange) {
@@ -292,6 +330,7 @@ TEST(StreamSpec, ParsesFileAndInterval) {
   EXPECT_THROW(obs::StreamSpec::parse(""), ConfigError);
   EXPECT_THROW(obs::StreamSpec::parse("m.jsonl:0"), ConfigError);
   EXPECT_THROW(obs::StreamSpec::parse(":3"), ConfigError);
+  EXPECT_THROW(obs::StreamSpec::parse("m.jsonl:99999999999"), ConfigError);
 }
 
 TEST(Stream, EmitsHeaderAndPeriodicSnapshots) {

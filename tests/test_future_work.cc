@@ -7,6 +7,7 @@
 #include "apps/burgers/burgers_app.h"
 #include "athread/athread.h"
 #include "runtime/controller.h"
+#include "runtime/observe.h"
 
 namespace usw {
 namespace {
@@ -174,27 +175,32 @@ TEST(FutureWork, GroupsOverlapKernelWindowsInTrace) {
   cfg.cpe_groups = 4;
   cfg.collect_trace = true;
   apps::burgers::BurgersApp app;
-  const auto result = runtime::run_simulation(cfg, app);
-  const auto& trace = result.ranks[0].trace;
-  const auto begins = trace.filter(sim::EventKind::kKernelBegin);
-  const auto ends = trace.filter(sim::EventKind::kKernelEnd);
-  ASSERT_EQ(begins.size(), 8u);  // 8 patches, one kernel each
+  // Rank 0's kernel flight windows, from its trace.
+  const auto kernels = [&cfg, &app] {
+    const obs::RunObservation run =
+        runtime::observe(runtime::run_simulation(cfg, app));
+    std::vector<obs::Span> out;
+    for (const obs::Span& s : run.ranks[0].spans)
+      if (s.kind == obs::SpanKind::kKernel) out.push_back(s);
+    return out;
+  };
+  const std::vector<obs::Span> k = kernels();
+  ASSERT_EQ(k.size(), 8u);  // 8 patches, one kernel each
   int overlaps = 0;
-  for (std::size_t a = 0; a < begins.size(); ++a)
-    for (std::size_t b = 0; b < begins.size(); ++b)
-      if (a != b && begins[a].time < ends[b].time && begins[b].time < ends[a].time)
-        ++overlaps;
+  for (std::size_t a = 0; a < k.size(); ++a)
+    for (std::size_t b = 0; b < k.size(); ++b)
+      if (a != b && k[a].begin < k[b].end && k[b].begin < k[a].end) ++overlaps;
   EXPECT_GT(overlaps, 0);
 
   // The single-group run must show no overlapping windows.
   cfg.cpe_groups = 1;
-  const auto serial = runtime::run_simulation(cfg, app);
-  const auto sb = serial.ranks[0].trace.filter(sim::EventKind::kKernelBegin);
-  const auto se = serial.ranks[0].trace.filter(sim::EventKind::kKernelEnd);
-  for (std::size_t a = 0; a < sb.size(); ++a) {
-    for (std::size_t b = 0; b < sb.size(); ++b) {
+  const std::vector<obs::Span> serial = kernels();
+  ASSERT_EQ(serial.size(), 8u);
+  for (std::size_t a = 0; a < serial.size(); ++a) {
+    for (std::size_t b = 0; b < serial.size(); ++b) {
       if (a != b) {
-        EXPECT_FALSE(sb[a].time < se[b].time && sb[b].time < se[a].time);
+        EXPECT_FALSE(serial[a].begin < serial[b].end &&
+                     serial[b].begin < serial[a].end);
       }
     }
   }

@@ -16,6 +16,7 @@
 #include "apps/burgers/burgers_app.h"
 #include "obs/chrome_trace.h"
 #include "obs/critical_path.h"
+#include "obs/flight.h"
 #include "obs/host_profile.h"
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
@@ -23,21 +24,133 @@
 #include "obs/span.h"
 #include "runtime/controller.h"
 #include "runtime/observe.h"
+#include "support/test_helpers.h"
+
+using usw::test::slurp;
 
 namespace usw::obs {
 namespace {
 
-using sim::EventIds;
-using sim::EventKind;
+using FK = FlightKind;
+
+/// A span edge as the scheduler records it: a = step, b = task (or
+/// reduction), c = CPE group, message index or retry attempt.
+FlightEvent ev(TimePs time, FlightKind kind, std::int64_t step, std::int64_t b,
+               std::int64_t c = -1) {
+  return FlightEvent{time, kind, step, b, c};
+}
+
+/// A skeleton of tasks "a p0", "b p1", "c p2", "d p3" (task t on patch t),
+/// one message "u p0->p2" (patch 0, peer 1, tag 7, 2048 B) and one
+/// reduction "r"; `prefix` is prepended to every task name.
+TaskGraphInfo skeleton(const std::string& prefix = "") {
+  TaskGraphInfo g;
+  for (int t = 0; t < 4; ++t) {
+    TaskNodeInfo n;
+    n.name = prefix + static_cast<char>('a' + t);
+    n.label = n.name + " p" + std::to_string(t);
+    n.patch = t;
+    g.tasks.push_back(n);
+  }
+  g.messages.push_back(MessageInfo{"u p0->p2", 0, 1, 7, 2048});
+  g.reductions = {"r"};
+  return g;
+}
+
+std::vector<Span> spans_of(const std::vector<FlightEvent>& events, int rank = 0) {
+  const TaskGraphInfo g = skeleton();
+  return build_spans(events, g, g, rank);
+}
+
+// ---------------------------------------------------------------- trace ---
+// The trace is the flight recorder's log; its totals are read from spans.
+
+TEST(Trace, RecordsOnlyWhenEnabled) {
+  FlightRecorder rec(0);  // the ring off: only the log records
+  rec.record(FK::kTaskBegin, 10, 0, 0);
+  EXPECT_TRUE(rec.take_log().empty());
+  rec.keep_log(true);
+  rec.record(FK::kTaskBegin, 10, 0, 0);
+  rec.record(FK::kTaskEnd, 30, 0, 0);
+  EXPECT_EQ(rec.take_log().size(), 2u);
+  EXPECT_EQ(rec.recorded(), 0u);
+}
+
+TEST(Trace, FilterAndTotals) {
+  const std::vector<FlightEvent> log = {
+      ev(10, FK::kKernelBegin, 0, 0, 0), ev(40, FK::kKernelEnd, 0, 0, 0),
+      ev(50, FK::kKernelBegin, 0, 1, 0), ev(90, FK::kKernelEnd, 0, 1, 0),
+      ev(95, FK::kSendPosted, 0, 0, 0)};
+  const std::vector<Span> spans = spans_of(log);
+  EXPECT_EQ(std::count_if(spans.begin(), spans.end(),
+                          [](const Span& s) { return s.kind == SpanKind::kKernel; }),
+            2);
+  EXPECT_EQ(covered_time(spans, SpanKind::kKernel), 70);
+  const TaskGraphInfo g = skeleton();
+  EXPECT_NE(dump_span_edges(log, g, g).find("kernel_begin"), std::string::npos);
+}
+
+TEST(Trace, EventKindNames) {
+  EXPECT_STREQ(to_string(FK::kOffloadBegin), "offload_begin");
+  EXPECT_STREQ(to_string(FK::kReduceEnd), "reduce_end");
+}
+
+TEST(Trace, TotalBetweenOverlappingSpans) {
+  // Two kernels in flight at once (cpe_groups > 1): [10,50] and [30,70]
+  // overlap, so the busy time is the union [10,70] = 60, not the sum 80.
+  const std::vector<Span> spans = spans_of(
+      {ev(10, FK::kKernelBegin, 0, 0, 0), ev(30, FK::kKernelBegin, 0, 1, 1),
+       ev(50, FK::kKernelEnd, 0, 0, 0), ev(70, FK::kKernelEnd, 0, 1, 1)});
+  EXPECT_EQ(covered_time(spans, SpanKind::kKernel), 60);
+}
+
+TEST(Trace, TotalBetweenOutOfOrderRecording) {
+  // The async scheduler records a kernel's end at the poll that observes
+  // it, stamped with the earlier completion time; totals must not depend on
+  // record order.
+  const std::vector<Span> spans = spans_of(
+      {ev(10, FK::kKernelBegin, 0, 0, 0), ev(50, FK::kTaskBegin, 0, 2),
+       ev(60, FK::kTaskEnd, 0, 2),
+       ev(30, FK::kKernelEnd, 0, 0, 0),  // observed after the task ran
+       ev(70, FK::kKernelBegin, 0, 1, 0), ev(90, FK::kKernelEnd, 0, 1, 0)});
+  EXPECT_EQ(covered_time(spans, SpanKind::kKernel), 40);
+}
+
+TEST(Trace, TotalBetweenUnmatchedEvents) {
+  // A stray end before any begin is ignored; a begin that never ends is
+  // closed at the trace's last span-edge stamp.
+  const std::vector<Span> spans = spans_of(
+      {ev(5, FK::kWaitEnd, 0, -1), ev(10, FK::kWaitBegin, 0, -1),
+       ev(30, FK::kKernelBegin, 0, 0, 0), FlightEvent{80, FK::kStepEnd, 0}});
+  EXPECT_EQ(covered_time(spans, SpanKind::kWait), 20);
+}
+
+TEST(Trace, RecordsStructuredIds) {
+  FlightRecorder rec;
+  rec.keep_log(true);
+  rec.record(FK::kSendPosted, 10, 2, 7, 0);  // step 2, task 7, message 0
+  const std::vector<FlightEvent> log = rec.take_log();
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0].a, 2);
+  EXPECT_EQ(log[0].b, 7);
+  const std::vector<Span> spans = spans_of(log);
+  ASSERT_EQ(spans.size(), 1u);
+  const EventIds& i = spans[0].ids;
+  EXPECT_EQ(i.step, 2);
+  EXPECT_EQ(i.task, 7);
+  EXPECT_EQ(i.patch, 0);
+  EXPECT_EQ(i.peer, 1);
+  EXPECT_EQ(i.tag, 7);
+  EXPECT_EQ(i.bytes, 2048u);
+  const TaskGraphInfo g = skeleton();
+  EXPECT_NE(dump_span_edges(log, g, g).find("peer1"), std::string::npos);
+}
 
 // ---------------------------------------------------------------- spans ---
 
 TEST(Span, PairsBeginEnd) {
-  sim::Trace t;
-  t.enable(true);
-  t.record(10, EventKind::kTaskBegin, "a p0", EventIds{0, 0, 0, -1, -1, -1, 0});
-  t.record(50, EventKind::kTaskEnd, "a p0", EventIds{0, 0, 0, -1, -1, -1, 0});
-  const std::vector<Span> spans = build_spans(t, 3);
+  const std::vector<Span> spans =
+      spans_of({ev(10, FK::kTaskBegin, 0, 0), ev(50, FK::kTaskEnd, 0, 0)}, 3);
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(spans[0].kind, SpanKind::kTask);
   EXPECT_EQ(spans[0].lane, Lane::kMpe);
@@ -46,64 +159,54 @@ TEST(Span, PairsBeginEnd) {
   EXPECT_EQ(spans[0].duration(), 40);
   EXPECT_EQ(spans[0].rank, 3);
   EXPECT_EQ(spans[0].name, "a p0");
+  EXPECT_EQ(spans[0].ids.patch, 0);
+  EXPECT_EQ(spans[0].ids.group, -1);
 }
 
 TEST(Span, InterleavedSameKindPairsById) {
   // Two offloads in flight at once (cpe_groups = 2): ends arrive in the
   // opposite order of the begins, distinguished only by the ids.
-  sim::Trace t;
-  t.enable(true);
-  t.record(0, EventKind::kKernelBegin, "k p0", EventIds{0, 0, 0, -1, -1, 0, 0});
-  t.record(10, EventKind::kKernelBegin, "k p1", EventIds{0, 1, 1, -1, -1, 1, 0});
-  t.record(30, EventKind::kKernelEnd, "k p1", EventIds{0, 1, 1, -1, -1, 1, 0});
-  t.record(80, EventKind::kKernelEnd, "k p0", EventIds{0, 0, 0, -1, -1, 0, 0});
-  const std::vector<Span> spans = build_spans(t, 0);
+  const std::vector<Span> spans = spans_of(
+      {ev(0, FK::kKernelBegin, 0, 0, 0), ev(10, FK::kKernelBegin, 0, 1, 1),
+       ev(30, FK::kKernelEnd, 0, 1, 1), ev(80, FK::kKernelEnd, 0, 0, 0)});
   ASSERT_EQ(spans.size(), 2u);
   EXPECT_EQ(spans[0].lane, Lane::kCpe);
   EXPECT_EQ(spans[0].end - spans[0].begin, 80);  // p0: [0,80]
   EXPECT_EQ(spans[1].end - spans[1].begin, 20);  // p1: [10,30]
+  EXPECT_EQ(spans[1].ids.group, 1);
+  EXPECT_EQ(spans[1].name, "b p1");
 }
 
 TEST(Span, OutOfOrderEndRecordedAhead) {
-  // The scheduler records a kernel's end at its future completion time
-  // immediately after the begin; later events carry earlier stamps.
-  sim::Trace t;
-  t.enable(true);
-  t.record(10, EventKind::kKernelBegin, "k", EventIds{0, 0, 0, -1, -1, 0, 0});
-  t.record(90, EventKind::kKernelEnd, "k", EventIds{0, 0, 0, -1, -1, 0, 0});
-  t.record(20, EventKind::kTaskBegin, "m", EventIds{0, 1, 1, -1, -1, -1, 0});
-  t.record(40, EventKind::kTaskEnd, "m", EventIds{0, 1, 1, -1, -1, -1, 0});
-  const std::vector<Span> spans = build_spans(t, 0);
+  // A kernel's end is recorded at the poll that observes it, stamped with
+  // its earlier completion time: events recorded before it can carry later
+  // stamps than it does.
+  const std::vector<Span> spans = spans_of(
+      {ev(10, FK::kKernelBegin, 0, 0, 0), ev(20, FK::kTaskBegin, 0, 1),
+       ev(100, FK::kTaskEnd, 0, 1), ev(90, FK::kKernelEnd, 0, 0, 0)});
   ASSERT_EQ(spans.size(), 2u);
   EXPECT_EQ(spans[0].kind, SpanKind::kKernel);
   EXPECT_EQ(spans[0].duration(), 80);
-  EXPECT_EQ(spans[1].duration(), 20);
+  EXPECT_EQ(spans[1].duration(), 80);
 }
 
 TEST(Span, UnmatchedEndDroppedUnmatchedBeginClosed) {
-  sim::Trace t;
-  t.enable(true);
-  t.record(5, EventKind::kWaitEnd, "stray");
-  t.record(10, EventKind::kWaitBegin, "idle", EventIds{0, -1, -1, -1, -1, -1, 0});
-  t.record(70, EventKind::kTaskBegin, "late", EventIds{0, 0, 0, -1, -1, -1, 0});
-  const std::vector<Span> spans = build_spans(t, 0);
+  const std::vector<Span> spans =
+      spans_of({ev(5, FK::kWaitEnd, 0, -1), ev(10, FK::kWaitBegin, 0, -1),
+                ev(70, FK::kTaskBegin, 0, 0)});
   ASSERT_EQ(spans.size(), 2u);
   // The wait never ended: closed at the last stamp in the trace.
   EXPECT_EQ(spans[0].kind, SpanKind::kWait);
+  EXPECT_EQ(spans[0].name, "idle");
   EXPECT_EQ(spans[0].end, 70);
 }
 
 TEST(Span, KeyReusedAfterCloseOpensFreshSpan) {
-  // The same (kind, ids, label) recurs after its first span closed: the
+  // The same (kind, operands) recurs after its first span closed: the
   // second begin must not pair with the first span's end.
-  sim::Trace t;
-  t.enable(true);
-  const EventIds ids{0, 2, 1, -1, -1, -1, 0};
-  t.record(10, EventKind::kTaskBegin, "a p1", ids);
-  t.record(20, EventKind::kTaskEnd, "a p1", ids);
-  t.record(30, EventKind::kTaskBegin, "a p1", ids);
-  t.record(55, EventKind::kTaskEnd, "a p1", ids);
-  const std::vector<Span> spans = build_spans(t, 0);
+  const std::vector<Span> spans =
+      spans_of({ev(10, FK::kTaskBegin, 0, 2), ev(20, FK::kTaskEnd, 0, 2),
+                ev(30, FK::kTaskBegin, 0, 2), ev(55, FK::kTaskEnd, 0, 2)});
   ASSERT_EQ(spans.size(), 2u);
   EXPECT_EQ(spans[0].begin, 10);
   EXPECT_EQ(spans[0].end, 20);
@@ -112,52 +215,83 @@ TEST(Span, KeyReusedAfterCloseOpensFreshSpan) {
 }
 
 TEST(Span, NestedSameKeySpansCloseLifo) {
-  sim::Trace t;
-  t.enable(true);
-  const EventIds ids{0, 0, 0, -1, -1, -1, 0};
-  t.record(0, EventKind::kReduceBegin, "r", ids);
-  t.record(10, EventKind::kReduceBegin, "r", ids);
-  t.record(20, EventKind::kReduceEnd, "r", ids);  // closes the inner one
-  t.record(40, EventKind::kReduceEnd, "r", ids);
-  t.record(45, EventKind::kReduceEnd, "r", ids);  // nothing open: dropped
-  const std::vector<Span> spans = build_spans(t, 0);
+  const std::vector<Span> spans = spans_of(
+      {ev(0, FK::kReduceBegin, 0, 0), ev(10, FK::kReduceBegin, 0, 0),
+       ev(20, FK::kReduceEnd, 0, 0),  // closes the inner one
+       ev(40, FK::kReduceEnd, 0, 0),
+       ev(45, FK::kReduceEnd, 0, 0)});  // nothing open: dropped
   ASSERT_EQ(spans.size(), 2u);
   EXPECT_EQ(spans[0].begin, 0);
   EXPECT_EQ(spans[0].end, 40);
   EXPECT_EQ(spans[1].begin, 10);
   EXPECT_EQ(spans[1].end, 20);
-}
-
-TEST(Span, LabelOnlyPairingWithDefaultIds) {
-  // Hand-written traces carry no ids: the label alone tells spans apart,
-  // and a different label of the same kind never closes the open one.
-  sim::Trace t;
-  t.enable(true);
-  t.record(0, EventKind::kWaitBegin, "x");
-  t.record(5, EventKind::kWaitBegin, "y");
-  t.record(10, EventKind::kWaitEnd, "x");
-  t.record(30, EventKind::kWaitEnd, "y");
-  t.record(35, EventKind::kWaitEnd, "z");  // never opened: dropped
-  const std::vector<Span> spans = build_spans(t, 0);
-  ASSERT_EQ(spans.size(), 2u);
-  EXPECT_EQ(spans[0].name, "x");
-  EXPECT_EQ(spans[0].end, 10);
-  EXPECT_EQ(spans[1].name, "y");
-  EXPECT_EQ(spans[1].end, 30);
-  EXPECT_EQ(spans[0].ids.step, -1);
+  EXPECT_EQ(spans[0].name, "r");
+  EXPECT_EQ(spans[0].ids.task, -1);
 }
 
 TEST(Span, SendCarriesBytesAndMpiLane) {
-  sim::Trace t;
-  t.enable(true);
-  t.record(10, EventKind::kSendPosted, "u p0->p2", EventIds{1, 4, 0, 1, 7, -1, 2048});
-  t.record(60, EventKind::kSendDone, "u p0->p2", EventIds{1, 4, 0, 1, 7, -1, 2048});
-  const std::vector<Span> spans = build_spans(t, 0);
+  const std::vector<Span> spans = spans_of(
+      {ev(10, FK::kSendPosted, 1, 4, 0), ev(60, FK::kSendDone, 1, 4, 0)});
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(spans[0].lane, Lane::kMpi);
   EXPECT_EQ(spans[0].ids.bytes, 2048u);
   EXPECT_EQ(spans[0].ids.peer, 1);
   EXPECT_EQ(spans[0].ids.tag, 7);
+  EXPECT_EQ(spans[0].name, "u p0->p2");
+}
+
+TEST(Span, NamesComeFromTheInitOrStepSkeleton) {
+  // Initialization events (step -1) are named from the init graph, every
+  // timestep's from the step graph; other event kinds make no span.
+  const TaskGraphInfo init = skeleton("init_");
+  const TaskGraphInfo step = skeleton();
+  const std::vector<Span> spans = build_spans(
+      std::vector<FlightEvent>{
+          ev(0, FK::kTaskBegin, -1, 1), ev(5, FK::kTaskEnd, -1, 1),
+          FlightEvent{6, FK::kMsgSend, 1, 3, 2048},
+          ev(10, FK::kTaskBegin, 0, 1), ev(15, FK::kTaskEnd, 0, 1)},
+      init, step, 0);
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].name, "init_b p1");
+  EXPECT_EQ(spans[0].ids.step, -1);
+  EXPECT_EQ(spans[1].name, "b p1");
+}
+
+TEST(Span, FaultsAndWaitsResolveTheirIds) {
+  const std::vector<Span> spans = spans_of(
+      {ev(10, FK::kCpeStall, 0, 2, 1),      // zero-length, group 1
+       ev(20, FK::kOffloadFail, 0, 2, 1),   // zero-length, group 1
+       ev(30, FK::kOffloadRetry, 0, 2, 1),  // attempt 1: no group
+       ev(70, FK::kBackoffEnd, 0, 2, 1),
+       ev(80, FK::kWaitBegin, 0, 2, 1), ev(90, FK::kWaitEnd, 0, 2, 1)});
+  ASSERT_EQ(spans.size(), 4u);
+  EXPECT_EQ(spans[0].name, "cpe_stall c p2");
+  EXPECT_EQ(spans[0].kind, SpanKind::kFault);
+  EXPECT_EQ(spans[0].duration(), 0);
+  EXPECT_EQ(spans[0].ids.group, 1);
+  EXPECT_EQ(spans[1].name, "offload_fail c p2");
+  EXPECT_EQ(spans[2].name, "retry backoff");
+  EXPECT_EQ(spans[2].duration(), 40);
+  EXPECT_EQ(spans[2].ids.group, -1);
+  EXPECT_EQ(spans[2].ids.patch, 2);
+  EXPECT_EQ(spans[3].name, "cpe-spin");
+  EXPECT_EQ(spans[3].ids.task, 2);
+  EXPECT_EQ(spans[3].ids.group, 1);
+}
+
+TEST(Span, DumpPrintsSpanEdgesOnly) {
+  // A zero-length fault prints its begin and end line; message-level
+  // records are left out.
+  const TaskGraphInfo g = skeleton();
+  const std::string dump = dump_span_edges(
+      std::vector<FlightEvent>{ev(10, FK::kOffloadFail, 0, 0, 0),
+                               FlightEvent{20, FK::kMsgMatch, 1, 3, 2048}},
+      g, g);
+  EXPECT_NE(dump.find("fault_begin  offload_fail a p0  [s0 t0 p0 g0]\n"),
+            std::string::npos);
+  EXPECT_NE(dump.find("fault_end  offload_fail a p0  [s0 t0 p0 g0]\n"),
+            std::string::npos);
+  EXPECT_EQ(dump.find("msg"), std::string::npos);
 }
 
 // ----------------------------------------------------------- json writer ---
@@ -543,14 +677,6 @@ TEST(EndToEnd, CriticalPathBoundedByWall) {
     EXPECT_LE(cp.total, cp.makespan);
     EXPECT_LE(cp.total, result.step_wall(s));
   }
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "cannot open " << path;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
 }
 
 TEST(EndToEnd, ExportsMatchGoldenFiles) {

@@ -16,7 +16,11 @@
 #include "apps/burgers/kernels.h"
 #include "runtime/application.h"
 #include "runtime/controller.h"
+#include "runtime/observe.h"
 #include "sched/scheduler.h"
+#include "support/test_helpers.h"
+
+using usw::test::slurp_tree;
 
 namespace usw::sched {
 namespace {
@@ -99,23 +103,31 @@ TEST(Scheduler, DeterministicAcrossRepeats) {
               b.ranks[static_cast<std::size_t>(r)].counters.counted_flops);
 }
 
+/// A rank's kernel flight windows, from its trace.
+std::vector<obs::Span> kernel_spans(const obs::RankObservation& rank) {
+  std::vector<obs::Span> out;
+  for (const obs::Span& s : rank.spans)
+    if (s.kind == obs::SpanKind::kKernel) out.push_back(s);
+  return out;
+}
+
 TEST(Scheduler, AsyncOverlapsMpeWorkWithKernels) {
   // Trace evidence for the paper's central claim: in async mode, MPE-side
   // events (sends, receives, MPE task begins) occur strictly inside CPE
   // kernel flight windows.
   const auto result = run("acc.async", 2, var::StorageMode::kFunctional, true);
+  const obs::RunObservation observed = runtime::observe(result);
   int overlapped_events = 0;
-  for (const auto& rank : result.ranks) {
-    const auto begins = rank.trace.filter(sim::EventKind::kKernelBegin);
-    const auto ends = rank.trace.filter(sim::EventKind::kKernelEnd);
-    ASSERT_EQ(begins.size(), ends.size());
-    for (const auto& e : rank.trace.events()) {
-      if (e.kind != sim::EventKind::kSendPosted &&
-          e.kind != sim::EventKind::kRecvDone &&
-          e.kind != sim::EventKind::kTaskBegin)
+  for (std::size_t r = 0; r < result.ranks.size(); ++r) {
+    const std::vector<obs::Span> kernels = kernel_spans(observed.ranks[r]);
+    EXPECT_FALSE(kernels.empty());
+    for (const obs::FlightEvent& e : result.ranks[r].trace) {
+      if (e.kind != obs::FlightKind::kSendPosted &&
+          e.kind != obs::FlightKind::kRecvDone &&
+          e.kind != obs::FlightKind::kTaskBegin)
         continue;
-      for (std::size_t w = 0; w < begins.size(); ++w)
-        if (e.time > begins[w].time && e.time < ends[w].time) {
+      for (const obs::Span& k : kernels)
+        if (e.time > k.begin && e.time < k.end) {
           ++overlapped_events;
           break;
         }
@@ -128,16 +140,17 @@ TEST(Scheduler, SyncModeDoesNotOverlap) {
   // In sync mode the MPE spins during kernel flight: no MPE event may fall
   // strictly inside a kernel window.
   const auto result = run("acc.sync", 2, var::StorageMode::kFunctional, true);
-  for (const auto& rank : result.ranks) {
-    const auto begins = rank.trace.filter(sim::EventKind::kKernelBegin);
-    const auto ends = rank.trace.filter(sim::EventKind::kKernelEnd);
-    for (const auto& e : rank.trace.events()) {
-      if (e.kind == sim::EventKind::kKernelBegin ||
-          e.kind == sim::EventKind::kKernelEnd)
+  const obs::RunObservation observed = runtime::observe(result);
+  for (std::size_t r = 0; r < result.ranks.size(); ++r) {
+    const std::vector<obs::Span> kernels = kernel_spans(observed.ranks[r]);
+    EXPECT_FALSE(kernels.empty());
+    for (const obs::FlightEvent& e : result.ranks[r].trace) {
+      if (e.kind == obs::FlightKind::kKernelBegin ||
+          e.kind == obs::FlightKind::kKernelEnd)
         continue;
-      for (std::size_t w = 0; w < begins.size(); ++w)
-        EXPECT_FALSE(e.time > begins[w].time && e.time < ends[w].time)
-            << sim::to_string(e.kind) << " inside kernel window";
+      for (const obs::Span& k : kernels)
+        EXPECT_FALSE(e.time > k.begin && e.time < k.end)
+            << obs::to_string(e.kind) << " inside kernel window";
     }
   }
 }
@@ -200,17 +213,6 @@ void expect_same_counters(const hw::PerfCounters& a, const hw::PerfCounters& b,
   EXPECT_EQ(a.mpe_task_time, b.mpe_task_time) << where;
   EXPECT_EQ(a.comm_time, b.comm_time) << where;
   EXPECT_EQ(a.wait_time, b.wait_time) << where;
-}
-
-std::map<std::string, std::string> slurp_tree(const std::string& dir) {
-  std::map<std::string, std::string> files;
-  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
-    if (!entry.is_regular_file()) continue;
-    std::ifstream is(entry.path(), std::ios::binary);
-    files[fs::relative(entry.path(), dir).string()] =
-        std::string(std::istreambuf_iterator<char>(is), {});
-  }
-  return files;
 }
 
 struct PlanRun {

@@ -17,7 +17,9 @@
 #include "runtime/controller.h"
 #include "schedpt/schedule.h"
 #include "sim/coordinator.h"
-#include "sim/trace.h"
+#include "support/test_helpers.h"
+
+using usw::test::slurp;
 
 namespace usw::sim {
 namespace {
@@ -341,12 +343,6 @@ TEST(Coordinator, ThrowAt1024RanksDrainsEveryParkedRank) {
   EXPECT_EQ(drained.load(), kRanks);
 }
 
-std::string slurp(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(is),
-                     std::istreambuf_iterator<char>());
-}
-
 TEST(Coordinator, FuzzScheduleFileMatchesGolden) {
   // A fuzzed 16-rank heat run must record exactly the committed schedule:
   // the kRankPick candidate lists (best first, then ascending rank id) and
@@ -611,83 +607,6 @@ TEST(ParallelCoordinator, CancelDuringRunReleasesAllRanks) {
           << spec.describe();
     }
   }
-}
-
-TEST(Trace, RecordsOnlyWhenEnabled) {
-  Trace t;
-  t.record(10, EventKind::kTaskBegin, "a");
-  EXPECT_TRUE(t.events().empty());
-  t.enable(true);
-  t.record(10, EventKind::kTaskBegin, "a");
-  t.record(30, EventKind::kTaskEnd, "a");
-  EXPECT_EQ(t.events().size(), 2u);
-}
-
-TEST(Trace, FilterAndTotals) {
-  Trace t;
-  t.enable(true);
-  t.record(10, EventKind::kKernelBegin, "k1");
-  t.record(40, EventKind::kKernelEnd, "k1");
-  t.record(50, EventKind::kKernelBegin, "k2");
-  t.record(90, EventKind::kKernelEnd, "k2");
-  t.record(95, EventKind::kSendPosted, "s");
-  EXPECT_EQ(t.filter(EventKind::kKernelBegin).size(), 2u);
-  EXPECT_EQ(t.total_between(EventKind::kKernelBegin, EventKind::kKernelEnd), 70);
-  EXPECT_NE(t.dump().find("kernel_begin"), std::string::npos);
-}
-
-TEST(Trace, EventKindNames) {
-  EXPECT_STREQ(to_string(EventKind::kOffloadBegin), "offload_begin");
-  EXPECT_STREQ(to_string(EventKind::kReduceEnd), "reduce_end");
-}
-
-TEST(Trace, TotalBetweenOverlappingSpans) {
-  // Two kernels in flight at once (cpe_groups > 1): [10,50] and [30,70]
-  // overlap, so the busy time is the union [10,70] = 60, not the sum 80.
-  Trace t;
-  t.enable(true);
-  t.record(10, EventKind::kKernelBegin, "a");
-  t.record(30, EventKind::kKernelBegin, "b");
-  t.record(50, EventKind::kKernelEnd, "a");
-  t.record(70, EventKind::kKernelEnd, "b");
-  EXPECT_EQ(t.total_between(EventKind::kKernelBegin, EventKind::kKernelEnd), 60);
-}
-
-TEST(Trace, TotalBetweenOutOfOrderRecording) {
-  // The async scheduler stamps a kernel's end at its future completion time
-  // before recording later begins; totals must not depend on record order.
-  Trace t;
-  t.enable(true);
-  t.record(10, EventKind::kKernelBegin, "a");
-  t.record(90, EventKind::kKernelEnd, "a");  // recorded ahead of time
-  t.record(20, EventKind::kKernelBegin, "b");
-  t.record(40, EventKind::kKernelEnd, "b");
-  EXPECT_EQ(t.total_between(EventKind::kKernelBegin, EventKind::kKernelEnd), 80);
-}
-
-TEST(Trace, TotalBetweenUnmatchedEvents) {
-  // A stray end before any begin is ignored; a begin that never ends is
-  // closed at the trace's last stamp.
-  Trace t;
-  t.enable(true);
-  t.record(5, EventKind::kWaitEnd, "stray");
-  t.record(10, EventKind::kWaitBegin, "w");
-  t.record(30, EventKind::kKernelBegin, "k");  // last stamp = 30
-  EXPECT_EQ(t.total_between(EventKind::kWaitBegin, EventKind::kWaitEnd), 20);
-}
-
-TEST(Trace, RecordsStructuredIds) {
-  Trace t;
-  t.enable(true);
-  t.record(10, EventKind::kSendPosted, "msg", EventIds{2, 7, 1, 3, 42, -1, 512});
-  ASSERT_EQ(t.events().size(), 1u);
-  const TraceEvent& e = t.events()[0];
-  EXPECT_EQ(e.ids.step, 2);
-  EXPECT_EQ(e.ids.task, 7);
-  EXPECT_EQ(e.ids.peer, 3);
-  EXPECT_EQ(e.ids.tag, 42);
-  EXPECT_EQ(e.ids.bytes, 512u);
-  EXPECT_NE(t.dump().find("peer3"), std::string::npos);
 }
 
 }  // namespace

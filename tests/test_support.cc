@@ -188,6 +188,17 @@ TEST(Options, BadValuesThrow) {
   EXPECT_THROW(o.get_bool("b", false), ConfigError);
 }
 
+TEST(Options, RejectsTrailingCharacters) {
+  const char* argv[] = {"prog", "--ranks=2junk", "--hang=600e6", "--x=1.5s",
+                        "--ok=600000000", "--d=2.5e3"};
+  Options o(6, argv);
+  EXPECT_THROW(o.get_int("ranks", 0), ConfigError);
+  EXPECT_THROW(o.get_int("hang", 0), ConfigError);
+  EXPECT_THROW(o.get_double("x", 0.0), ConfigError);
+  EXPECT_EQ(o.get_int("ok", 0), 600000000);
+  EXPECT_DOUBLE_EQ(o.get_double("d", 0.0), 2500.0);
+}
+
 TEST(Options, UnreadListsKeysNobodyAskedAbout) {
   const char* argv[] = {"prog", "--used=1", "--typo=2", "--probed", "--ghost", "pos"};
   Options o(6, argv);
