@@ -13,7 +13,6 @@ namespace usw::bench {
 const CaseResult& Sweep::run(const runtime::ProblemSpec& problem,
                              const runtime::Variant& variant, int ranks) {
   const CaseKey key{problem.name, variant.name, ranks,
-                    coordinator_.parallel() ? coordinator_.describe() : "",
                     comm_agg_.enabled ? comm_agg_.describe() : ""};
   auto it = cache_.find(key);
   if (it != cache_.end()) return it->second;
@@ -28,7 +27,6 @@ const CaseResult& Sweep::run(const runtime::ProblemSpec& problem,
   config.collect_metrics = observe_;
   config.backend = backend_;
   config.backend_threads = backend_threads_;
-  config.coordinator = coordinator_;
   config.comm_agg = comm_agg_;
 
   apps::burgers::BurgersApp app;

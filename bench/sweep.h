@@ -22,18 +22,14 @@ struct CaseKey {
   std::string problem;
   std::string variant;
   int ranks = 0;
-  /// Coordinator description ("" = serial). Only the scale benches vary
-  /// it; it stays out of the JSON key (virtual results are identical).
-  std::string coordinator{};
   /// Comm-layer description: the aggregation policy ("" = off, see
-  /// AggSpec::describe). Unlike the coordinator this DOES change virtual
-  /// comm timing, so the benches that vary it fold it into the variant
-  /// name for the JSON key.
+  /// AggSpec::describe). It changes virtual comm timing, so the benches
+  /// that vary it fold it into the variant name for the JSON key.
   std::string comm{};
 
   friend bool operator<(const CaseKey& a, const CaseKey& b) {
-    return std::tie(a.problem, a.variant, a.ranks, a.coordinator, a.comm) <
-           std::tie(b.problem, b.variant, b.ranks, b.coordinator, b.comm);
+    return std::tie(a.problem, a.variant, a.ranks, a.comm) <
+           std::tie(b.problem, b.variant, b.ranks, b.comm);
   }
 };
 
@@ -77,16 +73,9 @@ class Sweep {
     backend_threads_ = backend_threads;
   }
 
-  /// Selects how simulated ranks are granted execution for subsequent
-  /// runs (serial token vs windowed parallel; see sim/coordinator.h).
-  /// Virtual results are identical either way; only host_ms changes.
-  void set_coordinator(const sim::CoordinatorSpec& spec) {
-    coordinator_ = spec;
-  }
-
   /// Message aggregation / protocol split for subsequent runs (see
-  /// comm/agg.h). Unlike the backend/coordinator this changes virtual
-  /// comm timing, so aggregated cases cache under a distinct key.
+  /// comm/agg.h). Unlike the backend this changes virtual comm timing, so
+  /// aggregated cases cache under a distinct key.
   void set_comm_agg(const comm::AggSpec& spec) { comm_agg_ = spec; }
 
   /// Runs (or returns the cached) case.
@@ -104,7 +93,6 @@ class Sweep {
   bool observe_ = false;
   athread::Backend backend_ = athread::Backend::kSerial;
   int backend_threads_ = 0;
-  sim::CoordinatorSpec coordinator_;
   comm::AggSpec comm_agg_;
   std::map<CaseKey, CaseResult> cache_;
 };

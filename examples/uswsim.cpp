@@ -69,18 +69,6 @@ void print_help() {
       "                                fields and virtual times, less wall-clock)\n"
       "  --backend-threads=N           pool size for --backend=threads\n"
       "                                (default: one per host core, capped)\n"
-      "  --coordinator=serial|parallel[:threads=N]\n"
-      "                                how simulated ranks are granted\n"
-      "                                execution: serial = one min-virtual-\n"
-      "                                time rank at a time; parallel = every\n"
-      "                                rank inside the conservative lookahead\n"
-      "                                window (min message latency) runs\n"
-      "                                concurrently, capped at N host threads\n"
-      "                                (default: one per core). Bit-identical\n"
-      "                                output either way; planes needing a\n"
-      "                                total grant order (--schedule, msg\n"
-      "                                faults, --metrics-stream) fall back\n"
-      "                                to serial automatically\n"
       "  --comm-agg=off|on|size=B,count=N[,rdv=BYTES]\n"
       "                                message aggregation: coalesce same-\n"
       "                                destination small sends into one\n"
@@ -220,7 +208,7 @@ int main(int argc, char** argv) {
   }
   if (opts.get_bool("version", false)) {
     std::printf("%s\n", build_info_line().c_str());
-    std::printf("features: backends=serial,threads coordinators=serial,parallel "
+    std::printf("features: backends=serial,threads "
                 "schedule=fuzz,record,replay diagnostics=flight,watchdog,stream "
                 "comm=agg,rendezvous\n");
     return 0;
@@ -238,8 +226,6 @@ int main(int argc, char** argv) {
     config.backend = athread::backend_from_string(opts.get("backend", "serial"));
     config.backend_threads =
         static_cast<int>(get_int_min(opts, "backend-threads", 0, 0));
-    config.coordinator =
-        sim::CoordinatorSpec::parse(opts.get("coordinator", "serial"));
     config.comm_agg = comm::AggSpec::parse(opts.get("comm-agg", "off"));
     config.nranks = static_cast<int>(get_int_min(opts, "ranks", 4, 1));
     config.timesteps = static_cast<int>(get_int_min(opts, "steps", 10, 0));
@@ -331,22 +317,21 @@ int main(int argc, char** argv) {
                         " (unknown, or not taken by --app=" + app_name + ")");
     }
 
-    // Everything host-configuration-dependent (backend, coordinator) stays
-    // on this first line: equivalence tests diff stdout with `tail -n +2`.
+    // Everything host-configuration-dependent (the backend) stays on this
+    // first line: equivalence tests diff stdout with `tail -n +2`.
     // The aggregation policy rides along here too — it is part of the
     // configuration under comparison, not of the simulated results.
     const std::string agg_note =
         config.comm_agg.enabled ? ", comm-agg " + config.comm_agg.describe()
                                 : "";
     std::printf("uswsim: %s on %s (%d patches of %s), %d CGs, %d steps, %s, "
-                "%s backend, %s tiles, %s coordinator%s\n",
+                "%s backend, %s tiles%s\n",
                 app->name().c_str(), config.problem.grid_size().to_string().c_str(),
                 config.problem.num_patches(),
                 config.problem.patch_size.to_string().c_str(), config.nranks,
                 config.timesteps, config.variant.name.c_str(),
                 athread::to_string(config.backend),
-                sched::to_string(config.tile_policy),
-                config.coordinator.describe().c_str(), agg_note.c_str());
+                sched::to_string(config.tile_policy), agg_note.c_str());
     if (!config.faults.empty())
       std::printf("fault injection: %s\n", config.faults.describe().c_str());
     // Every schedule-exploration line starts with "schedule" so trace
@@ -355,14 +340,6 @@ int main(int argc, char** argv) {
       std::printf("schedule: %s\n", config.schedule.describe().c_str());
 
     const runtime::RunResult result = runtime::run_simulation(config, *app);
-
-    // The fallback note goes to stderr: stdout must stay byte-identical
-    // between --coordinator=serial and =parallel for the same run.
-    if (!result.coordinator_fallback.empty())
-      std::fprintf(stderr,
-                   "uswsim: note: %s needs a total grant order; "
-                   "using the serial coordinator\n",
-                   result.coordinator_fallback.c_str());
 
     if (config.schedule.mode != schedpt::Mode::kDefault) {
       const schedpt::PointCounters& pc = result.schedule_points;

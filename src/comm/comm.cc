@@ -23,7 +23,6 @@ constexpr std::size_t kIndexMask = (std::size_t{1} << kEpochShift) - 1;
 
 Network::Network(int nranks, const hw::CostModel& cost)
     : cost_(cost), mailboxes_(static_cast<std::size_t>(nranks)),
-      box_locks_(std::make_unique<std::mutex[]>(static_cast<std::size_t>(nranks))),
       link_free_(static_cast<std::size_t>(nranks), 0) {
   USW_ASSERT_MSG(nranks > 0, "network needs at least one rank");
 }
@@ -53,7 +52,6 @@ Network::Delivery Network::deliver(Message msg, int attempt) {
       result.arrival = msg.arrival;
     }
   }
-  const auto lk = lock_mailbox(msg.dst);
   auto& box = mailboxes_[static_cast<std::size_t>(msg.dst)];
   if (!msg.subs.empty()) {
     // Aggregate: the fault roll above decided the whole wire message's
@@ -169,7 +167,7 @@ void Comm::maybe_retransmit(Request& req) {
     req.lost = false;
     req.payload.clear();
     req.complete_stamp = injected;
-    coord_.notify(req.peer, d.arrival, rank_);
+    coord_.notify(req.peer, d.arrival);
   }
 }
 
@@ -276,7 +274,7 @@ RequestId Comm::post_direct(int dst, int tag, std::uint64_t bytes,
     // injected into the network.
     req.complete_stamp = injected;
     req.payload.clear();
-    coord_.notify(dst, d.arrival, rank_);
+    coord_.notify(dst, d.arrival);
   }
 
   requests_.push_back(std::move(req));
@@ -404,7 +402,7 @@ void Comm::flush_dst(int dst) {
       req.complete_stamp = injected;
       req.payload.clear();
     }
-    coord_.notify(dst, d.arrival, rank_);
+    coord_.notify(dst, d.arrival);
   }
   buf.subs.clear();
   buf.bytes = 0;
@@ -482,11 +480,6 @@ RequestId Comm::irecv(int src, int tag) {
 }
 
 void Comm::match_visible() {
-  // Hold our mailbox lock for the whole match: under the parallel
-  // coordinator other ranks may push into it concurrently. Messages they
-  // add arrive at or after the open window's end, so whether a push lands
-  // before or after this scan cannot change what is matchable now.
-  const auto lk = net_.lock_mailbox(rank_);
   auto& box = net_.mailbox(rank_);
   if (box.empty()) return;
   const TimePs now = coord_.now(rank_);
@@ -609,27 +602,15 @@ void Comm::wait(RequestId id) {
 }
 
 void Comm::wait_all(std::span<const RequestId> ids) {
-  // The wake below comes from a shared-state scan; under the parallel
-  // coordinator it is recomputed at window barriers, where concurrent
-  // senders' pushes are ordered before us (see the 3-arg wait_until).
-  // `unwaited` is local state, fixed while parked. The refresh captures
-  // one pointer, which std::function holds without allocating.
-  struct Wait {
-    Comm* comm;
-    std::span<const RequestId> ids;
-    TimePs unwaited = sim::kNever;
-  } w{this, ids};
-  const std::function<TimePs()> refresh = [&w] {
-    return std::min(w.unwaited, w.comm->earliest_known_completion(w.ids));
-  };
   for (;;) {
     bool all_done = true;
     for (RequestId id : ids)
       if (!test(id)) all_done = false;
     if (all_done) return;
-    w.unwaited = drive_unwaited_sends(ids);
+    const TimePs unwaited = drive_unwaited_sends(ids);
     const TimePs before = coord_.now(rank_);
-    coord_.wait_until(rank_, refresh(), refresh);
+    coord_.wait_until(rank_,
+                      std::min(unwaited, earliest_known_completion(ids)));
     if (counters_ != nullptr) counters_->wait_time += coord_.now(rank_) - before;
   }
 }
@@ -666,11 +647,6 @@ std::uint64_t Comm::request_bytes(RequestId id) const {
 
 TimePs Comm::earliest_known_completion(std::span<const RequestId> ids) const {
   TimePs wake = sim::kNever;
-  // Lock against concurrent senders (parallel coordinator). This scan can
-  // race an in-window sender's push in either direction; callers that park
-  // on the result pass this function as the wait_until refresh so the
-  // window barrier recomputes it authoritatively (see sim/coordinator.h).
-  const auto lk = net_.lock_mailbox(rank_);
   const auto& box = net_.mailbox(rank_);
   for (RequestId id : ids) {
     const Request& req = checked(id);

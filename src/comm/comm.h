@@ -34,12 +34,12 @@
 // are derived from the aggregate's seq (agg + 1 + i, with all wire seqs
 // strided by kAggSeqStride), which keeps per-sender monotonicity — and
 // with it MPI non-overtaking — plus deterministic fault hashing and
-// flight-ring events across backends and coordinators. A buffered send
-// completes locally at append time (MPI_Bsend semantics) unless loss
-// injection is armed, in which case it completes at flush like any other
-// eager send. Buffers are flushed on the size/count policy, by
-// flush_sends() (schedulers call it after each halo burst), by the
-// poll-time progress step, and by reset_requests.
+// flight-ring events across backends. A buffered send completes locally
+// at append time (MPI_Bsend semantics) unless loss injection is armed, in
+// which case it completes at flush like any other eager send. Buffers are
+// flushed on the size/count policy, by flush_sends() (schedulers call it
+// after each halo burst), by the poll-time progress step, and by
+// reset_requests.
 //
 // Progress: nonblocking MPI on Sunway progresses only when the MPE polls,
 // and so does this endpoint — nothing moves between calls. The one
@@ -52,29 +52,15 @@
 // of any lost send outside the waited set, so a rank waiting on a reply
 // that depends on its own lost request cannot stall in virtual time.
 //
-// Thread safety: the Network object is shared by all rank threads. Under
-// the serial coordinator only the token-holding rank touches it, with the
-// coordinator's mutex providing the happens-before edges. Under the
-// parallel coordinator several granted ranks run concurrently, so the two
-// genuinely shared pieces are synchronized directly: each mailbox has its
-// own mutex (senders push, the owner matches), and the global message
-// sequence counter is atomic. Everything else (request tables, link-free
-// times) is per-rank and only ever touched by its owning rank thread. A
-// Comm must still only be used from the thread running its rank.
-//
-// Determinism under concurrent sends: seq values are assigned in host
-// order, so two ranks sending in the same window may get their seqs in
-// either order between runs. That is invisible to results — MPI matching
-// only orders messages WITHIN a (src, tag) class, and a single sender's
-// seqs are still monotone (program order) — but it does mean flight-ring
-// seq values are host-dependent in parallel mode. Fault plans hash the
-// seq, which is why message faults force the serial coordinator.
+// Thread safety: the Network object is shared by all rank threads, but
+// only the rank holding the coordinator's token ever touches it — mailbox
+// pushes and matches, link reservations and the message sequence counter
+// alike. The token handoff (coordinator mutex plus the per-rank wake-up
+// semaphore) provides the happens-before edges, so none of it takes a
+// lock of its own. CPE worker threads never touch comm state. A Comm must
+// only be used from the thread running its rank.
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <utility>
@@ -166,24 +152,13 @@ class Network {
   /// retransmission. kDelayed messages are enqueued at the later arrival.
   Delivery deliver(Message msg, int attempt = 1);
 
-  /// Unsynchronized mailbox access — for single-threaded contexts only
-  /// (post-run lint sweeps, tests). Concurrent contexts must hold
-  /// lock_mailbox(rank) for the whole access.
+  /// `rank`'s incoming messages: senders push, the owner matches.
   std::vector<Message>& mailbox(int rank) { return mailboxes_[static_cast<std::size_t>(rank)]; }
   const std::vector<Message>& mailbox(int rank) const {
     return mailboxes_[static_cast<std::size_t>(rank)];
   }
 
-  /// Locks `rank`'s mailbox (senders push into it; the owner matches from
-  /// it — under the parallel coordinator those overlap in host time).
-  std::unique_lock<std::mutex> lock_mailbox(int rank) const {
-    return std::unique_lock<std::mutex>(
-        box_locks_[static_cast<std::size_t>(rank)]);
-  }
-
-  std::uint64_t next_seq() {
-    return seq_.fetch_add(1, std::memory_order_relaxed);
-  }
+  std::uint64_t next_seq() { return seq_++; }
 
   /// Reserves `src`'s injection link from `post_time` for `bytes`; returns
   /// the time the last byte leaves the NIC.
@@ -194,10 +169,8 @@ class Network {
   const fault::FaultPlan* fault_ = nullptr;
   schedpt::ScheduleController* schedule_ = nullptr;
   std::vector<std::vector<Message>> mailboxes_;
-  /// One mutex per mailbox (unique_ptr array: std::mutex is immovable).
-  std::unique_ptr<std::mutex[]> box_locks_;
   std::vector<TimePs> link_free_;  ///< per-rank NIC free time
-  std::atomic<std::uint64_t> seq_{0};
+  std::uint64_t seq_ = 0;          ///< global send order
 };
 
 /// Per-rank endpoint.
@@ -217,13 +190,6 @@ class Comm {
   /// Sleeps (virtual time) until `wake`, or earlier if a message for this
   /// rank arrives first. kNever waits purely on arrivals.
   void wait_until_time(TimePs wake) { coord_.wait_until(rank_, wake); }
-
-  /// As above, for wakes derived from a shared-state scan (e.g. via
-  /// earliest_known_completion): `refresh` recomputes the scan and is
-  /// re-run at parallel window barriers (see sim/coordinator.h).
-  void wait_until_time(TimePs wake, const std::function<TimePs()>& refresh) {
-    coord_.wait_until(rank_, wake, refresh);
-  }
 
   /// Charges local MPE time (used by schedulers for their own overheads).
   void advance(TimePs dt) { coord_.advance(rank_, dt); }

@@ -11,8 +11,6 @@ void MachineParams::validate() const {
   require(cpes_per_cg > 0, "cpes_per_cg must be positive");
   require(ldm_bytes >= 1024, "ldm_bytes implausibly small");
   require(cpe_freq_hz > 0 && mpe_freq_hz > 0, "core frequencies must be positive");
-  require(simd_width == 1 || simd_width == 2 || simd_width == 4 || simd_width == 8,
-          "simd_width must be 1, 2, 4 or 8");
   require(dram_bw_bytes_per_s > 0, "dram bandwidth must be positive");
   require(dma_efficiency > 0 && dma_efficiency <= 1.0, "dma_efficiency in (0,1]");
   require(dma_strided_efficiency > 0 && dma_strided_efficiency <= dma_efficiency,

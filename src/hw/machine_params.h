@@ -27,7 +27,6 @@ struct MachineParams {
   std::uint64_t ldm_bytes = 64 * 1024;  ///< per-CPE local data memory
   double cpe_freq_hz = 1.45e9;      ///< CPE clock
   double mpe_freq_hz = 1.45e9;      ///< MPE clock
-  int simd_width = 4;               ///< 256-bit SIMD over doubles
   double mpe_peak_gflops = 23.2;    ///< MPE theoretical peak (paper IV-A)
   double cpe_cluster_peak_gflops = 742.4;  ///< 64-CPE cluster peak
   std::uint64_t cg_memory_bytes = 8ull * 1024 * 1024 * 1024;  ///< 32 GB / 4 CGs

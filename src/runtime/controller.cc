@@ -39,8 +39,6 @@ void RunConfig::validate() const {
     throw ConfigError("cpe_groups must divide the CPE count");
   if (backend_threads < 0)
     throw ConfigError("backend_threads must be >= 0 (0 = auto)");
-  if (coordinator.max_concurrent < 0)
-    throw ConfigError("coordinator.max_concurrent must be >= 0 (0 = auto)");
   if (nranks > problem.num_patches())
     throw ConfigError("more ranks than patches (one patch is scheduled on one "
                       "CG at a time, Sec VII-A)");
@@ -153,29 +151,6 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
   if (schedule != nullptr) network.set_schedule(schedule.get());
   const TimePs lookahead =
       config.machine.net_latency + config.machine.mpi_sw_latency;
-
-  // Effective coordinator mode. The parallel (windowed) coordinator is
-  // bit-identical to serial only when no plane needs a total order over
-  // grants; three do, and each forces the serial fallback:
-  //  * schedule fuzz/record/replay: every choose() consumes a global
-  //    decision index, so the decision log IS a total order;
-  //  * message-level faults: loss/delay rolls hash the global message seq,
-  //    which concurrent senders would assign in host order;
-  //  * streaming metrics: rank 0 reads every rank's live counters, which
-  //    is only race-free while it alone holds the token.
-  sim::CoordinatorSpec coord_spec = config.coordinator;
-  std::string coord_fallback;
-  if (coord_spec.parallel()) {
-    if (config.schedule.mode != schedpt::Mode::kDefault)
-      coord_fallback = "schedule " + config.schedule.describe();
-    else if (config.faults.has(fault::FaultKind::kMsgLoss) ||
-             config.faults.has(fault::FaultKind::kMsgDelay))
-      coord_fallback = "message-level fault injection";
-    else if (config.stream.enabled())
-      coord_fallback = "streaming metrics";
-    if (!coord_fallback.empty())
-      coord_spec.mode = sim::CoordinatorMode::kSerial;
-  }
 
   task::TaskGraph init_graph;
   app.build_init_graph(init_graph, level);
@@ -555,10 +530,7 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
       }
     }
     out.trace = flight.take_log();
-  }, schedule.get(), lookahead, &diag_hub, config.diag.hang_threshold,
-                 coord_spec);
-  result.coordinator_used = coord_spec;
-  result.coordinator_fallback = coord_fallback;
+  }, schedule.get(), lookahead, &diag_hub, config.diag.hang_threshold);
 
   if (config.check.enabled && config.check.comm)
     result.comm_violations = check::lint_network_shutdown(network);

@@ -27,7 +27,6 @@
 #include "runtime/problem.h"
 #include "runtime/variant.h"
 #include "schedpt/schedule.h"
-#include "sim/coordinator.h"
 #include "support/units.h"
 #include "var/datawarehouse.h"
 
@@ -56,22 +55,10 @@ struct RunConfig {
   /// Worker threads for Backend::kThreads (0 = one per host core, capped).
   int backend_threads = 0;
 
-  /// How simulated ranks are granted execution (uswsim --coordinator).
-  /// kSerial hands a single token to the minimum-virtual-time rank;
-  /// kParallel grants every rank inside the conservative lookahead window
-  /// concurrently (see sim/coordinator.h). Both produce bit-identical
-  /// stdout, metrics, archives and schedule files — parallel only buys
-  /// host wall-clock at high rank counts. Planes that need a total order
-  /// over grants (schedule fuzz/record/replay, message-level fault
-  /// injection, streaming metrics) automatically fall back to serial
-  /// granting; the effective mode is reported in RunResult.
-  sim::CoordinatorSpec coordinator;
-
   /// Message aggregation/coalescing and the eager/rendezvous protocol
   /// split (uswsim --comm-agg, see comm/agg.h). Off by default. Numerics
-  /// and archives are bit-equal with aggregation on or off, and the
-  /// serial/parallel coordinator byte-equality contract holds with it
-  /// enabled; only virtual comm timing (and the comm.agg.* metrics) move.
+  /// and archives are bit-equal with aggregation on or off; only virtual
+  /// comm timing (and the comm.agg.* metrics) move.
   /// Messages progress only when a rank polls (see comm/comm.h), with or
   /// without aggregation.
   comm::AggSpec comm_agg;
@@ -179,11 +166,6 @@ struct RunResult {
   obs::HostProfile host;
   /// Path the diagnostic dump was written to ("" if none was requested).
   std::string diag_dump_path;
-  /// Coordinator mode the run actually used. Differs from the requested
-  /// RunConfig::coordinator only when an order-sensitive plane forced the
-  /// serial fallback; `coordinator_fallback` then names the plane ("").
-  sim::CoordinatorSpec coordinator_used;
-  std::string coordinator_fallback;
 
   /// All validator findings across ranks plus the run-level comm lint.
   std::size_t total_violations() const;

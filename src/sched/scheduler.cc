@@ -593,20 +593,13 @@ bool Scheduler::progress_comm(task::TaskContext& ctx) {
 }
 
 void Scheduler::idle_wait() {
-  idle_cluster_wake_ = cluster_.earliest_completion();
+  const TimePs cluster_wake = cluster_.earliest_completion();
   collect_open_ids();
-  // The comm part of the wake scans shared mailbox state; the refresh lets
-  // parallel window barriers recompute it (the cluster part is local and
-  // fixed while parked). See sim/coordinator.h. Capturing one pointer
-  // keeps the std::function in its inline buffer.
-  const std::function<TimePs()> refresh = [this] {
-    return std::min(idle_cluster_wake_,
-                    comm_.earliest_known_completion(open_ids_));
-  };
-  const TimePs wake = refresh();
+  const TimePs wake =
+      std::min(cluster_wake, comm_.earliest_known_completion(open_ids_));
   const TimePs before = comm_.now();
   record(obs::FlightKind::kWaitBegin, before, -1);
-  comm_.wait_until_time(wake, refresh);
+  comm_.wait_until_time(wake);
   // Poll after waking: with both open lists empty, progress_comm()
   // early-returns without reaching test_bulk's own progress step.
   comm_.service_progress();

@@ -282,7 +282,6 @@ class Scheduler {
   std::vector<int> offloaded_;             ///< per CPE group: dt index or -1
   // Polling scratch, reused so a poll allocates nothing.
   std::vector<comm::RequestId> open_ids_;  ///< collect_open_ids()
-  TimePs idle_cluster_wake_ = 0;           ///< idle_wait()'s CPE wake-up
 
   // Resilience state, persistent across steps (a degraded group stays
   // degraded for the remainder of the run).

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "support/test_helpers.h"
 
 using usw::test::bytes_of;
+using usw::test::slurp_tree;
 using usw::test::str_of;
 
 namespace usw::comm {
@@ -425,21 +428,34 @@ TEST(CommAggE2E, FaultedRunStaysBitEqualWithAggregation) {
         << "rank " << r;
 }
 
-TEST(CommAggE2E, SerialAndParallelCoordinatorsBitEqualWithAggregation) {
-  runtime::RunConfig cfg = e2e_config();
-  cfg.variant = runtime::variant_by_name("acc_simd.async");
-  cfg.comm_agg = AggSpec::parse("on");
-  const runtime::RunResult serial =
-      runtime::run_simulation(cfg, apps::burgers::BurgersApp());
-  cfg.coordinator = sim::CoordinatorSpec::parse("parallel");
-  const runtime::RunResult parallel =
-      runtime::run_simulation(cfg, apps::burgers::BurgersApp());
-  EXPECT_TRUE(parallel.coordinator_fallback.empty());
-
-  ASSERT_EQ(serial.ranks.size(), parallel.ranks.size());
-  for (std::size_t r = 0; r < serial.ranks.size(); ++r) {
-    EXPECT_EQ(serial.ranks[r].metrics, parallel.ranks[r].metrics);
-    EXPECT_EQ(serial.ranks[r].step_walls, parallel.ranks[r].step_walls);
+TEST(CommAggE2E, ArchivesByteEqualWithAggregation) {
+  // Every archived file — index, step metadata, fields — must be the same
+  // bytes with aggregation off and on, and both runs must validate clean.
+  const std::string base = ::testing::TempDir() + "/usw_comm_agg_archive_";
+  std::map<std::string, std::string> trees[2];
+  for (const bool on : {false, true}) {
+    runtime::RunConfig cfg = e2e_config();
+    cfg.timesteps = 4;
+    cfg.comm_agg = AggSpec::parse(on ? "on" : "off");
+    cfg.check.enabled = true;
+    cfg.output_dir = base + (on ? "on" : "off");
+    cfg.output_interval = 2;
+    std::filesystem::remove_all(cfg.output_dir);
+    const runtime::RunResult r =
+        runtime::run_simulation(cfg, apps::burgers::BurgersApp());
+    EXPECT_EQ(r.total_violations(), 0u) << cfg.comm_agg.describe();
+    if (on) {
+      EXPECT_GT(r.merged_counters().agg_msgs_packed, 0u);
+    }
+    trees[on ? 1 : 0] = slurp_tree(cfg.output_dir);
+    std::filesystem::remove_all(cfg.output_dir);
+  }
+  ASSERT_FALSE(trees[0].empty());
+  ASSERT_EQ(trees[0].size(), trees[1].size());
+  for (const auto& [name, bytes] : trees[0]) {
+    auto it = trees[1].find(name);
+    ASSERT_NE(it, trees[1].end()) << name;
+    EXPECT_TRUE(bytes == it->second) << "archive file differs: " << name;
   }
 }
 
@@ -511,31 +527,6 @@ TEST(CommProgressE2E, FaultedRunStaysBitEqualWithEngine) {
   for (std::size_t r = 0; r < clean.ranks.size(); ++r)
     EXPECT_EQ(clean.ranks[r].metrics, faulted.ranks[r].metrics)
         << "rank " << r;
-}
-
-// The rendezvous handshake blocks the MPE. Under the parallel coordinator
-// it must still give the serial run's per-step walls and comm counters.
-TEST(CommProgressE2E, SerialAndParallelCoordinatorsBitEqualWithEngine) {
-  runtime::RunConfig cfg = mixed_protocol_config();
-  const runtime::RunResult serial =
-      runtime::run_simulation(cfg, apps::burgers::BurgersApp());
-  cfg.coordinator = sim::CoordinatorSpec::parse("parallel");
-  const runtime::RunResult parallel =
-      runtime::run_simulation(cfg, apps::burgers::BurgersApp());
-  EXPECT_TRUE(parallel.coordinator_used.parallel());
-  EXPECT_TRUE(parallel.coordinator_fallback.empty());
-
-  ASSERT_EQ(serial.ranks.size(), parallel.ranks.size());
-  for (std::size_t r = 0; r < serial.ranks.size(); ++r) {
-    EXPECT_EQ(serial.ranks[r].metrics, parallel.ranks[r].metrics);
-    EXPECT_EQ(serial.ranks[r].step_walls, parallel.ranks[r].step_walls);
-  }
-  const hw::PerfCounters sc = serial.merged_counters();
-  const hw::PerfCounters pc = parallel.merged_counters();
-  EXPECT_GT(sc.msgs_rendezvous, 0u);
-  EXPECT_EQ(sc.msgs_rendezvous, pc.msgs_rendezvous);
-  EXPECT_EQ(sc.agg_flushes, pc.agg_flushes);
-  EXPECT_EQ(sc.mpi_posts, pc.mpi_posts);
 }
 
 }  // namespace

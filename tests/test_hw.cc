@@ -20,7 +20,6 @@ TEST(MachineParams, PeakMatchesPaper) {
   EXPECT_NEAR(m.cg_peak_gflops(), 765.6, 0.1);  // 23.2 + 742.4 (Sec IV-A)
   EXPECT_EQ(m.cpes_per_cg, 64);
   EXPECT_EQ(m.ldm_bytes, 64u * 1024u);
-  EXPECT_EQ(m.simd_width, 4);
 }
 
 TEST(MachineParams, RejectsNonsense) {
@@ -29,9 +28,6 @@ TEST(MachineParams, RejectsNonsense) {
   EXPECT_THROW(bad.validate(), ConfigError);
   bad = sunway();
   bad.dma_efficiency = 1.5;
-  EXPECT_THROW(bad.validate(), ConfigError);
-  bad = sunway();
-  bad.simd_width = 3;
   EXPECT_THROW(bad.validate(), ConfigError);
   bad = sunway();
   bad.cpe_exp_ieee_multiplier = 0.5;

@@ -179,98 +179,36 @@ TEST(RunSimulation, ZeroTimestepsRunsInitOnly) {
   EXPECT_GT(result.ranks[0].init_wall, 0);
 }
 
-TEST(RunSimulation, ParallelCoordinatorBitIdentical) {
-  // The windowed-parallel coordinator must reproduce serial results
-  // exactly: solutions, per-step virtual walls, and every counter.
+TEST(RunSimulation, TeardownUnderWatchdog) {
+  // A watchdog fire mid-run must cancel every rank, drain the CPE worker
+  // pool without leaked work, and leave the process able to run the next
+  // simulation — on both backends.
   apps::burgers::BurgersApp app;
-  for (const char* variant : {"acc.sync", "acc_simd.async"}) {
-    RunConfig cfg;
-    cfg.problem = tiny_problem({2, 2, 2}, {8, 8, 8});
-    cfg.variant = variant_by_name(variant);
-    cfg.nranks = 8;
-    cfg.timesteps = 4;
-    cfg.storage = var::StorageMode::kFunctional;
-    const RunResult serial = run_simulation(cfg, app);
-    cfg.coordinator = sim::CoordinatorSpec::parse("parallel");
-    const RunResult parallel = run_simulation(cfg, app);
-    EXPECT_TRUE(parallel.coordinator_used.parallel());
-    EXPECT_TRUE(parallel.coordinator_fallback.empty());
-    for (std::size_t r = 0; r < serial.ranks.size(); ++r)
-      EXPECT_EQ(serial.ranks[r].step_walls, parallel.ranks[r].step_walls)
-          << variant << " rank " << r;
-    EXPECT_EQ(serial.ranks[0].metrics.at("linf_error"),
-              parallel.ranks[0].metrics.at("linf_error"))
-        << variant;
-    const auto sc = serial.merged_counters();
-    const auto pc = parallel.merged_counters();
-    EXPECT_EQ(sc.messages_sent, pc.messages_sent) << variant;
-    EXPECT_EQ(sc.bytes_sent, pc.bytes_sent) << variant;
-    EXPECT_EQ(sc.counted_flops, pc.counted_flops) << variant;
-  }
-}
-
-TEST(RunSimulation, OrderSensitivePlanesForceSerialFallback) {
-  // Schedule exploration, message-level faults and streaming metrics all
-  // need a total grant order; a parallel request degrades to serial and
-  // the result names the plane that forced it.
-  apps::burgers::BurgersApp app;
-  RunConfig cfg;
-  cfg.problem = tiny_problem({2, 2, 1}, {8, 8, 8});
-  cfg.variant = variant_by_name("acc.async");
-  cfg.nranks = 2;
-  cfg.timesteps = 2;
-  cfg.storage = var::StorageMode::kTimingOnly;
-  cfg.coordinator = sim::CoordinatorSpec::parse("parallel");
-
-  RunConfig fuzz = cfg;
-  fuzz.schedule = schedpt::ScheduleSpec::parse("fuzz:seed=1");
-  const RunResult rf = run_simulation(fuzz, app);
-  EXPECT_FALSE(rf.coordinator_used.parallel());
-  EXPECT_NE(rf.coordinator_fallback.find("schedule"), std::string::npos);
-
-  RunConfig faults = cfg;
-  faults.faults = fault::FaultPlan::parse("msg_delay:p=0.5", 1);
-  const RunResult rm = run_simulation(faults, app);
-  EXPECT_FALSE(rm.coordinator_used.parallel());
-  EXPECT_NE(rm.coordinator_fallback.find("fault"), std::string::npos);
-
-  // Rank-level faults do not need a total order: no fallback.
-  RunConfig cpe = cfg;
-  cpe.faults = fault::FaultPlan::parse("cpe_stall:step=1:factor=2.0", 1);
-  const RunResult rc = run_simulation(cpe, app);
-  EXPECT_TRUE(rc.coordinator_used.parallel());
-  EXPECT_TRUE(rc.coordinator_fallback.empty());
-}
-
-TEST(RunSimulation, ParallelCoordinatorTeardownUnderWatchdog) {
-  // A watchdog fire mid-parallel-advance must cancel every rank, drain
-  // the CPE worker pool without leaked work, and leave the process able
-  // to run the next simulation — under both coordinators and backends.
-  apps::burgers::BurgersApp app;
-  for (const char* coord : {"serial", "parallel"}) {
+  for (const athread::Backend backend :
+       {athread::Backend::kSerial, athread::Backend::kThreads}) {
+    const char* name = athread::to_string(backend);
     RunConfig cfg;
     cfg.problem = tiny_problem({2, 2, 1}, {8, 8, 8});
     cfg.variant = variant_by_name("acc_simd.async");
     cfg.nranks = 4;
     cfg.timesteps = 3;
     cfg.storage = var::StorageMode::kTimingOnly;
-    cfg.backend = athread::Backend::kThreads;
-    cfg.coordinator = sim::CoordinatorSpec::parse(coord);
+    cfg.backend = backend;
     cfg.diag.hang_threshold = kMicrosecond;  // any real step blows 1 us
     cfg.diag.dump_path.clear();
     try {
       run_simulation(cfg, app);
-      FAIL() << "watchdog did not fire under " << coord;
+      FAIL() << "watchdog did not fire on the " << name << " backend";
     } catch (const StateError& e) {
       EXPECT_NE(std::string(e.what()).find("hang watchdog"),
                 std::string::npos)
-          << coord;
+          << name;
     }
     // Clean teardown: the identical config without the watchdog completes.
     cfg.diag.hang_threshold = 0;
     const RunResult ok = run_simulation(cfg, app);
     EXPECT_EQ(static_cast<int>(ok.ranks[0].step_walls.size()), cfg.timesteps)
-        << coord;
+        << name;
   }
 }
 

@@ -277,7 +277,7 @@ TEST(Coordinator, GrantOrderMatchesReferenceModel) {
           for (int seg = 0; seg < ScriptedSegment::kSegments; ++seg) {
             const ScriptedSegment s = ScriptedSegment::of(r, seg);
             c.advance(r, s.dt);
-            c.notify((r + 1) % kRanks, c.now(r) + s.stamp, r);
+            c.notify((r + 1) % kRanks, c.now(r) + s.stamp);
             if (s.op == 0)
               c.gate(r);
             else
@@ -364,143 +364,19 @@ TEST(Coordinator, FuzzScheduleFileMatchesGolden) {
   std::filesystem::remove(file);
 }
 
-// ------------------------------------------- parallel (windowed) granting ---
+// ------------------------------------------------ cancellation and crashes ---
 
-CoordinatorSpec parallel_spec(int threads = 0) {
-  CoordinatorSpec spec;
-  spec.mode = CoordinatorMode::kParallel;
-  spec.max_concurrent = threads;
-  return spec;
-}
-
-/// Runs `body` under the serial coordinator, then under the windowed
-/// parallel one; any EXPECT inside the body asserts both ways.
-void run_both(int nranks, TimePs window,
-              const std::function<void(Coordinator&, int)>& body) {
-  run_ranks(nranks, body);
-  run_ranks(nranks, body, nullptr, window, nullptr, 0, parallel_spec());
-}
-
-TEST(CoordinatorSpec, ParsesModesAndThreads) {
-  EXPECT_FALSE(CoordinatorSpec::parse("serial").parallel());
-  EXPECT_FALSE(CoordinatorSpec::parse("").parallel());
-  const CoordinatorSpec p = CoordinatorSpec::parse("parallel");
-  EXPECT_TRUE(p.parallel());
-  EXPECT_EQ(p.max_concurrent, 0);
-  EXPECT_EQ(p.describe(), "parallel");
-  const CoordinatorSpec pt = CoordinatorSpec::parse("parallel:threads=4");
-  EXPECT_TRUE(pt.parallel());
-  EXPECT_EQ(pt.max_concurrent, 4);
-  EXPECT_EQ(pt.describe(), "parallel:threads=4");
-  EXPECT_EQ(CoordinatorSpec{}.describe(), "serial");
-  EXPECT_THROW(CoordinatorSpec::parse("bogus"), ConfigError);
-  EXPECT_THROW(CoordinatorSpec::parse("parallelx"), ConfigError);
-  EXPECT_THROW(CoordinatorSpec::parse("parallel:threads="), ConfigError);
-  EXPECT_THROW(CoordinatorSpec::parse("parallel:threads=0"), ConfigError);
-  EXPECT_THROW(CoordinatorSpec::parse("parallel:threads=-2"), ConfigError);
-  EXPECT_THROW(CoordinatorSpec::parse("parallel:threads=4x"), ConfigError);
-  EXPECT_THROW(CoordinatorSpec::parse("parallel:nope=3"), ConfigError);
-}
-
-TEST(ParallelCoordinator, DegeneratesToSerialWithoutWindowOrRanks) {
-  // A zero window or a single rank takes the serial path outright.
-  const Coordinator zero_window(4, parallel_spec(), 0);
-  EXPECT_FALSE(zero_window.parallel_active());
-  const Coordinator one_rank(1, parallel_spec(), 100);
-  EXPECT_FALSE(one_rank.parallel_active());
-  const Coordinator real(4, parallel_spec(), 100);
-  EXPECT_TRUE(real.parallel_active());
-}
-
-TEST(ParallelCoordinator, NotifyWakesWaiter) {
-  run_both(2, 50, [](Coordinator& c, int r) {
-    if (r == 0) {
-      c.wait_until(r, kNever);
-      EXPECT_EQ(c.now(r), 300);
-    } else {
-      c.advance(r, 200);
-      c.gate(r);
-      c.notify(0, 300, r);
-      c.advance(r, 500);
-      c.gate(r);
-    }
-  });
-}
-
-TEST(ParallelCoordinator, NotifyNeverMovesClockBackwards) {
-  run_both(2, 50, [](Coordinator& c, int r) {
-    if (r == 0) {
-      c.advance(r, 1000);
-      c.wait_until(r, kNever);
-      EXPECT_EQ(c.now(r), 1000);
-    } else {
-      c.advance(r, 400);
-      c.gate(r);
-      c.notify(0, 100, r);
-    }
-  });
-}
-
-TEST(ParallelCoordinator, EarlierNotifyLowersWake) {
-  run_both(2, 50, [](Coordinator& c, int r) {
-    if (r == 0) {
-      c.wait_until(r, 10000);
-      EXPECT_EQ(c.now(r), 250);
-    } else {
-      c.advance(r, 250);
-      c.gate(r);
-      c.notify(0, 250, r);
-      c.advance(r, 1);
-      c.gate(r);
-    }
-  });
-}
-
-TEST(ParallelCoordinator, TimelineMatchesSerial) {
-  // A communication-free virtual-time dance with in-window waits: final
-  // clocks must be identical under serial and windowed-parallel granting,
-  // for any grant cap.
-  constexpr TimePs kWindow = 100;
-  auto timeline = [&](const CoordinatorSpec& spec) {
-    std::vector<TimePs> finals(6);
-    run_ranks(
-        6,
-        [&](Coordinator& c, int r) {
-          for (int i = 0; i < 50; ++i) {
-            c.advance(r, (r * 7 + i * 3) % 23 + 1);
-            c.gate(r);
-            const int peer = (r + 1) % 6;
-            // Honor the physical-latency contract: a notify stamp is an
-            // arrival, at least one window past the sender's clock.
-            if (i % 3 == 0) c.notify(peer, c.now(r) + kWindow + i % 7, r);
-            if (i % 4 == 1) c.wait_until(r, c.now(r) + 15);
-          }
-          finals[static_cast<std::size_t>(r)] = c.now(r);
-        },
-        nullptr, kWindow, nullptr, 0, spec);
-    return finals;
-  };
-  const std::vector<TimePs> serial = timeline(CoordinatorSpec{});
-  EXPECT_EQ(serial, timeline(parallel_spec()));
-  EXPECT_EQ(serial, timeline(parallel_spec(1)));
-  EXPECT_EQ(serial, timeline(parallel_spec(2)));
-}
-
-TEST(ParallelCoordinator, DeadlockMessageMatchesSerial) {
-  auto deadlock_msg = [](const CoordinatorSpec& spec) {
-    try {
-      run_ranks(
-          2, [](Coordinator& c, int r) { c.wait_until(r, kNever); }, nullptr,
-          50, nullptr, 0, spec);
-    } catch (const StateError& e) {
-      return std::string(e.what());
-    }
-    ADD_FAILURE() << "no deadlock under " << spec.describe();
-    return std::string();
-  };
-  const std::string serial = deadlock_msg(CoordinatorSpec{});
-  EXPECT_NE(serial.find("deadlock"), std::string::npos);
-  EXPECT_EQ(serial, deadlock_msg(parallel_spec()));
+TEST(Coordinator, DeadlockMessageNamesWaitingRanks) {
+  try {
+    run_ranks(2, [](Coordinator& c, int r) { c.wait_until(r, kNever); });
+    ADD_FAILURE() << "no deadlock";
+  } catch (const StateError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "(virtual-time deadlock: rank 0 waiting at t=0 rank 1 "
+                  "waiting at t=0)"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 /// Minimal crash-capturing diagnostic sink for watchdog tests.
@@ -513,99 +389,81 @@ struct CrashSink : DiagSink {
   }
 };
 
-TEST(ParallelCoordinator, WatchdogReasonMatchesSerial) {
-  // No heartbeat ever: the second window outruns the stall threshold. The
-  // cancel reason (rank, virtual times) must be bit-identical to serial.
-  auto fire = [](const CoordinatorSpec& spec) {
-    CrashSink sink;
-    try {
-      run_ranks(
-          2,
-          [](Coordinator& c, int r) {
-            for (int i = 0; i < 100; ++i) {
-              c.advance(r, 1000);
-              c.gate(r);
-            }
-          },
-          nullptr, 50, &sink, 500, spec);
-      ADD_FAILURE() << "watchdog did not fire under " << spec.describe();
-    } catch (const StateError& e) {
-      EXPECT_NE(std::string(e.what()).find("hang watchdog"),
-                std::string::npos);
-    }
-    return sink.reason;
-  };
-  const std::string serial = fire(CoordinatorSpec{});
-  EXPECT_NE(serial.find("hang watchdog"), std::string::npos);
-  EXPECT_EQ(serial, fire(parallel_spec()));
-}
-
-TEST(ParallelCoordinator, MidAdvanceErrorDrainsWithoutDeadlock) {
-  // One rank throws StateError mid-segment while siblings are granted,
-  // parked waiting, and parked at gates. Every thread must drain (the
-  // throwing rank cancels, parked ranks wake with Cancelled) and the
-  // original error must surface — under both coordinators.
-  for (const CoordinatorSpec& spec :
-       {CoordinatorSpec{}, parallel_spec(), parallel_spec(1)}) {
-    std::atomic<int> entered{0};
-    std::atomic<int> drained{0};
-    try {
-      run_ranks(
-          4,
-          [&](Coordinator& c, int r) {
-            entered.fetch_add(1);
-            struct Drain {
-              std::atomic<int>& n;
-              ~Drain() { n.fetch_add(1); }
-            } drain{drained};
-            c.advance(r, 10 + r);
+TEST(Coordinator, WatchdogReasonNamesStall) {
+  // No heartbeat ever: the third grant, at t=1000, outruns the 500 ps
+  // stall threshold. The reason names the interval and the stalled rank.
+  CrashSink sink;
+  try {
+    run_ranks(
+        2,
+        [](Coordinator& c, int r) {
+          for (int i = 0; i < 100; ++i) {
+            c.advance(r, 1000);
             c.gate(r);
-            if (r == 2) {
-              // Keep yielding until every rank has entered the body, so
-              // the error provably lands while siblings are granted,
-              // parked at gates, and parked waiting.
-              while (entered.load() < 4) {
-                c.advance(r, 1);
-                c.gate(r);
-              }
-              c.advance(r, 5);
-              throw StateError("validation failure mid-advance");
-            }
-            if (r == 3) c.wait_until(r, kNever);
-            for (int i = 0; i < 100; ++i) {
-              c.advance(r, 7);
-              c.gate(r);
-            }
-          },
-          nullptr, 50, nullptr, 0, spec);
-      ADD_FAILURE() << "error did not surface under " << spec.describe();
-    } catch (const StateError& e) {
-      EXPECT_NE(std::string(e.what()).find("validation failure"),
-                std::string::npos)
-          << spec.describe();
-    }
-    EXPECT_EQ(drained.load(), 4) << spec.describe();
+          }
+        },
+        nullptr, 0, &sink, 500);
+    ADD_FAILURE() << "watchdog did not fire";
+  } catch (const StateError& e) {
+    EXPECT_NE(std::string(e.what()).find("hang watchdog"), std::string::npos);
   }
+  EXPECT_EQ(sink.reason,
+            "hang watchdog: no step completed between t=0 and t=1000 ps "
+            "(threshold 500 ps); stalled at rank 0");
 }
 
-TEST(ParallelCoordinator, CancelDuringRunReleasesAllRanks) {
-  for (const CoordinatorSpec& spec : {CoordinatorSpec{}, parallel_spec()}) {
-    try {
-      run_ranks(
-          3,
-          [](Coordinator& c, int r) {
-            c.advance(r, 100);
-            c.gate(r);
-            if (r == 0) c.cancel("operator abort");
-            c.wait_until(r, c.now(r) + 1000);
-          },
-          nullptr, 50, nullptr, 0, spec);
-      ADD_FAILURE() << "cancel did not surface under " << spec.describe();
-    } catch (const StateError& e) {
-      EXPECT_NE(std::string(e.what()).find("operator abort"),
-                std::string::npos)
-          << spec.describe();
-    }
+TEST(Coordinator, MidAdvanceErrorDrainsWithoutDeadlock) {
+  // One rank throws StateError mid-segment while its siblings are parked
+  // waiting and parked at gates. Every thread must drain (the throwing
+  // rank cancels, parked ranks wake with Cancelled) and the original
+  // error must surface.
+  std::atomic<int> entered{0};
+  std::atomic<int> drained{0};
+  try {
+    run_ranks(4, [&](Coordinator& c, int r) {
+      entered.fetch_add(1);
+      struct Drain {
+        std::atomic<int>& n;
+        ~Drain() { n.fetch_add(1); }
+      } drain{drained};
+      c.advance(r, 10 + r);
+      c.gate(r);
+      if (r == 2) {
+        // Keep yielding until every rank has entered the body, so the
+        // error provably lands while siblings are parked at gates and
+        // parked waiting.
+        while (entered.load() < 4) {
+          c.advance(r, 1);
+          c.gate(r);
+        }
+        c.advance(r, 5);
+        throw StateError("validation failure mid-advance");
+      }
+      if (r == 3) c.wait_until(r, kNever);
+      for (int i = 0; i < 100; ++i) {
+        c.advance(r, 7);
+        c.gate(r);
+      }
+    });
+    ADD_FAILURE() << "error did not surface";
+  } catch (const StateError& e) {
+    EXPECT_NE(std::string(e.what()).find("validation failure"),
+              std::string::npos);
+  }
+  EXPECT_EQ(drained.load(), 4);
+}
+
+TEST(Coordinator, CancelDuringRunReleasesAllRanks) {
+  try {
+    run_ranks(3, [](Coordinator& c, int r) {
+      c.advance(r, 100);
+      c.gate(r);
+      if (r == 0) c.cancel("operator abort");
+      c.wait_until(r, c.now(r) + 1000);
+    });
+    ADD_FAILURE() << "cancel did not surface";
+  } catch (const StateError& e) {
+    EXPECT_NE(std::string(e.what()).find("operator abort"), std::string::npos);
   }
 }
 
