@@ -257,11 +257,9 @@ void BM_ObserveExport(benchmark::State& state, ExportStage stage) {
   for (auto _ : state) {
     switch (stage) {
       case ExportStage::kBuildSpans:
-        for (std::size_t i = 0; i < in.result.ranks.size(); ++i) {
-          const runtime::RankResult& r = in.result.ranks[i];
-          benchmark::DoNotOptimize(obs::build_spans(
-              r.trace, r.init_graph_info, r.graph_info, static_cast<int>(i)));
-        }
+        for (const runtime::RankResult& r : in.result.ranks)
+          benchmark::DoNotOptimize(
+              obs::build_spans(r.trace, r.init_graph_info, r.graph_info));
         break;
       case ExportStage::kBuildMetrics:
         benchmark::DoNotOptimize(obs::build_metrics(in.run));

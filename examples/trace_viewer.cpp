@@ -51,10 +51,10 @@ int main(int argc, char** argv) {
               r.trace.size(), config.variant.name.c_str());
   std::fputs(obs::dump_span_edges(r.trace, r.init_graph_info, r.graph_info).c_str(),
              stdout);
-  const std::vector<obs::Span> spans =
-      obs::build_spans(r.trace, r.init_graph_info, r.graph_info, rank);
+  const obs::SpanTable spans =
+      obs::build_spans(r.trace, r.init_graph_info, r.graph_info);
   std::printf("--- total CPE kernel time: %s; total MPE idle: %s ---\n",
-              format_duration(obs::covered_time(spans, obs::SpanKind::kKernel)).c_str(),
-              format_duration(obs::covered_time(spans, obs::SpanKind::kWait)).c_str());
+              format_duration(obs::covered_time(spans.spans, obs::SpanKind::kKernel)).c_str(),
+              format_duration(obs::covered_time(spans.spans, obs::SpanKind::kWait)).c_str());
   return 0;
 }

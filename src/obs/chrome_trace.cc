@@ -1,9 +1,12 @@
 #include "obs/chrome_trace.h"
 
+#include <algorithm>
+#include <charconv>
+#include <cstring>
 #include <ostream>
-#include <set>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "obs/json_writer.h"
 
@@ -13,7 +16,7 @@ namespace {
 /// Thread id of a span within its rank's process: MPE first, then one
 /// track per CPE group, MPI flight last.
 int tid_of(const Span& s) {
-  switch (s.lane) {
+  switch (lane_of(s.kind)) {
     case Lane::kMpe: return 0;
     case Lane::kCpe: return 1 + (s.ids.group > 0 ? s.ids.group : 0);
     case Lane::kMpi: return 90;
@@ -49,7 +52,66 @@ void sort_metadata(JsonWriter& w, const char* what, int pid, int tid,
   w.end_object();
 }
 
+char* put(char* p, std::string_view s) {
+  std::memcpy(p, s.data(), s.size());
+  return p + s.size();
+}
+
+/// An integer member: `key` is the comma, the quoted name and the colon.
+template <typename Int>
+char* put_member(char* p, std::string_view key, Int v) {
+  p = put(p, key);
+  return std::to_chars(p, p + 20, v).ptr;
+}
+
+/// Bound on what write_span() formats after the name: its keys, the kind,
+/// two times and seven integers at their longest.
+constexpr std::size_t kMaxSpanTail = 128 + 2 * kMaxUsChars + 7 * 20;
+static_assert(kMaxSpanTail <= JsonWriter::kBufferBytes);
+
+/// One "ph":"X" event, formatted as the generic JsonWriter calls would
+/// write it: `name` is the span's name, already escaped.
+void write_span(JsonWriter::Raw& out, const Span& s, std::string_view name, int pid) {
+  const std::string_view kind = to_string(s.kind);
+  out.put(R"({"name":")");
+  out.put(name.empty() ? kind : name);
+  char* p = out.space(kMaxSpanTail);
+  p = put(p, R"(","cat":")");
+  p = put(p, kind);
+  // Virtual picoseconds exported as microseconds: readable zoom levels in
+  // the viewers and no 64-bit-double truncation at our time scales.
+  p = format_us(put(p, R"(","ph":"X","ts":)"), s.begin);
+  p = format_us(put(p, R"(,"dur":)"), s.duration());
+  p = put_member(p, R"(,"pid":)", pid);
+  p = put_member(p, R"(,"tid":)", tid_of(s));
+  p = put_member(p, R"(,"args":{"step":)", s.ids.step);
+  if (s.ids.task >= 0) p = put_member(p, R"(,"task":)", s.ids.task);
+  if (s.ids.patch >= 0) p = put_member(p, R"(,"patch":)", s.ids.patch);
+  if (s.ids.peer >= 0) p = put_member(p, R"(,"peer":)", s.ids.peer);
+  if (s.ids.tag >= 0) p = put_member(p, R"(,"tag":)", s.ids.tag);
+  if (s.ids.group >= 0) p = put_member(p, R"(,"cpe_group":)", s.ids.group);
+  if (s.ids.bytes > 0) p = put_member(p, R"(,"bytes":)", s.ids.bytes);
+  out.commit(put(p, "}}"));
+}
+
 }  // namespace
+
+char* format_us(char* out, TimePs ps) {
+  constexpr TimePs kPsPerUs = 1'000'000;
+  if (ps < 100 || ps >= kPsPerUs * kPsPerUs)
+    return std::to_chars(out, out + kMaxUsChars, static_cast<double>(ps) * 1e-6,
+                         std::chars_format::general, 12)
+        .ptr;
+  out = std::to_chars(out, out + kMaxUsChars, ps / kPsPerUs).ptr;
+  TimePs frac = ps % kPsPerUs;
+  if (frac == 0) return out;
+  int digits = 6;
+  for (; frac % 10 == 0; frac /= 10) --digits;
+  *out++ = '.';
+  for (int i = digits - 1; i >= 0; --i, frac /= 10)
+    out[i] = static_cast<char>('0' + frac % 10);
+  return out + digits;
+}
 
 void write_chrome_trace(std::ostream& os, const RunObservation& run) {
   JsonWriter w(os, /*indent=*/0);
@@ -57,38 +119,26 @@ void write_chrome_trace(std::ostream& os, const RunObservation& run) {
   w.kv("displayTimeUnit", "ms");
   w.key("traceEvents").begin_array();
 
+  std::vector<int> tids;
+  std::vector<std::string> names;
   for (const RankObservation& r : run.ranks) {
     name_metadata(w, "process_name", r.rank, 0, "rank " + std::to_string(r.rank));
     sort_metadata(w, "process_sort_index", r.rank, 0, r.rank);
-    std::set<int> tids;
-    for (const Span& s : r.spans) tids.insert(tid_of(s));
+    tids.clear();
+    for (const Span& s : r.spans)
+      if (const int tid = tid_of(s); std::find(tids.begin(), tids.end(), tid) == tids.end())
+        tids.push_back(tid);
+    std::sort(tids.begin(), tids.end());
     for (int tid : tids) {
       name_metadata(w, "thread_name", r.rank, tid, tid_name(tid));
       sort_metadata(w, "thread_sort_index", r.rank, tid, tid);
     }
-    for (const Span& s : r.spans) {
-      w.begin_object();
-      w.kv("name", s.name.empty() ? std::string_view(to_string(s.kind))
-                                   : std::string_view(s.name));
-      w.kv("cat", to_string(s.kind));
-      w.kv("ph", "X");
-      // Virtual picoseconds exported as microseconds: readable zoom levels
-      // in the viewers and no 64-bit-double truncation at our time scales.
-      w.kv("ts", static_cast<double>(s.begin) * 1e-6);
-      w.kv("dur", static_cast<double>(s.duration()) * 1e-6);
-      w.kv("pid", r.rank);
-      w.kv("tid", tid_of(s));
-      w.key("args").begin_object();
-      w.kv("step", s.ids.step);
-      if (s.ids.task >= 0) w.kv("task", s.ids.task);
-      if (s.ids.patch >= 0) w.kv("patch", s.ids.patch);
-      if (s.ids.peer >= 0) w.kv("peer", s.ids.peer);
-      if (s.ids.tag >= 0) w.kv("tag", s.ids.tag);
-      if (s.ids.group >= 0) w.kv("cpe_group", s.ids.group);
-      if (s.ids.bytes > 0) w.kv("bytes", s.ids.bytes);
-      w.end_object();
-      w.end_object();
-    }
+    names.clear();
+    for (const std::string& name : r.span_names) names.push_back(JsonWriter::escape(name));
+    for (const Span& s : r.spans)
+      w.raw_value([&](JsonWriter::Raw& out) {
+        write_span(out, s, span_name(s, names), r.rank);
+      });
   }
 
   w.end_array();

@@ -14,16 +14,34 @@
 // thread name metadata. Everything `python3 -m json.tool` and the trace
 // viewers accept.
 //
-// Cost: one pass over the spans. The document streams out through
-// JsonWriter's bounded buffer, so memory does not grow with it (a 512-rank,
-// 20-step trace is over 100 MB).
+// Cost: per rank, one pass over the spans for the thread tracks, each
+// span name escaped once, then one pass that formats every span straight
+// into JsonWriter's buffer: constant key fragments, std::to_chars for the
+// integers, and format_us() for the two times. On one core of a shared
+// Intel Xeon VM that is about 0.14 us per span, against 0.75 us through
+// one generic JsonWriter call per member. The document streams out
+// through the bounded buffer, so memory does not grow with it (a 512-rank,
+// 20-step trace of the halo problem is 86 MB).
 
+#include <cstddef>
 #include <iosfwd>
 
 #include "obs/observation.h"
+#include "support/units.h"
 
 namespace usw::obs {
 
 void write_chrome_trace(std::ostream& os, const RunObservation& run);
+
+/// Longest text format_us() writes.
+inline constexpr std::size_t kMaxUsChars = 32;
+
+/// Writes virtual picoseconds `ps` as the microseconds the trace exports,
+/// exactly as std::to_chars(ps * 1e-6, std::chars_format::general, 12)
+/// (JsonWriter's "%.12g") would, and returns the end. For 100 <= ps < 10^12
+/// that text is ps / 10^6 in fixed point with trailing zeros stripped, and
+/// is formatted from the integer; other values take the double path.
+/// `out` needs kMaxUsChars bytes.
+char* format_us(char* out, TimePs ps);
 
 }  // namespace usw::obs

@@ -63,7 +63,37 @@ class JsonWriter {
     return value(v);
   }
 
-  /// JSON string escaping (exposed for tests).
+  /// Verbatim output, for an exporter that formats a hot record itself
+  /// (the Chrome trace's spans): raw_value(emit) places the comma as for
+  /// any value, then calls emit(Raw&), which must append exactly one
+  /// complete, valid JSON value.
+  class Raw {
+   public:
+    /// Appends `s`, of any length.
+    void put(std::string_view s) { w_.put(s); }
+    /// Room for `n` <= kBufferBytes bytes: write them from the returned
+    /// pointer, then hand the end of what was written to commit().
+    char* space(std::size_t n) { return w_.reserve(n); }
+    void commit(const char* end) {
+      w_.len_ = static_cast<std::size_t>(end - w_.buf_.get());
+    }
+
+   private:
+    friend class JsonWriter;
+    explicit Raw(JsonWriter& w) : w_(w) {}
+    JsonWriter& w_;
+  };
+
+  template <typename Emit>
+  JsonWriter& raw_value(Emit&& emit) {
+    separate();
+    Raw raw(*this);
+    emit(raw);
+    done();
+    return *this;
+  }
+
+  /// JSON string escaping, as every string value is written.
   static std::string escape(std::string_view s);
 
  private:

@@ -10,7 +10,13 @@
 // controller types (and unit tests can fabricate observations directly).
 // The skeleton is also where recorded events get their names: events carry
 // integer ids only, and every task, message and reduction label is
-// formatted once per run, here.
+// formatted once per run, here. A rank's spans name themselves by index
+// into its `span_names`, which build_spans() fills with each distinct
+// label once (src/obs/span.h).
+//
+// Size: a 512-rank, 20-step traced run of the halo problem observes 545k
+// spans in 31 MB (56 bytes each); their name tables hold 25k names in
+// 0.8 MB.
 
 #include <cstdint>
 #include <string>
@@ -56,7 +62,8 @@ struct TaskGraphInfo {
 
 struct RankObservation {
   int rank = -1;
-  std::vector<Span> spans;
+  std::vector<Span> spans;              ///< in begin order
+  std::vector<std::string> span_names;  ///< indexed by Span::name
   TaskGraphInfo graph;  ///< timestep-graph skeleton
   hw::PerfCounters counters;
   MetricsRegistry metrics;  ///< scheduler-fed samples/counters (may be empty)

@@ -1,10 +1,9 @@
 #include "obs/span.h"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 #include <string_view>
-#include <unordered_map>
+#include <utility>
 
 #include "obs/observation.h"
 
@@ -52,61 +51,90 @@ const T* at(const std::vector<T>& v, std::int64_t i) {
 
 /// Resolves span edges against one rank's skeletons: initialization events
 /// (step -1) in `init`, timestep events in `step`. Operands outside the
-/// skeleton resolve to unset ids and an empty name.
+/// skeleton resolve to unset ids and the empty name. Names go into `names`,
+/// each distinct one once: the fixed names up front, a skeleton label or
+/// a fault name at its first use.
 class Resolver {
  public:
-  Resolver(const TaskGraphInfo& init, const TaskGraphInfo& step)
-      : init_(init), step_(step) {}
+  Resolver(const TaskGraphInfo& init, const TaskGraphInfo& step,
+           std::vector<std::string>& names)
+      : init_(init), step_(step), names_(names) {
+    names_ = {"", "idle", "cpe-spin", "retry backoff"};
+  }
 
-  /// Sets `ids` and `name` of the span edge `e` of span kind `span`.
-  void resolve(const FlightEvent& e, SpanKind span, EventIds& ids,
-               std::string_view& name) {
-    const TaskGraphInfo& g = e.a < 0 ? init_ : step_;
+  /// Sets `ids` of the span edge `e` of span kind `span` and returns the
+  /// index of its name.
+  std::uint32_t resolve(const FlightEvent& e, SpanKind span, EventIds& ids) {
+    Graph& g = e.a < 0 ? init_ : step_;
     ids = EventIds{};
     ids.step = static_cast<int>(e.a);
-    name = {};
     if (span == SpanKind::kSend || span == SpanKind::kRecv) {
       ids.task = static_cast<int>(e.b);
-      if (const MessageInfo* m = at(g.messages, e.c)) {
-        ids.patch = m->patch;
-        ids.peer = m->peer;
-        ids.tag = m->tag;
-        ids.bytes = m->bytes;
-        name = m->label;
-      }
-      return;
+      const MessageInfo* m = at(g.info.messages, e.c);
+      if (m == nullptr) return kUnnamed;
+      ids.patch = m->patch;
+      ids.peer = m->peer;
+      ids.tag = m->tag;
+      ids.bytes = m->bytes;
+      return intern(g.message[static_cast<std::size_t>(e.c)], m->label);
     }
     if (span == SpanKind::kReduce) {
-      if (const std::string* r = at(g.reductions, e.b)) name = *r;
-      return;
+      const std::string* r = at(g.info.reductions, e.b);
+      return r == nullptr ? kUnnamed
+                          : intern(g.reduction[static_cast<std::size_t>(e.b)], *r);
     }
     const bool retry =
         e.kind == FlightKind::kOffloadRetry || e.kind == FlightKind::kBackoffEnd;
-    if (span == SpanKind::kWait) name = e.b < 0 ? "idle" : "cpe-spin";
-    if (retry) name = "retry backoff";
-    if (e.b < 0) return;  // an idle wait
+    std::uint32_t name = kUnnamed;
+    if (span == SpanKind::kWait) name = e.b < 0 ? kIdle : kCpeSpin;
+    if (retry) name = kRetryBackoff;
+    if (e.b < 0) return name;  // an idle wait
     ids.task = static_cast<int>(e.b);
     // Task spans have no group, and a retry's operand c is the attempt.
     if (span != SpanKind::kTask && !retry) ids.group = static_cast<int>(e.c);
-    const TaskNodeInfo* t = at(g.tasks, e.b);
-    if (t == nullptr) return;
+    const TaskNodeInfo* t = at(g.info.tasks, e.b);
+    if (t == nullptr) return name;
     ids.patch = t->patch;
-    if (!name.empty()) return;
-    if (span != SpanKind::kFault) {
-      name = t->label;
-      return;
-    }
-    // A stall or failure: formatted at the first one of each task.
-    std::string& fault = fault_names_[{e.kind, t}];
-    if (fault.empty()) fault = std::string(to_string(e.kind)) + ' ' + t->label;
-    name = fault;
+    if (name != kUnnamed) return name;
+    const auto ti = static_cast<std::size_t>(e.b);
+    if (span != SpanKind::kFault) return intern(g.task[ti], t->label);
+    // A stall or failure: rare, so its name is formatted at every one.
+    return intern((e.kind == FlightKind::kCpeStall ? g.stall : g.fail)[ti],
+                  std::string(to_string(e.kind)) + ' ' + t->label);
   }
 
  private:
-  const TaskGraphInfo& init_;
-  const TaskGraphInfo& step_;
-  std::map<std::pair<FlightKind, const TaskNodeInfo*>, std::string> fault_names_;
+  enum : std::uint32_t { kUnnamed, kIdle, kCpeSpin, kRetryBackoff };
+
+  /// A skeleton and the name index of each of its entries, kUnnamed until
+  /// first used.
+  struct Graph {
+    explicit Graph(const TaskGraphInfo& g)
+        : info(g),
+          task(g.tasks.size()),
+          stall(g.tasks.size()),
+          fail(g.tasks.size()),
+          message(g.messages.size()),
+          reduction(g.reductions.size()) {}
+    const TaskGraphInfo& info;
+    std::vector<std::uint32_t> task, stall, fail, message, reduction;
+  };
+
+  /// The index of `name`, stored at its first use as `id`.
+  std::uint32_t intern(std::uint32_t& id, std::string_view name) {
+    if (id == kUnnamed) {
+      id = static_cast<std::uint32_t>(names_.size());
+      names_.emplace_back(name);
+    }
+    return id;
+  }
+
+  Graph init_;
+  Graph step_;
+  std::vector<std::string>& names_;
 };
+
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
 /// Matching key: the begin kind and the operands, identical at a span's
 /// begin and end sites.
@@ -116,16 +144,99 @@ struct Key {
   bool operator==(const Key&) const = default;
 };
 
-struct KeyHash {
-  std::size_t operator()(const Key& k) const {
-    std::size_t h = static_cast<std::size_t>(k.opens);
-    for (const std::int64_t v : {k.a, k.b, k.c})
-      h = (h ^ static_cast<std::size_t>(v)) * 0x100000001b3ULL;
-    return h;
+/// The open spans: each key maps to the most recently opened span under it,
+/// whose `below` entry links to the one opened before it (LIFO within a
+/// key; nested same-key spans would be a recording bug, but LIFO at least
+/// keeps them finite). A flat table with linear probing, at most half full;
+/// a key leaves it when its last open span closes, by shifting the rest of
+/// its probe run back, so no slot is ever a tombstone.
+class OpenSpans {
+ public:
+  /// Room for `peak` open keys without growing.
+  explicit OpenSpans(std::size_t peak) {
+    std::size_t capacity = 16;
+    while (capacity < 2 * (peak + 1)) capacity *= 2;
+    slots_.resize(capacity);
   }
-};
 
-constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  /// Opens span `span` under `key`; returns the span it covers there, or
+  /// kNone when `key` had none open.
+  std::size_t push(const Key& key, std::size_t span) {
+    if (2 * (size_ + 1) > slots_.size()) grow();
+    for (std::size_t i = home(key);; i = next(i)) {
+      Slot& s = slots_[i];
+      if (s.top == kNone) {
+        s = Slot{key, span};
+        ++size_;
+        return kNone;
+      }
+      if (s.key == key) return std::exchange(s.top, span);
+    }
+  }
+
+  /// Closes the top span under `key` and returns it, or kNone when `key`
+  /// has none open. `below` links each open span to the one it covers.
+  std::size_t pop(const Key& key, const std::vector<std::size_t>& below) {
+    std::size_t i = home(key);
+    while (slots_[i].top != kNone && slots_[i].key != key) i = next(i);
+    const std::size_t top = slots_[i].top;
+    if (top == kNone) return kNone;
+    if (below[top] != kNone)
+      slots_[i].top = below[top];
+    else
+      erase(i);
+    return top;
+  }
+
+  /// Calls f(top) for every key still open.
+  template <typename F>
+  void for_each_top(F&& f) const {
+    for (const Slot& s : slots_)
+      if (s.top != kNone) f(s.top);
+  }
+
+ private:
+  struct Slot {
+    Key key{};
+    std::size_t top = kNone;  ///< kNone: the slot is free
+  };
+
+  std::size_t next(std::size_t i) const { return (i + 1) & (slots_.size() - 1); }
+
+  std::size_t home(const Key& k) const {
+    std::uint64_t h = static_cast<std::uint64_t>(k.opens);
+    for (const std::int64_t v : {k.a, k.b, k.c})
+      h = (h ^ static_cast<std::uint64_t>(v)) * 0x100000001b3ULL;
+    return static_cast<std::size_t>(h ^ (h >> 32)) & (slots_.size() - 1);
+  }
+
+  /// Frees slot `hole`, moving each later member of its probe run whose
+  /// home does not lie between the hole and that member into the hole.
+  void erase(std::size_t hole) {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t j = next(hole); slots_[j].top != kNone; j = next(j)) {
+      if (((j - home(slots_[j].key)) & mask) < ((j - hole) & mask)) continue;
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+    slots_[hole].top = kNone;
+    --size_;
+  }
+
+  void grow() {
+    const std::vector<Slot> old =
+        std::exchange(slots_, std::vector<Slot>(slots_.size() * 2));
+    for (const Slot& s : old) {
+      if (s.top == kNone) continue;
+      std::size_t i = home(s.key);
+      while (slots_[i].top != kNone) i = next(i);
+      slots_[i] = s;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
+};
 
 }  // namespace
 
@@ -152,19 +263,30 @@ Lane lane_of(SpanKind kind) {
   }
 }
 
-std::vector<Span> build_spans(std::span<const FlightEvent> events,
-                              const TaskGraphInfo& init, const TaskGraphInfo& step,
-                              int rank) {
-  Resolver resolve(init, step);
-  std::vector<Span> spans;
-  spans.reserve(events.size() / 2);
-  // Open spans only: key -> the most recently opened span under it, whose
-  // `below` entry links to the one opened before it (LIFO within a key;
-  // nested same-key spans would be a recording bug, but LIFO at least keeps
-  // them finite). A key is erased when its last open span closes.
-  std::unordered_map<Key, std::size_t, KeyHash> open;
-  std::vector<std::size_t> below;
-  below.reserve(events.size() / 2);
+SpanTable build_spans(std::span<const FlightEvent> events, const TaskGraphInfo& init,
+                      const TaskGraphInfo& step) {
+  // Counting pass: the exact number of spans (a begin or a point opens
+  // one), and the peak number open, which ends that close nothing can
+  // understate.
+  std::size_t count = 0;
+  std::size_t open_now = 0;
+  std::size_t peak = 0;
+  for (const FlightEvent& e : events) {
+    switch (edge_of(e.kind).edge) {
+      case Edge::kBegin: ++count; peak = std::max(peak, ++open_now); break;
+      case Edge::kPoint: ++count; break;
+      case Edge::kEnd: open_now -= open_now > 0 ? 1 : 0; break;
+      case Edge::kNone: break;
+    }
+  }
+
+  SpanTable table;
+  Resolver resolve(init, step, table.names);
+  std::vector<Span>& spans = table.spans;
+  spans.reserve(count);
+  std::vector<std::size_t> below;  ///< per span, while open: see OpenSpans
+  below.reserve(count);
+  OpenSpans open(peak);
   TimePs last = 0;
 
   for (const FlightEvent& e : events) {
@@ -173,55 +295,43 @@ std::vector<Span> build_spans(std::span<const FlightEvent> events,
     last = std::max(last, e.time);
     const Key key{edge.opens, e.a, e.b, e.c};
     if (edge.edge == Edge::kEnd) {
-      const auto it = open.find(key);
-      if (it == open.end()) continue;  // unmatched end: tolerated, dropped
-      Span& s = spans[it->second];
-      s.end = std::max(s.begin, e.time);
-      if (below[it->second] == kNone)
-        open.erase(it);
-      else
-        it->second = below[it->second];
+      // An unmatched end is tolerated and dropped.
+      const std::size_t i = open.pop(key, below);
+      if (i != kNone) spans[i].end = std::max(spans[i].begin, e.time);
       continue;
     }
-    if (edge.edge == Edge::kBegin) {
-      const auto [it, fresh] = open.try_emplace(key, spans.size());
-      below.push_back(fresh ? kNone : it->second);
-      it->second = spans.size();
-    } else {
-      below.push_back(kNone);  // a point span opens and closes at once
-    }
+    // A point span opens and closes at once.
+    below.push_back(edge.edge == Edge::kBegin ? open.push(key, spans.size()) : kNone);
     Span& s = spans.emplace_back();
     s.begin = s.end = e.time;
     s.kind = edge.span;
-    s.lane = lane_of(edge.span);
-    s.rank = rank;
-    std::string_view name;
-    resolve.resolve(e, edge.span, s.ids, name);
-    s.name = name;
+    s.name = resolve.resolve(e, edge.span, s.ids);
   }
   // Close whatever never ended at the latest stamp seen.
-  for (const auto& [key, top] : open)
+  open.for_each_top([&](std::size_t top) {
     for (std::size_t i = top; i != kNone; i = below[i])
       spans[i].end = std::max(spans[i].begin, last);
+  });
 
   // Begins are usually recorded in time order already; the check is one
   // pass, the sort moves every span.
   const auto by_begin = [](const Span& a, const Span& b) { return a.begin < b.begin; };
   if (!std::is_sorted(spans.begin(), spans.end(), by_begin))
     std::stable_sort(spans.begin(), spans.end(), by_begin);
-  return spans;
+  return table;
 }
 
 std::string dump_span_edges(std::span<const FlightEvent> events,
                             const TaskGraphInfo& init, const TaskGraphInfo& step) {
-  Resolver resolve(init, step);
+  std::vector<std::string> names;
+  Resolver resolve(init, step, names);
   std::ostringstream os;
   EventIds i;
-  std::string_view name;
   for (const FlightEvent& e : events) {
     const EdgeOf edge = edge_of(e.kind);
     if (edge.edge == Edge::kNone) continue;
-    resolve.resolve(e, edge.span, i, name);
+    const std::uint32_t n = resolve.resolve(e, edge.span, i);
+    const std::string_view name = names[n];
     const auto line = [&](const char* kind) {
       os << format_duration(e.time) << "  " << kind << "  " << name << "  [s" << i.step;
       if (i.task >= 0) os << " t" << i.task;

@@ -50,7 +50,9 @@ obs::RunObservation observe(const RunResult& result) {
     const RankResult& r = result.ranks[i];
     obs::RankObservation ro;
     ro.rank = static_cast<int>(i);
-    ro.spans = obs::build_spans(r.trace, r.init_graph_info, r.graph_info, ro.rank);
+    obs::SpanTable spans = obs::build_spans(r.trace, r.init_graph_info, r.graph_info);
+    ro.spans = std::move(spans.spans);
+    ro.span_names = std::move(spans.names);
     ro.graph = r.graph_info;
     ro.counters = r.counters;
     ro.metrics = r.obs_metrics;

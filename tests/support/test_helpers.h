@@ -1,9 +1,11 @@
 #pragma once
 
 // Helpers shared by the test executables: whole-file and whole-tree reads
-// for byte-for-byte output comparisons, and string <-> payload conversions
+// for byte-for-byte output comparisons, the first difference between two
+// outputs for their failure messages, and string <-> payload conversions
 // for the comm tests.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <filesystem>
@@ -11,6 +13,7 @@
 #include <iterator>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace usw::test {
@@ -31,6 +34,34 @@ inline std::map<std::string, std::string> slurp_tree(const std::string& dir) {
       files.emplace(fs::relative(entry.path(), dir).string(),
                     slurp(entry.path().string()));
   return files;
+}
+
+/// Where `got` first differs from `want`: the byte offset, the two sizes,
+/// and about 60 bytes of each side around that offset, with newlines and
+/// other control bytes shown as escapes. For golden-file failure messages.
+inline std::string first_difference(std::string_view got, std::string_view want) {
+  const std::size_t at = static_cast<std::size_t>(
+      std::mismatch(got.begin(), got.end(), want.begin(), want.end()).first -
+      got.begin());
+  const std::size_t from = at > 30 ? at - 30 : 0;
+  const auto context = [from](std::string_view s) {
+    std::string out;
+    for (const char c : s.substr(std::min(from, s.size()), 60)) {
+      if (c == '\n') {
+        out += "\\n";
+      } else if (static_cast<unsigned char>(c) < 0x20) {
+        out += "\\x" + std::string(1, "0123456789abcdef"[(c >> 4) & 0xf]) +
+               "0123456789abcdef"[c & 0xf];
+      } else {
+        out += c;
+      }
+    }
+    return out;
+  };
+  return "first difference at byte " + std::to_string(at) + " (got " +
+         std::to_string(got.size()) + " bytes, want " + std::to_string(want.size()) +
+         " bytes)\n  got:  ..." + context(got) + "...\n  want: ..." + context(want) +
+         "...";
 }
 
 inline std::vector<std::byte> bytes_of(const std::string& s) {

@@ -18,6 +18,7 @@
 #include "athread/athread.h"
 #include "runtime/controller.h"
 #include "support/rng.h"
+#include "support/test_helpers.h"
 
 namespace usw::apps::burgers {
 namespace {
@@ -266,7 +267,9 @@ TEST(BurgersSolver, NumericsMatchGoldenFile) {
       numerics_line("acc_simd.async", false, athread::Backend::kThreads));
 
   ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], want[i]);
+  for (std::size_t i = 0; i < got.size(); ++i)
+    EXPECT_TRUE(got[i] == want[i])
+        << "line " << i << ": " << test::first_difference(got[i], want[i]);
 }
 
 TEST(BurgersSolver, ErrorShrinksUnderRefinement) {

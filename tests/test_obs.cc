@@ -7,13 +7,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <map>
+#include <random>
 #include <sstream>
+#include <tuple>
 
 #include "apps/burgers/burgers_app.h"
+#include "fault/fault.h"
 #include "obs/chrome_trace.h"
 #include "obs/critical_path.h"
 #include "obs/flight.h"
@@ -26,6 +31,7 @@
 #include "runtime/observe.h"
 #include "support/test_helpers.h"
 
+using usw::test::first_difference;
 using usw::test::slurp;
 
 namespace usw::obs {
@@ -57,9 +63,14 @@ TaskGraphInfo skeleton(const std::string& prefix = "") {
   return g;
 }
 
-std::vector<Span> spans_of(const std::vector<FlightEvent>& events, int rank = 0) {
+SpanTable spans_of(const std::vector<FlightEvent>& events) {
   const TaskGraphInfo g = skeleton();
-  return build_spans(events, g, g, rank);
+  return build_spans(events, g, g);
+}
+
+/// The name of span `i` in `t`.
+std::string_view name_of(const SpanTable& t, std::size_t i) {
+  return span_name(t.spans.at(i), t.names);
 }
 
 // ---------------------------------------------------------------- trace ---
@@ -81,7 +92,8 @@ TEST(Trace, FilterAndTotals) {
       ev(10, FK::kKernelBegin, 0, 0, 0), ev(40, FK::kKernelEnd, 0, 0, 0),
       ev(50, FK::kKernelBegin, 0, 1, 0), ev(90, FK::kKernelEnd, 0, 1, 0),
       ev(95, FK::kSendPosted, 0, 0, 0)};
-  const std::vector<Span> spans = spans_of(log);
+  const SpanTable t = spans_of(log);
+  const std::vector<Span>& spans = t.spans;
   EXPECT_EQ(std::count_if(spans.begin(), spans.end(),
                           [](const Span& s) { return s.kind == SpanKind::kKernel; }),
             2);
@@ -98,9 +110,10 @@ TEST(Trace, EventKindNames) {
 TEST(Trace, TotalBetweenOverlappingSpans) {
   // Two kernels in flight at once (cpe_groups > 1): [10,50] and [30,70]
   // overlap, so the busy time is the union [10,70] = 60, not the sum 80.
-  const std::vector<Span> spans = spans_of(
+  const SpanTable t = spans_of(
       {ev(10, FK::kKernelBegin, 0, 0, 0), ev(30, FK::kKernelBegin, 0, 1, 1),
        ev(50, FK::kKernelEnd, 0, 0, 0), ev(70, FK::kKernelEnd, 0, 1, 1)});
+  const std::vector<Span>& spans = t.spans;
   EXPECT_EQ(covered_time(spans, SpanKind::kKernel), 60);
 }
 
@@ -108,20 +121,22 @@ TEST(Trace, TotalBetweenOutOfOrderRecording) {
   // The async scheduler records a kernel's end at the poll that observes
   // it, stamped with the earlier completion time; totals must not depend on
   // record order.
-  const std::vector<Span> spans = spans_of(
+  const SpanTable t = spans_of(
       {ev(10, FK::kKernelBegin, 0, 0, 0), ev(50, FK::kTaskBegin, 0, 2),
        ev(60, FK::kTaskEnd, 0, 2),
        ev(30, FK::kKernelEnd, 0, 0, 0),  // observed after the task ran
        ev(70, FK::kKernelBegin, 0, 1, 0), ev(90, FK::kKernelEnd, 0, 1, 0)});
+  const std::vector<Span>& spans = t.spans;
   EXPECT_EQ(covered_time(spans, SpanKind::kKernel), 40);
 }
 
 TEST(Trace, TotalBetweenUnmatchedEvents) {
   // A stray end before any begin is ignored; a begin that never ends is
   // closed at the trace's last span-edge stamp.
-  const std::vector<Span> spans = spans_of(
+  const SpanTable t = spans_of(
       {ev(5, FK::kWaitEnd, 0, -1), ev(10, FK::kWaitBegin, 0, -1),
        ev(30, FK::kKernelBegin, 0, 0, 0), FlightEvent{80, FK::kStepEnd, 0}});
+  const std::vector<Span>& spans = t.spans;
   EXPECT_EQ(covered_time(spans, SpanKind::kWait), 20);
 }
 
@@ -133,7 +148,8 @@ TEST(Trace, RecordsStructuredIds) {
   ASSERT_EQ(log.size(), 1u);
   EXPECT_EQ(log[0].a, 2);
   EXPECT_EQ(log[0].b, 7);
-  const std::vector<Span> spans = spans_of(log);
+  const SpanTable t = spans_of(log);
+  const std::vector<Span>& spans = t.spans;
   ASSERT_EQ(spans.size(), 1u);
   const EventIds& i = spans[0].ids;
   EXPECT_EQ(i.step, 2);
@@ -149,16 +165,16 @@ TEST(Trace, RecordsStructuredIds) {
 // ---------------------------------------------------------------- spans ---
 
 TEST(Span, PairsBeginEnd) {
-  const std::vector<Span> spans =
-      spans_of({ev(10, FK::kTaskBegin, 0, 0), ev(50, FK::kTaskEnd, 0, 0)}, 3);
+  const SpanTable t =
+      spans_of({ev(10, FK::kTaskBegin, 0, 0), ev(50, FK::kTaskEnd, 0, 0)});
+  const std::vector<Span>& spans = t.spans;
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(spans[0].kind, SpanKind::kTask);
-  EXPECT_EQ(spans[0].lane, Lane::kMpe);
+  EXPECT_EQ(lane_of(spans[0].kind), Lane::kMpe);
   EXPECT_EQ(spans[0].begin, 10);
   EXPECT_EQ(spans[0].end, 50);
   EXPECT_EQ(spans[0].duration(), 40);
-  EXPECT_EQ(spans[0].rank, 3);
-  EXPECT_EQ(spans[0].name, "a p0");
+  EXPECT_EQ(name_of(t, 0), "a p0");
   EXPECT_EQ(spans[0].ids.patch, 0);
   EXPECT_EQ(spans[0].ids.group, -1);
 }
@@ -166,24 +182,26 @@ TEST(Span, PairsBeginEnd) {
 TEST(Span, InterleavedSameKindPairsById) {
   // Two offloads in flight at once (cpe_groups = 2): ends arrive in the
   // opposite order of the begins, distinguished only by the ids.
-  const std::vector<Span> spans = spans_of(
+  const SpanTable t = spans_of(
       {ev(0, FK::kKernelBegin, 0, 0, 0), ev(10, FK::kKernelBegin, 0, 1, 1),
        ev(30, FK::kKernelEnd, 0, 1, 1), ev(80, FK::kKernelEnd, 0, 0, 0)});
+  const std::vector<Span>& spans = t.spans;
   ASSERT_EQ(spans.size(), 2u);
-  EXPECT_EQ(spans[0].lane, Lane::kCpe);
+  EXPECT_EQ(lane_of(spans[0].kind), Lane::kCpe);
   EXPECT_EQ(spans[0].end - spans[0].begin, 80);  // p0: [0,80]
   EXPECT_EQ(spans[1].end - spans[1].begin, 20);  // p1: [10,30]
   EXPECT_EQ(spans[1].ids.group, 1);
-  EXPECT_EQ(spans[1].name, "b p1");
+  EXPECT_EQ(name_of(t, 1), "b p1");
 }
 
 TEST(Span, OutOfOrderEndRecordedAhead) {
   // A kernel's end is recorded at the poll that observes it, stamped with
   // its earlier completion time: events recorded before it can carry later
   // stamps than it does.
-  const std::vector<Span> spans = spans_of(
+  const SpanTable t = spans_of(
       {ev(10, FK::kKernelBegin, 0, 0, 0), ev(20, FK::kTaskBegin, 0, 1),
        ev(100, FK::kTaskEnd, 0, 1), ev(90, FK::kKernelEnd, 0, 0, 0)});
+  const std::vector<Span>& spans = t.spans;
   ASSERT_EQ(spans.size(), 2u);
   EXPECT_EQ(spans[0].kind, SpanKind::kKernel);
   EXPECT_EQ(spans[0].duration(), 80);
@@ -191,22 +209,24 @@ TEST(Span, OutOfOrderEndRecordedAhead) {
 }
 
 TEST(Span, UnmatchedEndDroppedUnmatchedBeginClosed) {
-  const std::vector<Span> spans =
+  const SpanTable t =
       spans_of({ev(5, FK::kWaitEnd, 0, -1), ev(10, FK::kWaitBegin, 0, -1),
                 ev(70, FK::kTaskBegin, 0, 0)});
+  const std::vector<Span>& spans = t.spans;
   ASSERT_EQ(spans.size(), 2u);
   // The wait never ended: closed at the last stamp in the trace.
   EXPECT_EQ(spans[0].kind, SpanKind::kWait);
-  EXPECT_EQ(spans[0].name, "idle");
+  EXPECT_EQ(name_of(t, 0), "idle");
   EXPECT_EQ(spans[0].end, 70);
 }
 
 TEST(Span, KeyReusedAfterCloseOpensFreshSpan) {
   // The same (kind, operands) recurs after its first span closed: the
   // second begin must not pair with the first span's end.
-  const std::vector<Span> spans =
+  const SpanTable t =
       spans_of({ev(10, FK::kTaskBegin, 0, 2), ev(20, FK::kTaskEnd, 0, 2),
                 ev(30, FK::kTaskBegin, 0, 2), ev(55, FK::kTaskEnd, 0, 2)});
+  const std::vector<Span>& spans = t.spans;
   ASSERT_EQ(spans.size(), 2u);
   EXPECT_EQ(spans[0].begin, 10);
   EXPECT_EQ(spans[0].end, 20);
@@ -215,29 +235,31 @@ TEST(Span, KeyReusedAfterCloseOpensFreshSpan) {
 }
 
 TEST(Span, NestedSameKeySpansCloseLifo) {
-  const std::vector<Span> spans = spans_of(
+  const SpanTable t = spans_of(
       {ev(0, FK::kReduceBegin, 0, 0), ev(10, FK::kReduceBegin, 0, 0),
        ev(20, FK::kReduceEnd, 0, 0),  // closes the inner one
        ev(40, FK::kReduceEnd, 0, 0),
-       ev(45, FK::kReduceEnd, 0, 0)});  // nothing open: dropped
+       ev(45, FK::kReduceEnd, 0, 0)});
+  const std::vector<Span>& spans = t.spans;  // nothing open: dropped
   ASSERT_EQ(spans.size(), 2u);
   EXPECT_EQ(spans[0].begin, 0);
   EXPECT_EQ(spans[0].end, 40);
   EXPECT_EQ(spans[1].begin, 10);
   EXPECT_EQ(spans[1].end, 20);
-  EXPECT_EQ(spans[0].name, "r");
+  EXPECT_EQ(name_of(t, 0), "r");
   EXPECT_EQ(spans[0].ids.task, -1);
 }
 
 TEST(Span, SendCarriesBytesAndMpiLane) {
-  const std::vector<Span> spans = spans_of(
+  const SpanTable t = spans_of(
       {ev(10, FK::kSendPosted, 1, 4, 0), ev(60, FK::kSendDone, 1, 4, 0)});
+  const std::vector<Span>& spans = t.spans;
   ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(spans[0].lane, Lane::kMpi);
+  EXPECT_EQ(lane_of(spans[0].kind), Lane::kMpi);
   EXPECT_EQ(spans[0].ids.bytes, 2048u);
   EXPECT_EQ(spans[0].ids.peer, 1);
   EXPECT_EQ(spans[0].ids.tag, 7);
-  EXPECT_EQ(spans[0].name, "u p0->p2");
+  EXPECT_EQ(name_of(t, 0), "u p0->p2");
 }
 
 TEST(Span, NamesComeFromTheInitOrStepSkeleton) {
@@ -245,36 +267,38 @@ TEST(Span, NamesComeFromTheInitOrStepSkeleton) {
   // timestep's from the step graph; other event kinds make no span.
   const TaskGraphInfo init = skeleton("init_");
   const TaskGraphInfo step = skeleton();
-  const std::vector<Span> spans = build_spans(
+  const SpanTable t = build_spans(
       std::vector<FlightEvent>{
           ev(0, FK::kTaskBegin, -1, 1), ev(5, FK::kTaskEnd, -1, 1),
           FlightEvent{6, FK::kMsgSend, 1, 3, 2048},
           ev(10, FK::kTaskBegin, 0, 1), ev(15, FK::kTaskEnd, 0, 1)},
-      init, step, 0);
+      init, step);
+  const std::vector<Span>& spans = t.spans;
   ASSERT_EQ(spans.size(), 2u);
-  EXPECT_EQ(spans[0].name, "init_b p1");
+  EXPECT_EQ(name_of(t, 0), "init_b p1");
   EXPECT_EQ(spans[0].ids.step, -1);
-  EXPECT_EQ(spans[1].name, "b p1");
+  EXPECT_EQ(name_of(t, 1), "b p1");
 }
 
 TEST(Span, FaultsAndWaitsResolveTheirIds) {
-  const std::vector<Span> spans = spans_of(
+  const SpanTable t = spans_of(
       {ev(10, FK::kCpeStall, 0, 2, 1),      // zero-length, group 1
        ev(20, FK::kOffloadFail, 0, 2, 1),   // zero-length, group 1
        ev(30, FK::kOffloadRetry, 0, 2, 1),  // attempt 1: no group
        ev(70, FK::kBackoffEnd, 0, 2, 1),
        ev(80, FK::kWaitBegin, 0, 2, 1), ev(90, FK::kWaitEnd, 0, 2, 1)});
+  const std::vector<Span>& spans = t.spans;
   ASSERT_EQ(spans.size(), 4u);
-  EXPECT_EQ(spans[0].name, "cpe_stall c p2");
+  EXPECT_EQ(name_of(t, 0), "cpe_stall c p2");
   EXPECT_EQ(spans[0].kind, SpanKind::kFault);
   EXPECT_EQ(spans[0].duration(), 0);
   EXPECT_EQ(spans[0].ids.group, 1);
-  EXPECT_EQ(spans[1].name, "offload_fail c p2");
-  EXPECT_EQ(spans[2].name, "retry backoff");
+  EXPECT_EQ(name_of(t, 1), "offload_fail c p2");
+  EXPECT_EQ(name_of(t, 2), "retry backoff");
   EXPECT_EQ(spans[2].duration(), 40);
   EXPECT_EQ(spans[2].ids.group, -1);
   EXPECT_EQ(spans[2].ids.patch, 2);
-  EXPECT_EQ(spans[3].name, "cpe-spin");
+  EXPECT_EQ(name_of(t, 3), "cpe-spin");
   EXPECT_EQ(spans[3].ids.task, 2);
   EXPECT_EQ(spans[3].ids.group, 1);
 }
@@ -292,6 +316,67 @@ TEST(Span, DumpPrintsSpanEdgesOnly) {
   EXPECT_NE(dump.find("fault_end  offload_fail a p0  [s0 t0 p0 g0]\n"),
             std::string::npos);
   EXPECT_EQ(dump.find("msg"), std::string::npos);
+}
+
+TEST(Span, OpenTableGrowsPastItsCountedPeak) {
+  // Each begin is followed by an end that closes nothing, so the counting
+  // pass sees one span open at a time while 40 stay open: the open table
+  // must grow, and each span still closes at its own end.
+  std::vector<FlightEvent> log;
+  for (int k = 0; k < 40; ++k) {
+    log.push_back(ev(k, FK::kTaskBegin, 0, k));
+    log.push_back(ev(k, FK::kKernelEnd, 0, k, 0));  // never begun: dropped
+  }
+  std::vector<TimePs> closes(40);
+  for (int k = 0; k < 40; ++k) {
+    const int task = (k * 17) % 40;  // a permutation of the tasks
+    log.push_back(ev(100 + k, FK::kTaskEnd, 0, task));
+    closes[static_cast<std::size_t>(task)] = 100 + k;
+  }
+  const SpanTable t = spans_of(log);
+  ASSERT_EQ(t.spans.size(), 40u);
+  for (std::size_t k = 0; k < 40; ++k) {
+    EXPECT_EQ(t.spans[k].begin, static_cast<TimePs>(k));
+    EXPECT_EQ(t.spans[k].end, closes[k]) << "task " << k;
+  }
+}
+
+TEST(Span, PairingMatchesAStackPerKey) {
+  // Random span edges over a few hundred keys: nested same-key spans, ends
+  // that close nothing, keys leaving the open table from inside probe
+  // runs. The reference keeps one stack of open spans per key.
+  const FK kinds[][2] = {{FK::kTaskBegin, FK::kTaskEnd},
+                         {FK::kKernelBegin, FK::kKernelEnd},
+                         {FK::kRecvPosted, FK::kRecvDone}};
+  std::mt19937 rng(11);
+  std::vector<FlightEvent> log;
+  std::map<std::tuple<int, int, int, int>, std::vector<std::size_t>> open;
+  std::vector<std::pair<TimePs, TimePs>> want;
+  constexpr TimePs kEvents = 6000;
+  for (TimePs time = 0; time < kEvents; ++time) {
+    const int kind = static_cast<int>(rng() % 3);
+    const int step = static_cast<int>(rng() % 3);
+    const int b = static_cast<int>(rng() % 8);
+    const int c = static_cast<int>(rng() % 4);
+    const bool begin = rng() % 2 == 0;
+    log.push_back(ev(time, kinds[kind][begin ? 0 : 1], step, b, c));
+    std::vector<std::size_t>& stack = open[{kind, step, b, c}];
+    if (begin) {
+      stack.push_back(want.size());
+      want.emplace_back(time, time);
+    } else if (!stack.empty()) {
+      want[stack.back()].second = time;
+      stack.pop_back();
+    }
+  }
+  for (const auto& [key, stack] : open)
+    for (const std::size_t i : stack) want[i].second = kEvents - 1;
+  const SpanTable t = spans_of(log);
+  ASSERT_EQ(t.spans.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(t.spans[i].begin, want[i].first) << "span " << i;
+    EXPECT_EQ(t.spans[i].end, want[i].second) << "span " << i;
+  }
 }
 
 // ----------------------------------------------------------- json writer ---
@@ -371,6 +456,27 @@ TEST(JsonWriter, OutputCompleteAtDepthZeroWhileWriterAlive) {
   EXPECT_EQ(os.str(), "{\n \"k\": \"v\\u0001\",\n \"a\": []\n}7");
 }
 
+TEST(JsonWriter, RawValuesTakeCommasAndCrossBufferFlushes) {
+  // raw_value() places commas as any value does; put() takes text of any
+  // length and space() a bounded run, across buffer flushes.
+  std::ostringstream os;
+  const std::string long_text(JsonWriter::kBufferBytes + 100, 'x');
+  {
+    JsonWriter w(os, 0);
+    w.begin_array().value(1);
+    w.raw_value([](JsonWriter::Raw& out) { out.put("{\"a\":2}"); });
+    w.raw_value([&](JsonWriter::Raw& out) {
+      out.put("\"");
+      out.put(long_text);
+      char* p = out.space(3);
+      p[0] = '"';
+      out.commit(p + 1);
+    });
+    w.value(3).end_array();
+  }
+  EXPECT_EQ(os.str(), "[1,{\"a\":2},\"" + long_text + "\",3]");
+}
+
 // ------------------------------------------------------------- registry ---
 
 TEST(MetricsRegistry, CountersAndDistributions) {
@@ -412,22 +518,21 @@ RunObservation tiny_run() {
   run.timesteps = 1;
   RankObservation r;
   r.rank = 0;
-  auto span = [](TimePs b, TimePs e, SpanKind k, EventIds ids, std::string name) {
+  r.span_names = {"", "a p0", "b p0", "idle", "u"};
+  auto span = [](TimePs b, TimePs e, SpanKind k, EventIds ids, std::uint32_t name) {
     Span s;
     s.begin = b;
     s.end = e;
     s.kind = k;
-    s.lane = lane_of(k);
-    s.rank = 0;
     s.ids = ids;
-    s.name = std::move(name);
+    s.name = name;
     return s;
   };
-  r.spans.push_back(span(0, 90, SpanKind::kTask, EventIds{0, 0, 0, -1, -1, -1, 0}, "a p0"));
-  r.spans.push_back(span(90, 250, SpanKind::kTask, EventIds{0, 1, 0, -1, -1, -1, 0}, "b p0"));
-  r.spans.push_back(span(100, 200, SpanKind::kKernel, EventIds{0, 1, 0, -1, -1, 0, 0}, "b p0"));
-  r.spans.push_back(span(0, 50, SpanKind::kWait, EventIds{0, -1, -1, -1, -1, -1, 0}, "idle"));
-  r.spans.push_back(span(10, 30, SpanKind::kSend, EventIds{0, 0, 0, 0, 9, -1, 1024}, "u"));
+  r.spans.push_back(span(0, 90, SpanKind::kTask, EventIds{0, 0, 0, -1, -1, -1, 0}, 1));
+  r.spans.push_back(span(90, 250, SpanKind::kTask, EventIds{0, 1, 0, -1, -1, -1, 0}, 2));
+  r.spans.push_back(span(100, 200, SpanKind::kKernel, EventIds{0, 1, 0, -1, -1, 0, 0}, 2));
+  r.spans.push_back(span(0, 50, SpanKind::kWait, EventIds{0, -1, -1, -1, -1, -1, 0}, 3));
+  r.spans.push_back(span(10, 30, SpanKind::kSend, EventIds{0, 0, 0, 0, 9, -1, 1024}, 4));
   TaskNodeInfo a;
   a.name = "a";
   a.patch = 0;
@@ -496,18 +601,11 @@ TEST(CriticalPath, CrossRankSendRecvEdge) {
     r.rank = rank;
     Span s;
     s.kind = SpanKind::kTask;
-    s.lane = Lane::kMpe;
-    s.rank = rank;
     s.ids = EventIds{0, 0, rank, -1, -1, -1, 0};
-    if (rank == 0) {
-      s.begin = 0;
-      s.end = 100;
-      s.name = "prod";
-    } else {
-      s.begin = 150;
-      s.end = 250;
-      s.name = "cons";
-    }
+    s.begin = rank == 0 ? 0 : 150;
+    s.end = rank == 0 ? 100 : 250;
+    s.name = 1;
+    r.span_names = {"", rank == 0 ? "prod" : "cons"};
     r.spans.push_back(s);
     TaskNodeInfo node;
     node.name = rank == 0 ? "prod" : "cons";
@@ -566,6 +664,117 @@ TEST(Report, PrintsTables) {
   EXPECT_NE(out.find("Run totals"), std::string::npos);
   EXPECT_NE(out.find("Per-timestep breakdown"), std::string::npos);
   EXPECT_NE(out.find("Critical chain"), std::string::npos);
+}
+
+TEST(ChromeTrace, TimesFormatExactlyAsPrintfG12) {
+  // format_us() must write what to_chars(ps * 1e-6, general, 12) writes.
+  // Its fixed-point path covers [100, 10^12); just outside, the two texts
+  // differ (ps 99 prints 9.9e-05, ps 1234567890123 prints 1234567.89012),
+  // so widening either bound fails here.
+  std::size_t mismatches = 0;
+  TimePs first = 0;
+  const auto check = [&](TimePs ps) {
+    char got[kMaxUsChars];
+    char want[kMaxUsChars];
+    const std::string_view g(got, static_cast<std::size_t>(format_us(got, ps) - got));
+    const char* end = std::to_chars(want, want + kMaxUsChars, static_cast<double>(ps) * 1e-6,
+                                    std::chars_format::general, 12)
+                          .ptr;
+    if (g != std::string_view(want, static_cast<std::size_t>(end - want)) &&
+        mismatches++ == 0)
+      first = ps;
+  };
+  for (TimePs ps = 0; ps < 2'000'000; ++ps) check(ps);
+  for (TimePs power = 1;; power *= 10) {  // 10^k for k <= 18
+    for (TimePs d = -3; d <= 3; ++d) check(power + d);
+    if (power == 1'000'000'000'000'000'000) break;
+  }
+  std::mt19937_64 rng(2018);
+  std::uniform_real_distribution<double> exponent(0.0, 13.0);
+  for (int i = 0; i < 1'000'000; ++i)
+    check(static_cast<TimePs>(std::pow(10.0, exponent(rng))));
+  EXPECT_EQ(mismatches, 0u) << "first at ps " << first;
+}
+
+TEST(ChromeTrace, SpanObjectsMatchTheGenericWriter) {
+  // Labels with a quote, a backslash and a control byte, resolved from a
+  // fabricated skeleton, and times on both sides of format_us()'s
+  // fixed-point range: each span object must be what one JsonWriter call
+  // per member writes, with names escaped by JsonWriter::escape.
+  TaskGraphInfo g;
+  TaskNodeInfo node;
+  node.name = "q\"b\\s\x01";
+  node.label = node.name + " p5";
+  node.patch = 5;
+  g.tasks = {node};
+  g.messages.push_back(MessageInfo{"m\"\\\x01 p5->p6", 5, 3, 11,
+                                   std::numeric_limits<std::uint64_t>::max()});
+  const std::vector<FlightEvent> log = {
+      ev(0, FK::kTaskBegin, 0, 0),
+      ev(50, FK::kSendPosted, 0, 0, 0),
+      ev(60, FK::kCpeStall, 0, 0, 1),
+      ev(70, FK::kReduceBegin, 0, 7),  // not in the skeleton: named by kind
+      ev(80, FK::kReduceEnd, 0, 7),
+      ev(99, FK::kSendDone, 0, 0, 0),
+      ev(123, FK::kOffloadBegin, 0, 0, 1),
+      ev(1'234'567, FK::kKernelBegin, 0, 0, 1),
+      ev(2'000'000, FK::kKernelEnd, 0, 0, 1),
+      ev(2'100'000, FK::kOffloadEnd, 0, 0, 1),
+      ev(3'000'000'000'001, FK::kTaskEnd, 0, 0)};
+  RunObservation run;
+  run.nranks = 1;
+  run.timesteps = 1;
+  RankObservation& r = run.ranks.emplace_back();
+  r.rank = 4;
+  SpanTable t = build_spans(log, g, g);
+  r.spans = std::move(t.spans);
+  r.span_names = std::move(t.names);
+  std::ostringstream os;
+  write_chrome_trace(os, run);
+  const std::string trace = os.str();
+
+  const auto tid = [](const Span& s) {
+    switch (lane_of(s.kind)) {
+      case Lane::kCpe: return 1 + s.ids.group;
+      case Lane::kMpi: return 90;
+      default: return 0;
+    }
+  };
+  std::size_t at = 0;
+  for (const Span& s : r.spans) {
+    std::ostringstream want;
+    {
+      JsonWriter w(want, 0);
+      const std::string_view name = span_name(s, r.span_names);
+      w.begin_object();
+      w.kv("name", name.empty() ? std::string_view(to_string(s.kind)) : name);
+      w.kv("cat", to_string(s.kind));
+      w.kv("ph", "X");
+      w.kv("ts", static_cast<double>(s.begin) * 1e-6);
+      w.kv("dur", static_cast<double>(s.duration()) * 1e-6);
+      w.kv("pid", r.rank);
+      w.kv("tid", tid(s));
+      w.key("args").begin_object();
+      w.kv("step", s.ids.step);
+      if (s.ids.task >= 0) w.kv("task", s.ids.task);
+      if (s.ids.patch >= 0) w.kv("patch", s.ids.patch);
+      if (s.ids.peer >= 0) w.kv("peer", s.ids.peer);
+      if (s.ids.tag >= 0) w.kv("tag", s.ids.tag);
+      if (s.ids.group >= 0) w.kv("cpe_group", s.ids.group);
+      if (s.ids.bytes > 0) w.kv("bytes", s.ids.bytes);
+      w.end_object();
+      w.end_object();
+    }
+    at = trace.find(want.str(), at);
+    ASSERT_NE(at, std::string::npos) << "missing or out of order: " << want.str();
+  }
+  for (const std::string& name :
+       {node.label, g.messages[0].label, "cpe_stall " + node.label})
+    EXPECT_NE(trace.find("{\"name\":\"" + JsonWriter::escape(name) + "\","),
+              std::string::npos)
+        << name;
+  // The task lasts 3000000.000001 us, one digit more than %.12g keeps.
+  EXPECT_NE(trace.find("\"dur\":3000000,"), std::string::npos);
 }
 
 TEST(ChromeTrace, EmptyObservationProducesBalancedJson) {
@@ -692,9 +901,55 @@ TEST(EndToEnd, ExportsMatchGoldenFiles) {
       slurp(USW_TEST_DATA_DIR "/obs_burgers8_metrics.json");
   const std::string want_trace = slurp(USW_TEST_DATA_DIR "/obs_burgers8_trace.json");
   ASSERT_FALSE(want_trace.empty());
-  EXPECT_TRUE(metrics.str() == want_metrics) << metrics.str();
-  EXPECT_EQ(trace.str().size(), want_trace.size());
-  EXPECT_TRUE(trace.str() == want_trace);
+  EXPECT_TRUE(metrics.str() == want_metrics) << first_difference(metrics.str(), want_metrics);
+  EXPECT_TRUE(trace.str() == want_trace) << first_difference(trace.str(), want_trace);
+}
+
+TEST(EndToEnd, FaultedTwoGroupExportsMatchGoldenFiles) {
+  // The paths the burgers8 golden never takes: fault span names, retry
+  // backoff, the cpe_group member and a second CPE track. The files were
+  // written by
+  //   uswsim --app=burgers --layout=2x2x1 --patch=16x16x16 --ranks=2
+  //     --steps=3 --variant=acc_simd.async --timing-only --cpe-groups=2
+  //     --inject=cpe_stall:p=0.2,offload_fail:p=0.2
+  //     --trace-json=obs_burgers_faults_trace.json
+  //     --metrics-json=obs_burgers_faults_metrics.json
+  // and this is the RunConfig that command builds.
+  runtime::RunConfig config;
+  config.problem = runtime::tiny_problem({2, 2, 1}, {16, 16, 16});
+  config.variant = runtime::variant_by_name("acc_simd.async");
+  config.nranks = 2;
+  config.timesteps = 3;
+  config.storage = var::StorageMode::kTimingOnly;
+  config.cpe_groups = 2;
+  config.faults = fault::FaultPlan::parse("cpe_stall:p=0.2,offload_fail:p=0.2", 1);
+  config.collect_trace = true;
+  config.collect_metrics = true;
+  const RunObservation run =
+      runtime::observe(runtime::run_simulation(config, apps::burgers::BurgersApp()));
+  std::ostringstream metrics;
+  write_metrics_json(metrics, build_metrics(run));
+  std::ostringstream trace;
+  write_chrome_trace(trace, run);
+  const std::string want_metrics =
+      slurp(USW_TEST_DATA_DIR "/obs_burgers_faults_metrics.json");
+  const std::string want_trace = slurp(USW_TEST_DATA_DIR "/obs_burgers_faults_trace.json");
+  ASSERT_FALSE(want_trace.empty());
+  EXPECT_TRUE(metrics.str() == want_metrics) << first_difference(metrics.str(), want_metrics);
+  EXPECT_TRUE(trace.str() == want_trace) << first_difference(trace.str(), want_trace);
+  for (const char* covered : {"\"retry backoff\"", "\"name\":\"cpe_stall ",
+                              "\"name\":\"offload_fail ", "\"cpe_group\":1",
+                              "\"CPE group 1\""})
+    EXPECT_NE(want_trace.find(covered), std::string::npos) << covered;
+}
+
+TEST(EndToEnd, GoldenFailuresNameTheFirstDifferingByte) {
+  EXPECT_EQ(first_difference("abc\ndef", "abc\nxef"),
+            "first difference at byte 4 (got 7 bytes, want 7 bytes)\n"
+            "  got:  ...abc\\ndef...\n  want: ...abc\\nxef...");
+  EXPECT_NE(first_difference("ab", "abc").find("at byte 2 (got 2 bytes, want 3 bytes)"),
+            std::string::npos);
+  EXPECT_NE(first_difference("\x01", "").find("got:  ...\\x01..."), std::string::npos);
 }
 
 TEST(EndToEnd, SchedulerFeedsRegistry) {
