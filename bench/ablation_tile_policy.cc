@@ -1,5 +1,5 @@
 // Ablation: tile scheduling policy (static z-partition vs dynamic
-// self-scheduling vs guided chunks; sched/tile_policy.h).
+// self-scheduling; sched/tile_policy.h).
 //
 // The paper's port assigns tiles to CPEs by a static z-slab partition,
 // which leaves CPEs idle in two situations this bench isolates:
@@ -13,7 +13,6 @@
 //
 // The dynamic policy (an atomic-counter self-scheduled queue, modeled
 // deterministically) fixes both: any CPE takes the next tile when free.
-// Guided hands out shrinking chunks, trading grab overhead for locality.
 //
 // Emits BENCH_ablation_tile_policy.json for the CI regression gate.
 
@@ -98,8 +97,7 @@ int main() {
       {"hotspot32x32x512", {32, 32, 512}, {16, 16, 8}, 8.0},
   };
   const std::vector<sched::TilePolicy> policies = {
-      sched::TilePolicy::kStaticZ, sched::TilePolicy::kDynamic,
-      sched::TilePolicy::kGuided};
+      sched::TilePolicy::kStaticZ, sched::TilePolicy::kDynamic};
 
   bench::JsonReport json("ablation_tile_policy");
   TextTable table("Ablation: tile scheduling policy (burgers, 4 CGs, acc.async)");
@@ -141,7 +139,6 @@ int main() {
                "count (10 of 64 here for the 80-deep patches) and pins hot\n"
                "tiles to whichever CPE owns their slab; the dynamic queue\n"
                "fills all CPEs and absorbs the hotspot, at one simulated\n"
-               "atomic grab per tile. Guided matches dynamic here: chunks\n"
-               "shrink to single tiles before the hot region is reached.\n";
+               "atomic grab per tile.\n";
   return 0;
 }

@@ -84,12 +84,11 @@ void print_help() {
       "  --timing-only                 skip field allocation (big problems)\n"
       "  --partition=block|roundrobin|cost\n"
       "  --cpe-groups=N  --async-dma  --packed-tiles\n"
-      "  --tile-policy=static|dynamic|guided\n"
+      "  --tile-policy=static|dynamic\n"
       "                                tile->CPE assignment per offload:\n"
       "                                static = the paper's z-slab partition,\n"
       "                                dynamic = atomic-counter self-scheduling\n"
-      "                                (one tile per grab), guided = shrinking\n"
-      "                                chunks; all deterministic\n"
+      "                                (one tile per grab); both deterministic\n"
       "  --mpe-threshold=CELLS         small-kernel MPE heuristic\n"
       "  --trace                       keep every rank's full event log\n"
       "                                and print rank 0's span edges\n"

@@ -41,24 +41,9 @@ TimePs CpeContext::dma_cost(std::size_t bytes, bool strided) const {
   return cost_.cpe_dma(bytes, cluster_cpes_, strided);
 }
 
-void CpeContext::count_dma(std::size_t bytes_in, std::size_t bytes_out) {
-  if (counters_ == nullptr) return;
-  counters_->dma_bytes_in += bytes_in;
-  counters_->dma_bytes_out += bytes_out;
-}
-
 void CpeContext::compute(std::uint64_t cells, const hw::KernelCost& kc,
                          bool simd, bool ieee_exp) {
-  busy_ += compute_cost(cells, kc, simd, ieee_exp);
-  count_compute(cells, kc);
-}
-
-TimePs CpeContext::compute_cost(std::uint64_t cells, const hw::KernelCost& kc,
-                                bool simd, bool ieee_exp) const {
-  return cost_.cpe_compute(cells, kc, simd, ieee_exp);
-}
-
-void CpeContext::count_compute(std::uint64_t cells, const hw::KernelCost& kc) {
+  busy_ += cost_.cpe_compute(cells, kc, simd, ieee_exp);
   if (counters_ != nullptr) counters_->count_kernel_cells(cells, kc);
 }
 

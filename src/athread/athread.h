@@ -47,8 +47,9 @@
 // runs no body and publishes zero busy time and zero counters — exactly
 // what an empty body publishes — and the threads backend submits and
 // counts only the active bodies. A spawn() with no active set runs every
-// CPE. The same planner can hand each body its precomputed CpeCharge, which
-// the body applies in place of walking its tiles through the cost model.
+// CPE. The same planner hands each body its precomputed CpeCharge: the
+// body applies it with CpeContext::apply() and charges nothing tile by
+// tile.
 //
 // The cluster can be partitioned into 1..64 equal CPE *groups* (the paper's
 // future-work item "group CPEs and schedule different patches to different
@@ -93,8 +94,9 @@ const char* to_string(Backend backend);
 Backend backend_from_string(const std::string& name);
 
 /// What one CPE's share of an offload adds to its busy time and counter
-/// slot, known before the offload runs. A timing-only tile body applies it
-/// with CpeContext::apply() instead of walking its tiles.
+/// slot, known before the offload runs (sched::plan_tile_assignment). Every
+/// tile body applies it with CpeContext::apply(), in both storage modes and
+/// both DMA modes; only an injected DMA error's re-issue is charged apart.
 struct CpeCharge {
   TimePs busy = 0;
   std::uint64_t tiles = 0;
@@ -137,26 +139,13 @@ class CpeContext {
   /// Cost of one DMA of `bytes` without charging it (for the double-
   /// buffered pipeline, which overlaps DMA with compute).
   TimePs dma_cost(std::size_t bytes, bool strided = true) const;
-  /// Records DMA traffic in the counters without charging time.
-  void count_dma(std::size_t bytes_in, std::size_t bytes_out);
 
   /// Charges compute time for `cells` cells of `kc` and counts its flops.
   void compute(std::uint64_t cells, const hw::KernelCost& kc, bool simd,
                bool ieee_exp = false);
 
-  /// Cost of the same compute without charging it.
-  TimePs compute_cost(std::uint64_t cells, const hw::KernelCost& kc, bool simd,
-                      bool ieee_exp = false) const;
-  /// Counts cells/flops without charging time.
-  void count_compute(std::uint64_t cells, const hw::KernelCost& kc);
-
-  /// Charges raw virtual time (e.g. tile-loop setup or pipelined stages).
+  /// Charges raw virtual time (e.g. an exposed DMA re-transfer).
   void charge(TimePs dt) { busy_ += dt; }
-
-  /// Bumps the executed-tile counter.
-  void count_tile() {
-    if (counters_ != nullptr) counters_->tiles_executed += 1;
-  }
 
   /// Counts an injected CPE-side fault (src/fault) in this CPE's private
   /// slot; the ordered per-group fold keeps totals backend-identical.
@@ -168,19 +157,8 @@ class CpeContext {
     if (counters_ != nullptr) counters_->fault_retries += 1;
   }
 
-  /// Charges `grabs` faaw round trips to the shared tile counter (the
-  /// self-scheduling loop of the dynamic/guided tile policies) and counts
-  /// them.
-  void grab(int grabs) {
-    busy_ += static_cast<TimePs>(grabs) * cost_.cpe_faaw();
-    if (counters_ != nullptr)
-      counters_->tile_grabs += static_cast<std::uint64_t>(grabs);
-  }
-
   /// Charges a precomputed share: its busy time plus its counter deltas.
   void apply(const CpeCharge& charge);
-
-  const hw::CostModel& cost() const { return cost_; }
 
   TimePs busy() const { return busy_; }
 

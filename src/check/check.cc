@@ -139,7 +139,6 @@ void AccessChecker::report(Violation v) {
 void AccessChecker::record_stencil_read(int dt_index, const var::VarLabel* label,
                                         task::WhichDW dw,
                                         const grid::Box& region) {
-  if (!config_.access) return;
   const int g = declared_ghost(dt_index, label, dw);
   const int pid = dt(dt_index).patch_id;
   if (g < 0) {
@@ -163,11 +162,10 @@ void AccessChecker::record_stencil_read(int dt_index, const var::VarLabel* label
 void AccessChecker::record_write(int dt_index, const var::VarLabel* label,
                                  const grid::Box& region) {
   const int pid = dt(dt_index).patch_id;
-  if (config_.access && !declares_write(dt_index, label))
+  if (!declares_write(dt_index, label))
     report(make_violation(ViolationKind::kUndeclaredWrite, task_name(dt_index),
                           label->name(), pid, region,
                           "write outside the task's Computes/Modifies"));
-  if (!config_.overlap) return;
   std::vector<WriteRec>& log = writes_[{label->id(), pid}];
   for (const WriteRec& prev : log) {
     if (prev.dt_index == dt_index || !prev.box.overlaps(region)) continue;
@@ -183,7 +181,6 @@ void AccessChecker::record_write(int dt_index, const var::VarLabel* label,
 }
 
 void AccessChecker::record_recv_unpack(int dt_index, const task::ExtComm& rc) {
-  if (!config_.access) return;
   const int g = declared_ghost(dt_index, rc.label, rc.dw);
   if (g < 0) {
     report(make_violation(ViolationKind::kUndeclaredRead, task_name(dt_index),
@@ -202,7 +199,6 @@ void AccessChecker::record_recv_unpack(int dt_index, const task::ExtComm& rc) {
 }
 
 void AccessChecker::record_local_copy(int dt_index, const task::LocalCopy& lc) {
-  if (!config_.access) return;
   const int g = declared_ghost(dt_index, lc.label, lc.dw);
   if (g < 0) {
     report(make_violation(ViolationKind::kUndeclaredRead, task_name(dt_index),
@@ -223,7 +219,6 @@ void AccessChecker::record_local_copy(int dt_index, const task::LocalCopy& lc) {
 void AccessChecker::record_tile_partition(
     int dt_index, const grid::Box& patch_cells,
     const std::vector<std::pair<int, grid::Box>>& tiles) {
-  if (!config_.tiles) return;
   auto checked = tiles_checked_[static_cast<std::size_t>(dt_index)];
   if (checked) return;
   tiles_checked_[static_cast<std::size_t>(dt_index)] = true;
@@ -236,7 +231,7 @@ void AccessChecker::record_tile_partition(
 
 void AccessChecker::on_get(const var::DataWarehouse& dw,
                            const var::VarLabel* label, int patch_id) {
-  if (!config_.access || current_task_ < 0) return;
+  if (current_task_ < 0) return;
   const int role = role_of(dw);
   if (role == 0) return;
   const task::WhichDW which =
@@ -252,7 +247,7 @@ void AccessChecker::on_get(const var::DataWarehouse& dw,
 
 void AccessChecker::on_write(const var::DataWarehouse& dw,
                              const var::VarLabel* label, int patch_id) {
-  if (!config_.access || current_task_ < 0) return;
+  if (current_task_ < 0) return;
   const int role = role_of(dw);
   if (role == 0) return;
   if (role > 0 && declares_write(current_task_, label)) return;
@@ -267,7 +262,7 @@ void AccessChecker::on_write(const var::DataWarehouse& dw,
 
 void AccessChecker::on_allocate(const var::DataWarehouse& dw,
                                 const var::VarLabel* label, int patch_id) {
-  if (!config_.access || current_task_ < 0) return;
+  if (current_task_ < 0) return;
   const int role = role_of(dw);
   if (role == 0) return;
   if (role > 0 && declares_write(current_task_, label)) return;

@@ -45,13 +45,10 @@
 
 namespace usw::check {
 
+/// Enabling validation runs every check above, (a) through (d), plus the
+/// dynamic happens-before race oracle (hb.h).
 struct CheckConfig {
   bool enabled = false;  ///< master switch; no cost at all when false
-  bool access = true;    ///< (a)+(b): DW access coverage vs. declarations
-  bool overlap = true;   ///< (c): write-write overlap between unordered tasks
-  bool tiles = true;     ///< (c): CPE tile-partition race detector
-  bool comm = true;      ///< (d): tag ambiguity + shutdown orphan lint
-  bool hb = true;        ///< dynamic happens-before race oracle (hb.h)
   /// Throw ValidationError at the first violation instead of collecting.
   bool fail_fast = false;
 };

@@ -124,16 +124,10 @@ class FaultPlan {
   std::vector<FaultRule> rules_;
 };
 
-/// Recovery policy knobs, consumed by the scheduler (retry/degrade), comm
-/// (retransmit cap) and controller (restart-on-deadline).
+/// Recovery policy knobs, consumed by comm (retransmit) and the controller
+/// (restart-on-deadline). The scheduler's offload retry and degradation
+/// policy is fixed (sched/scheduler.cc).
 struct RecoveryConfig {
-  /// Offload attempts per task before falling back to the MPE.
-  int max_offload_retries = 3;
-  /// Consecutive offload failures after which a CPE group is degraded to
-  /// MPE-only execution for the remainder of the run.
-  int degrade_after = 3;
-  /// Backoff charged before the first re-offload; doubles per retry.
-  TimePs retry_backoff = 2 * kMicrosecond;
   /// Restart the step from the last checkpoint when its (virtual) wall
   /// exceeds this. 0 disables restart-on-deadline.
   TimePs step_deadline = 0;

@@ -67,11 +67,6 @@ class Level {
   double dy() const { return 1.0 / total_cells().y; }
   double dz() const { return 1.0 / total_cells().z; }
 
-  /// Physical coordinate of the centroid of cell index c along each axis.
-  double cell_x(int i) const { return (i + 0.5) * dx(); }
-  double cell_y(int j) const { return (j + 0.5) * dy(); }
-  double cell_z(int k) const { return (k + 0.5) * dz(); }
-
  private:
   IntVec layout_;
   IntVec patch_size_;

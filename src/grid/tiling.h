@@ -8,7 +8,7 @@
 // blocks in the z dimension" (Sec V-D step 1): contiguous runs of z-slabs
 // per CPE, which slab_range()/tiles_for_cpe() implement and which ignores
 // per-tile load imbalance. sched/tile_policy.h layers the self-scheduled
-// (dynamic/guided) assignments on top of this class; the Tiling itself only
+// (dynamic) assignment on top of this class; the Tiling itself only
 // defines the tile geometry and ordering (x-fastest, then y, then z) that
 // the shared grab counter walks.
 //

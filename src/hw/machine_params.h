@@ -65,7 +65,7 @@ struct MachineParams {
   /// Fixed per-tile loop setup cost on a CPE.
   TimePs cpe_tile_overhead = 2 * kMicrosecond;
   /// One faaw round trip to the shared next-tile counter in main memory
-  /// (dynamic/guided tile policies): an uncached atomic fetch-add plus the
+  /// (dynamic tile policy): an uncached atomic fetch-add plus the
   /// arbitration against the other 63 CPEs. Comparable to a DMA descriptor
   /// setup, far below the tile-loop overhead.
   TimePs cpe_faaw = 400 * kNanosecond;

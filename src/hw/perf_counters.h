@@ -37,7 +37,7 @@ struct PerfCounters {
   // Work volume.
   std::uint64_t cells_computed = 0;
   std::uint64_t tiles_executed = 0;
-  std::uint64_t tile_grabs = 0;  ///< self-scheduling faaw grabs (dynamic/guided)
+  std::uint64_t tile_grabs = 0;  ///< self-scheduling faaw grabs (dynamic policy)
   std::uint64_t kernels_offloaded = 0;
   std::uint64_t kernels_on_mpe = 0;
 

@@ -31,11 +31,6 @@ class FieldView {
   static FieldView of(var::CCVariable<double>& v) {
     return FieldView(v.data().data(), v.box());
   }
-  static FieldView of_const(const var::CCVariable<double>& v) {
-    // Kernels take inputs via const FieldView&, but the view type itself is
-    // mutable; inputs are protected by convention (and by tests).
-    return FieldView(const_cast<double*>(v.data().data()), v.box());
-  }
 
   bool valid() const { return data_ != nullptr; }
   const grid::Box& box() const { return box_; }

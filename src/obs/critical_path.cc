@@ -5,17 +5,18 @@
 
 namespace usw::obs {
 
-CriticalPathIndex::CriticalPathIndex(const RunObservation& run)
-    : recv_owner_(run.ranks.size()) {
+CriticalPathAnalyzer::CriticalPathAnalyzer(const RunObservation& run)
+    : run_(run), recv_owner_(run.ranks.size()), node_of_(run.ranks.size()) {
   for (std::size_t r = 0; r < run.ranks.size(); ++r) {
     const TaskGraphInfo& g = run.ranks[r].graph;
     for (std::size_t t = 0; t < g.tasks.size(); ++t)
       for (const auto& key : g.tasks[t].recv_keys)
         recv_owner_[r].emplace(key, static_cast<int>(t));
+    node_of_[r].resize(g.tasks.size());
   }
 }
 
-int CriticalPathIndex::recv_owner(std::size_t rank, int peer, int tag) const {
+int CriticalPathAnalyzer::recv_owner(std::size_t rank, int peer, int tag) const {
   const auto it = recv_owner_[rank].find({peer, tag});
   return it == recv_owner_[rank].end() ? -1 : it->second;
 }
@@ -28,113 +29,109 @@ void StepSpans::add(std::size_t rank_index, std::size_t span_index, const Span& 
                        static_cast<std::uint32_t>(span_index));
 }
 
-CriticalPathReport analyze_step(const RunObservation& run,
-                                const CriticalPathIndex& index, int step,
-                                const StepSpans& spans) {
+CriticalPathReport CriticalPathAnalyzer::analyze(int step,
+                                                 const StepSpans& spans) {
   CriticalPathReport report;
   report.step = step;
 
-  struct Node {
-    int rank = -1;
-    int task = -1;
-    const std::string* name = nullptr;
-    int patch = -1;
-    TimePs begin = 0;
-    TimePs duration = 0;
-  };
-
   // DAG nodes: one per (rank, task), the first span of each, numbered
   // rank-major in span order.
-  std::vector<Node> nodes;
-  std::vector<std::vector<int>> node_of(run.ranks.size());
-  for (std::size_t r = 0; r < run.ranks.size(); ++r)
-    node_of[r].assign(run.ranks[r].graph.tasks.size(), -1);
+  nodes_.clear();
+  for (std::vector<int>& node_of : node_of_)
+    std::fill(node_of.begin(), node_of.end(), -1);
   for (const auto& [r, i] : spans.tasks) {
-    const RankObservation& rank = run.ranks[r];
+    const RankObservation& rank = run_.ranks[r];
     const Span* s = &rank.spans[i];
     const auto t = static_cast<std::size_t>(s->ids.task);
-    if (t >= node_of[r].size() || node_of[r][t] >= 0) continue;
-    node_of[r][t] = static_cast<int>(nodes.size());
+    std::vector<int>& node_of = node_of_[r];
+    if (t >= node_of.size() || node_of[t] >= 0) continue;
+    node_of[t] = static_cast<int>(nodes_.size());
     // Name nodes by the graph's task name (the patch is a separate field).
-    nodes.push_back(Node{rank.rank, s->ids.task, &rank.graph.tasks[t].name,
-                         s->ids.patch, s->begin, s->duration()});
+    nodes_.push_back(Node{rank.rank, s->ids.task, &rank.graph.tasks[t].name,
+                          s->ids.patch, s->begin, s->duration()});
   }
-  if (nodes.empty()) return report;
+  if (nodes_.empty()) return report;
   report.makespan = spans.hi - spans.lo;
 
   // Dependency edges: internal successors plus cross-rank send->recv pairs
   // matched on (peer, tag). Only edges between executed nodes count.
-  const std::size_t n = nodes.size();
-  std::vector<std::vector<int>> succs(n);
-  std::vector<std::vector<int>> preds(n);
-  auto add_edge = [&](int from, int to) {
-    succs[static_cast<std::size_t>(from)].push_back(to);
-    preds[static_cast<std::size_t>(to)].push_back(from);
+  const std::size_t n = nodes_.size();
+  if (succs_.size() < n) {
+    succs_.resize(n);
+    preds_.resize(n);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    succs_[i].clear();
+    preds_[i].clear();
+  }
+  auto add_edge = [this](int from, int to) {
+    succs_[static_cast<std::size_t>(from)].push_back(to);
+    preds_[static_cast<std::size_t>(to)].push_back(from);
   };
-  for (std::size_t r = 0; r < run.ranks.size(); ++r) {
-    const TaskGraphInfo& g = run.ranks[r].graph;
+  for (std::size_t r = 0; r < run_.ranks.size(); ++r) {
+    const TaskGraphInfo& g = run_.ranks[r].graph;
+    const std::vector<int>& node_of = node_of_[r];
     for (std::size_t t = 0; t < g.tasks.size(); ++t) {
-      const int from = node_of[r][t];
+      const int from = node_of[t];
       if (from < 0) continue;
       for (int succ : g.tasks[t].successors) {
-        if (succ >= 0 && static_cast<std::size_t>(succ) < node_of[r].size() &&
-            node_of[r][static_cast<std::size_t>(succ)] >= 0)
-          add_edge(from, node_of[r][static_cast<std::size_t>(succ)]);
+        if (succ >= 0 && static_cast<std::size_t>(succ) < node_of.size() &&
+            node_of[static_cast<std::size_t>(succ)] >= 0)
+          add_edge(from, node_of[static_cast<std::size_t>(succ)]);
       }
       for (const auto& [peer, tag] : g.tasks[t].send_keys) {
-        if (peer < 0 || static_cast<std::size_t>(peer) >= run.ranks.size())
+        if (peer < 0 || static_cast<std::size_t>(peer) >= run_.ranks.size())
           continue;
         const int owner =
-            index.recv_owner(static_cast<std::size_t>(peer), static_cast<int>(r), tag);
+            recv_owner(static_cast<std::size_t>(peer), static_cast<int>(r), tag);
         if (owner < 0) continue;
         const int to =
-            node_of[static_cast<std::size_t>(peer)][static_cast<std::size_t>(owner)];
+            node_of_[static_cast<std::size_t>(peer)][static_cast<std::size_t>(owner)];
         if (to >= 0) add_edge(from, to);
       }
     }
   }
 
   // Longest paths into and out of every node, in topological order.
-  std::vector<int> indeg(n, 0);
+  indeg_.assign(n, 0);
   for (std::size_t i = 0; i < n; ++i)
-    for (int s : succs[i]) indeg[static_cast<std::size_t>(s)]++;
-  std::vector<int> topo;
-  topo.reserve(n);
+    for (int s : succs_[i]) indeg_[static_cast<std::size_t>(s)]++;
+  topo_.clear();
   for (std::size_t i = 0; i < n; ++i)
-    if (indeg[i] == 0) topo.push_back(static_cast<int>(i));
-  for (std::size_t head = 0; head < topo.size(); ++head)
-    for (int s : succs[static_cast<std::size_t>(topo[head])])
-      if (--indeg[static_cast<std::size_t>(s)] == 0) topo.push_back(s);
+    if (indeg_[i] == 0) topo_.push_back(static_cast<int>(i));
+  for (std::size_t head = 0; head < topo_.size(); ++head)
+    for (int s : succs_[static_cast<std::size_t>(topo_[head])])
+      if (--indeg_[static_cast<std::size_t>(s)] == 0) topo_.push_back(s);
 
-  std::vector<TimePs> into(n);   ///< longest chain ending at node (incl.)
-  std::vector<TimePs> outof(n);  ///< longest chain starting at node (incl.)
-  std::vector<int> best_pred(n, -1);
-  for (int id : topo) {
+  into_.assign(n, 0);
+  outof_.assign(n, 0);
+  best_pred_.assign(n, -1);
+  for (int id : topo_) {
     const auto i = static_cast<std::size_t>(id);
-    into[i] = nodes[i].duration;
-    for (int p : preds[i]) {
+    into_[i] = nodes_[i].duration;
+    for (int p : preds_[i]) {
       const auto pi = static_cast<std::size_t>(p);
-      if (into[pi] + nodes[i].duration > into[i]) {
-        into[i] = into[pi] + nodes[i].duration;
-        best_pred[i] = p;
+      if (into_[pi] + nodes_[i].duration > into_[i]) {
+        into_[i] = into_[pi] + nodes_[i].duration;
+        best_pred_[i] = p;
       }
     }
   }
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+  for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {
     const auto i = static_cast<std::size_t>(*it);
-    outof[i] = nodes[i].duration;
-    for (int s : succs[i])
-      outof[i] = std::max(outof[i],
-                          nodes[i].duration + outof[static_cast<std::size_t>(s)]);
+    outof_[i] = nodes_[i].duration;
+    for (int s : succs_[i])
+      outof_[i] = std::max(outof_[i],
+                           nodes_[i].duration + outof_[static_cast<std::size_t>(s)]);
   }
 
   int tail = 0;
   for (std::size_t i = 1; i < n; ++i)
-    if (into[i] > into[static_cast<std::size_t>(tail)]) tail = static_cast<int>(i);
-  report.total = into[static_cast<std::size_t>(tail)];
+    if (into_[i] > into_[static_cast<std::size_t>(tail)]) tail = static_cast<int>(i);
+  report.total = into_[static_cast<std::size_t>(tail)];
 
-  for (int at = tail; at >= 0; at = best_pred[static_cast<std::size_t>(at)]) {
-    const Node& node = nodes[static_cast<std::size_t>(at)];
+  for (int at = tail; at >= 0; at = best_pred_[static_cast<std::size_t>(at)]) {
+    const Node& node = nodes_[static_cast<std::size_t>(at)];
     report.chain.push_back(CriticalPathEntry{node.rank, node.task, *node.name,
                                              node.patch, node.begin,
                                              node.duration});
@@ -142,10 +139,10 @@ CriticalPathReport analyze_step(const RunObservation& run,
   std::reverse(report.chain.begin(), report.chain.end());
 
   for (std::size_t i = 0; i < n; ++i) {
-    const TimePs slack = report.total - (into[i] + outof[i] - nodes[i].duration);
-    const auto it = report.slack_by_task.find(*nodes[i].name);
+    const TimePs slack = report.total - (into_[i] + outof_[i] - nodes_[i].duration);
+    const auto it = report.slack_by_task.find(*nodes_[i].name);
     if (it == report.slack_by_task.end())
-      report.slack_by_task.emplace(*nodes[i].name, slack);
+      report.slack_by_task.emplace(*nodes_[i].name, slack);
     else
       it->second = std::min(it->second, slack);
   }
@@ -159,7 +156,7 @@ CriticalPathReport analyze_critical_path(const RunObservation& run, int step) {
     for (std::size_t i = 0; i < rank_spans.size(); ++i)
       if (rank_spans[i].ids.step == step) spans.add(r, i, rank_spans[i]);
   }
-  return analyze_step(run, CriticalPathIndex(run), step, spans);
+  return CriticalPathAnalyzer(run).analyze(step, spans);
 }
 
 }  // namespace usw::obs

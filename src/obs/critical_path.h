@@ -56,23 +56,11 @@ struct CriticalPathReport {
 
 /// Analyzes timestep `step` (-1 = initialization). Requires the
 /// observation to carry spans and graph skeletons (collect_trace);
-/// returns an empty report otherwise. One scan of every span plus the
-/// per-step core below; to analyze every step, bucket the spans by step in
-/// one pass and call analyze_step() per step (build_metrics does).
+/// returns an empty report otherwise. One scan of every span plus one
+/// CriticalPathAnalyzer::analyze(); to analyze every step, bucket the
+/// spans by step in one pass and analyze each through one analyzer
+/// (build_metrics does).
 CriticalPathReport analyze_critical_path(const RunObservation& run, int step);
-
-/// Cross-rank send->recv edge lookup, built once per run: which task on a
-/// rank receives the message (peer, tag). The first task declaring a key
-/// owns it.
-class CriticalPathIndex {
- public:
-  explicit CriticalPathIndex(const RunObservation& run);
-  /// Detailed-task index on `rank` receiving (peer, tag); -1 when none does.
-  int recv_owner(std::size_t rank, int peer, int tag) const;
-
- private:
-  std::vector<std::map<std::pair<int, int>, int>> recv_owner_;
-};
 
 /// The spans of one step that the analysis reads: the step window over
 /// spans of every kind, and its task spans as (index into run.ranks, index
@@ -85,11 +73,49 @@ struct StepSpans {
   void add(std::size_t rank_index, std::size_t span_index, const Span& s);
 };
 
-/// The per-step core: the longest chain through the step's executed tasks.
-/// DAG nodes are numbered in the order `spans.tasks` lists them, which
-/// decides ties between equally long chains. O(step tasks + edges).
-CriticalPathReport analyze_step(const RunObservation& run,
-                                const CriticalPathIndex& index, int step,
-                                const StepSpans& spans);
+/// Critical-path analysis of the steps of one run. Builds the cross-rank
+/// send->recv edge lookup once, and keeps the step DAG's working storage
+/// from one analyze() call to the next, so analyzing every step of a run
+/// through one analyzer allocates it only while it grows.
+class CriticalPathAnalyzer {
+ public:
+  /// `run` must outlive the analyzer.
+  explicit CriticalPathAnalyzer(const RunObservation& run);
+
+  /// The longest chain through the executed tasks of `step`, given its
+  /// spans. DAG nodes are numbered in the order `spans.tasks` lists them,
+  /// which decides ties between equally long chains. O(step tasks + edges
+  /// + the run's tasks).
+  CriticalPathReport analyze(int step, const StepSpans& spans);
+
+ private:
+  struct Node {
+    int rank = -1;
+    int task = -1;
+    const std::string* name = nullptr;
+    int patch = -1;
+    TimePs begin = 0;
+    TimePs duration = 0;
+  };
+
+  /// Detailed-task index on `rank` receiving (peer, tag); -1 when none does.
+  int recv_owner(std::size_t rank, int peer, int tag) const;
+
+  const RunObservation& run_;
+  /// Per rank: which task receives the message (peer, tag). The first task
+  /// declaring a key owns it.
+  std::vector<std::map<std::pair<int, int>, int>> recv_owner_;
+
+  // analyze()'s working storage, reset (not freed) at every call.
+  std::vector<Node> nodes_;
+  std::vector<std::vector<int>> node_of_;  ///< per rank: task -> node or -1
+  std::vector<std::vector<int>> succs_;    ///< per node; the first n in use
+  std::vector<std::vector<int>> preds_;    ///< per node; the first n in use
+  std::vector<int> indeg_;
+  std::vector<int> topo_;
+  std::vector<TimePs> into_;   ///< longest chain ending at node (incl.)
+  std::vector<TimePs> outof_;  ///< longest chain starting at node (incl.)
+  std::vector<int> best_pred_;
+};
 
 }  // namespace usw::obs

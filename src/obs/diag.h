@@ -57,7 +57,6 @@ class DiagHub final : public sim::DiagSink {
   DiagHub(const DiagConfig& config, int nranks);
 
   FlightRecorder& rank_ring(int rank) { return *rank_rings_.at(static_cast<std::size_t>(rank)); }
-  FlightRecorder& coord_ring() { return coord_ring_; }
   int nranks() const { return static_cast<int>(rank_rings_.size()); }
 
   /// A per-rank snapshot source writes extra members into the rank's open

@@ -105,20 +105,23 @@ MetricsReport build_metrics(const RunObservation& run) {
   }
   for (auto& [name, t] : tasks) report.tasks.push_back(std::move(t));
 
-  const CriticalPathIndex index(run);
   TimePs all_wait = 0;
   TimePs all_walls = 0;
   TimePs comm_flight = 0;
-  for (std::size_t s = 0; s < nsteps; ++s) {
-    StepMetrics& step = report.steps[s];
-    if (have_spans && rank_walls[s] > 0)
-      step.overlap_efficiency =
-          1.0 - static_cast<double>(step.wait) / static_cast<double>(rank_walls[s]);
-    step.critical_path = analyze_step(run, index, step.step, step_spans[s]).total;
-    all_wait += step.wait;
-    all_walls += rank_walls[s];
-    comm_flight += step.comm;
-    report.total_wall += step.wall;
+  {
+    // Scoped: the analyzer's storage is freed before the registry merge.
+    CriticalPathAnalyzer critical_path(run);
+    for (std::size_t s = 0; s < nsteps; ++s) {
+      StepMetrics& step = report.steps[s];
+      if (have_spans && rank_walls[s] > 0)
+        step.overlap_efficiency =
+            1.0 - static_cast<double>(step.wait) / static_cast<double>(rank_walls[s]);
+      step.critical_path = critical_path.analyze(step.step, step_spans[s]).total;
+      all_wait += step.wait;
+      all_walls += rank_walls[s];
+      comm_flight += step.comm;
+      report.total_wall += step.wall;
+    }
   }
 
   std::uint64_t dma_bytes = 0;

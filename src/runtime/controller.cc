@@ -56,12 +56,6 @@ void RunConfig::validate() const {
   if ((output_interval > 0 || !restart_dir.empty()) &&
       storage != var::StorageMode::kFunctional)
     throw ConfigError("archive output/restart requires functional storage");
-  if (recovery.max_offload_retries < 0)
-    throw ConfigError("recovery.max_offload_retries must be >= 0");
-  if (recovery.degrade_after < 1)
-    throw ConfigError("recovery.degrade_after must be >= 1");
-  if (recovery.retry_backoff < 0)
-    throw ConfigError("recovery.retry_backoff must be >= 0");
   if (recovery.step_deadline < 0)
     throw ConfigError("recovery.step_deadline must be >= 0");
   if (recovery.max_restarts < 0)
@@ -242,13 +236,10 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
     sched::SchedulerConfig sched_config = config.variant.scheduler_config();
     sched_config.flight = &flight;
     sched_config.schedule = schedule.get();
-    sched_config.backend = config.backend;
-    sched_config.cpe_groups = config.cpe_groups;
     sched_config.async_dma = config.async_dma;
     sched_config.packed_tiles = config.packed_tiles;
     sched_config.tile_policy = config.tile_policy;
     sched_config.mpe_kernel_threshold_cells = config.mpe_kernel_threshold_cells;
-    sched_config.recovery = config.recovery;
     if (config.collect_metrics) sched_config.metrics = &out.obs_metrics;
 
     // Per-rank fault view: armed on the timestep scheduler only — the paper
@@ -269,26 +260,23 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
     if (config.collect_trace) out.init_graph_info = graph_info_of(cg_init);
 
     // Opt-in validation: one checker per compiled graph (declarations and
-    // the happens-before closure differ between init and step), plus a
-    // static lint of each graph's communication plan.
+    // the happens-before closure differ between init and step), the
+    // rank's dynamic happens-before oracle, and a static lint of each
+    // graph's communication plan.
     std::unique_ptr<check::AccessChecker> init_checker;
     std::unique_ptr<check::AccessChecker> step_checker;
     std::unique_ptr<check::HbChecker> hb_checker;
-    if (config.check.enabled && config.check.hb) {
+    if (config.check.enabled) {
       hb_checker = std::make_unique<check::HbChecker>(rank);
       sched_config.hb = hb_checker.get();
-    }
-    if (config.check.enabled) {
       init_checker =
           std::make_unique<check::AccessChecker>(config.check, level, cg_init);
       step_checker =
           std::make_unique<check::AccessChecker>(config.check, level, cg_step);
-      if (config.check.comm) {
-        for (check::Violation& v : check::lint_compiled_graph(cg_init, rank))
-          out.violations.push_back(std::move(v));
-        for (check::Violation& v : check::lint_compiled_graph(cg_step, rank))
-          out.violations.push_back(std::move(v));
-      }
+      for (check::Violation& v : check::lint_compiled_graph(cg_init, rank))
+        out.violations.push_back(std::move(v));
+      for (check::Violation& v : check::lint_compiled_graph(cg_step, rank))
+        out.violations.push_back(std::move(v));
     }
 
     // Crash-dump snapshot source, registered BEFORE initialization runs:
@@ -532,7 +520,7 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
     out.trace = flight.take_log();
   }, schedule.get(), lookahead, &diag_hub, config.diag.hang_threshold);
 
-  if (config.check.enabled && config.check.comm)
+  if (config.check.enabled)
     result.comm_violations = check::lint_network_shutdown(network);
 
   if (schedule != nullptr) {

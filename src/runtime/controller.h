@@ -95,7 +95,7 @@ struct RunConfig {
   /// fault-free. The same plan + seed produces bit-identical faults,
   /// virtual times, and fields on both execution backends.
   fault::FaultPlan faults;
-  /// Recovery policy: offload retry/backoff/degradation (scheduler) and
+  /// Recovery policy: message retransmission (comm) and
   /// restart-from-checkpoint on a step deadline (controller; requires
   /// checkpointing, i.e. output_dir + output_interval).
   fault::RecoveryConfig recovery;

@@ -407,6 +407,19 @@ void Scheduler::sample_offload_imbalance(int group) {
                           mean > 0.0 ? static_cast<double>(max) / mean : 1.0);
 }
 
+namespace {
+
+// Recovery policy for injected offload failures.
+/// Offload attempts per task before falling back to the MPE.
+constexpr int kMaxOffloadAttempts = 3;
+/// Consecutive offload failures after which a CPE group is degraded to
+/// MPE-only execution for the remainder of the run.
+constexpr int kDegradeAfter = 3;
+/// Backoff charged before the first re-offload; doubles per retry.
+constexpr TimePs kRetryBackoff = 2 * kMicrosecond;
+
+}  // namespace
+
 int Scheduler::first_usable_group() const {
   for (int g = 0; g < cluster_.n_groups(); ++g)
     if (!group_degraded(g)) return g;
@@ -431,8 +444,7 @@ bool Scheduler::offload_fault_check(int dt_index, int group) {
   counters_.fault_injected += 1;
   if (config_.metrics != nullptr) config_.metrics->count("fault.injected");
   record(obs::FlightKind::kOffloadFail, comm_.now(), dt_index, group);
-  if (++fail_streak_[static_cast<std::size_t>(group)] >=
-          config_.recovery.degrade_after &&
+  if (++fail_streak_[static_cast<std::size_t>(group)] >= kDegradeAfter &&
       !group_degraded(group)) {
     degraded_[static_cast<std::size_t>(group)] = 1;
     counters_.fault_degraded += 1;
@@ -445,35 +457,34 @@ bool Scheduler::offload_fault_check(int dt_index, int group) {
 
 void Scheduler::charge_retry_backoff(int dt_index, int attempt) {
   record(obs::FlightKind::kOffloadRetry, comm_.now(), dt_index, attempt);
-  TimePs backoff = config_.recovery.retry_backoff;
+  TimePs backoff = kRetryBackoff;
   for (int a = 1; a < attempt; ++a) backoff *= 2;
   comm_.advance(backoff);
   counters_.mpe_task_time += backoff;
   record(obs::FlightKind::kBackoffEnd, comm_.now(), dt_index, attempt);
 }
 
-void Scheduler::recover_offload(task::TaskContext& ctx, int dt_index, int group) {
+int Scheduler::recover_offload(task::TaskContext& ctx, int dt_index, int group) {
   const int attempt =
       state_[static_cast<std::size_t>(dt_index)].offload_attempts;
   // Retry on the same group, or — once it is degraded — on a spare one.
   const int retry_group =
       group_degraded(group) ? first_free_usable_group() : group;
-  if (attempt < config_.recovery.max_offload_retries && retry_group >= 0) {
+  // offload_stencil / run_stencil_on_mpe close the checker's task scope,
+  // so a recovery pass must re-open it.
+  if (attempt < kMaxOffloadAttempts && retry_group >= 0) {
     counters_.fault_retries += 1;
     if (config_.metrics != nullptr) config_.metrics->count("fault.retries");
     charge_retry_backoff(dt_index, attempt);
-    // offload_stencil / run_stencil_on_mpe close the checker's task scope,
-    // so a recovery pass must re-open it.
     if (config_.checker != nullptr) config_.checker->begin_task(dt_index);
-    offload_stencil(ctx, dt_index, retry_group);
-    return;
+    return retry_group;
   }
   // Out of retries (or out of CPE groups): run the kernel on the MPE. The
   // stencil kernels are pure, so the re-execution overwrites the offload's
   // outputs with identical values.
   if (config_.checker != nullptr) config_.checker->begin_task(dt_index);
   run_stencil_on_mpe(ctx, dt_index);
-  on_finished(ctx, dt_index);
+  return -1;
 }
 
 void Scheduler::run_mpe_body(task::TaskContext& ctx, int dt_index) {
@@ -628,9 +639,9 @@ void Scheduler::run_loop_sync(task::TaskContext& ctx) {
           // been degraded by fault injection. The spin is recorded as a
           // wait span: it is exactly the MPE idle time the async scheduler
           // reclaims, and the overlap-efficiency metric depends on seeing
-          // it.
-          int g = g0;
-          for (;;) {
+          // it. A failed offload is retried or run on the MPE
+          // (recover_offload).
+          for (int g = g0; g >= 0;) {
             offload_stencil(ctx, t, g);
             record(obs::FlightKind::kWaitBegin, comm_.now(), t, g);
             cluster_.join(g);
@@ -640,24 +651,7 @@ void Scheduler::run_loop_sync(task::TaskContext& ctx) {
             record(obs::FlightKind::kWaitEnd, comm_.now(), t, g);
             record(obs::FlightKind::kOffloadEnd, comm_.now(), t, g);
             offloaded_[static_cast<std::size_t>(g)] = -1;
-            if (!offload_fault_check(t, g)) break;
-            const int attempt =
-                state_[static_cast<std::size_t>(t)].offload_attempts;
-            const int retry_group =
-                group_degraded(g) ? first_usable_group() : g;
-            if (attempt < config_.recovery.max_offload_retries &&
-                retry_group >= 0) {
-              counters_.fault_retries += 1;
-              if (config_.metrics != nullptr)
-                config_.metrics->count("fault.retries");
-              charge_retry_backoff(t, attempt);
-              if (config_.checker != nullptr) config_.checker->begin_task(t);
-              g = retry_group;
-              continue;
-            }
-            if (config_.checker != nullptr) config_.checker->begin_task(t);
-            run_stencil_on_mpe(ctx, t);
-            break;
+            g = offload_fault_check(t, g) ? recover_offload(ctx, t, g) : -1;
           }
         }
       } else {
@@ -692,8 +686,11 @@ void Scheduler::run_loop_async(task::TaskContext& ctx) {
         if (config_.hb != nullptr) config_.hb->join(g);
         sample_offload_imbalance(g);
         record(obs::FlightKind::kOffloadEnd, comm_.now(), finished, g);
-        if (offload_fault_check(finished, g))
-          recover_offload(ctx, finished, g);
+        const int retry = offload_fault_check(finished, g)
+                              ? recover_offload(ctx, finished, g)
+                              : -1;
+        if (retry >= 0)
+          offload_stencil(ctx, finished, retry);
         else
           on_finished(ctx, finished);
         progressed = true;

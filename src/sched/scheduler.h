@@ -77,11 +77,10 @@ struct SchedulerConfig {
   /// under every policy.
   TilePolicy tile_policy = TilePolicy::kStaticZ;
 
-  // Future-work options (paper Sec IX). The CPE cluster is split into
-  // cpe_groups independent groups; the async scheduler keeps one kernel in
-  // flight per group (task + data parallelism on a CG). Synchronous modes
-  // always use group 0 only.
-  int cpe_groups = 1;
+  // Future-work options (paper Sec IX). The async scheduler keeps one
+  // kernel in flight per CPE group of its CpeCluster (task + data
+  // parallelism on a CG); synchronous modes use group 0 until fault
+  // injection degrades it.
   bool async_dma = false;     ///< double-buffered tile DMA
   bool packed_tiles = false;  ///< contiguous tile transfers
 
@@ -90,13 +89,6 @@ struct SchedulerConfig {
   /// where the athread launch + tile staging overhead exceeds the win from
   /// 64 slow CPEs. 0 disables the heuristic.
   std::uint64_t mpe_kernel_threshold_cells = 0;
-
-  /// Which execution backend drives the CpeCluster this scheduler runs
-  /// against (set by the controller to match RunConfig::backend). The
-  /// scheduling protocol is backend-independent — virtual time, task
-  /// order, and results are identical either way — so this is carried for
-  /// introspection (reports, tests) rather than branched on.
-  athread::Backend backend = athread::Backend::kSerial;
 
   /// Opt-in runtime validator (src/check): when set, the scheduler
   /// brackets task execution, records stencil/halo access regions, and
@@ -126,11 +118,6 @@ struct SchedulerConfig {
   /// failures and DMA errors for this rank. Null (the default) runs
   /// fault-free and costs nothing.
   const fault::FaultInjector* faults = nullptr;
-
-  /// Recovery policy for injected offload failures: retry with exponential
-  /// backoff on the same (or a spare) CPE group, then degrade the group to
-  /// MPE-only execution after repeated failures.
-  fault::RecoveryConfig recovery;
 
   /// The rank's event record (src/obs/flight.h): every span edge — task,
   /// offload, kernel, send, receive, reduction, wait and fault — and every
@@ -222,9 +209,12 @@ class Scheduler {
   /// Charges the exponential retry backoff before re-offloading attempt
   /// `attempt` + 1, recorded as a fault span.
   void charge_retry_backoff(int dt_index, int attempt);
-  /// Retry a failed offload (async path): re-offload with backoff onto
-  /// `group` or a spare, or fall back to the MPE when out of retries.
-  void recover_offload(task::TaskContext& ctx, int dt_index, int group);
+  /// Recovers the failed offload of `dt_index` on `group`, for both
+  /// scheduler loops. With retries left and `group` (or, once it is
+  /// degraded, a free spare) usable: counts the retry, charges the backoff
+  /// and returns the group to re-offload on. Otherwise runs the kernel on
+  /// the MPE and returns -1; the caller then finishes the task.
+  int recover_offload(task::TaskContext& ctx, int dt_index, int group);
   void run_mpe_body(task::TaskContext& ctx, int dt_index);
   void on_finished(task::TaskContext& ctx, int dt_index);
   /// Tests outstanding receives/sends; unpacks completed receives.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <span>
 #include <vector>
 
 #include "hw/ldm.h"
@@ -22,26 +21,21 @@ void copy_region(const kern::FieldView& src, const kern::FieldView& dst,
                   row * sizeof(double));
 }
 
-/// One tile, functionally: stage in, run the kernel, stage out. Used by
-/// both the synchronous and the double-buffered paths (the pipeline
-/// changes when time is charged, not what is computed).
-void run_tile_functional(const TileExecArgs& args, const grid::Box& tile,
-                         const grid::Box& ghosted, kern::FieldView ldm_in,
-                         kern::FieldView ldm_out) {
-  copy_region(args.in, ldm_in, ghosted);
-  args.kernel->variant(args.vectorize)(args.env, ldm_in, ldm_out, tile);
-  copy_region(ldm_out, args.out, tile);
-}
-
-/// The operation mix charged for `tile`: the patch-scaled base, optionally
-/// further scaled by the kernel's per-tile cost function. The planner's
-/// pricer calls this too, so planned and charged costs are the same
-/// expression (bit-identical).
-hw::KernelCost tile_kernel_cost(const kern::KernelVariants& kernel,
-                                const hw::KernelCost& base,
-                                const grid::Box& tile) {
-  if (!kernel.tile_cost_scale) return base;
-  return base.scaled(kernel.scale_for_tile(tile));
+/// Moves one tile's data through the LDM: stage the ghosted tile in, run
+/// the kernel on it, stage the interior out. One in/out buffer pair per
+/// tile; the planner has already checked that the largest tile's buffers
+/// fit, both pairs of the double-buffered pipeline included.
+void run_tile(const TileExecArgs& args, hw::Ldm& ldm, const grid::Box& tile) {
+  const grid::Box ghosted = tile.grown(args.kernel->ghost);
+  ldm.reset();
+  const kern::FieldView in(
+      ldm.alloc<double>(static_cast<std::size_t>(ghosted.volume())).data(),
+      ghosted);
+  const kern::FieldView out(
+      ldm.alloc<double>(static_cast<std::size_t>(tile.volume())).data(), tile);
+  copy_region(args.in, in, ghosted);
+  args.kernel->variant(args.vectorize)(args.env, in, out, tile);
+  copy_region(out, args.out, tile);
 }
 
 std::size_t ghosted_bytes(const kern::KernelVariants& kernel,
@@ -75,98 +69,7 @@ void reissue_get(const TileExecArgs& args, athread::CpeContext& ctx,
   ctx.count_fault_retry();
 }
 
-/// Synchronous per-tile loop: the paper's current implementation
-/// (Sec V-D: "does not make use of the fact that the memory-LDM transfer
-/// can be asynchronous").
-void run_sync(const TileExecArgs& args, athread::CpeContext& ctx,
-              const grid::Tiling& tiling, TileRun mine) {
-  const kern::KernelVariants& kernel = *args.kernel;
-  const hw::KernelCost base = kernel.cost.scaled(args.cost_scale);
-  const bool strided = !args.packed_tiles;
-  for (const int t : mine) {
-    const grid::Box tile = tiling.tile(t);
-    const grid::Box ghosted = tile.grown(kernel.ghost);
-    const hw::KernelCost cost = tile_kernel_cost(kernel, base, tile);
-    ctx.charge(ctx.cost().cpe_tile_overhead());
-    ctx.ldm().reset();
-    auto in_buf = ctx.ldm().alloc<double>(static_cast<std::size_t>(ghosted.volume()));
-    auto out_buf = ctx.ldm().alloc<double>(static_cast<std::size_t>(tile.volume()));
-    run_tile_functional(args, tile, ghosted,
-                        kern::FieldView(in_buf.data(), ghosted),
-                        kern::FieldView(out_buf.data(), tile));
-    ctx.get(nullptr, nullptr,
-            static_cast<std::size_t>(ghosted.volume()) * sizeof(double), strided);
-    if (tile_dma_error(args, t))
-      reissue_get(args, ctx,
-                  static_cast<std::size_t>(ghosted.volume()) * sizeof(double));
-    ctx.compute(static_cast<std::uint64_t>(tile.volume()), cost,
-                args.vectorize, kernel.use_ieee_exp);
-    ctx.put(nullptr, nullptr,
-            static_cast<std::size_t>(tile.volume()) * sizeof(double), strided);
-    ctx.count_tile();
-  }
-}
-
-/// Double-buffered pipeline (future work, Sec IX): tile i's compute
-/// overlaps tile i+1's get and tile i-1's put. Requires two in/out buffer
-/// pairs in the LDM, which the allocation below genuinely enforces.
-void run_double_buffered(const TileExecArgs& args, athread::CpeContext& ctx,
-                         const grid::Tiling& tiling, TileRun mine) {
-  const kern::KernelVariants& kernel = *args.kernel;
-  const hw::KernelCost base = kernel.cost.scaled(args.cost_scale);
-  const bool strided = !args.packed_tiles;
-
-  // Buffers sized for the largest assigned tile, two of each.
-  std::size_t max_ghosted = 0, max_interior = 0;
-  for (const int t : mine) {
-    const grid::Box tile = tiling.tile(t);
-    max_ghosted = std::max(
-        max_ghosted, static_cast<std::size_t>(tile.grown(kernel.ghost).volume()));
-    max_interior = std::max(max_interior, static_cast<std::size_t>(tile.volume()));
-  }
-  ctx.ldm().reset();
-  std::span<double> in_buf[2] = {ctx.ldm().alloc<double>(max_ghosted),
-                                 ctx.ldm().alloc<double>(max_ghosted)};
-  std::span<double> out_buf[2] = {ctx.ldm().alloc<double>(max_interior),
-                                  ctx.ldm().alloc<double>(max_interior)};
-
-  const int n = mine.size();
-  auto in_bytes = [&](int i) {
-    return ghosted_bytes(kernel, tiling.tile(mine[i]));
-  };
-  auto out_bytes = [&](int i) {
-    return static_cast<std::size_t>(tiling.tile(mine[i]).volume()) *
-           sizeof(double);
-  };
-
-  for (int i = 0; i < n; ++i) {
-    const grid::Box tile = tiling.tile(mine[i]);
-    const grid::Box ghosted = tile.grown(kernel.ghost);
-    const hw::KernelCost cost = tile_kernel_cost(kernel, base, tile);
-    run_tile_functional(args, tile, ghosted,
-                        kern::FieldView(in_buf[i % 2].data(), ghosted),
-                        kern::FieldView(out_buf[i % 2].data(), tile));
-    ctx.count_dma(in_bytes(i), out_bytes(i));
-    ctx.count_compute(static_cast<std::uint64_t>(tile.volume()), cost);
-    ctx.count_tile();
-    if (tile_dma_error(args, mine[i])) reissue_get(args, ctx, in_bytes(i));
-
-    // Timing: prologue get for tile 0 is exposed; afterwards each stage
-    // takes max(compute_i, get_{i+1} + put_{i-1}); the last put is exposed.
-    if (i == 0) ctx.charge(ctx.dma_cost(in_bytes(0), strided));
-    TimePs overlapped_dma = 0;
-    if (i + 1 < n) overlapped_dma += ctx.dma_cost(in_bytes(i + 1), strided);
-    if (i > 0) overlapped_dma += ctx.dma_cost(out_bytes(i - 1), strided);
-    const TimePs compute =
-        ctx.cost().cpe_tile_overhead() +
-        ctx.compute_cost(static_cast<std::uint64_t>(tile.volume()), cost,
-                         args.vectorize, kernel.use_ieee_exp);
-    ctx.charge(std::max(compute, overlapped_dma));
-  }
-  if (n > 0) ctx.charge(ctx.dma_cost(out_bytes(n - 1), strided));
-}
-
-/// What one tile moves and costs: the exact terms run_sync charges.
+/// What one tile moves and costs on a CPE.
 struct TileTerms {
   std::uint64_t cells = 0;
   std::uint64_t bytes_in = 0;   ///< the ghosted tile
@@ -178,10 +81,11 @@ struct TileTerms {
   TimePs price() const { return work + get + put; }
 };
 
-/// Prices tiles for one plan. The terms are a pure function of the tile's
-/// extent and per-tile scale, so a tile whose key equals the previous
-/// tile's reuses them: every tile of an unclipped, unscaled patch is
-/// priced once.
+/// Prices tiles for one plan: the kernel's cost scaled by the patch and the
+/// tile, DMA contended over the whole cluster. The terms are a pure
+/// function of the tile's extent and per-tile scale, so a tile whose key
+/// equals the previous tile's reuses them: every tile of an unclipped,
+/// unscaled patch is priced once.
 class TilePricer {
  public:
   TilePricer(const TileExecArgs& args, int cluster_cpes,
@@ -198,7 +102,8 @@ class TilePricer {
     last_extent_ = extent;
     last_scale_ = scale;
     const bool strided = !args_.packed_tiles;
-    const hw::KernelCost kc = tile_kernel_cost(kernel_, base_, tile);
+    const hw::KernelCost kc =
+        kernel_.tile_cost_scale ? base_.scaled(scale) : base_;
     TileTerms& t = last_;
     t.cells = static_cast<std::uint64_t>(tile.volume());
     t.bytes_in = ghosted_bytes(kernel_, tile);
@@ -223,9 +128,12 @@ class TilePricer {
   TileTerms last_;
 };
 
-/// What the CPE running `mine` after `grabs` grabs charges: the sums its
-/// functional body would charge tile by tile, flops accumulated in
-/// execution order from 0.0 as in its fresh counter slot.
+/// What the CPE running `mine` after `grabs` grabs charges: every grab's
+/// faaw plus its tiles under the planned DMA mode, flops accumulated in
+/// execution order from 0.0 as the hardware's counter would. Synchronous
+/// DMA is the paper's implementation (Sec V-D: it "does not make use of
+/// the fact that the memory-LDM transfer can be asynchronous"); the
+/// double-buffered pipeline is its future work (Sec IX).
 athread::CpeCharge cpe_charge(const TileExecArgs& args,
                               const grid::Tiling& tiling, TileRun mine,
                               int grabs, TilePricer& price,
@@ -245,8 +153,8 @@ athread::CpeCharge cpe_charge(const TileExecArgs& args,
       c.busy += t.price();
       continue;
     }
-    // The pipeline of run_double_buffered: the first get and the last put
-    // are exposed; each stage takes max(work_i, get_{i+1} + put_{i-1}).
+    // The double-buffered pipeline: the first get and the last put are
+    // exposed; each stage takes max(work_i, get_{i+1} + put_{i-1}).
     if (i == 0) c.busy += t.get;
     TimePs overlapped = prev_put;
     if (i + 1 < mine.size()) overlapped += price(tiling.tile(mine[i + 1])).get;
@@ -269,8 +177,9 @@ TilePlan plan_tile_assignment(const TileExecArgs& args, const grid::Box& patch,
   const grid::Tiling& tiling = plan.tiling;
 
   // Tile 0 is the largest along every axis, so its staging buffers are the
-  // largest any CPE allocates: one in/out pair per tile, or two pairs
-  // under the double-buffered pipeline.
+  // largest any CPE needs: one in/out pair, or two pairs under the
+  // double-buffered pipeline, which keeps the next tile's get and the
+  // previous tile's put in flight beside the current tile.
   const grid::Box largest = tiling.tile(0);
   const std::size_t in = ghosted_bytes(kernel, largest);
   const std::size_t out =
@@ -281,12 +190,12 @@ TilePlan plan_tile_assignment(const TileExecArgs& args, const grid::Box& patch,
   else
     hw::Ldm::check_fits(ldm, {in, out});
 
-  // Plan with the synchronous end-to-end price of a tile — the exact sum
-  // run_sync charges, so under sync DMA the planned clocks equal the
-  // charged busy times. The double-buffered executor overlaps the DMA
-  // terms; planning with the sync estimate keeps the assignment identical
-  // across both DMA modes (it is what the shared counter would see on the
-  // hardware, where the grab happens before the pipeline hides anything).
+  // Plan with the synchronous end-to-end price of a tile, so under sync DMA
+  // the planned clocks equal the charged busy times. The double-buffered
+  // pipeline overlaps the DMA terms; planning with the sync estimate keeps
+  // the assignment identical across both DMA modes (it is what the shared
+  // counter would see on the hardware, where the grab happens before the
+  // pipeline hides anything).
   TilePricer price(args, cluster_cpes, cost);
   plan.assignment = assign_tiles(
       tiling, n_cpes, args.policy,
@@ -327,27 +236,19 @@ athread::CpeJob make_tile_job(TileExecArgs args,
                    "tile plan sized for a different CPE group");
     const int share = assignment.find(ctx.cpe_id());
     if (share < 0) return;  // no tiles, no grabs
-    const TileRun mine = assignment.tiles(share);
-    if (!args.in.valid() || !args.out.valid()) {
-      // Timing-only: the planned charge, plus the re-issue of any DMA
-      // error this step draws.
-      ctx.apply(plan->charge(share));
-      if (args.fault.plan != nullptr)
-        for (const int t : mine)
-          if (tile_dma_error(args, t))
-            reissue_get(args, ctx,
-                        ghosted_bytes(*args.kernel, plan->tiling.tile(t)));
-      return;
+    // The planned charge: every grab (the losing faaw that ends the loop
+    // included) and every tile's DMA and compute.
+    ctx.apply(plan->charge(share));
+    // The tiles are walked only to move real data and to re-issue the DMA
+    // errors this step draws.
+    const bool functional = args.in.valid() && args.out.valid();
+    if (!functional && args.fault.plan == nullptr) return;
+    for (const int t : assignment.tiles(share)) {
+      const grid::Box tile = plan->tiling.tile(t);
+      if (functional) run_tile(args, ctx.ldm(), tile);
+      if (tile_dma_error(args, t))
+        reissue_get(args, ctx, ghosted_bytes(*args.kernel, tile));
     }
-    // Self-scheduling arbitration is paid whether or not this CPE won any
-    // tiles (the losing faaw is what ends its loop).
-    const int grabs = assignment.shares[static_cast<std::size_t>(share)].grabs;
-    if (grabs > 0) ctx.grab(grabs);
-    if (mine.empty()) return;
-    if (args.async_dma)
-      run_double_buffered(args, ctx, plan->tiling, mine);
-    else
-      run_sync(args, ctx, plan->tiling, mine);
   };
 }
 

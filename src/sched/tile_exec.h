@@ -15,12 +15,12 @@
 // An offload's tiling, its tile->CPE assignment and every CPE's cost
 // depend only on the task, so they are planned once (plan_tile_assignment)
 // into an immutable TilePlan that a scheduler keeps for the whole run. The
-// planner prices every tile with the exact terms the per-tile executor
-// charges and records each working CPE's busy time and counter deltas
-// (athread::CpeCharge). A timing-only body applies that charge instead of
-// walking its tiles; it walks them only to add the re-issue of an injected
-// DMA error, which is drawn per step. A functional body walks its tiles,
-// moving real data through the LDM and charging the same terms as it goes.
+// planner prices every tile from the cost model and records each working
+// CPE's busy time and counter deltas under the planned DMA mode
+// (athread::CpeCharge). Every CPE body applies its share's charge. It
+// walks its tiles for two things only: to move real data through one LDM
+// in/out buffer pair per tile (functional runs), and to re-issue the
+// input DMA of a tile that draws an injected DMA error this step.
 //
 // Two of the paper's future-work optimizations (Sec IX) are available:
 //   * async_dma  - double-buffered tiles: the next tile's athread_get and

@@ -24,8 +24,7 @@ struct GrabSlot {
 };
 
 TileAssignment self_schedule(const grid::Tiling& tiling, int n_cpes,
-                             TilePolicy policy, const TileCostFn& tile_cost,
-                             TimePs grab_cost,
+                             const TileCostFn& tile_cost, TimePs grab_cost,
                              schedpt::ScheduleController* schedule, int rank) {
   std::priority_queue<GrabSlot, std::vector<GrabSlot>, std::greater<GrabSlot>>
       heap;
@@ -58,22 +57,17 @@ TileAssignment self_schedule(const grid::Tiling& tiling, int n_cpes,
           if (i != static_cast<std::size_t>(k)) heap.push(ties[i]);
       }
     }
-    const int remaining = total - next;
-    const int chunk =
-        policy == TilePolicy::kGuided ? std::max(1, remaining / n_cpes) : 1;
     grabs[static_cast<std::size_t>(slot.cpe)] += 1;
     slot.clock += grab_cost;
-    for (int i = 0; i < chunk; ++i, ++next) {
-      owner[static_cast<std::size_t>(next)] = slot.cpe;
-      slot.clock += tile_cost(next);
-    }
+    owner[static_cast<std::size_t>(next)] = slot.cpe;
+    slot.clock += tile_cost(next);
+    ++next;
     heap.push(slot);
   }
 
   // Every CPE pays one terminating grab — the faaw that finds the counter
   // past the tile count and ends its loop — so every CPE has a share.
   TileAssignment plan;
-  plan.policy = policy;
   plan.n_cpes = n_cpes;
   plan.cpes.resize(static_cast<std::size_t>(n_cpes));
   plan.shares.resize(static_cast<std::size_t>(n_cpes));
@@ -111,7 +105,6 @@ TileAssignment static_z(const grid::Tiling& tiling, int n_cpes,
   // The z-slab runs of successive CPEs are successive tile-id ranges, so
   // the tile order is the identity and each share is a range of ids.
   TileAssignment plan;
-  plan.policy = TilePolicy::kStaticZ;
   plan.n_cpes = n_cpes;
   for (int cpe = 0; cpe < n_cpes; ++cpe) {
     const auto [lo, hi] = tiling.slab_range(cpe, n_cpes);
@@ -131,7 +124,6 @@ const char* to_string(TilePolicy policy) {
   switch (policy) {
     case TilePolicy::kStaticZ: return "static";
     case TilePolicy::kDynamic: return "dynamic";
-    case TilePolicy::kGuided: return "guided";
   }
   return "?";
 }
@@ -139,9 +131,8 @@ const char* to_string(TilePolicy policy) {
 TilePolicy tile_policy_from_string(const std::string& name) {
   if (name == "static") return TilePolicy::kStaticZ;
   if (name == "dynamic") return TilePolicy::kDynamic;
-  if (name == "guided") return TilePolicy::kGuided;
   throw ConfigError("unknown tile policy '" + name +
-                    "' (expected static|dynamic|guided)");
+                    "' (expected static|dynamic)");
 }
 
 int TileAssignment::find(int cpe) const {
@@ -157,8 +148,7 @@ TileAssignment assign_tiles(const grid::Tiling& tiling, int n_cpes,
   USW_ASSERT(n_cpes > 0);
   USW_ASSERT(static_cast<bool>(tile_cost));
   if (policy == TilePolicy::kStaticZ) return static_z(tiling, n_cpes, tile_cost);
-  return self_schedule(tiling, n_cpes, policy, tile_cost, grab_cost, schedule,
-                       rank);
+  return self_schedule(tiling, n_cpes, tile_cost, grab_cost, schedule, rank);
 }
 
 }  // namespace usw::sched

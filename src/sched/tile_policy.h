@@ -19,7 +19,8 @@
 // clock by the tile's modeled cost. The result is a pure function of
 // (tiling, costs, policy), so serial and threads backends execute the very
 // same assignment and stay bit-identical in fields, virtual times, and
-// counters.
+// counters. The planner (sched/tile_exec.h) then prices each CPE's share
+// once, and that CPE's body applies the price as its charge.
 
 #include <functional>
 #include <string>
@@ -37,12 +38,11 @@ namespace usw::sched {
 enum class TilePolicy {
   kStaticZ,  ///< the paper's contiguous z-slab partition (Sec V-D)
   kDynamic,  ///< atomic-counter self-scheduling: one tile per grab
-  kGuided,   ///< self-scheduling with shrinking chunks (guided OpenMP style)
 };
 
 const char* to_string(TilePolicy policy);
 
-/// Parses "static" / "dynamic" / "guided"; throws ConfigError otherwise.
+/// Parses "static" / "dynamic"; throws ConfigError otherwise.
 TilePolicy tile_policy_from_string(const std::string& name);
 
 /// The tiles one CPE executes, in execution order: a run of slots in an
@@ -84,7 +84,7 @@ class TileRun {
 };
 
 /// The executed tile->CPE assignment of one offload, plus the planner's
-/// virtual-time bookkeeping. Shared by the executor (which tiles each CPE
+/// virtual-time bookkeeping. Shared by the CPE bodies (which tiles each CPE
 /// runs), the access checker (the write-set partition), and the imbalance
 /// telemetry. Compact, because a scheduler keeps one per offloaded task for
 /// the whole run: O(CPEs with work + tiles) words, and nothing at all per
@@ -98,13 +98,12 @@ struct TileAssignment {
     int grabs = 0;
     int end = 0;  ///< one past the share's last slot in the tile order
     /// The CPE's accumulated virtual clock under the planner's cost
-    /// estimate. For the synchronous DMA path this equals the busy time
-    /// the executor charges; the double-buffered path overlaps DMA and
-    /// runs below it.
+    /// estimate. Under synchronous DMA this equals the busy time of the
+    /// share's planned charge; the double-buffered pipeline overlaps DMA
+    /// and runs below it.
     TimePs est_busy = 0;
   };
 
-  TilePolicy policy = TilePolicy::kStaticZ;
   int n_cpes = 0;  ///< the group size the assignment was planned for
   /// The CPEs with tiles or grabs, ascending. The others sit the offload
   /// out: no tiles, no grabs, zero busy time.
@@ -135,7 +134,7 @@ using TileCostFn = std::function<TimePs(int tile)>;
 /// tiling order (the shared counter only increments). Deterministic.
 ///
 /// `schedule` (optional) decides the kTileGrab schedule point: when
-/// several CPEs' virtual clocks tie for the next grab of a self-scheduled
+/// several CPEs' virtual clocks tie for the next grab of the dynamic
 /// policy, the hardware's faaw arbitration could pick any of them; the
 /// controller chooses which (canonical = lowest CPE id). The perturbation
 /// permutes only clock-tied CPEs, so the busy-time multiset — and with it

@@ -414,13 +414,12 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(BackendEquivalencePolicies, EveryTilePolicyMatchesAcrossBackends) {
-  // The dynamic/guided assignments are planned in virtual time, never from
+  // The dynamic assignment is planned in virtual time, never from
   // host thread interleaving — so even with a skewed per-tile cost and the
   // double-buffered DMA pipeline, serial and threads must stay
   // bit-identical in fields, virtual times, and counters per policy.
   for (const sched::TilePolicy policy :
-       {sched::TilePolicy::kStaticZ, sched::TilePolicy::kDynamic,
-        sched::TilePolicy::kGuided}) {
+       {sched::TilePolicy::kStaticZ, sched::TilePolicy::kDynamic}) {
     const auto run = [&](athread::Backend backend, const std::string& dir) {
       runtime::RunConfig config;
       config.problem = runtime::tiny_problem({2, 2, 1}, {16, 16, 16});

@@ -320,15 +320,14 @@ TEST(CheckTiles, RealTilingIsAnExactPartition) {
   // The production tile assignment must pass its own race detector for
   // every shape the apps use (including non-dividing remainders) under
   // every tile policy: tile_writes() reports the assignment actually
-  // executed, so dynamic/guided plans are validated as-is rather than
+  // executed, so dynamic plans are validated as-is rather than
   // re-derived from the static z-partition.
   for (const grid::IntVec shape :
        {grid::IntVec{8, 8, 1}, grid::IntVec{16, 4, 2}, grid::IntVec{5, 7, 3}}) {
     const grid::Box patch({0, 0, 0}, {12, 12, 12});
     const grid::Tiling tiling(patch, shape);
     for (const sched::TilePolicy policy :
-         {sched::TilePolicy::kStaticZ, sched::TilePolicy::kDynamic,
-          sched::TilePolicy::kGuided}) {
+         {sched::TilePolicy::kStaticZ, sched::TilePolicy::kDynamic}) {
       const sched::TileAssignment plan = sched::assign_tiles(
           tiling, 64, policy, [](int) { return TimePs{1000}; },
           TimePs{100});

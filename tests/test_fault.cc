@@ -152,32 +152,46 @@ void expect_same_numerics(const runtime::RunResult& a,
         << "rank " << r;
 }
 
+/// The offload variants whose schedulers recover failed offloads: the
+/// async loop and the synchronous one, with and without SIMD kernels.
+constexpr const char* kOffloadVariants[] = {"acc_simd.async", "acc.sync",
+                                            "acc_simd.sync"};
+
 TEST(FaultRecovery, OffloadRetryIsBitEqualToFaultFree) {
-  const runtime::RunResult clean =
-      runtime::run_simulation(base_config(), apps::burgers::BurgersApp());
-  runtime::RunConfig config = base_config();
-  config.faults = fault::FaultPlan::parse("offload_fail:p=0.3", 11);
-  const runtime::RunResult faulted =
-      runtime::run_simulation(config, apps::burgers::BurgersApp());
-  const hw::PerfCounters sum = faulted.merged_counters();
-  EXPECT_GT(sum.fault_injected, 0u);
-  EXPECT_GT(sum.fault_retries, 0u);
-  expect_same_numerics(clean, faulted);
+  for (const char* variant : kOffloadVariants) {
+    SCOPED_TRACE(variant);
+    runtime::RunConfig config = base_config();
+    config.variant = runtime::variant_by_name(variant);
+    const runtime::RunResult clean =
+        runtime::run_simulation(config, apps::burgers::BurgersApp());
+    config.faults = fault::FaultPlan::parse("offload_fail:p=0.3", 11);
+    const runtime::RunResult faulted =
+        runtime::run_simulation(config, apps::burgers::BurgersApp());
+    const hw::PerfCounters sum = faulted.merged_counters();
+    EXPECT_GT(sum.fault_injected, 0u);
+    EXPECT_GT(sum.fault_retries, 0u);
+    expect_same_numerics(clean, faulted);
+  }
 }
 
 TEST(FaultRecovery, PersistentFailureDegradesToMpeAndStaysCorrect) {
-  const runtime::RunResult clean =
-      runtime::run_simulation(base_config(), apps::heat::HeatApp());
-  runtime::RunConfig config = base_config();
-  config.faults = fault::FaultPlan::parse("offload_fail:p=1", 5);
-  const runtime::RunResult faulted =
-      runtime::run_simulation(config, apps::heat::HeatApp());
-  const hw::PerfCounters sum = faulted.merged_counters();
-  // Every offload fails: both groups on both ranks degrade, and every
-  // stencil ends up executing (correctly) on the MPE.
-  EXPECT_EQ(sum.fault_degraded, 4u);
-  EXPECT_GT(sum.kernels_on_mpe, clean.merged_counters().kernels_on_mpe);
-  expect_same_numerics(clean, faulted);
+  for (const char* variant : kOffloadVariants) {
+    SCOPED_TRACE(variant);
+    runtime::RunConfig config = base_config();
+    config.variant = runtime::variant_by_name(variant);
+    const runtime::RunResult clean =
+        runtime::run_simulation(config, apps::heat::HeatApp());
+    config.faults = fault::FaultPlan::parse("offload_fail:p=1", 5);
+    const runtime::RunResult faulted =
+        runtime::run_simulation(config, apps::heat::HeatApp());
+    const hw::PerfCounters sum = faulted.merged_counters();
+    // Every offload fails: both groups on both ranks degrade (the
+    // synchronous loop moves to the spare group once group 0 is degraded),
+    // and every stencil ends up executing (correctly) on the MPE.
+    EXPECT_EQ(sum.fault_degraded, 4u);
+    EXPECT_GT(sum.kernels_on_mpe, clean.merged_counters().kernels_on_mpe);
+    expect_same_numerics(clean, faulted);
+  }
 }
 
 TEST(FaultRecovery, MessageLossAndDelayRetransmitBitEqual) {

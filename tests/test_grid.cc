@@ -136,8 +136,8 @@ TEST(Level, AllNeighbors) {
 TEST(Level, SpacingOnUnitDomain) {
   const Level level({8, 8, 2}, {16, 16, 512});
   EXPECT_DOUBLE_EQ(level.dx(), 1.0 / 128);
+  EXPECT_DOUBLE_EQ(level.dy(), 1.0 / 128);
   EXPECT_DOUBLE_EQ(level.dz(), 1.0 / 1024);
-  EXPECT_DOUBLE_EQ(level.cell_x(0), 0.5 / 128);
 }
 
 TEST(Level, RejectsBadShapes) {

@@ -263,12 +263,13 @@ struct PlanRun {
 TEST(SchedulerPlans, CachedPlansMatchPlansBuiltPerOffload) {
   // Every policy, both DMA modes, both backends, with and without CPE
   // stalls, DMA errors and offload failures (whose retries re-offload onto
-  // the same or a spare group). Functional runs walk their tiles and
-  // archive their fields; timing-only runs apply the planned charges, and
-  // must match the functional runs' virtual times and counters too.
+  // the same or a spare group). Functional runs move real data through
+  // their tiles and archive their fields; both storage modes apply the
+  // planned charges, so timing-only runs must match the functional runs'
+  // virtual times and counters too.
   const std::string base = ::testing::TempDir() + "/usw_plans_";
   for (const TilePolicy policy :
-       {TilePolicy::kStaticZ, TilePolicy::kDynamic, TilePolicy::kGuided})
+       {TilePolicy::kStaticZ, TilePolicy::kDynamic})
     for (const bool async_dma : {false, true})
       for (const athread::Backend backend :
            {athread::Backend::kSerial, athread::Backend::kThreads})

@@ -136,8 +136,8 @@ TEST(TileExec, TimingOnlyChargesWithoutData) {
 // ---------------------------------------------------------------------------
 // Double-buffered DMA edge cases: a single tile (prologue get and epilogue
 // put both exposed, nothing to overlap), CPEs with no tiles at all under a
-// dynamic assignment, and heterogeneous clipped tiles (the two buffer pairs
-// are sized by the largest assigned tile).
+// dynamic assignment, and heterogeneous clipped tiles (each staged through
+// an LDM buffer pair of its own size).
 
 TEST(TileExec, DoubleBufferedSingleTileMatchesDirect) {
   const grid::Box patch{{0, 0, 0}, {8, 8, 8}};  // one tile == the patch
@@ -176,8 +176,7 @@ TEST(TileExec, DoubleBufferedSingleTileMatchesDirect) {
 
 TEST(TileExec, DoubleBufferedHeterogeneousTilesMatchDirect) {
   // 12x10x20 with 8x8x8 tiles clips every boundary tile: 2x2x3 tiles of
-  // mixed shapes on one CPE's slab, so the i%2 buffer rotation must cope
-  // with tiles smaller than the buffers.
+  // mixed shapes on one CPE's slab, each staged and computed in place.
   const grid::Box patch{{0, 0, 0}, {12, 10, 20}};
   var::CCVariable<double> u0(patch.grown(1)), direct(patch), tiled(patch);
   SplitMix64 rng(41);
@@ -210,7 +209,7 @@ TEST(TileExec, DoubleBufferedHeterogeneousTilesMatchDirect) {
 
 TEST(TileExec, DoubleBufferedDynamicWithEmptyCpesMatchesDirect) {
   // 4 tiles over 64 CPEs under self-scheduling: 60 CPEs win nothing and
-  // must pay only the terminating grab, never touching the DMA pipeline.
+  // must pay only the terminating grab, with no DMA and no tiles.
   const grid::Box patch{{0, 0, 0}, {16, 16, 8}};
   var::CCVariable<double> u0(patch.grown(1)), direct(patch), tiled(patch);
   SplitMix64 rng(43);

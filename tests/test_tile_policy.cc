@@ -1,14 +1,15 @@
 // Tests for the tile scheduling policy layer (sched/tile_policy.h): every
 // policy must partition the tiles exactly, the static policy must match the
-// paper's z-slab partition, the dynamic/guided policies must balance skewed
-// per-tile costs, and the planner's virtual clocks must equal the busy
-// times the synchronous executor actually charges.
+// paper's z-slab partition, the dynamic policy must balance skewed per-tile
+// costs, and the planner's charges must equal a per-tile model summed
+// straight from the cost model — the charges every CPE body applies.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <numeric>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -21,12 +22,22 @@
 #include "support/error.h"
 #include "var/ccvariable.h"
 
+namespace usw::athread {
+
+// Readable gtest output for charge comparisons.
+void PrintTo(const CpeCharge& c, std::ostream* os) {
+  *os << "{busy " << c.busy << ", tiles " << c.tiles << ", grabs " << c.grabs
+      << ", dma in " << c.dma_in << ", dma out " << c.dma_out << ", cells "
+      << c.cells << ", flops " << c.flops << "}";
+}
+
+}  // namespace usw::athread
+
 namespace usw::sched {
 namespace {
 
 constexpr TilePolicy kAllPolicies[] = {TilePolicy::kStaticZ,
-                                       TilePolicy::kDynamic,
-                                       TilePolicy::kGuided};
+                                       TilePolicy::kDynamic};
 
 grid::Tiling make_tiling(grid::IntVec cells, grid::IntVec shape) {
   return grid::Tiling(grid::Box{{0, 0, 0}, cells}, shape);
@@ -59,7 +70,7 @@ TEST(TilePolicy, ParsesAndPrints) {
     EXPECT_EQ(tile_policy_from_string(to_string(policy)), policy);
   EXPECT_STREQ(to_string(TilePolicy::kStaticZ), "static");
   EXPECT_STREQ(to_string(TilePolicy::kDynamic), "dynamic");
-  EXPECT_STREQ(to_string(TilePolicy::kGuided), "guided");
+  EXPECT_THROW(tile_policy_from_string("guided"), ConfigError);
   EXPECT_THROW(tile_policy_from_string("random"), ConfigError);
   EXPECT_THROW(tile_policy_from_string(""), ConfigError);
 }
@@ -69,7 +80,6 @@ TEST(TilePolicy, EveryPolicyIsAnExactPartition) {
   const grid::Tiling tiling = make_tiling({12, 12, 40}, {8, 8, 8});
   for (TilePolicy policy : kAllPolicies) {
     const TileAssignment plan = assign_tiles(tiling, 7, policy, uniform, 100);
-    EXPECT_EQ(plan.policy, policy);
     EXPECT_EQ(plan.n_cpes, 7);
     EXPECT_EQ(plan.num_tiles(), tiling.num_tiles());
     std::vector<int> all;
@@ -128,13 +138,10 @@ TEST(TilePolicy, IdleCpesStillPayTheTerminatingGrab) {
   EXPECT_EQ(total_grabs, tiling.num_tiles() + 8);
 }
 
-TEST(TilePolicy, DynamicAndGuidedBalanceSkewedCosts) {
+TEST(TilePolicy, DynamicBalancesSkewedCosts) {
   // 64 z-slab tiles over 8 CPEs, tile 37 being 10x the rest: the static
   // partition pins the hot tile onto one CPE's full 8-slab share, while
-  // the self-scheduled policies route cold tiles away from the hot CPE.
-  // (The hot tile sits mid-sequence: guided's early chunks are 8 tiles
-  // wide, so a hot tile at index 0 would land in a full-size first chunk
-  // and guided would degenerate to static's worst case.)
+  // the self-scheduled policy routes cold tiles away from the hot CPE.
   const grid::Tiling tiling = make_tiling({16, 16, 512}, {16, 16, 8});
   const TileCostFn skewed = [](int t) -> TimePs {
     return t == 37 ? 10000 : 1000;
@@ -149,29 +156,14 @@ TEST(TilePolicy, DynamicAndGuidedBalanceSkewedCosts) {
       max_busy(assign_tiles(tiling, 8, TilePolicy::kStaticZ, skewed, 100));
   const TimePs dyn =
       max_busy(assign_tiles(tiling, 8, TilePolicy::kDynamic, skewed, 100));
-  const TimePs gui =
-      max_busy(assign_tiles(tiling, 8, TilePolicy::kGuided, skewed, 100));
   EXPECT_LT(dyn, st);
-  EXPECT_LT(gui, st);
-}
-
-TEST(TilePolicy, GuidedPaysFewerGrabsThanDynamic) {
-  const grid::Tiling tiling = make_tiling({16, 16, 512}, {16, 16, 8});
-  const auto grabs = [&](TilePolicy policy) {
-    const TileAssignment plan = assign_tiles(tiling, 4, policy, uniform, 100);
-    int total = 0;
-    for (const TileAssignment::Share& share : plan.shares) total += share.grabs;
-    return total;
-  };
-  // 64 tiles over 4 CPEs: dynamic grabs once per tile (+4 terminating);
-  // guided's shrinking chunks need far fewer trips to the shared counter.
-  EXPECT_EQ(grabs(TilePolicy::kDynamic), 64 + 4);
-  EXPECT_LT(grabs(TilePolicy::kGuided), 64 / 2);
 }
 
 // ---------------------------------------------------------------------------
-// Planner vs executor: under synchronous DMA the virtual clocks the planner
-// accumulates are exactly the busy times the CPEs charge, for every policy.
+// Planner vs model: every share's planned charge equals a per-tile model
+// summed straight from the cost model, every CPE body charges exactly its
+// share's charge, and under synchronous DMA the planner's virtual clocks
+// are those charges, for every policy.
 
 /// The planner's inputs: per-tile cost variation on equal tiles, so the
 /// dynamic assignment is non-trivial; and no variation on a patch clipped
@@ -226,12 +218,62 @@ TEST(TilePolicy, PlannedClocksMatchSyncExecution) {
   }
 }
 
+/// What the CPE running `mine` after `grabs` grabs should charge, priced
+/// tile by tile from the cost model: each grab pays one faaw; each tile
+/// pays its overhead, compute, ghosted get and interior put (DMA contended
+/// over all 64 CPEs). A double-buffered share exposes its first get and
+/// last put, and each stage pays max(work_i, get_{i+1} + put_{i-1}).
+athread::CpeCharge model_charge(const TileExecArgs& args,
+                                const grid::Tiling& tiling, TileRun mine,
+                                int grabs, const hw::CostModel& cost) {
+  const kern::KernelVariants& k = *args.kernel;
+  struct Stage {
+    TimePs work, get, put;
+  };
+  std::vector<Stage> stages;
+  athread::CpeCharge c;
+  c.tiles = static_cast<std::uint64_t>(mine.size());
+  c.grabs = static_cast<std::uint64_t>(grabs);
+  c.busy = grabs * cost.cpe_faaw();
+  for (const int t : mine) {
+    const grid::Box tile = tiling.tile(t);
+    const auto cells = static_cast<std::uint64_t>(tile.volume());
+    const auto in = static_cast<std::uint64_t>(tile.grown(k.ghost).volume()) *
+                    sizeof(double);
+    const std::uint64_t out = cells * sizeof(double);
+    hw::KernelCost kc = k.cost.scaled(args.cost_scale);
+    if (k.tile_cost_scale) kc = kc.scaled(k.tile_cost_scale(tile));
+    stages.push_back(
+        {cost.cpe_tile_overhead() +
+             cost.cpe_compute(cells, kc, args.vectorize, k.use_ieee_exp),
+         cost.cpe_dma(in, 64, !args.packed_tiles),
+         cost.cpe_dma(out, 64, !args.packed_tiles)});
+    c.dma_in += in;
+    c.dma_out += out;
+    c.cells += cells;
+    c.flops += static_cast<double>(cells) * kc.counted_flops_per_cell();
+  }
+  const std::size_t n = stages.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const Stage& s = stages[i];
+    if (!args.async_dma) {
+      c.busy += s.work + s.get + s.put;
+      continue;
+    }
+    const TimePs next_get = i + 1 < n ? stages[i + 1].get : 0;
+    const TimePs prev_put = i > 0 ? stages[i - 1].put : 0;
+    c.busy += std::max(s.work, next_get + prev_put);
+  }
+  if (args.async_dma && n > 0) c.busy += stages.front().get + stages.back().put;
+  return c;
+}
+
 TEST(TilePolicy, PlannedChargesMatchSyncExecution) {
-  // Every CPE's planned charge must equal what its functional body — the
-  // per-tile walk that moves real data through the LDM — charges into a
-  // fresh context and counter slot: busy time, tiles, grabs, DMA bytes and
-  // cells exactly, counted flops bit for bit. Under sync DMA the charge is
-  // also the planner's clock; the double-buffered pipeline is covered too.
+  // Every share's planned charge must equal the model above — busy time,
+  // tiles, grabs, DMA bytes and cells exactly, counted flops bit for bit —
+  // and a functional CPE body, which moves real data through the LDM, must
+  // leave a fresh context and counter slot at exactly that charge. Under
+  // sync DMA the charge is also the planner's clock.
   const hw::CostModel cost(hw::MachineParams::sunway_taihulight());
   kern::KernelEnv env;
   env.time = 0.02;
@@ -271,11 +313,19 @@ TEST(TilePolicy, PlannedChargesMatchSyncExecution) {
             continue;
           }
           const athread::CpeCharge& c = plan->charge(share);
-          EXPECT_EQ(ctx.busy(), c.busy) << where << " CPE " << cpe;
+          const athread::CpeCharge model = model_charge(
+              args, plan->tiling, plan->assignment.tiles(share),
+              plan->assignment.shares[static_cast<std::size_t>(share)].grabs,
+              cost);
+          EXPECT_EQ(c, model) << where << " CPE " << cpe;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(c.flops),
+                    std::bit_cast<std::uint64_t>(model.flops))
+              << where << " CPE " << cpe;
           if (!async_dma) {
             EXPECT_EQ(c.busy, est_busy_of(plan->assignment, cpe))
                 << where << " CPE " << cpe;
           }
+          EXPECT_EQ(ctx.busy(), c.busy) << where << " CPE " << cpe;
           EXPECT_EQ(slot.tiles_executed, c.tiles) << where << " CPE " << cpe;
           EXPECT_EQ(slot.tile_grabs, c.grabs) << where << " CPE " << cpe;
           EXPECT_EQ(slot.dma_bytes_in, c.dma_in) << where << " CPE " << cpe;
