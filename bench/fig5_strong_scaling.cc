@@ -1,12 +1,6 @@
 // Reproduces Figure 5: wall time per timestep when strong-scaling every
 // Table III problem from its smallest CG count to 128 CGs, for the four
 // CPE-offload variants (host.sync is excluded, as in the paper).
-//
-// Options:
-//   --backend=serial|threads --backend-threads=N
-//       CPE execution backend for the sweep. The reported (virtual)
-//       numbers are identical either way; threads shortens the bench's
-//       own host wall-clock on multi-core machines.
 
 #include <cstdio>
 #include <iostream>
@@ -14,17 +8,13 @@
 #include "json_report.h"
 #include "runtime/problem.h"
 #include "runtime/variant.h"
-#include "support/options.h"
 #include "support/table.h"
 #include "sweep.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace usw;
-  const Options opts(argc, argv);
   bench::Sweep sweep;
   sweep.set_observe(true);
-  sweep.set_backend(athread::backend_from_string(opts.get("backend", "serial")),
-                    static_cast<int>(opts.get_int("backend-threads", 0)));
   bench::JsonReport json("fig5_strong_scaling");
 
   const std::vector<std::string> variants = {"acc.sync", "acc.async",

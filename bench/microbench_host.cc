@@ -11,6 +11,7 @@
 #include <memory>
 #include <ostream>
 #include <streambuf>
+#include <vector>
 
 #include "apps/burgers/burgers_app.h"
 #include "apps/burgers/kernels.h"
@@ -163,8 +164,8 @@ void BM_CoordinatorHandoff(benchmark::State& state) {
 BENCHMARK(BM_CoordinatorHandoff)->Arg(2)->Arg(128)->Arg(1024)->UseManualTime();
 
 /// One offload as Scheduler::offload_stencil runs it for the acc_simd
-/// variants, timing-only on the serial backend: build the job from the
-/// task's plan, spawn it on the plan's CPEs, join. `replan` also builds
+/// variants, timing-only on the serial backend: charge the plan's CPEs on
+/// the MPE, spawn an empty job on them, join. `replan` also builds
 /// the plan (tiling, assignment, charges) first, as a task's first offload
 /// does; without it the plan is built once outside the loop, as every later
 /// offload finds it. The argument is the tile count: 1 for an 8^3 patch,
@@ -186,10 +187,14 @@ void offload_path(benchmark::State& state, bool replan) {
           args, patch, cluster.group_size(), cluster.n_cpes(), cost));
     };
     std::shared_ptr<const sched::TilePlan> plan = make_plan();
+    std::vector<TimePs> busy;
+    hw::PerfCounters counters;
     for (auto _ : state) {
       if (replan) plan = make_plan();
-      cluster.set_active_cpes(plan->assignment.cpes);
-      cluster.spawn(sched::make_tile_job(args, plan));
+      sched::charge_offload(args, *plan, cluster.n_cpes(), cost, busy,
+                            counters);
+      cluster.set_work(plan->assignment.cpes, busy);
+      cluster.spawn(athread::CpeJob{});
       cluster.join();
     }
   });

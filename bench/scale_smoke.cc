@@ -20,8 +20,6 @@
 // Options:
 //   --max-ranks=N    largest CG count (default 1024; CI budget knob)
 //   --steps=N        timesteps per case (default 2)
-//   --backend=serial|threads --backend-threads=N
-//       CPE execution backend; virtual numbers are identical either way.
 
 #include <cstdio>
 #include <cstdlib>
@@ -42,8 +40,6 @@ int main(int argc, char** argv) {
   const int max_ranks = static_cast<int>(opts.get_int("max-ranks", 1024));
   const int steps = static_cast<int>(opts.get_int("steps", 2));
   bench::Sweep sweep(steps);
-  sweep.set_backend(athread::backend_from_string(opts.get("backend", "serial")),
-                    static_cast<int>(opts.get_int("backend-threads", 0)));
   bench::JsonReport json("scale_smoke");
 
   // 16x16x8 = 2048 patches of 8^3 cells: every CG count in the sweep gets

@@ -25,8 +25,6 @@ const CaseResult& Sweep::run(const runtime::ProblemSpec& problem,
   config.storage = var::StorageMode::kTimingOnly;
   config.collect_trace = observe_;
   config.collect_metrics = observe_;
-  config.backend = backend_;
-  config.backend_threads = backend_threads_;
   config.comm_agg = comm_agg_;
 
   apps::burgers::BurgersApp app;

@@ -65,17 +65,9 @@ class Sweep {
   /// observability fields of CaseResult (at some simulation-memory cost).
   void set_observe(bool on) { observe_ = on; }
 
-  /// Selects the CPE execution backend for subsequent runs. Results are
-  /// backend-independent (identical virtual times); kThreads only changes
-  /// how long the bench takes in host wall-clock.
-  void set_backend(athread::Backend backend, int backend_threads = 0) {
-    backend_ = backend;
-    backend_threads_ = backend_threads;
-  }
-
   /// Message aggregation / protocol split for subsequent runs (see
-  /// comm/agg.h). Unlike the backend this changes virtual comm timing, so
-  /// aggregated cases cache under a distinct key.
+  /// comm/agg.h). This changes virtual comm timing, so aggregated cases
+  /// cache under a distinct key.
   void set_comm_agg(const comm::AggSpec& spec) { comm_agg_ = spec; }
 
   /// Runs (or returns the cached) case.
@@ -91,8 +83,6 @@ class Sweep {
  private:
   int timesteps_;
   bool observe_ = false;
-  athread::Backend backend_ = athread::Backend::kSerial;
-  int backend_threads_ = 0;
   comm::AggSpec comm_agg_;
   std::map<CaseKey, CaseResult> cache_;
 };

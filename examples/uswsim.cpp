@@ -274,10 +274,8 @@ int main(int argc, char** argv) {
     config.diag.hang_threshold =
         get_int_min(opts, "hang-threshold-us", 600'000'000, 0) * kMicrosecond;
     config.recovery.retransmit = opts.get_bool("retransmit", true);
-    if (opts.has("metrics-stream")) {
+    if (opts.has("metrics-stream"))
       config.stream = obs::StreamSpec::parse(opts.get("metrics-stream"));
-      config.collect_metrics = true;
-    }
     config.output_dir = opts.get("output", "");
     config.output_interval =
         static_cast<int>(get_int_min(opts, "output-interval", 0, 0));

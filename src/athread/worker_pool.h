@@ -4,15 +4,16 @@
 // backend (Backend::kThreads in athread.h).
 //
 // One pool serves every CpeCluster of a simulation: clusters enqueue one
-// task per CPE of an offload, and the pool's threads drain the queue in
+// task per working CPE of an offload that has data to move (a timing-only
+// offload enqueues nothing), and the pool's threads drain the queue in
 // submission order. Tasks receive the index of the worker executing them
 // (0..size()-1) so callers can hand each worker exclusive scratch state —
 // CpeCluster uses it to give every worker its own 64 KB Ldm model.
 //
 // The pool is intentionally dumb: no stealing, no priorities, FIFO only.
 // Determinism of the simulation does not depend on execution order (CPE
-// write-sets are disjoint and all virtual-time results are folded in CPE-id
-// order by the cluster), so the queue only has to be correct, not clever.
+// write-sets are disjoint, and the MPE fixes every virtual-time result
+// before it submits), so the queue only has to be correct, not clever.
 //
 // Host profiling (opt-in via enable_profiling): per-task queue-wait and
 // submit-side lock-contention times, plus per-worker task counts. All

@@ -11,16 +11,12 @@
 //
 // Concurrency contract (audited for the real-threads CPE backend): the
 // fields are deliberately plain, NOT atomic. A PerfCounters instance must
-// only ever be written by one thread at a time:
-//   * the per-rank instance is written by that rank's MPE host thread and
-//     by CPE bodies under Backend::kSerial (same thread);
-//   * under Backend::kThreads every concurrent CpeContext gets a private
-//     per-CPE slot instance, and CpeCluster folds the slots into the
-//     per-rank instance with merge(), in CPE-id order, on the MPE thread,
-//     after the group's atomic completion counter has been observed full.
-// The ordered fold also keeps the floating-point `counted_flops` sum
-// bit-identical across backends. Never hand the per-rank instance to a
-// concurrently executing CPE body.
+// only ever be written by one thread at a time: the per-rank instance is
+// written by that rank's MPE host thread alone. CPE bodies count nothing;
+// the MPE adds each offload's counters before the spawn, share by share
+// in CPE-id order (sched::charge_offload), which also keeps the
+// floating-point `counted_flops` sum bit-identical across backends. Never
+// hand the per-rank instance to a concurrently executing CPE body.
 
 #include <cstdint>
 #include <string>

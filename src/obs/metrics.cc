@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <ostream>
+#include <utility>
 
 #include "obs/critical_path.h"
 #include "obs/json_writer.h"
@@ -124,29 +125,37 @@ MetricsReport build_metrics(const RunObservation& run) {
     }
   }
 
-  std::uint64_t dma_bytes = 0;
-  std::uint64_t sent_bytes = 0;
+  hw::PerfCounters total;
   std::vector<const MetricsRegistry*> registries;
   registries.reserve(run.ranks.size());
   for (const RankObservation& r : run.ranks) {
-    report.kernel_time += r.counters.kernel_time;
-    report.mpe_task_time += r.counters.mpe_task_time;
-    report.comm_time += r.counters.comm_time;
-    report.wait_time += r.counters.wait_time;
-    report.counted_flops += r.counters.counted_flops;
-    dma_bytes += r.counters.dma_bytes_in + r.counters.dma_bytes_out;
-    sent_bytes += r.counters.bytes_sent;
+    total.merge(r.counters);
     registries.push_back(&r.metrics);
   }
+  report.kernel_time = total.kernel_time;
+  report.mpe_task_time = total.mpe_task_time;
+  report.comm_time = total.comm_time;
+  report.wait_time = total.wait_time;
+  report.counted_flops = total.counted_flops;
   report.registry.merge(registries);
+  // The resilience counters of every layer that injects or recovers
+  // (scheduler, CPE DMA, messages, restarts): the Resilience table's sums.
+  const std::pair<const char*, std::uint64_t> faults[] = {
+      {"fault.injected", total.fault_injected},
+      {"fault.retries", total.fault_retries},
+      {"fault.degraded", total.fault_degraded},
+      {"fault.restarts", total.fault_restarts}};
+  for (const auto& [name, value] : faults)
+    if (value != 0) report.registry.count(name, static_cast<double>(value));
   if (have_spans && all_walls > 0)
     report.overlap_efficiency =
         1.0 - static_cast<double>(all_wait) / static_cast<double>(all_walls);
   if (report.kernel_time > 0)
-    report.dma_bandwidth_gbs = static_cast<double>(dma_bytes) /
-                               ps_to_seconds(report.kernel_time) * 1e-9;
+    report.dma_bandwidth_gbs =
+        static_cast<double>(total.dma_bytes_in + total.dma_bytes_out) /
+        ps_to_seconds(report.kernel_time) * 1e-9;
   if (comm_flight > 0)
-    report.message_bandwidth_gbs = static_cast<double>(sent_bytes) /
+    report.message_bandwidth_gbs = static_cast<double>(total.bytes_sent) /
                                    ps_to_seconds(comm_flight) * 1e-9;
   return report;
 }

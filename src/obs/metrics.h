@@ -11,7 +11,9 @@
 //   * the structured spans and PerfCounters of a RunObservation, from
 //     which build_metrics() derives the per-timestep kernel/comm/wait
 //     breakdown, overlap efficiency (1 - wait/wall), per-task rollups,
-//     bandwidths, and per-step critical-path totals.
+//     bandwidths, per-step critical-path totals, and the fault.*
+//     counters (injected, retries, degraded, restarts; emitted when
+//     nonzero).
 //
 // write_metrics_json() is the stable machine-readable surface consumed by
 // the bench drivers (BENCH_*.json) and the CI smoke job; field names are
@@ -78,7 +80,7 @@ struct MetricsReport {
   double dma_bandwidth_gbs = 0.0;
   double message_bandwidth_gbs = 0.0;
 
-  MetricsRegistry registry;  ///< merged across ranks
+  MetricsRegistry registry;  ///< merged across ranks, plus fault.*
 };
 
 /// Builds the rollups from an observation (spans required for the

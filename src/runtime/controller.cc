@@ -427,7 +427,6 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
             last_ckpt >= 0 && restarts_done < config.recovery.max_restarts) {
           ++restarts_done;
           out.counters.fault_restarts += 1;
-          if (config.collect_metrics) out.obs_metrics.count("fault.restarts");
           flight.record(obs::FlightKind::kRestart, coord.now(rank),
                         restarts_done, last_ckpt);
           // Fresh fault draws for the replay, or a step-pinned fault would

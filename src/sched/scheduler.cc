@@ -305,8 +305,9 @@ void Scheduler::offload_stencil(task::TaskContext& ctx, int dt_index, int group)
     args.fault.task = dt_index;
   }
   // The task's tiling, tile->CPE assignment and CPE charges, planned on the
-  // MPE at its first offload. The job, the race detector and the telemetry
-  // all read this one plan, so all three see the assignment executed.
+  // MPE at its first offload. The charge, the job, the race detector and
+  // the telemetry all read this one plan, so all see the assignment
+  // executed.
   // A schedule controller draws kTileGrab decisions inside the planner,
   // so under one every offload plans afresh.
   StencilPlan& kept = plans_[static_cast<std::size_t>(dt_index)];
@@ -337,29 +338,31 @@ void Scheduler::offload_stencil(task::TaskContext& ctx, int dt_index, int group)
             "tile.cells", static_cast<double>(plan->tiling.tile(t).volume()));
   }
   record(obs::FlightKind::kOffloadBegin, comm_.now(), dt_index, group);
-  athread::CpeJob job = make_tile_job(args, plan);
+  // What every working CPE charges, fixed here on the MPE before the spawn.
+  charge_offload(args, *plan, cluster_.n_cpes(), comm_.net().cost(),
+                 share_busy_, counters_);
   if (config_.faults != nullptr) {
     if (const auto stall = config_.faults->cpe_stall(step_, dt_index, attempt,
                                                      cluster_.group_size())) {
-      // One CPE of this offload runs `factor` x slower: charge its extra
-      // busy time after the body. The decision was made here on the MPE
-      // (hash of stable ids), so both backends wrap identically; the
-      // rounding below is a deterministic double->int conversion.
+      // One CPE of this offload runs `factor` x slower. The decision is a
+      // hash of stable ids, and the rounding below is a deterministic
+      // double->int conversion. A stalled CPE without work charges
+      // factor x 0.
       counters_.fault_injected += 1;
-      if (config_.metrics != nullptr) config_.metrics->count("fault.injected");
       record(obs::FlightKind::kCpeStall, comm_.now(), dt_index, group);
-      job = [inner = std::move(job), s = *stall](athread::CpeContext& cpe) {
-        inner(cpe);
-        if (cpe.cpe_id() == s.cpe)
-          cpe.charge(static_cast<TimePs>(static_cast<double>(cpe.busy()) *
-                                         (s.factor - 1.0)));
-      };
+      if (const int i = plan->assignment.find(stall->cpe); i >= 0) {
+        TimePs& busy = share_busy_[static_cast<std::size_t>(i)];
+        busy += static_cast<TimePs>(static_cast<double>(busy) *
+                                    (stall->factor - 1.0));
+      }
     }
   }
-  // Only CPEs with tiles or grabs run a body. A stalled CPE without work
-  // charges factor x 0, so skipping it changes nothing.
-  cluster_.set_active_cpes(plan->assignment.cpes);
-  cluster_.spawn(job, group);
+  // Only CPEs with tiles or grabs work, and only a functional offload has
+  // data for their bodies to move.
+  cluster_.set_work(plan->assignment.cpes, share_busy_);
+  cluster_.spawn(args.in.valid() && args.out.valid() ? make_tile_job(args, plan)
+                                                     : athread::CpeJob{},
+                 group);
   record(obs::FlightKind::kKernelBegin, comm_.now(), dt_index, group);
   if (config_.hb != nullptr) {
     // The offload is a forked logical thread: its accesses are ordered
@@ -376,8 +379,9 @@ void Scheduler::offload_stencil(task::TaskContext& ctx, int dt_index, int group)
                       dt.patch_id, patch.cells(), dt.task->name());
   }
   offloaded_[static_cast<std::size_t>(group)] = dt_index;
-  // The functional writes happened eagerly inside spawn(); the MPE-side
-  // task scope ends here even though the offload is still in flight.
+  // The functional writes happen eagerly (serial backend) or before the
+  // completion is observed (threads backend); the MPE-side task scope ends
+  // here even though the offload is still in flight.
   if (config_.checker != nullptr) config_.checker->end_task();
 }
 
@@ -442,13 +446,11 @@ bool Scheduler::offload_fault_check(int dt_index, int group) {
     return false;
   }
   counters_.fault_injected += 1;
-  if (config_.metrics != nullptr) config_.metrics->count("fault.injected");
   record(obs::FlightKind::kOffloadFail, comm_.now(), dt_index, group);
   if (++fail_streak_[static_cast<std::size_t>(group)] >= kDegradeAfter &&
       !group_degraded(group)) {
     degraded_[static_cast<std::size_t>(group)] = 1;
     counters_.fault_degraded += 1;
-    if (config_.metrics != nullptr) config_.metrics->count("fault.degraded");
     if (config_.flight != nullptr)
       config_.flight->record(obs::FlightKind::kGroupDegraded, comm_.now(), group);
   }
@@ -474,7 +476,6 @@ int Scheduler::recover_offload(task::TaskContext& ctx, int dt_index, int group) 
   // so a recovery pass must re-open it.
   if (attempt < kMaxOffloadAttempts && retry_group >= 0) {
     counters_.fault_retries += 1;
-    if (config_.metrics != nullptr) config_.metrics->count("fault.retries");
     charge_retry_backoff(dt_index, attempt);
     if (config_.checker != nullptr) config_.checker->begin_task(dt_index);
     return retry_group;

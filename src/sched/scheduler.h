@@ -272,6 +272,8 @@ class Scheduler {
   std::vector<int> offloaded_;             ///< per CPE group: dt index or -1
   // Polling scratch, reused so a poll allocates nothing.
   std::vector<comm::RequestId> open_ids_;  ///< collect_open_ids()
+  /// Offload scratch: the busy time of each working CPE (charge_offload).
+  std::vector<TimePs> share_busy_;
 
   // Resilience state, persistent across steps (a degraded group stays
   // degraded for the remainder of the run).

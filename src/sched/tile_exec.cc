@@ -10,8 +10,8 @@
 namespace usw::sched {
 namespace {
 
-/// Row-wise copy of `region` between two views (the functional half of a
-/// strided DMA transfer).
+/// Row-wise copy of `region` between two views: the data a DMA transfer
+/// moves (its cost is charged on the MPE, charge_offload).
 void copy_region(const kern::FieldView& src, const kern::FieldView& dst,
                  const grid::Box& region) {
   const std::size_t row = static_cast<std::size_t>(region.hi.x - region.lo.x);
@@ -45,28 +45,12 @@ std::size_t ghosted_bytes(const kern::KernelVariants& kernel,
 }
 
 /// Injected DMA error on tile `t`? A failed athread_get is detected by the
-/// CPE and re-issued: the recovery charges one extra input transfer and
-/// counts in this CPE's private slot, so it is purely local and
-/// order-independent (the numerics are untouched — the retry rereads the
-/// same main-memory bytes).
+/// CPE and re-issued; the retry rereads the same main-memory bytes, so the
+/// numerics are untouched and only the offload's charge changes.
 bool tile_dma_error(const TileExecArgs& args, int t) {
   return args.fault.plan != nullptr &&
          args.fault.plan->dma_error(args.fault.incarnation, args.fault.rank,
                                     args.fault.step, args.fault.task, t);
-}
-
-/// The recovery of one failed get of `bytes`: the synchronous path
-/// re-issues it; the double-buffered pipeline stalls for one exposed
-/// re-transfer before the tile's stage can start.
-void reissue_get(const TileExecArgs& args, athread::CpeContext& ctx,
-                 std::size_t bytes) {
-  const bool strided = !args.packed_tiles;
-  if (args.async_dma)
-    ctx.charge(ctx.dma_cost(bytes, strided));
-  else
-    ctx.get(nullptr, nullptr, bytes, strided);
-  ctx.count_fault_injected();
-  ctx.count_fault_retry();
 }
 
 /// What one tile moves and costs on a CPE.
@@ -134,11 +118,10 @@ class TilePricer {
 /// DMA is the paper's implementation (Sec V-D: it "does not make use of
 /// the fact that the memory-LDM transfer can be asynchronous"); the
 /// double-buffered pipeline is its future work (Sec IX).
-athread::CpeCharge cpe_charge(const TileExecArgs& args,
-                              const grid::Tiling& tiling, TileRun mine,
-                              int grabs, TilePricer& price,
-                              const hw::CostModel& cost) {
-  athread::CpeCharge c;
+CpeCharge cpe_charge(const TileExecArgs& args, const grid::Tiling& tiling,
+                     TileRun mine, int grabs, TilePricer& price,
+                     const hw::CostModel& cost) {
+  CpeCharge c;
   c.tiles = static_cast<std::uint64_t>(mine.size());
   c.grabs = static_cast<std::uint64_t>(grabs);
   c.busy = static_cast<TimePs>(grabs) * cost.cpe_faaw();
@@ -205,9 +188,8 @@ TilePlan plan_tile_assignment(const TileExecArgs& args, const grid::Box& patch,
   const TileAssignment& a = plan.assignment;
   plan.charge_of.reserve(a.shares.size());
   for (std::size_t i = 0; i < a.shares.size(); ++i) {
-    const athread::CpeCharge c = cpe_charge(
-        args, tiling, a.tiles(static_cast<int>(i)), a.shares[i].grabs, price,
-        cost);
+    const CpeCharge c = cpe_charge(args, tiling, a.tiles(static_cast<int>(i)),
+                                   a.shares[i].grabs, price, cost);
     const auto it = std::find(plan.charges.begin(), plan.charges.end(), c);
     plan.charge_of.push_back(
         static_cast<std::uint16_t>(it - plan.charges.begin()));
@@ -226,29 +208,49 @@ std::vector<std::pair<int, grid::Box>> tile_writes(const grid::Tiling& tiling,
   return writes;
 }
 
+void charge_offload(const TileExecArgs& args, const TilePlan& plan,
+                    int cluster_cpes, const hw::CostModel& cost,
+                    std::vector<TimePs>& busy, hw::PerfCounters& counters) {
+  const TileAssignment& a = plan.assignment;
+  busy.resize(a.shares.size());
+  for (int i = 0; i < static_cast<int>(a.shares.size()); ++i) {
+    const CpeCharge& c = plan.charge(i);
+    TimePs b = c.busy;
+    counters.tiles_executed += c.tiles;
+    counters.tile_grabs += c.grabs;
+    counters.dma_bytes_in += c.dma_in;
+    counters.dma_bytes_out += c.dma_out;
+    counters.cells_computed += c.cells;
+    counters.counted_flops += c.flops;
+    if (args.fault.plan != nullptr) {
+      for (const int t : a.tiles(i)) {
+        if (!tile_dma_error(args, t)) continue;
+        const std::size_t bytes =
+            ghosted_bytes(*args.kernel, plan.tiling.tile(t));
+        b += cost.cpe_dma(bytes, cluster_cpes, !args.packed_tiles);
+        if (!args.async_dma) counters.dma_bytes_in += bytes;
+        counters.fault_injected += 1;
+        counters.fault_retries += 1;
+      }
+    }
+    busy[static_cast<std::size_t>(i)] = b;
+  }
+}
+
 athread::CpeJob make_tile_job(TileExecArgs args,
                               std::shared_ptr<const TilePlan> plan) {
   USW_ASSERT(args.kernel != nullptr && plan != nullptr);
+  USW_ASSERT_MSG(args.in.valid() && args.out.valid(),
+                 "a tile job moves data: it needs valid views");
   return [args = std::move(args),
           plan = std::move(plan)](athread::CpeContext& ctx) {
     const TileAssignment& assignment = plan->assignment;
     USW_ASSERT_MSG(assignment.n_cpes == ctx.n_cpes(),
                    "tile plan sized for a different CPE group");
     const int share = assignment.find(ctx.cpe_id());
-    if (share < 0) return;  // no tiles, no grabs
-    // The planned charge: every grab (the losing faaw that ends the loop
-    // included) and every tile's DMA and compute.
-    ctx.apply(plan->charge(share));
-    // The tiles are walked only to move real data and to re-issue the DMA
-    // errors this step draws.
-    const bool functional = args.in.valid() && args.out.valid();
-    if (!functional && args.fault.plan == nullptr) return;
-    for (const int t : assignment.tiles(share)) {
-      const grid::Box tile = plan->tiling.tile(t);
-      if (functional) run_tile(args, ctx.ldm(), tile);
-      if (tile_dma_error(args, t))
-        reissue_get(args, ctx, ghosted_bytes(*args.kernel, tile));
-    }
+    if (share < 0) return;  // no tiles
+    for (const int t : assignment.tiles(share))
+      run_tile(args, ctx.ldm(), plan->tiling.tile(t));
   };
 }
 

@@ -2,10 +2,10 @@
 
 // The CPE tile scheduler (Sec V-D).
 //
-// Builds the athread job that executes one stencil kernel over one patch on
-// a CPE group: each CPE computes its assigned tiles — statically
-// z-partitioned (Sec V-D step 1) or self-scheduled off a shared atomic
-// counter (TilePolicy) — and for each tile performs
+// Plans, charges and executes one stencil kernel over one patch on a CPE
+// group: each CPE computes its assigned tiles — statically z-partitioned
+// (Sec V-D step 1) or self-scheduled off a shared atomic counter
+// (TilePolicy) — and for each tile performs
 //   athread_get (ghosted tile -> LDM) -> kernel on LDM -> athread_put,
 // finishing with the faaw increment modeled inside CpeCluster. LDM
 // capacity is genuinely enforced: the planner rejects a tile whose staging
@@ -17,10 +17,11 @@
 // into an immutable TilePlan that a scheduler keeps for the whole run. The
 // planner prices every tile from the cost model and records each working
 // CPE's busy time and counter deltas under the planned DMA mode
-// (athread::CpeCharge). Every CPE body applies its share's charge. It
-// walks its tiles for two things only: to move real data through one LDM
-// in/out buffer pair per tile (functional runs), and to re-issue the
-// input DMA of a tile that draws an injected DMA error this step.
+// (CpeCharge). The MPE charges every offload from that plan before it
+// spawns (charge_offload), adding only the re-issued input DMA of each
+// tile that draws an injected DMA error this step. The CPE bodies
+// (make_tile_job) only move real data, through one LDM in/out buffer pair
+// per tile; a timing-only offload runs none.
 //
 // Two of the paper's future-work optimizations (Sec IX) are available:
 //   * async_dma  - double-buffered tiles: the next tile's athread_get and
@@ -39,6 +40,8 @@
 #include "fault/fault.h"
 #include "grid/box.h"
 #include "grid/tiling.h"
+#include "hw/cost_model.h"
+#include "hw/perf_counters.h"
 #include "kern/kernel.h"
 #include "sched/tile_policy.h"
 
@@ -48,7 +51,7 @@ namespace usw::sched {
 /// is consulted per tile with a pure hash, so the serial and threads
 /// backends (and any tile policy) see the same errors. Inactive when
 /// `plan` is null; set it only when the plan can draw DMA errors, since
-/// an active probe makes timing-only bodies walk their tiles.
+/// an active probe makes charge_offload walk every tile of the offload.
 struct TileFaultProbe {
   const fault::FaultPlan* plan = nullptr;
   std::uint64_t incarnation = 0;
@@ -72,6 +75,24 @@ struct TileExecArgs {
   TileFaultProbe fault;      ///< deterministic DMA-error injection
 };
 
+/// What one CPE's share of an offload adds to its busy time and to the
+/// rank's counters, known before the offload runs (plan_tile_assignment).
+/// The MPE charges it at every offload (charge_offload); only an injected
+/// DMA error's re-issue is charged apart.
+struct CpeCharge {
+  TimePs busy = 0;
+  std::uint64_t tiles = 0;
+  std::uint64_t grabs = 0;
+  std::uint64_t dma_in = 0;   ///< bytes main memory -> LDM
+  std::uint64_t dma_out = 0;  ///< bytes LDM -> main memory
+  std::uint64_t cells = 0;
+  /// Counted flops, accumulated tile by tile in execution order from 0.0,
+  /// as the CPE's hardware counter would.
+  double flops = 0.0;
+
+  friend bool operator==(const CpeCharge&, const CpeCharge&) = default;
+};
+
 /// Everything an offload of one stencil task needs that stays the same
 /// from step to step: the patch's tiling, the tile->CPE assignment, and
 /// what each CPE with work charges under the planned DMA mode. Immutable
@@ -80,11 +101,11 @@ struct TileExecArgs {
 struct TilePlan {
   grid::Tiling tiling;
   TileAssignment assignment;
-  std::vector<athread::CpeCharge> charges;  ///< distinct records
-  std::vector<std::uint16_t> charge_of;     ///< per share: index into charges
+  std::vector<CpeCharge> charges;        ///< distinct records
+  std::vector<std::uint16_t> charge_of;  ///< per share: index into charges
 
   /// What the CPE of share `i` charges.
-  const athread::CpeCharge& charge(int i) const {
+  const CpeCharge& charge(int i) const {
     return charges[charge_of[static_cast<std::size_t>(i)]];
   }
 };
@@ -106,13 +127,28 @@ TilePlan plan_tile_assignment(const TileExecArgs& args, const grid::Box& patch,
                               schedpt::ScheduleController* schedule = nullptr,
                               int rank = 0);
 
-/// Job for CpeCluster::spawn that executes `plan` (sized for the target
-/// group) with `args`' data views, environment and fault probe. Every CPE
-/// body, the access checker and the telemetry read that one plan; the job
-/// shares ownership of it. Copies `args` by value; the views must stay
-/// valid until the offload completes. Pair it with
-/// CpeCluster::set_active_cpes(plan->assignment.cpes) so only CPEs with
-/// work run a body; a body run for any other CPE does nothing.
+/// Charges one offload of `plan` on the MPE, before the spawn. busy[i]
+/// becomes the busy time of the CPE of share i: its planned charge plus
+/// one re-issued input transfer per tile that draws a DMA error under
+/// args.fault this step. Every share's counter deltas are added to
+/// `counters` in CPE-id order, so the counted-flops sum is the same on
+/// every backend. A re-issue counts one injected fault and one retry;
+/// under synchronous DMA it is one more get (busy time and dma_bytes_in),
+/// under the double-buffered pipeline one exposed re-transfer (busy time
+/// only). `cluster_cpes` is the whole cluster's CPE count (DMA
+/// contention), as for plan_tile_assignment.
+void charge_offload(const TileExecArgs& args, const TilePlan& plan,
+                    int cluster_cpes, const hw::CostModel& cost,
+                    std::vector<TimePs>& busy, hw::PerfCounters& counters);
+
+/// Job for CpeCluster::spawn that moves the data of an offload of `plan`
+/// (sized for the target group): each working CPE stages its tiles through
+/// its LDM and runs the kernel on them. It charges nothing; pair it with
+/// charge_offload and CpeCluster::set_work(plan->assignment.cpes, busy).
+/// Needs valid data views (a timing-only offload spawns an empty job),
+/// which must stay valid until the offload completes. Copies `args` by
+/// value and shares ownership of the plan. A body run for a CPE without
+/// work does nothing.
 athread::CpeJob make_tile_job(TileExecArgs args,
                               std::shared_ptr<const TilePlan> plan);
 

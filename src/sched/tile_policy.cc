@@ -81,12 +81,6 @@ TileAssignment self_schedule(const grid::Tiling& tiling, int n_cpes,
     end += plan.shares[c].end;
     plan.shares[c].end = end;
   }
-  while (!heap.empty()) {
-    const GrabSlot slot = heap.top();
-    heap.pop();
-    plan.shares[static_cast<std::size_t>(slot.cpe)].est_busy =
-        slot.clock + grab_cost;
-  }
   // Group the tile ids by CPE. The counter hands tiles out in ascending
   // id, so a CPE's ids in ascending order are its execution order.
   std::vector<int> slot(static_cast<std::size_t>(n_cpes), 0);
@@ -100,8 +94,7 @@ TileAssignment self_schedule(const grid::Tiling& tiling, int n_cpes,
   return plan;
 }
 
-TileAssignment static_z(const grid::Tiling& tiling, int n_cpes,
-                        const TileCostFn& tile_cost) {
+TileAssignment static_z(const grid::Tiling& tiling, int n_cpes) {
   // The z-slab runs of successive CPEs are successive tile-id ranges, so
   // the tile order is the identity and each share is a range of ids.
   TileAssignment plan;
@@ -109,11 +102,8 @@ TileAssignment static_z(const grid::Tiling& tiling, int n_cpes,
   for (int cpe = 0; cpe < n_cpes; ++cpe) {
     const auto [lo, hi] = tiling.slab_range(cpe, n_cpes);
     if (lo == hi) continue;
-    TileAssignment::Share share;
-    share.end = hi;
-    for (int t = lo; t < hi; ++t) share.est_busy += tile_cost(t);
     plan.cpes.push_back(cpe);
-    plan.shares.push_back(share);
+    plan.shares.push_back({.grabs = 0, .end = hi});
   }
   return plan;
 }
@@ -146,8 +136,8 @@ TileAssignment assign_tiles(const grid::Tiling& tiling, int n_cpes,
                             TimePs grab_cost,
                             schedpt::ScheduleController* schedule, int rank) {
   USW_ASSERT(n_cpes > 0);
+  if (policy == TilePolicy::kStaticZ) return static_z(tiling, n_cpes);
   USW_ASSERT(static_cast<bool>(tile_cost));
-  if (policy == TilePolicy::kStaticZ) return static_z(tiling, n_cpes, tile_cost);
   return self_schedule(tiling, n_cpes, tile_cost, grab_cost, schedule, rank);
 }
 

@@ -20,7 +20,7 @@
 // (tiling, costs, policy), so serial and threads backends execute the very
 // same assignment and stay bit-identical in fields, virtual times, and
 // counters. The planner (sched/tile_exec.h) then prices each CPE's share
-// once, and that CPE's body applies the price as its charge.
+// once, and the MPE charges that price at every offload.
 
 #include <functional>
 #include <string>
@@ -83,10 +83,10 @@ class TileRun {
   int end_;
 };
 
-/// The executed tile->CPE assignment of one offload, plus the planner's
-/// virtual-time bookkeeping. Shared by the CPE bodies (which tiles each CPE
-/// runs), the access checker (the write-set partition), and the imbalance
-/// telemetry. Compact, because a scheduler keeps one per offloaded task for
+/// The executed tile->CPE assignment of one offload and the grabs each CPE
+/// pays. Shared by the MPE's charge (sched/tile_exec.h), the CPE bodies
+/// (which tiles each CPE runs) and the access checker (the write-set
+/// partition). Compact, because a scheduler keeps one per offloaded task for
 /// the whole run: O(CPEs with work + tiles) words, and nothing at all per
 /// tile under static-z.
 struct TileAssignment {
@@ -97,11 +97,6 @@ struct TileAssignment {
     /// final grab that finds the counter exhausted. Zero under kStaticZ.
     int grabs = 0;
     int end = 0;  ///< one past the share's last slot in the tile order
-    /// The CPE's accumulated virtual clock under the planner's cost
-    /// estimate. Under synchronous DMA this equals the busy time of the
-    /// share's planned charge; the double-buffered pipeline overlaps DMA
-    /// and runs below it.
-    TimePs est_busy = 0;
   };
 
   int n_cpes = 0;  ///< the group size the assignment was planned for
@@ -129,17 +124,18 @@ struct TileAssignment {
 using TileCostFn = std::function<TimePs(int tile)>;
 
 /// Plans the assignment of `tiling`'s tiles to `n_cpes` CPEs under
-/// `policy`. `tile_cost` prices one tile end to end (overhead + DMA +
-/// compute); `grab_cost` is one faaw round trip. Tiles are handed out in
+/// `policy`. For the dynamic policy's grab order, `tile_cost` prices one
+/// tile end to end (overhead + DMA + compute) and `grab_cost` is one faaw
+/// round trip; the static policy reads neither. Tiles are handed out in
 /// tiling order (the shared counter only increments). Deterministic.
 ///
 /// `schedule` (optional) decides the kTileGrab schedule point: when
 /// several CPEs' virtual clocks tie for the next grab of the dynamic
 /// policy, the hardware's faaw arbitration could pick any of them; the
 /// controller chooses which (canonical = lowest CPE id). The perturbation
-/// permutes only clock-tied CPEs, so the busy-time multiset — and with it
-/// est_busy extrema, completion time, and numerics — is invariant; only
-/// the tile->CPE mapping changes. `rank` labels the decisions.
+/// permutes only clock-tied CPEs, so the multiset of CPE loads — and with
+/// it the completion time and numerics — is invariant; only the
+/// tile->CPE mapping changes. `rank` labels the decisions.
 TileAssignment assign_tiles(const grid::Tiling& tiling, int n_cpes,
                             TilePolicy policy, const TileCostFn& tile_cost,
                             TimePs grab_cost,

@@ -55,12 +55,12 @@
 //
 // Interaction with the real-threads CPE backend (athread::Backend::
 // kThreads): CPE worker threads are NOT simulated ranks and never touch
-// the Coordinator. They accumulate virtual busy time locally, per CPE, and
-// the owning rank folds it into its own clock's frame of reference only
-// while it is granted (CpeCluster blocks — in host wall-clock, with its
-// virtual clock frozen — until the workers have published). The
-// conservative invariant therefore holds unchanged: all virtual-time
-// mutation still happens on the granted rank's thread.
+// the Coordinator or any virtual time. They only move an offload's data;
+// the owning rank fixes the offload's busy times and completion time at
+// the spawn, while it is granted, and blocks (in host wall-clock, with its
+// virtual clock frozen) for the workers only where it starts reading the
+// offload's outputs. The conservative invariant therefore holds unchanged:
+// all virtual-time mutation happens on the granted rank's thread.
 //
 // Rank states:
 //   kReady    - wants to run; eligible at its clock.

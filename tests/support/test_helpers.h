@@ -2,19 +2,23 @@
 
 // Helpers shared by the test executables: whole-file and whole-tree reads
 // for byte-for-byte output comparisons, the first difference between two
-// outputs for their failure messages, and string <-> payload conversions
-// for the comm tests.
+// outputs for their failure messages, string <-> payload conversions for
+// the comm tests, and an offload with MPE-named busy times for the CPE
+// cluster tests.
 
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "athread/athread.h"
 
 namespace usw::test {
 
@@ -72,6 +76,21 @@ inline std::vector<std::byte> bytes_of(const std::string& s) {
 
 inline std::string str_of(const std::vector<std::byte>& b) {
   return std::string(reinterpret_cast<const char*>(b.data()), b.size());
+}
+
+/// Spawns `job` on group `g` of `cluster` with every CPE of the group
+/// working, CPE i busy for busy_of(i).
+inline void spawn_busy(athread::CpeCluster& cluster,
+                       const std::function<TimePs(int)>& busy_of,
+                       const athread::CpeJob& job = {}, int g = 0) {
+  std::vector<int> cpes;
+  std::vector<TimePs> busy;
+  for (int id = 0; id < cluster.group_size(); ++id) {
+    cpes.push_back(id);
+    busy.push_back(busy_of(id));
+  }
+  cluster.set_work(cpes, busy);
+  cluster.spawn(job, g);
 }
 
 }  // namespace usw::test

@@ -1,16 +1,20 @@
 // Tests for the athread emulation: offload protocol, completion-flag
-// semantics, DMA accounting, and virtual-time behavior.
+// semantics, the MPE-named busy times, and CPE bodies moving data.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <vector>
 
 #include "athread/athread.h"
 #include "sim/coordinator.h"
+#include "support/test_helpers.h"
 
 namespace usw::athread {
 namespace {
+
+using test::spawn_busy;
 
 hw::MachineParams machine() { return hw::MachineParams::sunway_taihulight(); }
 
@@ -26,24 +30,22 @@ void with_cluster(Fn&& body) {
 }
 
 TEST(CpeCluster, SpawnRunsBodyOncePerCpe) {
-  with_cluster([](sim::Coordinator& coord, CpeCluster& cluster,
-                  hw::PerfCounters&, const hw::CostModel&) {
+  with_cluster([](sim::Coordinator&, CpeCluster& cluster, hw::PerfCounters&,
+                  const hw::CostModel&) {
     std::vector<int> seen;
     cluster.spawn([&seen](CpeContext& ctx) { seen.push_back(ctx.cpe_id()); });
     EXPECT_EQ(seen.size(), 64u);
     EXPECT_EQ(seen.front(), 0);
     EXPECT_EQ(seen.back(), 63);
     cluster.join();
-    (void)coord;
   });
 }
 
 TEST(CpeCluster, CompletionIsMaxOverCpes) {
   with_cluster([](sim::Coordinator& coord, CpeCluster& cluster,
                   hw::PerfCounters&, const hw::CostModel&) {
-    cluster.spawn([](CpeContext& ctx) {
-      ctx.charge((ctx.cpe_id() + 1) * kMicrosecond);  // CPE 63 is slowest
-    });
+    // CPE 63 is slowest.
+    spawn_busy(cluster, [](int id) { return (id + 1) * kMicrosecond; });
     const TimePs spawn_done = coord.now(0);
     EXPECT_EQ(cluster.completion_time(), spawn_done + 64 * kMicrosecond);
     cluster.join();
@@ -51,24 +53,10 @@ TEST(CpeCluster, CompletionIsMaxOverCpes) {
   });
 }
 
-TEST(CpeCluster, FlagCountsCompletedCpes) {
-  with_cluster([](sim::Coordinator& coord, CpeCluster& cluster,
-                  hw::PerfCounters&, const hw::CostModel&) {
-    cluster.spawn([](CpeContext& ctx) {
-      ctx.charge((ctx.cpe_id() + 1) * kMicrosecond);
-    });
-    // Halfway through, 32 CPEs have faaw'd.
-    coord.advance(0, 32 * kMicrosecond + 500 * kNanosecond);
-    EXPECT_EQ(cluster.flag(), 32);
-    cluster.join();
-    EXPECT_EQ(cluster.flag(), 64);
-  });
-}
-
 TEST(CpeCluster, PollChargesTimeAndDetectsCompletion) {
   with_cluster([](sim::Coordinator& coord, CpeCluster& cluster,
                   hw::PerfCounters&, const hw::CostModel& cost) {
-    cluster.spawn([](CpeContext& ctx) { ctx.charge(10 * kMicrosecond); });
+    spawn_busy(cluster, [](int) { return 10 * kMicrosecond; });
     const TimePs t0 = coord.now(0);
     EXPECT_FALSE(cluster.poll());
     EXPECT_EQ(coord.now(0), t0 + cost.flag_poll());
@@ -88,54 +76,28 @@ TEST(CpeCluster, SpawnWhileInFlightAborts) {
   });
 }
 
-TEST(CpeCluster, DmaMovesDataAndCountsBytes) {
+TEST(CpeCluster, BodiesMoveDataThroughTheLdm) {
   with_cluster([](sim::Coordinator&, CpeCluster& cluster,
                   hw::PerfCounters& counters, const hw::CostModel&) {
     std::vector<double> main_mem(256, 3.25);
     std::vector<double> result(256, 0.0);
+    const int zero[] = {0};
+    const TimePs busy[] = {kMicrosecond};
+    cluster.set_work(zero, busy);
     cluster.spawn([&](CpeContext& ctx) {
-      if (ctx.cpe_id() != 0) return;
       auto buf = ctx.ldm().alloc<double>(256);
-      ctx.get(main_mem.data(), buf.data(), 256 * sizeof(double));
+      std::memcpy(buf.data(), main_mem.data(), 256 * sizeof(double));
       for (double& x : buf) x *= 2.0;
-      ctx.put(buf.data(), result.data(), 256 * sizeof(double));
+      std::memcpy(result.data(), buf.data(), 256 * sizeof(double));
     });
     cluster.join();
     EXPECT_DOUBLE_EQ(result[0], 6.5);
     EXPECT_DOUBLE_EQ(result[255], 6.5);
-    EXPECT_EQ(counters.dma_bytes_in, 256u * 8u);
-    EXPECT_EQ(counters.dma_bytes_out, 256u * 8u);
-  });
-}
-
-TEST(CpeCluster, TimingOnlyDmaChargesWithoutCopy) {
-  with_cluster([](sim::Coordinator&, CpeCluster& cluster,
-                  hw::PerfCounters& counters, const hw::CostModel&) {
-    TimePs busy = 0;
-    cluster.spawn([&](CpeContext& ctx) {
-      if (ctx.cpe_id() != 0) return;
-      ctx.get(nullptr, nullptr, 4096);
-      busy = ctx.busy();
-    });
-    cluster.join();
-    EXPECT_GT(busy, 0);
-    EXPECT_EQ(counters.dma_bytes_in, 4096u);
-  });
-}
-
-TEST(CpeCluster, ComputeChargesAndCountsFlops) {
-  with_cluster([](sim::Coordinator&, CpeCluster& cluster,
-                  hw::PerfCounters& counters, const hw::CostModel& cost) {
-    hw::KernelCost kc;
-    kc.flops_per_cell = 10;
-    cluster.spawn([&](CpeContext& ctx) {
-      if (ctx.cpe_id() == 0) ctx.compute(100, kc, false);
-    });
-    cluster.join();
-    EXPECT_DOUBLE_EQ(counters.counted_flops, 1000.0);
-    EXPECT_EQ(counters.cells_computed, 100u);
+    // The cluster counts the offload and its flight time, nothing a body
+    // does.
     EXPECT_EQ(counters.kernels_offloaded, 1u);
-    (void)cost;
+    EXPECT_EQ(counters.kernel_time, kMicrosecond);
+    EXPECT_EQ(counters.dma_bytes_in, 0u);
   });
 }
 
@@ -154,7 +116,7 @@ TEST(CpeCluster, LdmIsResetBetweenCpes) {
 TEST(CpeCluster, JoinAccountsWaitTime) {
   with_cluster([](sim::Coordinator&, CpeCluster& cluster,
                   hw::PerfCounters& counters, const hw::CostModel&) {
-    cluster.spawn([](CpeContext& ctx) { ctx.charge(5 * kMicrosecond); });
+    spawn_busy(cluster, [](int) { return 5 * kMicrosecond; });
     cluster.join();
     EXPECT_EQ(counters.wait_time, 5 * kMicrosecond);
   });
@@ -163,49 +125,68 @@ TEST(CpeCluster, JoinAccountsWaitTime) {
 TEST(CpeCluster, JobIsReleasedWhenTheOffloadPublishes) {
   with_cluster([](sim::Coordinator&, CpeCluster& cluster, hw::PerfCounters&,
                   const hw::CostModel&) {
-    // What a job captures (a tile offload's tiling and plan) is freed with
-    // its offload, not held until the group's next spawn.
+    // What a job captures (a tile offload's plan) is freed with its
+    // offload, not held until the group's next spawn.
     const auto sentinel = std::make_shared<int>(0);
-    cluster.spawn([sentinel](CpeContext& ctx) { ctx.charge(kMicrosecond); });
+    cluster.spawn([sentinel](CpeContext&) {});
     cluster.join();
     EXPECT_EQ(sentinel.use_count(), 1);
   });
 }
 
+TEST(CpeCluster, EmptyJobRunsNoBodyAndKeepsItsBusyTimes) {
+  // A timing-only offload: the MPE names the busy times and spawns an
+  // empty job. Invoking an empty job would throw std::bad_function_call,
+  // so a clean spawn and join show that no body ran.
+  with_cluster([](sim::Coordinator& coord, CpeCluster& cluster,
+                  hw::PerfCounters& counters, const hw::CostModel&) {
+    const int cpes[] = {2, 9};
+    const TimePs busy[] = {4 * kMicrosecond, 7 * kMicrosecond};
+    cluster.set_work(cpes, busy);
+    EXPECT_NO_THROW(cluster.spawn(CpeJob{}));
+    const TimePs spawn_done = coord.now(0);
+    EXPECT_EQ(cluster.completion_time(), spawn_done + 7 * kMicrosecond);
+    std::vector<TimePs> expected(64, 0);
+    expected[2] = 4 * kMicrosecond;
+    expected[9] = 7 * kMicrosecond;
+    EXPECT_EQ(cluster.cpe_busy(), expected);
+    EXPECT_NO_THROW(cluster.join());
+    EXPECT_EQ(coord.now(0), spawn_done + 7 * kMicrosecond);
+    EXPECT_EQ(counters.kernels_offloaded, 1u);
+    EXPECT_EQ(counters.kernel_time, 7 * kMicrosecond);
+  });
+}
+
 TEST(CpeCluster, OneActiveCpeRunsOneBodyAndPublishesTheSame) {
-  // Only CPE 5 has work. Naming it with set_active_cpes() runs one body
-  // instead of 64, and the offload publishes the same busy vector, flag
-  // counts and counters. The next plain spawn runs every CPE again.
+  // Only CPE 5 has work. Naming it alone with set_work() runs one body
+  // instead of 64, and the offload publishes the same busy vector,
+  // completion and counters as naming all 64 with the others idle. The
+  // next spawn without set_work() runs every CPE again.
   struct Outcome {
     int bodies = 0;
     int plain_bodies = 0;
     std::vector<TimePs> busy;
-    int flag_mid = 0;
-    int flag_end = 0;
+    TimePs completion = 0;
     hw::PerfCounters counters;
   };
   const auto run = [](bool only_five) {
     Outcome out;
-    with_cluster([&](sim::Coordinator& coord, CpeCluster& cluster,
+    with_cluster([&](sim::Coordinator&, CpeCluster& cluster,
                      hw::PerfCounters& counters, const hw::CostModel&) {
-      CpeCharge work;
-      work.busy = 3 * kMicrosecond;
-      work.tiles = 2;
-      work.dma_in = 800;
-      work.dma_out = 512;
-      work.cells = 64;
-      work.flops = 0.1 + 0.2;
+      const CpeJob count = [&](CpeContext&) { ++out.bodies; };
       const int five[] = {5};
-      if (only_five) cluster.set_active_cpes(five);
-      cluster.spawn([&](CpeContext& ctx) {
-        ++out.bodies;
-        if (ctx.cpe_id() == 5) ctx.apply(work);
-      });
+      const TimePs five_busy[] = {3 * kMicrosecond};
+      if (only_five) {
+        cluster.set_work(five, five_busy);
+        cluster.spawn(count);
+      } else {
+        spawn_busy(
+            cluster, [](int id) { return id == 5 ? 3 * kMicrosecond : 0; },
+            count);
+      }
       out.busy = cluster.cpe_busy();
-      coord.advance(0, kMicrosecond);
-      out.flag_mid = cluster.flag();
+      out.completion = cluster.completion_time();
       cluster.join();
-      out.flag_end = cluster.flag();
       out.counters = counters;
       cluster.spawn([&](CpeContext&) { ++out.plain_bodies; });
       cluster.join();
@@ -219,14 +200,7 @@ TEST(CpeCluster, OneActiveCpeRunsOneBodyAndPublishesTheSame) {
   EXPECT_EQ(one.plain_bodies, 64);
   EXPECT_EQ(one.busy, all.busy);
   EXPECT_EQ(one.busy[5], 3 * kMicrosecond);
-  EXPECT_EQ(one.flag_mid, all.flag_mid);
-  EXPECT_EQ(one.flag_mid, 63);
-  EXPECT_EQ(one.flag_end, all.flag_end);
-  EXPECT_EQ(one.counters.tiles_executed, all.counters.tiles_executed);
-  EXPECT_EQ(one.counters.dma_bytes_in, all.counters.dma_bytes_in);
-  EXPECT_EQ(one.counters.dma_bytes_out, all.counters.dma_bytes_out);
-  EXPECT_EQ(one.counters.cells_computed, all.counters.cells_computed);
-  EXPECT_EQ(one.counters.counted_flops, all.counters.counted_flops);  // bitwise
+  EXPECT_EQ(one.completion, all.completion);
   EXPECT_EQ(one.counters.kernels_offloaded, all.counters.kernels_offloaded);
   EXPECT_EQ(one.counters.kernel_time, all.counters.kernel_time);
   EXPECT_EQ(one.counters.wait_time, all.counters.wait_time);

@@ -27,6 +27,7 @@
 #include "support/test_helpers.h"
 
 using usw::test::slurp_tree;
+using usw::test::spawn_busy;
 
 namespace usw {
 namespace {
@@ -102,9 +103,11 @@ TEST(ThreadsBackend, CompletionIsMaxOverCpes) {
   with_cluster(athread::Backend::kThreads, 1,
                [](sim::Coordinator& coord, athread::CpeCluster& cluster,
                   hw::PerfCounters&) {
-    cluster.spawn([](athread::CpeContext& ctx) {
-      ctx.charge((ctx.cpe_id() + 1) * kMicrosecond);  // CPE 63 is slowest
-    });
+    // CPE 63 is slowest; the completion is fixed at spawn, before any
+    // body has necessarily run.
+    spawn_busy(
+        cluster, [](int id) { return (id + 1) * kMicrosecond; },
+        [](athread::CpeContext&) {});
     const TimePs spawn_done = coord.now(0);
     EXPECT_EQ(cluster.completion_time(), spawn_done + 64 * kMicrosecond);
     cluster.join();
@@ -112,21 +115,7 @@ TEST(ThreadsBackend, CompletionIsMaxOverCpes) {
   });
 }
 
-TEST(ThreadsBackend, FlagCountsCompletedCpes) {
-  with_cluster(athread::Backend::kThreads, 1,
-               [](sim::Coordinator& coord, athread::CpeCluster& cluster,
-                  hw::PerfCounters&) {
-    cluster.spawn([](athread::CpeContext& ctx) {
-      ctx.charge((ctx.cpe_id() + 1) * kMicrosecond);
-    });
-    coord.advance(0, 32 * kMicrosecond + 500 * kNanosecond);
-    EXPECT_EQ(cluster.flag(), 32);
-    cluster.join();
-    EXPECT_EQ(cluster.flag(), 64);
-  });
-}
-
-TEST(ThreadsBackend, DmaMovesDataAndMergesCounters) {
+TEST(ThreadsBackend, BodiesMoveDataConcurrently) {
   with_cluster(athread::Backend::kThreads, 1,
                [](sim::Coordinator&, athread::CpeCluster& cluster,
                   hw::PerfCounters& counters) {
@@ -137,16 +126,30 @@ TEST(ThreadsBackend, DmaMovesDataAndMergesCounters) {
     cluster.spawn([&](athread::CpeContext& ctx) {
       const std::size_t off = static_cast<std::size_t>(ctx.cpe_id()) * 64;
       auto buf = ctx.ldm().alloc<double>(64);
-      ctx.get(main_mem.data() + off, buf.data(), 64 * sizeof(double));
+      std::memcpy(buf.data(), main_mem.data() + off, 64 * sizeof(double));
       for (double& x : buf) x *= 2.0;
-      ctx.put(buf.data(), result.data() + off, 64 * sizeof(double));
+      std::memcpy(result.data() + off, buf.data(), 64 * sizeof(double));
     });
     cluster.join();
     for (double x : result) EXPECT_DOUBLE_EQ(x, 3.0);
-    EXPECT_EQ(counters.dma_bytes_in, 64u * 64u * 8u);
-    EXPECT_EQ(counters.dma_bytes_out, 64u * 64u * 8u);
     EXPECT_EQ(counters.kernels_offloaded, 1u);
   });
+}
+
+TEST(ThreadsBackend, EmptyJobDispatchesNothing) {
+  // A timing-only offload spawns an empty job: the MPE's busy times stand,
+  // and nothing reaches the pool.
+  const hw::CostModel cost(machine());
+  athread::WorkerPool pool(2);
+  pool.enable_profiling();
+  sim::run_ranks(1, [&](sim::Coordinator& coord, int rank) {
+    athread::CpeCluster cluster(cost, coord, rank, nullptr, 2,
+                                athread::Backend::kThreads, &pool);
+    spawn_busy(cluster, [](int id) { return id * kNanosecond; }, {}, 1);
+    EXPECT_EQ(cluster.completion_time(1), coord.now(rank) + 31 * kNanosecond);
+    cluster.join(1);
+  });
+  EXPECT_EQ(pool.stats().tasks, 0u);
 }
 
 TEST(ThreadsBackend, ExceptionInCpeBodySurfacesAtSync) {
@@ -166,11 +169,13 @@ TEST(ThreadsBackend, JobIsReleasedWhenPollSeesCompletion) {
   with_cluster(athread::Backend::kThreads, 1,
                [](sim::Coordinator&, athread::CpeCluster& cluster,
                   hw::PerfCounters&) {
-    // The workers' shared copy of the job is dropped when the offload
-    // publishes, so what it captures is freed with the offload.
+    // The workers' shared copy of the job is dropped when the poll that
+    // observes completion has waited for them, so what it captures is
+    // freed with the offload.
     const auto sentinel = std::make_shared<int>(0);
-    cluster.spawn(
-        [sentinel](athread::CpeContext& ctx) { ctx.charge(kMicrosecond); });
+    spawn_busy(
+        cluster, [](int) { return kMicrosecond; },
+        [sentinel](athread::CpeContext&) {});
     while (!cluster.poll()) {
     }
     EXPECT_EQ(sentinel.use_count(), 1);
@@ -185,10 +190,7 @@ TEST(ThreadsBackend, DestructorWaitsForDispatchedBodies) {
   with_cluster(athread::Backend::kThreads, 1,
                [&](sim::Coordinator&, athread::CpeCluster& cluster,
                    hw::PerfCounters&) {
-    cluster.spawn([&ran](athread::CpeContext& ctx) {
-      ctx.charge(kMicrosecond);
-      ran.fetch_add(1);
-    });
+    cluster.spawn([&ran](athread::CpeContext&) { ran.fetch_add(1); });
     // No poll/join: the rank finishes with the offload "in flight".
   });
   EXPECT_EQ(ran.load(), 64);
@@ -216,20 +218,21 @@ StressOutcome run_stress(athread::Backend backend) {
                                 backend, &pool);
     const int gs = cluster.group_size();
     out.data.assign(static_cast<std::size_t>(kGroups) * gs, 0.0);
-    hw::KernelCost kc;
-    kc.flops_per_cell = 7;
     for (int round = 0; round < kRounds; ++round) {
       for (int g = 0; g < kGroups; ++g) {
-        cluster.spawn([&, g, round](athread::CpeContext& ctx) {
-          auto buf = ctx.ldm().alloc<double>(16);
-          buf[0] = g * 1000.0 + round + ctx.cpe_id() * 0.001;
-          ctx.compute(10 + static_cast<std::uint64_t>(ctx.cpe_id()), kc,
-                      /*simd=*/false);
-          ctx.charge((ctx.cpe_id() % 5) * kNanosecond);
-          ctx.put(buf.data(),
+        spawn_busy(
+            cluster,
+            [round](int id) {
+              return (10 + id) * kNanosecond + (id + round) % 5 * kNanosecond;
+            },
+            [&, g, round](athread::CpeContext& ctx) {
+              auto buf = ctx.ldm().alloc<double>(16);
+              buf[0] = g * 1000.0 + round + ctx.cpe_id() * 0.001;
+              std::memcpy(
                   &out.data[static_cast<std::size_t>(g * gs + ctx.cpe_id())],
-                  sizeof(double));
-        }, g);
+                  buf.data(), sizeof(double));
+            },
+            g);
       }
       for (int g = 0; g < kGroups; ++g) {
         out.completions.push_back(cluster.completion_time(g));
@@ -268,37 +271,35 @@ void expect_counters_identical(const hw::PerfCounters& a,
 }
 
 TEST(ThreadsBackend, OneActiveCpeRunsOneBodyAndPublishesTheSame) {
-  // The threads backend submits only the active CPE's body and waits for
-  // its one completion; the offload publishes what all 64 bodies publish.
+  // The threads backend submits only the working CPE's body and waits for
+  // its one completion; the offload publishes what naming all 64 CPEs,
+  // the others idle, publishes.
   struct Outcome {
     std::atomic<int> bodies{0};
     std::vector<TimePs> busy;
-    int flag_mid = 0;
-    int flag_end = 0;
+    TimePs completion = 0;
     hw::PerfCounters counters;
   };
   const auto run = [](bool only_five, Outcome& out) {
     with_cluster(athread::Backend::kThreads, 1,
-                 [&](sim::Coordinator& coord, athread::CpeCluster& cluster,
+                 [&](sim::Coordinator&, athread::CpeCluster& cluster,
                      hw::PerfCounters& counters) {
-      athread::CpeCharge work;
-      work.busy = 3 * kMicrosecond;
-      work.tiles = 2;
-      work.dma_in = 800;
-      work.dma_out = 512;
-      work.cells = 64;
-      work.flops = 0.1 + 0.2;
-      const int five[] = {5};
-      if (only_five) cluster.set_active_cpes(five);
-      cluster.spawn([&](athread::CpeContext& ctx) {
+      const athread::CpeJob count = [&](athread::CpeContext&) {
         out.bodies.fetch_add(1);
-        if (ctx.cpe_id() == 5) ctx.apply(work);
-      });
+      };
+      const int five[] = {5};
+      const TimePs five_busy[] = {3 * kMicrosecond};
+      if (only_five) {
+        cluster.set_work(five, five_busy);
+        cluster.spawn(count);
+      } else {
+        spawn_busy(
+            cluster, [](int id) { return id == 5 ? 3 * kMicrosecond : 0; },
+            count);
+      }
       out.busy = cluster.cpe_busy();
-      coord.advance(0, kMicrosecond);
-      out.flag_mid = cluster.flag();
+      out.completion = cluster.completion_time();
       cluster.join();
-      out.flag_end = cluster.flag();
       out.counters = counters;
     });
   };
@@ -309,9 +310,7 @@ TEST(ThreadsBackend, OneActiveCpeRunsOneBodyAndPublishesTheSame) {
   EXPECT_EQ(all.bodies.load(), 64);
   EXPECT_EQ(one.bodies.load(), 1);
   EXPECT_EQ(one.busy, all.busy);
-  EXPECT_EQ(one.flag_mid, all.flag_mid);
-  EXPECT_EQ(one.flag_mid, 63);
-  EXPECT_EQ(one.flag_end, all.flag_end);
+  EXPECT_EQ(one.completion, all.completion);
   expect_counters_identical(one.counters, all.counters);
 }
 

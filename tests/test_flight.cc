@@ -267,7 +267,10 @@ TEST(HostProfile, FilledForSerialRuns) {
 }
 
 TEST(HostProfile, ThreadsBackendFeedsPoolStats) {
+  // Functional storage: only an offload with data to move dispatches bodies
+  // onto the pool.
   runtime::RunConfig c = tiny_config();
+  c.storage = var::StorageMode::kFunctional;
   c.backend = athread::Backend::kThreads;
   c.backend_threads = 2;
   apps::burgers::BurgersApp app;
@@ -337,7 +340,6 @@ TEST(Stream, EmitsHeaderAndPeriodicSnapshots) {
   runtime::RunConfig c = tiny_config();
   c.stream.file = temp_path("stream_test.jsonl");
   c.stream.interval = 2;
-  c.collect_metrics = true;
   apps::burgers::BurgersApp app;
   runtime::run_simulation(c, app);
   std::ifstream is(c.stream.file);

@@ -107,8 +107,13 @@ TEST(FutureWork, GroupsRunKernelsConcurrently) {
   sim::run_ranks(1, [&](sim::Coordinator& coord, int rank) {
     athread::CpeCluster cluster(cost, coord, rank, nullptr, 2);
     EXPECT_EQ(cluster.group_size(), 32);
-    cluster.spawn([](athread::CpeContext& ctx) { ctx.charge(10 * kMicrosecond); }, 0);
-    cluster.spawn([](athread::CpeContext& ctx) { ctx.charge(30 * kMicrosecond); }, 1);
+    const int cpe[] = {0};
+    const TimePs short_busy[] = {10 * kMicrosecond};
+    const TimePs long_busy[] = {30 * kMicrosecond};
+    cluster.set_work(cpe, short_busy);
+    cluster.spawn({}, 0);
+    cluster.set_work(cpe, long_busy);
+    cluster.spawn({}, 1);
     EXPECT_TRUE(cluster.in_flight(0));
     EXPECT_TRUE(cluster.in_flight(1));
     EXPECT_EQ(cluster.earliest_completion(), cluster.completion_time(0));
@@ -116,7 +121,8 @@ TEST(FutureWork, GroupsRunKernelsConcurrently) {
     EXPECT_FALSE(cluster.in_flight(0));
     EXPECT_TRUE(cluster.in_flight(1));
     cluster.join(1);
-    EXPECT_FALSE(cluster.any_in_flight());
+    EXPECT_FALSE(cluster.in_flight(1));
+    EXPECT_EQ(cluster.earliest_completion(), sim::kNever);
   });
 }
 

@@ -943,6 +943,37 @@ TEST(EndToEnd, FaultedTwoGroupExportsMatchGoldenFiles) {
     EXPECT_NE(want_trace.find(covered), std::string::npos) << covered;
 }
 
+TEST(EndToEnd, MetricsCountFaultsOfEveryLayer) {
+  // The fault.* counters come from the merged PerfCounters, so message and
+  // CPE DMA faults count like the scheduler's own and equal the
+  // Resilience table's sums. Counters that stay zero are not emitted.
+  runtime::RunConfig config;
+  config.problem = runtime::tiny_problem({2, 2, 1}, {16, 16, 16});
+  config.variant = runtime::variant_by_name("acc_simd.async");
+  config.nranks = 2;
+  config.timesteps = 4;
+  config.faults = fault::FaultPlan::parse("msg_loss:p=0.2,dma_error:p=0.2", 1);
+  config.collect_metrics = true;
+  const runtime::RunResult faulted =
+      runtime::run_simulation(config, apps::burgers::BurgersApp());
+  const hw::PerfCounters sum = faulted.merged_counters();
+  ASSERT_GT(sum.fault_injected, 0u);
+  ASSERT_GT(sum.fault_retries, 0u);
+  const MetricsReport m = build_metrics(runtime::observe(faulted));
+  EXPECT_EQ(m.registry.counter("fault.injected"),
+            static_cast<double>(sum.fault_injected));
+  EXPECT_EQ(m.registry.counter("fault.retries"),
+            static_cast<double>(sum.fault_retries));
+  EXPECT_EQ(m.registry.counters().count("fault.degraded"), 0u);
+  EXPECT_EQ(m.registry.counters().count("fault.restarts"), 0u);
+
+  config.faults = fault::FaultPlan{};
+  const MetricsReport clean = build_metrics(runtime::observe(
+      runtime::run_simulation(config, apps::burgers::BurgersApp())));
+  for (const auto& [name, value] : clean.registry.counters())
+    EXPECT_NE(name.rfind("fault.", 0), 0u) << name << " = " << value;
+}
+
 TEST(EndToEnd, GoldenFailuresNameTheFirstDifferingByte) {
   EXPECT_EQ(first_difference("abc\ndef", "abc\nxef"),
             "first difference at byte 4 (got 7 bytes, want 7 bytes)\n"

@@ -1,12 +1,18 @@
 // Tests for the CPE tile executor: functional equivalence with a direct
-// kernel application, LDM capacity enforcement, DMA/tile accounting, and
-// timing-only behavior. Also failure-injection tests: errors thrown inside
-// rank bodies must cancel the whole simulation cleanly.
+// kernel application, LDM capacity enforcement, the MPE-side DMA/tile
+// accounting (injected DMA errors included), and timing-only behavior.
+// Also failure-injection tests: errors thrown inside rank bodies must
+// cancel the whole simulation cleanly.
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "apps/burgers/burgers_app.h"
 #include "apps/burgers/kernels.h"
+#include "fault/fault.h"
 #include "runtime/controller.h"
 #include "sched/tile_exec.h"
 #include "sim/coordinator.h"
@@ -25,13 +31,20 @@ kern::KernelEnv test_env() {
   return env;
 }
 
-/// The job Scheduler::offload_stencil spawns for `args` over `patch` on a
-/// one-group cluster: one plan, shared by every CPE body.
-athread::CpeJob tile_job(const TileExecArgs& args, const grid::Box& patch,
-                         const hw::CostModel& cost) {
-  const int cpes = cost.params().cpes_per_cg;
-  return make_tile_job(args, std::make_shared<const TilePlan>(plan_tile_assignment(
-                                 args, patch, cpes, cpes, cost)));
+/// One offload of `args` over `patch` on group 0 of `cluster`, as
+/// Scheduler::offload_stencil runs it: plan, charge the working CPEs on
+/// the MPE (into `counters`), spawn the data-moving job — an empty one
+/// when timing-only — and join.
+void offload(athread::CpeCluster& cluster, const TileExecArgs& args,
+             const grid::Box& patch, const hw::CostModel& cost,
+             hw::PerfCounters& counters) {
+  const auto plan = std::make_shared<const TilePlan>(plan_tile_assignment(
+      args, patch, cluster.group_size(), cluster.n_cpes(), cost));
+  std::vector<TimePs> busy;
+  charge_offload(args, *plan, cluster.n_cpes(), cost, busy, counters);
+  cluster.set_work(plan->assignment.cpes, busy);
+  cluster.spawn(args.in.valid() ? make_tile_job(args, plan) : athread::CpeJob{});
+  cluster.join();
 }
 
 TEST(TileExec, MatchesDirectKernelApplication) {
@@ -45,15 +58,15 @@ TEST(TileExec, MatchesDirectKernelApplication) {
   kv.scalar(env, kern::FieldView::of(u0), kern::FieldView::of(direct), patch);
 
   const hw::CostModel cost(machine());
+  hw::PerfCounters counters;
   sim::run_ranks(1, [&](sim::Coordinator& coord, int rank) {
-    athread::CpeCluster cluster(cost, coord, rank);
+    athread::CpeCluster cluster(cost, coord, rank, &counters);
     TileExecArgs args;
     args.kernel = &kv;
     args.env = env;
     args.in = kern::FieldView::of(u0);
     args.out = kern::FieldView::of(tiled);
-    cluster.spawn(tile_job(args, patch, cost));
-    cluster.join();
+    offload(cluster, args, patch, cost, counters);
   });
 
   for (std::size_t i = 0; i < direct.data().size(); ++i)
@@ -71,16 +84,16 @@ TEST(TileExec, SimdTilingAlsoMatchesDirect) {
   kv.simd(env, kern::FieldView::of(u0), kern::FieldView::of(direct), patch);
 
   const hw::CostModel cost(machine());
+  hw::PerfCounters counters;
   sim::run_ranks(1, [&](sim::Coordinator& coord, int rank) {
-    athread::CpeCluster cluster(cost, coord, rank);
+    athread::CpeCluster cluster(cost, coord, rank, &counters);
     TileExecArgs args;
     args.kernel = &kv;
     args.env = env;
     args.in = kern::FieldView::of(u0);
     args.out = kern::FieldView::of(tiled);
     args.vectorize = true;
-    cluster.spawn(tile_job(args, patch, cost));
-    cluster.join();
+    offload(cluster, args, patch, cost, counters);
   });
   for (std::size_t i = 0; i < direct.data().size(); ++i)
     ASSERT_EQ(direct.data()[i], tiled.data()[i]);
@@ -99,8 +112,7 @@ TEST(TileExec, CountsTilesAndDmaTraffic) {
     args.env = test_env();
     args.in = kern::FieldView::of(u0);
     args.out = kern::FieldView::of(out);
-    cluster.spawn(tile_job(args, patch, cost));
-    cluster.join();
+    offload(cluster, args, patch, cost, counters);
   });
   EXPECT_EQ(counters.tiles_executed, 8u);
   EXPECT_EQ(counters.cells_computed, static_cast<std::uint64_t>(patch.volume()));
@@ -124,13 +136,75 @@ TEST(TileExec, TimingOnlyChargesWithoutData) {
     args.kernel = &kv;
     args.env = test_env();  // views left invalid: timing-only
     const TimePs before = coord.now(rank);
-    cluster.spawn(tile_job(args, patch, cost));
-    cluster.join();
+    offload(cluster, args, patch, cost, counters);
     elapsed = coord.now(rank) - before;
   });
   EXPECT_GT(elapsed, 0);
   EXPECT_EQ(counters.tiles_executed, 8u);
   EXPECT_GT(counters.counted_flops, 0.0);
+}
+
+TEST(TileExec, InjectedDmaErrorsChargeOneReissuePerTile) {
+  // Under dma_error:p=1 every tile's input get fails once and is re-issued.
+  // The MPE charges each working CPE its planned charge plus one transfer
+  // of the ghosted tile per tile, and counts one injected fault and one
+  // retry per tile. A synchronous re-issue is one more get, so its bytes
+  // count as DMA input; the double-buffered pipeline charges it as an
+  // exposed stall only.
+  const grid::Box patch{{0, 0, 0}, {20, 12, 20}};  // clipped, mixed tiles
+  const kern::KernelVariants kv =
+      apps::burgers::make_burgers_kernel(false, {8, 8, 8});
+  const hw::CostModel cost(machine());
+  const fault::FaultPlan faults = fault::FaultPlan::parse("dma_error:p=1", 7);
+  for (const bool async_dma : {false, true}) {
+    for (const bool packed : {false, true}) {
+      TileExecArgs args;  // timing-only: the charge needs no data
+      args.kernel = &kv;
+      args.async_dma = async_dma;
+      args.packed_tiles = packed;
+      args.policy = TilePolicy::kDynamic;
+      const TilePlan plan = plan_tile_assignment(args, patch, 64, 64, cost);
+      hw::PerfCounters clean;
+      std::vector<TimePs> clean_busy;
+      charge_offload(args, plan, 64, cost, clean_busy, clean);
+      args.fault.plan = &faults;
+      args.fault.rank = 1;
+      args.fault.step = 3;
+      args.fault.task = 2;
+      hw::PerfCounters faulted;
+      std::vector<TimePs> busy;
+      charge_offload(args, plan, 64, cost, busy, faulted);
+
+      const std::string where = std::string(async_dma ? "async" : "sync") +
+                                (packed ? " packed" : " strided");
+      const TileAssignment& a = plan.assignment;
+      ASSERT_EQ(busy.size(), a.shares.size()) << where;
+      std::uint64_t reissued = 0;
+      for (int i = 0; i < static_cast<int>(a.shares.size()); ++i) {
+        TimePs expected = plan.charge(i).busy;
+        for (const int t : a.tiles(i)) {
+          const auto bytes = static_cast<std::size_t>(
+                                 plan.tiling.tile(t).grown(kv.ghost).volume()) *
+                             sizeof(double);
+          expected += cost.cpe_dma(bytes, 64, !packed);
+          reissued += bytes;
+        }
+        const auto s = static_cast<std::size_t>(i);
+        EXPECT_EQ(clean_busy[s], plan.charge(i).busy) << where << " share " << i;
+        EXPECT_EQ(busy[s], expected) << where << " share " << i;
+      }
+      const auto tiles = static_cast<std::uint64_t>(plan.tiling.num_tiles());
+      EXPECT_EQ(clean.fault_injected + clean.fault_retries, 0u) << where;
+      EXPECT_EQ(faulted.fault_injected, tiles) << where;
+      EXPECT_EQ(faulted.fault_retries, tiles) << where;
+      EXPECT_EQ(faulted.dma_bytes_in,
+                clean.dma_bytes_in + (async_dma ? 0 : reissued))
+          << where;
+      EXPECT_EQ(faulted.dma_bytes_out, clean.dma_bytes_out) << where;
+      EXPECT_EQ(faulted.tiles_executed, clean.tiles_executed) << where;
+      EXPECT_EQ(faulted.counted_flops, clean.counted_flops) << where;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -162,8 +236,7 @@ TEST(TileExec, DoubleBufferedSingleTileMatchesDirect) {
     args.out = kern::FieldView::of(tiled);
     args.async_dma = true;
     const TimePs before = coord.now(rank);
-    cluster.spawn(tile_job(args, patch, cost));
-    cluster.join();
+    offload(cluster, args, patch, cost, counters);
     elapsed = coord.now(rank) - before;
   });
   for (std::size_t i = 0; i < direct.data().size(); ++i)
@@ -197,8 +270,7 @@ TEST(TileExec, DoubleBufferedHeterogeneousTilesMatchDirect) {
     args.in = kern::FieldView::of(u0);
     args.out = kern::FieldView::of(tiled);
     args.async_dma = true;
-    cluster.spawn(tile_job(args, patch, cost));
-    cluster.join();
+    offload(cluster, args, patch, cost, counters);
   });
   for (std::size_t i = 0; i < direct.data().size(); ++i)
     ASSERT_EQ(direct.data()[i], tiled.data()[i]) << "cell " << i;
@@ -231,8 +303,7 @@ TEST(TileExec, DoubleBufferedDynamicWithEmptyCpesMatchesDirect) {
     args.out = kern::FieldView::of(tiled);
     args.async_dma = true;
     args.policy = TilePolicy::kDynamic;
-    cluster.spawn(tile_job(args, patch, cost));
-    cluster.join();
+    offload(cluster, args, patch, cost, counters);
   });
   for (std::size_t i = 0; i < direct.data().size(); ++i)
     ASSERT_EQ(direct.data()[i], tiled.data()[i]) << "cell " << i;
@@ -253,8 +324,8 @@ TEST(TileExec, OversizedTileOverflowsLdm) {
                        TileExecArgs args;
                        args.kernel = &kv;
                        args.env = test_env();
-                       cluster.spawn(tile_job(args, patch, cost));
-                       cluster.join();
+                       hw::PerfCounters counters;
+                       offload(cluster, args, patch, cost, counters);
                      }),
       ResourceError);
 }
