@@ -21,7 +21,6 @@
 #include "kern/fastexp.h"
 #include "obs/chrome_trace.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
 #include "runtime/controller.h"
 #include "runtime/observe.h"
 #include "sched/tile_exec.h"
@@ -218,8 +217,9 @@ class DiscardBuf : public std::streambuf {
 };
 
 /// One traced, metrics-collecting run (Burgers, 8x8x4 patches of 8^3 on 128
-/// timing-only ranks, 20 steps) and everything the export stages read,
-/// built once for every BM_ObserveExport stage.
+/// timing-only ranks, 20 steps, its ranks pairing their spans as each step
+/// ends) and everything the export stages read, built once for every
+/// BM_ObserveExport stage.
 struct ObservedRun {
   runtime::RunResult result;
   obs::RunObservation run;
@@ -247,24 +247,22 @@ struct ObservedRun {
   }
 };
 
-enum class ExportStage { kBuildSpans, kBuildMetrics, kChromeTrace, kMetricsJson };
+enum class ExportStage { kObserve, kBuildMetrics, kChromeTrace, kMetricsJson };
 
 void BM_ObserveExport(benchmark::State& state, ExportStage stage) {
   // The post-run pipeline of an observed run, one stage per benchmark:
-  // pairing every rank's trace into spans, the per-step/per-task rollups
-  // with the critical path, and the two JSON exports into a discarding
-  // stream. Items are spans.
+  // sharing every rank's spans with the observation, the per-step/per-task
+  // rollups with the critical path, and the two JSON exports into a
+  // discarding stream. Items are spans.
   const ObservedRun& in = ObservedRun::get();
   std::size_t spans = 0;
-  for (const obs::RankObservation& r : in.run.ranks) spans += r.spans.size();
+  for (const obs::RankObservation& r : in.run.ranks) spans += r.spans().size();
   DiscardBuf sink;
   std::ostream os(&sink);
   for (auto _ : state) {
     switch (stage) {
-      case ExportStage::kBuildSpans:
-        for (const runtime::RankResult& r : in.result.ranks)
-          benchmark::DoNotOptimize(
-              obs::build_spans(r.trace, r.init_graph_info, r.graph_info));
+      case ExportStage::kObserve:
+        benchmark::DoNotOptimize(runtime::observe(in.result));
         break;
       case ExportStage::kBuildMetrics:
         benchmark::DoNotOptimize(obs::build_metrics(in.run));
@@ -276,7 +274,7 @@ void BM_ObserveExport(benchmark::State& state, ExportStage stage) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(spans));
 }
-BENCHMARK_CAPTURE(BM_ObserveExport, build_spans, ExportStage::kBuildSpans)
+BENCHMARK_CAPTURE(BM_ObserveExport, observe, ExportStage::kObserve)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ObserveExport, build_metrics, ExportStage::kBuildMetrics)
     ->Unit(benchmark::kMillisecond);

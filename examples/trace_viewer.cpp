@@ -1,4 +1,4 @@
-// Example: dump the virtual-time event trace of one rank, making the
+// Example: dump the virtual-time spans of one rank, making the
 // asynchronous scheduler's overlap visible — offloads, kernel windows, MPI
 // activity, and idle waits, exactly the behavior of Fig 4.
 //
@@ -46,13 +46,10 @@ int main(int argc, char** argv) {
   }
 
   const int rank = static_cast<int>(opts.get_int("rank", 0));
-  const runtime::RankResult& r = result.ranks.at(static_cast<std::size_t>(rank));
-  std::printf("--- rank %d event trace (%zu events), variant %s ---\n", rank,
-              r.trace.size(), config.variant.name.c_str());
-  std::fputs(obs::dump_span_edges(r.trace, r.init_graph_info, r.graph_info).c_str(),
-             stdout);
-  const obs::SpanTable spans =
-      obs::build_spans(r.trace, r.init_graph_info, r.graph_info);
+  const obs::SpanTable& spans = *result.ranks.at(static_cast<std::size_t>(rank)).trace;
+  std::printf("--- rank %d trace (%zu spans), variant %s ---\n", rank,
+              spans.spans.size(), config.variant.name.c_str());
+  std::fputs(obs::dump_spans(spans).c_str(), stdout);
   std::printf("--- total CPE kernel time: %s; total MPE idle: %s ---\n",
               format_duration(obs::covered_time(spans.spans, obs::SpanKind::kKernel)).c_str(),
               format_duration(obs::covered_time(spans.spans, obs::SpanKind::kWait)).c_str());

@@ -90,8 +90,9 @@ void print_help() {
       "                                dynamic = atomic-counter self-scheduling\n"
       "                                (one tile per grab); both deterministic\n"
       "  --mpe-threshold=CELLS         small-kernel MPE heuristic\n"
-      "  --trace                       keep every rank's full event log\n"
-      "                                and print rank 0's span edges\n"
+      "  --trace                       pair every rank's span edges into\n"
+      "                                spans as each step ends, and print\n"
+      "                                rank 0's spans\n"
       "  --validate                    check every DW access against the\n"
       "                                task graph and lint the comm plan;\n"
       "                                also runs the happens-before race\n"
@@ -393,10 +394,7 @@ int main(int argc, char** argv) {
         std::printf("  %-12s %.6e\n", key.c_str(), value);
     }
     if (opts.get_bool("trace", false)) {
-      const runtime::RankResult& r0 = result.ranks[0];
-      std::printf("\nrank 0 event trace:\n%s",
-                  obs::dump_span_edges(r0.trace, r0.init_graph_info, r0.graph_info)
-                      .c_str());
+      std::printf("\nrank 0 spans:\n%s", obs::dump_spans(*result.ranks[0].trace).c_str());
     }
     if (!trace_json.empty() || !metrics_json.empty() || report) {
       const obs::RunObservation observation = runtime::observe(result);

@@ -125,7 +125,7 @@ void write_chrome_trace(std::ostream& os, const RunObservation& run) {
     name_metadata(w, "process_name", r.rank, 0, "rank " + std::to_string(r.rank));
     sort_metadata(w, "process_sort_index", r.rank, 0, r.rank);
     tids.clear();
-    for (const Span& s : r.spans)
+    for (const Span& s : r.spans())
       if (const int tid = tid_of(s); std::find(tids.begin(), tids.end(), tid) == tids.end())
         tids.push_back(tid);
     std::sort(tids.begin(), tids.end());
@@ -134,8 +134,8 @@ void write_chrome_trace(std::ostream& os, const RunObservation& run) {
       sort_metadata(w, "thread_sort_index", r.rank, tid, tid);
     }
     names.clear();
-    for (const std::string& name : r.span_names) names.push_back(JsonWriter::escape(name));
-    for (const Span& s : r.spans)
+    for (const std::string& name : r.span_names()) names.push_back(JsonWriter::escape(name));
+    for (const Span& s : r.spans())
       w.raw_value([&](JsonWriter::Raw& out) {
         write_span(out, s, span_name(s, names), r.rank);
       });

@@ -8,7 +8,7 @@ namespace usw::obs {
 CriticalPathAnalyzer::CriticalPathAnalyzer(const RunObservation& run)
     : run_(run), recv_owner_(run.ranks.size()), node_of_(run.ranks.size()) {
   for (std::size_t r = 0; r < run.ranks.size(); ++r) {
-    const TaskGraphInfo& g = run.ranks[r].graph;
+    const TaskGraphInfo& g = run.ranks[r].graph();
     for (std::size_t t = 0; t < g.tasks.size(); ++t)
       for (const auto& key : g.tasks[t].recv_keys)
         recv_owner_[r].emplace(key, static_cast<int>(t));
@@ -41,13 +41,13 @@ CriticalPathReport CriticalPathAnalyzer::analyze(int step,
     std::fill(node_of.begin(), node_of.end(), -1);
   for (const auto& [r, i] : spans.tasks) {
     const RankObservation& rank = run_.ranks[r];
-    const Span* s = &rank.spans[i];
+    const Span* s = &rank.spans()[i];
     const auto t = static_cast<std::size_t>(s->ids.task);
     std::vector<int>& node_of = node_of_[r];
     if (t >= node_of.size() || node_of[t] >= 0) continue;
     node_of[t] = static_cast<int>(nodes_.size());
     // Name nodes by the graph's task name (the patch is a separate field).
-    nodes_.push_back(Node{rank.rank, s->ids.task, &rank.graph.tasks[t].name,
+    nodes_.push_back(Node{rank.rank, s->ids.task, &rank.graph().tasks[t].name,
                           s->ids.patch, s->begin, s->duration()});
   }
   if (nodes_.empty()) return report;
@@ -69,7 +69,7 @@ CriticalPathReport CriticalPathAnalyzer::analyze(int step,
     preds_[static_cast<std::size_t>(to)].push_back(from);
   };
   for (std::size_t r = 0; r < run_.ranks.size(); ++r) {
-    const TaskGraphInfo& g = run_.ranks[r].graph;
+    const TaskGraphInfo& g = run_.ranks[r].graph();
     const std::vector<int>& node_of = node_of_[r];
     for (std::size_t t = 0; t < g.tasks.size(); ++t) {
       const int from = node_of[t];
@@ -152,9 +152,10 @@ CriticalPathReport CriticalPathAnalyzer::analyze(int step,
 CriticalPathReport analyze_critical_path(const RunObservation& run, int step) {
   StepSpans spans;
   for (std::size_t r = 0; r < run.ranks.size(); ++r) {
-    const std::vector<Span>& rank_spans = run.ranks[r].spans;
+    const std::span<const Span> rank_spans = run.ranks[r].spans();
     for (std::size_t i = 0; i < rank_spans.size(); ++i)
-      if (rank_spans[i].ids.step == step) spans.add(r, i, rank_spans[i]);
+      if (rank_spans[i].ids.step == step && !rank_spans[i].rolled_back)
+        spans.add(r, i, rank_spans[i]);
   }
   return CriticalPathAnalyzer(run).analyze(step, spans);
 }

@@ -54,7 +54,8 @@ struct CriticalPathReport {
   TimePs slack() const { return makespan - total; }
 };
 
-/// Analyzes timestep `step` (-1 = initialization). Requires the
+/// Analyzes timestep `step` (-1 = initialization): its committed attempt,
+/// leaving out spans a deadline restart rolled back. Requires the
 /// observation to carry spans and graph skeletons (collect_trace);
 /// returns an empty report otherwise. One scan of every span plus one
 /// CriticalPathAnalyzer::analyze(); to analyze every step, bucket the

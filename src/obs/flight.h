@@ -7,9 +7,11 @@
 //  - a fixed-capacity ring per rank (plus one for the coordinator), so a
 //    crash or hang dump shows the last N events, task and offload context
 //    included. Old events are overwritten, never reallocated;
-//  - when the run collects a trace, the rank's full log, which RankResult
-//    carries; src/obs/span.h pairs its span edges into spans and names them
-//    from the compiled-graph skeleton at export.
+//  - when the run collects a trace, a log: a per-step buffer. The
+//    controller hands it to the rank's obs::SpanBuilder (src/obs/span.h)
+//    after initialization and after every step, which pairs its span edges
+//    into named spans and clears it, so the log holds one step of events
+//    at most and keeps its capacity from one step to the next.
 // Recording only copies already-computed values (virtual times, ids): it
 // never reads host clocks and never feeds back into scheduling decisions.
 //
@@ -22,11 +24,11 @@
 // coordinator lock providing the happens-before edge) or already joined.
 // The per-slot stamp makes a snapshot additionally tolerant of a torn slot:
 // a half-written event is simply dropped from the snapshot instead of being
-// reported garbled. The log is read only after the writer has finished.
+// reported garbled. The log is read and cleared only by its writer.
 
 #include <atomic>
 #include <cstdint>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "support/units.h"
@@ -103,10 +105,13 @@ class FlightRecorder {
   bool enabled() const { return !slots_.empty(); }
   std::size_t capacity() const { return slots_.size(); }
 
-  /// Also appends every event to the full log (the run's trace).
+  /// Also appends every event to the log (see the file comment).
   void keep_log(bool on) { logging_ = on; }
-  /// Moves the log out (empty unless keep_log was on).
-  std::vector<FlightEvent> take_log() { return std::move(log_); }
+  /// The events logged since the last clear_log() (none unless keep_log
+  /// was on), oldest first.
+  std::span<const FlightEvent> log() const { return log_; }
+  /// Empties the log, keeping its storage for the next step.
+  void clear_log() { log_.clear(); }
 
   /// Records one event. Single-writer (see file comment).
   void record(FlightKind kind, TimePs time, std::int64_t a = 0, std::int64_t b = 0,

@@ -48,11 +48,13 @@ MetricsReport build_metrics(const RunObservation& run) {
 
   bool have_spans = false;
   for (const RankObservation& r : run.ranks)
-    if (!r.spans.empty()) have_spans = true;
+    if (!r.spans().empty()) have_spans = true;
 
   // One pass over every span: the per-step rollups, each step's spans for
   // the critical path, and the per-task rollups over the timestepping phase
-  // (init excluded so the numbers line up with the per-step tables).
+  // (init excluded so the numbers line up with the per-step tables). Spans
+  // of a rolled-back step attempt are left out: each step counts its
+  // committed attempt once.
   report.steps.resize(nsteps);
   for (std::size_t s = 0; s < nsteps; ++s) report.steps[s].step = static_cast<int>(s);
   std::vector<TimePs> rank_walls(nsteps, 0);
@@ -60,20 +62,29 @@ MetricsReport build_metrics(const RunObservation& run) {
   std::vector<TimePs> rank_wait(nsteps);
   std::map<std::string, TaskMetrics> tasks;
   std::vector<TaskMetrics*> task_slot;  ///< this rank's task index -> rollup
+  // Message flight time of rolled-back attempts: the message bandwidth
+  // divides bytes that count every attempt (PerfCounters) by it too.
+  TimePs rolled_back_flight = 0;
   for (std::size_t ri = 0; ri < run.ranks.size(); ++ri) {
     const RankObservation& r = run.ranks[ri];
+    const TaskGraphInfo& graph = r.graph();
+    const std::span<const Span> spans = r.spans();
     std::fill(rank_wait.begin(), rank_wait.end(), 0);
-    task_slot.assign(r.graph.tasks.size(), nullptr);
-    for (std::size_t si = 0; si < r.spans.size(); ++si) {
-      const Span& span = r.spans[si];
+    task_slot.assign(graph.tasks.size(), nullptr);
+    for (std::size_t si = 0; si < spans.size(); ++si) {
+      const Span& span = spans[si];
+      if (span.rolled_back) {
+        if (span.kind == SpanKind::kSend) rolled_back_flight += span.duration();
+        continue;
+      }
       const auto ti = static_cast<std::size_t>(span.ids.task);
       if (span.kind == SpanKind::kTask && span.ids.step >= 0 && span.ids.task >= 0 &&
-          ti < r.graph.tasks.size()) {
+          ti < graph.tasks.size()) {
         // Group by the graph's task name, aggregating patches.
         TaskMetrics*& t = task_slot[ti];
         if (t == nullptr) {
-          t = &tasks[r.graph.tasks[ti].name];
-          t->name = r.graph.tasks[ti].name;
+          t = &tasks[graph.tasks[ti].name];
+          t->name = graph.tasks[ti].name;
         }
         t->executions += 1;
         t->total += span.duration();
@@ -108,7 +119,7 @@ MetricsReport build_metrics(const RunObservation& run) {
 
   TimePs all_wait = 0;
   TimePs all_walls = 0;
-  TimePs comm_flight = 0;
+  TimePs comm_flight = rolled_back_flight;
   {
     // Scoped: the analyzer's storage is freed before the registry merge.
     CriticalPathAnalyzer critical_path(run);
@@ -130,7 +141,7 @@ MetricsReport build_metrics(const RunObservation& run) {
   registries.reserve(run.ranks.size());
   for (const RankObservation& r : run.ranks) {
     total.merge(r.counters);
-    registries.push_back(&r.metrics);
+    if (r.metrics != nullptr) registries.push_back(r.metrics.get());
   }
   report.kernel_time = total.kernel_time;
   report.mpe_task_time = total.mpe_task_time;

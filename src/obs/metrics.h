@@ -76,7 +76,8 @@ struct MetricsReport {
   double overlap_efficiency = 0.0;
   double counted_flops = 0.0;
   /// DMA traffic over CPE busy time, and MPI traffic over message flight
-  /// time, in GB/s of virtual time (0 when the denominator is empty).
+  /// time, in GB/s of virtual time (0 when the denominator is empty). Both
+  /// count every attempt of a step that a deadline restart replayed.
   double dma_bandwidth_gbs = 0.0;
   double message_bandwidth_gbs = 0.0;
 
@@ -84,7 +85,9 @@ struct MetricsReport {
 };
 
 /// Builds the rollups from an observation (spans required for the
-/// per-step breakdown; counters/walls always used).
+/// per-step breakdown; counters/walls always used). The per-step and
+/// per-task rollups and the critical path read each step's committed
+/// attempt only: spans a deadline restart rolled back are left out.
 MetricsReport build_metrics(const RunObservation& run);
 
 /// Stable JSON export of the report.

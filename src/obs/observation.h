@@ -11,14 +11,22 @@
 // The skeleton is also where recorded events get their names: events carry
 // integer ids only, and every task, message and reduction label is
 // formatted once per run, here. A rank's spans name themselves by index
-// into its `span_names`, which build_spans() fills with each distinct
+// into its name table, which its SpanBuilder fills with each distinct
 // label once (src/obs/span.h).
+//
+// Sharing: a rank's spans, skeleton and metrics registry are immutable
+// once its run ends. The RankResult holds each through a shared_ptr, and
+// runtime::observe() shares them with the observation instead of copying
+// them, so either may outlive the other.
 //
 // Size: a 512-rank, 20-step traced run of the halo problem observes 545k
 // spans in 31 MB (56 bytes each); their name tables hold 25k names in
-// 0.8 MB.
+// 0.8 MB. They are the only per-span memory of the run: each rank paired
+// them from one step of events at a time.
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -62,13 +70,32 @@ struct TaskGraphInfo {
 
 struct RankObservation {
   int rank = -1;
-  std::vector<Span> spans;              ///< in begin order
-  std::vector<std::string> span_names;  ///< indexed by Span::name
-  TaskGraphInfo graph;  ///< timestep-graph skeleton
+  /// The rank's spans in begin order and the names they index; null when
+  /// the run collected no trace.
+  std::shared_ptr<const SpanTable> trace;
+  /// Timestep-graph skeleton; null when the run collected neither a trace
+  /// nor metrics.
+  std::shared_ptr<const TaskGraphInfo> skeleton;
   hw::PerfCounters counters;
-  MetricsRegistry metrics;  ///< scheduler-fed samples/counters (may be empty)
+  /// Scheduler-fed samples/counters; null when none were collected.
+  std::shared_ptr<const MetricsRegistry> metrics;
   std::vector<TimePs> step_walls;
   TimePs init_wall = 0;
+
+  /// The spans, in begin order (none without a trace).
+  std::span<const Span> spans() const {
+    return trace ? std::span<const Span>(trace->spans) : std::span<const Span>();
+  }
+  /// The name table the spans index (Span::name).
+  std::span<const std::string> span_names() const {
+    return trace ? std::span<const std::string>(trace->names)
+                 : std::span<const std::string>();
+  }
+  /// The skeleton, empty when there is none.
+  const TaskGraphInfo& graph() const {
+    static const TaskGraphInfo kNone;
+    return skeleton ? *skeleton : kNone;
+  }
 };
 
 struct RunObservation {

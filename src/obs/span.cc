@@ -144,20 +144,21 @@ struct Key {
   bool operator==(const Key&) const = default;
 };
 
+/// While a span is open, its `end` holds the index of the span it covers
+/// under the same key (kNone: none); the span's real end replaces it when
+/// the span closes. Open spans so cost no storage beyond the table below.
+TimePs link_to(std::size_t below) { return static_cast<TimePs>(below); }
+std::size_t below(const Span& open) { return static_cast<std::size_t>(open.end); }
+
 /// The open spans: each key maps to the most recently opened span under it,
-/// whose `below` entry links to the one opened before it (LIFO within a
-/// key; nested same-key spans would be a recording bug, but LIFO at least
-/// keeps them finite). A flat table with linear probing, at most half full;
-/// a key leaves it when its last open span closes, by shifting the rest of
-/// its probe run back, so no slot is ever a tombstone.
+/// which links to the one opened before it (LIFO within a key; nested
+/// same-key spans would be a recording bug, but LIFO at least keeps them
+/// finite). A flat table with linear probing, at most half full; a key
+/// leaves it when its last open span closes, by shifting the rest of its
+/// probe run back, so no slot is ever a tombstone.
 class OpenSpans {
  public:
-  /// Room for `peak` open keys without growing.
-  explicit OpenSpans(std::size_t peak) {
-    std::size_t capacity = 16;
-    while (capacity < 2 * (peak + 1)) capacity *= 2;
-    slots_.resize(capacity);
-  }
+  OpenSpans() : slots_(16) {}
 
   /// Opens span `span` under `key`; returns the span it covers there, or
   /// kNone when `key` had none open.
@@ -175,14 +176,14 @@ class OpenSpans {
   }
 
   /// Closes the top span under `key` and returns it, or kNone when `key`
-  /// has none open. `below` links each open span to the one it covers.
-  std::size_t pop(const Key& key, const std::vector<std::size_t>& below) {
+  /// has none open.
+  std::size_t pop(const Key& key, const std::vector<Span>& spans) {
     std::size_t i = home(key);
     while (slots_[i].top != kNone && slots_[i].key != key) i = next(i);
     const std::size_t top = slots_[i].top;
     if (top == kNone) return kNone;
-    if (below[top] != kNone)
-      slots_[i].top = below[top];
+    if (below(spans[top]) != kNone)
+      slots_[i].top = below(spans[top]);
     else
       erase(i);
     return top;
@@ -263,54 +264,68 @@ Lane lane_of(SpanKind kind) {
   }
 }
 
-SpanTable build_spans(std::span<const FlightEvent> events, const TaskGraphInfo& init,
-                      const TaskGraphInfo& step) {
-  // Counting pass: the exact number of spans (a begin or a point opens
-  // one), and the peak number open, which ends that close nothing can
-  // understate.
-  std::size_t count = 0;
-  std::size_t open_now = 0;
-  std::size_t peak = 0;
-  for (const FlightEvent& e : events) {
-    switch (edge_of(e.kind).edge) {
-      case Edge::kBegin: ++count; peak = std::max(peak, ++open_now); break;
-      case Edge::kPoint: ++count; break;
-      case Edge::kEnd: open_now -= open_now > 0 ? 1 : 0; break;
-      case Edge::kNone: break;
-    }
-  }
+struct SpanBuilder::State {
+  State(const TaskGraphInfo& init, const TaskGraphInfo& step)
+      : resolve(init, step, table.names) {}
 
   SpanTable table;
-  Resolver resolve(init, step, table.names);
-  std::vector<Span>& spans = table.spans;
-  spans.reserve(count);
-  std::vector<std::size_t> below;  ///< per span, while open: see OpenSpans
-  below.reserve(count);
-  OpenSpans open(peak);
-  TimePs last = 0;
+  Resolver resolve;  ///< fills table.names
+  OpenSpans open;
+  TimePs last = 0;  ///< the latest span-edge stamp so far
+};
 
+SpanBuilder::SpanBuilder(const TaskGraphInfo& init, const TaskGraphInfo& step)
+    : state_(std::make_unique<State>(init, step)) {}
+SpanBuilder::~SpanBuilder() = default;
+
+void SpanBuilder::add(std::span<const FlightEvent> events) {
+  State& st = *state_;
+  std::vector<Span>& spans = st.table.spans;
   for (const FlightEvent& e : events) {
     const EdgeOf edge = edge_of(e.kind);
     if (edge.edge == Edge::kNone) continue;
-    last = std::max(last, e.time);
+    st.last = std::max(st.last, e.time);
     const Key key{edge.opens, e.a, e.b, e.c};
     if (edge.edge == Edge::kEnd) {
       // An unmatched end is tolerated and dropped.
-      const std::size_t i = open.pop(key, below);
+      const std::size_t i = st.open.pop(key, spans);
       if (i != kNone) spans[i].end = std::max(spans[i].begin, e.time);
       continue;
     }
-    // A point span opens and closes at once.
-    below.push_back(edge.edge == Edge::kBegin ? open.push(key, spans.size()) : kNone);
     Span& s = spans.emplace_back();
-    s.begin = s.end = e.time;
+    s.begin = e.time;
+    // A point span opens and closes at once.
+    s.end = edge.edge == Edge::kBegin ? link_to(st.open.push(key, spans.size() - 1))
+                                      : e.time;
     s.kind = edge.span;
-    s.name = resolve.resolve(e, edge.span, s.ids);
+    s.name = st.resolve.resolve(e, edge.span, s.ids);
   }
+}
+
+void SpanBuilder::drain(FlightRecorder& recorder) {
+  add(recorder.log());
+  recorder.clear_log();
+}
+
+std::size_t SpanBuilder::size() const { return state_->table.spans.size(); }
+
+void SpanBuilder::reserve(std::size_t n) { state_->table.spans.reserve(n); }
+
+void SpanBuilder::roll_back(int step) {
+  for (Span& s : state_->table.spans)
+    if (s.ids.step >= step) s.rolled_back = true;
+}
+
+SpanTable SpanBuilder::finish() {
+  State& st = *state_;
+  std::vector<Span>& spans = st.table.spans;
   // Close whatever never ended at the latest stamp seen.
-  open.for_each_top([&](std::size_t top) {
-    for (std::size_t i = top; i != kNone; i = below[i])
-      spans[i].end = std::max(spans[i].begin, last);
+  st.open.for_each_top([&](std::size_t top) {
+    for (std::size_t i = top; i != kNone;) {
+      const std::size_t covered = below(spans[i]);
+      spans[i].end = std::max(spans[i].begin, st.last);
+      i = covered;
+    }
   });
 
   // Begins are usually recorded in time order already; the check is one
@@ -318,36 +333,31 @@ SpanTable build_spans(std::span<const FlightEvent> events, const TaskGraphInfo& 
   const auto by_begin = [](const Span& a, const Span& b) { return a.begin < b.begin; };
   if (!std::is_sorted(spans.begin(), spans.end(), by_begin))
     std::stable_sort(spans.begin(), spans.end(), by_begin);
-  return table;
+  return std::move(st.table);
 }
 
-std::string dump_span_edges(std::span<const FlightEvent> events,
-                            const TaskGraphInfo& init, const TaskGraphInfo& step) {
-  std::vector<std::string> names;
-  Resolver resolve(init, step, names);
+SpanTable build_spans(std::span<const FlightEvent> events, const TaskGraphInfo& init,
+                      const TaskGraphInfo& step) {
+  SpanBuilder builder(init, step);
+  builder.add(events);
+  return builder.finish();
+}
+
+std::string dump_spans(const SpanTable& table) {
   std::ostringstream os;
-  EventIds i;
-  for (const FlightEvent& e : events) {
-    const EdgeOf edge = edge_of(e.kind);
-    if (edge.edge == Edge::kNone) continue;
-    const std::uint32_t n = resolve.resolve(e, edge.span, i);
-    const std::string_view name = names[n];
-    const auto line = [&](const char* kind) {
-      os << format_duration(e.time) << "  " << kind << "  " << name << "  [s" << i.step;
-      if (i.task >= 0) os << " t" << i.task;
-      if (i.patch >= 0) os << " p" << i.patch;
-      if (i.peer >= 0) os << " peer" << i.peer;
-      if (i.tag >= 0) os << " tag" << i.tag;
-      if (i.group >= 0) os << " g" << i.group;
-      if (i.bytes > 0) os << ' ' << i.bytes << 'B';
-      os << "]\n";
-    };
-    if (edge.span != SpanKind::kFault) {
-      line(to_string(e.kind));
-      continue;
-    }
-    if (edge.edge != Edge::kEnd) line("fault_begin");
-    if (edge.edge != Edge::kBegin) line("fault_end");
+  for (const Span& s : table.spans) {
+    const std::string_view name = span_name(s, table.names);
+    const EventIds& i = s.ids;
+    os << format_duration(s.begin) << "  +" << format_duration(s.duration()) << "  "
+       << to_string(s.kind) << "  " << (name.empty() ? to_string(s.kind) : name)
+       << "  [s" << i.step;
+    if (i.task >= 0) os << " t" << i.task;
+    if (i.patch >= 0) os << " p" << i.patch;
+    if (i.peer >= 0) os << " peer" << i.peer;
+    if (i.tag >= 0) os << " tag" << i.tag;
+    if (i.group >= 0) os << " g" << i.group;
+    if (i.bytes > 0) os << ' ' << i.bytes << 'B';
+    os << ']' << (s.rolled_back ? "  rolled back\n" : "\n");
   }
   return os.str();
 }

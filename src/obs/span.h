@@ -20,12 +20,19 @@
 // (two in-flight offloads with cpe_groups > 1, many posted messages) pair
 // correctly where a stack discipline would not.
 //
+// A traced rank pairs as it runs: a SpanBuilder takes the recorder's log
+// after initialization and after every step and clears it, so no rank
+// keeps more than one step of events. The builder keeps its open spans
+// from one chunk to the next, so any split of a log pairs into the spans
+// build_spans() pairs from the whole log.
+//
 // Layout: a span is 56 bytes of plain data. It holds no string and no
 // rank: its name is an index into the rank's name table, where each
 // distinct name is stored once, and its rank is the rank whose
 // observation holds it.
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -40,7 +47,9 @@ struct TaskGraphInfo;
 
 enum class Lane { kMpe = 0, kCpe = 1, kMpi = 2 };
 
-enum class SpanKind { kTask, kOffload, kKernel, kSend, kRecv, kReduce, kWait, kFault };
+enum class SpanKind : std::uint8_t {
+  kTask, kOffload, kKernel, kSend, kRecv, kReduce, kWait, kFault
+};
 const char* to_string(SpanKind kind);
 
 /// Lane a span kind renders on / the resource it occupies.
@@ -67,6 +76,10 @@ struct Span {
   /// Index of the span's name in its rank's name table (span_name()).
   std::uint32_t name = 0;
   SpanKind kind = SpanKind::kTask;
+  /// Recorded by an attempt of its step that a deadline restart rolled
+  /// back: the Chrome trace shows it, the metrics rollups and the critical
+  /// path leave it out.
+  bool rolled_back = false;
 
   TimePs duration() const { return end - begin; }
 };
@@ -86,33 +99,62 @@ struct SpanTable {
   std::vector<std::string> names;
 };
 
-/// Pairs the span edges among `events` into spans, resolving ids and names
-/// in `init` for initialization events (step -1) and in `step` for
-/// timestep events. Other event kinds are skipped. Tolerant: an end with no
-/// open begin is dropped; a begin that never ends is closed at the latest
-/// span-edge stamp. Spans are returned in begin order (stable for equal
-/// stamps).
+/// Pairs span edges into spans chunk by chunk, resolving ids and names in
+/// `init` for initialization events (step -1) and in `step` for timestep
+/// events; other event kinds are skipped. Tolerant: an end with no open
+/// begin is dropped; a begin that never ends is closed, at finish(), at
+/// the latest span-edge stamp of every chunk.
 ///
-/// Cost: a counting pass sizes the result exactly. The pairing pass keeps
-/// the open spans in a flat open-addressing table keyed on the edge's kind
-/// and operands, sized once for the peak number of spans the counting pass
-/// saw open (it grows only when ends that close nothing made that count
-/// short). Then a sortedness check, and an O(n log n) stable sort only when
-/// begins were recorded out of order. Each name is copied into the name
-/// table once, at the first span that uses it; only a fault span formats
-/// its name, and faults are rare.
+/// Cost: the open spans live in a flat open-addressing table keyed on the
+/// edge's kind and operands, kept from one chunk to the next and grown by
+/// doubling; a span links to the one it covers under the same key through
+/// its own `end` until it closes. Spans go into one vector that grows like
+/// any std::vector unless reserve() sized it. finish() makes one
+/// sortedness check, and an O(n log n) stable sort only when begins were
+/// recorded out of order. Each name is copied into the name table once, at
+/// the first span that uses it; only a fault span formats its name, and
+/// faults are rare.
+class SpanBuilder {
+ public:
+  /// `init` and `step` must outlive the builder.
+  SpanBuilder(const TaskGraphInfo& init, const TaskGraphInfo& step);
+  ~SpanBuilder();
+
+  /// Pairs the span edges among `events`, the next chunk of the log.
+  void add(std::span<const FlightEvent> events);
+  /// add()s the recorder's log, then clears it.
+  void drain(FlightRecorder& recorder);
+
+  /// Spans opened so far.
+  std::size_t size() const;
+  /// Room for `n` spans in all, so that later chunks do not grow the
+  /// storage by doubling.
+  void reserve(std::size_t n);
+  /// Marks every span of timestep `step` or later opened so far as rolled
+  /// back: a restart replays those steps.
+  void roll_back(int step);
+
+  /// Closes what is still open and returns the spans in begin order
+  /// (stable for equal stamps). The builder is spent afterwards.
+  SpanTable finish();
+
+ private:
+  struct State;
+  std::unique_ptr<State> state_;
+};
+
+/// The spans of a whole log: a SpanBuilder given `events` as one chunk.
 SpanTable build_spans(std::span<const FlightEvent> events, const TaskGraphInfo& init,
                       const TaskGraphInfo& step);
 
-/// Renders one line per span edge among `events` (a zero-length fault span
-/// gives its begin and end line), named and identified as build_spans()
-/// does. Other event kinds are left out. For debugging (uswsim --trace).
-std::string dump_span_edges(std::span<const FlightEvent> events,
-                            const TaskGraphInfo& init, const TaskGraphInfo& step);
+/// Renders one line per span of `table`, in its order: begin, duration,
+/// kind, name (the kind when unnamed) and ids, and a rolled-back mark. For
+/// debugging (uswsim --trace, trace_viewer).
+std::string dump_spans(const SpanTable& table);
 
 /// Virtual time covered by spans of `kind`: the union of their intervals,
 /// so overlapping spans (two in-flight kernels) count once. `spans` must be
-/// in begin order, as build_spans() returns them.
+/// in begin order, as a SpanBuilder returns them.
 TimePs covered_time(std::span<const Span> spans, SpanKind kind);
 
 }  // namespace usw::obs

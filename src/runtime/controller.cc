@@ -150,6 +150,10 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
   app.build_init_graph(init_graph, level);
   task::TaskGraph step_graph;
   app.build_step_graph(step_graph, level);
+  // A configuration error, so it is raised here, before any rank thread
+  // exists, rather than as a crash of every rank.
+  init_graph.check_tag_space(level.num_patches());
+  step_graph.check_tag_space(level.num_patches());
 
   // Checkpoint/restart configuration (validated before the ranks start so
   // configuration errors surface as exceptions, not cancelled runs).
@@ -222,7 +226,7 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
     RankResult& out = result.ranks[static_cast<std::size_t>(rank)];
 
     // The rank's one event record: the ring for dumps and, when tracing,
-    // the full log that becomes out.trace.
+    // the log that `trace` drains into spans as each step ends.
     obs::FlightRecorder& flight = diag_hub.rank_ring(rank);
     flight.keep_log(config.collect_trace);
     comm::Comm comm(network, coord, rank, &out.counters);
@@ -240,7 +244,10 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
     sched_config.packed_tiles = config.packed_tiles;
     sched_config.tile_policy = config.tile_policy;
     sched_config.mpe_kernel_threshold_cells = config.mpe_kernel_threshold_cells;
-    if (config.collect_metrics) sched_config.metrics = &out.obs_metrics;
+    if (config.collect_metrics) {
+      out.obs_metrics = std::make_shared<obs::MetricsRegistry>();
+      sched_config.metrics = out.obs_metrics.get();
+    }
 
     // Per-rank fault view: armed on the timestep scheduler only — the paper
     // evaluates steady-state timestepping, and a faulted initialization has
@@ -256,8 +263,13 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
     const task::CompiledGraph cg_step =
         step_graph.compile(level, part, rank, config.pattern);
     if (config.collect_trace || config.collect_metrics)
-      out.graph_info = graph_info_of(cg_step);
-    if (config.collect_trace) out.init_graph_info = graph_info_of(cg_init);
+      out.graph_info = std::make_shared<const obs::TaskGraphInfo>(graph_info_of(cg_step));
+    // The trace: the flight log's span edges, paired into named spans after
+    // initialization and after every step.
+    const obs::TaskGraphInfo init_info =
+        config.collect_trace ? graph_info_of(cg_init) : obs::TaskGraphInfo{};
+    std::optional<obs::SpanBuilder> trace;
+    if (config.collect_trace) trace.emplace(init_info, *out.graph_info);
 
     // Opt-in validation: one checker per compiled graph (declarations and
     // the happens-before closure differ between init and step), the
@@ -387,6 +399,7 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
       out.init_wall = init_sched.execute(ctx).wall;
       old_dw.swap_in(new_dw);
     }
+    if (trace) trace->drain(flight);
     out.host_init_ms = ms_since(host_init_start);
     // First watchdog heartbeat: initialization (or the restart load)
     // finished, so the stall clock starts from here, not from t=0.
@@ -416,6 +429,15 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
       flight.record(obs::FlightKind::kStepBegin, coord.now(rank), ctx.step);
       const auto host_step_start = std::chrono::steady_clock::now();
       const sched::StepStats stats = sched.execute(ctx);
+      if (trace) {
+        const std::size_t before = trace->size();
+        trace->drain(flight);
+        // Every step records about as many spans as the first: room for
+        // them all at once, instead of growing the storage by doubling.
+        if (s == 0)
+          trace->reserve(trace->size() + (trace->size() - before) *
+                                             static_cast<std::size_t>(config.timesteps - 1));
+      }
       const double host_step_ms = ms_since(host_step_start);
       if (deadline_active) {
         // Collective verdict: the restart decision must be identical on
@@ -446,6 +468,9 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
           ctx.time = meta.time;
           ctx.dt = meta.dt;
           completed = last_ckpt - start_step;
+          // The replayed steps are counted once, from their committed
+          // attempt.
+          if (trace) trace->roll_back(last_ckpt);
           out.step_walls.resize(static_cast<std::size_t>(completed));
           out.host_step_ms.resize(static_cast<std::size_t>(completed));
           continue;
@@ -486,16 +511,12 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
 
     if (config.collect_metrics && config.comm_agg.enabled) {
       const hw::PerfCounters& c = out.counters;
-      out.obs_metrics.count("comm.agg.msgs_packed",
-                            static_cast<double>(c.agg_msgs_packed));
-      out.obs_metrics.count("comm.agg.flushes",
-                            static_cast<double>(c.agg_flushes));
-      out.obs_metrics.count("comm.agg.bytes_saved",
-                            static_cast<double>(c.agg_bytes_saved));
-      out.obs_metrics.count("comm.rendezvous",
-                            static_cast<double>(c.msgs_rendezvous));
-      out.obs_metrics.count("comm.mpi_posts",
-                            static_cast<double>(c.mpi_posts));
+      obs::MetricsRegistry& m = *out.obs_metrics;
+      m.count("comm.agg.msgs_packed", static_cast<double>(c.agg_msgs_packed));
+      m.count("comm.agg.flushes", static_cast<double>(c.agg_flushes));
+      m.count("comm.agg.bytes_saved", static_cast<double>(c.agg_bytes_saved));
+      m.count("comm.rendezvous", static_cast<double>(c.msgs_rendezvous));
+      m.count("comm.mpi_posts", static_cast<double>(c.mpi_posts));
     }
 
     if (init_checker)
@@ -508,15 +529,13 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
       for (check::Violation& v : hb_checker->take_violations())
         out.violations.push_back(std::move(v));
       if (config.collect_metrics) {
-        out.obs_metrics.count("hb.accesses",
-                              static_cast<double>(hb_checker->accesses_recorded()));
-        out.obs_metrics.count("hb.pairs_checked",
-                              static_cast<double>(hb_checker->pairs_checked()));
-        out.obs_metrics.count("hb.forks",
-                              static_cast<double>(hb_checker->forks()));
+        obs::MetricsRegistry& m = *out.obs_metrics;
+        m.count("hb.accesses", static_cast<double>(hb_checker->accesses_recorded()));
+        m.count("hb.pairs_checked", static_cast<double>(hb_checker->pairs_checked()));
+        m.count("hb.forks", static_cast<double>(hb_checker->forks()));
       }
     }
-    out.trace = flight.take_log();
+    if (trace) out.trace = std::make_shared<const obs::SpanTable>(trace->finish());
   }, schedule.get(), lookahead, &diag_hub, config.diag.hang_threshold);
 
   if (config.check.enabled)
@@ -528,7 +547,7 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
     schedule->finish();
     result.schedule_points = schedule->counters();
     if (config.collect_metrics && !result.ranks.empty()) {
-      obs::MetricsRegistry& m = result.ranks[0].obs_metrics;
+      obs::MetricsRegistry& m = *result.ranks[0].obs_metrics;
       for (int k = 0; k < schedpt::kNumPointKinds; ++k) {
         const auto kind = static_cast<schedpt::PointKind>(k);
         if (result.schedule_points.of(kind) > 0)

@@ -8,6 +8,7 @@
 // RunConfig and call run_simulation().
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -129,18 +130,18 @@ struct RankResult {
   hw::PerfCounters counters;
   std::vector<TimePs> step_walls;  ///< per-timestep virtual wall time
   TimePs init_wall = 0;
-  /// The rank's flight-recorder log: every event of the run, span edges
-  /// included, with integer operands (filled when collect_trace is on).
-  /// runtime::observe() pairs and names its spans from the skeletons.
-  std::vector<obs::FlightEvent> trace;
+  /// The rank's trace: its spans in begin order and the names they index
+  /// (null unless collect_trace is on). The rank pairs them from its
+  /// flight-recorder log as each step ends, so it never keeps more than one
+  /// step of events; runtime::observe() shares them, it does not copy.
+  std::shared_ptr<const obs::SpanTable> trace;
   std::map<std::string, double> metrics;  ///< application verification data
-  obs::MetricsRegistry obs_metrics;  ///< scheduler-fed (collect_metrics)
+  /// Scheduler-fed samples and counters (null unless collect_metrics is
+  /// on); shared with the observation like `trace`.
+  std::shared_ptr<obs::MetricsRegistry> obs_metrics;
   /// Timestep-graph skeleton for the critical-path analyzer and the trace's
-  /// names (filled when collect_trace or collect_metrics is on).
-  obs::TaskGraphInfo graph_info;
-  /// Initialization-graph skeleton: names the trace's step -1 events
-  /// (filled when collect_trace is on).
-  obs::TaskGraphInfo init_graph_info;
+  /// names (null unless collect_trace or collect_metrics is on).
+  std::shared_ptr<const obs::TaskGraphInfo> graph_info;
   /// Validator findings for this rank (empty unless RunConfig::check is on).
   std::vector<check::Violation> violations;
   /// Host (real) wall-clock per executed timestep, milliseconds. Restarted

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "obs/span.h"
-
 namespace usw::runtime {
 
 obs::TaskGraphInfo graph_info_of(const task::CompiledGraph& graph) {
@@ -48,17 +46,14 @@ obs::RunObservation observe(const RunResult& result) {
   run.ranks.reserve(result.ranks.size());
   for (std::size_t i = 0; i < result.ranks.size(); ++i) {
     const RankResult& r = result.ranks[i];
-    obs::RankObservation ro;
+    obs::RankObservation& ro = run.ranks.emplace_back();
     ro.rank = static_cast<int>(i);
-    obs::SpanTable spans = obs::build_spans(r.trace, r.init_graph_info, r.graph_info);
-    ro.spans = std::move(spans.spans);
-    ro.span_names = std::move(spans.names);
-    ro.graph = r.graph_info;
+    ro.trace = r.trace;
+    ro.skeleton = r.graph_info;
     ro.counters = r.counters;
     ro.metrics = r.obs_metrics;
     ro.step_walls = r.step_walls;
     ro.init_wall = r.init_wall;
-    run.ranks.push_back(std::move(ro));
   }
   return run;
 }

@@ -1,10 +1,11 @@
 #pragma once
 
-// Bridge from a finished RunResult to the observability layer: pairs each
-// rank's trace (its flight-recorder log) into spans named from the
-// task-graph skeletons, and bundles them with the timestep skeleton,
-// counters, and walls into an obs::RunObservation that the exporters
-// (chrome trace, metrics JSON, report, critical path) consume.
+// Bridge from a finished RunResult to the observability layer: bundles
+// each rank's spans (paired and named while the rank ran), timestep
+// skeleton, metrics registry, counters and walls into an
+// obs::RunObservation that the exporters (chrome trace, metrics JSON,
+// report, critical path) consume. The spans, skeleton and registry are
+// shared with the result, not copied.
 
 #include "obs/observation.h"
 #include "runtime/controller.h"
@@ -19,7 +20,8 @@ namespace usw::runtime {
 obs::TaskGraphInfo graph_info_of(const task::CompiledGraph& graph);
 
 /// Assembles the observability view of `result`. Spans are present only
-/// when the run collected a trace; counters and walls always are.
+/// when the run collected a trace; counters and walls always are. Cheap:
+/// copies only each rank's counters and step walls.
 obs::RunObservation observe(const RunResult& result);
 
 }  // namespace usw::runtime

@@ -56,7 +56,25 @@ class LabelIndex {
   std::map<const var::VarLabel*, int> index_;
 };
 
+/// Tag layout: ((((task * L + label) * 2 + dw) * P) + from) * P + to, which
+/// must fit below 2^26 (4 step bits at 2^26 and the collective tag space at
+/// 2^30 sit above it; see ExtComm::tag and comm.cc). The span grows with
+/// P^2: Burgers (task * L = 6) fits at most 2,364 patches, two-stage heat
+/// (task * L = 15) at most 1,495.
+void check_tag_span(int ntasks, int nlabels, int num_patches) {
+  const long tag_span =
+      static_cast<long>(ntasks) * nlabels * 2 * num_patches * num_patches;
+  if (tag_span >= (1l << 26))
+    throw ConfigError("task graph too large for the MPI tag space (" +
+                      std::to_string(tag_span) + " tags needed)");
+}
+
 }  // namespace
+
+void TaskGraph::check_tag_space(int num_patches) const {
+  check_tag_span(static_cast<int>(tasks_.size()), LabelIndex(tasks_).count(),
+                 num_patches);
+}
 
 CompiledGraph TaskGraph::compile(const grid::Level& level,
                                  const grid::Partition& part, int rank,
@@ -66,15 +84,7 @@ CompiledGraph TaskGraph::compile(const grid::Level& level,
   const LabelIndex labels(tasks_);
   const int ntasks = static_cast<int>(tasks_.size());
 
-  // Tag layout: ((((task * L + label) * 2 + dw) * P) + from) * P + to,
-  // which must fit below 2^26 (4 step bits at 2^26 and the collective tag
-  // space at 2^30 sit above it; see ExtComm::tag and comm.cc). 26 base
-  // bits admit a 4096-patch graph with the usual task/label counts.
-  const long tag_span = static_cast<long>(ntasks) * labels.count() * 2 *
-                        num_patches * num_patches;
-  if (tag_span >= (1l << 26))
-    throw ConfigError("task graph too large for the MPI tag space (" +
-                      std::to_string(tag_span) + " tags needed)");
+  check_tag_span(ntasks, labels.count(), num_patches);
   auto make_tag = [&](int task_idx, const var::VarLabel* label, WhichDW dw,
                       int from, int to) {
     long tag = task_idx;

@@ -106,6 +106,10 @@ class TaskGraph {
   /// Maximum ghost depth any task requires of `label` (allocation depth).
   int ghost_alloc_depth(const var::VarLabel* label) const;
 
+  /// Throws ConfigError when the graph's message tags on `num_patches`
+  /// patches do not fit the MPI tag space (compile() checks it too).
+  void check_tag_space(int num_patches) const;
+
   /// Compiles rank `rank`'s portion. Throws ConfigError for malformed
   /// graphs (missing/duplicate producers, requires of never-computed
   /// new-DW variables, too many tasks/labels for the tag space).

@@ -2,9 +2,9 @@
 
 // Helpers shared by the test executables: whole-file and whole-tree reads
 // for byte-for-byte output comparisons, the first difference between two
-// outputs for their failure messages, string <-> payload conversions for
-// the comm tests, and an offload with MPE-named busy times for the CPE
-// cluster tests.
+// outputs or two span tables for their failure messages, string <-> payload
+// conversions for the comm tests, and an offload with MPE-named busy times
+// for the CPE cluster tests.
 
 #include <algorithm>
 #include <cstddef>
@@ -16,9 +16,11 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "athread/athread.h"
+#include "obs/span.h"
 
 namespace usw::test {
 
@@ -66,6 +68,23 @@ inline std::string first_difference(std::string_view got, std::string_view want)
          std::to_string(got.size()) + " bytes, want " + std::to_string(want.size()) +
          " bytes)\n  got:  ..." + context(got) + "...\n  want: ..." + context(want) +
          "...";
+}
+
+/// "" when `got` holds the spans of `want`, field by field and in order,
+/// and the same name table; otherwise where the two first differ.
+inline std::string span_difference(const obs::SpanTable& got, const obs::SpanTable& want) {
+  if (got.names != want.names) return "the name tables differ";
+  if (got.spans.size() != want.spans.size())
+    return std::to_string(got.spans.size()) + " spans, want " +
+           std::to_string(want.spans.size());
+  const auto fields = [](const obs::Span& s) {
+    return std::tie(s.begin, s.end, s.kind, s.name, s.rolled_back, s.ids.step, s.ids.task,
+                    s.ids.patch, s.ids.peer, s.ids.tag, s.ids.group, s.ids.bytes);
+  };
+  for (std::size_t i = 0; i < got.spans.size(); ++i)
+    if (fields(got.spans[i]) != fields(want.spans[i]))
+      return "span " + std::to_string(i) + " differs";
+  return "";
 }
 
 inline std::vector<std::byte> bytes_of(const std::string& s) {

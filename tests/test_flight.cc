@@ -201,7 +201,7 @@ TEST(Diag, CrashDumpRingHoldsTaskAndKernelEdges) {
 
 TEST(Diag, TraceIsKeptWithTheRingsOff) {
   // --flight-capacity=0 turns the rings off, not the trace: a traced run
-  // still records and exports every event.
+  // still records every event and pairs and exports every span.
   apps::burgers::BurgersApp app;
   runtime::RunConfig on = tiny_config();
   on.collect_trace = true;
@@ -215,8 +215,10 @@ TEST(Diag, TraceIsKeptWithTheRingsOff) {
   obs::write_chrome_trace(trace_off, runtime::observe(b));
   EXPECT_NE(trace_off.str().find("\"ph\":\"X\""), std::string::npos);
   EXPECT_TRUE(trace_on.str() == trace_off.str());
-  for (std::size_t r = 0; r < a.ranks.size(); ++r)
-    EXPECT_EQ(a.ranks[r].trace.size(), b.ranks[r].trace.size());
+  for (std::size_t r = 0; r < a.ranks.size(); ++r) {
+    EXPECT_FALSE(a.ranks[r].trace->spans.empty());
+    EXPECT_EQ(a.ranks[r].trace->spans.size(), b.ranks[r].trace->spans.size());
+  }
 }
 
 TEST(Diag, RetransmissionOnRecoversTheSameExchange) {

@@ -186,7 +186,7 @@ TEST(FutureWork, GroupsOverlapKernelWindowsInTrace) {
     const obs::RunObservation run =
         runtime::observe(runtime::run_simulation(cfg, app));
     std::vector<obs::Span> out;
-    for (const obs::Span& s : run.ranks[0].spans)
+    for (const obs::Span& s : run.ranks[0].spans())
       if (s.kind == obs::SpanKind::kKernel) out.push_back(s);
     return out;
   };

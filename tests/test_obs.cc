@@ -10,15 +10,18 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <map>
+#include <memory>
 #include <random>
 #include <sstream>
 #include <tuple>
 
 #include "apps/burgers/burgers_app.h"
 #include "fault/fault.h"
+#include "grid/partition.h"
 #include "obs/chrome_trace.h"
 #include "obs/critical_path.h"
 #include "obs/flight.h"
@@ -30,9 +33,11 @@
 #include "runtime/controller.h"
 #include "runtime/observe.h"
 #include "support/test_helpers.h"
+#include "task/graph.h"
 
 using usw::test::first_difference;
 using usw::test::slurp;
+using usw::test::span_difference;
 
 namespace usw::obs {
 namespace {
@@ -79,11 +84,11 @@ std::string_view name_of(const SpanTable& t, std::size_t i) {
 TEST(Trace, RecordsOnlyWhenEnabled) {
   FlightRecorder rec(0);  // the ring off: only the log records
   rec.record(FK::kTaskBegin, 10, 0, 0);
-  EXPECT_TRUE(rec.take_log().empty());
+  EXPECT_TRUE(rec.log().empty());
   rec.keep_log(true);
   rec.record(FK::kTaskBegin, 10, 0, 0);
   rec.record(FK::kTaskEnd, 30, 0, 0);
-  EXPECT_EQ(rec.take_log().size(), 2u);
+  EXPECT_EQ(rec.log().size(), 2u);
   EXPECT_EQ(rec.recorded(), 0u);
 }
 
@@ -98,8 +103,7 @@ TEST(Trace, FilterAndTotals) {
                           [](const Span& s) { return s.kind == SpanKind::kKernel; }),
             2);
   EXPECT_EQ(covered_time(spans, SpanKind::kKernel), 70);
-  const TaskGraphInfo g = skeleton();
-  EXPECT_NE(dump_span_edges(log, g, g).find("kernel_begin"), std::string::npos);
+  EXPECT_NE(dump_spans(t).find("  kernel  b p1  [s0 t1 p1 g0]\n"), std::string::npos);
 }
 
 TEST(Trace, EventKindNames) {
@@ -144,7 +148,7 @@ TEST(Trace, RecordsStructuredIds) {
   FlightRecorder rec;
   rec.keep_log(true);
   rec.record(FK::kSendPosted, 10, 2, 7, 0);  // step 2, task 7, message 0
-  const std::vector<FlightEvent> log = rec.take_log();
+  const std::vector<FlightEvent> log(rec.log().begin(), rec.log().end());
   ASSERT_EQ(log.size(), 1u);
   EXPECT_EQ(log[0].a, 2);
   EXPECT_EQ(log[0].b, 7);
@@ -158,8 +162,7 @@ TEST(Trace, RecordsStructuredIds) {
   EXPECT_EQ(i.peer, 1);
   EXPECT_EQ(i.tag, 7);
   EXPECT_EQ(i.bytes, 2048u);
-  const TaskGraphInfo g = skeleton();
-  EXPECT_NE(dump_span_edges(log, g, g).find("peer1"), std::string::npos);
+  EXPECT_NE(dump_spans(t).find(" peer1 tag7 2048B]"), std::string::npos);
 }
 
 // ---------------------------------------------------------------- spans ---
@@ -303,25 +306,26 @@ TEST(Span, FaultsAndWaitsResolveTheirIds) {
   EXPECT_EQ(spans[3].ids.group, 1);
 }
 
-TEST(Span, DumpPrintsSpanEdgesOnly) {
-  // A zero-length fault prints its begin and end line; message-level
-  // records are left out.
+TEST(Span, DumpPrintsOneLinePerSpan) {
+  // A zero-length fault is one line; message-level records make no span,
+  // an unnamed span shows its kind, and a rolled-back span says so.
   const TaskGraphInfo g = skeleton();
-  const std::string dump = dump_span_edges(
-      std::vector<FlightEvent>{ev(10, FK::kOffloadFail, 0, 0, 0),
-                               FlightEvent{20, FK::kMsgMatch, 1, 3, 2048}},
-      g, g);
-  EXPECT_NE(dump.find("fault_begin  offload_fail a p0  [s0 t0 p0 g0]\n"),
-            std::string::npos);
-  EXPECT_NE(dump.find("fault_end  offload_fail a p0  [s0 t0 p0 g0]\n"),
-            std::string::npos);
-  EXPECT_EQ(dump.find("msg"), std::string::npos);
+  SpanBuilder builder(g, g);
+  builder.add(std::vector<FlightEvent>{ev(10, FK::kOffloadFail, 0, 0, 0),
+                                       FlightEvent{20, FK::kMsgMatch, 1, 3, 2048},
+                                       ev(1500, FK::kReduceBegin, 1, 9),
+                                       ev(2500, FK::kReduceEnd, 1, 9)});
+  builder.roll_back(1);
+  const std::string dump = dump_spans(builder.finish());
+  EXPECT_EQ(dump,
+            "10 ps  +0 ps  fault  offload_fail a p0  [s0 t0 p0 g0]\n"
+            "1.500 ns  +1.000 ns  reduce  reduce  [s1]  rolled back\n");
 }
 
-TEST(Span, OpenTableGrowsPastItsCountedPeak) {
-  // Each begin is followed by an end that closes nothing, so the counting
-  // pass sees one span open at a time while 40 stay open: the open table
-  // must grow, and each span still closes at its own end.
+TEST(Span, OpenTableGrowsWhileSpansStayOpen) {
+  // Each begin is followed by an end that closes nothing, while 40 spans
+  // stay open, more than the table's first 16 slots hold at half load: the
+  // open table must grow, and each span still closes at its own end.
   std::vector<FlightEvent> log;
   for (int k = 0; k < 40; ++k) {
     log.push_back(ev(k, FK::kTaskBegin, 0, k));
@@ -377,6 +381,151 @@ TEST(Span, PairingMatchesAStackPerKey) {
     EXPECT_EQ(t.spans[i].begin, want[i].first) << "span " << i;
     EXPECT_EQ(t.spans[i].end, want[i].second) << "span " << i;
   }
+}
+
+/// The spans of `log` fed to one builder in chunks that end at each of
+/// `cuts` (ascending) and at the end of the log.
+SpanTable in_chunks(const std::vector<FlightEvent>& log, const std::vector<std::size_t>& cuts,
+                    const TaskGraphInfo& init, const TaskGraphInfo& step) {
+  SpanBuilder builder(init, step);
+  std::size_t from = 0;
+  for (const std::size_t to : cuts) {
+    builder.add(std::span(log).subspan(from, to - from));
+    from = to;
+  }
+  builder.add(std::span(log).subspan(from));
+  return builder.finish();
+}
+
+/// Rank `rank`'s flight-ring events, read back from a diagnostic dump;
+/// none when the ring dropped any.
+std::vector<FlightEvent> ring_of(const std::string& dump, int rank) {
+  std::map<std::string, FlightKind, std::less<>> kinds;
+  for (int k = 0; k <= static_cast<int>(FK::kBackoffEnd); ++k)
+    kinds.emplace(to_string(static_cast<FK>(k)), static_cast<FK>(k));
+  std::size_t at = dump.find("\"ranks\"");
+  for (int r = 0; r < rank; ++r) at = dump.find("\"flight_recorded\"", at) + 1;
+  const std::size_t to = dump.find("\"flight_recorded\"", at);
+  const auto field = [&](std::string_view key) {
+    at = dump.find(key, at) + key.size();
+    return dump.substr(at, dump.find_first_of(",\n", at) - at);
+  };
+  std::vector<FlightEvent> events;
+  while ((at = dump.find("\"t_ps\": ", at)) < to) {
+    FlightEvent e;
+    e.time = std::stoll(field("\"t_ps\": "));
+    const std::string kind = field("\"kind\": ");
+    e.kind = kinds.at(kind.substr(1, kind.size() - 2));
+    e.a = std::stoll(field("\"a\": "));
+    e.b = std::stoll(field("\"b\": "));
+    e.c = std::stoll(field("\"c\": "));
+    events.push_back(e);
+  }
+  at = to;
+  if (std::stoull(field("\"flight_recorded\": ")) != events.size()) events.clear();
+  return events;
+}
+
+TEST(Span, AnyChunkingGivesTheOneChunkSpans) {
+  // The builder keeps its open spans from chunk to chunk, so a log cut
+  // anywhere pairs as the whole log does. Two logs, each cut at every
+  // event boundary and at random ones: rank 1's recorded events of a
+  // faulted two-group run, read back from its flight ring, and a hand-made
+  // log with a stray end, an unclosed begin, out-of-order begins, nested
+  // same-key spans and fault point spans. (Rank 1 is the rank whose
+  // offloads fail and retry.)
+  runtime::RunConfig config;
+  config.problem = runtime::tiny_problem({2, 2, 1}, {16, 16, 16});
+  config.variant = runtime::variant_by_name("acc_simd.async");
+  config.nranks = 2;
+  config.timesteps = 3;
+  config.storage = var::StorageMode::kTimingOnly;
+  config.cpe_groups = 2;
+  config.faults = fault::FaultPlan::parse("cpe_stall:p=0.2,offload_fail:p=0.2", 1);
+  config.collect_trace = true;
+  config.diag.flight_capacity = std::size_t{1} << 14;  // the ring keeps every event
+  config.diag.dump_path =
+      (std::filesystem::temp_directory_path() / "usw_obs_chunking_diag.json").string();
+  const apps::burgers::BurgersApp app;
+  const runtime::RunResult result = runtime::run_simulation(config, app);
+  const std::string dump = slurp(config.diag.dump_path);
+  std::remove(config.diag.dump_path.c_str());
+  const std::vector<FlightEvent> recorded = ring_of(dump, 1);
+  ASSERT_GT(recorded.size(), 100u);
+  ASSERT_TRUE(std::any_of(recorded.begin(), recorded.end(),
+                          [](const FlightEvent& e) { return e.kind == FK::kOffloadRetry; }));
+
+  // The run's own skeletons, compiled as the controller compiles rank 1's.
+  const grid::Level level(config.problem.patch_layout, config.problem.patch_size);
+  std::vector<double> costs;
+  for (const grid::Patch& p : level.patches()) costs.push_back(app.patch_cost(level, p));
+  const grid::Partition part(level, config.nranks, config.partition, costs);
+  task::TaskGraph init_graph;
+  app.build_init_graph(init_graph, level);
+  const TaskGraphInfo run_init =
+      runtime::graph_info_of(init_graph.compile(level, part, 1, config.pattern));
+  const TaskGraphInfo& run_step = *result.ranks[1].graph_info;
+  // The run paired its log step by step: one chunk per step.
+  EXPECT_EQ(span_difference(*result.ranks[1].trace, build_spans(recorded, run_init, run_step)),
+            "");
+
+  const std::vector<FlightEvent> made = {
+      ev(0, FK::kTaskBegin, -1, 1),      ev(4, FK::kTaskEnd, -1, 1),
+      ev(5, FK::kWaitEnd, 0, -1),        // stray end
+      ev(10, FK::kWaitBegin, 0, -1),     ev(30, FK::kKernelBegin, 0, 0, 0),
+      ev(20, FK::kTaskBegin, 0, 1),      // begins out of order
+      ev(25, FK::kCpeStall, 0, 2, 1),    ev(26, FK::kOffloadFail, 0, 2, 1),
+      ev(27, FK::kOffloadRetry, 0, 2, 1), FlightEvent{28, FK::kMsgSend, 1, 3, 64},
+      ev(40, FK::kWaitEnd, 0, -1),       ev(45, FK::kBackoffEnd, 0, 2, 1),
+      ev(42, FK::kKernelEnd, 0, 0, 0),   ev(50, FK::kTaskEnd, 0, 1),
+      ev(60, FK::kReduceBegin, 1, 0),    ev(61, FK::kReduceBegin, 1, 0),
+      ev(62, FK::kReduceEnd, 1, 0),      ev(70, FK::kTaskBegin, 1, 3),  // never ends
+      FlightEvent{75, FK::kStepEnd, 1},  ev(72, FK::kSendPosted, 1, 0, 0)};
+  const TaskGraphInfo made_init = skeleton("init_");
+  const TaskGraphInfo made_step = skeleton();
+
+  std::mt19937 rng(26);
+  for (const auto& [log, init, step] :
+       {std::tie(recorded, run_init, run_step), std::tie(made, made_init, made_step)}) {
+    const SpanTable whole = build_spans(log, init, step);
+    for (std::size_t k = 0; k <= log.size(); ++k)
+      EXPECT_EQ(span_difference(in_chunks(log, {k}, init, step), whole), "") << "cut at " << k;
+    for (int trial = 0; trial < 100; ++trial) {
+      std::vector<std::size_t> cuts(1 + rng() % 8);
+      for (std::size_t& cut : cuts) cut = rng() % (log.size() + 1);
+      std::sort(cuts.begin(), cuts.end());
+      EXPECT_EQ(span_difference(in_chunks(log, cuts, init, step), whole), "")
+          << "trial " << trial;
+    }
+  }
+}
+
+TEST(Span, DrainEmptiesTheLog) {
+  // A traced rank keeps one step of events at most: a drain pairs the log
+  // and empties it, and the log then holds only what was recorded since.
+  // A span open across a drain still closes at its own end.
+  const TaskGraphInfo g = skeleton();
+  FlightRecorder rec(4);
+  rec.keep_log(true);
+  SpanBuilder builder(g, g);
+  rec.record(FK::kTaskBegin, 10, 0, 0);
+  rec.record(FK::kKernelBegin, 20, 0, 0, 1);
+  builder.drain(rec);
+  EXPECT_TRUE(rec.log().empty());
+  EXPECT_EQ(builder.size(), 2u);
+  rec.record(FK::kStepEnd, 25, 0);
+  rec.record(FK::kKernelEnd, 40, 0, 0, 1);
+  rec.record(FK::kTaskEnd, 50, 0, 0);
+  ASSERT_EQ(rec.log().size(), 3u);
+  EXPECT_EQ(rec.log()[0].kind, FK::kStepEnd);
+  EXPECT_EQ(rec.log()[2].time, 50);
+  builder.drain(rec);
+  EXPECT_TRUE(rec.log().empty());
+  EXPECT_EQ(rec.recorded(), 5u);  // the ring saw every event
+  const SpanTable t = builder.finish();
+  ASSERT_EQ(t.spans.size(), 2u);
+  EXPECT_EQ(t.spans[0].end, 50);
+  EXPECT_EQ(t.spans[1].end, 40);
 }
 
 // ----------------------------------------------------------- json writer ---
@@ -518,7 +667,8 @@ RunObservation tiny_run() {
   run.timesteps = 1;
   RankObservation r;
   r.rank = 0;
-  r.span_names = {"", "a p0", "b p0", "idle", "u"};
+  SpanTable t;
+  t.names = {"", "a p0", "b p0", "idle", "u"};
   auto span = [](TimePs b, TimePs e, SpanKind k, EventIds ids, std::uint32_t name) {
     Span s;
     s.begin = b;
@@ -528,11 +678,12 @@ RunObservation tiny_run() {
     s.name = name;
     return s;
   };
-  r.spans.push_back(span(0, 90, SpanKind::kTask, EventIds{0, 0, 0, -1, -1, -1, 0}, 1));
-  r.spans.push_back(span(90, 250, SpanKind::kTask, EventIds{0, 1, 0, -1, -1, -1, 0}, 2));
-  r.spans.push_back(span(100, 200, SpanKind::kKernel, EventIds{0, 1, 0, -1, -1, 0, 0}, 2));
-  r.spans.push_back(span(0, 50, SpanKind::kWait, EventIds{0, -1, -1, -1, -1, -1, 0}, 3));
-  r.spans.push_back(span(10, 30, SpanKind::kSend, EventIds{0, 0, 0, 0, 9, -1, 1024}, 4));
+  t.spans.push_back(span(0, 90, SpanKind::kTask, EventIds{0, 0, 0, -1, -1, -1, 0}, 1));
+  t.spans.push_back(span(90, 250, SpanKind::kTask, EventIds{0, 1, 0, -1, -1, -1, 0}, 2));
+  t.spans.push_back(span(100, 200, SpanKind::kKernel, EventIds{0, 1, 0, -1, -1, 0, 0}, 2));
+  t.spans.push_back(span(0, 50, SpanKind::kWait, EventIds{0, -1, -1, -1, -1, -1, 0}, 3));
+  t.spans.push_back(span(10, 30, SpanKind::kSend, EventIds{0, 0, 0, 0, 9, -1, 1024}, 4));
+  r.trace = std::make_shared<const SpanTable>(std::move(t));
   TaskNodeInfo a;
   a.name = "a";
   a.patch = 0;
@@ -540,7 +691,9 @@ RunObservation tiny_run() {
   TaskNodeInfo b;
   b.name = "b";
   b.patch = 0;
-  r.graph.tasks = {a, b};
+  TaskGraphInfo g;
+  g.tasks = {a, b};
+  r.skeleton = std::make_shared<const TaskGraphInfo>(std::move(g));
   r.step_walls = {300};
   run.ranks.push_back(std::move(r));
   return run;
@@ -605,8 +758,8 @@ TEST(CriticalPath, CrossRankSendRecvEdge) {
     s.begin = rank == 0 ? 0 : 150;
     s.end = rank == 0 ? 100 : 250;
     s.name = 1;
-    r.span_names = {"", rank == 0 ? "prod" : "cons"};
-    r.spans.push_back(s);
+    r.trace = std::make_shared<const SpanTable>(
+        SpanTable{{s}, {"", rank == 0 ? "prod" : "cons"}});
     TaskNodeInfo node;
     node.name = rank == 0 ? "prod" : "cons";
     node.patch = rank;
@@ -614,7 +767,7 @@ TEST(CriticalPath, CrossRankSendRecvEdge) {
       node.send_keys.emplace_back(1, 5);
     else
       node.recv_keys.emplace_back(0, 5);
-    r.graph.tasks = {node};
+    r.skeleton = std::make_shared<const TaskGraphInfo>(TaskGraphInfo{{node}, {}, {}});
     r.step_walls = {250};
     run.ranks.push_back(std::move(r));
   }
@@ -726,9 +879,7 @@ TEST(ChromeTrace, SpanObjectsMatchTheGenericWriter) {
   run.timesteps = 1;
   RankObservation& r = run.ranks.emplace_back();
   r.rank = 4;
-  SpanTable t = build_spans(log, g, g);
-  r.spans = std::move(t.spans);
-  r.span_names = std::move(t.names);
+  r.trace = std::make_shared<const SpanTable>(build_spans(log, g, g));
   std::ostringstream os;
   write_chrome_trace(os, run);
   const std::string trace = os.str();
@@ -741,11 +892,11 @@ TEST(ChromeTrace, SpanObjectsMatchTheGenericWriter) {
     }
   };
   std::size_t at = 0;
-  for (const Span& s : r.spans) {
+  for (const Span& s : r.spans()) {
     std::ostringstream want;
     {
       JsonWriter w(want, 0);
-      const std::string_view name = span_name(s, r.span_names);
+      const std::string_view name = span_name(s, r.span_names());
       w.begin_object();
       w.kv("name", name.empty() ? std::string_view(to_string(s.kind)) : name);
       w.kv("cat", to_string(s.kind));
@@ -941,6 +1092,66 @@ TEST(EndToEnd, FaultedTwoGroupExportsMatchGoldenFiles) {
                               "\"name\":\"offload_fail ", "\"cpe_group\":1",
                               "\"CPE group 1\""})
     EXPECT_NE(want_trace.find(covered), std::string::npos) << covered;
+}
+
+TEST(EndToEnd, ReplayedStepIsCountedOnce) {
+  // Every step misses a 1 us deadline, so step 1 is restarted from its
+  // checkpoint twice (max_restarts) before it commits. The per-step and
+  // per-task rollups and the critical path read each step's committed
+  // attempt only; the Chrome trace keeps every attempt.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "usw_obs_replay_ckpt").string();
+  std::filesystem::remove_all(dir);
+  runtime::RunConfig config;
+  config.problem = runtime::tiny_problem({2, 2, 1}, {16, 16, 16});
+  config.nranks = 2;
+  config.timesteps = 4;
+  config.output_dir = dir;
+  config.output_interval = 1;
+  config.recovery.step_deadline = kMicrosecond;
+  config.recovery.max_restarts = 2;
+  config.collect_trace = true;
+  config.collect_metrics = true;
+  const runtime::RunResult result =
+      runtime::run_simulation(config, apps::burgers::BurgersApp());
+  std::filesystem::remove_all(dir);
+  ASSERT_EQ(result.merged_counters().fault_restarts, 2u * 2u);
+  const RunObservation run = runtime::observe(result);
+  const MetricsReport m = build_metrics(run);
+  ASSERT_EQ(m.steps.size(), 4u);
+  ASSERT_GT(m.steps[0].messages, 0u);
+  for (const StepMetrics& s : m.steps) {
+    EXPECT_EQ(s.messages, m.steps[0].messages) << "step " << s.step;
+    EXPECT_EQ(s.message_bytes, m.steps[0].message_bytes) << "step " << s.step;
+    EXPECT_EQ(s.kernel, m.steps[0].kernel) << "step " << s.step;
+    EXPECT_EQ(s.critical_path, m.steps[0].critical_path) << "step " << s.step;
+    EXPECT_EQ(s.wall, result.step_wall(s.step)) << "step " << s.step;
+  }
+  ASSERT_FALSE(m.tasks.empty());
+  for (const TaskMetrics& t : m.tasks)
+    EXPECT_EQ(t.executions, 4u * 4u) << t.name;  // 4 patches, 4 steps
+  std::size_t spans = 0;
+  std::size_t rolled_back = 0;
+  TimePs flight = 0;  // every attempt's timestep message flight
+  for (const RankObservation& r : run.ranks)
+    for (const Span& s : r.spans()) {
+      ++spans;
+      if (s.kind == SpanKind::kSend && s.ids.step >= 0) flight += s.duration();
+      if (!s.rolled_back) continue;
+      ++rolled_back;
+      EXPECT_EQ(s.ids.step, 1);
+    }
+  EXPECT_GT(rolled_back, 0u);
+  // The bandwidth's bytes count every attempt, and so does its flight time.
+  EXPECT_DOUBLE_EQ(m.message_bandwidth_gbs,
+                   static_cast<double>(result.merged_counters().bytes_sent) /
+                       ps_to_seconds(flight) * 1e-9);
+  std::ostringstream trace;
+  write_chrome_trace(trace, run);
+  std::size_t exported = 0;
+  for (std::size_t at = 0; (at = trace.str().find("\"ph\":\"X\"", at)) != std::string::npos; ++at)
+    ++exported;
+  EXPECT_EQ(exported, spans);
 }
 
 TEST(EndToEnd, MetricsCountFaultsOfEveryLayer) {

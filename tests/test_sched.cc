@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -106,51 +107,52 @@ TEST(Scheduler, DeterministicAcrossRepeats) {
 /// A rank's kernel flight windows, from its trace.
 std::vector<obs::Span> kernel_spans(const obs::RankObservation& rank) {
   std::vector<obs::Span> out;
-  for (const obs::Span& s : rank.spans)
+  for (const obs::Span& s : rank.spans())
     if (s.kind == obs::SpanKind::kKernel) out.push_back(s);
   return out;
 }
 
+/// Whether `t` falls strictly inside one of `kernels`.
+bool inside_a_kernel(TimePs t, const std::vector<obs::Span>& kernels) {
+  return std::any_of(kernels.begin(), kernels.end(),
+                     [t](const obs::Span& k) { return t > k.begin && t < k.end; });
+}
+
 TEST(Scheduler, AsyncOverlapsMpeWorkWithKernels) {
   // Trace evidence for the paper's central claim: in async mode, MPE-side
-  // events (sends, receives, MPE task begins) occur strictly inside CPE
-  // kernel flight windows.
+  // work (send posts, receive completions, MPE task begins) happens
+  // strictly inside CPE kernel flight windows.
   const auto result = run("acc.async", 2, var::StorageMode::kFunctional, true);
   const obs::RunObservation observed = runtime::observe(result);
   int overlapped_events = 0;
-  for (std::size_t r = 0; r < result.ranks.size(); ++r) {
-    const std::vector<obs::Span> kernels = kernel_spans(observed.ranks[r]);
+  for (const obs::RankObservation& rank : observed.ranks) {
+    const std::vector<obs::Span> kernels = kernel_spans(rank);
     EXPECT_FALSE(kernels.empty());
-    for (const obs::FlightEvent& e : result.ranks[r].trace) {
-      if (e.kind != obs::FlightKind::kSendPosted &&
-          e.kind != obs::FlightKind::kRecvDone &&
-          e.kind != obs::FlightKind::kTaskBegin)
+    for (const obs::Span& s : rank.spans()) {
+      if (s.kind != obs::SpanKind::kSend && s.kind != obs::SpanKind::kRecv &&
+          s.kind != obs::SpanKind::kTask)
         continue;
-      for (const obs::Span& k : kernels)
-        if (e.time > k.begin && e.time < k.end) {
-          ++overlapped_events;
-          break;
-        }
+      if (inside_a_kernel(s.kind == obs::SpanKind::kRecv ? s.end : s.begin, kernels))
+        ++overlapped_events;
     }
   }
   EXPECT_GT(overlapped_events, 10);
 }
 
 TEST(Scheduler, SyncModeDoesNotOverlap) {
-  // In sync mode the MPE spins during kernel flight: no MPE event may fall
-  // strictly inside a kernel window.
+  // In sync mode the MPE spins during kernel flight: no other span may
+  // begin or end strictly inside a kernel window.
   const auto result = run("acc.sync", 2, var::StorageMode::kFunctional, true);
   const obs::RunObservation observed = runtime::observe(result);
-  for (std::size_t r = 0; r < result.ranks.size(); ++r) {
-    const std::vector<obs::Span> kernels = kernel_spans(observed.ranks[r]);
+  for (const obs::RankObservation& rank : observed.ranks) {
+    const std::vector<obs::Span> kernels = kernel_spans(rank);
     EXPECT_FALSE(kernels.empty());
-    for (const obs::FlightEvent& e : result.ranks[r].trace) {
-      if (e.kind == obs::FlightKind::kKernelBegin ||
-          e.kind == obs::FlightKind::kKernelEnd)
-        continue;
-      for (const obs::Span& k : kernels)
-        EXPECT_FALSE(e.time > k.begin && e.time < k.end)
-            << obs::to_string(e.kind) << " inside kernel window";
+    for (const obs::Span& s : rank.spans()) {
+      if (s.kind == obs::SpanKind::kKernel) continue;
+      EXPECT_FALSE(inside_a_kernel(s.begin, kernels))
+          << obs::to_string(s.kind) << " begins inside a kernel window";
+      EXPECT_FALSE(inside_a_kernel(s.end, kernels))
+          << obs::to_string(s.kind) << " ends inside a kernel window";
     }
   }
 }
