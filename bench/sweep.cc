@@ -12,8 +12,7 @@ namespace usw::bench {
 
 const CaseResult& Sweep::run(const runtime::ProblemSpec& problem,
                              const runtime::Variant& variant, int ranks) {
-  const CaseKey key{problem.name, variant.name, ranks,
-                    comm_agg_.enabled ? comm_agg_.describe() : ""};
+  const CaseKey key{problem.name, variant.name, ranks};
   auto it = cache_.find(key);
   if (it != cache_.end()) return it->second;
 
@@ -25,7 +24,6 @@ const CaseResult& Sweep::run(const runtime::ProblemSpec& problem,
   config.storage = var::StorageMode::kTimingOnly;
   config.collect_trace = observe_;
   config.collect_metrics = observe_;
-  config.comm_agg = comm_agg_;
 
   apps::burgers::BurgersApp app;
   const auto host_start = std::chrono::steady_clock::now();

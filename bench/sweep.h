@@ -22,14 +22,10 @@ struct CaseKey {
   std::string problem;
   std::string variant;
   int ranks = 0;
-  /// Comm-layer description: the aggregation policy ("" = off, see
-  /// AggSpec::describe). It changes virtual comm timing, so the benches
-  /// that vary it fold it into the variant name for the JSON key.
-  std::string comm{};
 
   friend bool operator<(const CaseKey& a, const CaseKey& b) {
-    return std::tie(a.problem, a.variant, a.ranks, a.comm) <
-           std::tie(b.problem, b.variant, b.ranks, b.comm);
+    return std::tie(a.problem, a.variant, a.ranks) <
+           std::tie(b.problem, b.variant, b.ranks);
   }
 };
 
@@ -53,7 +49,7 @@ struct CaseResult {
   // Comm-layer volume, always filled from the merged perf counters. Both
   // are exact-deterministic; bench_compare gates them HIGHER_IS_WORSE so
   // a change that silently inflates traffic or post overhead fails CI.
-  double msgs_total = 0.0;     ///< logical messages sent (agg-invariant)
+  double msgs_total = 0.0;     ///< messages sent
   double mpi_post_count = 0.0; ///< emulated MPI_Isend/Irecv posts charged
 };
 
@@ -64,11 +60,6 @@ class Sweep {
   /// When on, every subsequent run collects trace + metrics and fills the
   /// observability fields of CaseResult (at some simulation-memory cost).
   void set_observe(bool on) { observe_ = on; }
-
-  /// Message aggregation / protocol split for subsequent runs (see
-  /// comm/agg.h). This changes virtual comm timing, so aggregated cases
-  /// cache under a distinct key.
-  void set_comm_agg(const comm::AggSpec& spec) { comm_agg_ = spec; }
 
   /// Runs (or returns the cached) case.
   const CaseResult& run(const runtime::ProblemSpec& problem,
@@ -83,7 +74,6 @@ class Sweep {
  private:
   int timesteps_;
   bool observe_ = false;
-  comm::AggSpec comm_agg_;
   std::map<CaseKey, CaseResult> cache_;
 };
 

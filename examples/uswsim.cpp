@@ -69,18 +69,6 @@ void print_help() {
       "                                fields and virtual times, less wall-clock)\n"
       "  --backend-threads=N           pool size for --backend=threads\n"
       "                                (default: one per host core, capped)\n"
-      "  --comm-agg=off|on|size=B,count=N[,rdv=BYTES]\n"
-      "                                message aggregation: coalesce same-\n"
-      "                                destination small sends into one\n"
-      "                                aggregate per neighbor per burst,\n"
-      "                                flushed at B buffered bytes (default\n"
-      "                                16k) or N sub-messages (default 64);\n"
-      "                                sends >= rdv bytes skip the eager\n"
-      "                                copy for a rendezvous handshake\n"
-      "                                (default: cost-model break-even).\n"
-      "                                Numerics/archives are bit-equal to\n"
-      "                                --comm-agg=off; only virtual comm\n"
-      "                                time moves (default off)\n"
       "  --timing-only                 skip field allocation (big problems)\n"
       "  --partition=block|roundrobin|cost\n"
       "  --cpe-groups=N  --async-dma  --packed-tiles\n"
@@ -209,8 +197,7 @@ int main(int argc, char** argv) {
   if (opts.get_bool("version", false)) {
     std::printf("%s\n", build_info_line().c_str());
     std::printf("features: backends=serial,threads "
-                "schedule=fuzz,record,replay diagnostics=flight,watchdog,stream "
-                "comm=agg,rendezvous\n");
+                "schedule=fuzz,record,replay diagnostics=flight,watchdog,stream\n");
     return 0;
   }
   try {
@@ -226,7 +213,6 @@ int main(int argc, char** argv) {
     config.backend = athread::backend_from_string(opts.get("backend", "serial"));
     config.backend_threads =
         static_cast<int>(get_int_min(opts, "backend-threads", 0, 0));
-    config.comm_agg = comm::AggSpec::parse(opts.get("comm-agg", "off"));
     config.nranks = static_cast<int>(get_int_min(opts, "ranks", 4, 1));
     config.timesteps = static_cast<int>(get_int_min(opts, "steps", 10, 0));
     config.storage = opts.get_bool("timing-only", false)
@@ -317,19 +303,14 @@ int main(int argc, char** argv) {
 
     // Everything host-configuration-dependent (the backend) stays on this
     // first line: equivalence tests diff stdout with `tail -n +2`.
-    // The aggregation policy rides along here too — it is part of the
-    // configuration under comparison, not of the simulated results.
-    const std::string agg_note =
-        config.comm_agg.enabled ? ", comm-agg " + config.comm_agg.describe()
-                                : "";
     std::printf("uswsim: %s on %s (%d patches of %s), %d CGs, %d steps, %s, "
-                "%s backend, %s tiles%s\n",
+                "%s backend, %s tiles\n",
                 app->name().c_str(), config.problem.grid_size().to_string().c_str(),
                 config.problem.num_patches(),
                 config.problem.patch_size.to_string().c_str(), config.nranks,
                 config.timesteps, config.variant.name.c_str(),
                 athread::to_string(config.backend),
-                sched::to_string(config.tile_policy), agg_note.c_str());
+                sched::to_string(config.tile_policy));
     if (!config.faults.empty())
       std::printf("fault injection: %s\n", config.faults.describe().c_str());
     // Every schedule-exploration line starts with "schedule" so trace
@@ -374,12 +355,6 @@ int main(int argc, char** argv) {
     table.add_row({"MPI messages", std::to_string(sum.messages_sent)});
     table.add_row({"MPI posts", std::to_string(sum.mpi_posts)});
     table.add_row({"MPI volume", format_bytes(sum.bytes_sent)});
-    if (config.comm_agg.enabled) {
-      table.add_row({"agg packed", std::to_string(sum.agg_msgs_packed)});
-      table.add_row({"agg flushes", std::to_string(sum.agg_flushes)});
-      table.add_row({"agg bytes saved", std::to_string(sum.agg_bytes_saved)});
-      table.add_row({"rendezvous sends", std::to_string(sum.msgs_rendezvous)});
-    }
     if (!config.faults.empty()) {
       table.add_row({"faults injected", std::to_string(sum.fault_injected)});
       table.add_row({"fault retries", std::to_string(sum.fault_retries)});

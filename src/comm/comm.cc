@@ -52,28 +52,7 @@ Network::Delivery Network::deliver(Message msg, int attempt) {
       result.arrival = msg.arrival;
     }
   }
-  auto& box = mailboxes_[static_cast<std::size_t>(msg.dst)];
-  if (!msg.subs.empty()) {
-    // Aggregate: the fault roll above decided the whole wire message's
-    // fate (one loss/delay hash on the aggregate's seq — all sub-messages
-    // share it deterministically). Explode it into ordinary per-(src,tag)
-    // messages so matching, schedule points, and lint see the same logical
-    // stream as with aggregation off.
-    for (std::size_t i = 0; i < msg.subs.size(); ++i) {
-      SubMessage& sub = msg.subs[i];
-      Message m;
-      m.src = msg.src;
-      m.dst = msg.dst;
-      m.tag = sub.tag;
-      m.bytes = sub.bytes;
-      m.arrival = msg.arrival;
-      m.seq = msg.seq + 1 + i;
-      m.payload = std::move(sub.payload);
-      box.push_back(std::move(m));
-    }
-    return result;
-  }
-  box.push_back(std::move(msg));
+  mailboxes_[static_cast<std::size_t>(msg.dst)].push_back(std::move(msg));
   return result;
 }
 
@@ -81,22 +60,6 @@ Comm::Comm(Network& net, sim::Coordinator& coord, int rank,
            hw::PerfCounters* counters)
     : net_(net), coord_(coord), rank_(rank), counters_(counters) {
   USW_ASSERT(rank >= 0 && rank < net.size());
-}
-
-Comm::~Comm() {
-  // Finalize semantics for buffered sends: an endpoint must not tear down
-  // with sub-messages still coalescing. The flush runs on the owning rank
-  // thread while it is still granted, so its virtual operations are as
-  // legal (and as deterministic) as in the rank body. Skipped during
-  // unwinding, and a cancellation thrown mid-flush is swallowed: the run
-  // is already dead and destructors must not throw.
-  if (std::uncaught_exceptions() == 0) {
-    try {
-      flush_sends();
-    } catch (...) {
-      // Run cancelled while flushing; nothing left to salvage.
-    }
-  }
 }
 
 RequestId Comm::make_id(std::size_t index) const {
@@ -171,51 +134,22 @@ void Comm::maybe_retransmit(Request& req) {
   }
 }
 
-void Comm::set_agg(const AggSpec& spec) {
-  spec.validate();
-  agg_ = spec;
-  agg_bufs_.clear();
-  rdv_threshold_bytes_ = 0;
-  if (agg_.enabled) {
-    agg_bufs_.resize(static_cast<std::size_t>(size()));
-    rdv_threshold_bytes_ = agg_.rdv_bytes >= 0
-                               ? static_cast<std::uint64_t>(agg_.rdv_bytes)
-                               : net_.cost().rendezvous_threshold_bytes();
-  }
-}
-
 bool Comm::loss_armed() const {
   return net_.fault_plan() != nullptr &&
          net_.fault_plan()->has(fault::FaultKind::kMsgLoss);
 }
 
-void Comm::service_progress() { flush_sends(); }
-
-std::uint64_t Comm::wire_seq() {
-  const std::uint64_t seq = net_.next_seq();
-  return agg_.enabled ? seq * kAggSeqStride : seq;
-}
-
-RequestId Comm::post_direct(int dst, int tag, std::uint64_t bytes,
-                            std::vector<std::byte> payload, Protocol proto) {
+RequestId Comm::post_send(int dst, int tag, std::uint64_t bytes,
+                          std::vector<std::byte> payload) {
   USW_ASSERT_MSG(dst >= 0 && dst < size(), "send to invalid rank");
   USW_ASSERT_MSG(dst != rank_, "self-sends are not modeled; use local copies");
   const TimePs post = net_.cost().mpi_post_overhead();
-  // Protocol split (aggregation mode only): eager sends pay the bounce-
-  // buffer copy on the MPE, rendezvous sends pay the RTS/CTS round trip
-  // instead — both delay the injection below, which starts at now().
-  const TimePs proto_cost = proto == Protocol::kEager
-                                ? net_.cost().eager_copy(bytes)
-                                : proto == Protocol::kRendezvous
-                                      ? net_.cost().rdv_handshake()
-                                      : 0;
-  coord_.advance(rank_, post + proto_cost);
+  coord_.advance(rank_, post);
   if (counters_ != nullptr) {
-    counters_->comm_time += post + proto_cost;
+    counters_->comm_time += post;
     counters_->messages_sent += 1;
     counters_->bytes_sent += bytes;
     counters_->mpi_posts += 1;
-    if (proto == Protocol::kRendezvous) counters_->msgs_rendezvous += 1;
   }
 
   Message msg;
@@ -223,7 +157,7 @@ RequestId Comm::post_direct(int dst, int tag, std::uint64_t bytes,
   msg.dst = dst;
   msg.tag = tag;
   msg.bytes = bytes;
-  msg.seq = wire_seq();
+  msg.seq = net_.next_seq();
   msg.payload = std::move(payload);
 
   const TimePs now = coord_.now(rank_);
@@ -281,185 +215,18 @@ RequestId Comm::post_direct(int dst, int tag, std::uint64_t bytes,
   return make_id(requests_.size() - 1);
 }
 
-RequestId Comm::append_agg(int dst, int tag, std::uint64_t bytes,
-                           std::vector<std::byte> payload) {
-  const TimePs cost = net_.cost().agg_append(bytes);
-  coord_.advance(rank_, cost);
-  if (counters_ != nullptr) {
-    counters_->comm_time += cost;
-    counters_->messages_sent += 1;
-    counters_->bytes_sent += bytes;
-    counters_->agg_msgs_packed += 1;
-  }
-  Request req;
-  req.kind = Kind::kSend;
-  req.peer = dst;
-  req.tag = tag;
-  req.bytes = bytes;
-  // Buffered-send semantics: the logical send completes locally once the
-  // payload is in the coalescing buffer — unless loss injection is armed,
-  // in which case completion is decided at flush like any eager send
-  // (complete_stamp doubles as the retransmit deadline on loss).
-  if (loss_armed()) {
-    req.complete_stamp = sim::kNever;  // resolved by flush_dst
-  } else {
-    req.done = true;
-    req.complete_stamp = coord_.now(rank_);
-  }
-  requests_.push_back(std::move(req));
-
-  AggBuffer& buf = agg_bufs_[static_cast<std::size_t>(dst)];
-  if (!buf.listed) {
-    buf.listed = true;
-    open_dsts_.push_back(dst);
-  }
-  AggSub sub;
-  sub.req = requests_.size() - 1;
-  sub.tag = tag;
-  sub.bytes = bytes;
-  sub.payload = std::move(payload);
-  buf.subs.push_back(std::move(sub));
-  buf.bytes += bytes + net_.cost().agg_sub_header_bytes();
-  return make_id(requests_.size() - 1);
-}
-
-void Comm::flush_dst(int dst) {
-  AggBuffer& buf = agg_bufs_[static_cast<std::size_t>(dst)];
-  if (buf.subs.empty()) return;
-  const std::size_t n = buf.subs.size();
-  const TimePs post = net_.cost().mpi_post_overhead();
-  coord_.advance(rank_, post);
-  if (counters_ != nullptr) {
-    counters_->comm_time += post;
-    counters_->mpi_posts += 1;
-    counters_->agg_flushes += 1;
-    // Wire-byte accounting: coalescing n messages saves n-1 envelopes but
-    // spends n sub-headers; single-message aggregates go negative.
-    counters_->agg_bytes_saved +=
-        static_cast<std::int64_t>((n - 1) * net_.cost().msg_envelope_bytes()) -
-        static_cast<std::int64_t>(n * net_.cost().agg_sub_header_bytes());
-  }
-  const bool keep_copy = loss_armed();
-  const TimePs now = coord_.now(rank_);
-
-  Message msg;
-  msg.src = rank_;
-  msg.dst = dst;
-  msg.seq = wire_seq();
-  msg.subs.reserve(n);
-  std::uint64_t wire_bytes = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    AggSub& sub = buf.subs[i];
-    Request& req = requests_[sub.req];
-    req.msg_seq = msg.seq + 1 + static_cast<std::uint64_t>(i);
-    req.attempts = 1;
-    wire_bytes += sub.bytes + net_.cost().agg_sub_header_bytes();
-    if (flight_ != nullptr)
-      flight_->record(obs::FlightKind::kMsgSend, now, dst,
-                      static_cast<std::int64_t>(req.msg_seq),
-                      static_cast<std::int64_t>(sub.bytes));
-    SubMessage wire_sub;
-    wire_sub.tag = sub.tag;
-    wire_sub.bytes = sub.bytes;
-    if (keep_copy) req.payload = sub.payload;  // retransmit copy
-    wire_sub.payload = std::move(sub.payload);
-    msg.subs.push_back(std::move(wire_sub));
-  }
-  msg.bytes = wire_bytes;
-  const TimePs injected = net_.reserve_link(rank_, now, wire_bytes);
-  msg.arrival = injected + net_.cost().params().net_latency +
-                net_.cost().params().mpi_sw_latency;
-  const std::uint64_t agg_seq = msg.seq;
-
-  const Network::Delivery d = net_.deliver(std::move(msg), 1);
-  if (d.status == Network::DeliveryStatus::kLost) {
-    // The whole aggregate was dropped; every sub-message is retransmitted
-    // individually (own seq, attempt 2) by maybe_retransmit when its
-    // deadline passes — losing an aggregate must not re-coalesce, or the
-    // retransmit seqs would change with the flush policy.
-    if (counters_ != nullptr) counters_->fault_injected += 1;
-    for (const AggSub& sub : buf.subs) {
-      Request& req = requests_[sub.req];
-      req.done = false;
-      req.lost = true;
-      req.complete_stamp =
-          retransmit_ ? injected + retransmit_timeout(req.bytes) : sim::kNever;
-      if (flight_ != nullptr)
-        flight_->record(obs::FlightKind::kMsgLost, now, dst,
-                        static_cast<std::int64_t>(req.msg_seq), 1);
-    }
-  } else {
-    if (d.status == Network::DeliveryStatus::kDelayed) {
-      if (counters_ != nullptr) counters_->fault_injected += 1;
-      if (flight_ != nullptr)
-        flight_->record(obs::FlightKind::kMsgDelayed, now, dst,
-                        static_cast<std::int64_t>(agg_seq));
-    }
-    for (const AggSub& sub : buf.subs) {
-      Request& req = requests_[sub.req];
-      req.done = true;
-      req.lost = false;
-      req.complete_stamp = injected;
-      req.payload.clear();
-    }
-    coord_.notify(dst, d.arrival);
-  }
-  buf.subs.clear();
-  buf.bytes = 0;
-}
-
-void Comm::flush_sends() {
-  if (open_dsts_.empty()) return;
-  // Ascending destination order fixes the aggregates' wire seqs and NIC
-  // reservations; a destination a policy flush already emptied is a no-op.
-  std::sort(open_dsts_.begin(), open_dsts_.end());
-  for (const int dst : open_dsts_) {
-    flush_dst(dst);
-    agg_bufs_[static_cast<std::size_t>(dst)].listed = false;
-  }
-  open_dsts_.clear();
-}
-
-RequestId Comm::route_send(int dst, int tag, std::uint64_t bytes,
-                           std::vector<std::byte> payload) {
-  // Collectives keep the legacy path: their binomial trees are latency-
-  // bound request/reply chains with nothing to coalesce.
-  if (!agg_.enabled || tag >= kCollectiveTagBase)
-    return post_direct(dst, tag, bytes, std::move(payload), Protocol::kLegacy);
-  // Flushing before any direct post keeps wire seqs — and with them the
-  // MPI non-overtaking order within a (src, tag) class — in logical send
-  // order: buffered predecessors always hit the wire first.
-  if (bytes >= rdv_threshold_bytes_) {
-    flush_dst(dst);
-    return post_direct(dst, tag, bytes, std::move(payload),
-                       Protocol::kRendezvous);
-  }
-  const std::uint64_t entry = bytes + net_.cost().agg_sub_header_bytes();
-  if (entry > agg_.max_bytes) {
-    flush_dst(dst);
-    return post_direct(dst, tag, bytes, std::move(payload), Protocol::kEager);
-  }
-  AggBuffer& buf = agg_bufs_[static_cast<std::size_t>(dst)];
-  if (buf.bytes + entry > agg_.max_bytes) flush_dst(dst);
-  const RequestId id = append_agg(dst, tag, bytes, std::move(payload));
-  if (static_cast<int>(agg_bufs_[static_cast<std::size_t>(dst)].subs.size()) >=
-      agg_.max_count)
-    flush_dst(dst);
-  return id;
-}
-
 RequestId Comm::isend(int dst, int tag, std::span<const std::byte> data) {
   std::vector<std::byte> payload(data.begin(), data.end());
-  return route_send(dst, tag, data.size(), std::move(payload));
+  return post_send(dst, tag, data.size(), std::move(payload));
 }
 
 RequestId Comm::isend(int dst, int tag, std::vector<std::byte>&& data) {
   const std::uint64_t bytes = data.size();
-  return route_send(dst, tag, bytes, std::move(data));
+  return post_send(dst, tag, bytes, std::move(data));
 }
 
 RequestId Comm::isend_bytes(int dst, int tag, std::uint64_t bytes) {
-  return route_send(dst, tag, bytes, {});
+  return post_send(dst, tag, bytes, {});
 }
 
 RequestId Comm::irecv(int src, int tag) {
@@ -554,9 +321,6 @@ void Comm::match_visible() {
 }
 
 bool Comm::test(RequestId id) {
-  // Progress guarantee: push anything still coalescing to the wire before
-  // this endpoint inspects or waits on state that could depend on it.
-  service_progress();
   Request& req = checked(id);
   if (req.done) return true;
   coord_.gate(rank_);
@@ -573,7 +337,6 @@ bool Comm::test(RequestId id) {
 }
 
 std::size_t Comm::test_bulk(std::span<const RequestId> ids) {
-  service_progress();
   coord_.gate(rank_);
   const TimePs cost =
       net_.cost().mpi_test_overhead() +
@@ -637,12 +400,6 @@ std::vector<std::byte> Comm::take_payload(RequestId id) {
   USW_ASSERT_MSG(req.done && req.kind == Kind::kRecv,
                  "take_payload of incomplete or non-receive request");
   return std::move(req.payload);
-}
-
-std::uint64_t Comm::request_bytes(RequestId id) const {
-  const Request& req = checked(id);
-  USW_ASSERT_MSG(req.done, "request_bytes of incomplete request");
-  return req.bytes;
 }
 
 TimePs Comm::earliest_known_completion(std::span<const RequestId> ids) const {
@@ -734,10 +491,6 @@ double Comm::allreduce_max(double value) { return allreduce(value, 2); }
 void Comm::barrier() { (void)allreduce(0.0, 0); }
 
 void Comm::reset_requests() {
-  // Safety net: a buffer left coalescing past the end of a step would
-  // strand its sub-messages (and, under loss injection, leave pending
-  // requests). Flush before the hygiene check.
-  flush_sends();
   USW_ASSERT_MSG(pending_requests() == 0,
                  "reset_requests with operations still pending");
   requests_.clear();

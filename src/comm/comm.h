@@ -20,37 +20,14 @@
 //   * ghost-buffer packing time is charged separately by the scheduler via
 //     CostModel::mpe_pack, not here.
 //
-// Message aggregation (--comm-agg, see agg.h): with an AggSpec enabled via
-// set_agg, small same-destination sends are coalesced into per-destination
-// buffers and posted as ONE aggregate wire message per flush — one
-// mpi_post_overhead and one link reservation for the whole burst, each
-// appended sub-message paying only CostModel::agg_append. Large sends skip
-// the buffer and the eager bounce copy, paying a rendezvous handshake
-// instead (CostModel::rendezvous_threshold_bytes, override AggSpec::
-// rdv_bytes). Network::deliver explodes an aggregate back into ordinary
-// per-(src,tag) messages before they reach a mailbox, so matching, the
-// kMsgMatch schedule point, payload routing, and comm lint all see the
-// same logical message stream as with aggregation off. Sub-message seqs
-// are derived from the aggregate's seq (agg + 1 + i, with all wire seqs
-// strided by kAggSeqStride), which keeps per-sender monotonicity — and
-// with it MPI non-overtaking — plus deterministic fault hashing and
-// flight-ring events across backends. A buffered send completes locally
-// at append time (MPI_Bsend semantics) unless loss injection is armed, in
-// which case it completes at flush like any other eager send. Buffers are
-// flushed on the size/count policy, by flush_sends() (schedulers call it
-// after each halo burst), by the poll-time progress step, and by
-// reset_requests.
-//
 // Progress: nonblocking MPI on Sunway progresses only when the MPE polls,
-// and so does this endpoint — nothing moves between calls. The one
-// poll-time progress step is service_progress(): test/test_bulk run it
-// at their head, and schedulers run it after an idle wake; it pushes
-// whatever is still coalescing to the wire. A lost send is re-posted by
-// the first poll that finds its retransmit deadline passed: a test of
-// that request or, while the rank blocks in wait/wait_all, the wait loop
-// itself. The wait loop also sleeps no later than the retransmit deadline
-// of any lost send outside the waited set, so a rank waiting on a reply
-// that depends on its own lost request cannot stall in virtual time.
+// and so does this endpoint — nothing moves between calls. A lost send
+// is re-posted by the first poll that finds its retransmit deadline
+// passed: a test of that request or, while the rank blocks in
+// wait/wait_all, the wait loop itself. The wait loop also sleeps no
+// later than the retransmit deadline of any lost send outside the waited
+// set, so a rank waiting on a reply that depends on its own lost request
+// cannot stall in virtual time.
 //
 // Thread safety: the Network object is shared by all rank threads, but
 // only the rank holding the coordinator's token ever touches it — mailbox
@@ -61,12 +38,10 @@
 // only be used from the thread running its rank.
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
 
-#include "comm/agg.h"
 #include "fault/fault.h"
 #include "hw/cost_model.h"
 #include "hw/perf_counters.h"
@@ -86,14 +61,6 @@ namespace usw::comm {
 /// StateError) instead of silently aliasing a fresh request.
 using RequestId = std::size_t;
 
-/// One coalesced message inside an aggregate (its wire form is a header
-/// table entry plus the packed payload).
-struct SubMessage {
-  int tag = -1;
-  std::uint64_t bytes = 0;
-  std::vector<std::byte> payload;  ///< empty in timing-only mode
-};
-
 /// In-flight or arrived message.
 struct Message {
   int src = -1;
@@ -103,12 +70,6 @@ struct Message {
   TimePs arrival = 0;          ///< virtual time it becomes matchable
   std::uint64_t seq = 0;       ///< global send order, for MPI matching rules
   std::vector<std::byte> payload;  ///< empty in timing-only mode
-  /// Aggregate wire message: sub-messages coalesced by the sender.
-  /// Non-empty => Network::deliver explodes them into ordinary messages
-  /// with seqs `seq + 1 + i` before anything reaches a mailbox; `tag` and
-  /// `payload` above are unused and `bytes` is the wire total (payloads
-  /// plus sub-message headers).
-  std::vector<SubMessage> subs;
 };
 
 /// Shared mail system: one mailbox per rank.
@@ -178,7 +139,6 @@ class Comm {
  public:
   Comm(Network& net, sim::Coordinator& coord, int rank,
        hw::PerfCounters* counters = nullptr);
-  ~Comm();
   Comm(const Comm&) = delete;
   Comm& operator=(const Comm&) = delete;
 
@@ -194,22 +154,6 @@ class Comm {
   /// Charges local MPE time (used by schedulers for their own overheads).
   void advance(TimePs dt) { coord_.advance(rank_, dt); }
 
-  /// Seq-space stride between wire messages when aggregation is on: an
-  /// aggregate posted with seq S hands its sub-messages S+1..S+stride-1.
-  static constexpr std::uint64_t kAggSeqStride =
-      static_cast<std::uint64_t>(AggSpec::kMaxSubsPerAggregate) + 1;
-
-  /// Installs the aggregation policy (validates it first). Must be called
-  /// before any send is posted; every endpoint of a run must use the same
-  /// spec, since the seq-space stride is keyed on it.
-  void set_agg(const AggSpec& spec);
-  const AggSpec& agg() const { return agg_; }
-
-  /// The poll-time progress step: flushes every open coalescing buffer
-  /// (flush_sends). Runs at the head of test/test_bulk; schedulers also
-  /// call it after an idle wake.
-  void service_progress();
-
   /// Nonblocking send with payload (functional mode). The data is copied
   /// at post time (eager protocol).
   RequestId isend(int dst, int tag, std::span<const std::byte> data);
@@ -220,12 +164,6 @@ class Comm {
 
   /// Nonblocking send of `bytes` without payload (timing-only mode).
   RequestId isend_bytes(int dst, int tag, std::uint64_t bytes);
-
-  /// Flushes every open coalescing buffer, in ascending destination order
-  /// (the order fixes the aggregates' wire seqs and NIC reservations).
-  /// Visits only destinations appended to since the last call, so a poll
-  /// with nothing buffered costs nothing. No-op with aggregation off.
-  void flush_sends();
 
   /// Nonblocking receive matching (src, tag).
   RequestId irecv(int src, int tag);
@@ -254,9 +192,6 @@ class Comm {
 
   /// Payload of a completed receive (moves it out). Empty in timing-only.
   std::vector<std::byte> take_payload(RequestId id);
-
-  /// Bytes of a completed receive.
-  std::uint64_t request_bytes(RequestId id) const;
 
   /// Earliest locally-known future completion among `ids` (send completion
   /// stamps and already-arrived-but-future matchable messages); kNever if
@@ -312,12 +247,6 @@ class Comm {
  private:
   enum class Kind : std::uint8_t { kSend, kRecv };
 
-  /// Wire protocol of a directly posted (non-coalesced) send. kLegacy is
-  /// the aggregation-off path, byte-identical to the pre-aggregation
-  /// model; under aggregation small directs pay the eager bounce copy and
-  /// large ones the rendezvous handshake.
-  enum class Protocol : std::uint8_t { kLegacy, kEager, kRendezvous };
-
   struct Request {
     Kind kind = Kind::kSend;
     int peer = -1;
@@ -333,26 +262,9 @@ class Comm {
     std::vector<std::byte> payload;  ///< recv data; sends: retransmit copy
   };
 
-  /// Routes a logical send: legacy path (aggregation off / collectives),
-  /// coalescing buffer, or a direct post with the eager/rendezvous split.
-  RequestId route_send(int dst, int tag, std::uint64_t bytes,
-                       std::vector<std::byte> payload);
-
-  /// Posts one wire message now (the pre-aggregation post_send).
-  RequestId post_direct(int dst, int tag, std::uint64_t bytes,
-                        std::vector<std::byte> payload, Protocol proto);
-
-  /// Appends a small send to `dst`'s coalescing buffer (request completes
-  /// per buffered-send semantics; wire seq assigned at flush).
-  RequestId append_agg(int dst, int tag, std::uint64_t bytes,
-                       std::vector<std::byte> payload);
-
-  /// Posts `dst`'s coalescing buffer as one aggregate wire message.
-  void flush_dst(int dst);
-
-  /// Next wire seq: the raw global counter, strided when aggregation is on
-  /// so sub-message seqs slot in behind their aggregate.
-  std::uint64_t wire_seq();
+  /// Posts one wire message now.
+  RequestId post_send(int dst, int tag, std::uint64_t bytes,
+                      std::vector<std::byte> payload);
 
   /// Decodes and validates a RequestId; throws StateError if it is from a
   /// released table (epoch mismatch after reset_requests) or out of range.
@@ -370,7 +282,7 @@ class Comm {
   void maybe_retransmit(Request& req);
 
   /// True when the fault plan can drop messages (sends keep a retransmit
-  /// copy and buffered sends complete at flush, not at append).
+  /// copy).
   bool loss_armed() const;
 
   /// wait_all's guard against the retransmit stall: re-posts every lost
@@ -384,21 +296,6 @@ class Comm {
 
   double allreduce(double value, int op);  // 0=sum 1=min 2=max
 
-  /// A buffered (not yet flushed) sub-message.
-  struct AggSub {
-    std::size_t req = 0;  ///< request-table slot of the logical send
-    int tag = -1;
-    std::uint64_t bytes = 0;
-    std::vector<std::byte> payload;
-  };
-
-  /// Per-destination coalescing buffer.
-  struct AggBuffer {
-    std::vector<AggSub> subs;
-    std::uint64_t bytes = 0;  ///< buffered payload + sub-header bytes
-    bool listed = false;      ///< dst is in open_dsts_
-  };
-
   Network& net_;
   sim::Coordinator& coord_;
   int rank_;
@@ -408,14 +305,8 @@ class Comm {
   std::vector<Request> requests_;
   std::size_t epoch_ = 0;  ///< bumped by reset_requests; stamps RequestIds
   std::uint32_t coll_seq_ = 0;
-  AggSpec agg_;
-  std::uint64_t rdv_threshold_bytes_ = 0;  ///< resolved at set_agg
-  std::vector<AggBuffer> agg_bufs_;        ///< one per destination rank
-  std::vector<char> match_consumed_;       ///< match_visible scratch
+  std::vector<char> match_consumed_;  ///< match_visible scratch
   std::vector<std::pair<int, int>> match_classes_;  ///< match_visible scratch
-  /// Destinations appended to since the last flush_sends (unsorted; a
-  /// policy flush may have emptied some of them already).
-  std::vector<int> open_dsts_;
 };
 
 }  // namespace usw::comm

@@ -63,31 +63,4 @@ TimePs CostModel::message_transfer(std::uint64_t bytes) const {
          seconds_to_ps(static_cast<double>(bytes) / params_.net_bw_bytes_per_s);
 }
 
-TimePs CostModel::agg_append(std::uint64_t bytes) const {
-  return params_.comm_agg_append +
-         seconds_to_ps(static_cast<double>(bytes) / params_.pack_bw_bytes_per_s);
-}
-
-TimePs CostModel::eager_copy(std::uint64_t bytes) const {
-  if (bytes == 0) return 0;
-  return seconds_to_ps(static_cast<double>(bytes) / params_.pack_bw_bytes_per_s);
-}
-
-std::uint64_t CostModel::rendezvous_threshold_bytes() const {
-  // copy(bytes) == handshake  =>  bytes == pack_bw * handshake_seconds.
-  const double bytes = params_.pack_bw_bytes_per_s *
-                       ps_to_seconds(params_.comm_rdv_handshake);
-  return static_cast<std::uint64_t>(bytes);
-}
-
-TimePs CostModel::collective_hop(std::uint64_t bytes) const {
-  return params_.coll_hop_latency +
-         seconds_to_ps(static_cast<double>(bytes) / params_.net_bw_bytes_per_s);
-}
-
-double CostModel::gflops(double counted_flops, TimePs elapsed) {
-  USW_ASSERT_MSG(elapsed > 0, "gflops of zero elapsed time");
-  return counted_flops / ps_to_seconds(elapsed) * 1e-9;
-}
-
 }  // namespace usw::hw

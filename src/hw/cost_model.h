@@ -95,40 +95,6 @@ class CostModel {
   TimePs mpi_post_overhead() const { return params_.mpi_post_overhead; }
   TimePs mpi_test_overhead() const { return params_.mpi_test_overhead; }
 
-  // ---- Message aggregation / protocol split ----
-
-  /// MPE cost to append a `bytes` sub-message to an open coalescing buffer:
-  /// fixed bookkeeping plus the payload copy at pack bandwidth.
-  TimePs agg_append(std::uint64_t bytes) const;
-
-  /// MPE cost of the eager-protocol bounce-buffer copy for `bytes`.
-  TimePs eager_copy(std::uint64_t bytes) const;
-
-  /// Rendezvous handshake round trip (RTS/CTS) before the payload moves.
-  TimePs rdv_handshake() const { return params_.comm_rdv_handshake; }
-
-  /// Protocol split point: messages at least this large go rendezvous.
-  /// Break-even where the eager copy cost equals the handshake cost.
-  std::uint64_t rendezvous_threshold_bytes() const;
-
-  /// Wire bytes of one sub-message header inside an aggregate.
-  std::uint64_t agg_sub_header_bytes() const {
-    return params_.comm_agg_sub_header_bytes;
-  }
-
-  /// Wire envelope bytes of a standalone MPI message.
-  std::uint64_t msg_envelope_bytes() const {
-    return params_.comm_msg_envelope_bytes;
-  }
-
-  /// Per-hop cost of a binomial-tree collective step carrying `bytes`.
-  TimePs collective_hop(std::uint64_t bytes) const;
-
-  // ---- Reporting helpers ----
-
-  /// Achieved Gflop/s given counted flops and elapsed virtual time.
-  static double gflops(double counted_flops, TimePs elapsed);
-
  private:
   MachineParams params_;
 };

@@ -30,10 +30,6 @@ void MachineParams::validate() const {
           "overheads must be non-negative");
   require(cpe_tile_overhead >= 0 && cpe_faaw >= 0,
           "CPE tile costs must be non-negative");
-  require(comm_agg_append >= 0 && comm_rdv_handshake >= 0,
-          "comm aggregation costs must be non-negative");
-  require(comm_agg_sub_header_bytes > 0 && comm_msg_envelope_bytes > 0,
-          "comm header sizes must be positive");
 }
 
 }  // namespace usw::hw

@@ -114,22 +114,6 @@ struct MachineParams {
   /// Per-hop cost of tree-based reductions/broadcasts (includes software).
   TimePs coll_hop_latency = 250 * kMicrosecond;
 
-  // ---- Message aggregation / protocol split (--comm-agg) ----
-  /// Fixed MPE cost to append one sub-message to an open coalescing buffer
-  /// (header-table entry + bookkeeping); the payload copy itself is priced
-  /// at pack_bw_bytes_per_s. Far below mpi_post_overhead — that gap is the
-  /// whole point of aggregation.
-  TimePs comm_agg_append = 500 * kNanosecond;
-  /// Wire bytes of one sub-message header in an aggregate (tag, size, seq).
-  std::uint64_t comm_agg_sub_header_bytes = 16;
-  /// Wire envelope bytes of one MPI message (match header + rendezvous
-  /// metadata); what coalescing N messages into one saves (N-1) times.
-  std::uint64_t comm_msg_envelope_bytes = 64;
-  /// Round-trip cost of the rendezvous handshake (RTS/CTS) a large message
-  /// pays before its payload moves; eager messages skip it but pay the
-  /// bounce-buffer copy at pack_bw_bytes_per_s instead.
-  TimePs comm_rdv_handshake = 30 * kMicrosecond;
-
   /// Theoretical peak of one CG in Gflop/s (MPE + CPE cluster), the
   /// denominator of Fig 10.
   double cg_peak_gflops() const { return mpe_peak_gflops + cpe_cluster_peak_gflops; }

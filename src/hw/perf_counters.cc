@@ -20,10 +20,6 @@ void PerfCounters::merge(const PerfCounters& other) {
   bytes_received += other.bytes_received;
   reductions += other.reductions;
   mpi_posts += other.mpi_posts;
-  agg_msgs_packed += other.agg_msgs_packed;
-  agg_flushes += other.agg_flushes;
-  msgs_rendezvous += other.msgs_rendezvous;
-  agg_bytes_saved += other.agg_bytes_saved;
   fault_injected += other.fault_injected;
   fault_retries += other.fault_retries;
   fault_degraded += other.fault_degraded;

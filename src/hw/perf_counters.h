@@ -42,24 +42,14 @@ struct PerfCounters {
   std::uint64_t dma_bytes_out = 0;   ///< LDM -> main memory (athread_put)
   std::uint64_t pack_bytes = 0;      ///< MPE ghost pack/unpack traffic
 
-  // Communication. messages_sent counts logical messages; mpi_posts counts
-  // wire-level MPI operations (posted sends + recvs + retransmits) — with
-  // aggregation on, many logical sends share one posted aggregate.
+  // Communication. messages_sent counts sends, retransmits included;
+  // mpi_posts counts MPI operations posted (sends + recvs + retransmits).
   std::uint64_t messages_sent = 0;
   std::uint64_t messages_received = 0;
   std::uint64_t bytes_sent = 0;
   std::uint64_t bytes_received = 0;
   std::uint64_t reductions = 0;
   std::uint64_t mpi_posts = 0;
-
-  // Message aggregation / protocol split (--comm-agg).
-  std::uint64_t agg_msgs_packed = 0;   ///< sub-messages placed in aggregates
-  std::uint64_t agg_flushes = 0;       ///< aggregate wire messages posted
-  std::uint64_t msgs_rendezvous = 0;   ///< sends that took the rendezvous path
-  /// Wire bytes saved by coalescing: (n-1) envelopes minus n sub-headers per
-  /// flush. Signed — a policy that flushes every message at one sub-message
-  /// per aggregate wastes header bytes and goes negative.
-  std::int64_t agg_bytes_saved = 0;
 
   // Resilience (src/fault): injected faults and the recovery they drove.
   std::uint64_t fault_injected = 0;   ///< faults fired (all kinds)

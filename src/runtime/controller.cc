@@ -70,7 +70,6 @@ void RunConfig::validate() const {
                       "(flight_capacity > 0)");
   if (stream.enabled() && stream.interval < 1)
     throw ConfigError("stream.interval must be >= 1");
-  comm_agg.validate();
 }
 
 TimePs RunResult::step_wall(int s) const {
@@ -232,7 +231,6 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
     comm::Comm comm(network, coord, rank, &out.counters);
     comm.set_flight(&flight);
     comm.set_retransmit(config.recovery.retransmit);
-    comm.set_agg(config.comm_agg);
     athread::CpeCluster cluster(cost, coord, rank, &out.counters,
                                 config.cpe_groups, config.backend,
                                 cpe_pool.get());
@@ -508,16 +506,6 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
     }
 
     app.on_rank_complete(ctx, comm, part.patches_of(rank), out.metrics);
-
-    if (config.collect_metrics && config.comm_agg.enabled) {
-      const hw::PerfCounters& c = out.counters;
-      obs::MetricsRegistry& m = *out.obs_metrics;
-      m.count("comm.agg.msgs_packed", static_cast<double>(c.agg_msgs_packed));
-      m.count("comm.agg.flushes", static_cast<double>(c.agg_flushes));
-      m.count("comm.agg.bytes_saved", static_cast<double>(c.agg_bytes_saved));
-      m.count("comm.rendezvous", static_cast<double>(c.msgs_rendezvous));
-      m.count("comm.mpi_posts", static_cast<double>(c.mpi_posts));
-    }
 
     if (init_checker)
       for (check::Violation& v : init_checker->take_violations())

@@ -14,7 +14,6 @@
 
 #include "athread/athread.h"
 #include "check/check.h"
-#include "comm/agg.h"
 #include "fault/fault.h"
 #include "grid/partition.h"
 #include "hw/machine_params.h"
@@ -55,14 +54,6 @@ struct RunConfig {
   athread::Backend backend = athread::Backend::kSerial;
   /// Worker threads for Backend::kThreads (0 = one per host core, capped).
   int backend_threads = 0;
-
-  /// Message aggregation/coalescing and the eager/rendezvous protocol
-  /// split (uswsim --comm-agg, see comm/agg.h). Off by default. Numerics
-  /// and archives are bit-equal with aggregation on or off; only virtual
-  /// comm timing (and the comm.agg.* metrics) move.
-  /// Messages progress only when a rank polls (see comm/comm.h), with or
-  /// without aggregation.
-  comm::AggSpec comm_agg;
 
   // Future-work options (paper Sec IX), orthogonal to the variant:
   int cpe_groups = 1;         ///< concurrent kernels per CG (async modes)

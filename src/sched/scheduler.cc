@@ -178,11 +178,9 @@ void Scheduler::post_send(task::TaskContext& ctx, const task::ExtComm& sc,
 }
 
 void Scheduler::post_initial_sends(task::TaskContext& ctx) {
-  // Old-DW ghost data is complete at step start; ship it immediately.
-  // With aggregation on this burst coalesces into (at most) one aggregate
-  // per neighbor, posted by the flush.
+  // Old-DW ghost data is complete at step start; ship it immediately, one
+  // nonblocking send per message.
   for (const task::ExtComm& sc : graph_.initial_sends) post_send(ctx, sc);
-  comm_.flush_sends();
 }
 
 int Scheduler::pick_ready(int want_stencil) {
@@ -531,10 +529,9 @@ void Scheduler::on_finished(task::TaskContext& ctx, int dt_index) {
   st.done = true;
   ++done_count_;
   record(obs::FlightKind::kTaskEnd, comm_.now(), dt_index);
-  // Sec V-C 3(b)i: post nonblocking sends for the completed task — one
-  // aggregate per neighbor when aggregation is on.
+  // Sec V-C 3(b)i: post one nonblocking send per message of the
+  // completed task.
   for (const task::ExtComm& sc : dt.sends) post_send(ctx, sc, dt_index);
-  comm_.flush_sends();
   for (int succ : dt.successors) {
     DtState& ss = state_[static_cast<std::size_t>(succ)];
     USW_ASSERT(ss.pending_preds > 0);
@@ -611,10 +608,9 @@ void Scheduler::idle_wait() {
       std::min(cluster_wake, comm_.earliest_known_completion(open_ids_));
   const TimePs before = comm_.now();
   record(obs::FlightKind::kWaitBegin, before, -1);
+  // Nothing progresses while the MPE sleeps: the caller's next
+  // progress_comm() poll picks up what arrived.
   comm_.wait_until_time(wake);
-  // Poll after waking: with both open lists empty, progress_comm()
-  // early-returns without reaching test_bulk's own progress step.
-  comm_.service_progress();
   counters_.wait_time += comm_.now() - before;
   record(obs::FlightKind::kWaitEnd, comm_.now(), -1);
 }

@@ -20,13 +20,20 @@ namespace {
 
 hw::MachineParams machine() { return hw::MachineParams::sunway_taihulight(); }
 
-/// Runs `body(comm, rank)` across `n` simulated ranks.
+/// Runs `body(comm, rank)` across `n` simulated ranks, collecting per-rank
+/// counters into `counters` (sized to n) when it is non-null.
 template <typename Fn>
-void with_ranks(int n, Fn&& body) {
+void with_ranks(int n, Fn&& body,
+                std::vector<hw::PerfCounters>* counters = nullptr) {
   const hw::CostModel cost(machine());
   Network net(n, cost);
+  if (counters != nullptr)
+    counters->assign(static_cast<std::size_t>(n), hw::PerfCounters{});
   sim::run_ranks(n, [&](sim::Coordinator& coord, int rank) {
-    Comm comm(net, coord, rank);
+    Comm comm(net, coord, rank,
+              counters != nullptr
+                  ? &(*counters)[static_cast<std::size_t>(rank)]
+                  : nullptr);
     body(comm, rank);
   });
 }
@@ -115,16 +122,52 @@ TEST(Comm, UnexpectedMessageBuffersUntilRecvPosted) {
 }
 
 TEST(Comm, TestDoesNotBlockAndEventuallySucceeds) {
+  std::vector<hw::PerfCounters> counters;
+  with_ranks(
+      2,
+      [](Comm& comm, int rank) {
+        if (rank == 0) {
+          comm.advance(50 * kMicrosecond);
+          comm.isend_bytes(1, 2, 64);
+        } else {
+          const RequestId r = comm.irecv(0, 2);
+          EXPECT_FALSE(comm.test(r));  // nothing sent yet at our virtual time
+          comm.wait(r);
+          EXPECT_TRUE(comm.done(r));
+        }
+      },
+      &counters);
+  EXPECT_EQ(counters[1].bytes_received, 64u);
+}
+
+// match_visible compacts consumed messages out of the mailbox in one
+// order-preserving pass: consuming messages from the middle of a large
+// mailbox must keep the survivors in send order.
+TEST(Comm, ManyPendingMessagesMatchInOrderAfterPartialConsumption) {
+  constexpr int kMsgs = 64;
   with_ranks(2, [](Comm& comm, int rank) {
     if (rank == 0) {
-      comm.advance(50 * kMicrosecond);
-      comm.isend_bytes(1, 2, 64);
+      // Interleave two tags so matching one tag consumes from the middle
+      // of the visible box repeatedly.
+      for (int i = 0; i < kMsgs; ++i) {
+        comm.isend(1, 1, bytes_of("odd" + std::to_string(i)));
+        comm.isend(1, 2, bytes_of("evn" + std::to_string(i)));
+      }
+      comm.barrier();
     } else {
-      const RequestId r = comm.irecv(0, 2);
-      EXPECT_FALSE(comm.test(r));  // nothing sent yet at our virtual time
-      comm.wait(r);
-      EXPECT_TRUE(comm.done(r));
-      EXPECT_EQ(comm.request_bytes(r), 64u);
+      comm.barrier();  // everything is already in the mailbox
+      // Drain tag 2 first (consuming every other message), then tag 1;
+      // both must come out in send order.
+      for (int i = 0; i < kMsgs; ++i) {
+        const RequestId r = comm.irecv(0, 2);
+        comm.wait(r);
+        EXPECT_EQ(str_of(comm.take_payload(r)), "evn" + std::to_string(i));
+      }
+      for (int i = 0; i < kMsgs; ++i) {
+        const RequestId r = comm.irecv(0, 1);
+        comm.wait(r);
+        EXPECT_EQ(str_of(comm.take_payload(r)), "odd" + std::to_string(i));
+      }
     }
   });
 }
@@ -226,23 +269,37 @@ TEST(Comm, DeterministicTimings) {
   EXPECT_EQ(run_once(), run_once());
 }
 
+// A send of any size costs the sender exactly one mpi_post_overhead and
+// counts one post on each side (512 B and 1 MiB straddle the ~42 KB size
+// at which MPI stacks usually switch protocols).
 TEST(Comm, CountersTrackTraffic) {
   const hw::CostModel cost(machine());
-  Network net(2, cost);
-  hw::PerfCounters c0, c1;
-  sim::run_ranks(2, [&](sim::Coordinator& coord, int rank) {
-    Comm comm(net, coord, rank, rank == 0 ? &c0 : &c1);
-    if (rank == 0) {
-      comm.wait(comm.isend_bytes(1, 1, 1000));
-    } else {
-      comm.wait(comm.irecv(0, 1));
-    }
-  });
-  EXPECT_EQ(c0.messages_sent, 1u);
-  EXPECT_EQ(c0.bytes_sent, 1000u);
-  EXPECT_EQ(c1.messages_received, 1u);
-  EXPECT_EQ(c1.bytes_received, 1000u);
-  EXPECT_GT(c0.comm_time, 0);
+  for (const std::uint64_t bytes :
+       {std::uint64_t{512}, std::uint64_t{1000}, std::uint64_t{1} << 20}) {
+    std::vector<hw::PerfCounters> c;
+    TimePs post_cost = -1;
+    with_ranks(
+        2,
+        [&](Comm& comm, int rank) {
+          if (rank == 0) {
+            const TimePs before = comm.now();
+            const RequestId s = comm.isend_bytes(1, 1, bytes);
+            post_cost = comm.now() - before;
+            comm.wait(s);
+          } else {
+            comm.wait(comm.irecv(0, 1));
+          }
+        },
+        &c);
+    EXPECT_EQ(post_cost, cost.mpi_post_overhead()) << bytes << " B";
+    EXPECT_EQ(c[0].messages_sent, 1u) << bytes << " B";
+    EXPECT_EQ(c[0].bytes_sent, bytes) << bytes << " B";
+    EXPECT_EQ(c[0].mpi_posts, 1u) << bytes << " B";
+    EXPECT_EQ(c[1].messages_received, 1u) << bytes << " B";
+    EXPECT_EQ(c[1].bytes_received, bytes) << bytes << " B";
+    EXPECT_EQ(c[1].mpi_posts, 1u) << bytes << " B";
+    EXPECT_GT(c[0].comm_time, 0) << bytes << " B";
+  }
 }
 
 }  // namespace
@@ -341,12 +398,12 @@ TEST(Comm, DistinctSendersDoNotSerializeOnEachOther) {
   EXPECT_LT(arrival[2], wire + wire / 2);
 }
 
-/// Runs `body(comm, rank)` across `n` ranks with aggregation `agg` on a
-/// network that drops every attempt until the forced-success cap lets one
-/// through, and returns the per-rank counters.
+/// Runs `body(comm, rank)` across `n` ranks on a network that drops every
+/// attempt until the forced-success cap lets one through, and returns the
+/// per-rank counters.
 template <typename Fn>
-std::vector<hw::PerfCounters> with_lossy_ranks(int n, const char* agg,
-                                               std::uint64_t seed, Fn&& body) {
+std::vector<hw::PerfCounters> with_lossy_ranks(int n, std::uint64_t seed,
+                                               Fn&& body) {
   const fault::FaultPlan plan = fault::FaultPlan::parse("msg_loss:p=1", seed);
   const hw::CostModel cost(machine());
   Network net(n, cost);
@@ -354,7 +411,6 @@ std::vector<hw::PerfCounters> with_lossy_ranks(int n, const char* agg,
   std::vector<hw::PerfCounters> counters(static_cast<std::size_t>(n));
   sim::run_ranks(n, [&](sim::Coordinator& coord, int rank) {
     Comm comm(net, coord, rank, &counters[static_cast<std::size_t>(rank)]);
-    comm.set_agg(AggSpec::parse(agg));
     body(comm, rank);
   });
   return counters;
@@ -367,40 +423,34 @@ constexpr std::uint64_t kRetriesPerLostSend = Network::kMaxSendAttempts - 1;
 // The retransmit stall. Rank 0's request is lost on the wire and rank 0
 // never tests it: it waits on the reply instead, which rank 1 only sends
 // once the request has arrived. The wait must wake at the lost send's
-// retransmit deadline and post it again — with aggregation off, and on,
-// where the lost wire message is a flushed aggregate.
+// retransmit deadline and post it again.
 TEST(CommRetransmit, LostUntestedSendRecovers) {
-  for (const char* agg : {"off", "on"}) {
-    const std::vector<hw::PerfCounters> counters =
-        with_lossy_ranks(2, agg, 3, [](Comm& comm, int rank) {
-          if (rank == 0) {
-            comm.isend(1, 1, bytes_of("request"));  // never tested or waited
-            const RequestId reply = comm.irecv(1, 2);
-            comm.wait(reply);
-            EXPECT_EQ(str_of(comm.take_payload(reply)), "reply");
-          } else {
-            const RequestId r = comm.irecv(0, 1);
-            comm.wait(r);
-            EXPECT_EQ(str_of(comm.take_payload(r)), "request");
-            const RequestId s = comm.isend(0, 2, bytes_of("reply"));
-            comm.wait(s);  // its own test drives these retransmits
-          }
-        });
-    // Rank 0 posted its request again after every lost attempt.
-    EXPECT_EQ(counters[0].fault_retries, kRetriesPerLostSend) << "agg " << agg;
-  }
+  const std::vector<hw::PerfCounters> counters =
+      with_lossy_ranks(2, 3, [](Comm& comm, int rank) {
+        if (rank == 0) {
+          comm.isend(1, 1, bytes_of("request"));  // never tested or waited
+          const RequestId reply = comm.irecv(1, 2);
+          comm.wait(reply);
+          EXPECT_EQ(str_of(comm.take_payload(reply)), "reply");
+        } else {
+          const RequestId r = comm.irecv(0, 1);
+          comm.wait(r);
+          EXPECT_EQ(str_of(comm.take_payload(r)), "request");
+          const RequestId s = comm.isend(0, 2, bytes_of("reply"));
+          comm.wait(s);  // its own test drives these retransmits
+        }
+      });
+  // Rank 0 posted its request again after every lost attempt.
+  EXPECT_EQ(counters[0].fault_retries, kRetriesPerLostSend);
 }
-
-// The CommProgress names date from when a deadline-driven progress engine
-// ran beside polling. Both scenarios now run on the one poll-driven path.
 
 // Several lost sends, none of them waited: rank 0 asks ranks 1 and 2 and
 // waits on both replies at once. The wait must wake at the earlier of the
 // two retransmit deadlines and keep driving both requests until each is
 // through.
-TEST(CommProgress, LostUntestedSendRecoversUnderEngine) {
+TEST(CommRetransmit, SeveralLostUntestedSendsRecover) {
   const std::vector<hw::PerfCounters> counters =
-      with_lossy_ranks(3, "off", 3, [](Comm& comm, int rank) {
+      with_lossy_ranks(3, 3, [](Comm& comm, int rank) {
         if (rank == 0) {
           comm.isend(1, 1, bytes_of("request1"));
           comm.isend(2, 1, bytes_of("request2"));
@@ -418,32 +468,6 @@ TEST(CommProgress, LostUntestedSendRecoversUnderEngine) {
           comm.wait(s);
         }
       });
-  EXPECT_EQ(counters[0].fault_retries, 2 * kRetriesPerLostSend);
-}
-
-// A lost aggregate carries two buffered sends, which completed at append
-// and which nobody can test. Each is retransmitted on its own, outside
-// any aggregate, and the receiver needs both before it replies.
-TEST(CommProgress, LostAggregateRecoversUnderEngine) {
-  const std::vector<hw::PerfCounters> counters =
-      with_lossy_ranks(2, "on", 5, [](Comm& comm, int rank) {
-        if (rank == 0) {
-          comm.isend(1, 1, bytes_of("first"));
-          comm.isend(1, 3, bytes_of("second"));
-          const RequestId reply = comm.irecv(1, 2);
-          comm.wait(reply);  // its head-of-test flush posts the aggregate
-          EXPECT_EQ(str_of(comm.take_payload(reply)), "reply");
-        } else {
-          const RequestId rs[] = {comm.irecv(0, 1), comm.irecv(0, 3)};
-          comm.wait_all(rs);
-          EXPECT_EQ(str_of(comm.take_payload(rs[0])), "first");
-          EXPECT_EQ(str_of(comm.take_payload(rs[1])), "second");
-          const RequestId s = comm.isend(0, 2, bytes_of("reply"));
-          comm.wait(s);
-        }
-      });
-  EXPECT_EQ(counters[0].agg_flushes, 1u);
-  EXPECT_EQ(counters[0].agg_msgs_packed, 2u);
   EXPECT_EQ(counters[0].fault_retries, 2 * kRetriesPerLostSend);
 }
 

@@ -133,11 +133,6 @@ TEST_F(CostModelTest, PackProportionalToBytes) {
               static_cast<double>(a) * 0.01);
 }
 
-TEST_F(CostModelTest, Gflops) {
-  EXPECT_DOUBLE_EQ(CostModel::gflops(1e9, kSecond), 1.0);
-  EXPECT_DOUBLE_EQ(CostModel::gflops(5e8, kSecond / 2), 1.0);
-}
-
 TEST(Ldm, AllocatesWithinCapacity) {
   Ldm ldm(64 * 1024);
   auto a = ldm.alloc<double>(1000);
