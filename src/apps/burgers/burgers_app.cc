@@ -1,6 +1,7 @@
 #include "apps/burgers/burgers_app.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -40,23 +41,31 @@ void fill_exact(var::CCVariable<double>& u, const grid::Level& level,
   }
 }
 
+/// At most one slab per side of a box, held without the heap.
+struct Slabs {
+  std::array<grid::Box, 6> box;
+  int n = 0;
+  const grid::Box* begin() const { return box.data(); }
+  const grid::Box* end() const { return box.data() + n; }
+};
+
 /// Domain-boundary slabs of the patch's ghosted box (regions the halo
 /// exchange cannot fill because there is no neighbor).
-std::vector<grid::Box> boundary_slabs(const grid::Level& level,
-                                      const grid::Patch& patch, int ghost) {
-  std::vector<grid::Box> out;
+Slabs boundary_slabs(const grid::Level& level, const grid::Patch& patch,
+                     int ghost) {
+  Slabs out;
   const grid::Box domain = level.domain();
   const grid::Box g = patch.ghosted(ghost);
   for (int axis = 0; axis < 3; ++axis) {
     if (g.lo[axis] < domain.lo[axis]) {
-      grid::Box slab = g;
+      grid::Box& slab = out.box[static_cast<std::size_t>(out.n++)];
+      slab = g;
       slab.hi[axis] = domain.lo[axis];
-      out.push_back(slab);
     }
     if (g.hi[axis] > domain.hi[axis]) {
-      grid::Box slab = g;
+      grid::Box& slab = out.box[static_cast<std::size_t>(out.n++)];
+      slab = g;
       slab.lo[axis] = domain.hi[axis];
-      out.push_back(slab);
     }
   }
   // Slabs from different axes overlap at corners; that is harmless (the

@@ -26,7 +26,7 @@ CpeCluster::CpeCluster(const hw::CostModel& cost, sim::Coordinator& coord,
                        int rank, hw::PerfCounters* counters, int n_groups,
                        Backend backend, WorkerPool* pool)
     : cost_(cost), coord_(coord), rank_(rank), counters_(counters),
-      backend_(backend), ldm_(cost.params().ldm_bytes) {
+      backend_(backend) {
   const int cpes = cost.params().cpes_per_cg;
   if (n_groups < 1 || cpes % n_groups != 0)
     throw ConfigError("CPE group count " + std::to_string(n_groups) +
@@ -45,11 +45,6 @@ CpeCluster::CpeCluster(const hw::CostModel& cost, sim::Coordinator& coord,
       pool = owned_pool_.get();
     }
     pool_ = pool;
-    // Every pool worker gets an exclusive LDM model: CPE bodies running
-    // concurrently must not share a bump allocator.
-    worker_ldms_.reserve(static_cast<std::size_t>(pool_->size()));
-    for (int w = 0; w < pool_->size(); ++w)
-      worker_ldms_.emplace_back(cost.params().ldm_bytes);
   }
 }
 
@@ -102,9 +97,12 @@ void CpeCluster::spawn(const CpeJob& job, int g) {
   }
 
   if (job && backend_ == Backend::kSerial) {
-    // A throwing body (e.g. LDM overflow) propagates out of spawn() and
-    // leaves the group idle.
-    for (const int id : group.working) run_cpe(job, id, ldm_);
+    // The one LDM every body of this rank stages through, made at the
+    // first body: a run that moves no data never holds one. A throwing
+    // body (e.g. LDM overflow) propagates out of spawn() and leaves the
+    // group idle.
+    if (!ldm_) ldm_.emplace(cost_.params().ldm_bytes);
+    for (const int id : group.working) run_cpe(job, id, *ldm_);
   } else if (job) {
     group.job = job;
     for (const int id : group.working)
@@ -115,7 +113,7 @@ void CpeCluster::spawn(const CpeJob& job, int g) {
       pool_->submit([this, &group, id](int worker) {
         try {
           run_cpe(group.job, id,
-                  worker_ldms_[static_cast<std::size_t>(worker)]);
+                  pool_->ldm(worker, cost_.params().ldm_bytes));
         } catch (...) {
           group.cpe_errors[static_cast<std::size_t>(id)] =
               std::current_exception();

@@ -20,19 +20,23 @@
 //   * functionally, each working CPE's kernel body runs on the host and
 //     only moves real data, staging it through a real capacity-checked Ldm
 //     buffer — so numerics, LDM overflow and tile logic are all genuinely
-//     exercised. A timing-only offload spawns an empty job: no body runs.
+//     exercised. A timing-only offload spawns an empty job: no body runs,
+//     and no LDM is ever made for it.
 //
 // Two execution backends decide *where* the CPE bodies run:
 //
 //   Backend::kSerial  - every body runs on the MPE's host thread at spawn
-//                       time, in CPE-id order. Deterministic, zero host
-//                       synchronization; wall-clock is serial.
+//                       time, in CPE-id order, through the cluster's one
+//                       LDM, made at its first body. Deterministic, zero
+//                       host synchronization; wall-clock is serial.
 //   Backend::kThreads - bodies are dispatched across a persistent
 //                       WorkerPool of real host threads; spawn() returns
 //                       immediately and each CPE increments the group's
 //                       completion counter with a real std::atomic
 //                       fetch-add (the emulated faaw) when its body ends.
-//                       Wall-clock scales with host cores.
+//                       A body stages through its worker's LDM, which the
+//                       pool owns (one per worker, however many clusters
+//                       share it). Wall-clock scales with host cores.
 //
 // Both backends produce bit-identical field data and identical virtual-time
 // results: no body computes any virtual result, and per-CPE write-sets are
@@ -60,6 +64,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -244,8 +249,9 @@ class CpeCluster {
   std::vector<int> all_groups_;  ///< 0..n_groups-1: the canonical sweep
   std::vector<int> poll_order_;  ///< scratch for a controlled sweep
   Backend backend_;
-  hw::Ldm ldm_;                       ///< kSerial: shared, reset per CPE
-  std::vector<hw::Ldm> worker_ldms_;  ///< kThreads: one per pool worker
+  /// kSerial: the LDM every body stages through, reset per CPE; made at
+  /// the first body. kThreads bodies use their pool worker's.
+  std::optional<hw::Ldm> ldm_;
   std::vector<std::unique_ptr<Group>> groups_;
   std::mutex sync_mu_;
   std::condition_variable sync_cv_;

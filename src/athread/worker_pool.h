@@ -7,8 +7,10 @@
 // task per working CPE of an offload that has data to move (a timing-only
 // offload enqueues nothing), and the pool's threads drain the queue in
 // submission order. Tasks receive the index of the worker executing them
-// (0..size()-1) so callers can hand each worker exclusive scratch state —
-// CpeCluster uses it to give every worker its own 64 KB Ldm model.
+// (0..size()-1). The pool owns one 64 KB Ldm model per worker, made at
+// that worker's first CPE body (ldm()), so a threads-backend run holds at
+// most one LDM per worker however many ranks share the pool, and a run
+// whose offloads move no data holds none.
 //
 // The pool is intentionally dumb: no stealing, no priorities, FIFO only.
 // Determinism of the simulation does not depend on execution order (CPE
@@ -26,8 +28,11 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
+
+#include "hw/ldm.h"
 
 namespace usw::athread {
 
@@ -48,6 +53,13 @@ class WorkerPool {
 
   /// Enqueues `task`; some worker eventually runs task(worker_index).
   void submit(std::function<void(int)> task);
+
+  /// Worker `worker`'s LDM model of `capacity` bytes, made (zero-filled)
+  /// at its first call; every call must name the same capacity. Call it
+  /// only from a task running on that worker: CPE bodies running
+  /// concurrently must not share a bump allocator, and no other thread
+  /// touches a worker's LDM.
+  hw::Ldm& ldm(int worker, std::size_t capacity);
 
   /// Host concurrency clamped to [1, 16]: beyond one thread per core the
   /// CPE bodies only contend, and 16 already covers every offload shape
@@ -90,6 +102,8 @@ class WorkerPool {
   std::size_t sample_cap_ = 0;
   PoolStats stats_;
 
+  /// Per worker, sized before the workers start; see ldm().
+  std::vector<std::optional<hw::Ldm>> ldms_;
   std::vector<std::thread> threads_;
 };
 

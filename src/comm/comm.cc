@@ -52,7 +52,16 @@ Network::Delivery Network::deliver(Message msg, int attempt) {
       result.arrival = msg.arrival;
     }
   }
-  mailboxes_[static_cast<std::size_t>(msg.dst)].push_back(std::move(msg));
+  // The mailbox stays in seq order. Messages arrive in seq order, except a
+  // retransmit, which reuses the seq of its lost first transmission: it
+  // goes where that one would have been.
+  std::vector<Message>& box = mailboxes_[static_cast<std::size_t>(msg.dst)];
+  auto at = box.end();
+  if (!box.empty() && box.back().seq > msg.seq)
+    at = std::upper_bound(
+        box.begin(), box.end(), msg.seq,
+        [](std::uint64_t seq, const Message& m) { return seq < m.seq; });
+  box.insert(at, std::move(msg));
   return result;
 }
 
@@ -250,10 +259,8 @@ void Comm::match_visible() {
   auto& box = net_.mailbox(rank_);
   if (box.empty()) return;
   const TimePs now = coord_.now(rank_);
-  // Deliver messages in send order (MPI non-overtaking rule) to pending
-  // receives in post order.
-  std::sort(box.begin(), box.end(),
-            [](const Message& a, const Message& b) { return a.seq < b.seq; });
+  // Deliver messages in send order (MPI non-overtaking rule), which is the
+  // mailbox's order (Network::deliver), to pending receives in post order.
   // Group the visible messages into (src, tag) classes in head-seq order.
   // MPI only orders delivery WITHIN a class, so the class interleaving is
   // a schedule point: the controller picks which class goes first. A
@@ -275,7 +282,8 @@ void Comm::match_visible() {
   }
   // Consumed messages are marked and compacted out in ONE order-preserving
   // pass at the end: erasing from the middle per match is O(n^2) at the
-  // mailbox depths a 1k-CG step produces.
+  // mailbox depths a 1k-CG step produces, and the survivors must stay in
+  // seq order for the next call.
   match_consumed_.assign(box.size(), 0);
   bool any_consumed = false;
   for (const auto& [src, tag] : classes) {
@@ -383,12 +391,12 @@ TimePs Comm::drive_unwaited_sends(std::span<const RequestId> ids) {
   // The scheduler's waits cover every open send, so on the runtime's paths
   // this finds nothing and moves no virtual time.
   if (!loss_armed()) return sim::kNever;
-  std::vector<char> waited(requests_.size(), 0);
-  for (RequestId id : ids) waited[id & kIndexMask] = 1;
+  waited_.assign(requests_.size(), 0);
+  for (RequestId id : ids) waited_[id & kIndexMask] = 1;
   TimePs next = sim::kNever;
   for (std::size_t i = 0; i < requests_.size(); ++i) {
     Request& req = requests_[i];
-    if (waited[i] != 0 || req.kind != Kind::kSend || !req.lost) continue;
+    if (waited_[i] != 0 || req.kind != Kind::kSend || !req.lost) continue;
     maybe_retransmit(req);
     if (req.lost) next = std::min(next, req.complete_stamp);
   }
@@ -437,26 +445,41 @@ double Comm::allreduce(double value, int op) {
   };
   double acc = value;
   const TimePs hop = net_.cost().params().coll_hop_latency;
+  // The 8-byte payloads travel in buffers this rank received in earlier
+  // collectives. Every rank receives as many messages per allreduce as it
+  // sends (a child per reduce receive, a parent per broadcast receive), so
+  // only a rank's first send ever allocates.
+  auto send = [&](int peer, int to_tag) {
+    std::vector<std::byte> buf;
+    if (!coll_buffers_.empty()) {
+      buf = std::move(coll_buffers_.back());
+      coll_buffers_.pop_back();
+    }
+    buf.resize(8);
+    std::memcpy(buf.data(), &acc, 8);
+    wait(isend(peer, to_tag, std::move(buf)));
+  };
+  auto receive = [&](int peer, int from_tag) {
+    const RequestId r = irecv(peer, from_tag);
+    wait(r);
+    std::vector<std::byte> payload = take_payload(r);
+    USW_ASSERT(payload.size() == 8);
+    double other = 0.0;
+    std::memcpy(&other, payload.data(), 8);
+    coll_buffers_.push_back(std::move(payload));
+    return other;
+  };
   // Reduce.
   for (int mask = 1; mask < n; mask <<= 1) {
     if ((rank_ & mask) != 0) {
       coord_.advance(rank_, hop);
-      std::byte buf[8];
-      std::memcpy(buf, &acc, 8);
-      const RequestId s = isend((rank_ & ~mask), tag, buf);
-      wait(s);
+      send(rank_ & ~mask, tag);
       break;
     }
     const int peer = rank_ | mask;
     if (peer < n) {
       coord_.advance(rank_, hop);
-      const RequestId r = irecv(peer, tag);
-      wait(r);
-      const auto payload = take_payload(r);
-      USW_ASSERT(payload.size() == 8);
-      double other = 0.0;
-      std::memcpy(&other, payload.data(), 8);
-      acc = combine(acc, other);
+      acc = combine(acc, receive(peer, tag));
     }
   }
   // Broadcast.
@@ -467,18 +490,11 @@ double Comm::allreduce(double value, int op) {
       const int peer = rank_ | mask;
       if (peer < n) {
         coord_.advance(rank_, hop);
-        std::byte buf[8];
-        std::memcpy(buf, &acc, 8);
-        const RequestId s = isend(peer, tag + (1 << 27), buf);
-        wait(s);
+        send(peer, tag + (1 << 27));
       }
     } else if ((rank_ & (2 * mask - 1)) == mask) {
       coord_.advance(rank_, hop);
-      const RequestId r = irecv(rank_ & ~mask, tag + (1 << 27));
-      wait(r);
-      const auto payload = take_payload(r);
-      USW_ASSERT(payload.size() == 8);
-      std::memcpy(&acc, payload.data(), 8);
+      acc = receive(rank_ & ~mask, tag + (1 << 27));
     }
   }
   return acc;

@@ -113,7 +113,8 @@ class Network {
   /// retransmission. kDelayed messages are enqueued at the later arrival.
   Delivery deliver(Message msg, int attempt = 1);
 
-  /// `rank`'s incoming messages: senders push, the owner matches.
+  /// `rank`'s incoming messages in seq order: senders deliver, the owner
+  /// matches.
   std::vector<Message>& mailbox(int rank) { return mailboxes_[static_cast<std::size_t>(rank)]; }
   const std::vector<Message>& mailbox(int rank) const {
     return mailboxes_[static_cast<std::size_t>(rank)];
@@ -305,7 +306,10 @@ class Comm {
   std::vector<Request> requests_;
   std::size_t epoch_ = 0;  ///< bumped by reset_requests; stamps RequestIds
   std::uint32_t coll_seq_ = 0;
+  /// Payload buffers received in collectives, reused by the next sends.
+  std::vector<std::vector<std::byte>> coll_buffers_;
   std::vector<char> match_consumed_;  ///< match_visible scratch
+  std::vector<char> waited_;          ///< drive_unwaited_sends scratch
   std::vector<std::pair<int, int>> match_classes_;  ///< match_visible scratch
 };
 

@@ -9,6 +9,12 @@
 // genuinely compute out of the staged copy, and exceeding the 64 KB
 // capacity fails the same way it would on hardware (at development time,
 // loudly).
+//
+// Construction allocates and zero-fills the whole buffer, so its owners
+// make one only where CPE bodies run: the serial CpeCluster at its first
+// body, the threads backend's WorkerPool per worker at that worker's
+// first body (athread.h). Planners that only need the capacity rule use
+// check_fits() and hold no buffer.
 
 #include <cstddef>
 #include <cstdint>

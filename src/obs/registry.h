@@ -48,6 +48,11 @@ class MetricsRegistry {
   /// Adds one sample to distribution `name`.
   void sample(std::string_view name, double v) { slot(dists_, name).add(v); }
 
+  /// Makes room in distribution `name` for `n` samples in all.
+  void reserve(std::string_view name, std::size_t n) {
+    slot(dists_, name).samples.reserve(n);
+  }
+
   /// Adds `v` to counter `name`.
   void count(std::string_view name, double v = 1.0) { slot(counters_, name) += v; }
 

@@ -417,6 +417,8 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
     // incarnation, up to recovery.max_restarts times.
     const bool deadline_active =
         config.recovery.step_deadline > 0 && output_archive.has_value();
+    out.step_walls.reserve(static_cast<std::size_t>(config.timesteps));
+    out.host_step_ms.reserve(static_cast<std::size_t>(config.timesteps));
     int completed = 0;   // timesteps finished (relative to start_step)
     int last_ckpt = -1;  // archive step of the newest checkpoint written
     int restarts_done = 0;
@@ -553,6 +555,9 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
   obs::MetricsRegistry& hostm = result.host.reg;
   hostm.count("host.setup_ms", host_setup_ms);
   hostm.count("host.run_ms", ms_since(host_run_start));
+  if (config.timesteps > 0)
+    hostm.reserve("host.step_ms", result.ranks.size() *
+                                      static_cast<std::size_t>(config.timesteps));
   for (const RankResult& r : result.ranks) {
     hostm.sample("host.rank_init_ms", r.host_init_ms);
     for (const double ms : r.host_step_ms) hostm.sample("host.step_ms", ms);

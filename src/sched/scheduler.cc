@@ -87,7 +87,7 @@ StepStats Scheduler::execute(task::TaskContext& ctx) {
 
   const std::size_t n = graph_.tasks.size();
   state_.assign(n, DtState{});
-  ready_.clear();
+  ready_.reset(n);
   open_recvs_.clear();
   open_sends_.clear();
   done_count_ = 0;
@@ -183,10 +183,16 @@ void Scheduler::post_initial_sends(task::TaskContext& ctx) {
   for (const task::ExtComm& sc : graph_.initial_sends) post_send(ctx, sc);
 }
 
+std::size_t Scheduler::ReadySet::size() const {
+  std::size_t n = 0;
+  for (const std::uint64_t w : words_) n += static_cast<std::size_t>(std::popcount(w));
+  return n;
+}
+
 int Scheduler::pick_ready(int want_stencil) {
-  for (int i : ready_)
-    if (want_stencil < 0 || (want_stencil == 1) == is_offloadable(i)) return i;
-  return -1;
+  return ready_.first([&](int i) {
+    return want_stencil < 0 || (want_stencil == 1) == is_offloadable(i);
+  });
 }
 
 bool Scheduler::is_stencil(int dt_index) const {

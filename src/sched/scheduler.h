@@ -32,9 +32,9 @@
 // as (kind, time, step, task, group or message); names are resolved from
 // the compiled graph only at export (src/obs/span.h).
 
-#include <deque>
+#include <bit>
+#include <cstdint>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "athread/athread.h"
@@ -254,9 +254,35 @@ class Scheduler {
   };
   std::vector<StencilPlan> plans_;  ///< per detailed task, for the run
 
+  /// The ready detailed tasks: one bit per dense task index, read in
+  /// index order. Sized once per graph, so a step allocates nothing.
+  class ReadySet {
+   public:
+    /// Empties the set and sizes it for task indices below `n`.
+    void reset(std::size_t n) { words_.assign((n + 63) / 64, 0); }
+    void insert(int i) { word(i) |= bit(i); }
+    void erase(int i) { word(i) &= ~bit(i); }
+    std::size_t size() const;
+    /// The lowest index in the set satisfying `pred`, or -1.
+    template <typename Pred>
+    int first(Pred pred) const {
+      for (std::size_t w = 0; w < words_.size(); ++w)
+        for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
+          const int i = static_cast<int>(w * 64) + std::countr_zero(bits);
+          if (pred(i)) return i;
+        }
+      return -1;
+    }
+
+   private:
+    static std::uint64_t bit(int i) { return std::uint64_t{1} << (i & 63); }
+    std::uint64_t& word(int i) { return words_[static_cast<std::size_t>(i) >> 6]; }
+    std::vector<std::uint64_t> words_;
+  };
+
   // Transient per-step state.
   std::vector<DtState> state_;
-  std::set<int> ready_;                    ///< deterministic (index order)
+  ReadySet ready_;
   /// A posted receive or send the step has not seen complete.
   struct OpenRequest {
     comm::RequestId id;

@@ -27,8 +27,89 @@ void Coordinator::Wakeup::wait() {
     USW_ASSERT_MSG(errno == EINTR, "sem_wait failed");
 }
 
-Coordinator::Coordinator(int nranks) : ranks_(static_cast<std::size_t>(nranks)) {
+Coordinator::GrantIndex::GrantIndex(int nranks)
+    : pos_(static_cast<std::size_t>(nranks)) {
+  heap_.reserve(pos_.size());
+}
+
+void Coordinator::GrantIndex::place(std::size_t i, const Entry& e) {
+  heap_[i] = e;
+  pos_[static_cast<std::size_t>(e.rank)] = i;
+}
+
+void Coordinator::GrantIndex::sift_up(std::size_t i) {
+  const Entry e = heap_[i];
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!before(e, heap_[parent])) break;
+    place(i, heap_[parent]);
+    i = parent;
+  }
+  place(i, e);
+}
+
+void Coordinator::GrantIndex::sift_down(std::size_t i) {
+  const Entry e = heap_[i];
+  const std::size_t n = heap_.size();
+  for (;;) {
+    std::size_t child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
+    if (!before(heap_[child], e)) break;
+    place(i, heap_[child]);
+    i = child;
+  }
+  place(i, e);
+}
+
+void Coordinator::GrantIndex::push(int rank, TimePs time) {
+  heap_.push_back(Entry{time, rank});
+  sift_up(heap_.size() - 1);
+}
+
+void Coordinator::GrantIndex::lower(int rank, TimePs time) {
+  const std::size_t i = pos_[static_cast<std::size_t>(rank)];
+  USW_ASSERT(heap_[i].rank == rank && time <= heap_[i].time);
+  heap_[i].time = time;
+  sift_up(i);
+}
+
+void Coordinator::GrantIndex::erase(int rank) {
+  const std::size_t i = pos_[static_cast<std::size_t>(rank)];
+  USW_ASSERT(i < heap_.size() && heap_[i].rank == rank);
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (i == heap_.size()) return;
+  // The last entry fills the hole; it may belong above or below it.
+  place(i, last);
+  if (i > 0 && before(last, heap_[(i - 1) / 2]))
+    sift_up(i);
+  else
+    sift_down(i);
+}
+
+void Coordinator::GrantIndex::within(TimePs window, std::vector<int>& out,
+                                     std::vector<std::size_t>& stack) const {
+  // A child is never before its parent, so the walk stops descending at
+  // the first entry past the window.
+  const TimePs best = heap_.front().time;
+  stack.assign(1, 0);
+  while (!stack.empty()) {
+    const std::size_t i = stack.back();
+    stack.pop_back();
+    for (std::size_t child = 2 * i + 1; child <= 2 * i + 2; ++child) {
+      if (child >= heap_.size() || heap_[child].time - best >= window) continue;
+      out.push_back(heap_[child].rank);
+      stack.push_back(child);
+    }
+  }
+}
+
+Coordinator::Coordinator(int nranks)
+    : ranks_(static_cast<std::size_t>(nranks)), eligible_(nranks) {
   USW_ASSERT_MSG(nranks > 0, "coordinator needs at least one rank");
+  candidates_.reserve(ranks_.size());
+  walk_.reserve(ranks_.size());
 }
 
 void Coordinator::start(int rank) {
@@ -42,7 +123,7 @@ void Coordinator::start(int rank) {
     ++started_;
     // A crash before registration posted no wake-up for this rank.
     if (cancelled_.load(std::memory_order_relaxed)) throw Cancelled(cancel_reason_);
-    eligible_.emplace(0, rank);
+    eligible_.push(rank, 0);
     // pick_next_locked holds everyone at the starting line until every
     // rank thread has registered; the last one to arrive grants.
     if (running_ < 0) next = pick_next_locked();
@@ -99,11 +180,11 @@ void Coordinator::park(int rank, State state, TimePs wake) {
     USW_ASSERT_MSG(slot.state == State::kRunning, "parking a rank without a grant");
     const TimePs clock = slot.clock.load(std::memory_order_relaxed);
     if (state == State::kReady) {
-      eligible_.emplace(clock, rank);
+      eligible_.push(rank, clock);
     } else {
       if (wake != kNever && wake <= clock) return;  // already past the event
       // A kNever waiter is not eligible until a notify gives it a wake.
-      if (wake != kNever) eligible_.emplace(wake, rank);
+      if (wake != kNever) eligible_.push(rank, wake);
       slot.wake = wake;
     }
     slot.state = state;
@@ -120,8 +201,10 @@ void Coordinator::notify(int rank, TimePs stamp) {
   const TimePs effective =
       std::max(stamp, slot.clock.load(std::memory_order_relaxed));
   if (effective < slot.wake) {
-    if (slot.wake != kNever) eligible_.erase({slot.wake, rank});
-    eligible_.emplace(effective, rank);
+    if (slot.wake != kNever)
+      eligible_.lower(rank, effective);
+    else
+      eligible_.push(rank, effective);
     slot.wake = effective;
   }
 }
@@ -239,9 +322,9 @@ int Coordinator::pick_next_locked() {
     if (finished_ < size()) crash_locked(deadlock_message_locked());
     return -1;
   }
-  auto granted = eligible_.begin();
-  const auto [best_time, min_rank] = *granted;
+  const auto [best_time, min_rank] = eligible_.top();
   if (watchdog_trips_locked(min_rank, best_time)) return -1;
+  int best = min_rank;
   int n_candidates = 1;
   if (schedule_ != nullptr) {
     // Schedule point: any rank whose effective time is STRICTLY inside
@@ -249,20 +332,15 @@ int Coordinator::pick_next_locked() {
     // set_schedule for the causality argument). Candidate 0 is the
     // canonical min-clock/min-rank choice so default == index 0; the rest
     // follow in ascending rank id.
-    std::vector<decltype(granted)> candidates;
-    for (auto it = std::next(granted);
-         it != eligible_.end() && it->first - best_time < lookahead_; ++it)
-      candidates.push_back(it);
-    std::sort(candidates.begin(), candidates.end(),
-              [](auto a, auto b) { return a->second < b->second; });
-    candidates.insert(candidates.begin(), granted);
-    n_candidates = static_cast<int>(candidates.size());
+    candidates_.assign(1, min_rank);
+    eligible_.within(lookahead_, candidates_, walk_);
+    std::sort(candidates_.begin() + 1, candidates_.end());
+    n_candidates = static_cast<int>(candidates_.size());
     const int pick =
         schedule_->choose(schedpt::PointKind::kRankPick, min_rank, n_candidates);
-    granted = candidates[static_cast<std::size_t>(pick)];
+    best = candidates_[static_cast<std::size_t>(pick)];
   }
-  const int best = granted->second;
-  eligible_.erase(granted);
+  eligible_.erase(best);
   RankSlot& chosen = ranks_[static_cast<std::size_t>(best)];
   if (chosen.state == State::kWaiting) {
     chosen.clock.store(

@@ -22,15 +22,19 @@
 // structures keep it cheap:
 //
 //   Grant index - the eligible ranks (kReady at their clock, kWaiting at a
-//               finite wake) in an ordered set keyed by (eligibility,
-//               rank id): the grant order itself. start/gate/wait_until
-//               insert, a notify that lowers a wake re-keys, the grant
-//               removes. The next rank is the first entry, O(log n) per
+//               finite wake) in an indexed binary min-heap keyed by
+//               (eligibility, rank id): the grant order itself. It is
+//               sized once for every rank, so a handoff allocates nothing.
+//               start/gate/wait_until push, a notify that lowers a wake
+//               sifts the rank up from the heap position it keeps, the
+//               grant removes. The next rank is the top, O(log n) per
 //               handoff; `started_`/`finished_` counters answer "everyone
 //               registered?" and "anyone unfinished?" without a scan.
 //               Under a schedule controller the kRankPick candidates are
-//               the leading entries within the lookahead, listed best
-//               first, then by ascending rank id.
+//               the entries within the lookahead (a walk that prunes at
+//               the first entry past it), listed best first, then by
+//               ascending rank id; the chosen one leaves the heap from
+//               wherever it sits.
 //
 //   Wake-up     - each rank sleeps on its own POSIX semaphore. The grantor
 //               decides the next rank under `lock_`, RELEASES the lock,
@@ -80,9 +84,7 @@
 #include <functional>
 #include <limits>
 #include <mutex>
-#include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "support/error.h"
@@ -259,12 +261,51 @@ class Coordinator {
   /// True (and crashes) when granting at `best_time` trips the watchdog.
   bool watchdog_trips_locked(int best, TimePs best_time);
 
+  /// The grant index (see "Grant path" above): (eligibility, rank id) of
+  /// every kReady rank (at its clock) and every kWaiting rank with a finite
+  /// wake, in a binary min-heap sized once for every rank. Each rank keeps
+  /// its heap position, so a lowered wake and a granted candidate that is
+  /// not the top are found without a search. Requires lock_ held.
+  class GrantIndex {
+   public:
+    struct Entry {
+      TimePs time = 0;
+      int rank = -1;
+    };
+    explicit GrantIndex(int nranks);
+    bool empty() const { return heap_.empty(); }
+    const Entry& top() const { return heap_.front(); }
+    /// Adds `rank`, which must not be in the index, eligible at `time`.
+    void push(int rank, TimePs time);
+    /// Moves `rank`, which must be in the index, to the earlier `time`.
+    void lower(int rank, TimePs time);
+    /// Removes `rank`, which must be in the index.
+    void erase(int rank);
+    /// Appends the rank of every entry other than the top whose time lies
+    /// strictly within `window` of the top's, in no particular order.
+    /// `stack` is walk scratch.
+    void within(TimePs window, std::vector<int>& out,
+                std::vector<std::size_t>& stack) const;
+
+   private:
+    static bool before(const Entry& a, const Entry& b) {
+      return a.time < b.time || (a.time == b.time && a.rank < b.rank);
+    }
+    void place(std::size_t i, const Entry& e);
+    void sift_up(std::size_t i);
+    void sift_down(std::size_t i);
+
+    std::vector<Entry> heap_;
+    std::vector<std::size_t> pos_;  ///< per rank: its index in heap_
+  };
+
   mutable std::mutex lock_;
   std::vector<RankSlot> ranks_;
   int running_ = -1;  ///< the granted rank (-1 = none)
-  /// The grant index: (eligibility, rank id) of every kReady rank (at its
-  /// clock) and every kWaiting rank with a finite wake.
-  std::set<std::pair<TimePs, int>> eligible_;
+  GrantIndex eligible_;
+  /// kRankPick scratch, sized once: the candidates, and the walk stack.
+  std::vector<int> candidates_;
+  std::vector<std::size_t> walk_;
   int started_ = 0;   ///< ranks registered (the first grant waits for all)
   int finished_ = 0;  ///< ranks that called finish()
   std::atomic<bool> cancelled_{false};

@@ -1,5 +1,6 @@
 #include "var/datawarehouse.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "support/error.h"
@@ -10,14 +11,23 @@ CCVariable<double>& DataWarehouse::allocate(const VarLabel* label,
                                             const grid::Patch& patch, int ghost) {
   USW_ASSERT(label != nullptr && ghost >= 0);
   const Key key{label->id(), patch.id()};
-  auto [it, inserted] = grid_vars_.try_emplace(key);
-  if (!inserted)
+  const Map::iterator hint = grid_vars_.lower_bound(key);
+  if (hint != grid_vars_.end() && hint->first == key)
     throw StateError("variable '" + label->name() + "' already exists on patch " +
                      std::to_string(patch.id()));
+  const grid::Box box = patch.ghosted(ghost);
+  Map::node_type node = take_retired(static_cast<std::size_t>(box.volume()));
+  Map::iterator it;
+  if (node.empty()) {
+    it = grid_vars_.emplace_hint(hint, key, Entry{});
+  } else {
+    node.key() = key;
+    it = grid_vars_.insert(hint, std::move(node));
+  }
   Entry& e = it->second;
-  e.box = patch.ghosted(ghost);
+  e.box = box;
   e.ghost = ghost;
-  e.data = reuse_or_make(static_cast<std::size_t>(e.box.volume()));
+  if (e.data == nullptr) e.data = std::make_unique<CCVariable<double>>();
   if (functional()) e.data->allocate(e.box);
   if (observer_ != nullptr) observer_->on_allocate(*this, label, patch.id());
   return *e.data;
@@ -77,31 +87,36 @@ void DataWarehouse::adopt(const VarLabel* label, int patch_id, int ghost,
 
 void DataWarehouse::put_reduction(const VarLabel* label, double value) {
   USW_ASSERT(label != nullptr);
-  reductions_[label->id()] = value;
+  for (auto& [id, slot] : reductions_)
+    if (id == label->id()) {
+      slot = value;
+      return;
+    }
+  reductions_.emplace_back(label->id(), value);
 }
 
 double DataWarehouse::get_reduction(const VarLabel* label) const {
-  auto it = reductions_.find(label->id());
-  if (it == reductions_.end())
-    throw StateError("reduction '" + label->name() + "' missing in DW step " +
-                     std::to_string(step_));
-  return it->second;
+  for (const auto& [id, value] : reductions_)
+    if (id == label->id()) return value;
+  throw StateError("reduction '" + label->name() + "' missing in DW step " +
+                   std::to_string(step_));
 }
 
 bool DataWarehouse::has_reduction(const VarLabel* label) const {
-  return reductions_.count(label->id()) > 0;
+  return std::any_of(reductions_.begin(), reductions_.end(),
+                     [&](const auto& r) { return r.first == label->id(); });
 }
 
-std::unique_ptr<CCVariable<double>> DataWarehouse::reuse_or_make(
-    std::size_t cells) {
-  for (std::unique_ptr<CCVariable<double>>& var : retired_) {
-    if (var->capacity() < cells) continue;
-    std::swap(var, retired_.back());
-    std::unique_ptr<CCVariable<double>> reused = std::move(retired_.back());
+DataWarehouse::Map::node_type DataWarehouse::take_retired(std::size_t cells) {
+  for (Map::node_type& node : retired_) {
+    const CCVariable<double>* var = node.mapped().data.get();
+    if (functional() && (var == nullptr || var->capacity() < cells)) continue;
+    std::swap(node, retired_.back());
+    Map::node_type taken = std::move(retired_.back());
     retired_.pop_back();
-    return reused;
+    return taken;
   }
-  return std::make_unique<CCVariable<double>>();
+  return {};
 }
 
 void DataWarehouse::clear() {
@@ -111,16 +126,15 @@ void DataWarehouse::clear() {
 }
 
 void DataWarehouse::swap_in(DataWarehouse& newer) {
-  std::vector<std::unique_ptr<CCVariable<double>>> retired;
-  if (functional())
-    for (auto& [key, e] : grid_vars_)
-      if (e.data != nullptr && e.data->allocated())
-        retired.push_back(std::move(e.data));
-  grid_vars_ = std::move(newer.grid_vars_);
-  reductions_ = std::move(newer.reductions_);
+  // Every container changes hands by swap or node extraction, so each
+  // keeps the storage it grew in earlier steps.
+  newer.retired_.clear();
+  while (!grid_vars_.empty())
+    newer.retired_.push_back(grid_vars_.extract(grid_vars_.begin()));
+  grid_vars_.swap(newer.grid_vars_);
+  reductions_.swap(newer.reductions_);
+  newer.reductions_.clear();
   step_ = newer.step_;
-  newer.clear();
-  newer.retired_ = std::move(retired);
 }
 
 }  // namespace usw::var

@@ -12,16 +12,19 @@
 // uses this to simulate the paper's largest problems (up to 1024^3 cells,
 // 16 GB of field data) without materializing them.
 //
-// Functional storage is recycled across the swap: the old warehouse's
-// retired fields go to the new one, whose next step allocates the same
-// fields again, and allocate() reuses a retired field's storage before it
-// allocates. Reused storage is zero-filled like fresh storage, so every
-// field (ghost cells included) starts exactly as a fresh one; the step
-// only saves freeing it and faulting new pages in.
+// Entries are recycled across the swap: the old warehouse's retired
+// entries (their map nodes, variables and functional storage) go to the
+// new one, whose next step allocates the same fields again, and allocate()
+// reuses a retired entry before it allocates. Reused storage is
+// zero-filled like fresh storage, so every field (ghost cells included)
+// starts exactly as a fresh one; the step only saves freeing it and
+// faulting new pages in. Reduction scalars keep their slots the same way,
+// so a steady timestep allocates nothing here.
 
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "grid/level.h"
@@ -69,9 +72,9 @@ class DataWarehouse {
   // ---- Grid variables ----
 
   /// Allocates `label` on `patch` with `ghost` halo layers and registers
-  /// it, zero-filled, in storage retired by the last swap_in() when one is
-  /// large enough. In timing-only mode, only the extent is recorded.
-  /// Throws StateError if already present.
+  /// it, zero-filled, in an entry retired by the last swap_in() when one's
+  /// storage is large enough. In timing-only mode, only the extent is
+  /// recorded, in any retired entry. Throws StateError if already present.
   CCVariable<double>& allocate(const VarLabel* label, const grid::Patch& patch,
                                int ghost);
 
@@ -109,8 +112,9 @@ class DataWarehouse {
   std::size_t num_variables() const { return grid_vars_.size(); }
 
   /// Transfers all contents of `newer` into this warehouse, replacing it
-  /// (the "new DW becomes the old DW" swap, Sec II). The replaced fields'
-  /// storage becomes `newer`'s retired storage for its next allocate()s.
+  /// (the "new DW becomes the old DW" swap, Sec II). The replaced entries
+  /// become `newer`'s retired entries for its next allocate()s, and the
+  /// ones `newer` left unused are dropped.
   void swap_in(DataWarehouse& newer);
 
   /// Installs (or, with nullptr, removes) the access observer. The
@@ -121,21 +125,25 @@ class DataWarehouse {
 
  private:
   struct Entry {
-    std::unique_ptr<CCVariable<double>> data;  ///< null in timing-only mode
+    /// Never allocated in timing-only mode.
+    std::unique_ptr<CCVariable<double>> data;
     grid::Box box;
     int ghost = 0;
   };
   using Key = std::pair<int, int>;  ///< (label id, patch id)
+  using Map = std::map<Key, Entry>;
 
-  /// A retired variable whose storage holds `cells`, or a fresh one.
-  std::unique_ptr<CCVariable<double>> reuse_or_make(std::size_t cells);
+  /// A retired entry whose storage holds `cells` (any one in timing-only
+  /// mode), or an empty node handle.
+  Map::node_type take_retired(std::size_t cells);
 
   StorageMode mode_;
   int step_;
-  std::map<Key, Entry> grid_vars_;
-  std::map<int, double> reductions_;
-  /// Functional storage retired by the last swap_in(), for allocate().
-  std::vector<std::unique_ptr<CCVariable<double>>> retired_;
+  Map grid_vars_;
+  /// (label id, value) per reduction scalar, in first-put order.
+  std::vector<std::pair<int, double>> reductions_;
+  /// Entries retired by the last swap_in(), for allocate().
+  std::vector<Map::node_type> retired_;
   AccessObserver* observer_ = nullptr;
 };
 

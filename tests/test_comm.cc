@@ -471,5 +471,40 @@ TEST(CommRetransmit, SeveralLostUntestedSendsRecover) {
   EXPECT_EQ(counters[0].fault_retries, 2 * kRetriesPerLostSend);
 }
 
+// A retransmit reuses its lost first transmission's seq, so it must land
+// in the mailbox ahead of the later-seq message that overtook it on the
+// wire. Rank 0's first message is lost and its second is not; rank 1 polls
+// only after the retransmit has arrived behind the second, and its two
+// receives on the one (src, tag) class must still match in send order.
+TEST(CommRetransmit, RetransmitBehindLaterSeqStillMatchesInSeqOrder) {
+  // A seed whose plan drops seq 0's first attempt and nothing else here.
+  std::uint64_t seed = 1;
+  auto plan = fault::FaultPlan::parse("msg_loss:p=0.5", seed);
+  while (!plan.msg_lost(0, 1) || plan.msg_lost(1, 1) || plan.msg_lost(0, 2))
+    plan = fault::FaultPlan::parse("msg_loss:p=0.5", ++seed);
+  const hw::CostModel cost(machine());
+  Network net(2, cost);
+  net.set_fault_plan(&plan);
+  std::vector<hw::PerfCounters> counters(2);
+  sim::run_ranks(2, [&](sim::Coordinator& coord, int rank) {
+    Comm comm(net, coord, rank, &counters[static_cast<std::size_t>(rank)]);
+    if (rank == 0) {
+      const RequestId first = comm.isend(1, 4, bytes_of("first"));
+      const RequestId second = comm.isend(1, 4, bytes_of("second"));
+      comm.wait(first);  // re-posts it at its retransmit deadline
+      comm.wait(second);
+    } else {
+      comm.advance(kSecond);  // long after the retransmit arrived
+      const RequestId r1 = comm.irecv(0, 4);
+      const RequestId r2 = comm.irecv(0, 4);
+      const RequestId both[] = {r1, r2};
+      comm.wait_all(both);
+      EXPECT_EQ(str_of(comm.take_payload(r1)), "first");
+      EXPECT_EQ(str_of(comm.take_payload(r2)), "second");
+    }
+  });
+  EXPECT_EQ(counters[0].fault_retries, 1u);
+}
+
 }  // namespace
 }  // namespace usw::comm

@@ -192,17 +192,61 @@ struct ScriptedSegment {
   }
 };
 
+/// Runs rank `r`'s scripted program, `n` ranks in all.
+void run_script(Coordinator& c, int r, int n) {
+  for (int seg = 0; seg < ScriptedSegment::kSegments; ++seg) {
+    const ScriptedSegment s = ScriptedSegment::of(r, seg);
+    c.advance(r, s.dt);
+    c.notify((r + 1) % n, c.now(r) + s.stamp);
+    if (s.op == 0)
+      c.gate(r);
+    else
+      c.wait_until(r, s.op == 1 ? c.now(r) + s.wait : kNever);
+  }
+}
+
+/// The kRankPick index a PickingController takes at decision `index` among
+/// `n` candidates: spread over the whole list, so a list in the wrong
+/// order hands the grant to the wrong rank.
+int pick_of(std::uint64_t index, int n) {
+  return static_cast<int>((index * 2654435761u + 7) %
+                          static_cast<std::uint64_t>(n));
+}
+
+/// A schedule controller that records every kRankPick point as (best rank,
+/// candidate count) and takes pick_of's candidate.
+class PickingController : public schedpt::ScheduleController {
+ public:
+  PickingController() : ScheduleController(schedpt::ScheduleSpec{}) {}
+  std::vector<std::pair<int, int>> points;
+
+ protected:
+  int decide(schedpt::PointKind kind, int rank, int n,
+             std::uint64_t index) override {
+    EXPECT_EQ(kind, schedpt::PointKind::kRankPick);
+    points.emplace_back(rank, n);
+    return pick_of(index, n);
+  }
+  void on_finish(const std::vector<Entry>&) override {}
+};
+
 /// Naive O(n)-scan model of the serial coordinator running the scripted
 /// programs: the (rank, time) grant sequence, how many waits a notify
 /// released earlier than their own wake, and the deadlock message if the
-/// run ends with ranks stranded at kNever.
+/// run ends with ranks stranded at kNever. With a `lookahead`, it also
+/// models a PickingController: every grant with more than one rank
+/// strictly within the lookahead of the best is a kRankPick point over
+/// the best, then the others in ascending rank id.
 struct ReferenceRun {
   std::vector<std::pair<int, TimePs>> grants;
   int lowered = 0;
   std::string deadlock;
+  std::vector<std::pair<int, int>> points;  ///< (best rank, candidates)
+  int window_ties = 0;  ///< points with a candidate at the best's time
+  int window_edges = 0;  ///< points with a rank exactly at the lookahead
 };
 
-ReferenceRun reference_grants(int n) {
+ReferenceRun reference_grants(int n, TimePs lookahead = 0) {
   enum class St { kReady, kRunning, kWaiting, kFinished };
   struct Rank {
     St st = St::kReady;
@@ -236,6 +280,29 @@ ReferenceRun reference_grants(int n) {
       }
       if (!waiting.empty()) out.deadlock = "virtual-time deadlock:" + waiting;
       break;
+    }
+    if (lookahead > 0) {
+      std::vector<int> candidates{best};
+      bool tie = false;
+      bool edge = false;
+      for (int r = 0; r < n; ++r) {
+        const Rank& k = ranks[static_cast<std::size_t>(r)];
+        const TimePs eff = k.st == St::kReady     ? k.clock
+                           : k.st == St::kWaiting ? k.wake
+                                                  : kNever;
+        if (r == best || eff == kNever) continue;
+        if (eff - best_time < lookahead) candidates.push_back(r);
+        tie = tie || eff == best_time;
+        edge = edge || eff - best_time == lookahead;
+      }
+      if (candidates.size() > 1) {
+        const int count = static_cast<int>(candidates.size());
+        out.window_ties += tie ? 1 : 0;
+        out.window_edges += edge ? 1 : 0;
+        const int pick = pick_of(out.points.size(), count);
+        best = candidates[static_cast<std::size_t>(pick)];
+        out.points.emplace_back(candidates.front(), count);
+      }
     }
     Rank& g = ranks[static_cast<std::size_t>(best)];
     if (g.st == St::kWaiting) g.clock = std::max(g.clock, g.wake);
@@ -273,17 +340,7 @@ TEST(Coordinator, GrantOrderMatchesReferenceModel) {
   try {
     run_ranks(
         kRanks,
-        [](Coordinator& c, int r) {
-          for (int seg = 0; seg < ScriptedSegment::kSegments; ++seg) {
-            const ScriptedSegment s = ScriptedSegment::of(r, seg);
-            c.advance(r, s.dt);
-            c.notify((r + 1) % kRanks, c.now(r) + s.stamp);
-            if (s.op == 0)
-              c.gate(r);
-            else
-              c.wait_until(r, s.op == 1 ? c.now(r) + s.wait : kNever);
-          }
-        },
+        [](Coordinator& c, int r) { run_script(c, r, kRanks); },
         nullptr, 0, &sink, 0);
   } catch (const StateError& e) {
     error = e.what();
@@ -303,6 +360,40 @@ TEST(Coordinator, GrantOrderMatchesReferenceModel) {
     ties += want.grants[i].second == want.grants[i - 1].second ? 1 : 0;
   EXPECT_GT(ties, kRanks);
   EXPECT_GT(want.lowered, kRanks / 8);
+}
+
+TEST(Coordinator, RankPickCandidatesMatchReferenceModel) {
+  // The scripted programs again, under a controller that takes candidates
+  // all over each kRankPick list: every list must be the naive scan's, in
+  // count and in order (best first, then ascending rank id), or the grants
+  // diverge from the model's.
+  constexpr int kRanks = 1024;
+  constexpr TimePs kLookahead = 5;
+  PickSink sink;
+  PickingController picker;
+  std::string error;
+  try {
+    run_ranks(
+        kRanks,
+        [](Coordinator& c, int r) { run_script(c, r, kRanks); },
+        &picker, kLookahead, &sink, 0);
+  } catch (const StateError& e) {
+    error = e.what();
+  }
+  const ReferenceRun want = reference_grants(kRanks, kLookahead);
+  ASSERT_EQ(picker.points.size(), want.points.size());
+  EXPECT_TRUE(picker.points == want.points);
+  ASSERT_EQ(sink.picks.size(), want.grants.size());
+  EXPECT_TRUE(sink.picks == want.grants);
+  if (want.deadlock.empty())
+    EXPECT_EQ(error, "");
+  else
+    EXPECT_NE(error.find("(" + want.deadlock + ")"), std::string::npos) << error;
+  // The lists must cover what they are meant to: many multi-rank windows,
+  // same-time candidates, and ranks left out exactly at the lookahead.
+  EXPECT_GT(want.points.size(), static_cast<std::size_t>(kRanks));
+  EXPECT_GT(want.window_ties, kRanks / 8);
+  EXPECT_GT(want.window_edges, kRanks / 8);
 }
 
 TEST(Coordinator, ThrowAt1024RanksDrainsEveryParkedRank) {
