@@ -1,12 +1,14 @@
 #pragma once
 
-// Shared sweep driver for the table/figure reproduction benches.
+// Sweep driver for the paper reproduction and the scale smoke.
 //
-// Every evaluation bench runs the same experiment grid the paper does
-// (Sec VII-A): each Table III problem, from its smallest feasible CG count
-// up to 128 CGs in powers of two, for a chosen set of Table IV variants,
-// 10 timesteps each, in timing-only storage mode. Results are keyed by
-// (problem, variant, CGs) and shared within one binary.
+// The paper evaluates one grid (Sec VII-A): each Table III problem, from
+// its smallest feasible CG count up to 128 CGs in powers of two, for each
+// Table IV variant, 10 timesteps each. bench/paper_sweep runs that grid
+// once, observed, and prints every table and figure as a view of the
+// cached cells; bench/scale_smoke runs its own shapes unobserved. Runs use
+// timing-only storage, and results are keyed by (problem, variant, CGs)
+// and cached within one binary.
 
 #include <map>
 #include <string>

@@ -18,6 +18,8 @@ hard errors (a bench silently stopped reporting something), while entries
 present only in the fresh results — new scalars, new cases, new per-case
 metrics — are reported as notes and, under --strict, also fail (so a new
 bench config cannot land without a committed baseline). CI runs --strict.
+A case (problem, variant, ranks) listed twice in either file is a hard
+error too: only one copy could be compared.
 
 Regression policy, per metric:
   * "higher is worse" metrics (mean_step_ps, wait_ps, critical_path_ps,
@@ -33,11 +35,12 @@ Regression policy, per metric:
     (a sanity net against host-side livelocks/contention catastrophes),
     and improvements are never even noted.
   * improvements beyond tolerance are reported but do not fail; commit a
-    new baseline to lock them in (see --help-rebaseline).
+    new baseline to lock them in (see Re-baselining below).
 
-Re-baselining (after an intentional model/perf change):
-  cmake --build build -j && ./build/bench/fig5_strong_scaling && \
-      ./build/bench/table6_7_async_improvement
+Re-baselining (after an intentional model/perf change), from build/bench
+so the JSON lands there:
+  cmake --build build -j && cd build/bench && ./paper_sweep && \
+      ./ablation_tile_policy && ./ablation_fault && ./scale_smoke && cd -
   cp build/bench/BENCH_*.json bench/baselines/
   git add bench/baselines && git commit  # explain the shift in the message
 """
@@ -100,6 +103,18 @@ def case_key(case):
     return (case["problem"], case["variant"], case["ranks"])
 
 
+def index_cases(doc, which, errors):
+    """Cases keyed by case_key. A key listed twice is an error: keeping
+    either copy would hide the other from the comparison."""
+    cases = {}
+    for case in doc.get("cases", []):
+        key = case_key(case)
+        if key in cases:
+            errors.append(f"case {key} listed twice in {which}")
+        cases[key] = case
+    return cases
+
+
 def compare_metric(where, metric, base, fresh, tolerance, deltas):
     cls, band = metric_class(metric, tolerance)
     if metric in EXACT:
@@ -153,8 +168,8 @@ def compare_files(baseline_path, fresh_path, tolerance):
     for name in sorted(set(fresh_scalars) - set(base_scalars)):
         extras.append(f"scalar '{name}' not in baseline (re-baseline to add)")
 
-    base_cases = {case_key(c): c for c in base.get("cases", [])}
-    fresh_cases = {case_key(c): c for c in fresh.get("cases", [])}
+    base_cases = index_cases(base, "baseline", errors)
+    fresh_cases = index_cases(fresh, "fresh results", errors)
     for key in sorted(base_cases):
         if key not in fresh_cases:
             errors.append(f"case {key} missing from fresh results")

@@ -175,6 +175,21 @@ class BenchCompareTest(unittest.TestCase):
         self.assertEqual(r.returncode, 0, r.stderr)
         self.assertIn("improved", r.stdout)
 
+    def test_duplicate_case_fails(self):
+        # Cases are keyed by (problem, variant, ranks); a second copy used
+        # to replace the first silently, so a 2x slower first copy passed.
+        slow = copy.deepcopy(BASE["cases"][0])
+        slow["mean_step_ps"] *= 2
+        doubled = copy.deepcopy(BASE)
+        doubled["cases"].insert(0, slow)
+        r = run_compare(BASE, doubled, "--strict", "--tolerance", "0")
+        self.assertEqual(r.returncode, 1)
+        self.assertIn("case ('tiny', 'acc.async', 4) listed twice in fresh "
+                      "results", r.stderr)
+        r = run_compare(doubled, BASE)
+        self.assertEqual(r.returncode, 1)
+        self.assertIn("listed twice in baseline", r.stderr)
+
     def test_fresh_only_case_metric_noted_then_strict_fails(self):
         # The original hole: a known metric present only in the fresh case
         # was silently skipped by the baseline-driven metric loop.

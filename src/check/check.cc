@@ -1,11 +1,12 @@
 #include "check/check.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <string>
 #include <utility>
 
 #include "check/tile_check.h"
 #include "support/error.h"
-#include "support/log.h"
 
 namespace usw::check {
 
@@ -131,7 +132,7 @@ void AccessChecker::report(Violation v) {
   const auto key = std::make_tuple(static_cast<int>(v.kind), v.task, v.label,
                                    v.patch_id);
   if (!seen_.insert(key).second) return;
-  USW_WARN << "validation: " << v.to_string();
+  std::fprintf(stderr, "[usw W] validation: %s\n", v.to_string().c_str());
   if (config_.fail_fast) throw ValidationError(v.to_string());
   violations_.push_back(std::move(v));
 }

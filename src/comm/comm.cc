@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 
 #include "obs/flight.h"
 #include "support/error.h"
-#include "support/log.h"
 
 namespace usw::comm {
 

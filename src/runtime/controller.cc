@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <optional>
+#include <string>
 
 #include "athread/athread.h"
 #include "check/comm_lint.h"
@@ -17,7 +18,6 @@
 #include "sched/scheduler.h"
 #include "sim/coordinator.h"
 #include "support/error.h"
-#include "support/log.h"
 
 namespace usw::runtime {
 

@@ -11,7 +11,6 @@
 #include "schedpt/schedule.h"
 #include "sched/tile_exec.h"
 #include "support/error.h"
-#include "support/log.h"
 
 namespace usw::sched {
 

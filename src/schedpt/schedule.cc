@@ -3,9 +3,9 @@
 #include <chrono>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "support/error.h"
-#include "support/log.h"
 #include "support/rng.h"
 
 namespace usw::schedpt {

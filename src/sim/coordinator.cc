@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cerrno>
 #include <sstream>
+#include <string>
 #include <thread>
 
 #include "schedpt/schedule.h"
-#include "support/log.h"
 
 namespace usw::sim {
 

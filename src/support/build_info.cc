@@ -1,13 +1,13 @@
 #include "support/build_info.h"
 
-// The USW_BUILD_* macros are injected by src/support/CMakeLists.txt at
-// configure time; fall back to neutral values so the file also compiles
-// standalone (e.g. in tooling that lifts sources out of the build).
+// build_sha.h defines USW_BUILD_GIT_SHA; src/support/CMakeLists.txt writes
+// it at configure time and rewrites it at build time when the checked-out
+// commit changes. The other USW_BUILD_* macros are injected at configure
+// time, with neutral fallbacks.
+#include "build_sha.h"
+
 #ifndef USW_BUILD_VERSION
 #define USW_BUILD_VERSION "0.0.0"
-#endif
-#ifndef USW_BUILD_GIT_SHA
-#define USW_BUILD_GIT_SHA "unknown"
 #endif
 #ifndef USW_BUILD_TYPE
 #define USW_BUILD_TYPE "unspecified"

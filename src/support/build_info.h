@@ -11,7 +11,7 @@ namespace usw {
 
 struct BuildInfo {
   const char* version;    // project version
-  const char* git_sha;    // short commit sha at configure time, or "unknown"
+  const char* git_sha;    // short sha of the commit built, or "unknown"
   const char* compiler;   // compiler id + version string
   const char* build_type; // CMAKE_BUILD_TYPE, or "unspecified"
   const char* sanitizers; // USW_SANITIZE cmake option value, or "none"

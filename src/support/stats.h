@@ -13,7 +13,6 @@ class RunningStats {
  public:
   void add(double x);
   void merge(const RunningStats& other);
-  void reset();
 
   std::size_t count() const { return n_; }
   double mean() const { return n_ > 0 ? mean_ : 0.0; }

@@ -63,16 +63,4 @@ std::string TextTable::to_string() const {
   return os.str();
 }
 
-void TextTable::print_csv(std::ostream& os) const {
-  auto emit = [&os](const std::vector<std::string>& row) {
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      os << row[i];
-      if (i + 1 < row.size()) os << ',';
-    }
-    os << '\n';
-  };
-  if (!header_.empty()) emit(header_);
-  for (const auto& r : rows_) emit(r);
-}
-
 }  // namespace usw

@@ -1,8 +1,8 @@
 #pragma once
 
-// Plain-text table and CSV emission for the benchmark harness. Every
-// reproduced paper table/figure is printed through this so outputs share
-// one format and can be diffed between runs.
+// Plain-text tables for the benchmark harness. Every reproduced paper
+// table/figure is printed through this so outputs share one format and can
+// be diffed between runs.
 
 #include <iosfwd>
 #include <string>
@@ -32,9 +32,6 @@ class TextTable {
   /// Renders the aligned table.
   void print(std::ostream& os) const;
   std::string to_string() const;
-
-  /// Renders as CSV (no alignment padding).
-  void print_csv(std::ostream& os) const;
 
  private:
   std::string title_;

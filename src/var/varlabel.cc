@@ -32,11 +32,4 @@ const VarLabel* VarLabel::create(const std::string& name) {
   return ptr;
 }
 
-const VarLabel* VarLabel::find(const std::string& name) {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  auto it = r.by_name.find(name);
-  return it == r.by_name.end() ? nullptr : it->second.get();
-}
-
 }  // namespace usw::var

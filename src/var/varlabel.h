@@ -16,9 +16,6 @@ class VarLabel {
   /// name return the same pointer. Thread safe.
   static const VarLabel* create(const std::string& name);
 
-  /// Finds an existing label; nullptr if the name was never created.
-  static const VarLabel* find(const std::string& name);
-
   const std::string& name() const { return name_; }
   int id() const { return id_; }
 

@@ -1,45 +1,12 @@
-// Remaining small-surface tests: the logger's level gating and record
-// formatting, and communication request hygiene checks.
+// Remaining small-surface tests: communication request hygiene checks.
 
 #include <gtest/gtest.h>
 
 #include "comm/comm.h"
 #include "sim/coordinator.h"
-#include "support/log.h"
 
 namespace usw {
 namespace {
-
-class LogLevelGuard {
- public:
-  LogLevelGuard() : saved_(log::level()) {}
-  ~LogLevelGuard() { log::set_level(saved_); }
-
- private:
-  log::Level saved_;
-};
-
-TEST(Log, LevelGatingAndOrdering) {
-  LogLevelGuard guard;
-  log::set_level(log::Level::kWarn);
-  EXPECT_TRUE(log::enabled(log::Level::kError));
-  EXPECT_TRUE(log::enabled(log::Level::kWarn));
-  EXPECT_FALSE(log::enabled(log::Level::kInfo));
-  EXPECT_FALSE(log::enabled(log::Level::kTrace));
-  log::set_level(log::Level::kTrace);
-  EXPECT_TRUE(log::enabled(log::Level::kDebug));
-}
-
-TEST(Log, MacroCompilesAndEmitsWithoutCrashing) {
-  LogLevelGuard guard;
-  log::set_level(log::Level::kError);
-  // Disabled level: the streaming expression must not be evaluated into a
-  // record (and must not crash).
-  USW_INFO << "this record is gated off " << 42;
-  log::set_level(log::Level::kInfo);
-  USW_INFO << "visible record " << 3.5 << " units";
-  USW_ERROR << "error record";
-}
 
 TEST(CommHygiene, ResetWithPendingRequestsAborts) {
   const hw::CostModel cost(hw::MachineParams::sunway_taihulight());

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "support/error.h"
 #include "support/options.h"
@@ -146,15 +145,6 @@ TEST(TextTable, AlignsAndCounts) {
   const std::string s = t.to_string();
   EXPECT_NE(s.find("demo"), std::string::npos);
   EXPECT_NE(s.find("long-column"), std::string::npos);
-}
-
-TEST(TextTable, CsvOutput) {
-  TextTable t;
-  t.set_header({"a", "b"});
-  t.add_row({"1", "2"});
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "a,b\n1,2\n");
 }
 
 TEST(TextTable, Formatting) {

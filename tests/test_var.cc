@@ -24,8 +24,6 @@ TEST(VarLabel, InternsByName) {
   EXPECT_NE(a, b);
   EXPECT_NE(a->id(), b->id());
   EXPECT_EQ(a->name(), "test_var_a");
-  EXPECT_EQ(VarLabel::find("test_var_a"), a);
-  EXPECT_EQ(VarLabel::find("never_created_xyz"), nullptr);
 }
 
 TEST(CCVariable, IndexingIsXFastestWithGlobalIndices) {
