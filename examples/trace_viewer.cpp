@@ -46,12 +46,13 @@ int main(int argc, char** argv) {
   }
 
   const int rank = static_cast<int>(opts.get_int("rank", 0));
-  const obs::SpanTable& spans = *result.ranks.at(static_cast<std::size_t>(rank)).trace;
-  std::printf("--- rank %d trace (%zu spans), variant %s ---\n", rank,
-              spans.spans.size(), config.variant.name.c_str());
-  std::fputs(obs::dump_spans(spans).c_str(), stdout);
+  const runtime::RankResult& r = result.ranks.at(static_cast<std::size_t>(rank));
+  const std::vector<obs::Span>& spans = *r.trace;
+  std::printf("--- rank %d trace (%zu spans), variant %s ---\n", rank, spans.size(),
+              config.variant.name.c_str());
+  std::fputs(obs::dump_spans(spans, *r.init_graph_info, *r.graph_info).c_str(), stdout);
   std::printf("--- total CPE kernel time: %s; total MPE idle: %s ---\n",
-              format_duration(obs::covered_time(spans.spans, obs::SpanKind::kKernel)).c_str(),
-              format_duration(obs::covered_time(spans.spans, obs::SpanKind::kWait)).c_str());
+              format_duration(obs::covered_time(spans, obs::SpanKind::kKernel)).c_str(),
+              format_duration(obs::covered_time(spans, obs::SpanKind::kWait)).c_str());
   return 0;
 }

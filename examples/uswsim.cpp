@@ -369,7 +369,9 @@ int main(int argc, char** argv) {
         std::printf("  %-12s %.6e\n", key.c_str(), value);
     }
     if (opts.get_bool("trace", false)) {
-      std::printf("\nrank 0 spans:\n%s", obs::dump_spans(*result.ranks[0].trace).c_str());
+      const runtime::RankResult& r0 = result.ranks[0];
+      std::printf("\nrank 0 spans:\n%s",
+                  obs::dump_spans(*r0.trace, *r0.init_graph_info, *r0.graph_info).c_str());
     }
     if (!trace_json.empty() || !metrics_json.empty() || report) {
       const obs::RunObservation observation = runtime::observe(result);

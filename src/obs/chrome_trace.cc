@@ -13,12 +13,12 @@
 namespace usw::obs {
 namespace {
 
-/// Thread id of a span within its rank's process: MPE first, then one
-/// track per CPE group, MPI flight last.
-int tid_of(const Span& s) {
-  switch (lane_of(s.kind)) {
+/// Thread id of a span of `kind` in CPE group `group` within its rank's
+/// process: MPE first, then one track per CPE group, MPI flight last.
+int tid_of(SpanKind kind, int group) {
+  switch (lane_of(kind)) {
     case Lane::kMpe: return 0;
-    case Lane::kCpe: return 1 + (s.ids.group > 0 ? s.ids.group : 0);
+    case Lane::kCpe: return 1 + (group > 0 ? group : 0);
     case Lane::kMpi: return 90;
   }
   return 0;
@@ -70,9 +70,11 @@ constexpr std::size_t kMaxSpanTail = 128 + 2 * kMaxUsChars + 7 * 20;
 static_assert(kMaxSpanTail <= JsonWriter::kBufferBytes);
 
 /// One "ph":"X" event, formatted as the generic JsonWriter calls would
-/// write it: `name` is the span's name, already escaped.
-void write_span(JsonWriter::Raw& out, const Span& s, std::string_view name, int pid) {
-  const std::string_view kind = to_string(s.kind);
+/// write it: `ids` are the span's resolved ids and `name` its name, already
+/// escaped.
+void write_span(JsonWriter::Raw& out, const Span& s, const EventIds& ids,
+                std::string_view name, int pid) {
+  const std::string_view kind = to_string(s.kind());
   out.put(R"({"name":")");
   out.put(name.empty() ? kind : name);
   char* p = out.space(kMaxSpanTail);
@@ -83,14 +85,14 @@ void write_span(JsonWriter::Raw& out, const Span& s, std::string_view name, int 
   p = format_us(put(p, R"(","ph":"X","ts":)"), s.begin);
   p = format_us(put(p, R"(,"dur":)"), s.duration());
   p = put_member(p, R"(,"pid":)", pid);
-  p = put_member(p, R"(,"tid":)", tid_of(s));
-  p = put_member(p, R"(,"args":{"step":)", s.ids.step);
-  if (s.ids.task >= 0) p = put_member(p, R"(,"task":)", s.ids.task);
-  if (s.ids.patch >= 0) p = put_member(p, R"(,"patch":)", s.ids.patch);
-  if (s.ids.peer >= 0) p = put_member(p, R"(,"peer":)", s.ids.peer);
-  if (s.ids.tag >= 0) p = put_member(p, R"(,"tag":)", s.ids.tag);
-  if (s.ids.group >= 0) p = put_member(p, R"(,"cpe_group":)", s.ids.group);
-  if (s.ids.bytes > 0) p = put_member(p, R"(,"bytes":)", s.ids.bytes);
+  p = put_member(p, R"(,"tid":)", tid_of(s.kind(), ids.group));
+  p = put_member(p, R"(,"args":{"step":)", ids.step);
+  if (ids.task >= 0) p = put_member(p, R"(,"task":)", ids.task);
+  if (ids.patch >= 0) p = put_member(p, R"(,"patch":)", ids.patch);
+  if (ids.peer >= 0) p = put_member(p, R"(,"peer":)", ids.peer);
+  if (ids.tag >= 0) p = put_member(p, R"(,"tag":)", ids.tag);
+  if (ids.group >= 0) p = put_member(p, R"(,"cpe_group":)", ids.group);
+  if (ids.bytes > 0) p = put_member(p, R"(,"bytes":)", ids.bytes);
   out.commit(put(p, "}}"));
 }
 
@@ -120,25 +122,32 @@ void write_chrome_trace(std::ostream& os, const RunObservation& run) {
   w.key("traceEvents").begin_array();
 
   std::vector<int> tids;
-  std::vector<std::string> names;
+  std::vector<std::string> escaped;  ///< by name index
   for (const RankObservation& r : run.ranks) {
     name_metadata(w, "process_name", r.rank, 0, "rank " + std::to_string(r.rank));
     sort_metadata(w, "process_sort_index", r.rank, 0, r.rank);
+    SpanResolver resolve = r.resolver();
     tids.clear();
-    for (const Span& s : r.spans())
-      if (const int tid = tid_of(s); std::find(tids.begin(), tids.end(), tid) == tids.end())
-        tids.push_back(tid);
+    for (const Span& s : r.spans()) {
+      const SpanKind kind = s.kind();
+      const int tid = tid_of(kind, lane_of(kind) == Lane::kCpe ? resolve.ids(s).group : -1);
+      if (std::find(tids.begin(), tids.end(), tid) == tids.end()) tids.push_back(tid);
+    }
     std::sort(tids.begin(), tids.end());
     for (int tid : tids) {
       name_metadata(w, "thread_name", r.rank, tid, tid_name(tid));
       sort_metadata(w, "thread_sort_index", r.rank, tid, tid);
     }
-    names.clear();
-    for (const std::string& name : r.span_names()) names.push_back(JsonWriter::escape(name));
-    for (const Span& s : r.spans())
+    // Each name is escaped once, when the resolver first interns it.
+    escaped.clear();
+    for (const Span& s : r.spans()) {
+      const std::uint32_t name = resolve.name(s);
+      while (escaped.size() < resolve.names().size())
+        escaped.push_back(JsonWriter::escape(resolve.names()[escaped.size()]));
       w.raw_value([&](JsonWriter::Raw& out) {
-        write_span(out, s, span_name(s, names), r.rank);
+        write_span(out, s, resolve.ids(s), escaped[name], r.rank);
       });
+    }
   }
 
   w.end_array();

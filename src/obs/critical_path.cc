@@ -6,25 +6,32 @@
 namespace usw::obs {
 
 CriticalPathAnalyzer::CriticalPathAnalyzer(const RunObservation& run)
-    : run_(run), recv_owner_(run.ranks.size()), node_of_(run.ranks.size()) {
-  for (std::size_t r = 0; r < run.ranks.size(); ++r) {
-    const TaskGraphInfo& g = run.ranks[r].graph();
-    for (std::size_t t = 0; t < g.tasks.size(); ++t)
-      for (const auto& key : g.tasks[t].recv_keys)
-        recv_owner_[r].emplace(key, static_cast<int>(t));
-    node_of_[r].resize(g.tasks.size());
+    : run_(run), node_of_(run.ranks.size()) {}
+
+int CriticalPathAnalyzer::recv_owner(bool init, std::size_t rank, int peer, int tag) {
+  std::vector<std::map<std::pair<int, int>, int>>& owners = recv_owner_[init ? 1 : 0];
+  if (owners.empty()) {
+    owners.resize(run_.ranks.size());
+    for (std::size_t r = 0; r < run_.ranks.size(); ++r) {
+      const TaskGraphInfo& g = graph_of(r, init);
+      for (std::size_t t = 0; t < g.tasks.size(); ++t)
+        for (const auto& key : g.tasks[t].recv_keys)
+          owners[r].emplace(key, static_cast<int>(t));
+    }
   }
+  const auto it = owners[rank].find({peer, tag});
+  return it == owners[rank].end() ? -1 : it->second;
 }
 
-int CriticalPathAnalyzer::recv_owner(std::size_t rank, int peer, int tag) const {
-  const auto it = recv_owner_[rank].find({peer, tag});
-  return it == recv_owner_[rank].end() ? -1 : it->second;
+const TaskGraphInfo& CriticalPathAnalyzer::graph_of(std::size_t rank, bool init) const {
+  const RankObservation& r = run_.ranks[rank];
+  return init ? r.init_graph() : r.graph();
 }
 
 void StepSpans::add(std::size_t rank_index, std::size_t span_index, const Span& s) {
   lo = std::min(lo, s.begin);
   hi = std::max(hi, s.end);
-  if (s.kind == SpanKind::kTask && s.ids.task >= 0)
+  if (s.kind() == SpanKind::kTask && s.b >= 0)
     tasks.emplace_back(static_cast<std::uint32_t>(rank_index),
                        static_cast<std::uint32_t>(span_index));
 }
@@ -33,22 +40,24 @@ CriticalPathReport CriticalPathAnalyzer::analyze(int step,
                                                  const StepSpans& spans) {
   CriticalPathReport report;
   report.step = step;
+  // The initialization step's spans resolve against the init skeletons.
+  const bool init = step < 0;
 
   // DAG nodes: one per (rank, task), the first span of each, numbered
   // rank-major in span order.
   nodes_.clear();
-  for (std::vector<int>& node_of : node_of_)
-    std::fill(node_of.begin(), node_of.end(), -1);
+  for (std::size_t r = 0; r < node_of_.size(); ++r)
+    node_of_[r].assign(graph_of(r, init).tasks.size(), -1);
   for (const auto& [r, i] : spans.tasks) {
     const RankObservation& rank = run_.ranks[r];
-    const Span* s = &rank.spans()[i];
-    const auto t = static_cast<std::size_t>(s->ids.task);
+    const Span& s = rank.spans()[i];
+    const auto t = static_cast<std::size_t>(s.b);
     std::vector<int>& node_of = node_of_[r];
     if (t >= node_of.size() || node_of[t] >= 0) continue;
     node_of[t] = static_cast<int>(nodes_.size());
     // Name nodes by the graph's task name (the patch is a separate field).
-    nodes_.push_back(Node{rank.rank, s->ids.task, &rank.graph().tasks[t].name,
-                          s->ids.patch, s->begin, s->duration()});
+    const TaskNodeInfo& task = graph_of(r, init).tasks[t];
+    nodes_.push_back(Node{rank.rank, s.b, &task.name, task.patch, s.begin, s.duration()});
   }
   if (nodes_.empty()) return report;
   report.makespan = spans.hi - spans.lo;
@@ -69,7 +78,7 @@ CriticalPathReport CriticalPathAnalyzer::analyze(int step,
     preds_[static_cast<std::size_t>(to)].push_back(from);
   };
   for (std::size_t r = 0; r < run_.ranks.size(); ++r) {
-    const TaskGraphInfo& g = run_.ranks[r].graph();
+    const TaskGraphInfo& g = graph_of(r, init);
     const std::vector<int>& node_of = node_of_[r];
     for (std::size_t t = 0; t < g.tasks.size(); ++t) {
       const int from = node_of[t];
@@ -83,7 +92,7 @@ CriticalPathReport CriticalPathAnalyzer::analyze(int step,
         if (peer < 0 || static_cast<std::size_t>(peer) >= run_.ranks.size())
           continue;
         const int owner =
-            recv_owner(static_cast<std::size_t>(peer), static_cast<int>(r), tag);
+            recv_owner(init, static_cast<std::size_t>(peer), static_cast<int>(r), tag);
         if (owner < 0) continue;
         const int to =
             node_of_[static_cast<std::size_t>(peer)][static_cast<std::size_t>(owner)];
@@ -154,7 +163,7 @@ CriticalPathReport analyze_critical_path(const RunObservation& run, int step) {
   for (std::size_t r = 0; r < run.ranks.size(); ++r) {
     const std::span<const Span> rank_spans = run.ranks[r].spans();
     for (std::size_t i = 0; i < rank_spans.size(); ++i)
-      if (rank_spans[i].ids.step == step && !rank_spans[i].rolled_back)
+      if (rank_spans[i].step == step && !rank_spans[i].rolled_back)
         spans.add(r, i, rank_spans[i]);
   }
   return CriticalPathAnalyzer(run).analyze(step, spans);

@@ -2,10 +2,11 @@
 
 // Critical-path analysis of one executed timestep.
 //
-// Walks the recorded task spans against the task-graph skeleton (internal
-// successor edges plus cross-rank send->recv edges matched by (peer, tag))
-// and computes the longest dependent chain of task execution time — the
-// lower bound no scheduler can beat for this step. Comparing the chain
+// Walks the recorded task spans against the task-graph skeleton their step
+// resolves against (the init graph's for step -1; see SpanResolver):
+// internal successor edges plus cross-rank send->recv edges matched by
+// (peer, tag). It computes the longest dependent chain of task execution
+// time — the lower bound no scheduler can beat for this step. Comparing the chain
 // against the measured makespan separates "the schedule is tight" from
 // "there is slack an async scheduler could still hide": for the paper's
 // Tables VI/VII, the async variant's win is exactly the makespan moving
@@ -75,7 +76,8 @@ struct StepSpans {
 };
 
 /// Critical-path analysis of the steps of one run. Builds the cross-rank
-/// send->recv edge lookup once, and keeps the step DAG's working storage
+/// send->recv edge lookup once per skeleton (timestep, init) at the first
+/// step that needs it, and keeps the step DAG's working storage
 /// from one analyze() call to the next, so analyzing every step of a run
 /// through one analyzer allocates it only while it grows.
 class CriticalPathAnalyzer {
@@ -99,13 +101,18 @@ class CriticalPathAnalyzer {
     TimePs duration = 0;
   };
 
-  /// Detailed-task index on `rank` receiving (peer, tag); -1 when none does.
-  int recv_owner(std::size_t rank, int peer, int tag) const;
+  /// The skeleton of `rank` that the spans of a step resolve against: the
+  /// init graph's for the initialization step, else the timestep graph's.
+  const TaskGraphInfo& graph_of(std::size_t rank, bool init) const;
+  /// Detailed-task index on `rank` receiving (peer, tag) in the init or
+  /// the timestep skeleton; -1 when none does.
+  int recv_owner(bool init, std::size_t rank, int peer, int tag);
 
   const RunObservation& run_;
-  /// Per rank: which task receives the message (peer, tag). The first task
-  /// declaring a key owns it.
-  std::vector<std::map<std::pair<int, int>, int>> recv_owner_;
+  /// Per rank, for the timestep ([0]) and the init ([1]) skeletons: which
+  /// task receives the message (peer, tag). The first task declaring a key
+  /// owns it. Each is built at its first use.
+  std::vector<std::map<std::pair<int, int>, int>> recv_owner_[2];
 
   // analyze()'s working storage, reset (not freed) at every call.
   std::vector<Node> nodes_;

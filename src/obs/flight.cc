@@ -1,6 +1,9 @@
 #include "obs/flight.h"
 
 #include <algorithm>
+#include <limits>
+
+#include "support/error.h"
 
 namespace usw::obs {
 
@@ -43,7 +46,9 @@ FlightRecorder::FlightRecorder(std::size_t capacity) : slots_(capacity) {}
 
 void FlightRecorder::record(FlightKind kind, TimePs time, std::int64_t a,
                             std::int64_t b, std::int64_t c) {
-  const FlightEvent event{time, kind, a, b, c};
+  USW_ASSERT(a >= std::numeric_limits<std::int32_t>::min() &&
+             a <= std::numeric_limits<std::int32_t>::max());
+  const FlightEvent event{time, kind, static_cast<std::int32_t>(a), b, c};
   if (logging_) log_.push_back(event);
   if (slots_.empty()) return;
   const std::uint64_t seq = head_.load(std::memory_order_relaxed);

@@ -10,8 +10,8 @@
 //  - when the run collects a trace, a log: a per-step buffer. The
 //    controller hands it to the rank's obs::SpanBuilder (src/obs/span.h)
 //    after initialization and after every step, which pairs its span edges
-//    into named spans and clears it, so the log holds one step of events
-//    at most and keeps its capacity from one step to the next.
+//    into spans and clears it, so the log holds one step of events at most
+//    and keeps its capacity from one step to the next.
 // Recording only copies already-computed values (virtual times, ids): it
 // never reads host clocks and never feeds back into scheduling decisions.
 //
@@ -76,13 +76,18 @@ enum class FlightKind : std::uint8_t {
 
 const char* to_string(FlightKind kind);
 
+/// Layout: 32 bytes of plain data. Every kind's `a` is a rank, a step, a
+/// CPE group or a restart count, so it is 32 bits wide and sits in the
+/// padding after `kind`; `b` and `c` stay 64 bits wide for message seqs and
+/// byte counts. A ring slot adds its 8-byte stamp.
 struct FlightEvent {
   TimePs time = 0;  // virtual time of the event
   FlightKind kind = FlightKind::kRankPick;
-  std::int64_t a = 0;
+  std::int32_t a = 0;
   std::int64_t b = 0;
   std::int64_t c = 0;
 };
+static_assert(sizeof(FlightEvent) == 32, "see the layout comment");
 
 /// A ring event with its position in the ring's recording order.
 struct RingEvent {
@@ -113,7 +118,8 @@ class FlightRecorder {
   /// Empties the log, keeping its storage for the next step.
   void clear_log() { log_.clear(); }
 
-  /// Records one event. Single-writer (see file comment).
+  /// Records one event. Single-writer (see file comment). `a` must fit in
+  /// 32 bits (FlightEvent's layout); it is checked.
   void record(FlightKind kind, TimePs time, std::int64_t a = 0, std::int64_t b = 0,
               std::int64_t c = 0);
 

@@ -67,41 +67,44 @@ MetricsReport build_metrics(const RunObservation& run) {
   TimePs rolled_back_flight = 0;
   for (std::size_t ri = 0; ri < run.ranks.size(); ++ri) {
     const RankObservation& r = run.ranks[ri];
+    const SpanResolver resolve = r.resolver();
     const TaskGraphInfo& graph = r.graph();
     const std::span<const Span> spans = r.spans();
     std::fill(rank_wait.begin(), rank_wait.end(), 0);
     task_slot.assign(graph.tasks.size(), nullptr);
     for (std::size_t si = 0; si < spans.size(); ++si) {
       const Span& span = spans[si];
+      const SpanKind kind = span.kind();
       if (span.rolled_back) {
-        if (span.kind == SpanKind::kSend) rolled_back_flight += span.duration();
+        if (kind == SpanKind::kSend) rolled_back_flight += span.duration();
         continue;
       }
-      const auto ti = static_cast<std::size_t>(span.ids.task);
-      if (span.kind == SpanKind::kTask && span.ids.step >= 0 && span.ids.task >= 0 &&
-          ti < graph.tasks.size()) {
-        // Group by the graph's task name, aggregating patches.
-        TaskMetrics*& t = task_slot[ti];
-        if (t == nullptr) {
-          t = &tasks[graph.tasks[ti].name];
-          t->name = graph.tasks[ti].name;
+      if (span.step < 0) continue;
+      if (kind == SpanKind::kTask) {
+        const auto ti = static_cast<std::size_t>(resolve.ids(span).task);
+        if (ti < graph.tasks.size()) {  // not -1, and in the skeleton
+          // Group by the graph's task name, aggregating patches.
+          TaskMetrics*& t = task_slot[ti];
+          if (t == nullptr) {
+            t = &tasks[graph.tasks[ti].name];
+            t->name = graph.tasks[ti].name;
+          }
+          t->executions += 1;
+          t->total += span.duration();
+          t->max = std::max(t->max, span.duration());
         }
-        t->executions += 1;
-        t->total += span.duration();
-        t->max = std::max(t->max, span.duration());
       }
-      if (span.ids.step < 0 || static_cast<std::size_t>(span.ids.step) >= nsteps)
-        continue;
-      const auto s = static_cast<std::size_t>(span.ids.step);
+      if (static_cast<std::size_t>(span.step) >= nsteps) continue;
+      const auto s = static_cast<std::size_t>(span.step);
       step_spans[s].add(ri, si, span);
       StepMetrics& step = report.steps[s];
-      switch (span.kind) {
+      switch (kind) {
         case SpanKind::kKernel: step.kernel += span.duration(); break;
         case SpanKind::kWait: rank_wait[s] += span.duration(); break;
         case SpanKind::kSend:
           step.comm += span.duration();
           step.messages += 1;
-          step.message_bytes += span.ids.bytes;
+          step.message_bytes += resolve.ids(span).bytes;
           break;
         default: break;
       }

@@ -8,21 +8,23 @@
 // runtime::observe() assembles the RunObservation from a RunResult, so the
 // exporters and analyzers below obs/ never need to see scheduler or
 // controller types (and unit tests can fabricate observations directly).
-// The skeleton is also where recorded events get their names: events carry
-// integer ids only, and every task, message and reduction label is
-// formatted once per run, here. A rank's spans name themselves by index
-// into its name table, which its SpanBuilder fills with each distinct
-// label once (src/obs/span.h).
+// The skeletons are also where recorded spans get their names: a span
+// carries integer operands only, and every task, message and reduction
+// label is formatted once per run, here. The exporters resolve each span
+// against its rank's skeletons (obs::SpanResolver, src/obs/span.h): a span
+// of the initialization step against the init graph's, any other against
+// the timestep graph's.
 //
-// Sharing: a rank's spans, skeleton and metrics registry are immutable
+// Sharing: a rank's spans, skeletons and metrics registry are immutable
 // once its run ends. The RankResult holds each through a shared_ptr, and
 // runtime::observe() shares them with the observation instead of copying
 // them, so either may outlive the other.
 //
 // Size: a 512-rank, 20-step traced run of the halo problem observes 545k
-// spans in 31 MB (56 bytes each); their name tables hold 25k names in
-// 0.8 MB. They are the only per-span memory of the run: each rank paired
-// them from one step of events at a time.
+// spans in 17.4 MB (32 bytes each) and peaks at 60.4 MB in all. The spans
+// are the only per-span memory of the run: each rank paired them from one
+// step of events at a time. Names exist only while an exporter resolves a
+// rank (SpanResolver).
 
 #include <cstdint>
 #include <memory>
@@ -70,12 +72,15 @@ struct TaskGraphInfo {
 
 struct RankObservation {
   int rank = -1;
-  /// The rank's spans in begin order and the names they index; null when
-  /// the run collected no trace.
-  std::shared_ptr<const SpanTable> trace;
+  /// The rank's spans in begin order; null when the run collected no
+  /// trace.
+  std::shared_ptr<const std::vector<Span>> trace;
   /// Timestep-graph skeleton; null when the run collected neither a trace
   /// nor metrics.
   std::shared_ptr<const TaskGraphInfo> skeleton;
+  /// Initialization-graph skeleton, which the spans of step -1 resolve
+  /// against; null when the run collected no trace.
+  std::shared_ptr<const TaskGraphInfo> init_skeleton;
   hw::PerfCounters counters;
   /// Scheduler-fed samples/counters; null when none were collected.
   std::shared_ptr<const MetricsRegistry> metrics;
@@ -84,17 +89,19 @@ struct RankObservation {
 
   /// The spans, in begin order (none without a trace).
   std::span<const Span> spans() const {
-    return trace ? std::span<const Span>(trace->spans) : std::span<const Span>();
+    return trace ? std::span<const Span>(*trace) : std::span<const Span>();
   }
-  /// The name table the spans index (Span::name).
-  std::span<const std::string> span_names() const {
-    return trace ? std::span<const std::string>(trace->names)
-                 : std::span<const std::string>();
-  }
-  /// The skeleton, empty when there is none.
-  const TaskGraphInfo& graph() const {
+  /// The timestep skeleton, empty when there is none.
+  const TaskGraphInfo& graph() const { return or_empty(skeleton); }
+  /// The initialization skeleton, empty when there is none.
+  const TaskGraphInfo& init_graph() const { return or_empty(init_skeleton); }
+  /// A resolver of this rank's spans against its skeletons.
+  SpanResolver resolver() const { return SpanResolver(init_graph(), graph()); }
+
+ private:
+  static const TaskGraphInfo& or_empty(const std::shared_ptr<const TaskGraphInfo>& g) {
     static const TaskGraphInfo kNone;
-    return skeleton ? *skeleton : kNone;
+    return g ? *g : kNone;
   }
 };
 

@@ -39,14 +39,20 @@ struct Distribution {
 /// Registry of named metrics. Cheap to feed (map lookup + push_back) and
 /// mergeable across ranks; absent names read as zero/empty. Lookups take a
 /// string_view and compare in place (std::less<>), so feeding an existing
-/// name never builds a temporary std::string.
+/// name never builds a temporary std::string. A hot path skips the lookup:
+/// it takes a handle() once and adds to it.
 class MetricsRegistry {
  public:
   using Distributions = std::map<std::string, Distribution, std::less<>>;
   using Counters = std::map<std::string, double, std::less<>>;
 
   /// Adds one sample to distribution `name`.
-  void sample(std::string_view name, double v) { slot(dists_, name).add(v); }
+  void sample(std::string_view name, double v) { handle(name).add(v); }
+
+  /// Distribution `name`, made empty on first use. The reference stays
+  /// valid as long as the registry does (map entries never move), so
+  /// handle(name).add(v) later is sample(name, v) without the lookup.
+  Distribution& handle(std::string_view name) { return slot(dists_, name); }
 
   /// Makes room in distribution `name` for `n` samples in all.
   void reserve(std::string_view name, std::size_t n) {

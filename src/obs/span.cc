@@ -14,7 +14,6 @@ namespace {
 enum class Edge { kNone, kBegin, kEnd, kPoint };
 
 struct EdgeOf {
-  SpanKind span = SpanKind::kTask;
   Edge edge = Edge::kNone;
   /// The begin kind the span is keyed on: an end closes the span its begin
   /// kind opened with the same operands.
@@ -29,110 +28,24 @@ EdgeOf edge_of(FlightKind k) {
   const int i = static_cast<int>(k) - static_cast<int>(FlightKind::kTaskBegin);
   if (i >= 0 && i <= static_cast<int>(FlightKind::kWaitEnd) -
                          static_cast<int>(FlightKind::kTaskBegin))
-    return {static_cast<SpanKind>(i / 2), i % 2 == 0 ? Edge::kBegin : Edge::kEnd,
+    return {i % 2 == 0 ? Edge::kBegin : Edge::kEnd,
             static_cast<FlightKind>(static_cast<int>(k) - i % 2)};
   switch (k) {
     case FlightKind::kCpeStall:
-    case FlightKind::kOffloadFail: return {SpanKind::kFault, Edge::kPoint, k};
-    case FlightKind::kOffloadRetry: return {SpanKind::kFault, Edge::kBegin, k};
-    case FlightKind::kBackoffEnd:
-      return {SpanKind::kFault, Edge::kEnd, FlightKind::kOffloadRetry};
+    case FlightKind::kOffloadFail: return {Edge::kPoint, k};
+    case FlightKind::kOffloadRetry: return {Edge::kBegin, k};
+    case FlightKind::kBackoffEnd: return {Edge::kEnd, FlightKind::kOffloadRetry};
     default: return {};
   }
 }
 
 /// v[i], or null when `i` is outside v.
 template <typename T>
-const T* at(const std::vector<T>& v, std::int64_t i) {
+const T* at(const std::vector<T>& v, std::int32_t i) {
   return i >= 0 && static_cast<std::size_t>(i) < v.size()
              ? &v[static_cast<std::size_t>(i)]
              : nullptr;
 }
-
-/// Resolves span edges against one rank's skeletons: initialization events
-/// (step -1) in `init`, timestep events in `step`. Operands outside the
-/// skeleton resolve to unset ids and the empty name. Names go into `names`,
-/// each distinct one once: the fixed names up front, a skeleton label or
-/// a fault name at its first use.
-class Resolver {
- public:
-  Resolver(const TaskGraphInfo& init, const TaskGraphInfo& step,
-           std::vector<std::string>& names)
-      : init_(init), step_(step), names_(names) {
-    names_ = {"", "idle", "cpe-spin", "retry backoff"};
-  }
-
-  /// Sets `ids` of the span edge `e` of span kind `span` and returns the
-  /// index of its name.
-  std::uint32_t resolve(const FlightEvent& e, SpanKind span, EventIds& ids) {
-    Graph& g = e.a < 0 ? init_ : step_;
-    ids = EventIds{};
-    ids.step = static_cast<int>(e.a);
-    if (span == SpanKind::kSend || span == SpanKind::kRecv) {
-      ids.task = static_cast<int>(e.b);
-      const MessageInfo* m = at(g.info.messages, e.c);
-      if (m == nullptr) return kUnnamed;
-      ids.patch = m->patch;
-      ids.peer = m->peer;
-      ids.tag = m->tag;
-      ids.bytes = m->bytes;
-      return intern(g.message[static_cast<std::size_t>(e.c)], m->label);
-    }
-    if (span == SpanKind::kReduce) {
-      const std::string* r = at(g.info.reductions, e.b);
-      return r == nullptr ? kUnnamed
-                          : intern(g.reduction[static_cast<std::size_t>(e.b)], *r);
-    }
-    const bool retry =
-        e.kind == FlightKind::kOffloadRetry || e.kind == FlightKind::kBackoffEnd;
-    std::uint32_t name = kUnnamed;
-    if (span == SpanKind::kWait) name = e.b < 0 ? kIdle : kCpeSpin;
-    if (retry) name = kRetryBackoff;
-    if (e.b < 0) return name;  // an idle wait
-    ids.task = static_cast<int>(e.b);
-    // Task spans have no group, and a retry's operand c is the attempt.
-    if (span != SpanKind::kTask && !retry) ids.group = static_cast<int>(e.c);
-    const TaskNodeInfo* t = at(g.info.tasks, e.b);
-    if (t == nullptr) return name;
-    ids.patch = t->patch;
-    if (name != kUnnamed) return name;
-    const auto ti = static_cast<std::size_t>(e.b);
-    if (span != SpanKind::kFault) return intern(g.task[ti], t->label);
-    // A stall or failure: rare, so its name is formatted at every one.
-    return intern((e.kind == FlightKind::kCpeStall ? g.stall : g.fail)[ti],
-                  std::string(to_string(e.kind)) + ' ' + t->label);
-  }
-
- private:
-  enum : std::uint32_t { kUnnamed, kIdle, kCpeSpin, kRetryBackoff };
-
-  /// A skeleton and the name index of each of its entries, kUnnamed until
-  /// first used.
-  struct Graph {
-    explicit Graph(const TaskGraphInfo& g)
-        : info(g),
-          task(g.tasks.size()),
-          stall(g.tasks.size()),
-          fail(g.tasks.size()),
-          message(g.messages.size()),
-          reduction(g.reductions.size()) {}
-    const TaskGraphInfo& info;
-    std::vector<std::uint32_t> task, stall, fail, message, reduction;
-  };
-
-  /// The index of `name`, stored at its first use as `id`.
-  std::uint32_t intern(std::uint32_t& id, std::string_view name) {
-    if (id == kUnnamed) {
-      id = static_cast<std::uint32_t>(names_.size());
-      names_.emplace_back(name);
-    }
-    return id;
-  }
-
-  Graph init_;
-  Graph step_;
-  std::vector<std::string>& names_;
-};
 
 constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
@@ -265,22 +178,17 @@ Lane lane_of(SpanKind kind) {
 }
 
 struct SpanBuilder::State {
-  State(const TaskGraphInfo& init, const TaskGraphInfo& step)
-      : resolve(init, step, table.names) {}
-
-  SpanTable table;
-  Resolver resolve;  ///< fills table.names
+  std::vector<Span> spans;
   OpenSpans open;
   TimePs last = 0;  ///< the latest span-edge stamp so far
 };
 
-SpanBuilder::SpanBuilder(const TaskGraphInfo& init, const TaskGraphInfo& step)
-    : state_(std::make_unique<State>(init, step)) {}
+SpanBuilder::SpanBuilder() : state_(std::make_unique<State>()) {}
 SpanBuilder::~SpanBuilder() = default;
 
 void SpanBuilder::add(std::span<const FlightEvent> events) {
   State& st = *state_;
-  std::vector<Span>& spans = st.table.spans;
+  std::vector<Span>& spans = st.spans;
   for (const FlightEvent& e : events) {
     const EdgeOf edge = edge_of(e.kind);
     if (edge.edge == Edge::kNone) continue;
@@ -297,8 +205,11 @@ void SpanBuilder::add(std::span<const FlightEvent> events) {
     // A point span opens and closes at once.
     s.end = edge.edge == Edge::kBegin ? link_to(st.open.push(key, spans.size() - 1))
                                       : e.time;
-    s.kind = edge.span;
-    s.name = st.resolve.resolve(e, edge.span, s.ids);
+    // Span edges carry an int step, task and group or message index.
+    s.step = e.a;
+    s.b = static_cast<std::int32_t>(e.b);
+    s.c = static_cast<std::int32_t>(e.c);
+    s.opened_by = edge.opens;
   }
 }
 
@@ -307,18 +218,18 @@ void SpanBuilder::drain(FlightRecorder& recorder) {
   recorder.clear_log();
 }
 
-std::size_t SpanBuilder::size() const { return state_->table.spans.size(); }
+std::size_t SpanBuilder::size() const { return state_->spans.size(); }
 
-void SpanBuilder::reserve(std::size_t n) { state_->table.spans.reserve(n); }
+void SpanBuilder::reserve(std::size_t n) { state_->spans.reserve(n); }
 
 void SpanBuilder::roll_back(int step) {
-  for (Span& s : state_->table.spans)
-    if (s.ids.step >= step) s.rolled_back = true;
+  for (Span& s : state_->spans)
+    if (s.step >= step) s.rolled_back = true;
 }
 
-SpanTable SpanBuilder::finish() {
+std::vector<Span> SpanBuilder::finish() {
   State& st = *state_;
-  std::vector<Span>& spans = st.table.spans;
+  std::vector<Span>& spans = st.spans;
   // Close whatever never ended at the latest stamp seen.
   st.open.for_each_top([&](std::size_t top) {
     for (std::size_t i = top; i != kNone;) {
@@ -333,23 +244,106 @@ SpanTable SpanBuilder::finish() {
   const auto by_begin = [](const Span& a, const Span& b) { return a.begin < b.begin; };
   if (!std::is_sorted(spans.begin(), spans.end(), by_begin))
     std::stable_sort(spans.begin(), spans.end(), by_begin);
-  return std::move(st.table);
+  return std::move(spans);
 }
 
-SpanTable build_spans(std::span<const FlightEvent> events, const TaskGraphInfo& init,
-                      const TaskGraphInfo& step) {
-  SpanBuilder builder(init, step);
+std::vector<Span> build_spans(std::span<const FlightEvent> events) {
+  SpanBuilder builder;
   builder.add(events);
   return builder.finish();
 }
 
-std::string dump_spans(const SpanTable& table) {
+namespace {
+
+enum : std::uint32_t { kUnnamed, kIdle, kCpeSpin, kRetryBackoff };
+
+bool is_retry(const Span& s) { return s.opened_by == FlightKind::kOffloadRetry; }
+
+}  // namespace
+
+SpanResolver::Graph::Graph(const TaskGraphInfo& g)
+    : info(&g),
+      task(g.tasks.size()),
+      stall(g.tasks.size()),
+      fail(g.tasks.size()),
+      message(g.messages.size()),
+      reduction(g.reductions.size()) {}
+
+SpanResolver::SpanResolver(const TaskGraphInfo& init, const TaskGraphInfo& step)
+    : init_(init), step_(step), names_{"", "idle", "cpe-spin", "retry backoff"} {}
+
+EventIds SpanResolver::ids(const Span& s) const {
+  const TaskGraphInfo& g = *graph(s.step).info;
+  const SpanKind kind = s.kind();
+  EventIds ids;
+  ids.step = s.step;
+  if (kind == SpanKind::kSend || kind == SpanKind::kRecv) {
+    ids.task = s.b;
+    if (const MessageInfo* m = at(g.messages, s.c)) {
+      ids.patch = m->patch;
+      ids.peer = m->peer;
+      ids.tag = m->tag;
+      ids.bytes = m->bytes;
+    }
+    return ids;
+  }
+  // A reduction's b indexes the reductions; an idle wait's b is -1.
+  if (kind == SpanKind::kReduce || s.b < 0) return ids;
+  ids.task = s.b;
+  // Task spans have no group, and a retry's operand c is the attempt.
+  if (kind != SpanKind::kTask && !is_retry(s)) ids.group = s.c;
+  if (const TaskNodeInfo* t = at(g.tasks, s.b)) ids.patch = t->patch;
+  return ids;
+}
+
+std::uint32_t SpanResolver::name(const Span& s) {
+  Graph& g = graph(s.step);
+  const auto i = [](std::int32_t v) { return static_cast<std::size_t>(v); };
+  switch (s.kind()) {
+    case SpanKind::kSend:
+    case SpanKind::kRecv: {
+      const MessageInfo* m = at(g.info->messages, s.c);
+      return m == nullptr ? kUnnamed : intern(g.message[i(s.c)], m->label);
+    }
+    case SpanKind::kReduce: {
+      const std::string* r = at(g.info->reductions, s.b);
+      return r == nullptr ? kUnnamed : intern(g.reduction[i(s.b)], *r);
+    }
+    case SpanKind::kWait: return s.b < 0 ? kIdle : kCpeSpin;
+    case SpanKind::kFault: {
+      if (is_retry(s)) return kRetryBackoff;
+      const TaskNodeInfo* t = at(g.info->tasks, s.b);
+      if (t == nullptr) return kUnnamed;
+      std::uint32_t& id =
+          (s.opened_by == FlightKind::kCpeStall ? g.stall : g.fail)[i(s.b)];
+      // A stall or failure: rare, so its name is formatted at its first use.
+      return id != kUnnamed ? id
+                            : intern(id, std::string(to_string(s.opened_by)) + ' ' + t->label);
+    }
+    default: {
+      const TaskNodeInfo* t = at(g.info->tasks, s.b);
+      return t == nullptr ? kUnnamed : intern(g.task[i(s.b)], t->label);
+    }
+  }
+}
+
+std::uint32_t SpanResolver::intern(std::uint32_t& id, std::string_view name) {
+  if (id == kUnnamed) {
+    id = static_cast<std::uint32_t>(names_.size());
+    names_.emplace_back(name);
+  }
+  return id;
+}
+
+std::string dump_spans(std::span<const Span> spans, const TaskGraphInfo& init,
+                       const TaskGraphInfo& step) {
+  SpanResolver resolve(init, step);
   std::ostringstream os;
-  for (const Span& s : table.spans) {
-    const std::string_view name = span_name(s, table.names);
-    const EventIds& i = s.ids;
+  for (const Span& s : spans) {
+    const std::string_view name = resolve.names()[resolve.name(s)];
+    const EventIds i = resolve.ids(s);
     os << format_duration(s.begin) << "  +" << format_duration(s.duration()) << "  "
-       << to_string(s.kind) << "  " << (name.empty() ? to_string(s.kind) : name)
+       << to_string(s.kind()) << "  " << (name.empty() ? to_string(s.kind()) : name)
        << "  [s" << i.step;
     if (i.task >= 0) os << " t" << i.task;
     if (i.patch >= 0) os << " p" << i.patch;
@@ -368,7 +362,7 @@ TimePs covered_time(std::span<const Span> spans, SpanKind kind) {
   TimePs to = 0;
   bool any = false;
   for (const Span& s : spans) {
-    if (s.kind != kind) continue;
+    if (s.kind() != kind) continue;
     if (any && s.begin <= to) {
       to = std::max(to, s.end);
       continue;

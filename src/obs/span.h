@@ -4,13 +4,15 @@
 //
 // The scheduler records span edges into the flight recorder's log
 // (src/obs/flight.h) as events with integer operands only: step,
-// detailed-task index, and CPE group or message index. This module pairs
-// them into spans and resolves, from the compiled-graph skeletons
-// (src/obs/observation.h), each span's identity — step, detailed-task
-// index, patch, peer/tag, CPE group, bytes — and its name. A span's
-// *lane*, the track it renders on in the Chrome-trace exporter and the
-// resource it occupies in the metrics rollups, follows from its kind
-// (lane_of):
+// detailed-task (or reduction) index, and CPE group, message index or
+// retry attempt. A SpanBuilder pairs them into spans while the rank runs,
+// and a span keeps what its begin edge recorded: those operands and the
+// flight kind that opened it. Everything else is resolved at export, by a
+// SpanResolver, from the rank's compiled-graph skeletons
+// (src/obs/observation.h): the span's identity (detailed-task index,
+// patch, peer/tag, CPE group, bytes) and its name. A span's *lane*, the
+// track it renders on in the Chrome-trace exporter and the resource it
+// occupies in the metrics rollups, follows from its kind (lane_of):
 //
 //   MPE  - task execution, offload windows, reductions, idle waits
 //   CPE  - kernel flight time on a CPE group
@@ -24,12 +26,13 @@
 // after initialization and after every step and clears it, so no rank
 // keeps more than one step of events. The builder keeps its open spans
 // from one chunk to the next, so any split of a log pairs into the spans
-// build_spans() pairs from the whole log.
+// build_spans() pairs from the whole log. A drain touches only the log,
+// the open table and the span vector: no skeleton and no name.
 //
-// Layout: a span is 56 bytes of plain data. It holds no string and no
-// rank: its name is an index into the rank's name table, where each
-// distinct name is stored once, and its rank is the rank whose
-// observation holds it.
+// Layout: a span is 32 bytes of plain data: two stamps, its begin edge's
+// three operands as 32-bit integers, the flight kind that opened it and
+// the rolled-back mark. It holds no string, no skeleton data and no rank:
+// its rank is the rank whose observation holds it.
 
 #include <cstdint>
 #include <memory>
@@ -55,6 +58,14 @@ const char* to_string(SpanKind kind);
 /// Lane a span kind renders on / the resource it occupies.
 Lane lane_of(SpanKind kind);
 
+/// The kind of span that the begin or point edge `opened_by` opens: kTaskBegin
+/// .. kWaitBegin open their SpanKind in order, every other edge a fault.
+constexpr SpanKind span_kind(FlightKind opened_by) {
+  const int i = static_cast<int>(opened_by) - static_cast<int>(FlightKind::kTaskBegin);
+  return i >= 0 && opened_by <= FlightKind::kWaitEnd ? static_cast<SpanKind>(i / 2)
+                                                     : SpanKind::kFault;
+}
+
 /// Structured identity of a span, so exported spans are machine-matchable
 /// instead of only carrying a display string. Fields left at their
 /// defaults mean "not applicable"; `step` -1 doubles as the initialization
@@ -72,38 +83,29 @@ struct EventIds {
 struct Span {
   TimePs begin = 0;
   TimePs end = 0;
-  EventIds ids;
-  /// Index of the span's name in its rank's name table (span_name()).
-  std::uint32_t name = 0;
-  SpanKind kind = SpanKind::kTask;
+  std::int32_t step = -1;  ///< timestep (-1 = initialization)
+  /// Detailed-task or reduction index, as the begin edge recorded it; -1
+  /// for an idle wait.
+  std::int32_t b = -1;
+  /// CPE group, message index (ExtComm::id) or retry attempt, as the begin
+  /// edge recorded it; -1 when the edge has none.
+  std::int32_t c = -1;
+  /// The begin or point edge that opened the span.
+  FlightKind opened_by = FlightKind::kTaskBegin;
   /// Recorded by an attempt of its step that a deadline restart rolled
   /// back: the Chrome trace shows it, the metrics rollups and the critical
   /// path leave it out.
   bool rolled_back = false;
 
+  SpanKind kind() const { return span_kind(opened_by); }
   TimePs duration() const { return end - begin; }
 };
-static_assert(sizeof(Span) <= 56, "a span is plain data: see the file comment");
+static_assert(sizeof(Span) == 32, "a span is plain data: see the file comment");
 
-/// The name `s` indexes in `names`, its rank's name table. Empty when the
-/// skeleton did not resolve one (the Chrome trace then shows the kind) or
-/// when the index is outside the table.
-inline std::string_view span_name(const Span& s, std::span<const std::string> names) {
-  return s.name < names.size() ? std::string_view(names[s.name]) : std::string_view();
-}
-
-/// One rank's spans and the names they index.
-struct SpanTable {
-  std::vector<Span> spans;  ///< in begin order
-  /// Each distinct span name once; names[0] is the empty name.
-  std::vector<std::string> names;
-};
-
-/// Pairs span edges into spans chunk by chunk, resolving ids and names in
-/// `init` for initialization events (step -1) and in `step` for timestep
-/// events; other event kinds are skipped. Tolerant: an end with no open
-/// begin is dropped; a begin that never ends is closed, at finish(), at
-/// the latest span-edge stamp of every chunk.
+/// Pairs span edges into spans chunk by chunk; other event kinds are
+/// skipped. Tolerant: an end with no open begin is dropped; a begin that
+/// never ends is closed, at finish(), at the latest span-edge stamp of
+/// every chunk.
 ///
 /// Cost: the open spans live in a flat open-addressing table keyed on the
 /// edge's kind and operands, kept from one chunk to the next and grown by
@@ -111,13 +113,10 @@ struct SpanTable {
 /// its own `end` until it closes. Spans go into one vector that grows like
 /// any std::vector unless reserve() sized it. finish() makes one
 /// sortedness check, and an O(n log n) stable sort only when begins were
-/// recorded out of order. Each name is copied into the name table once, at
-/// the first span that uses it; only a fault span formats its name, and
-/// faults are rare.
+/// recorded out of order.
 class SpanBuilder {
  public:
-  /// `init` and `step` must outlive the builder.
-  SpanBuilder(const TaskGraphInfo& init, const TaskGraphInfo& step);
+  SpanBuilder();
   ~SpanBuilder();
 
   /// Pairs the span edges among `events`, the next chunk of the log.
@@ -136,7 +135,7 @@ class SpanBuilder {
 
   /// Closes what is still open and returns the spans in begin order
   /// (stable for equal stamps). The builder is spent afterwards.
-  SpanTable finish();
+  std::vector<Span> finish();
 
  private:
   struct State;
@@ -144,13 +143,69 @@ class SpanBuilder {
 };
 
 /// The spans of a whole log: a SpanBuilder given `events` as one chunk.
-SpanTable build_spans(std::span<const FlightEvent> events, const TaskGraphInfo& init,
-                      const TaskGraphInfo& step);
+std::vector<Span> build_spans(std::span<const FlightEvent> events);
 
-/// Renders one line per span of `table`, in its order: begin, duration,
-/// kind, name (the kind when unnamed) and ids, and a rolled-back mark. For
-/// debugging (uswsim --trace, trace_viewer).
-std::string dump_spans(const SpanTable& table);
+/// Resolves one rank's spans against its skeletons, at export: a span of
+/// step -1 against `init`, any other against `step`.
+///
+/// Identity: a send or receive span's patch, peer, tag and bytes are its
+/// message's; any other span of a detailed task has its task's patch, and
+/// the CPE group its edge recorded unless it is a task span or a retry
+/// backoff (whose operand c is an attempt). A reduction, or an idle wait,
+/// has no task.
+///
+/// Names: a task, offload or kernel span is its task's label, a send or
+/// receive its message's label, a reduction the reduction's name; an idle
+/// wait is "idle", the synchronous scheduler spinning on a kernel
+/// "cpe-spin", a retry backoff "retry backoff", and an injected stall or
+/// failure "cpe_stall LABEL" or "offload_fail LABEL". Operands outside the
+/// skeleton resolve to unset ids and the empty name (an exporter then shows
+/// the kind).
+///
+/// Cost: ids() reads one skeleton entry; name() reads that entry's name
+/// index and copies the name into names() at its first use (only a fault
+/// name is formatted). Together they cost about 12 ns a span in the
+/// Chrome-trace export on a shared Intel Xeon VM. An exporter makes one
+/// resolver per rank, so the names live only while that rank exports.
+class SpanResolver {
+ public:
+  /// `init` and `step` must outlive the resolver.
+  SpanResolver(const TaskGraphInfo& init, const TaskGraphInfo& step);
+
+  /// The identity of `s`.
+  EventIds ids(const Span& s) const;
+  /// The index of the name of `s` in names().
+  std::uint32_t name(const Span& s);
+  /// Each distinct name resolved so far, once; names()[0] is the empty
+  /// name.
+  const std::vector<std::string>& names() const { return names_; }
+
+ private:
+  /// A skeleton and the name index of each of its entries, 0 until first
+  /// used.
+  struct Graph {
+    explicit Graph(const TaskGraphInfo& g);
+    const TaskGraphInfo* info;
+    std::vector<std::uint32_t> task, stall, fail, message, reduction;
+  };
+
+  /// The skeleton the spans of timestep `step` resolve against.
+  const Graph& graph(int step) const { return step < 0 ? init_ : step_; }
+  Graph& graph(int step) { return step < 0 ? init_ : step_; }
+  /// The index of `name`, stored at its first use as `id`.
+  std::uint32_t intern(std::uint32_t& id, std::string_view name);
+
+  Graph init_;
+  Graph step_;
+  std::vector<std::string> names_;
+};
+
+/// Renders one line per span of `spans`, in their order: begin, duration,
+/// kind, name (the kind when unnamed) and ids, resolved against `init` and
+/// `step`, and a rolled-back mark. For debugging (uswsim --trace,
+/// trace_viewer).
+std::string dump_spans(std::span<const Span> spans, const TaskGraphInfo& init,
+                       const TaskGraphInfo& step);
 
 /// Virtual time covered by spans of `kind`: the union of their intervals,
 /// so overlapping spans (two in-flight kernels) count once. `spans` must be

@@ -262,12 +262,14 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
         step_graph.compile(level, part, rank, config.pattern);
     if (config.collect_trace || config.collect_metrics)
       out.graph_info = std::make_shared<const obs::TaskGraphInfo>(graph_info_of(cg_step));
-    // The trace: the flight log's span edges, paired into named spans after
-    // initialization and after every step.
-    const obs::TaskGraphInfo init_info =
-        config.collect_trace ? graph_info_of(cg_init) : obs::TaskGraphInfo{};
+    // The trace: the flight log's span edges, paired into spans after
+    // initialization and after every step. The exporters name them from
+    // the skeletons.
     std::optional<obs::SpanBuilder> trace;
-    if (config.collect_trace) trace.emplace(init_info, *out.graph_info);
+    if (config.collect_trace) {
+      out.init_graph_info = std::make_shared<const obs::TaskGraphInfo>(graph_info_of(cg_init));
+      trace.emplace();
+    }
 
     // Opt-in validation: one checker per compiled graph (declarations and
     // the happens-before closure differ between init and step), the
@@ -525,7 +527,7 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
         m.count("hb.forks", static_cast<double>(hb_checker->forks()));
       }
     }
-    if (trace) out.trace = std::make_shared<const obs::SpanTable>(trace->finish());
+    if (trace) out.trace = std::make_shared<const std::vector<obs::Span>>(trace->finish());
   }, schedule.get(), lookahead, &diag_hub, config.diag.hang_threshold);
 
   if (config.check.enabled)

@@ -121,18 +121,21 @@ struct RankResult {
   hw::PerfCounters counters;
   std::vector<TimePs> step_walls;  ///< per-timestep virtual wall time
   TimePs init_wall = 0;
-  /// The rank's trace: its spans in begin order and the names they index
-  /// (null unless collect_trace is on). The rank pairs them from its
-  /// flight-recorder log as each step ends, so it never keeps more than one
-  /// step of events; runtime::observe() shares them, it does not copy.
-  std::shared_ptr<const obs::SpanTable> trace;
+  /// The rank's trace: its spans in begin order (null unless collect_trace
+  /// is on). The rank pairs them from its flight-recorder log as each step
+  /// ends, so it never keeps more than one step of events;
+  /// runtime::observe() shares them, it does not copy.
+  std::shared_ptr<const std::vector<obs::Span>> trace;
   std::map<std::string, double> metrics;  ///< application verification data
   /// Scheduler-fed samples and counters (null unless collect_metrics is
   /// on); shared with the observation like `trace`.
   std::shared_ptr<obs::MetricsRegistry> obs_metrics;
   /// Timestep-graph skeleton for the critical-path analyzer and the trace's
-  /// names (null unless collect_trace or collect_metrics is on).
+  /// names and ids (null unless collect_trace or collect_metrics is on).
   std::shared_ptr<const obs::TaskGraphInfo> graph_info;
+  /// Initialization-graph skeleton, which the trace's spans of step -1
+  /// resolve against (null unless collect_trace is on).
+  std::shared_ptr<const obs::TaskGraphInfo> init_graph_info;
   /// Validator findings for this rank (empty unless RunConfig::check is on).
   std::vector<check::Violation> violations;
   /// Host (real) wall-clock per executed timestep, milliseconds. Restarted

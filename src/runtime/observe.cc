@@ -50,6 +50,7 @@ obs::RunObservation observe(const RunResult& result) {
     ro.rank = static_cast<int>(i);
     ro.trace = r.trace;
     ro.skeleton = r.graph_info;
+    ro.init_skeleton = r.init_graph_info;
     ro.counters = r.counters;
     ro.metrics = r.obs_metrics;
     ro.step_walls = r.step_walls;

@@ -1,11 +1,12 @@
 #pragma once
 
 // Bridge from a finished RunResult to the observability layer: bundles
-// each rank's spans (paired and named while the rank ran), timestep
-// skeleton, metrics registry, counters and walls into an
+// each rank's spans (paired while the rank ran), init and timestep
+// skeletons, metrics registry, counters and walls into an
 // obs::RunObservation that the exporters (chrome trace, metrics JSON,
-// report, critical path) consume. The spans, skeleton and registry are
-// shared with the result, not copied.
+// report, critical path) consume, resolving the spans against the
+// skeletons. The spans, skeletons and registry are shared with the result,
+// not copied.
 
 #include "obs/observation.h"
 #include "runtime/controller.h"

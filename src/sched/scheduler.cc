@@ -1,6 +1,7 @@
 #include "sched/scheduler.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <memory>
 
@@ -172,7 +173,7 @@ void Scheduler::post_send(task::TaskContext& ctx, const task::ExtComm& sc,
   }
   open_sends_.push_back(OpenRequest{req, dt_index, &sc});
   if (config_.metrics != nullptr)
-    config_.metrics->sample("msg.send_bytes", static_cast<double>(sc.bytes()));
+    sample(Metric::kSendBytes, static_cast<double>(sc.bytes()));
   record(obs::FlightKind::kSendPosted, comm_.now(), dt_index, sc.id);
 }
 
@@ -332,13 +333,11 @@ void Scheduler::offload_stencil(task::TaskContext& ctx, int dt_index, int group)
         dt_index, patch.cells(), tile_writes(plan->tiling, plan->assignment));
   }
   if (config_.metrics != nullptr) {
-    config_.metrics->sample(
-        "offload.cells", static_cast<double>(patch.cells().volume()));
+    sample(Metric::kOffloadCells, static_cast<double>(patch.cells().volume()));
     const TileAssignment& a = plan->assignment;
     for (int i = 0; i < static_cast<int>(a.shares.size()); ++i)
       for (const int t : a.tiles(i))
-        config_.metrics->sample(
-            "tile.cells", static_cast<double>(plan->tiling.tile(t).volume()));
+        sample(Metric::kTileCells, static_cast<double>(plan->tiling.tile(t).volume()));
   }
   record(obs::FlightKind::kOffloadBegin, comm_.now(), dt_index, group);
   // What every working CPE charges, fixed here on the MPE before the spawn.
@@ -402,16 +401,24 @@ void Scheduler::sample_offload_imbalance(int group) {
   // bit-identical across backends because the per-CPE busy times are.
   const auto n = static_cast<double>(busy.size());
   const double mean = static_cast<double>(sum) / n;
-  config_.metrics->sample("offload.cpe_busy_max_ps", static_cast<double>(max));
-  config_.metrics->sample("offload.cpe_busy_mean_ps", mean);
+  sample(Metric::kCpeBusyMax, static_cast<double>(max));
+  sample(Metric::kCpeBusyMean, mean);
   // Fraction of the offload's CPE-seconds spent idle: 1 - sum/(n*max).
-  config_.metrics->sample(
-      "offload.cpe_idle_frac",
-      max > 0 ? 1.0 - static_cast<double>(sum) / (n * static_cast<double>(max))
-              : 0.0);
+  sample(Metric::kCpeIdleFrac,
+         max > 0 ? 1.0 - static_cast<double>(sum) / (n * static_cast<double>(max)) : 0.0);
   // Max/mean busy ratio, the classic load-imbalance factor (1.0 = perfect).
-  config_.metrics->sample("offload.cpe_imbalance",
-                          mean > 0.0 ? static_cast<double>(max) / mean : 1.0);
+  sample(Metric::kCpeImbalance, mean > 0.0 ? static_cast<double>(max) / mean : 1.0);
+}
+
+void Scheduler::sample(Metric metric, double v) {
+  static constexpr const char* kNames[] = {
+      "msg.send_bytes", "msg.recv_bytes", "offload.cells", "tile.cells",
+      "offload.cpe_busy_max_ps", "offload.cpe_busy_mean_ps", "offload.cpe_idle_frac",
+      "offload.cpe_imbalance"};
+  static_assert(std::size(kNames) == static_cast<std::size_t>(Metric::kCount));
+  const auto i = static_cast<std::size_t>(metric);
+  if (metric_[i] == nullptr) metric_[i] = &config_.metrics->handle(kNames[i]);
+  metric_[i]->add(v);
 }
 
 namespace {
@@ -582,7 +589,7 @@ bool Scheduler::progress_comm(task::TaskContext& ctx) {
       dw.get(rc.label, rc.to_patch).unpack(rc.region, payload);
     }
     if (config_.metrics != nullptr)
-      config_.metrics->sample("msg.recv_bytes", static_cast<double>(rc.bytes()));
+      sample(Metric::kRecvBytes, static_cast<double>(rc.bytes()));
     record(obs::FlightKind::kRecvDone, comm_.now(), dti, rc.id);
     DtState& st = state_[static_cast<std::size_t>(dti)];
     USW_ASSERT(st.pending_recvs > 0);

@@ -53,6 +53,7 @@ class HbChecker;
 
 namespace usw::obs {
 class MetricsRegistry;
+struct Distribution;
 }  // namespace usw::obs
 
 namespace usw::schedpt {
@@ -193,6 +194,15 @@ class Scheduler {
   /// registry (max/mean busy, idle fraction). Called from the completion
   /// paths, where both backends observe the same scheduler state.
   void sample_offload_imbalance(int group);
+  /// The distributions the scheduler feeds into config_.metrics.
+  enum class Metric {
+    kSendBytes, kRecvBytes, kOffloadCells, kTileCells,
+    kCpeBusyMax, kCpeBusyMean, kCpeIdleFrac, kCpeImbalance, kCount
+  };
+  /// Adds `v` to `metric` in config_.metrics, which must be set: through a
+  /// handle taken at the metric's first sample, so a distribution the run
+  /// never samples gets no entry.
+  void sample(Metric metric, double v);
   // --- resilience (src/fault) ---
   /// Lowest non-degraded CPE group, or -1 when all are degraded.
   int first_usable_group() const;
@@ -300,6 +310,8 @@ class Scheduler {
   std::vector<comm::RequestId> open_ids_;  ///< collect_open_ids()
   /// Offload scratch: the busy time of each working CPE (charge_offload).
   std::vector<TimePs> share_busy_;
+  /// sample()'s handles, by Metric; null until its first sample.
+  obs::Distribution* metric_[static_cast<int>(Metric::kCount)] = {};
 
   // Resilience state, persistent across steps (a degraded group stays
   // degraded for the remainder of the run).

@@ -137,7 +137,9 @@ ReplayController::ReplayController(ScheduleSpec spec)
   std::string magic;
   std::string version;
   if (!(is >> magic >> version) || magic != kFileMagic ||
-      version != "v" + std::to_string(kFileVersion))
+      // Not "v" + std::to_string(...): GCC 12's -Wrestrict misfires on
+      // that operator+ under -O2.
+      version != std::string("v").append(std::to_string(kFileVersion)))
     throw ConfigError("--schedule: '" + path + "' is not an " +
                       std::string(kFileMagic) + " v" +
                       std::to_string(kFileVersion) + " schedule file");

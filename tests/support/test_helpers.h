@@ -2,7 +2,7 @@
 
 // Helpers shared by the test executables: whole-file and whole-tree reads
 // for byte-for-byte output comparisons, the first difference between two
-// outputs or two span tables for their failure messages, string <-> payload
+// outputs or two span lists for their failure messages, string <-> payload
 // conversions for the comm tests, and an offload with MPE-named busy times
 // for the CPE cluster tests.
 
@@ -14,6 +14,7 @@
 #include <functional>
 #include <iterator>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -70,20 +71,17 @@ inline std::string first_difference(std::string_view got, std::string_view want)
          "...";
 }
 
-/// "" when `got` holds the spans of `want`, field by field and in order,
-/// and the same name table; otherwise where the two first differ.
-inline std::string span_difference(const obs::SpanTable& got, const obs::SpanTable& want) {
-  if (got.names != want.names) return "the name tables differ";
-  if (got.spans.size() != want.spans.size())
-    return std::to_string(got.spans.size()) + " spans, want " +
-           std::to_string(want.spans.size());
+/// "" when `got` holds the spans of `want`, field by field and in order;
+/// otherwise where the two first differ.
+inline std::string span_difference(std::span<const obs::Span> got,
+                                   std::span<const obs::Span> want) {
+  if (got.size() != want.size())
+    return std::to_string(got.size()) + " spans, want " + std::to_string(want.size());
   const auto fields = [](const obs::Span& s) {
-    return std::tie(s.begin, s.end, s.kind, s.name, s.rolled_back, s.ids.step, s.ids.task,
-                    s.ids.patch, s.ids.peer, s.ids.tag, s.ids.group, s.ids.bytes);
+    return std::tie(s.begin, s.end, s.step, s.b, s.c, s.opened_by, s.rolled_back);
   };
-  for (std::size_t i = 0; i < got.spans.size(); ++i)
-    if (fields(got.spans[i]) != fields(want.spans[i]))
-      return "span " + std::to_string(i) + " differs";
+  for (std::size_t i = 0; i < got.size(); ++i)
+    if (fields(got[i]) != fields(want[i])) return "span " + std::to_string(i) + " differs";
   return "";
 }
 

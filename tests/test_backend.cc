@@ -560,7 +560,7 @@ TEST(BackendTrace, SerialAndThreadsRecordIdenticalEvents) {
       runtime::run_simulation(config, apps::burgers::BurgersApp());
 
   for (std::size_t r = 0; r < serial.ranks.size(); ++r) {
-    ASSERT_FALSE(serial.ranks[r].trace->spans.empty());
+    ASSERT_FALSE(serial.ranks[r].trace->empty());
     EXPECT_EQ(span_difference(*threads.ranks[r].trace, *serial.ranks[r].trace), "")
         << "rank " << r;
   }

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -81,6 +82,58 @@ TEST(FlightRecorder, WrapsKeepingNewest) {
   EXPECT_EQ(evs.front().event.a, 6);
   EXPECT_EQ(evs.back().event.a, 9);
   EXPECT_EQ(evs.back().seq, 9u);
+}
+
+static_assert(sizeof(obs::FlightEvent) == 32);
+
+TEST(FlightRecorder, OperandExtremesRoundTripThroughRingAndDump) {
+  // `a` is 32 bits wide (a rank, step, group or restart count); `b` and
+  // `c` keep 64 bits for message seqs and byte counts. Both survive the
+  // ring and the diag dump's JSON unchanged.
+  constexpr std::int64_t kSeq = (std::int64_t{1} << 32) + 5;
+  constexpr std::int64_t kBytes = (std::int64_t{1} << 40) + 7;
+  constexpr std::int64_t kMin = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int32_t>::max();
+  obs::DiagConfig dc;
+  dc.flight_capacity = 4;
+  dc.dump_path = temp_path("diag_operand_extremes.json");
+  obs::DiagHub hub(dc, 1);
+  obs::FlightRecorder& ring = hub.rank_ring(0);
+  ring.keep_log(true);
+  ring.record(obs::FlightKind::kMsgSend, 10, kMin, kSeq, kBytes);
+  ring.record(obs::FlightKind::kMsgMatch, 20, kMax, -kSeq, -kBytes);
+  const std::vector<obs::RingEvent> evs = ring.snapshot();
+  ASSERT_EQ(evs.size(), 2u);
+  ASSERT_EQ(ring.log().size(), 2u);
+  for (const obs::FlightEvent& e : {evs[0].event, ring.log()[0]}) {
+    EXPECT_EQ(e.a, kMin);
+    EXPECT_EQ(e.b, kSeq);
+    EXPECT_EQ(e.c, kBytes);
+  }
+  for (const obs::FlightEvent& e : {evs[1].event, ring.log()[1]}) {
+    EXPECT_EQ(e.a, kMax);
+    EXPECT_EQ(e.b, -kSeq);
+    EXPECT_EQ(e.c, -kBytes);
+  }
+  const std::string dump = slurp(hub.write_final(nullptr));
+  std::remove(dc.dump_path.c_str());
+  const auto line = [](const char* key, std::int64_t v) {
+    return "\"" + std::string(key) + "\": " + std::to_string(v);
+  };
+  for (const std::string& want :
+       {line("a", kMin), line("b", kSeq), line("c", kBytes), line("a", kMax),
+        line("b", -kSeq), line("c", -kBytes)})
+    EXPECT_NE(dump.find(want), std::string::npos) << want;
+}
+
+TEST(FlightRecorderDeathTest, OperandAOutside32BitsAborts) {
+  obs::FlightRecorder ring(4);
+  EXPECT_DEATH(ring.record(obs::FlightKind::kRankPick, 0,
+                           std::int64_t{std::numeric_limits<std::int32_t>::max()} + 1),
+               "assertion failed");
+  EXPECT_DEATH(ring.record(obs::FlightKind::kRankPick, 0,
+                           std::int64_t{std::numeric_limits<std::int32_t>::min()} - 1),
+               "assertion failed");
 }
 
 TEST(FlightRecorder, CapacityZeroDisables) {
@@ -216,8 +269,8 @@ TEST(Diag, TraceIsKeptWithTheRingsOff) {
   EXPECT_NE(trace_off.str().find("\"ph\":\"X\""), std::string::npos);
   EXPECT_TRUE(trace_on.str() == trace_off.str());
   for (std::size_t r = 0; r < a.ranks.size(); ++r) {
-    EXPECT_FALSE(a.ranks[r].trace->spans.empty());
-    EXPECT_EQ(a.ranks[r].trace->spans.size(), b.ranks[r].trace->spans.size());
+    EXPECT_FALSE(a.ranks[r].trace->empty());
+    EXPECT_EQ(a.ranks[r].trace->size(), b.ranks[r].trace->size());
   }
 }
 

@@ -187,7 +187,7 @@ TEST(FutureWork, GroupsOverlapKernelWindowsInTrace) {
         runtime::observe(runtime::run_simulation(cfg, app));
     std::vector<obs::Span> out;
     for (const obs::Span& s : run.ranks[0].spans())
-      if (s.kind == obs::SpanKind::kKernel) out.push_back(s);
+      if (s.kind() == obs::SpanKind::kKernel) out.push_back(s);
     return out;
   };
   const std::vector<obs::Span> k = kernels();

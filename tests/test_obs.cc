@@ -44,9 +44,12 @@ namespace {
 
 using FK = FlightKind;
 
+static_assert(sizeof(Span) == 32);
+static_assert(sizeof(FlightEvent) == 32);
+
 /// A span edge as the scheduler records it: a = step, b = task (or
 /// reduction), c = CPE group, message index or retry attempt.
-FlightEvent ev(TimePs time, FlightKind kind, std::int64_t step, std::int64_t b,
+FlightEvent ev(TimePs time, FlightKind kind, std::int32_t step, std::int64_t b,
                std::int64_t c = -1) {
   return FlightEvent{time, kind, step, b, c};
 }
@@ -68,14 +71,32 @@ TaskGraphInfo skeleton(const std::string& prefix = "") {
   return g;
 }
 
-SpanTable spans_of(const std::vector<FlightEvent>& events) {
-  const TaskGraphInfo g = skeleton();
-  return build_spans(events, g, g);
+/// Spans as an exporter sees them: each with its ids and name, resolved by
+/// one SpanResolver, and their dump_spans() text.
+struct Resolved {
+  std::vector<Span> spans;
+  std::vector<EventIds> ids;
+  std::vector<std::string> names;
+  std::string dump;
+};
+
+Resolved resolved(std::vector<Span> spans, const TaskGraphInfo& init,
+                  const TaskGraphInfo& step) {
+  Resolved r;
+  SpanResolver resolve(init, step);
+  for (const Span& s : spans) {
+    r.ids.push_back(resolve.ids(s));
+    r.names.push_back(resolve.names()[resolve.name(s)]);
+  }
+  r.dump = dump_spans(spans, init, step);
+  r.spans = std::move(spans);
+  return r;
 }
 
-/// The name of span `i` in `t`.
-std::string_view name_of(const SpanTable& t, std::size_t i) {
-  return span_name(t.spans.at(i), t.names);
+/// The spans of `events`, resolved against skeleton("init_") (step -1) and
+/// skeleton().
+Resolved spans_of(const std::vector<FlightEvent>& events) {
+  return resolved(build_spans(events), skeleton("init_"), skeleton());
 }
 
 // ---------------------------------------------------------------- trace ---
@@ -97,13 +118,13 @@ TEST(Trace, FilterAndTotals) {
       ev(10, FK::kKernelBegin, 0, 0, 0), ev(40, FK::kKernelEnd, 0, 0, 0),
       ev(50, FK::kKernelBegin, 0, 1, 0), ev(90, FK::kKernelEnd, 0, 1, 0),
       ev(95, FK::kSendPosted, 0, 0, 0)};
-  const SpanTable t = spans_of(log);
+  const Resolved t = spans_of(log);
   const std::vector<Span>& spans = t.spans;
   EXPECT_EQ(std::count_if(spans.begin(), spans.end(),
-                          [](const Span& s) { return s.kind == SpanKind::kKernel; }),
+                          [](const Span& s) { return s.kind() == SpanKind::kKernel; }),
             2);
   EXPECT_EQ(covered_time(spans, SpanKind::kKernel), 70);
-  EXPECT_NE(dump_spans(t).find("  kernel  b p1  [s0 t1 p1 g0]\n"), std::string::npos);
+  EXPECT_NE(t.dump.find("  kernel  b p1  [s0 t1 p1 g0]\n"), std::string::npos);
 }
 
 TEST(Trace, EventKindNames) {
@@ -114,7 +135,7 @@ TEST(Trace, EventKindNames) {
 TEST(Trace, TotalBetweenOverlappingSpans) {
   // Two kernels in flight at once (cpe_groups > 1): [10,50] and [30,70]
   // overlap, so the busy time is the union [10,70] = 60, not the sum 80.
-  const SpanTable t = spans_of(
+  const Resolved t = spans_of(
       {ev(10, FK::kKernelBegin, 0, 0, 0), ev(30, FK::kKernelBegin, 0, 1, 1),
        ev(50, FK::kKernelEnd, 0, 0, 0), ev(70, FK::kKernelEnd, 0, 1, 1)});
   const std::vector<Span>& spans = t.spans;
@@ -125,7 +146,7 @@ TEST(Trace, TotalBetweenOutOfOrderRecording) {
   // The async scheduler records a kernel's end at the poll that observes
   // it, stamped with the earlier completion time; totals must not depend on
   // record order.
-  const SpanTable t = spans_of(
+  const Resolved t = spans_of(
       {ev(10, FK::kKernelBegin, 0, 0, 0), ev(50, FK::kTaskBegin, 0, 2),
        ev(60, FK::kTaskEnd, 0, 2),
        ev(30, FK::kKernelEnd, 0, 0, 0),  // observed after the task ran
@@ -137,7 +158,7 @@ TEST(Trace, TotalBetweenOutOfOrderRecording) {
 TEST(Trace, TotalBetweenUnmatchedEvents) {
   // A stray end before any begin is ignored; a begin that never ends is
   // closed at the trace's last span-edge stamp.
-  const SpanTable t = spans_of(
+  const Resolved t = spans_of(
       {ev(5, FK::kWaitEnd, 0, -1), ev(10, FK::kWaitBegin, 0, -1),
        ev(30, FK::kKernelBegin, 0, 0, 0), FlightEvent{80, FK::kStepEnd, 0}});
   const std::vector<Span>& spans = t.spans;
@@ -152,81 +173,81 @@ TEST(Trace, RecordsStructuredIds) {
   ASSERT_EQ(log.size(), 1u);
   EXPECT_EQ(log[0].a, 2);
   EXPECT_EQ(log[0].b, 7);
-  const SpanTable t = spans_of(log);
+  const Resolved t = spans_of(log);
   const std::vector<Span>& spans = t.spans;
   ASSERT_EQ(spans.size(), 1u);
-  const EventIds& i = spans[0].ids;
+  const EventIds& i = t.ids[0];
   EXPECT_EQ(i.step, 2);
   EXPECT_EQ(i.task, 7);
   EXPECT_EQ(i.patch, 0);
   EXPECT_EQ(i.peer, 1);
   EXPECT_EQ(i.tag, 7);
   EXPECT_EQ(i.bytes, 2048u);
-  EXPECT_NE(dump_spans(t).find(" peer1 tag7 2048B]"), std::string::npos);
+  EXPECT_NE(t.dump.find(" peer1 tag7 2048B]"), std::string::npos);
 }
 
 // ---------------------------------------------------------------- spans ---
 
 TEST(Span, PairsBeginEnd) {
-  const SpanTable t =
+  const Resolved t =
       spans_of({ev(10, FK::kTaskBegin, 0, 0), ev(50, FK::kTaskEnd, 0, 0)});
   const std::vector<Span>& spans = t.spans;
   ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(spans[0].kind, SpanKind::kTask);
-  EXPECT_EQ(lane_of(spans[0].kind), Lane::kMpe);
+  EXPECT_EQ(spans[0].kind(), SpanKind::kTask);
+  EXPECT_EQ(lane_of(spans[0].kind()), Lane::kMpe);
   EXPECT_EQ(spans[0].begin, 10);
   EXPECT_EQ(spans[0].end, 50);
   EXPECT_EQ(spans[0].duration(), 40);
-  EXPECT_EQ(name_of(t, 0), "a p0");
-  EXPECT_EQ(spans[0].ids.patch, 0);
-  EXPECT_EQ(spans[0].ids.group, -1);
+  EXPECT_EQ(t.names[0], "a p0");
+  EXPECT_EQ(t.ids[0].patch, 0);
+  EXPECT_EQ(t.ids[0].group, -1);
 }
 
 TEST(Span, InterleavedSameKindPairsById) {
   // Two offloads in flight at once (cpe_groups = 2): ends arrive in the
   // opposite order of the begins, distinguished only by the ids.
-  const SpanTable t = spans_of(
+  const Resolved t = spans_of(
       {ev(0, FK::kKernelBegin, 0, 0, 0), ev(10, FK::kKernelBegin, 0, 1, 1),
        ev(30, FK::kKernelEnd, 0, 1, 1), ev(80, FK::kKernelEnd, 0, 0, 0)});
   const std::vector<Span>& spans = t.spans;
   ASSERT_EQ(spans.size(), 2u);
-  EXPECT_EQ(lane_of(spans[0].kind), Lane::kCpe);
+  EXPECT_EQ(lane_of(spans[0].kind()), Lane::kCpe);
   EXPECT_EQ(spans[0].end - spans[0].begin, 80);  // p0: [0,80]
   EXPECT_EQ(spans[1].end - spans[1].begin, 20);  // p1: [10,30]
-  EXPECT_EQ(spans[1].ids.group, 1);
-  EXPECT_EQ(name_of(t, 1), "b p1");
+  EXPECT_EQ(t.ids[1].group, 1);
+  EXPECT_EQ(t.names[1], "b p1");
 }
 
 TEST(Span, OutOfOrderEndRecordedAhead) {
   // A kernel's end is recorded at the poll that observes it, stamped with
   // its earlier completion time: events recorded before it can carry later
   // stamps than it does.
-  const SpanTable t = spans_of(
+  const Resolved t = spans_of(
       {ev(10, FK::kKernelBegin, 0, 0, 0), ev(20, FK::kTaskBegin, 0, 1),
        ev(100, FK::kTaskEnd, 0, 1), ev(90, FK::kKernelEnd, 0, 0, 0)});
   const std::vector<Span>& spans = t.spans;
   ASSERT_EQ(spans.size(), 2u);
-  EXPECT_EQ(spans[0].kind, SpanKind::kKernel);
+  EXPECT_EQ(spans[0].kind(), SpanKind::kKernel);
   EXPECT_EQ(spans[0].duration(), 80);
   EXPECT_EQ(spans[1].duration(), 80);
 }
 
 TEST(Span, UnmatchedEndDroppedUnmatchedBeginClosed) {
-  const SpanTable t =
+  const Resolved t =
       spans_of({ev(5, FK::kWaitEnd, 0, -1), ev(10, FK::kWaitBegin, 0, -1),
                 ev(70, FK::kTaskBegin, 0, 0)});
   const std::vector<Span>& spans = t.spans;
   ASSERT_EQ(spans.size(), 2u);
   // The wait never ended: closed at the last stamp in the trace.
-  EXPECT_EQ(spans[0].kind, SpanKind::kWait);
-  EXPECT_EQ(name_of(t, 0), "idle");
+  EXPECT_EQ(spans[0].kind(), SpanKind::kWait);
+  EXPECT_EQ(t.names[0], "idle");
   EXPECT_EQ(spans[0].end, 70);
 }
 
 TEST(Span, KeyReusedAfterCloseOpensFreshSpan) {
   // The same (kind, operands) recurs after its first span closed: the
   // second begin must not pair with the first span's end.
-  const SpanTable t =
+  const Resolved t =
       spans_of({ev(10, FK::kTaskBegin, 0, 2), ev(20, FK::kTaskEnd, 0, 2),
                 ev(30, FK::kTaskBegin, 0, 2), ev(55, FK::kTaskEnd, 0, 2)});
   const std::vector<Span>& spans = t.spans;
@@ -238,7 +259,7 @@ TEST(Span, KeyReusedAfterCloseOpensFreshSpan) {
 }
 
 TEST(Span, NestedSameKeySpansCloseLifo) {
-  const SpanTable t = spans_of(
+  const Resolved t = spans_of(
       {ev(0, FK::kReduceBegin, 0, 0), ev(10, FK::kReduceBegin, 0, 0),
        ev(20, FK::kReduceEnd, 0, 0),  // closes the inner one
        ev(40, FK::kReduceEnd, 0, 0),
@@ -249,20 +270,20 @@ TEST(Span, NestedSameKeySpansCloseLifo) {
   EXPECT_EQ(spans[0].end, 40);
   EXPECT_EQ(spans[1].begin, 10);
   EXPECT_EQ(spans[1].end, 20);
-  EXPECT_EQ(name_of(t, 0), "r");
-  EXPECT_EQ(spans[0].ids.task, -1);
+  EXPECT_EQ(t.names[0], "r");
+  EXPECT_EQ(t.ids[0].task, -1);
 }
 
 TEST(Span, SendCarriesBytesAndMpiLane) {
-  const SpanTable t = spans_of(
+  const Resolved t = spans_of(
       {ev(10, FK::kSendPosted, 1, 4, 0), ev(60, FK::kSendDone, 1, 4, 0)});
   const std::vector<Span>& spans = t.spans;
   ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(lane_of(spans[0].kind), Lane::kMpi);
-  EXPECT_EQ(spans[0].ids.bytes, 2048u);
-  EXPECT_EQ(spans[0].ids.peer, 1);
-  EXPECT_EQ(spans[0].ids.tag, 7);
-  EXPECT_EQ(name_of(t, 0), "u p0->p2");
+  EXPECT_EQ(lane_of(spans[0].kind()), Lane::kMpi);
+  EXPECT_EQ(t.ids[0].bytes, 2048u);
+  EXPECT_EQ(t.ids[0].peer, 1);
+  EXPECT_EQ(t.ids[0].tag, 7);
+  EXPECT_EQ(t.names[0], "u p0->p2");
 }
 
 TEST(Span, NamesComeFromTheInitOrStepSkeleton) {
@@ -270,21 +291,21 @@ TEST(Span, NamesComeFromTheInitOrStepSkeleton) {
   // timestep's from the step graph; other event kinds make no span.
   const TaskGraphInfo init = skeleton("init_");
   const TaskGraphInfo step = skeleton();
-  const SpanTable t = build_spans(
-      std::vector<FlightEvent>{
+  const Resolved t = resolved(
+      build_spans(std::vector<FlightEvent>{
           ev(0, FK::kTaskBegin, -1, 1), ev(5, FK::kTaskEnd, -1, 1),
           FlightEvent{6, FK::kMsgSend, 1, 3, 2048},
-          ev(10, FK::kTaskBegin, 0, 1), ev(15, FK::kTaskEnd, 0, 1)},
+          ev(10, FK::kTaskBegin, 0, 1), ev(15, FK::kTaskEnd, 0, 1)}),
       init, step);
   const std::vector<Span>& spans = t.spans;
   ASSERT_EQ(spans.size(), 2u);
-  EXPECT_EQ(name_of(t, 0), "init_b p1");
-  EXPECT_EQ(spans[0].ids.step, -1);
-  EXPECT_EQ(name_of(t, 1), "b p1");
+  EXPECT_EQ(t.names[0], "init_b p1");
+  EXPECT_EQ(t.ids[0].step, -1);
+  EXPECT_EQ(t.names[1], "b p1");
 }
 
 TEST(Span, FaultsAndWaitsResolveTheirIds) {
-  const SpanTable t = spans_of(
+  const Resolved t = spans_of(
       {ev(10, FK::kCpeStall, 0, 2, 1),      // zero-length, group 1
        ev(20, FK::kOffloadFail, 0, 2, 1),   // zero-length, group 1
        ev(30, FK::kOffloadRetry, 0, 2, 1),  // attempt 1: no group
@@ -292,31 +313,31 @@ TEST(Span, FaultsAndWaitsResolveTheirIds) {
        ev(80, FK::kWaitBegin, 0, 2, 1), ev(90, FK::kWaitEnd, 0, 2, 1)});
   const std::vector<Span>& spans = t.spans;
   ASSERT_EQ(spans.size(), 4u);
-  EXPECT_EQ(name_of(t, 0), "cpe_stall c p2");
-  EXPECT_EQ(spans[0].kind, SpanKind::kFault);
+  EXPECT_EQ(t.names[0], "cpe_stall c p2");
+  EXPECT_EQ(spans[0].kind(), SpanKind::kFault);
   EXPECT_EQ(spans[0].duration(), 0);
-  EXPECT_EQ(spans[0].ids.group, 1);
-  EXPECT_EQ(name_of(t, 1), "offload_fail c p2");
-  EXPECT_EQ(name_of(t, 2), "retry backoff");
+  EXPECT_EQ(t.ids[0].group, 1);
+  EXPECT_EQ(t.names[1], "offload_fail c p2");
+  EXPECT_EQ(t.names[2], "retry backoff");
   EXPECT_EQ(spans[2].duration(), 40);
-  EXPECT_EQ(spans[2].ids.group, -1);
-  EXPECT_EQ(spans[2].ids.patch, 2);
-  EXPECT_EQ(name_of(t, 3), "cpe-spin");
-  EXPECT_EQ(spans[3].ids.task, 2);
-  EXPECT_EQ(spans[3].ids.group, 1);
+  EXPECT_EQ(t.ids[2].group, -1);
+  EXPECT_EQ(t.ids[2].patch, 2);
+  EXPECT_EQ(t.names[3], "cpe-spin");
+  EXPECT_EQ(t.ids[3].task, 2);
+  EXPECT_EQ(t.ids[3].group, 1);
 }
 
 TEST(Span, DumpPrintsOneLinePerSpan) {
   // A zero-length fault is one line; message-level records make no span,
   // an unnamed span shows its kind, and a rolled-back span says so.
   const TaskGraphInfo g = skeleton();
-  SpanBuilder builder(g, g);
+  SpanBuilder builder;
   builder.add(std::vector<FlightEvent>{ev(10, FK::kOffloadFail, 0, 0, 0),
                                        FlightEvent{20, FK::kMsgMatch, 1, 3, 2048},
                                        ev(1500, FK::kReduceBegin, 1, 9),
                                        ev(2500, FK::kReduceEnd, 1, 9)});
   builder.roll_back(1);
-  const std::string dump = dump_spans(builder.finish());
+  const std::string dump = dump_spans(builder.finish(), g, g);
   EXPECT_EQ(dump,
             "10 ps  +0 ps  fault  offload_fail a p0  [s0 t0 p0 g0]\n"
             "1.500 ns  +1.000 ns  reduce  reduce  [s1]  rolled back\n");
@@ -337,11 +358,11 @@ TEST(Span, OpenTableGrowsWhileSpansStayOpen) {
     log.push_back(ev(100 + k, FK::kTaskEnd, 0, task));
     closes[static_cast<std::size_t>(task)] = 100 + k;
   }
-  const SpanTable t = spans_of(log);
-  ASSERT_EQ(t.spans.size(), 40u);
+  const std::vector<Span> spans = build_spans(log);
+  ASSERT_EQ(spans.size(), 40u);
   for (std::size_t k = 0; k < 40; ++k) {
-    EXPECT_EQ(t.spans[k].begin, static_cast<TimePs>(k));
-    EXPECT_EQ(t.spans[k].end, closes[k]) << "task " << k;
+    EXPECT_EQ(spans[k].begin, static_cast<TimePs>(k));
+    EXPECT_EQ(spans[k].end, closes[k]) << "task " << k;
   }
 }
 
@@ -375,19 +396,19 @@ TEST(Span, PairingMatchesAStackPerKey) {
   }
   for (const auto& [key, stack] : open)
     for (const std::size_t i : stack) want[i].second = kEvents - 1;
-  const SpanTable t = spans_of(log);
-  ASSERT_EQ(t.spans.size(), want.size());
+  const std::vector<Span> spans = build_spans(log);
+  ASSERT_EQ(spans.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(t.spans[i].begin, want[i].first) << "span " << i;
-    EXPECT_EQ(t.spans[i].end, want[i].second) << "span " << i;
+    EXPECT_EQ(spans[i].begin, want[i].first) << "span " << i;
+    EXPECT_EQ(spans[i].end, want[i].second) << "span " << i;
   }
 }
 
 /// The spans of `log` fed to one builder in chunks that end at each of
 /// `cuts` (ascending) and at the end of the log.
-SpanTable in_chunks(const std::vector<FlightEvent>& log, const std::vector<std::size_t>& cuts,
-                    const TaskGraphInfo& init, const TaskGraphInfo& step) {
-  SpanBuilder builder(init, step);
+std::vector<Span> in_chunks(const std::vector<FlightEvent>& log,
+                            const std::vector<std::size_t>& cuts) {
+  SpanBuilder builder;
   std::size_t from = 0;
   for (const std::size_t to : cuts) {
     builder.add(std::span(log).subspan(from, to - from));
@@ -416,7 +437,7 @@ std::vector<FlightEvent> ring_of(const std::string& dump, int rank) {
     e.time = std::stoll(field("\"t_ps\": "));
     const std::string kind = field("\"kind\": ");
     e.kind = kinds.at(kind.substr(1, kind.size() - 2));
-    e.a = std::stoll(field("\"a\": "));
+    e.a = std::stoi(field("\"a\": "));
     e.b = std::stoll(field("\"b\": "));
     e.c = std::stoll(field("\"c\": "));
     events.push_back(e);
@@ -455,19 +476,8 @@ TEST(Span, AnyChunkingGivesTheOneChunkSpans) {
   ASSERT_TRUE(std::any_of(recorded.begin(), recorded.end(),
                           [](const FlightEvent& e) { return e.kind == FK::kOffloadRetry; }));
 
-  // The run's own skeletons, compiled as the controller compiles rank 1's.
-  const grid::Level level(config.problem.patch_layout, config.problem.patch_size);
-  std::vector<double> costs;
-  for (const grid::Patch& p : level.patches()) costs.push_back(app.patch_cost(level, p));
-  const grid::Partition part(level, config.nranks, config.partition, costs);
-  task::TaskGraph init_graph;
-  app.build_init_graph(init_graph, level);
-  const TaskGraphInfo run_init =
-      runtime::graph_info_of(init_graph.compile(level, part, 1, config.pattern));
-  const TaskGraphInfo& run_step = *result.ranks[1].graph_info;
   // The run paired its log step by step: one chunk per step.
-  EXPECT_EQ(span_difference(*result.ranks[1].trace, build_spans(recorded, run_init, run_step)),
-            "");
+  EXPECT_EQ(span_difference(*result.ranks[1].trace, build_spans(recorded)), "");
 
   const std::vector<FlightEvent> made = {
       ev(0, FK::kTaskBegin, -1, 1),      ev(4, FK::kTaskEnd, -1, 1),
@@ -481,21 +491,17 @@ TEST(Span, AnyChunkingGivesTheOneChunkSpans) {
       ev(60, FK::kReduceBegin, 1, 0),    ev(61, FK::kReduceBegin, 1, 0),
       ev(62, FK::kReduceEnd, 1, 0),      ev(70, FK::kTaskBegin, 1, 3),  // never ends
       FlightEvent{75, FK::kStepEnd, 1},  ev(72, FK::kSendPosted, 1, 0, 0)};
-  const TaskGraphInfo made_init = skeleton("init_");
-  const TaskGraphInfo made_step = skeleton();
 
   std::mt19937 rng(26);
-  for (const auto& [log, init, step] :
-       {std::tie(recorded, run_init, run_step), std::tie(made, made_init, made_step)}) {
-    const SpanTable whole = build_spans(log, init, step);
+  for (const std::vector<FlightEvent>& log : {recorded, made}) {
+    const std::vector<Span> whole = build_spans(log);
     for (std::size_t k = 0; k <= log.size(); ++k)
-      EXPECT_EQ(span_difference(in_chunks(log, {k}, init, step), whole), "") << "cut at " << k;
+      EXPECT_EQ(span_difference(in_chunks(log, {k}), whole), "") << "cut at " << k;
     for (int trial = 0; trial < 100; ++trial) {
       std::vector<std::size_t> cuts(1 + rng() % 8);
       for (std::size_t& cut : cuts) cut = rng() % (log.size() + 1);
       std::sort(cuts.begin(), cuts.end());
-      EXPECT_EQ(span_difference(in_chunks(log, cuts, init, step), whole), "")
-          << "trial " << trial;
+      EXPECT_EQ(span_difference(in_chunks(log, cuts), whole), "") << "trial " << trial;
     }
   }
 }
@@ -504,10 +510,9 @@ TEST(Span, DrainEmptiesTheLog) {
   // A traced rank keeps one step of events at most: a drain pairs the log
   // and empties it, and the log then holds only what was recorded since.
   // A span open across a drain still closes at its own end.
-  const TaskGraphInfo g = skeleton();
   FlightRecorder rec(4);
   rec.keep_log(true);
-  SpanBuilder builder(g, g);
+  SpanBuilder builder;
   rec.record(FK::kTaskBegin, 10, 0, 0);
   rec.record(FK::kKernelBegin, 20, 0, 0, 1);
   builder.drain(rec);
@@ -522,10 +527,146 @@ TEST(Span, DrainEmptiesTheLog) {
   builder.drain(rec);
   EXPECT_TRUE(rec.log().empty());
   EXPECT_EQ(rec.recorded(), 5u);  // the ring saw every event
-  const SpanTable t = builder.finish();
-  ASSERT_EQ(t.spans.size(), 2u);
-  EXPECT_EQ(t.spans[0].end, 50);
-  EXPECT_EQ(t.spans[1].end, 40);
+  const std::vector<Span> spans = builder.finish();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].end, 50);
+  EXPECT_EQ(spans[1].end, 40);
+}
+
+// ------------------------------------------------------------- resolver ---
+// A span keeps what its begin edge recorded; the exporters resolve its ids
+// and name against the rank's skeletons.
+
+/// A span as the begin edge `opened_by` of step `step` records it.
+Span span_of(FlightKind opened_by, std::int32_t step, std::int32_t b, std::int32_t c = -1) {
+  Span s;
+  s.step = step;
+  s.b = b;
+  s.c = c;
+  s.opened_by = opened_by;
+  return s;
+}
+
+TEST(SpanResolver, IdleAndSpinWaits) {
+  const TaskGraphInfo g = skeleton();
+  SpanResolver resolve(g, g);
+  const Span idle = span_of(FK::kWaitBegin, 0, -1);
+  EXPECT_EQ(resolve.names()[resolve.name(idle)], "idle");
+  const EventIds i = resolve.ids(idle);
+  EXPECT_EQ(i.step, 0);
+  EXPECT_EQ(i.task, -1);
+  EXPECT_EQ(i.patch, -1);
+  EXPECT_EQ(i.group, -1);
+  // The synchronous scheduler spinning on task 2's kernel on group 1.
+  const Span spin = span_of(FK::kWaitBegin, 0, 2, 1);
+  EXPECT_EQ(resolve.names()[resolve.name(spin)], "cpe-spin");
+  const EventIds j = resolve.ids(spin);
+  EXPECT_EQ(j.task, 2);
+  EXPECT_EQ(j.patch, 2);
+  EXPECT_EQ(j.group, 1);
+}
+
+TEST(SpanResolver, RetryBackoffOperandIsAnAttempt) {
+  const TaskGraphInfo g = skeleton();
+  SpanResolver resolve(g, g);
+  const Span retry = span_of(FK::kOffloadRetry, 0, 3, 5);  // attempt 5
+  EXPECT_EQ(retry.kind(), SpanKind::kFault);
+  EXPECT_EQ(resolve.names()[resolve.name(retry)], "retry backoff");
+  const EventIds i = resolve.ids(retry);
+  EXPECT_EQ(i.task, 3);
+  EXPECT_EQ(i.patch, 3);
+  EXPECT_EQ(i.group, -1);
+  // An offload's c is its group.
+  EXPECT_EQ(resolve.ids(span_of(FK::kOffloadBegin, 0, 3, 5)).group, 5);
+  EXPECT_EQ(resolve.ids(span_of(FK::kTaskBegin, 0, 3, 5)).group, -1);
+}
+
+TEST(SpanResolver, FaultNamesAreFormattedFromTheTaskLabel) {
+  const TaskGraphInfo g = skeleton();
+  SpanResolver resolve(g, g);
+  const Span stall = span_of(FK::kCpeStall, 0, 1, 0);
+  const Span fail = span_of(FK::kOffloadFail, 0, 1, 2);
+  const std::uint32_t stall_name = resolve.name(stall);
+  EXPECT_EQ(resolve.names()[stall_name], "cpe_stall b p1");
+  EXPECT_EQ(resolve.names()[resolve.name(fail)], "offload_fail b p1");
+  EXPECT_EQ(resolve.ids(stall).group, 0);
+  EXPECT_EQ(resolve.ids(fail).group, 2);
+  EXPECT_EQ(resolve.ids(fail).patch, 1);
+  // Each name is interned once: a second stall of task 1 reuses it.
+  const std::size_t names = resolve.names().size();
+  EXPECT_EQ(resolve.name(span_of(FK::kCpeStall, 4, 1, 3)), stall_name);
+  EXPECT_EQ(resolve.name(span_of(FK::kTaskBegin, 0, 1)), resolve.name(span_of(FK::kKernelBegin, 2, 1, 0)));
+  EXPECT_EQ(resolve.names().size(), names + 1);  // "b p1"
+}
+
+TEST(SpanResolver, InitSpansResolveAgainstTheInitSkeleton) {
+  TaskGraphInfo init = skeleton("init_");
+  init.tasks[1].patch = 9;
+  init.messages[0] = MessageInfo{"v p5->p6", 5, 3, 11, 64};
+  init.reductions = {"init_r"};
+  const TaskGraphInfo step = skeleton();
+  SpanResolver resolve(init, step);
+  const auto name = [&resolve](const Span& s) { return resolve.names()[resolve.name(s)]; };
+
+  EXPECT_EQ(name(span_of(FK::kTaskBegin, -1, 1)), "init_b p1");
+  EXPECT_EQ(resolve.ids(span_of(FK::kKernelBegin, -1, 1, 0)).patch, 9);
+  EXPECT_EQ(name(span_of(FK::kCpeStall, -1, 1, 0)), "cpe_stall init_b p1");
+  EXPECT_EQ(name(span_of(FK::kReduceBegin, -1, 0)), "init_r");
+  const Span init_send = span_of(FK::kSendPosted, -1, 0, 0);
+  EXPECT_EQ(name(init_send), "v p5->p6");
+  const EventIds i = resolve.ids(init_send);
+  EXPECT_EQ(i.step, -1);
+  EXPECT_EQ(i.patch, 5);
+  EXPECT_EQ(i.peer, 3);
+  EXPECT_EQ(i.tag, 11);
+  EXPECT_EQ(i.bytes, 64u);
+
+  EXPECT_EQ(name(span_of(FK::kTaskBegin, 0, 1)), "b p1");
+  EXPECT_EQ(resolve.ids(span_of(FK::kKernelBegin, 0, 1, 0)).patch, 1);
+  EXPECT_EQ(name(span_of(FK::kReduceBegin, 0, 0)), "r");
+  EXPECT_EQ(name(span_of(FK::kRecvPosted, 3, 2, 0)), "u p0->p2");
+  EXPECT_EQ(resolve.ids(span_of(FK::kRecvPosted, 3, 2, 0)).bytes, 2048u);
+}
+
+TEST(SpanResolver, OperandsOutsideTheSkeletonResolveUnset) {
+  const TaskGraphInfo g = skeleton();
+  SpanResolver resolve(g, g);
+  const auto unnamed = [&resolve](const Span& s) { return resolve.name(s) == 0; };
+  EXPECT_EQ(resolve.names()[0], "");
+
+  const Span kernel = span_of(FK::kKernelBegin, 0, 7, 1);  // 4 tasks
+  EXPECT_TRUE(unnamed(kernel));
+  EventIds i = resolve.ids(kernel);
+  EXPECT_EQ(i.task, 7);
+  EXPECT_EQ(i.group, 1);
+  EXPECT_EQ(i.patch, -1);
+
+  const Span send = span_of(FK::kSendPosted, 0, 2, 5);  // 1 message
+  EXPECT_TRUE(unnamed(send));
+  i = resolve.ids(send);
+  EXPECT_EQ(i.task, 2);
+  EXPECT_EQ(i.patch, -1);
+  EXPECT_EQ(i.peer, -1);
+  EXPECT_EQ(i.tag, -1);
+  EXPECT_EQ(i.bytes, 0u);
+
+  const Span reduce = span_of(FK::kReduceBegin, 0, 3);  // 1 reduction
+  EXPECT_TRUE(unnamed(reduce));
+  EXPECT_EQ(resolve.ids(reduce).task, -1);
+  EXPECT_TRUE(unnamed(span_of(FK::kCpeStall, 0, 9, 0)));
+  EXPECT_TRUE(unnamed(span_of(FK::kOffloadFail, 0, -1, 0)));
+  EXPECT_TRUE(unnamed(span_of(FK::kTaskBegin, 0, -1)));
+  // The fixed names still hold outside the skeleton.
+  EXPECT_EQ(resolve.names()[resolve.name(span_of(FK::kWaitBegin, 0, 9, 0))], "cpe-spin");
+  EXPECT_EQ(resolve.names()[resolve.name(span_of(FK::kOffloadRetry, 0, 9, 1))],
+            "retry backoff");
+  // Nothing is resolved against an empty skeleton either.
+  const TaskGraphInfo none;
+  SpanResolver empty(none, none);
+  EXPECT_EQ(empty.name(span_of(FK::kTaskBegin, -1, 0)), 0u);
+  EXPECT_EQ(empty.ids(span_of(FK::kSendPosted, -1, 0, 0)).bytes, 0u);
+  // dump_spans shows an unnamed span's kind.
+  EXPECT_EQ(dump_spans(std::vector<Span>{kernel}, g, g), "0 ps  +0 ps  kernel  kernel  [s0 t7 g1]\n");
 }
 
 // ----------------------------------------------------------- json writer ---
@@ -643,6 +784,20 @@ TEST(MetricsRegistry, CountersAndDistributions) {
   EXPECT_EQ(r.distribution("absent"), nullptr);
 }
 
+TEST(MetricsRegistry, HandleIsTheNamedDistribution) {
+  MetricsRegistry r;
+  EXPECT_EQ(r.distribution("d"), nullptr);
+  Distribution& d = r.handle("d");
+  EXPECT_EQ(r.distribution("d"), &d);
+  d.add(1.0);
+  // Entries made later do not move it.
+  for (int i = 0; i < 64; ++i) r.sample(std::to_string(i), 1.0);
+  r.sample("d", 2.0);
+  d.add(3.0);
+  EXPECT_EQ(r.distribution("d"), &d);
+  EXPECT_EQ(d.samples, (std::vector<double>{1.0, 2.0, 3.0}));
+}
+
 TEST(MetricsRegistry, MergeAddsAndConcatenates) {
   MetricsRegistry a, b;
   a.count("c", 1.0);
@@ -667,32 +822,35 @@ RunObservation tiny_run() {
   run.timesteps = 1;
   RankObservation r;
   r.rank = 0;
-  SpanTable t;
-  t.names = {"", "a p0", "b p0", "idle", "u"};
-  auto span = [](TimePs b, TimePs e, SpanKind k, EventIds ids, std::uint32_t name) {
+  // A step-0 span as its begin edge records it: b = task, c = CPE group
+  // or message index.
+  auto span = [](TimePs begin, TimePs end, FlightKind opened_by, std::int32_t b,
+                 std::int32_t c) {
     Span s;
-    s.begin = b;
-    s.end = e;
-    s.kind = k;
-    s.ids = ids;
-    s.name = name;
+    s.begin = begin;
+    s.end = end;
+    s.step = 0;
+    s.b = b;
+    s.c = c;
+    s.opened_by = opened_by;
     return s;
   };
-  t.spans.push_back(span(0, 90, SpanKind::kTask, EventIds{0, 0, 0, -1, -1, -1, 0}, 1));
-  t.spans.push_back(span(90, 250, SpanKind::kTask, EventIds{0, 1, 0, -1, -1, -1, 0}, 2));
-  t.spans.push_back(span(100, 200, SpanKind::kKernel, EventIds{0, 1, 0, -1, -1, 0, 0}, 2));
-  t.spans.push_back(span(0, 50, SpanKind::kWait, EventIds{0, -1, -1, -1, -1, -1, 0}, 3));
-  t.spans.push_back(span(10, 30, SpanKind::kSend, EventIds{0, 0, 0, 0, 9, -1, 1024}, 4));
-  r.trace = std::make_shared<const SpanTable>(std::move(t));
+  r.trace = std::make_shared<const std::vector<Span>>(std::vector<Span>{
+      span(0, 90, FK::kTaskBegin, 0, -1), span(90, 250, FK::kTaskBegin, 1, -1),
+      span(100, 200, FK::kKernelBegin, 1, 0), span(0, 50, FK::kWaitBegin, -1, -1),
+      span(10, 30, FK::kSendPosted, 0, 0)});
   TaskNodeInfo a;
   a.name = "a";
+  a.label = "a p0";
   a.patch = 0;
   a.successors = {1};
   TaskNodeInfo b;
   b.name = "b";
+  b.label = "b p0";
   b.patch = 0;
   TaskGraphInfo g;
   g.tasks = {a, b};
+  g.messages = {MessageInfo{"u", 0, 0, 9, 1024}};
   r.skeleton = std::make_shared<const TaskGraphInfo>(std::move(g));
   r.step_walls = {300};
   run.ranks.push_back(std::move(r));
@@ -753,13 +911,12 @@ TEST(CriticalPath, CrossRankSendRecvEdge) {
     RankObservation r;
     r.rank = rank;
     Span s;
-    s.kind = SpanKind::kTask;
-    s.ids = EventIds{0, 0, rank, -1, -1, -1, 0};
+    s.opened_by = FK::kTaskBegin;
+    s.step = 0;
+    s.b = 0;
     s.begin = rank == 0 ? 0 : 150;
     s.end = rank == 0 ? 100 : 250;
-    s.name = 1;
-    r.trace = std::make_shared<const SpanTable>(
-        SpanTable{{s}, {"", rank == 0 ? "prod" : "cons"}});
+    r.trace = std::make_shared<const std::vector<Span>>(1, s);
     TaskNodeInfo node;
     node.name = rank == 0 ? "prod" : "cons";
     node.patch = rank;
@@ -879,40 +1036,43 @@ TEST(ChromeTrace, SpanObjectsMatchTheGenericWriter) {
   run.timesteps = 1;
   RankObservation& r = run.ranks.emplace_back();
   r.rank = 4;
-  r.trace = std::make_shared<const SpanTable>(build_spans(log, g, g));
+  r.trace = std::make_shared<const std::vector<Span>>(build_spans(log));
+  r.skeleton = std::make_shared<const TaskGraphInfo>(g);
   std::ostringstream os;
   write_chrome_trace(os, run);
   const std::string trace = os.str();
 
-  const auto tid = [](const Span& s) {
-    switch (lane_of(s.kind)) {
-      case Lane::kCpe: return 1 + s.ids.group;
+  const auto tid = [](const Span& s, const EventIds& ids) {
+    switch (lane_of(s.kind())) {
+      case Lane::kCpe: return 1 + ids.group;
       case Lane::kMpi: return 90;
       default: return 0;
     }
   };
+  SpanResolver resolve = r.resolver();
   std::size_t at = 0;
   for (const Span& s : r.spans()) {
     std::ostringstream want;
     {
       JsonWriter w(want, 0);
-      const std::string_view name = span_name(s, r.span_names());
+      const std::string_view name = resolve.names()[resolve.name(s)];
+      const EventIds ids = resolve.ids(s);
       w.begin_object();
-      w.kv("name", name.empty() ? std::string_view(to_string(s.kind)) : name);
-      w.kv("cat", to_string(s.kind));
+      w.kv("name", name.empty() ? std::string_view(to_string(s.kind())) : name);
+      w.kv("cat", to_string(s.kind()));
       w.kv("ph", "X");
       w.kv("ts", static_cast<double>(s.begin) * 1e-6);
       w.kv("dur", static_cast<double>(s.duration()) * 1e-6);
       w.kv("pid", r.rank);
-      w.kv("tid", tid(s));
+      w.kv("tid", tid(s, ids));
       w.key("args").begin_object();
-      w.kv("step", s.ids.step);
-      if (s.ids.task >= 0) w.kv("task", s.ids.task);
-      if (s.ids.patch >= 0) w.kv("patch", s.ids.patch);
-      if (s.ids.peer >= 0) w.kv("peer", s.ids.peer);
-      if (s.ids.tag >= 0) w.kv("tag", s.ids.tag);
-      if (s.ids.group >= 0) w.kv("cpe_group", s.ids.group);
-      if (s.ids.bytes > 0) w.kv("bytes", s.ids.bytes);
+      w.kv("step", ids.step);
+      if (ids.task >= 0) w.kv("task", ids.task);
+      if (ids.patch >= 0) w.kv("patch", ids.patch);
+      if (ids.peer >= 0) w.kv("peer", ids.peer);
+      if (ids.tag >= 0) w.kv("tag", ids.tag);
+      if (ids.group >= 0) w.kv("cpe_group", ids.group);
+      if (ids.bytes > 0) w.kv("bytes", ids.bytes);
       w.end_object();
       w.end_object();
     }
@@ -1136,10 +1296,10 @@ TEST(EndToEnd, ReplayedStepIsCountedOnce) {
   for (const RankObservation& r : run.ranks)
     for (const Span& s : r.spans()) {
       ++spans;
-      if (s.kind == SpanKind::kSend && s.ids.step >= 0) flight += s.duration();
+      if (s.kind() == SpanKind::kSend && s.step >= 0) flight += s.duration();
       if (!s.rolled_back) continue;
       ++rolled_back;
-      EXPECT_EQ(s.ids.step, 1);
+      EXPECT_EQ(s.step, 1);
     }
   EXPECT_GT(rolled_back, 0u);
   // The bandwidth's bytes count every attempt, and so does its flight time.
@@ -1183,6 +1343,42 @@ TEST(EndToEnd, MetricsCountFaultsOfEveryLayer) {
       runtime::run_simulation(config, apps::burgers::BurgersApp())));
   for (const auto& [name, value] : clean.registry.counters())
     EXPECT_NE(name.rfind("fault.", 0), 0u) << name << " = " << value;
+}
+
+TEST(EndToEnd, InitSpansAreNamedFromTheKeptInitSkeleton) {
+  // A traced run keeps each rank's init skeleton beside its step skeleton,
+  // and the exporters name the initialization spans from it: Burgers'
+  // init graph runs only "initialize", its step graph never does.
+  const runtime::RunResult result = run_burgers("acc.async");
+  const RunObservation run = runtime::observe(result);
+  std::size_t init_tasks = 0;
+  for (const RankObservation& r : run.ranks) {
+    ASSERT_NE(r.init_skeleton, nullptr);
+    EXPECT_EQ(r.init_skeleton, result.ranks[static_cast<std::size_t>(r.rank)].init_graph_info);
+    SpanResolver resolve = r.resolver();
+    for (const Span& s : r.spans()) {
+      if (s.kind() != SpanKind::kTask) continue;
+      const std::string& name = resolve.names()[resolve.name(s)];
+      EXPECT_EQ(name.rfind("initialize p", 0) == 0, s.step < 0) << name;
+      if (s.step < 0) ++init_tasks;
+    }
+  }
+  EXPECT_EQ(init_tasks, 32u);  // one per patch
+  std::ostringstream trace;
+  write_chrome_trace(trace, run);
+  EXPECT_NE(trace.str().find(R"({"name":"initialize p0","cat":"task")"), std::string::npos);
+}
+
+TEST(EndToEnd, UnsampledDistributionsGetNoEntry) {
+  // The scheduler takes a metric's handle at its first sample: an MPE-only
+  // run offloads nothing, so it has message sizes but no offload entries.
+  const MetricsReport m = build_metrics(runtime::observe(run_burgers("host.sync")));
+  EXPECT_NE(m.registry.distribution("msg.send_bytes"), nullptr);
+  EXPECT_NE(m.registry.distribution("msg.recv_bytes"), nullptr);
+  for (const char* name : {"offload.cells", "tile.cells", "offload.cpe_busy_max_ps",
+                           "offload.cpe_busy_mean_ps", "offload.cpe_idle_frac",
+                           "offload.cpe_imbalance"})
+    EXPECT_EQ(m.registry.distribution(name), nullptr) << name;
 }
 
 TEST(EndToEnd, GoldenFailuresNameTheFirstDifferingByte) {

@@ -108,7 +108,7 @@ TEST(Scheduler, DeterministicAcrossRepeats) {
 std::vector<obs::Span> kernel_spans(const obs::RankObservation& rank) {
   std::vector<obs::Span> out;
   for (const obs::Span& s : rank.spans())
-    if (s.kind == obs::SpanKind::kKernel) out.push_back(s);
+    if (s.kind() == obs::SpanKind::kKernel) out.push_back(s);
   return out;
 }
 
@@ -129,10 +129,10 @@ TEST(Scheduler, AsyncOverlapsMpeWorkWithKernels) {
     const std::vector<obs::Span> kernels = kernel_spans(rank);
     EXPECT_FALSE(kernels.empty());
     for (const obs::Span& s : rank.spans()) {
-      if (s.kind != obs::SpanKind::kSend && s.kind != obs::SpanKind::kRecv &&
-          s.kind != obs::SpanKind::kTask)
+      if (s.kind() != obs::SpanKind::kSend && s.kind() != obs::SpanKind::kRecv &&
+          s.kind() != obs::SpanKind::kTask)
         continue;
-      if (inside_a_kernel(s.kind == obs::SpanKind::kRecv ? s.end : s.begin, kernels))
+      if (inside_a_kernel(s.kind() == obs::SpanKind::kRecv ? s.end : s.begin, kernels))
         ++overlapped_events;
     }
   }
@@ -148,11 +148,11 @@ TEST(Scheduler, SyncModeDoesNotOverlap) {
     const std::vector<obs::Span> kernels = kernel_spans(rank);
     EXPECT_FALSE(kernels.empty());
     for (const obs::Span& s : rank.spans()) {
-      if (s.kind == obs::SpanKind::kKernel) continue;
+      if (s.kind() == obs::SpanKind::kKernel) continue;
       EXPECT_FALSE(inside_a_kernel(s.begin, kernels))
-          << obs::to_string(s.kind) << " begins inside a kernel window";
+          << obs::to_string(s.kind()) << " begins inside a kernel window";
       EXPECT_FALSE(inside_a_kernel(s.end, kernels))
-          << obs::to_string(s.kind) << " ends inside a kernel window";
+          << obs::to_string(s.kind()) << " ends inside a kernel window";
     }
   }
 }
