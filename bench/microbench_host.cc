@@ -17,7 +17,6 @@
 #include "apps/burgers/kernels.h"
 #include "apps/burgers/phi.h"
 #include "athread/athread.h"
-#include "hw/ldm.h"
 #include "kern/fastexp.h"
 #include "obs/chrome_trace.h"
 #include "obs/metrics.h"
@@ -40,9 +39,9 @@ kern::KernelEnv burgers_env() {
   return env;
 }
 
-/// One Burgers kernel call per iteration on a 16x16x8 LDM tile (Sec VI-A)
-/// away from the origin, reading its ghosted input, as the CPE emulation
-/// runs it. Items are cells.
+/// One Burgers kernel call per iteration on one 16x16x8 tile (the LDM tile
+/// of Sec VI-A) away from the origin, reading its ghosted input, as a CPE
+/// body runs it. Items are cells.
 void run_burgers_kernel(benchmark::State& state, bool simd) {
   const grid::Box region{{16, 32, 8}, {32, 48, 16}};
   var::CCVariable<double> in(region.grown(1)), out(region);
@@ -118,18 +117,6 @@ void BM_PackUnpack(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * region.volume() * 8);
 }
 BENCHMARK(BM_PackUnpack);
-
-void BM_LdmAllocReset(benchmark::State& state) {
-  hw::Ldm ldm(64 * 1024);
-  for (auto _ : state) {
-    ldm.reset();
-    auto a = ldm.alloc<double>(3240);
-    auto b = ldm.alloc<double>(2048);
-    benchmark::DoNotOptimize(a.data());
-    benchmark::DoNotOptimize(b.data());
-  }
-}
-BENCHMARK(BM_LdmAllocReset);
 
 void BM_CoordinatorHandoff(benchmark::State& state) {
   // Cost of one serial token handoff at N simulated ranks (the argument):

@@ -60,9 +60,8 @@ CpeCluster::~CpeCluster() {
   }
 }
 
-void CpeCluster::run_cpe(const CpeJob& job, int cpe, hw::Ldm& ldm) const {
-  ldm.reset();
-  CpeContext ctx(cpe, group_size(), ldm);
+void CpeCluster::run_cpe(const CpeJob& job, int cpe) const {
+  CpeContext ctx(cpe, group_size());
   job(ctx);
 }
 
@@ -97,12 +96,8 @@ void CpeCluster::spawn(const CpeJob& job, int g) {
   }
 
   if (job && backend_ == Backend::kSerial) {
-    // The one LDM every body of this rank stages through, made at the
-    // first body: a run that moves no data never holds one. A throwing
-    // body (e.g. LDM overflow) propagates out of spawn() and leaves the
-    // group idle.
-    if (!ldm_) ldm_.emplace(cost_.params().ldm_bytes);
-    for (const int id : group.working) run_cpe(job, id, *ldm_);
+    // A throwing body propagates out of spawn() and leaves the group idle.
+    for (const int id : group.working) run_cpe(job, id);
   } else if (job) {
     group.job = job;
     for (const int id : group.working)
@@ -110,10 +105,9 @@ void CpeCluster::spawn(const CpeJob& job, int g) {
     group.faaw.store(0, std::memory_order_relaxed);
     group.dispatched = static_cast<int>(group.working.size());
     for (const int id : group.working) {
-      pool_->submit([this, &group, id](int worker) {
+      pool_->submit([this, &group, id](int) {
         try {
-          run_cpe(group.job, id,
-                  pool_->ldm(worker, cost_.params().ldm_bytes));
+          run_cpe(group.job, id);
         } catch (...) {
           group.cpe_errors[static_cast<std::size_t>(id)] =
               std::current_exception();

@@ -18,25 +18,23 @@
 //     the spot, and the MPE observes the flag set once its virtual clock
 //     passes that completion time;
 //   * functionally, each working CPE's kernel body runs on the host and
-//     only moves real data, staging it through a real capacity-checked Ldm
-//     buffer — so numerics, LDM overflow and tile logic are all genuinely
-//     exercised. A timing-only offload spawns an empty job: no body runs,
-//     and no LDM is ever made for it.
+//     only computes real data, in place on the offload's main-memory
+//     fields. The DMA transfers are charged on the MPE, and the LDM's
+//     capacity rule is checked when the offload is planned, so a body
+//     needs no scratch-pad of its own. A timing-only offload spawns an
+//     empty job: no body runs.
 //
 // Two execution backends decide *where* the CPE bodies run:
 //
 //   Backend::kSerial  - every body runs on the MPE's host thread at spawn
-//                       time, in CPE-id order, through the cluster's one
-//                       LDM, made at its first body. Deterministic, zero
-//                       host synchronization; wall-clock is serial.
+//                       time, in CPE-id order. Deterministic, zero host
+//                       synchronization; wall-clock is serial.
 //   Backend::kThreads - bodies are dispatched across a persistent
 //                       WorkerPool of real host threads; spawn() returns
 //                       immediately and each CPE increments the group's
 //                       completion counter with a real std::atomic
 //                       fetch-add (the emulated faaw) when its body ends.
-//                       A body stages through its worker's LDM, which the
-//                       pool owns (one per worker, however many clusters
-//                       share it). Wall-clock scales with host cores.
+//                       Wall-clock scales with host cores.
 //
 // Both backends produce bit-identical field data and identical virtual-time
 // results: no body computes any virtual result, and per-CPE write-sets are
@@ -64,14 +62,12 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "athread/worker_pool.h"
 #include "hw/cost_model.h"
-#include "hw/ldm.h"
 #include "hw/perf_counters.h"
 #include "sim/coordinator.h"
 #include "support/units.h"
@@ -89,31 +85,25 @@ const char* to_string(Backend backend);
 /// Parses "serial" / "threads"; throws ConfigError otherwise.
 Backend backend_from_string(const std::string& name);
 
-/// Per-CPE execution context handed to the kernel body: which CPE it is
-/// and its scratch-pad. Bodies only move data; the offload's virtual cost
-/// is the MPE's (CpeCluster::set_work).
+/// Per-CPE execution context handed to the kernel body: which CPE it is.
+/// Bodies only compute data; the offload's virtual cost is the MPE's
+/// (CpeCluster::set_work).
 class CpeContext {
  public:
-  CpeContext(int cpe_id, int n_cpes, hw::Ldm& ldm)
-      : cpe_id_(cpe_id), n_cpes_(n_cpes), ldm_(ldm) {}
+  CpeContext(int cpe_id, int n_cpes) : cpe_id_(cpe_id), n_cpes_(n_cpes) {}
 
   /// Id of this CPE within its group.
   int cpe_id() const { return cpe_id_; }
   /// CPEs in this group (64 for whole-cluster offloads).
   int n_cpes() const { return n_cpes_; }
 
-  /// This CPE's scratch-pad. Allocate tile buffers from it; overflow
-  /// throws ResourceError exactly like exceeding the hardware LDM.
-  hw::Ldm& ldm() { return ldm_; }
-
  private:
   int cpe_id_;
   int n_cpes_;
-  hw::Ldm& ldm_;
 };
 
-/// Kernel body run once per working CPE of the target group; it moves the
-/// offload's data and charges nothing. Under Backend::kThreads the same
+/// Kernel body run once per working CPE of the target group; it computes
+/// the offload's data and charges nothing. Under Backend::kThreads the same
 /// callable is invoked concurrently from multiple host threads, so it must
 /// be safe to call re-entrantly and its per-CPE write-sets must be
 /// disjoint.
@@ -232,8 +222,8 @@ class CpeCluster {
   Group& group(int g) const {
     return *groups_.at(static_cast<std::size_t>(g));
   }
-  /// Runs `job` for one CPE with a private context staged out of `ldm`.
-  void run_cpe(const CpeJob& job, int cpe, hw::Ldm& ldm) const;
+  /// Runs `job` for one CPE with a private context.
+  void run_cpe(const CpeJob& job, int cpe) const;
   /// Blocks until every dispatched body of `group` has faaw'd, then drops
   /// the job and rethrows the lowest-id CPE's error, if any.
   void wait_bodies(Group& group);
@@ -249,9 +239,6 @@ class CpeCluster {
   std::vector<int> all_groups_;  ///< 0..n_groups-1: the canonical sweep
   std::vector<int> poll_order_;  ///< scratch for a controlled sweep
   Backend backend_;
-  /// kSerial: the LDM every body stages through, reset per CPE; made at
-  /// the first body. kThreads bodies use their pool worker's.
-  std::optional<hw::Ldm> ldm_;
   std::vector<std::unique_ptr<Group>> groups_;
   std::mutex sync_mu_;
   std::condition_variable sync_cv_;

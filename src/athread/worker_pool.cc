@@ -18,7 +18,6 @@ WorkerPool::WorkerPool(int n_threads) {
   if (n_threads < 0) throw ConfigError("worker pool size must be >= 0");
   const int n = n_threads > 0 ? n_threads : default_size();
   stats_.per_worker.assign(static_cast<std::size_t>(n), 0);
-  ldms_.resize(static_cast<std::size_t>(n));
   threads_.reserve(static_cast<std::size_t>(n));
   for (int w = 0; w < n; ++w)
     threads_.emplace_back([this, w] { worker_main(w); });
@@ -79,14 +78,6 @@ void WorkerPool::submit(std::function<void(int)> task) {
   queue_.push_back(std::move(t));
   lk.unlock();
   cv_.notify_one();
-}
-
-hw::Ldm& WorkerPool::ldm(int worker, std::size_t capacity) {
-  std::optional<hw::Ldm>& slot = ldms_.at(static_cast<std::size_t>(worker));
-  if (!slot) slot.emplace(capacity);
-  USW_ASSERT_MSG(slot->capacity() == capacity,
-                 "clusters sharing a worker pool must share the LDM capacity");
-  return *slot;
 }
 
 int WorkerPool::default_size() {

@@ -2,9 +2,9 @@
 
 // Non-owning 3D view over field data, addressed by *global* cell indices.
 //
-// Kernels are written once against FieldView and run unchanged on two
-// backings: directly on a data-warehouse variable (MPE-only mode) or on a
-// staged LDM tile buffer (CPE mode). Layout is x-fastest, matching the
+// Kernels are written once against FieldView and run unchanged on the
+// data-warehouse variables it views: over a whole patch on the MPE, or
+// over one tile at a time in a CPE body. Layout is x-fastest, matching the
 // SIMD direction of the vectorized kernels.
 
 #include <cstddef>

@@ -6,7 +6,8 @@
 // implementations (scalar and, optionally, SIMD-vectorized) plus the
 // per-cell operation mix for the cost model, the halo depth, and the LDM
 // tile shape (Sec VI-A). The same functional code runs in every scheduler
-// mode; only the staging path and the charged virtual time differ.
+// mode; only the region it computes (a patch or a tile) and the charged
+// virtual time differ.
 
 #include <functional>
 
@@ -30,9 +31,11 @@ struct KernelEnv {
   double dz = 0.0;
 };
 
-/// Computes `region` of the output from the input; the input view covers at
-/// least `region` grown by the kernel's ghost depth. Views may address
-/// either data-warehouse variables or staged LDM tiles.
+/// Computes `region` of the output from the input and writes no other
+/// output cell; the input view covers at least `region` grown by the
+/// kernel's ghost depth. Output and input are different variables: CPE
+/// bodies compute an offload's tiles in place, concurrently on the threads
+/// backend, so a tile must not read what another tile writes.
 using StencilFn =
     std::function<void(const KernelEnv& env, const FieldView& in,
                        const FieldView& out, const grid::Box& region)>;

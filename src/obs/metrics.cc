@@ -54,9 +54,11 @@ MetricsReport build_metrics(const RunObservation& run) {
   // the critical path, and the per-task rollups over the timestepping phase
   // (init excluded so the numbers line up with the per-step tables). Spans
   // of a rolled-back step attempt are left out: each step counts its
-  // committed attempt once.
+  // committed attempt once. Row s is absolute step first_step + s, the step
+  // its spans carry, and its walls are the ranks' step_walls[s].
   report.steps.resize(nsteps);
-  for (std::size_t s = 0; s < nsteps; ++s) report.steps[s].step = static_cast<int>(s);
+  for (std::size_t s = 0; s < nsteps; ++s)
+    report.steps[s].step = run.first_step + static_cast<int>(s);
   std::vector<TimePs> rank_walls(nsteps, 0);
   std::vector<StepSpans> step_spans(nsteps);
   std::vector<TimePs> rank_wait(nsteps);
@@ -94,8 +96,9 @@ MetricsReport build_metrics(const RunObservation& run) {
           t->max = std::max(t->max, span.duration());
         }
       }
-      if (static_cast<std::size_t>(span.step) >= nsteps) continue;
-      const auto s = static_cast<std::size_t>(span.step);
+      const int row = span.step - run.first_step;
+      if (row < 0 || static_cast<std::size_t>(row) >= nsteps) continue;
+      const auto s = static_cast<std::size_t>(row);
       step_spans[s].add(ri, si, span);
       StepMetrics& step = report.steps[s];
       switch (kind) {

@@ -38,7 +38,7 @@ namespace usw::obs {
 
 /// One timestep, aggregated over all ranks.
 struct StepMetrics {
-  int step = 0;
+  int step = 0;              ///< absolute: the run's first_step + row
   TimePs wall = 0;           ///< slowest rank's step wall
   TimePs kernel = 0;         ///< CPE flight time, summed over ranks
   TimePs comm = 0;           ///< message flight time, summed over ranks

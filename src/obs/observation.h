@@ -108,6 +108,9 @@ struct RankObservation {
 struct RunObservation {
   int nranks = 0;
   int timesteps = 0;
+  /// Absolute step of the first timestep (a restarted run's archive step):
+  /// RankObservation::step_walls[i] is the wall of step first_step + i.
+  int first_step = 0;
   std::vector<RankObservation> ranks;
 };
 

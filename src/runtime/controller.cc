@@ -189,6 +189,7 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
   RunResult result;
   result.nranks = config.nranks;
   result.timesteps = config.timesteps;
+  result.first_step = restart_meta.step;
   result.ranks.resize(static_cast<std::size_t>(config.nranks));
 
   // Diagnostics: flight rings for every rank plus the coordinator, crash

@@ -149,6 +149,10 @@ struct RankResult {
 struct RunResult {
   int nranks = 0;
   int timesteps = 0;
+  /// Absolute step of the run's first timestep: 0, or the archive step a
+  /// restart resumes from. Per-step vectors (step_walls, host_step_ms) and
+  /// step_wall() are indexed from it; spans carry absolute steps.
+  int first_step = 0;
   std::vector<RankResult> ranks;
   /// Run-level comm-lint findings (orphaned messages at shutdown).
   std::vector<check::Violation> comm_violations;
@@ -167,7 +171,8 @@ struct RunResult {
   /// The findings themselves, ranks first, then comm lint.
   std::vector<check::Violation> all_violations() const;
 
-  /// Wall time of step `s`: the slowest rank (what a host-side timer sees).
+  /// Wall time of the run's step `s` (absolute step first_step + s): the
+  /// slowest rank (what a host-side timer sees).
   TimePs step_wall(int s) const;
   /// Mean per-step wall over all steps.
   TimePs mean_step_wall() const;

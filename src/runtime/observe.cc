@@ -43,6 +43,7 @@ obs::RunObservation observe(const RunResult& result) {
   obs::RunObservation run;
   run.nranks = result.nranks;
   run.timesteps = result.timesteps;
+  run.first_step = result.first_step;
   run.ranks.reserve(result.ranks.size());
   for (std::size_t i = 0; i < result.ranks.size(); ++i) {
     const RankResult& r = result.ranks[i];

@@ -1,7 +1,6 @@
 #include "sched/tile_exec.h"
 
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 #include "hw/ldm.h"
@@ -9,34 +8,6 @@
 
 namespace usw::sched {
 namespace {
-
-/// Row-wise copy of `region` between two views: the data a DMA transfer
-/// moves (its cost is charged on the MPE, charge_offload).
-void copy_region(const kern::FieldView& src, const kern::FieldView& dst,
-                 const grid::Box& region) {
-  const std::size_t row = static_cast<std::size_t>(region.hi.x - region.lo.x);
-  for (int k = region.lo.z; k < region.hi.z; ++k)
-    for (int j = region.lo.y; j < region.hi.y; ++j)
-      std::memcpy(dst.ptr(region.lo.x, j, k), src.ptr(region.lo.x, j, k),
-                  row * sizeof(double));
-}
-
-/// Moves one tile's data through the LDM: stage the ghosted tile in, run
-/// the kernel on it, stage the interior out. One in/out buffer pair per
-/// tile; the planner has already checked that the largest tile's buffers
-/// fit, both pairs of the double-buffered pipeline included.
-void run_tile(const TileExecArgs& args, hw::Ldm& ldm, const grid::Box& tile) {
-  const grid::Box ghosted = tile.grown(args.kernel->ghost);
-  ldm.reset();
-  const kern::FieldView in(
-      ldm.alloc<double>(static_cast<std::size_t>(ghosted.volume())).data(),
-      ghosted);
-  const kern::FieldView out(
-      ldm.alloc<double>(static_cast<std::size_t>(tile.volume())).data(), tile);
-  copy_region(args.in, in, ghosted);
-  args.kernel->variant(args.vectorize)(args.env, in, out, tile);
-  copy_region(out, args.out, tile);
-}
 
 std::size_t ghosted_bytes(const kern::KernelVariants& kernel,
                           const grid::Box& tile) {
@@ -241,7 +212,7 @@ athread::CpeJob make_tile_job(TileExecArgs args,
                               std::shared_ptr<const TilePlan> plan) {
   USW_ASSERT(args.kernel != nullptr && plan != nullptr);
   USW_ASSERT_MSG(args.in.valid() && args.out.valid(),
-                 "a tile job moves data: it needs valid views");
+                 "a tile job computes data: it needs valid views");
   return [args = std::move(args),
           plan = std::move(plan)](athread::CpeContext& ctx) {
     const TileAssignment& assignment = plan->assignment;
@@ -249,8 +220,9 @@ athread::CpeJob make_tile_job(TileExecArgs args,
                    "tile plan sized for a different CPE group");
     const int share = assignment.find(ctx.cpe_id());
     if (share < 0) return;  // no tiles
+    const kern::StencilFn& kernel = args.kernel->variant(args.vectorize);
     for (const int t : assignment.tiles(share))
-      run_tile(args, ctx.ldm(), plan->tiling.tile(t));
+      kernel(args.env, args.in, args.out, plan->tiling.tile(t));
   };
 }
 

@@ -5,12 +5,12 @@
 // Plans, charges and executes one stencil kernel over one patch on a CPE
 // group: each CPE computes its assigned tiles — statically z-partitioned
 // (Sec V-D step 1) or self-scheduled off a shared atomic counter
-// (TilePolicy) — and for each tile performs
+// (TilePolicy) — and on the hardware performs for each tile
 //   athread_get (ghosted tile -> LDM) -> kernel on LDM -> athread_put,
-// finishing with the faaw increment modeled inside CpeCluster. LDM
-// capacity is genuinely enforced: the planner rejects a tile whose staging
-// buffers overflow the 64 KB Ldm model, and functional bodies allocate
-// them from it.
+// finishing with the faaw increment modeled inside CpeCluster. The LDM's
+// capacity is enforced where it decides anything: the planner rejects a
+// tile whose staging buffers overflow the 64 KB LDM (hw::Ldm::check_fits)
+// before any body runs.
 //
 // An offload's tiling, its tile->CPE assignment and every CPE's cost
 // depend only on the task, so they are planned once (plan_tile_assignment)
@@ -20,8 +20,12 @@
 // (CpeCharge). The MPE charges every offload from that plan before it
 // spawns (charge_offload), adding only the re-issued input DMA of each
 // tile that draws an injected DMA error this step. The CPE bodies
-// (make_tile_job) only move real data, through one LDM in/out buffer pair
-// per tile; a timing-only offload runs none.
+// (make_tile_job) only compute real data: each runs the kernel on the
+// warehouse fields in place, once per tile of its share, with the tile as
+// the region. The staging copy would reproduce the ghosted tile verbatim
+// and every stencil task writes a different variable from the one it
+// reads, so computing in place gives the same bits. A timing-only offload
+// runs no body.
 //
 // Two of the paper's future-work optimizations (Sec IX) are available:
 //   * async_dma  - double-buffered tiles: the next tile's athread_get and
@@ -141,9 +145,10 @@ void charge_offload(const TileExecArgs& args, const TilePlan& plan,
                     int cluster_cpes, const hw::CostModel& cost,
                     std::vector<TimePs>& busy, hw::PerfCounters& counters);
 
-/// Job for CpeCluster::spawn that moves the data of an offload of `plan`
-/// (sized for the target group): each working CPE stages its tiles through
-/// its LDM and runs the kernel on them. It charges nothing; pair it with
+/// Job for CpeCluster::spawn that computes the data of an offload of `plan`
+/// (sized for the target group): each working CPE runs the kernel on
+/// args.in and args.out once per tile of its share, writing only the
+/// tile's interior. It charges nothing; pair it with
 /// charge_offload and CpeCluster::set_work(plan->assignment.cpes, busy).
 /// Needs valid data views (a timing-only offload spawns an empty job),
 /// which must stay valid until the offload completes. Copies `args` by

@@ -1,13 +1,9 @@
 // Exact heap-allocation counts of whole runs. This binary replaces the
 // global operator new and delete (aligned and nothrow forms included) with
-// versions that count, so these tests pin two properties:
-//
-//  * a steady timestep allocates nothing: a timing-only Burgers run of 2S
-//    steps makes exactly as many operator new calls as one of S steps, for
-//    every variant (serial backend, untraced, fault-free, no controller);
-//  * a rank holds an LDM model only where CPE bodies run: no run allocates
-//    one without a body to stage, a serial run at most one per rank, and a
-//    threads run at most one per pool worker.
+// versions that count, so these tests pin that a steady timestep allocates
+// nothing: a timing-only Burgers run of 2S steps makes exactly as many
+// operator new calls as one of S steps, for every variant (serial backend,
+// untraced, fault-free, no controller).
 
 #include <gtest/gtest.h>
 
@@ -18,17 +14,12 @@
 #include <string>
 
 #include "apps/burgers/burgers_app.h"
-#include "hw/machine_params.h"
 #include "runtime/controller.h"
 #include "sched/tile_policy.h"
 
 namespace {
 
 std::atomic<std::uint64_t> g_news{0};
-/// Aligned allocations of exactly the LDM capacity: an hw::Ldm's storage.
-std::atomic<std::uint64_t> g_ldm_news{0};
-const std::size_t kLdmBytes =
-    usw::hw::MachineParams::sunway_taihulight().ldm_bytes;
 
 void* counted(std::size_t n) {
   g_news.fetch_add(1, std::memory_order_relaxed);
@@ -38,7 +29,6 @@ void* counted(std::size_t n) {
 void* counted_aligned(std::size_t n, std::align_val_t al) {
   g_news.fetch_add(1, std::memory_order_relaxed);
   const auto align = static_cast<std::size_t>(al);
-  if (n == kLdmBytes) g_ldm_news.fetch_add(1, std::memory_order_relaxed);
   // aligned_alloc wants a size that is a multiple of the alignment.
   return std::aligned_alloc(align, (n + align - 1) / align * align);
 }
@@ -97,34 +87,26 @@ void operator delete[](void* p, std::align_val_t,
 namespace usw {
 namespace {
 
-/// Allocations made by one run_simulation call: operator new calls in all,
-/// and LDM models among them.
-struct Allocs {
-  std::uint64_t news = 0;
-  std::uint64_t ldms = 0;
-};
-
-Allocs count_run(const runtime::RunConfig& config) {
+/// Operator new calls made by one run_simulation call.
+std::uint64_t count_run(const runtime::RunConfig& config) {
   const apps::burgers::BurgersApp app;
   const std::uint64_t news = g_news.load();
-  const std::uint64_t ldms = g_ldm_news.load();
   {
     const runtime::RunResult result = runtime::run_simulation(config, app);
     (void)result;
   }
-  return Allocs{g_news.load() - news, g_ldm_news.load() - ldms};
+  return g_news.load() - news;
 }
 
 /// A timing-only Burgers run: 16 patches of 16^3 cells on 8 ranks, so
 /// every rank has domain boundaries, remote neighbours and two tiles per
 /// offload.
-runtime::RunConfig timing_config(const std::string& variant, int steps) {
+runtime::RunConfig timing_config(const std::string& variant) {
   runtime::RunConfig config;
   config.problem = runtime::tiny_problem({4, 2, 2}, {16, 16, 16});
   config.nranks = 8;
   config.variant = runtime::variant_by_name(variant);
   config.storage = var::StorageMode::kTimingOnly;
-  config.timesteps = steps;
   return config;
 }
 
@@ -133,19 +115,17 @@ void expect_steady_steps_allocate_nothing(runtime::RunConfig config) {
   constexpr int kSteps = 4;
   config.timesteps = kSteps;
   (void)count_run(config);  // first-use statics (labels, kernel tables)
-  const Allocs shorter = count_run(config);
+  const std::uint64_t shorter = count_run(config);
   config.timesteps = 2 * kSteps;
-  const Allocs longer = count_run(config);
-  EXPECT_EQ(longer.news, shorter.news)
-      << "a steady step allocated " << longer.news - shorter.news
-      << " times over " << kSteps << " steps";
-  EXPECT_EQ(longer.ldms, 0u);
+  const std::uint64_t longer = count_run(config);
+  EXPECT_EQ(longer, shorter) << "a steady step allocated " << longer - shorter
+                             << " times over " << kSteps << " steps";
 }
 
 class SteadyStep : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(SteadyStep, TwiceTheStepsMakeNoMoreAllocations) {
-  expect_steady_steps_allocate_nothing(timing_config(GetParam(), 0));
+  expect_steady_steps_allocate_nothing(timing_config(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -160,46 +140,10 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(SteadyStepOptions, CpeGroupsWithDynamicTilesMakeNoMoreAllocations) {
-  runtime::RunConfig config = timing_config("acc_simd.async", 0);
+  runtime::RunConfig config = timing_config("acc_simd.async");
   config.cpe_groups = 2;
   config.tile_policy = sched::TilePolicy::kDynamic;
   expect_steady_steps_allocate_nothing(config);
-}
-
-// ------------------------------------------------------- LDM ownership ---
-
-TEST(LdmOwnership, TimingOnlyRunsHoldNoLdm) {
-  runtime::RunConfig config = timing_config("acc_simd.async", 2);
-  EXPECT_EQ(count_run(config).ldms, 0u);
-  config.backend = athread::Backend::kThreads;
-  config.backend_threads = 2;
-  EXPECT_EQ(count_run(config).ldms, 0u);
-}
-
-/// A functional Burgers run of 16 ranks, one 8^3 patch each.
-runtime::RunConfig functional_config() {
-  runtime::RunConfig config;
-  config.problem = runtime::tiny_problem({4, 4, 1}, {8, 8, 8});
-  config.nranks = 16;
-  config.variant = runtime::variant_by_name("acc_simd.async");
-  config.timesteps = 2;
-  return config;
-}
-
-TEST(LdmOwnership, SerialRunsHoldAtMostOneLdmPerRank) {
-  const runtime::RunConfig config = functional_config();
-  const Allocs allocs = count_run(config);
-  EXPECT_GT(allocs.ldms, 0u);  // the count sees the LDMs bodies use
-  EXPECT_LE(allocs.ldms, static_cast<std::uint64_t>(config.nranks));
-}
-
-TEST(LdmOwnership, ThreadsRunsHoldAtMostOneLdmPerPoolWorker) {
-  runtime::RunConfig config = functional_config();
-  config.backend = athread::Backend::kThreads;
-  config.backend_threads = 2;
-  const Allocs allocs = count_run(config);
-  EXPECT_GT(allocs.ldms, 0u);
-  EXPECT_LE(allocs.ldms, 2u);
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -120,16 +119,14 @@ TEST(ThreadsBackend, BodiesMoveDataConcurrently) {
   with_cluster(athread::Backend::kThreads, 1,
                [](sim::Coordinator&, athread::CpeCluster& cluster,
                   hw::PerfCounters& counters) {
-    // Every CPE stages its own 64-double slice through its LDM and writes
-    // it back doubled: disjoint write-sets, real concurrency.
+    // Every CPE reads its own 64-double slice and writes it doubled to the
+    // result: disjoint write-sets, real concurrency.
     std::vector<double> main_mem(64 * 64, 1.5);
     std::vector<double> result(64 * 64, 0.0);
     cluster.spawn([&](athread::CpeContext& ctx) {
       const std::size_t off = static_cast<std::size_t>(ctx.cpe_id()) * 64;
-      auto buf = ctx.ldm().alloc<double>(64);
-      std::memcpy(buf.data(), main_mem.data() + off, 64 * sizeof(double));
-      for (double& x : buf) x *= 2.0;
-      std::memcpy(result.data() + off, buf.data(), 64 * sizeof(double));
+      for (std::size_t i = off; i < off + 64; ++i)
+        result[i] = 2.0 * main_mem[i];
     });
     cluster.join();
     for (double x : result) EXPECT_DOUBLE_EQ(x, 3.0);
@@ -227,11 +224,8 @@ StressOutcome run_stress(athread::Backend backend) {
               return (10 + id) * kNanosecond + (id + round) % 5 * kNanosecond;
             },
             [&, g, round](athread::CpeContext& ctx) {
-              auto buf = ctx.ldm().alloc<double>(16);
-              buf[0] = g * 1000.0 + round + ctx.cpe_id() * 0.001;
-              std::memcpy(
-                  &out.data[static_cast<std::size_t>(g * gs + ctx.cpe_id())],
-                  buf.data(), sizeof(double));
+              out.data[static_cast<std::size_t>(g * gs + ctx.cpe_id())] =
+                  g * 1000.0 + round + ctx.cpe_id() * 0.001;
             },
             g);
       }

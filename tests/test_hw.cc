@@ -1,7 +1,13 @@
 // Tests for the SW26010 hardware model: parameter validation, cost-model
-// arithmetic and monotonicity, the LDM allocator, and performance counters.
+// arithmetic and monotonicity, the LDM capacity rule, and performance
+// counters.
 
 #include <gtest/gtest.h>
+
+#include <cstddef>
+#include <initializer_list>
+#include <string>
+#include <type_traits>
 
 #include "hw/cost_model.h"
 #include "hw/ldm.h"
@@ -133,44 +139,51 @@ TEST_F(CostModelTest, PackProportionalToBytes) {
               static_cast<double>(a) * 0.01);
 }
 
+// The LDM model is its capacity rule only: CPE bodies compute in place, so
+// no code holds LDM storage.
+static_assert(std::is_empty_v<Ldm>);
+
+/// What Ldm::check_fits throws for `bytes` on `capacity`; "" if they fit.
+std::string ldm_overflow(std::size_t capacity,
+                         std::initializer_list<std::size_t> bytes) {
+  try {
+    Ldm::check_fits(capacity, bytes);
+  } catch (const ResourceError& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(Ldm, AllocatesWithinCapacity) {
-  Ldm ldm(64 * 1024);
-  auto a = ldm.alloc<double>(1000);
-  EXPECT_EQ(a.size(), 1000u);
-  EXPECT_GE(ldm.used(), 8000u);
-  a[0] = 1.5;
-  a[999] = 2.5;
-  EXPECT_DOUBLE_EQ(a[0], 1.5);
+  EXPECT_EQ(ldm_overflow(64 * 1024, {8000}), "");
+  EXPECT_EQ(ldm_overflow(64 * 1024, {8000, 8000, 8000}), "");
 }
 
 TEST(Ldm, OverflowThrowsLikeHardware) {
-  Ldm ldm(64 * 1024);
-  EXPECT_THROW(ldm.alloc<double>(9000), ResourceError);  // 72 KB > 64 KB
-  // After the throw the LDM is still usable.
-  EXPECT_NO_THROW(ldm.alloc<double>(1000));
-}
-
-TEST(Ldm, ResetReclaimsEverything) {
-  Ldm ldm(1024);
-  (void)ldm.alloc<double>(100);
-  EXPECT_GT(ldm.used(), 0u);
-  ldm.reset();
-  EXPECT_EQ(ldm.used(), 0u);
-  EXPECT_NO_THROW(ldm.alloc<double>(100));
+  EXPECT_EQ(ldm_overflow(64 * 1024, {72000}),  // 72 KB > 64 KB
+            "resource error: LDM overflow: request of 72000 B with 65536 B "
+            "free of 65536 B");
+  // The message counts what the earlier blocks left free.
+  EXPECT_EQ(ldm_overflow(64 * 1024, {40000, 30000}),
+            "resource error: LDM overflow: request of 30000 B with 25536 B "
+            "free of 65536 B");
 }
 
 TEST(Ldm, AlignsTo32Bytes) {
-  Ldm ldm(4096);
-  (void)ldm.alloc<double>(1);  // 8 bytes
-  auto b = ldm.alloc<double>(4);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b.data()) % 32, 0u);
+  // An 8-byte block, then a 32-byte one: the second is placed at offset 32,
+  // not 8, so it ends at exactly 64 (40 unaligned).
+  EXPECT_EQ(ldm_overflow(64, {8, 32}), "");
+  EXPECT_EQ(ldm_overflow(63, {8, 32}),
+            "resource error: LDM overflow: request of 32 B with 55 B free of "
+            "63 B");
 }
 
 TEST(Ldm, ExactFit) {
-  Ldm ldm(64 * 1024);
-  EXPECT_NO_THROW(ldm.alloc<double>(8192));  // exactly 64 KB
-  EXPECT_EQ(ldm.remaining(), 0u);
-  EXPECT_THROW(ldm.alloc<double>(1), ResourceError);
+  EXPECT_EQ(ldm_overflow(64 * 1024, {64 * 1024}), "");  // exactly 64 KB
+  EXPECT_EQ(ldm_overflow(64 * 1024, {32 * 1024, 32 * 1024}), "");
+  EXPECT_EQ(ldm_overflow(64 * 1024, {32 * 1024, 32 * 1024, 1}),
+            "resource error: LDM overflow: request of 1 B with 0 B free of "
+            "65536 B");
 }
 
 TEST(PerfCounters, KernelCellCounting) {

@@ -1314,6 +1314,51 @@ TEST(EndToEnd, ReplayedStepIsCountedOnce) {
   EXPECT_EQ(exported, spans);
 }
 
+TEST(EndToEnd, RestartedRunReportsItsAbsoluteSteps) {
+  // A run restarted from archive step 2 executes steps 2, 3 and 4. Its
+  // per-step rows carry those steps and match steps 2-4 of a
+  // straight-through run: the rollups index each span's absolute step
+  // from the run's first step, as the walls are indexed.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "usw_obs_restart_steps").string();
+  std::filesystem::remove_all(dir);
+  runtime::RunConfig config;
+  config.problem = runtime::tiny_problem({2, 2, 1}, {16, 16, 16});
+  config.nranks = 2;
+  const apps::burgers::BurgersApp app;
+  runtime::RunConfig first = config;
+  first.timesteps = 4;
+  first.output_dir = dir;
+  first.output_interval = 2;
+  (void)runtime::run_simulation(first, app);
+  config.collect_trace = true;
+  config.collect_metrics = true;
+  runtime::RunConfig straight = config;
+  straight.timesteps = 5;
+  const MetricsReport whole =
+      build_metrics(runtime::observe(runtime::run_simulation(straight, app)));
+  config.timesteps = 3;
+  config.restart_dir = dir;
+  config.restart_step = 2;
+  const runtime::RunResult resumed = runtime::run_simulation(config, app);
+  std::filesystem::remove_all(dir);
+  ASSERT_EQ(resumed.first_step, 2);
+  const MetricsReport m = build_metrics(runtime::observe(resumed));
+  ASSERT_EQ(m.steps.size(), 3u);
+  ASSERT_EQ(whole.steps.size(), 5u);
+  for (std::size_t i = 0; i < m.steps.size(); ++i) {
+    const StepMetrics& s = m.steps[i];
+    const StepMetrics& want = whole.steps[i + 2];
+    EXPECT_EQ(s.step, want.step);
+    EXPECT_GT(s.critical_path, 0) << "step " << s.step;
+    EXPECT_GT(s.messages, 0u) << "step " << s.step;
+    EXPECT_EQ(s.messages, want.messages) << "step " << s.step;
+    EXPECT_EQ(s.message_bytes, want.message_bytes) << "step " << s.step;
+    EXPECT_EQ(s.kernel, want.kernel) << "step " << s.step;
+    EXPECT_EQ(s.wall, resumed.step_wall(static_cast<int>(i))) << "step " << s.step;
+  }
+}
+
 TEST(EndToEnd, MetricsCountFaultsOfEveryLayer) {
   // The fault.* counters come from the merged PerfCounters, so message and
   // CPE DMA faults count like the scheduler's own and equal the

@@ -1,11 +1,14 @@
 // Tests for the CPE tile executor: functional equivalence with a direct
-// kernel application, LDM capacity enforcement, the MPE-side DMA/tile
-// accounting (injected DMA errors included), and timing-only behavior.
+// kernel application (bodies write their tiles and nothing else), LDM
+// capacity enforcement, the MPE-side DMA/tile accounting (injected DMA
+// errors included), and timing-only behavior.
 // Also failure-injection tests: errors thrown inside rank bodies must
 // cancel the whole simulation cleanly.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,9 +34,40 @@ kern::KernelEnv test_env() {
   return env;
 }
 
+/// A quiet NaN whose payload no kernel computes.
+constexpr std::uint64_t kSentinelBits = 0x7ff8'0000'dead'beefULL;
+
+/// A tiled offload's output: `patch` grown by one ghost layer, every cell
+/// holding the sentinel, so a body that writes outside its tiles shows.
+var::CCVariable<double> sentinel_output(const grid::Box& patch) {
+  var::CCVariable<double> out(patch.grown(1));
+  out.fill(std::bit_cast<double>(kSentinelBits));
+  return out;
+}
+
+/// `tiled` (a sentinel_output) holds `direct`'s bits on every cell of
+/// `patch` and the sentinel's bits on every ghost cell.
+void expect_tiles_match_direct(const var::CCVariable<double>& direct,
+                               const var::CCVariable<double>& tiled,
+                               const grid::Box& patch) {
+  const grid::Box& box = tiled.box();
+  for (int k = box.lo.z; k < box.hi.z; ++k)
+    for (int j = box.lo.y; j < box.hi.y; ++j)
+      for (int i = box.lo.x; i < box.hi.x; ++i) {
+        const auto bits = std::bit_cast<std::uint64_t>(tiled(i, j, k));
+        if (patch.contains({i, j, k})) {
+          ASSERT_EQ(bits, std::bit_cast<std::uint64_t>(direct(i, j, k)))
+              << "cell " << i << ',' << j << ',' << k;
+        } else {
+          ASSERT_EQ(bits, kSentinelBits)
+              << "ghost cell " << i << ',' << j << ',' << k << " written";
+        }
+      }
+}
+
 /// One offload of `args` over `patch` on group 0 of `cluster`, as
 /// Scheduler::offload_stencil runs it: plan, charge the working CPEs on
-/// the MPE (into `counters`), spawn the data-moving job — an empty one
+/// the MPE (into `counters`), spawn the computing job — an empty one
 /// when timing-only — and join.
 void offload(athread::CpeCluster& cluster, const TileExecArgs& args,
              const grid::Box& patch, const hw::CostModel& cost,
@@ -49,7 +83,8 @@ void offload(athread::CpeCluster& cluster, const TileExecArgs& args,
 
 TEST(TileExec, MatchesDirectKernelApplication) {
   const grid::Box patch{{0, 0, 0}, {32, 32, 24}};
-  var::CCVariable<double> u0(patch.grown(1)), direct(patch), tiled(patch);
+  var::CCVariable<double> u0(patch.grown(1)), direct(patch);
+  var::CCVariable<double> tiled = sentinel_output(patch);
   SplitMix64 rng(31);
   for (double& x : u0.data()) x = rng.next_in(0.0, 1.0);
 
@@ -68,14 +103,14 @@ TEST(TileExec, MatchesDirectKernelApplication) {
     args.out = kern::FieldView::of(tiled);
     offload(cluster, args, patch, cost, counters);
   });
-
-  for (std::size_t i = 0; i < direct.data().size(); ++i)
-    ASSERT_EQ(direct.data()[i], tiled.data()[i]) << "cell " << i;
+  expect_tiles_match_direct(direct, tiled, patch);
 }
 
 TEST(TileExec, SimdTilingAlsoMatchesDirect) {
+  // On both backends: the threads backend's bodies compute their tiles of
+  // the one output concurrently.
   const grid::Box patch{{0, 0, 0}, {20, 12, 16}};  // remainder lanes in x
-  var::CCVariable<double> u0(patch.grown(1)), direct(patch), tiled(patch);
+  var::CCVariable<double> u0(patch.grown(1)), direct(patch);
   SplitMix64 rng(33);
   for (double& x : u0.data()) x = rng.next_in(0.0, 1.0);
 
@@ -84,19 +119,25 @@ TEST(TileExec, SimdTilingAlsoMatchesDirect) {
   kv.simd(env, kern::FieldView::of(u0), kern::FieldView::of(direct), patch);
 
   const hw::CostModel cost(machine());
-  hw::PerfCounters counters;
-  sim::run_ranks(1, [&](sim::Coordinator& coord, int rank) {
-    athread::CpeCluster cluster(cost, coord, rank, &counters);
-    TileExecArgs args;
-    args.kernel = &kv;
-    args.env = env;
-    args.in = kern::FieldView::of(u0);
-    args.out = kern::FieldView::of(tiled);
-    args.vectorize = true;
-    offload(cluster, args, patch, cost, counters);
-  });
-  for (std::size_t i = 0; i < direct.data().size(); ++i)
-    ASSERT_EQ(direct.data()[i], tiled.data()[i]);
+  for (const athread::Backend backend :
+       {athread::Backend::kSerial, athread::Backend::kThreads}) {
+    SCOPED_TRACE(athread::to_string(backend));
+    var::CCVariable<double> tiled = sentinel_output(patch);
+    athread::WorkerPool pool(2);
+    hw::PerfCounters counters;
+    sim::run_ranks(1, [&](sim::Coordinator& coord, int rank) {
+      athread::CpeCluster cluster(cost, coord, rank, &counters, 1, backend,
+                                  &pool);
+      TileExecArgs args;
+      args.kernel = &kv;
+      args.env = env;
+      args.in = kern::FieldView::of(u0);
+      args.out = kern::FieldView::of(tiled);
+      args.vectorize = true;
+      offload(cluster, args, patch, cost, counters);
+    });
+    expect_tiles_match_direct(direct, tiled, patch);
+  }
 }
 
 TEST(TileExec, CountsTilesAndDmaTraffic) {
@@ -210,12 +251,13 @@ TEST(TileExec, InjectedDmaErrorsChargeOneReissuePerTile) {
 // ---------------------------------------------------------------------------
 // Double-buffered DMA edge cases: a single tile (prologue get and epilogue
 // put both exposed, nothing to overlap), CPEs with no tiles at all under a
-// dynamic assignment, and heterogeneous clipped tiles (each staged through
-// an LDM buffer pair of its own size).
+// dynamic assignment, and heterogeneous clipped tiles (each priced and
+// computed at its own size).
 
 TEST(TileExec, DoubleBufferedSingleTileMatchesDirect) {
   const grid::Box patch{{0, 0, 0}, {8, 8, 8}};  // one tile == the patch
-  var::CCVariable<double> u0(patch.grown(1)), direct(patch), tiled(patch);
+  var::CCVariable<double> u0(patch.grown(1)), direct(patch);
+  var::CCVariable<double> tiled = sentinel_output(patch);
   SplitMix64 rng(37);
   for (double& x : u0.data()) x = rng.next_in(0.0, 1.0);
 
@@ -239,8 +281,7 @@ TEST(TileExec, DoubleBufferedSingleTileMatchesDirect) {
     offload(cluster, args, patch, cost, counters);
     elapsed = coord.now(rank) - before;
   });
-  for (std::size_t i = 0; i < direct.data().size(); ++i)
-    ASSERT_EQ(direct.data()[i], tiled.data()[i]) << "cell " << i;
+  expect_tiles_match_direct(direct, tiled, patch);
   EXPECT_EQ(counters.tiles_executed, 1u);
   EXPECT_EQ(counters.dma_bytes_in, 10u * 10 * 10 * 8);
   EXPECT_EQ(counters.dma_bytes_out, 8u * 8 * 8 * 8);
@@ -249,9 +290,10 @@ TEST(TileExec, DoubleBufferedSingleTileMatchesDirect) {
 
 TEST(TileExec, DoubleBufferedHeterogeneousTilesMatchDirect) {
   // 12x10x20 with 8x8x8 tiles clips every boundary tile: 2x2x3 tiles of
-  // mixed shapes on one CPE's slab, each staged and computed in place.
+  // mixed shapes on one CPE's slab, each computed in place.
   const grid::Box patch{{0, 0, 0}, {12, 10, 20}};
-  var::CCVariable<double> u0(patch.grown(1)), direct(patch), tiled(patch);
+  var::CCVariable<double> u0(patch.grown(1)), direct(patch);
+  var::CCVariable<double> tiled = sentinel_output(patch);
   SplitMix64 rng(41);
   for (double& x : u0.data()) x = rng.next_in(0.0, 1.0);
 
@@ -272,8 +314,7 @@ TEST(TileExec, DoubleBufferedHeterogeneousTilesMatchDirect) {
     args.async_dma = true;
     offload(cluster, args, patch, cost, counters);
   });
-  for (std::size_t i = 0; i < direct.data().size(); ++i)
-    ASSERT_EQ(direct.data()[i], tiled.data()[i]) << "cell " << i;
+  expect_tiles_match_direct(direct, tiled, patch);
   EXPECT_EQ(counters.tiles_executed, 12u);
   EXPECT_EQ(counters.cells_computed,
             static_cast<std::uint64_t>(patch.volume()));
@@ -283,7 +324,8 @@ TEST(TileExec, DoubleBufferedDynamicWithEmptyCpesMatchesDirect) {
   // 4 tiles over 64 CPEs under self-scheduling: 60 CPEs win nothing and
   // must pay only the terminating grab, with no DMA and no tiles.
   const grid::Box patch{{0, 0, 0}, {16, 16, 8}};
-  var::CCVariable<double> u0(patch.grown(1)), direct(patch), tiled(patch);
+  var::CCVariable<double> u0(patch.grown(1)), direct(patch);
+  var::CCVariable<double> tiled = sentinel_output(patch);
   SplitMix64 rng(43);
   for (double& x : u0.data()) x = rng.next_in(0.0, 1.0);
 
@@ -305,8 +347,7 @@ TEST(TileExec, DoubleBufferedDynamicWithEmptyCpesMatchesDirect) {
     args.policy = TilePolicy::kDynamic;
     offload(cluster, args, patch, cost, counters);
   });
-  for (std::size_t i = 0; i < direct.data().size(); ++i)
-    ASSERT_EQ(direct.data()[i], tiled.data()[i]) << "cell " << i;
+  expect_tiles_match_direct(direct, tiled, patch);
   EXPECT_EQ(counters.tiles_executed, 4u);
   // 4 winning grabs plus one terminating grab per CPE.
   EXPECT_EQ(counters.tile_grabs, 4u + 64u);
