@@ -17,6 +17,7 @@
 //
 // Run with --help for the full option list.
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -32,6 +33,7 @@
 #include "obs/span.h"
 #include "runtime/controller.h"
 #include "runtime/observe.h"
+#include "sched/tile_exec.h"
 #include "schedpt/schedule.h"
 #include "support/build_info.h"
 #include "support/options.h"
@@ -40,6 +42,26 @@
 namespace {
 
 using namespace usw;
+
+/// The tile shapes the planner chooses for the stencil kernels of `app`'s
+/// timestep on the problem's patches (sched::tile_shape_for), distinct, in
+/// task order: "16x16x8", or "16x16x4" under --async-dma.
+std::string tile_shapes(const runtime::Application& app, const runtime::RunConfig& config) {
+  const grid::Level level(config.problem.patch_layout, config.problem.patch_size);
+  task::TaskGraph graph;
+  app.build_step_graph(graph, level);
+  std::vector<grid::IntVec> shapes;
+  std::string text;
+  for (const auto& t : graph.tasks()) {
+    if (t->type() != task::Task::Type::kStencil) continue;
+    const grid::IntVec shape = sched::tile_shape_for(
+        t->kernel(), config.problem.patch_size, config.async_dma, config.machine.ldm_bytes);
+    if (std::find(shapes.begin(), shapes.end(), shape) != shapes.end()) continue;
+    shapes.push_back(shape);
+    text += (text.empty() ? "" : ", ") + shape.to_string();
+  }
+  return text;
+}
 
 void print_help() {
   std::puts(
@@ -304,13 +326,14 @@ int main(int argc, char** argv) {
     // Everything host-configuration-dependent (the backend) stays on this
     // first line: equivalence tests diff stdout with `tail -n +2`.
     std::printf("uswsim: %s on %s (%d patches of %s), %d CGs, %d steps, %s, "
-                "%s backend, %s tiles\n",
+                "%s backend, %s tiles of %s\n",
                 app->name().c_str(), config.problem.grid_size().to_string().c_str(),
                 config.problem.num_patches(),
                 config.problem.patch_size.to_string().c_str(), config.nranks,
                 config.timesteps, config.variant.name.c_str(),
                 athread::to_string(config.backend),
-                sched::to_string(config.tile_policy));
+                sched::to_string(config.tile_policy),
+                tile_shapes(*app, config).c_str());
     if (!config.faults.empty())
       std::printf("fault injection: %s\n", config.faults.describe().c_str());
     // Every schedule-exploration line starts with "schedule" so trace

@@ -4,22 +4,27 @@
 
 namespace usw::hw {
 
-std::size_t Ldm::place(std::size_t used, std::size_t bytes, std::size_t align,
-                       std::size_t capacity) {
-  const std::size_t offset = (used + align - 1) / align * align;
-  if (offset + bytes > capacity) {
-    throw ResourceError("LDM overflow: request of " + std::to_string(bytes) +
-                        " B with " + std::to_string(capacity - used) +
-                        " B free of " + std::to_string(capacity) + " B");
+std::optional<Ldm::Overflow> Ldm::first_overflow(
+    std::size_t capacity, std::initializer_list<std::size_t> bytes) {
+  std::size_t used = 0;
+  for (const std::size_t b : bytes) {
+    const std::size_t offset = (used + kBaseAlign - 1) / kBaseAlign * kBaseAlign;
+    if (offset + b > capacity) return Overflow{b, used};
+    used = offset + b;
   }
-  return offset;
+  return std::nullopt;
 }
 
 void Ldm::check_fits(std::size_t capacity,
                      std::initializer_list<std::size_t> bytes) {
-  std::size_t used = 0;
-  for (const std::size_t b : bytes)
-    used = place(used, b, kBaseAlign, capacity) + b;
+  if (const std::optional<Overflow> o = first_overflow(capacity, bytes))
+    throw ResourceError("LDM overflow: request of " + std::to_string(o->request) +
+                        " B with " + std::to_string(capacity - o->used) +
+                        " B free of " + std::to_string(capacity) + " B");
+}
+
+bool Ldm::fits(std::size_t capacity, std::initializer_list<std::size_t> bytes) {
+  return !first_overflow(capacity, bytes);
 }
 
 }  // namespace usw::hw

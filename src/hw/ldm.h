@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <initializer_list>
+#include <optional>
 
 #include "support/error.h"
 
@@ -26,14 +27,23 @@ class Ldm {
   /// overflow. Lets a planner reject a tile before any CPE runs it.
   static void check_fits(std::size_t capacity,
                          std::initializer_list<std::size_t> bytes);
+  /// Whether check_fits(capacity, bytes) would pass, without throwing:
+  /// lets a planner shrink a tile until it fits.
+  static bool fits(std::size_t capacity, std::initializer_list<std::size_t> bytes);
 
  private:
   static constexpr std::size_t kBaseAlign = 32;
 
-  /// Offset of a `bytes`-long block placed after `used` bytes; throws
-  /// ResourceError if it would end past `capacity`.
-  static std::size_t place(std::size_t used, std::size_t bytes,
-                           std::size_t align, std::size_t capacity);
+  /// A block that would end past the capacity: its size and the bytes
+  /// placed before it.
+  struct Overflow {
+    std::size_t request;
+    std::size_t used;
+  };
+  /// The first of `bytes` that overflows, placed as check_fits() places
+  /// them; nullopt when all fit.
+  static std::optional<Overflow> first_overflow(std::size_t capacity,
+                                                std::initializer_list<std::size_t> bytes);
 };
 
 }  // namespace usw::hw

@@ -14,16 +14,17 @@
 // thread name metadata. Everything `python3 -m json.tool` and the trace
 // viewers accept.
 //
-// Cost: per rank, one obs::SpanResolver over the rank's skeletons, one
-// pass over the spans for the thread tracks, then one pass that resolves
-// every span and formats it straight into JsonWriter's buffer: constant key
-// fragments, std::to_chars for the integers, and format_us() for the two
-// times. Each name is escaped once per rank, when the resolver first
-// meets it. On one core of a shared
-// Intel Xeon VM that is about 0.14 us per span, against 0.75 us through
-// one generic JsonWriter call per member. The document streams out
-// through the bounded buffer, so memory does not grow with it (a 512-rank,
-// 20-step trace of the halo problem is 86 MB).
+// Cost: per rank, one pass over the spans for the thread tracks, then one
+// pass that formats every span straight into JsonWriter's buffer. All of a
+// span object but its two times and its step depends only on the rank, its
+// skeletons and the span's (opened_by, b, c), so that part is resolved
+// (obs::SpanResolver), escaped and formatted once per rank, as a fragment
+// in a table indexed directly by those operands; a span copies its
+// fragment's three pieces around format_us() of its times and
+// std::to_chars of its step. A rank's table lives only while that rank
+// exports. The document streams out through the bounded buffer, so memory
+// does not grow with it (a 512-rank, 20-step trace of the halo problem is
+// 86 MB).
 
 #include <cstddef>
 #include <iosfwd>

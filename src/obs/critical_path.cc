@@ -1,31 +1,130 @@
 #include "obs/critical_path.h"
 
 #include <algorithm>
-#include <limits>
+#include <numeric>
+#include <optional>
+#include <string_view>
+#include <tuple>
+#include <unordered_map>
 
 namespace usw::obs {
 
-CriticalPathAnalyzer::CriticalPathAnalyzer(const RunObservation& run)
-    : run_(run), node_of_(run.ranks.size()) {}
-
-int CriticalPathAnalyzer::recv_owner(bool init, std::size_t rank, int peer, int tag) {
-  std::vector<std::map<std::pair<int, int>, int>>& owners = recv_owner_[init ? 1 : 0];
-  if (owners.empty()) {
-    owners.resize(run_.ranks.size());
-    for (std::size_t r = 0; r < run_.ranks.size(); ++r) {
-      const TaskGraphInfo& g = graph_of(r, init);
-      for (std::size_t t = 0; t < g.tasks.size(); ++t)
-        for (const auto& key : g.tasks[t].recv_keys)
-          owners[r].emplace(key, static_cast<int>(t));
-    }
-  }
-  const auto it = owners[rank].find({peer, tag});
-  return it == owners[rank].end() ? -1 : it->second;
-}
+CriticalPathAnalyzer::CriticalPathAnalyzer(const RunObservation& run) : run_(run) {}
 
 const TaskGraphInfo& CriticalPathAnalyzer::graph_of(std::size_t rank, bool init) const {
   const RankObservation& r = run_.ranks[rank];
   return init ? r.init_graph() : r.graph();
+}
+
+const CriticalPathAnalyzer::Dag& CriticalPathAnalyzer::dag(bool init) {
+  Dag& d = dags_[init ? 1 : 0];
+  if (d.compiled) return d;
+  d.compiled = true;
+  const std::size_t nranks = run_.ranks.size();
+  const auto u32 = [](std::size_t v) { return static_cast<std::uint32_t>(v); };
+
+  d.first.assign(nranks + 1, 0);
+  for (std::size_t r = 0; r < nranks; ++r)
+    d.first[r + 1] = d.first[r] + u32(graph_of(r, init).tasks.size());
+  const std::uint32_t nslots = d.first[nranks];
+
+  // Who receives each message: per rank, its receives sorted by (peer,
+  // tag, task), so the first task receiving a key owns it.
+  struct Recv {
+    int peer, tag, task;
+    bool operator<(const Recv& o) const {
+      return std::tie(peer, tag, task) < std::tie(o.peer, o.tag, o.task);
+    }
+  };
+  std::vector<std::uint32_t> recv_at(nranks + 1, 0);
+  std::vector<Recv> recvs;
+  for (std::size_t r = 0; r < nranks; ++r) {
+    const TaskGraphInfo& g = graph_of(r, init);
+    for (const MessageInfo& m : g.messages)
+      if (!m.send && m.task >= 0 && static_cast<std::size_t>(m.task) < g.tasks.size())
+        recvs.push_back(Recv{m.peer, m.tag, m.task});
+    std::sort(recvs.begin() + recv_at[r], recvs.end());
+    recv_at[r + 1] = u32(recvs.size());
+  }
+  const auto owner = [&](std::size_t rank, int peer, int tag) {
+    const auto end = recvs.begin() + recv_at[rank + 1];
+    const auto it = std::lower_bound(recvs.begin() + recv_at[rank], end,
+                                     Recv{peer, tag, std::numeric_limits<int>::min()});
+    return it != end && it->peer == peer && it->tag == tag ? it->task : -1;
+  };
+
+  // Successors, slot by slot: a task's internal successors, then the
+  // receivers of its sends in message order.
+  d.succ_at.assign(nslots + 1, 0);
+  d.succs.clear();
+  std::vector<std::uint32_t> send_at;
+  std::vector<std::uint32_t> sends;  ///< message indices, by task
+  for (std::size_t r = 0; r < nranks; ++r) {
+    const TaskGraphInfo& g = graph_of(r, init);
+    const std::size_t ntasks = g.tasks.size();
+    const auto sent_by_task = [ntasks](const MessageInfo& m) {
+      return m.send && m.task >= 0 && static_cast<std::size_t>(m.task) < ntasks;
+    };
+    send_at.assign(ntasks + 1, 0);
+    for (const MessageInfo& m : g.messages)
+      if (sent_by_task(m)) ++send_at[static_cast<std::size_t>(m.task) + 1];
+    std::partial_sum(send_at.begin(), send_at.end(), send_at.begin());
+    sends.resize(send_at[ntasks]);
+    std::vector<std::uint32_t> at(send_at.begin(), send_at.end() - 1);
+    for (std::size_t i = 0; i < g.messages.size(); ++i)
+      if (sent_by_task(g.messages[i]))
+        sends[at[static_cast<std::size_t>(g.messages[i].task)]++] = u32(i);
+
+    for (std::size_t t = 0; t < ntasks; ++t) {
+      for (const int succ : g.tasks[t].successors)
+        if (succ >= 0 && static_cast<std::size_t>(succ) < ntasks)
+          d.succs.push_back(d.first[r] + static_cast<std::uint32_t>(succ));
+      for (std::uint32_t k = send_at[t]; k < send_at[t + 1]; ++k) {
+        const MessageInfo& m = g.messages[sends[k]];
+        if (m.peer < 0 || static_cast<std::size_t>(m.peer) >= nranks) continue;
+        const auto peer = static_cast<std::size_t>(m.peer);
+        const int to = owner(peer, static_cast<int>(r), m.tag);
+        if (to >= 0) d.succs.push_back(d.first[peer] + static_cast<std::uint32_t>(to));
+      }
+      d.succ_at[d.first[r] + t + 1] = u32(d.succs.size());
+    }
+  }
+
+  // Predecessors: the same edges bucketed by target, in source-slot order.
+  d.pred_at.assign(nslots + 1, 0);
+  for (const std::uint32_t to : d.succs) ++d.pred_at[to + 1];
+  std::partial_sum(d.pred_at.begin(), d.pred_at.end(), d.pred_at.begin());
+  d.preds.resize(d.succs.size());
+  std::vector<std::uint32_t> at(d.pred_at.begin(), d.pred_at.end() - 1);
+  for (std::uint32_t from = 0; from < nslots; ++from)
+    for (std::uint32_t k = d.succ_at[from]; k < d.succ_at[from + 1]; ++k)
+      d.preds[at[d.succs[k]]++] = from;
+
+  // Task names, numbered in ascending order as the slack map orders them.
+  std::unordered_map<std::string_view, std::uint32_t> ids;
+  d.name.resize(nslots);
+  d.names.clear();
+  for (std::size_t r = 0; r < nranks; ++r) {
+    const std::vector<TaskNodeInfo>& tasks = graph_of(r, init).tasks;
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+      const auto [it, added] = ids.try_emplace(tasks[t].name, u32(d.names.size()));
+      if (added) d.names.push_back(&tasks[t].name);
+      d.name[d.first[r] + t] = it->second;
+    }
+  }
+  std::vector<std::uint32_t> order(d.names.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(),
+            [&d](std::uint32_t a, std::uint32_t b) { return *d.names[a] < *d.names[b]; });
+  std::vector<std::uint32_t> renumber(order.size());
+  std::vector<const std::string*> sorted(order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    renumber[order[i]] = u32(i);
+    sorted[i] = d.names[order[i]];
+  }
+  d.names = std::move(sorted);
+  for (std::uint32_t& name : d.name) name = renumber[name];
+  return d;
 }
 
 void StepSpans::add(std::size_t rank_index, std::size_t span_index, const Span& s) {
@@ -42,86 +141,56 @@ CriticalPathReport CriticalPathAnalyzer::analyze(int step,
   report.step = step;
   // The initialization step's spans resolve against the init skeletons.
   const bool init = step < 0;
+  const Dag& d = dag(init);
 
   // DAG nodes: one per (rank, task), the first span of each, numbered
   // rank-major in span order.
   nodes_.clear();
-  for (std::size_t r = 0; r < node_of_.size(); ++r)
-    node_of_[r].assign(graph_of(r, init).tasks.size(), -1);
+  node_of_.assign(d.first.back(), -1);
   for (const auto& [r, i] : spans.tasks) {
-    const RankObservation& rank = run_.ranks[r];
-    const Span& s = rank.spans()[i];
-    const auto t = static_cast<std::size_t>(s.b);
-    std::vector<int>& node_of = node_of_[r];
-    if (t >= node_of.size() || node_of[t] >= 0) continue;
-    node_of[t] = static_cast<int>(nodes_.size());
-    // Name nodes by the graph's task name (the patch is a separate field).
-    const TaskNodeInfo& task = graph_of(r, init).tasks[t];
-    nodes_.push_back(Node{rank.rank, s.b, &task.name, task.patch, s.begin, s.duration()});
+    const Span& s = run_.ranks[r].spans()[i];
+    const auto task = static_cast<std::size_t>(s.b);
+    if (task >= d.first[r + 1] - d.first[r]) continue;
+    const std::uint32_t slot = d.first[r] + static_cast<std::uint32_t>(task);
+    if (node_of_[slot] >= 0) continue;
+    node_of_[slot] = static_cast<int>(nodes_.size());
+    nodes_.push_back(Node{slot, r, s.begin, s.duration()});
   }
   if (nodes_.empty()) return report;
   report.makespan = spans.hi - spans.lo;
 
-  // Dependency edges: internal successors plus cross-rank send->recv pairs
-  // matched on (peer, tag). Only edges between executed nodes count.
+  // Only edges between executed nodes count.
   const std::size_t n = nodes_.size();
-  if (succs_.size() < n) {
-    succs_.resize(n);
-    preds_.resize(n);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    succs_[i].clear();
-    preds_[i].clear();
-  }
-  auto add_edge = [this](int from, int to) {
-    succs_[static_cast<std::size_t>(from)].push_back(to);
-    preds_[static_cast<std::size_t>(to)].push_back(from);
+  const auto each_succ = [&](std::size_t i, auto&& fn) {
+    const std::uint32_t slot = nodes_[i].slot;
+    for (std::uint32_t k = d.succ_at[slot]; k < d.succ_at[slot + 1]; ++k)
+      if (const int j = node_of_[d.succs[k]]; j >= 0) fn(static_cast<std::size_t>(j));
   };
-  for (std::size_t r = 0; r < run_.ranks.size(); ++r) {
-    const TaskGraphInfo& g = graph_of(r, init);
-    const std::vector<int>& node_of = node_of_[r];
-    for (std::size_t t = 0; t < g.tasks.size(); ++t) {
-      const int from = node_of[t];
-      if (from < 0) continue;
-      for (int succ : g.tasks[t].successors) {
-        if (succ >= 0 && static_cast<std::size_t>(succ) < node_of.size() &&
-            node_of[static_cast<std::size_t>(succ)] >= 0)
-          add_edge(from, node_of[static_cast<std::size_t>(succ)]);
-      }
-      for (const auto& [peer, tag] : g.tasks[t].send_keys) {
-        if (peer < 0 || static_cast<std::size_t>(peer) >= run_.ranks.size())
-          continue;
-        const int owner =
-            recv_owner(init, static_cast<std::size_t>(peer), static_cast<int>(r), tag);
-        if (owner < 0) continue;
-        const int to =
-            node_of_[static_cast<std::size_t>(peer)][static_cast<std::size_t>(owner)];
-        if (to >= 0) add_edge(from, to);
-      }
-    }
-  }
 
   // Longest paths into and out of every node, in topological order.
   indeg_.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i)
-    for (int s : succs_[i]) indeg_[static_cast<std::size_t>(s)]++;
+  for (std::size_t i = 0; i < n; ++i) each_succ(i, [this](std::size_t j) { indeg_[j]++; });
   topo_.clear();
   for (std::size_t i = 0; i < n; ++i)
     if (indeg_[i] == 0) topo_.push_back(static_cast<int>(i));
   for (std::size_t head = 0; head < topo_.size(); ++head)
-    for (int s : succs_[static_cast<std::size_t>(topo_[head])])
-      if (--indeg_[static_cast<std::size_t>(s)] == 0) topo_.push_back(s);
+    each_succ(static_cast<std::size_t>(topo_[head]), [this](std::size_t j) {
+      if (--indeg_[j] == 0) topo_.push_back(static_cast<int>(j));
+    });
 
   into_.assign(n, 0);
   outof_.assign(n, 0);
   best_pred_.assign(n, -1);
-  for (int id : topo_) {
+  for (const int id : topo_) {
     const auto i = static_cast<std::size_t>(id);
-    into_[i] = nodes_[i].duration;
-    for (int p : preds_[i]) {
+    const Node& node = nodes_[i];
+    into_[i] = node.duration;
+    for (std::uint32_t k = d.pred_at[node.slot]; k < d.pred_at[node.slot + 1]; ++k) {
+      const int p = node_of_[d.preds[k]];
+      if (p < 0) continue;
       const auto pi = static_cast<std::size_t>(p);
-      if (into_[pi] + nodes_[i].duration > into_[i]) {
-        into_[i] = into_[pi] + nodes_[i].duration;
+      if (into_[pi] + node.duration > into_[i]) {
+        into_[i] = into_[pi] + node.duration;
         best_pred_[i] = p;
       }
     }
@@ -129,9 +198,9 @@ CriticalPathReport CriticalPathAnalyzer::analyze(int step,
   for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {
     const auto i = static_cast<std::size_t>(*it);
     outof_[i] = nodes_[i].duration;
-    for (int s : succs_[i])
-      outof_[i] = std::max(outof_[i],
-                           nodes_[i].duration + outof_[static_cast<std::size_t>(s)]);
+    each_succ(i, [&](std::size_t j) {
+      outof_[i] = std::max(outof_[i], nodes_[i].duration + outof_[j]);
+    });
   }
 
   int tail = 0;
@@ -141,20 +210,22 @@ CriticalPathReport CriticalPathAnalyzer::analyze(int step,
 
   for (int at = tail; at >= 0; at = best_pred_[static_cast<std::size_t>(at)]) {
     const Node& node = nodes_[static_cast<std::size_t>(at)];
-    report.chain.push_back(CriticalPathEntry{node.rank, node.task, *node.name,
-                                             node.patch, node.begin,
-                                             node.duration});
+    const std::uint32_t task = node.slot - d.first[node.rank];
+    const TaskNodeInfo& info = graph_of(node.rank, init).tasks[task];
+    report.chain.push_back(CriticalPathEntry{run_.ranks[node.rank].rank, static_cast<int>(task),
+                                             info.name, info.patch, node.begin, node.duration});
   }
   std::reverse(report.chain.begin(), report.chain.end());
 
+  slack_.assign(d.names.size(), std::nullopt);
   for (std::size_t i = 0; i < n; ++i) {
     const TimePs slack = report.total - (into_[i] + outof_[i] - nodes_[i].duration);
-    const auto it = report.slack_by_task.find(*nodes_[i].name);
-    if (it == report.slack_by_task.end())
-      report.slack_by_task.emplace(*nodes_[i].name, slack);
-    else
-      it->second = std::min(it->second, slack);
+    std::optional<TimePs>& least = slack_[d.name[nodes_[i].slot]];
+    least = least ? std::min(*least, slack) : slack;
   }
+  for (std::size_t k = 0; k < slack_.size(); ++k)
+    if (slack_[k])
+      report.slack_by_task.emplace_hint(report.slack_by_task.end(), *d.names[k], *slack_[k]);
   return report;
 }
 

@@ -4,22 +4,33 @@
 //
 // Walks the recorded task spans against the task-graph skeleton their step
 // resolves against (the init graph's for step -1; see SpanResolver):
-// internal successor edges plus cross-rank send->recv edges matched by
-// (peer, tag). It computes the longest dependent chain of task execution
-// time — the lower bound no scheduler can beat for this step. Comparing the chain
-// against the measured makespan separates "the schedule is tight" from
-// "there is slack an async scheduler could still hide": for the paper's
-// Tables VI/VII, the async variant's win is exactly the makespan moving
-// toward the critical path while the chain itself stays put.
+// internal successor edges plus cross-rank send->recv edges, read from the
+// skeletons' message tables (a send on rank r to (peer p, tag t) feeds the
+// task on p that receives (r, t)). It computes the longest dependent chain
+// of task execution time — the lower bound no scheduler can beat for this
+// step. Comparing the chain against the measured makespan separates "the
+// schedule is tight" from "there is slack an async scheduler could still
+// hide": for the paper's Tables VI/VII, the async variant's win is exactly
+// the makespan moving toward the critical path while the chain itself
+// stays put.
 //
 // Task spans cover a detailed task's full lifetime (MPE part through
 // completion, including CPE flight), and every dependency edge respects
 // virtual-time order, so `total` can never exceed the step's makespan.
+//
+// Cost: the cross-rank DAG depends only on the skeletons, so an analyzer
+// compiles it once per skeleton kind (timestep, init), at the first step
+// that needs it: one node slot per (rank, task), CSR successor and
+// predecessor lists, and each task's name as an index into the run's
+// sorted distinct task names. A step then only maps its first task spans
+// to slots and runs the longest-path pass over the executed slots: O(step
+// tasks + edges), with no lookup by key or by name.
 
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -58,10 +69,10 @@ struct CriticalPathReport {
 /// Analyzes timestep `step` (-1 = initialization): its committed attempt,
 /// leaving out spans a deadline restart rolled back. Requires the
 /// observation to carry spans and graph skeletons (collect_trace);
-/// returns an empty report otherwise. One scan of every span plus one
-/// CriticalPathAnalyzer::analyze(); to analyze every step, bucket the
-/// spans by step in one pass and analyze each through one analyzer
-/// (build_metrics does).
+/// returns an empty report otherwise. One scan of every span, a DAG
+/// compile and one CriticalPathAnalyzer::analyze(); to analyze every step,
+/// bucket the spans by step in one pass and analyze each through one
+/// analyzer (build_metrics does), which compiles the DAG once.
 CriticalPathReport analyze_critical_path(const RunObservation& run, int step);
 
 /// The spans of one step that the analysis reads: the step window over
@@ -75,28 +86,41 @@ struct StepSpans {
   void add(std::size_t rank_index, std::size_t span_index, const Span& s);
 };
 
-/// Critical-path analysis of the steps of one run. Builds the cross-rank
-/// send->recv edge lookup once per skeleton (timestep, init) at the first
-/// step that needs it, and keeps the step DAG's working storage
-/// from one analyze() call to the next, so analyzing every step of a run
-/// through one analyzer allocates it only while it grows.
+/// Critical-path analysis of the steps of one run. Compiles the DAG of a
+/// skeleton kind (timestep, init) once, at the first step that needs it,
+/// and keeps the step's working storage from one analyze() call to the
+/// next, so analyzing every step of a run through one analyzer allocates
+/// only while that storage grows.
 class CriticalPathAnalyzer {
  public:
   /// `run` must outlive the analyzer.
   explicit CriticalPathAnalyzer(const RunObservation& run);
 
   /// The longest chain through the executed tasks of `step`, given its
-  /// spans. DAG nodes are numbered in the order `spans.tasks` lists them,
-  /// which decides ties between equally long chains. O(step tasks + edges
-  /// + the run's tasks).
+  /// spans. DAG nodes are the first span of each (rank, task), numbered in
+  /// the order `spans.tasks` lists them, which decides ties between
+  /// equally long chains, as does the order of each node's predecessors:
+  /// by source rank, then source task. O(step tasks + their edges).
   CriticalPathReport analyze(int step, const StepSpans& spans);
 
  private:
+  /// The cross-rank DAG of one skeleton kind: a slot per (rank, task),
+  /// rank-major. Each slot lists its internal successors, then the tasks
+  /// its cross-rank sends feed, in message order; its predecessors are
+  /// those edges in the same order, by source slot.
+  struct Dag {
+    bool compiled = false;
+    std::vector<std::uint32_t> first;    ///< per rank + 1: its task 0's slot
+    std::vector<std::uint32_t> succ_at;  ///< per slot + 1: CSR offsets
+    std::vector<std::uint32_t> succs;
+    std::vector<std::uint32_t> pred_at;  ///< per slot + 1: CSR offsets
+    std::vector<std::uint32_t> preds;
+    std::vector<std::uint32_t> name;     ///< per slot: index into names
+    std::vector<const std::string*> names;  ///< distinct task names, ascending
+  };
   struct Node {
-    int rank = -1;
-    int task = -1;
-    const std::string* name = nullptr;
-    int patch = -1;
+    std::uint32_t slot = 0;
+    std::uint32_t rank = 0;  ///< index into run.ranks
     TimePs begin = 0;
     TimePs duration = 0;
   };
@@ -104,26 +128,21 @@ class CriticalPathAnalyzer {
   /// The skeleton of `rank` that the spans of a step resolve against: the
   /// init graph's for the initialization step, else the timestep graph's.
   const TaskGraphInfo& graph_of(std::size_t rank, bool init) const;
-  /// Detailed-task index on `rank` receiving (peer, tag) in the init or
-  /// the timestep skeleton; -1 when none does.
-  int recv_owner(bool init, std::size_t rank, int peer, int tag);
+  /// The DAG of the init or the timestep skeletons, compiled at first use.
+  const Dag& dag(bool init);
 
   const RunObservation& run_;
-  /// Per rank, for the timestep ([0]) and the init ([1]) skeletons: which
-  /// task receives the message (peer, tag). The first task declaring a key
-  /// owns it. Each is built at its first use.
-  std::vector<std::map<std::pair<int, int>, int>> recv_owner_[2];
+  Dag dags_[2];  ///< [0] timestep, [1] init
 
   // analyze()'s working storage, reset (not freed) at every call.
   std::vector<Node> nodes_;
-  std::vector<std::vector<int>> node_of_;  ///< per rank: task -> node or -1
-  std::vector<std::vector<int>> succs_;    ///< per node; the first n in use
-  std::vector<std::vector<int>> preds_;    ///< per node; the first n in use
+  std::vector<int> node_of_;  ///< per slot: its node, or -1
   std::vector<int> indeg_;
   std::vector<int> topo_;
   std::vector<TimePs> into_;   ///< longest chain ending at node (incl.)
   std::vector<TimePs> outof_;  ///< longest chain starting at node (incl.)
   std::vector<int> best_pred_;
+  std::vector<std::optional<TimePs>> slack_;  ///< per task name: least slack
 };
 
 }  // namespace usw::obs

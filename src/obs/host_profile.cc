@@ -11,11 +11,10 @@ void print_host_profile(std::ostream& os, const HostProfile& host) {
                   "for bit-equality)");
   table.set_header({"metric", "count", "mean", "p50", "p95", "max"});
   for (const auto& [name, dist] : host.reg.distributions()) {
-    const std::vector<double> sorted = dist.sorted_samples();
+    const auto [p50, p95] = dist.percentiles({50.0, 95.0});
     table.add_row({name, std::to_string(dist.stats.count()),
-                   TextTable::num(dist.stats.mean()),
-                   TextTable::num(percentile_sorted(sorted, 50)),
-                   TextTable::num(percentile_sorted(sorted, 95)),
+                   TextTable::num(dist.stats.mean()), TextTable::num(p50),
+                   TextTable::num(p95),
                    TextTable::num(dist.stats.max())});
   }
   for (const auto& [name, value] : host.reg.counters())
@@ -30,12 +29,12 @@ void write_host_profile_json(JsonWriter& w, const HostProfile& host) {
   if (host.enabled) {
     for (const auto& [name, value] : host.reg.counters()) w.kv(name, value);
     for (const auto& [name, dist] : host.reg.distributions()) {
-      const std::vector<double> sorted = dist.sorted_samples();
+      const auto [p50, p95] = dist.percentiles({50.0, 95.0});
       w.key(name).begin_object();
       w.kv("count", static_cast<std::int64_t>(dist.stats.count()));
       w.kv("mean", dist.stats.mean());
-      w.kv("p50", percentile_sorted(sorted, 50));
-      w.kv("p95", percentile_sorted(sorted, 95));
+      w.kv("p50", p50);
+      w.kv("p95", p95);
       w.kv("max", dist.stats.max());
       w.end_object();
     }

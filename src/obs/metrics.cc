@@ -69,7 +69,9 @@ MetricsReport build_metrics(const RunObservation& run) {
   TimePs rolled_back_flight = 0;
   for (std::size_t ri = 0; ri < run.ranks.size(); ++ri) {
     const RankObservation& r = run.ranks[ri];
-    const SpanResolver resolve = r.resolver();
+    // Spans of timesteps resolve against the timestep skeleton: a task
+    // span's task is its operand b, a send's bytes its message's (operand
+    // c), as SpanResolver::ids() gives them.
     const TaskGraphInfo& graph = r.graph();
     const std::span<const Span> spans = r.spans();
     std::fill(rank_wait.begin(), rank_wait.end(), 0);
@@ -83,7 +85,7 @@ MetricsReport build_metrics(const RunObservation& run) {
       }
       if (span.step < 0) continue;
       if (kind == SpanKind::kTask) {
-        const auto ti = static_cast<std::size_t>(resolve.ids(span).task);
+        const auto ti = static_cast<std::size_t>(span.b);
         if (ti < graph.tasks.size()) {  // not -1, and in the skeleton
           // Group by the graph's task name, aggregating patches.
           TaskMetrics*& t = task_slot[ti];
@@ -107,7 +109,8 @@ MetricsReport build_metrics(const RunObservation& run) {
         case SpanKind::kSend:
           step.comm += span.duration();
           step.messages += 1;
-          step.message_bytes += resolve.ids(span).bytes;
+          if (static_cast<std::size_t>(span.c) < graph.messages.size())
+            step.message_bytes += graph.messages[static_cast<std::size_t>(span.c)].bytes;
           break;
         default: break;
       }
@@ -180,7 +183,7 @@ MetricsReport build_metrics(const RunObservation& run) {
 namespace {
 
 void write_histogram(JsonWriter& w, const Distribution& d) {
-  const std::vector<double> sorted = d.sorted_samples();
+  const auto [p50, p90, p99] = d.percentiles({50.0, 90.0, 99.0});
   w.begin_object();
   w.kv("count", static_cast<std::uint64_t>(d.stats.count()));
   w.kv("sum", d.stats.sum());
@@ -188,9 +191,9 @@ void write_histogram(JsonWriter& w, const Distribution& d) {
   w.kv("min", d.stats.min());
   w.kv("max", d.stats.max());
   w.kv("stddev", d.stats.stddev());
-  w.kv("p50", percentile_sorted(sorted, 50));
-  w.kv("p90", percentile_sorted(sorted, 90));
-  w.kv("p99", percentile_sorted(sorted, 99));
+  w.kv("p50", p50);
+  w.kv("p90", p90);
+  w.kv("p99", p99);
   w.end_object();
 }
 

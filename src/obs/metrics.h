@@ -20,11 +20,12 @@
 // part of that contract.
 //
 // Cost: build_metrics() makes one pass over every span, bucketing the task
-// spans by step, builds the cross-rank send->recv lookup once, and runs the
-// critical-path core once per step: O(spans + steps x graph size), not
-// O(steps x spans). write_metrics_json() sorts each distribution's samples
-// once for its three percentiles and streams through JsonWriter's bounded
-// buffer (see json_writer.h for when it flushes).
+// spans by step, compiles the cross-rank DAG once, and runs the critical
+// path's longest-path pass once per step: O(spans + steps x step tasks and
+// edges), not O(steps x spans).
+// write_metrics_json() takes each distribution's three percentiles by
+// selection from one copy of its samples and streams through JsonWriter's
+// bounded buffer (see json_writer.h for when it flushes).
 
 #include <iosfwd>
 #include <string>

@@ -15,6 +15,12 @@
 // of the initialization step against the init graph's, any other against
 // the timestep graph's.
 //
+// A skeleton holds each fact once. Tasks keep no per-task message keys:
+// the message table is indexed by message id, as send and receive spans
+// carry it, and each message names its local task, so the critical-path
+// analyzer reads its cross-rank edges from the same table the exporters
+// resolve spans against.
+//
 // Sharing: a rank's spans, skeletons and metrics registry are immutable
 // once its run ends. The RankResult holds each through a shared_ptr, and
 // runtime::observe() shares them with the observation instead of copying
@@ -23,14 +29,13 @@
 // Size: a 512-rank, 20-step traced run of the halo problem observes 545k
 // spans in 17.4 MB (32 bytes each) and peaks at 60.4 MB in all. The spans
 // are the only per-span memory of the run: each rank paired them from one
-// step of events at a time. Names exist only while an exporter resolves a
-// rank (SpanResolver).
+// step of events at a time. Names exist only while an exporter formats a
+// rank.
 
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "hw/perf_counters.h"
@@ -40,28 +45,31 @@
 
 namespace usw::obs {
 
-/// Skeleton of one detailed task, enough to rebuild the dependency DAG
-/// that the critical-path analyzer walks.
+/// Skeleton of one detailed task: its names, patch and internal
+/// successors. Its cross-rank dependencies are the messages that name it
+/// as their task (MessageInfo::task).
 struct TaskNodeInfo {
   std::string name;
   std::string label;  ///< "name pPATCH": names its task/offload/kernel spans
   int patch = -1;
   std::vector<int> successors;  ///< local detailed-task indices
-  /// External messages as (peer rank, step-independent tag component);
-  /// a send on rank r with key (p, t) matches the recv on rank p with
-  /// key (r, t).
-  std::vector<std::pair<int, int>> recv_keys;
-  std::vector<std::pair<int, int>> send_keys;
 };
 
 /// One message of a compiled graph (task::ExtComm), as its send or
-/// receive span shows it.
+/// receive span shows it. A send on rank r with (peer p, tag t) matches
+/// the receive on rank p with (peer r, tag t): the critical path's
+/// cross-rank edges run from the one's task to the other's.
 struct MessageInfo {
   std::string label;  ///< "var pFROM->pTO"
   int patch = -1;     ///< the local end: a send's source, a receive's target
   int peer = -1;      ///< remote rank
   int tag = -1;       ///< step-independent tag component
   std::uint64_t bytes = 0;
+  /// Detailed-task index of the local end: a send's producer, a receive's
+  /// consumer; -1 for a send of the old DW at step start, which no task
+  /// makes.
+  int task = -1;
+  bool send = false;  ///< a send, else a receive
 };
 
 struct TaskGraphInfo {

@@ -5,7 +5,8 @@
 // Split out from obs/metrics.h so RankObservation can hold a registry
 // without a header cycle (metrics.h builds reports *from* observations).
 
-#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <functional>
 #include <map>
 #include <string>
@@ -26,13 +27,16 @@ struct Distribution {
     stats.add(v);
     samples.push_back(v);
   }
-  /// One percentile: copies and sorts the samples. For several, sort once
-  /// with sorted_samples() and query percentile_sorted().
+  /// One percentile, from a copy of the samples.
   double pct(double p) const { return percentile(samples, p); }
-  std::vector<double> sorted_samples() const {
-    std::vector<double> sorted = samples;
-    std::sort(sorted.begin(), sorted.end());
-    return sorted;
+  /// percentile() at each of `ps` (ascending), from one copy of the
+  /// samples, by selection (select_percentiles) rather than a sort.
+  template <std::size_t N>
+  std::array<double, N> percentiles(const double (&ps)[N]) const {
+    std::vector<double> copy = samples;
+    std::array<double, N> out{};
+    select_percentiles(copy, ps, out);
+    return out;
   }
 };
 

@@ -42,12 +42,10 @@ void print_histograms(std::ostream& os, const MetricsReport& report) {
   TextTable table("Sampled distributions");
   table.set_header({"metric", "count", "mean", "p50", "p90", "p99", "max"});
   for (const auto& [name, d] : report.registry.distributions()) {
-    const std::vector<double> sorted = d.sorted_samples();
+    const auto [p50, p90, p99] = d.percentiles({50.0, 90.0, 99.0});
     table.add_row({name, std::to_string(d.stats.count()),
-                   TextTable::num(d.stats.mean()),
-                   TextTable::num(percentile_sorted(sorted, 50)),
-                   TextTable::num(percentile_sorted(sorted, 90)),
-                   TextTable::num(percentile_sorted(sorted, 99)),
+                   TextTable::num(d.stats.mean()), TextTable::num(p50),
+                   TextTable::num(p90), TextTable::num(p99),
                    TextTable::num(d.stats.max())});
   }
   table.print(os);

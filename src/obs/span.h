@@ -164,9 +164,14 @@ std::vector<Span> build_spans(std::span<const FlightEvent> events);
 ///
 /// Cost: ids() reads one skeleton entry; name() reads that entry's name
 /// index and copies the name into names() at its first use (only a fault
-/// name is formatted). Together they cost about 12 ns a span in the
-/// Chrome-trace export on a shared Intel Xeon VM. An exporter makes one
-/// resolver per rank, so the names live only while that rank exports.
+/// name is formatted). Together they cost about 12 ns a span on a shared
+/// Intel Xeon VM, so no exporter pays them per span: the Chrome-trace
+/// exporter resolves each of a rank's distinct (skeleton, opened_by, b, c)
+/// once, into a formatted fragment its spans share, and build_metrics
+/// reads the task and message bytes it needs from the skeleton directly.
+/// Only dump_spans(), for debugging, resolves every span. An exporter
+/// makes one resolver per rank, so the names live only while that rank
+/// exports.
 class SpanResolver {
  public:
   /// `init` and `step` must outlive the resolver.

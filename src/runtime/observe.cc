@@ -11,27 +11,25 @@ obs::TaskGraphInfo graph_info_of(const task::CompiledGraph& graph) {
   for (const task::DetailedTask& dt : graph.tasks)
     messages += dt.recvs.size() + dt.sends.size();
   info.messages.resize(messages);
-  const auto add_message = [&info](const task::ExtComm& c, int local_patch) {
+  const auto add_message = [&info](const task::ExtComm& c, int local_patch,
+                                   int task, bool send) {
     info.messages.at(static_cast<std::size_t>(c.id)) = obs::MessageInfo{
         c.label->name() + " p" + std::to_string(c.from_patch) + "->p" +
             std::to_string(c.to_patch),
-        local_patch, c.peer_rank, c.tag_base, c.bytes()};
+        local_patch, c.peer_rank, c.tag_base, c.bytes(), task, send};
   };
-  for (const task::ExtComm& sc : graph.initial_sends) add_message(sc, sc.from_patch);
-  for (const task::DetailedTask& dt : graph.tasks) {
+  for (const task::ExtComm& sc : graph.initial_sends)
+    add_message(sc, sc.from_patch, -1, true);
+  for (std::size_t t = 0; t < graph.tasks.size(); ++t) {
+    const task::DetailedTask& dt = graph.tasks[t];
     obs::TaskNodeInfo node;
     node.name = dt.task->name();
     node.label = node.name + " p" + std::to_string(dt.patch_id);
     node.patch = dt.patch_id;
     node.successors = dt.successors;
-    for (const task::ExtComm& rc : dt.recvs) {
-      node.recv_keys.emplace_back(rc.peer_rank, rc.tag_base);
-      add_message(rc, rc.to_patch);
-    }
-    for (const task::ExtComm& sc : dt.sends) {
-      node.send_keys.emplace_back(sc.peer_rank, sc.tag_base);
-      add_message(sc, sc.from_patch);
-    }
+    const int task = static_cast<int>(t);
+    for (const task::ExtComm& rc : dt.recvs) add_message(rc, rc.to_patch, task, false);
+    for (const task::ExtComm& sc : dt.sends) add_message(sc, sc.from_patch, task, true);
     info.tasks.push_back(std::move(node));
   }
   for (const task::ReductionInfo& r : graph.reductions)

@@ -39,8 +39,10 @@ Scheduler::Scheduler(SchedulerConfig config, const grid::Level& level,
     const grid::Patch& patch = level_.patch(dt.patch_id);
     double scale = kernel.scale_for(patch);
     if (kernel.tile_cost_scale)
-      scale *= kernel.mean_tile_scale(
-          grid::Tiling(patch.cells(), kernel.tile_shape));
+      scale *= kernel.mean_tile_scale(grid::Tiling(
+          patch.cells(),
+          tile_shape_for(kernel, patch.cells().size(), config_.async_dma,
+                         comm_.net().cost().params().ldm_bytes)));
     plans_[i].mpe_cost_scale = scale;
   }
 }

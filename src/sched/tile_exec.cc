@@ -119,7 +119,45 @@ CpeCharge cpe_charge(const TileExecArgs& args, const grid::Tiling& tiling,
   return c;
 }
 
+/// The LDM staging buffers of a tile of `size`: one in/out pair, or two
+/// under the double-buffered pipeline, which keeps the next tile's get and
+/// the previous tile's put in flight beside the current tile.
+struct Staging {
+  std::size_t in = 0;
+  std::size_t out = 0;
+  bool async_dma = false;
+
+  bool fits(std::size_t ldm) const {
+    return async_dma ? hw::Ldm::fits(ldm, {in, in, out, out}) : hw::Ldm::fits(ldm, {in, out});
+  }
+  void check(std::size_t ldm) const {
+    if (async_dma)
+      hw::Ldm::check_fits(ldm, {in, in, out, out});
+    else
+      hw::Ldm::check_fits(ldm, {in, out});
+  }
+};
+
+Staging staging_of(const kern::KernelVariants& kernel, grid::IntVec size, bool async_dma) {
+  const grid::Box tile{{0, 0, 0}, size};
+  return {ghosted_bytes(kernel, tile), static_cast<std::size_t>(tile.volume()) * sizeof(double),
+          async_dma};
+}
+
 }  // namespace
+
+grid::IntVec tile_shape_for(const kern::KernelVariants& kernel, grid::IntVec cells,
+                            bool async_dma, std::size_t ldm_bytes) {
+  grid::IntVec shape = grid::IntVec::min(kernel.tile_shape, cells);
+  if (!async_dma || staging_of(kernel, shape, true).fits(ldm_bytes) ||
+      !staging_of(kernel, shape, false).fits(ldm_bytes))
+    return kernel.tile_shape;
+  for (int axis = 2; !staging_of(kernel, shape, true).fits(ldm_bytes); axis = (axis + 2) % 3) {
+    if (shape == grid::IntVec{1, 1, 1}) break;  // the planner raises the overflow
+    shape[axis] = std::max(1, shape[axis] / 2);
+  }
+  return shape;
+}
 
 TilePlan plan_tile_assignment(const TileExecArgs& args, const grid::Box& patch,
                               int n_cpes, int cluster_cpes,
@@ -127,22 +165,12 @@ TilePlan plan_tile_assignment(const TileExecArgs& args, const grid::Box& patch,
                               schedpt::ScheduleController* schedule, int rank) {
   USW_ASSERT(args.kernel != nullptr);
   const kern::KernelVariants& kernel = *args.kernel;
-  TilePlan plan{grid::Tiling(patch, kernel.tile_shape), {}, {}, {}};
-  const grid::Tiling& tiling = plan.tiling;
-
-  // Tile 0 is the largest along every axis, so its staging buffers are the
-  // largest any CPE needs: one in/out pair, or two pairs under the
-  // double-buffered pipeline, which keeps the next tile's get and the
-  // previous tile's put in flight beside the current tile.
-  const grid::Box largest = tiling.tile(0);
-  const std::size_t in = ghosted_bytes(kernel, largest);
-  const std::size_t out =
-      static_cast<std::size_t>(largest.volume()) * sizeof(double);
   const std::size_t ldm = cost.params().ldm_bytes;
-  if (args.async_dma)
-    hw::Ldm::check_fits(ldm, {in, in, out, out});
-  else
-    hw::Ldm::check_fits(ldm, {in, out});
+  TilePlan plan{grid::Tiling(patch, tile_shape_for(kernel, patch.size(), args.async_dma, ldm)),
+                {}, {}, {}};
+  const grid::Tiling& tiling = plan.tiling;
+  // Tile 0 is the largest along every axis: if it does not fit, none does.
+  staging_of(kernel, tiling.tile(0).size(), args.async_dma).check(ldm);
 
   // Plan with the synchronous end-to-end price of a tile, so under sync DMA
   // the planned clocks equal the charged busy times. The double-buffered

@@ -10,7 +10,8 @@
 // finishing with the faaw increment modeled inside CpeCluster. The LDM's
 // capacity is enforced where it decides anything: the planner rejects a
 // tile whose staging buffers overflow the 64 KB LDM (hw::Ldm::check_fits)
-// before any body runs.
+// before any body runs, after halving one that only the double-buffered
+// pipeline's second buffer pair overflows (tile_shape_for).
 //
 // An offload's tiling, its tile->CPE assignment and every CPE's cost
 // depend only on the task, so they are planned once (plan_tile_assignment)
@@ -114,8 +115,21 @@ struct TilePlan {
   }
 };
 
-/// Plans an offload of args.kernel over `patch`: tiles it by the kernel's
-/// tile shape, applies args.policy with the synchronous per-tile price
+/// The tile shape of `kernel` on a patch of `cells` (Sec VI-A sizes tiles
+/// to the LDM): the kernel's preferred shape (KernelVariants::tile_shape),
+/// unless the double-buffered pipeline needs room for its second buffer
+/// pair. Under async DMA, a largest tile that fits the LDM of `ldm_bytes`
+/// once but not twice is halved along z, then y, then x, in turn, until
+/// both pairs fit: 16x16x8 becomes 16x16x4 on any patch at least 16x16x8.
+/// A preferred tile that does not fit even once is the kernel's
+/// configuration error, which the planner raises. Every reader of the
+/// shape calls this, so the planner, the MPE path's cost and uswsim's
+/// banner agree.
+grid::IntVec tile_shape_for(const kern::KernelVariants& kernel, grid::IntVec cells,
+                            bool async_dma, std::size_t ldm_bytes);
+
+/// Plans an offload of args.kernel over `patch`: tiles it by
+/// tile_shape_for(), applies args.policy with the synchronous per-tile price
 /// (tile overhead + get + compute + put, per-tile cost scale included) and
 /// the faaw grab cost, and records each working CPE's charge. `n_cpes` is
 /// the offload's group size and `cluster_cpes` the whole cluster's CPE

@@ -4,6 +4,7 @@
 // harness and the scheduler instrumentation.
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace usw {
@@ -35,11 +36,19 @@ class RunningStats {
 /// Percentile of a sample set (linear interpolation, p in [0,100]).
 /// Returns 0 for an empty sample set, so possibly-empty distributions can
 /// be summarized without a guard at every call site.
-/// Copies and sorts; intended for end-of-run summaries, not hot paths.
+/// Copies and selects; intended for end-of-run summaries, not hot paths.
 double percentile(std::vector<double> samples, double p);
 
 /// percentile() of samples already sorted ascending: no copy, no sort, so
 /// several percentiles of one set cost a single sort between them.
 double percentile_sorted(const std::vector<double>& sorted, double p);
+
+/// percentile() at each of `ps`, which must ascend, into `out`, by
+/// selection: std::nth_element places each order statistic the
+/// interpolation reads, reordering `samples` no further than that, in
+/// O(n) per percentile instead of one O(n log n) sort. The same bits as
+/// percentile_sorted() of a sorted copy.
+void select_percentiles(std::span<double> samples, std::span<const double> ps,
+                        std::span<double> out);
 
 }  // namespace usw

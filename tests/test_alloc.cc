@@ -1,88 +1,19 @@
 // Exact heap-allocation counts of whole runs. This binary replaces the
 // global operator new and delete (aligned and nothrow forms included) with
-// versions that count, so these tests pin that a steady timestep allocates
-// nothing: a timing-only Burgers run of 2S steps makes exactly as many
-// operator new calls as one of S steps, for every variant (serial backend,
-// untraced, fault-free, no controller).
+// versions that count (support/counting_new.cc), so these tests pin that a
+// steady timestep allocates nothing: a timing-only Burgers run of 2S steps
+// makes exactly as many operator new calls as one of S steps, for every
+// variant (serial backend, untraced, fault-free, no controller).
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <string>
 
 #include "apps/burgers/burgers_app.h"
 #include "runtime/controller.h"
 #include "sched/tile_policy.h"
-
-namespace {
-
-std::atomic<std::uint64_t> g_news{0};
-
-void* counted(std::size_t n) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n == 0 ? 1 : n);
-}
-
-void* counted_aligned(std::size_t n, std::align_val_t al) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  const auto align = static_cast<std::size_t>(al);
-  // aligned_alloc wants a size that is a multiple of the alignment.
-  return std::aligned_alloc(align, (n + align - 1) / align * align);
-}
-
-void* or_throw(void* p) {
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-}  // namespace
-
-void* operator new(std::size_t n) { return or_throw(counted(n)); }
-void* operator new[](std::size_t n) { return or_throw(counted(n)); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  return counted(n);
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  return counted(n);
-}
-void* operator new(std::size_t n, std::align_val_t al) {
-  return or_throw(counted_aligned(n, al));
-}
-void* operator new[](std::size_t n, std::align_val_t al) {
-  return or_throw(counted_aligned(n, al));
-}
-void* operator new(std::size_t n, std::align_val_t al,
-                   const std::nothrow_t&) noexcept {
-  return counted_aligned(n, al);
-}
-void* operator new[](std::size_t n, std::align_val_t al,
-                     const std::nothrow_t&) noexcept {
-  return counted_aligned(n, al);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::align_val_t,
-                       const std::nothrow_t&) noexcept {
-  std::free(p);
-}
+#include "support/counting_new.h"
 
 namespace usw {
 namespace {
@@ -90,12 +21,12 @@ namespace {
 /// Operator new calls made by one run_simulation call.
 std::uint64_t count_run(const runtime::RunConfig& config) {
   const apps::burgers::BurgersApp app;
-  const std::uint64_t news = g_news.load();
+  const std::uint64_t news = test::operator_news();
   {
     const runtime::RunResult result = runtime::run_simulation(config, app);
     (void)result;
   }
-  return g_news.load() - news;
+  return test::operator_news() - news;
 }
 
 /// A timing-only Burgers run: 16 patches of 16^3 cells on 8 ranks, so

@@ -83,12 +83,23 @@ TEST(FutureWork, AsyncDmaHidesTransferTime) {
   EXPECT_LT(run_z512(true), run_z512(false));
 }
 
-TEST(FutureWork, AsyncDmaDoubleBuffersNeedLdmRoom) {
-  // The 16x16x8 tile fits the LDM once (41 KiB) but not twice: enabling
-  // double buffering with it must overflow, exactly like the hardware.
-  EXPECT_THROW(
-      run_future(1, true, false, {16, 16, 8}, var::StorageMode::kTimingOnly),
-      ResourceError);
+TEST(FutureWork, AsyncDmaHalvesTheTileUntilTwoBufferPairsFit) {
+  // The 16x16x8 tile fits the LDM once (41 KiB) but not twice, so double
+  // buffering halves it along z: the run is the one that asks for 16x16x4
+  // (two pairs of 23 KiB), step for step and counter for counter.
+  const auto halved =
+      run_future(1, true, false, {16, 16, 8}, var::StorageMode::kTimingOnly);
+  const auto asked =
+      run_future(1, true, false, {16, 16, 4}, var::StorageMode::kTimingOnly);
+  for (int s = 0; s < halved.timesteps; ++s)
+    EXPECT_EQ(halved.step_wall(s), asked.step_wall(s)) << "step " << s;
+  EXPECT_EQ(halved.merged_counters().tiles_executed, asked.merged_counters().tiles_executed);
+  EXPECT_EQ(halved.merged_counters().dma_bytes_in, asked.merged_counters().dma_bytes_in);
+  // Single-buffered, the same 16x16x8 tile stays whole.
+  EXPECT_LT(run_future(1, false, false, {16, 16, 8}, var::StorageMode::kTimingOnly)
+                .merged_counters()
+                .tiles_executed,
+            halved.merged_counters().tiles_executed);
 }
 
 TEST(FutureWork, InvalidGroupCountRejected) {

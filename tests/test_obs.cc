@@ -920,11 +920,10 @@ TEST(CriticalPath, CrossRankSendRecvEdge) {
     TaskNodeInfo node;
     node.name = rank == 0 ? "prod" : "cons";
     node.patch = rank;
-    if (rank == 0)
-      node.send_keys.emplace_back(1, 5);
-    else
-      node.recv_keys.emplace_back(0, 5);
-    r.skeleton = std::make_shared<const TaskGraphInfo>(TaskGraphInfo{{node}, {}, {}});
+    // The same message at both ends: a send of task 0 to (peer 1, tag 5)
+    // and a receive of task 0 from (peer 0, tag 5).
+    const MessageInfo message{"u p0->p1", rank, 1 - rank, 5, 64, 0, rank == 0};
+    r.skeleton = std::make_shared<const TaskGraphInfo>(TaskGraphInfo{{node}, {message}, {}});
     r.step_walls = {250};
     run.ranks.push_back(std::move(r));
   }
@@ -935,6 +934,56 @@ TEST(CriticalPath, CrossRankSendRecvEdge) {
   EXPECT_EQ(cp.chain[0].rank, 0);
   EXPECT_EQ(cp.chain[1].rank, 1);
   EXPECT_LE(cp.total, cp.makespan);
+}
+
+TEST(CriticalPath, TiesGoToTheFirstSpanAndTheFirstEdge) {
+  // Two chains of 150 end at rank 0's tasks q and p: a -> q, where q also
+  // receives from rank 1's c, and e -> p. q's span begins first, so q ends
+  // the reported chain, although p has the lower task index; of q's two
+  // predecessors of 100, a comes first (rank 0 before rank 1), although c
+  // is the sender. f hangs off c with 30 of slack.
+  RunObservation run;
+  run.nranks = 2;
+  run.timesteps = 1;
+  const auto task = [](const char* name, std::vector<int> successors) {
+    TaskNodeInfo t;
+    t.name = name;
+    t.label = name;
+    t.successors = std::move(successors);
+    return t;
+  };
+  const auto span = [](TimePs begin, TimePs end, int t) {
+    Span s;
+    s.opened_by = FK::kTaskBegin;
+    s.step = 0;
+    s.b = t;
+    s.begin = begin;
+    s.end = end;
+    return s;
+  };
+  const MessageInfo c_to_q{"u p1->p0", 0, 1, 9, 8, 1, false};
+  const MessageInfo c_sends{"u p1->p0", 1, 0, 9, 8, 0, true};
+  RankObservation& r0 = run.ranks.emplace_back();
+  r0.rank = 0;
+  r0.skeleton = std::make_shared<const TaskGraphInfo>(TaskGraphInfo{
+      {task("p", {}), task("q", {}), task("a", {1}), task("e", {0})}, {c_to_q}, {}});
+  r0.trace = std::make_shared<const std::vector<Span>>(std::vector<Span>{
+      span(0, 100, 2), span(0, 100, 3), span(100, 150, 1), span(110, 160, 0)});
+  RankObservation& r1 = run.ranks.emplace_back();
+  r1.rank = 1;
+  r1.skeleton = std::make_shared<const TaskGraphInfo>(
+      TaskGraphInfo{{task("c", {1}), task("f", {})}, {c_sends}, {}});
+  r1.trace = std::make_shared<const std::vector<Span>>(
+      std::vector<Span>{span(0, 100, 0), span(100, 120, 1)});
+
+  const CriticalPathReport cp = analyze_critical_path(run, 0);
+  EXPECT_EQ(cp.total, 150);
+  EXPECT_EQ(cp.makespan, 160);
+  std::vector<std::pair<int, int>> chain;
+  for (const CriticalPathEntry& e : cp.chain) chain.emplace_back(e.rank, e.task);
+  EXPECT_EQ(chain, (std::vector<std::pair<int, int>>{{0, 2}, {0, 1}}));
+  EXPECT_EQ(cp.slack_by_task, (std::map<std::string, TimePs>{
+                                  {"a", 0}, {"c", 0}, {"e", 0}, {"f", 30}, {"p", 0}, {"q", 0}}));
 }
 
 TEST(CriticalPath, EmptyWithoutSpans) {
@@ -1006,42 +1055,11 @@ TEST(ChromeTrace, TimesFormatExactlyAsPrintfG12) {
   EXPECT_EQ(mismatches, 0u) << "first at ps " << first;
 }
 
-TEST(ChromeTrace, SpanObjectsMatchTheGenericWriter) {
-  // Labels with a quote, a backslash and a control byte, resolved from a
-  // fabricated skeleton, and times on both sides of format_us()'s
-  // fixed-point range: each span object must be what one JsonWriter call
-  // per member writes, with names escaped by JsonWriter::escape.
-  TaskGraphInfo g;
-  TaskNodeInfo node;
-  node.name = "q\"b\\s\x01";
-  node.label = node.name + " p5";
-  node.patch = 5;
-  g.tasks = {node};
-  g.messages.push_back(MessageInfo{"m\"\\\x01 p5->p6", 5, 3, 11,
-                                   std::numeric_limits<std::uint64_t>::max()});
-  const std::vector<FlightEvent> log = {
-      ev(0, FK::kTaskBegin, 0, 0),
-      ev(50, FK::kSendPosted, 0, 0, 0),
-      ev(60, FK::kCpeStall, 0, 0, 1),
-      ev(70, FK::kReduceBegin, 0, 7),  // not in the skeleton: named by kind
-      ev(80, FK::kReduceEnd, 0, 7),
-      ev(99, FK::kSendDone, 0, 0, 0),
-      ev(123, FK::kOffloadBegin, 0, 0, 1),
-      ev(1'234'567, FK::kKernelBegin, 0, 0, 1),
-      ev(2'000'000, FK::kKernelEnd, 0, 0, 1),
-      ev(2'100'000, FK::kOffloadEnd, 0, 0, 1),
-      ev(3'000'000'000'001, FK::kTaskEnd, 0, 0)};
-  RunObservation run;
-  run.nranks = 1;
-  run.timesteps = 1;
-  RankObservation& r = run.ranks.emplace_back();
-  r.rank = 4;
-  r.trace = std::make_shared<const std::vector<Span>>(build_spans(log));
-  r.skeleton = std::make_shared<const TaskGraphInfo>(g);
-  std::ostringstream os;
-  write_chrome_trace(os, run);
-  const std::string trace = os.str();
-
+/// Each span object of rank `r` in `trace`, in span order, must be what
+/// one JsonWriter call per member writes, with the span's ids and name
+/// resolved by one SpanResolver.
+void expect_spans_as_the_generic_writer_writes_them(const std::string& trace,
+                                                    const RankObservation& r) {
   const auto tid = [](const Span& s, const EventIds& ids) {
     switch (lane_of(s.kind())) {
       case Lane::kCpe: return 1 + ids.group;
@@ -1079,6 +1097,45 @@ TEST(ChromeTrace, SpanObjectsMatchTheGenericWriter) {
     at = trace.find(want.str(), at);
     ASSERT_NE(at, std::string::npos) << "missing or out of order: " << want.str();
   }
+}
+
+TEST(ChromeTrace, SpanObjectsMatchTheGenericWriter) {
+  // Labels with a quote, a backslash and a control byte, resolved from a
+  // fabricated skeleton, and times on both sides of format_us()'s
+  // fixed-point range: each span object must be what one JsonWriter call
+  // per member writes, with names escaped by JsonWriter::escape.
+  TaskGraphInfo g;
+  TaskNodeInfo node;
+  node.name = "q\"b\\s\x01";
+  node.label = node.name + " p5";
+  node.patch = 5;
+  g.tasks = {node};
+  g.messages.push_back(MessageInfo{"m\"\\\x01 p5->p6", 5, 3, 11,
+                                   std::numeric_limits<std::uint64_t>::max()});
+  const std::vector<FlightEvent> log = {
+      ev(0, FK::kTaskBegin, 0, 0),
+      ev(50, FK::kSendPosted, 0, 0, 0),
+      ev(60, FK::kCpeStall, 0, 0, 1),
+      ev(70, FK::kReduceBegin, 0, 7),  // not in the skeleton: named by kind
+      ev(80, FK::kReduceEnd, 0, 7),
+      ev(99, FK::kSendDone, 0, 0, 0),
+      ev(123, FK::kOffloadBegin, 0, 0, 1),
+      ev(1'234'567, FK::kKernelBegin, 0, 0, 1),
+      ev(2'000'000, FK::kKernelEnd, 0, 0, 1),
+      ev(2'100'000, FK::kOffloadEnd, 0, 0, 1),
+      ev(3'000'000'000'001, FK::kTaskEnd, 0, 0)};
+  RunObservation run;
+  run.nranks = 1;
+  run.timesteps = 1;
+  RankObservation& r = run.ranks.emplace_back();
+  r.rank = 4;
+  r.trace = std::make_shared<const std::vector<Span>>(build_spans(log));
+  r.skeleton = std::make_shared<const TaskGraphInfo>(g);
+  std::ostringstream os;
+  write_chrome_trace(os, run);
+  const std::string trace = os.str();
+
+  expect_spans_as_the_generic_writer_writes_them(trace, r);
   for (const std::string& name :
        {node.label, g.messages[0].label, "cpe_stall " + node.label})
     EXPECT_NE(trace.find("{\"name\":\"" + JsonWriter::escape(name) + "\","),
@@ -1086,6 +1143,66 @@ TEST(ChromeTrace, SpanObjectsMatchTheGenericWriter) {
         << name;
   // The task lasts 3000000.000001 us, one digit more than %.12g keeps.
   EXPECT_NE(trace.find("\"dur\":3000000,"), std::string::npos);
+}
+
+TEST(ChromeTrace, NamesLongerThanTheBufferStayWhole) {
+  // A task label longer than JsonWriter's buffer takes the span writer's
+  // long-name path; its spans must still be what the generic writer writes.
+  TaskGraphInfo g;
+  TaskNodeInfo node;
+  node.name = std::string(JsonWriter::kBufferBytes + 100, 'x') + "\"";
+  node.label = node.name + " p1";
+  node.patch = 1;
+  g.tasks = {node, TaskNodeInfo{"short", "short p2", 2, {}}};
+  const std::vector<FlightEvent> log = {
+      ev(0, FK::kTaskBegin, 0, 0),        ev(10, FK::kOffloadBegin, 0, 0, 0),
+      ev(20, FK::kKernelBegin, 0, 0, 0),  ev(30, FK::kKernelEnd, 0, 0, 0),
+      ev(40, FK::kOffloadEnd, 0, 0, 0),   ev(50, FK::kTaskEnd, 0, 0),
+      ev(60, FK::kTaskBegin, 0, 1),       ev(70, FK::kTaskEnd, 0, 1),
+      ev(80, FK::kTaskBegin, 1, 0),       ev(90, FK::kTaskEnd, 1, 0)};
+  RunObservation run;
+  run.nranks = 1;
+  run.timesteps = 2;
+  RankObservation& r = run.ranks.emplace_back();
+  r.rank = 0;
+  r.trace = std::make_shared<const std::vector<Span>>(build_spans(log));
+  r.skeleton = std::make_shared<const TaskGraphInfo>(g);
+  std::ostringstream os;
+  write_chrome_trace(os, run);
+  expect_spans_as_the_generic_writer_writes_them(os.str(), r);
+}
+
+TEST(ChromeTrace, EachSkeletonGroupAndAttemptGetsItsOwnFragment) {
+  // Spans that share a fragment table entry, a task's, still differ in
+  // what they print: a kernel on group 0 or 1 (tid and cpe_group), a
+  // retry's attempt (not printed), and step -1 against the init skeleton
+  // (another label and patch).
+  TaskGraphInfo init;
+  init.tasks = {TaskNodeInfo{"init_a", "init_a p7", 7, {}}};
+  TaskGraphInfo step;
+  step.tasks = {TaskNodeInfo{"a", "a p3", 3, {}}};
+  const std::vector<FlightEvent> log = {
+      ev(0, FK::kTaskBegin, -1, 0),        ev(5, FK::kTaskEnd, -1, 0),
+      ev(10, FK::kTaskBegin, 0, 0),        ev(20, FK::kKernelBegin, 0, 0, 0),
+      ev(30, FK::kKernelEnd, 0, 0, 0),     ev(40, FK::kKernelBegin, 0, 0, 1),
+      ev(50, FK::kKernelEnd, 0, 0, 1),     ev(60, FK::kOffloadRetry, 0, 0, 1),
+      ev(70, FK::kBackoffEnd, 0, 0, 1),    ev(80, FK::kOffloadRetry, 0, 0, 2),
+      ev(90, FK::kBackoffEnd, 0, 0, 2),    ev(100, FK::kKernelBegin, 0, 0, 1),
+      ev(110, FK::kKernelEnd, 0, 0, 1),    ev(120, FK::kTaskEnd, 0, 0)};
+  RunObservation run;
+  run.nranks = 1;
+  run.timesteps = 1;
+  RankObservation& r = run.ranks.emplace_back();
+  r.rank = 2;
+  r.trace = std::make_shared<const std::vector<Span>>(build_spans(log));
+  r.skeleton = std::make_shared<const TaskGraphInfo>(step);
+  r.init_skeleton = std::make_shared<const TaskGraphInfo>(init);
+  std::ostringstream os;
+  write_chrome_trace(os, run);
+  const std::string trace = os.str();
+  expect_spans_as_the_generic_writer_writes_them(trace, r);
+  EXPECT_NE(trace.find(R"("cpe_group":1)"), std::string::npos);
+  EXPECT_NE(trace.find(R"("name":"init_a p7")"), std::string::npos);
 }
 
 TEST(ChromeTrace, EmptyObservationProducesBalancedJson) {
@@ -1216,16 +1333,12 @@ TEST(EndToEnd, ExportsMatchGoldenFiles) {
   EXPECT_TRUE(trace.str() == want_trace) << first_difference(trace.str(), want_trace);
 }
 
-TEST(EndToEnd, FaultedTwoGroupExportsMatchGoldenFiles) {
-  // The paths the burgers8 golden never takes: fault span names, retry
-  // backoff, the cpe_group member and a second CPE track. The files were
-  // written by
-  //   uswsim --app=burgers --layout=2x2x1 --patch=16x16x16 --ranks=2
-  //     --steps=3 --variant=acc_simd.async --timing-only --cpe-groups=2
-  //     --inject=cpe_stall:p=0.2,offload_fail:p=0.2
-  //     --trace-json=obs_burgers_faults_trace.json
-  //     --metrics-json=obs_burgers_faults_metrics.json
-  // and this is the RunConfig that command builds.
+/// The faulted two-group golden run, observed: the RunConfig that
+///   uswsim --app=burgers --layout=2x2x1 --patch=16x16x16 --ranks=2
+///     --steps=3 --variant=acc_simd.async --timing-only --cpe-groups=2
+///     --inject=cpe_stall:p=0.2,offload_fail:p=0.2
+/// builds, traced and with metrics.
+RunObservation faulted_two_group_run() {
   runtime::RunConfig config;
   config.problem = runtime::tiny_problem({2, 2, 1}, {16, 16, 16});
   config.variant = runtime::variant_by_name("acc_simd.async");
@@ -1236,8 +1349,16 @@ TEST(EndToEnd, FaultedTwoGroupExportsMatchGoldenFiles) {
   config.faults = fault::FaultPlan::parse("cpe_stall:p=0.2,offload_fail:p=0.2", 1);
   config.collect_trace = true;
   config.collect_metrics = true;
-  const RunObservation run =
-      runtime::observe(runtime::run_simulation(config, apps::burgers::BurgersApp()));
+  return runtime::observe(runtime::run_simulation(config, apps::burgers::BurgersApp()));
+}
+
+TEST(EndToEnd, FaultedTwoGroupExportsMatchGoldenFiles) {
+  // The paths the burgers8 golden never takes: fault span names, retry
+  // backoff, the cpe_group member and a second CPE track. The files were
+  // written by faulted_two_group_run()'s uswsim command with
+  //     --trace-json=obs_burgers_faults_trace.json
+  //     --metrics-json=obs_burgers_faults_metrics.json
+  const RunObservation run = faulted_two_group_run();
   std::ostringstream metrics;
   write_metrics_json(metrics, build_metrics(run));
   std::ostringstream trace;
@@ -1252,6 +1373,20 @@ TEST(EndToEnd, FaultedTwoGroupExportsMatchGoldenFiles) {
                               "\"name\":\"offload_fail ", "\"cpe_group\":1",
                               "\"CPE group 1\""})
     EXPECT_NE(want_trace.find(covered), std::string::npos) << covered;
+}
+
+TEST(EndToEnd, ReportCriticalPathsMatchTheMetrics) {
+  // uswsim --report analyzes one step through analyze_critical_path(),
+  // which compiles the DAG for that call; build_metrics analyzes every
+  // step through one analyzer. Both must find the same chains.
+  const RunObservation run = faulted_two_group_run();
+  const MetricsReport m = build_metrics(run);
+  ASSERT_EQ(m.steps.size(), 3u);
+  for (const StepMetrics& s : m.steps) {
+    const CriticalPathReport cp = analyze_critical_path(run, s.step);
+    EXPECT_GT(cp.total, 0) << "step " << s.step;
+    EXPECT_EQ(cp.total, s.critical_path) << "step " << s.step;
+  }
 }
 
 TEST(EndToEnd, ReplayedStepIsCountedOnce) {

@@ -371,6 +371,24 @@ TEST(TileExec, OversizedTileOverflowsLdm) {
       ResourceError);
 }
 
+TEST(TileExec, AsyncDmaHalvesTheTileAlongZThenYThenX) {
+  const std::size_t ldm = machine().ldm_bytes;
+  kern::KernelVariants kv = apps::burgers::make_burgers_kernel(false);
+  // 16x16x8 fits once (41.3 KiB) but not twice: halved along z.
+  EXPECT_EQ(tile_shape_for(kv, {16, 16, 32}, false, ldm), (grid::IntVec{16, 16, 8}));
+  EXPECT_EQ(tile_shape_for(kv, {16, 16, 32}, true, ldm), (grid::IntVec{16, 16, 4}));
+  // A patch that clips the tile to a size that fits twice keeps the
+  // preferred shape, so the tiling is the one without double buffering.
+  EXPECT_EQ(tile_shape_for(kv, {8, 8, 8}, true, ldm), (grid::IntVec{16, 16, 8}));
+  // Two ghost layers: halving z is not enough, so y is halved next.
+  kv.ghost = 2;
+  EXPECT_EQ(tile_shape_for(kv, {16, 16, 32}, true, ldm), (grid::IntVec{16, 8, 4}));
+  // A preferred tile that does not fit even once stays, for the planner to
+  // reject (OversizedTileOverflowsLdm).
+  kv.tile_shape = {32, 32, 32};
+  EXPECT_EQ(tile_shape_for(kv, {32, 32, 32}, true, ldm), (grid::IntVec{32, 32, 32}));
+}
+
 TEST(FailureInjection, LdmOverflowSurfacesFromFullSimulation) {
   apps::burgers::BurgersApp::Config app_cfg;
   app_cfg.tile_shape = {32, 32, 16};  // does not fit the 64 KB LDM
