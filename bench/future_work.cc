@@ -19,8 +19,7 @@
 namespace {
 
 usw::TimePs run_case(const std::string& problem, int ranks, int groups,
-                     bool async_dma, bool packed,
-                     usw::grid::IntVec tile_shape) {
+                     bool async_dma, bool packed) {
   using namespace usw;
   runtime::RunConfig cfg;
   cfg.problem = runtime::problem_by_name(problem);
@@ -31,30 +30,25 @@ usw::TimePs run_case(const std::string& problem, int ranks, int groups,
   cfg.cpe_groups = groups;
   cfg.async_dma = async_dma;
   cfg.packed_tiles = packed;
-  apps::burgers::BurgersApp::Config app_cfg;
-  app_cfg.tile_shape = tile_shape;
-  apps::burgers::BurgersApp app(app_cfg);
-  return runtime::run_simulation(cfg, app).mean_step_wall();
+  return runtime::run_simulation(cfg, apps::burgers::BurgersApp()).mean_step_wall();
 }
 
 }  // namespace
 
 int main() {
   using namespace usw;
-  const grid::IntVec full_tile{16, 16, 8};
   // Double buffering needs two in/out buffer pairs in the 64 KB LDM, so
-  // the tile shrinks to 16x16x4 (2x(18*18*6 + 16*16*4) doubles = 47 KiB).
-  const grid::IntVec half_tile{16, 16, 4};
-
+  // under async DMA the planner (sched::tile_shape_for) halves the 16x16x8
+  // tile to 16x16x4 (2x(18*18*6 + 16*16*4) doubles = 47 KiB).
   TextTable t1("Future work (Sec IX): DMA optimizations, acc_simd.async, 8 CGs");
   t1.set_header({"problem", "baseline", "+packed tiles", "+async DMA (16x16x4)",
                  "+both"});
   for (const std::string& p :
        {std::string("16x16x512"), std::string("128x128x512")}) {
-    const TimePs base = run_case(p, 8, 1, false, false, full_tile);
-    const TimePs packed = run_case(p, 8, 1, false, true, full_tile);
-    const TimePs dbuf = run_case(p, 8, 1, true, false, half_tile);
-    const TimePs both = run_case(p, 8, 1, true, true, half_tile);
+    const TimePs base = run_case(p, 8, 1, false, false);
+    const TimePs packed = run_case(p, 8, 1, false, true);
+    const TimePs dbuf = run_case(p, 8, 1, true, false);
+    const TimePs both = run_case(p, 8, 1, true, true);
     auto rel = [base](TimePs t) {
       return format_duration(t) + " (" +
              TextTable::num(100.0 * (static_cast<double>(base - t)) /
@@ -73,10 +67,10 @@ int main() {
                                  {"16x16x512", 32},
                                  {"128x128x512", 8}}) {
     std::vector<std::string> row = {p, std::to_string(ranks)};
-    const TimePs base = run_case(p, ranks, 1, false, false, full_tile);
+    const TimePs base = run_case(p, ranks, 1, false, false);
     row.push_back(format_duration(base));
     for (int g : {2, 4, 8}) {
-      const TimePs t = run_case(p, ranks, g, false, false, full_tile);
+      const TimePs t = run_case(p, ranks, g, false, false);
       row.push_back(format_duration(t) + " (" +
                     TextTable::num(static_cast<double>(base) / static_cast<double>(t), 2) +
                     "x)");

@@ -312,13 +312,13 @@ int main(int argc, char** argv) {
       throw ConfigError("unknown --app '" + app_name + "' (burgers|heat|advect)");
     }
 
-    // Every flag this run uses has been read by now. Running with a typo
-    // or a removed flag as if it were absent would silently change the
-    // experiment, so anything left over is an error.
+    // Every flag this run uses has been read by now. Running with a typo,
+    // a removed flag or a word without "--" as if it were absent would
+    // silently change the experiment, so anything left over is an error.
     if (const std::vector<std::string> unread = opts.unread(); !unread.empty()) {
       std::string names;
-      for (const std::string& key : unread)
-        names += (names.empty() ? "--" : ", --") + key;
+      for (const std::string& arg : unread)
+        names += (names.empty() ? "" : ", ") + arg;
       throw ConfigError("unrecognized option(s) " + names +
                         " (unknown, or not taken by --app=" + app_name + ")");
     }
@@ -414,7 +414,7 @@ int main(int argc, char** argv) {
         }
         if (report) {
           std::printf("\n");
-          obs::print_report(std::cout, metrics, observation);
+          obs::print_report(std::cout, metrics);
           std::printf("\n");
           obs::print_host_profile(std::cout, result.host);
         }

@@ -54,8 +54,6 @@ class AdvectApp : public runtime::Application {
   double patch_cost(const grid::Level& level,
                     const grid::Patch& patch) const override;
 
-  const Config& config() const { return config_; }
-
  private:
   Config config_{};
 };

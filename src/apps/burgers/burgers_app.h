@@ -53,8 +53,6 @@ class BurgersApp : public runtime::Application {
   /// The reduction result "u_max".
   static const var::VarLabel* umax_label();
 
-  const Config& config() const { return config_; }
-
  private:
   Config config_{};
 };

@@ -53,8 +53,6 @@ class HeatApp : public runtime::Application {
   /// Exact solution used for init/boundary/verification.
   double exact(double x, double y, double z, double t) const;
 
-  const Config& config() const { return config_; }
-
  private:
   std::unique_ptr<task::Task> make_boundary_task(const std::string& name,
                                                  const var::VarLabel* label,

@@ -26,7 +26,9 @@ CpeCluster::CpeCluster(const hw::CostModel& cost, sim::Coordinator& coord,
                        int rank, hw::PerfCounters* counters, int n_groups,
                        Backend backend, WorkerPool* pool)
     : cost_(cost), coord_(coord), rank_(rank), counters_(counters),
-      backend_(backend) {
+      backend_(backend), pool_(pool) {
+  USW_ASSERT_MSG(backend_ != Backend::kThreads || pool_ != nullptr,
+                 "the threads backend needs a worker pool");
   const int cpes = cost.params().cpes_per_cg;
   if (n_groups < 1 || cpes % n_groups != 0)
     throw ConfigError("CPE group count " + std::to_string(n_groups) +
@@ -38,13 +40,6 @@ CpeCluster::CpeCluster(const hw::CostModel& cost, sim::Coordinator& coord,
     group->cpe_errors.resize(static_cast<std::size_t>(cpes / n_groups));
     groups_.push_back(std::move(group));
     all_groups_.push_back(g);
-  }
-  if (backend_ == Backend::kThreads) {
-    if (pool == nullptr) {
-      owned_pool_ = std::make_unique<WorkerPool>();
-      pool = owned_pool_.get();
-    }
-    pool_ = pool;
   }
 }
 

@@ -116,7 +116,7 @@ class CpeCluster {
   /// `n_groups` must divide the CPE count; each group owns
   /// cpes_per_cg / n_groups CPEs and an independent completion flag.
   /// Under Backend::kThreads the cluster dispatches CPE bodies onto
-  /// `pool`; when `pool` is null it creates a private one.
+  /// `pool`, which must be given and must outlive the cluster.
   CpeCluster(const hw::CostModel& cost, sim::Coordinator& coord, int rank,
              hw::PerfCounters* counters = nullptr, int n_groups = 1,
              Backend backend = Backend::kSerial, WorkerPool* pool = nullptr);
@@ -242,10 +242,7 @@ class CpeCluster {
   std::vector<std::unique_ptr<Group>> groups_;
   std::mutex sync_mu_;
   std::condition_variable sync_cv_;
-  WorkerPool* pool_ = nullptr;  ///< kThreads dispatch target
-  // Declared last so a private pool is torn down (joining its workers)
-  // before the groups those workers reference.
-  std::unique_ptr<WorkerPool> owned_pool_;
+  WorkerPool* pool_;  ///< kThreads dispatch target
 };
 
 }  // namespace usw::athread

@@ -32,17 +32,6 @@ WorkerPool::~WorkerPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-void WorkerPool::enable_profiling(std::size_t sample_cap) {
-  std::lock_guard<std::mutex> lk(mu_);
-  profile_ = true;
-  sample_cap_ = sample_cap;
-}
-
-bool WorkerPool::profiling() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return profile_;
-}
-
 WorkerPool::PoolStats WorkerPool::stats() const {
   std::lock_guard<std::mutex> lk(mu_);
   return stats_;
@@ -54,7 +43,7 @@ std::size_t WorkerPool::queue_depth() const {
 }
 
 void WorkerPool::add_sample_locked(std::vector<double>& samples, double v) {
-  if (samples.size() < sample_cap_) samples.push_back(v);
+  if (samples.size() < kSampleCap) samples.push_back(v);
   else ++stats_.samples_dropped;
 }
 
@@ -69,13 +58,8 @@ void WorkerPool::submit(std::function<void(int)> task) {
     waited_us = us_since(t0);
   }
   USW_ASSERT_MSG(!stop_, "submit to a stopped worker pool");
-  Task t;
-  t.fn = std::move(task);
-  if (profile_) {
-    t.enqueued = std::chrono::steady_clock::now();
-    add_sample_locked(stats_.lock_wait_us, waited_us);
-  }
-  queue_.push_back(std::move(t));
+  queue_.push_back(Task{std::move(task), std::chrono::steady_clock::now()});
+  add_sample_locked(stats_.lock_wait_us, waited_us);
   lk.unlock();
   cv_.notify_one();
 }
@@ -94,13 +78,9 @@ void WorkerPool::worker_main(int worker) {
       if (queue_.empty()) return;  // stop_ set and nothing left to run
       task = std::move(queue_.front());
       queue_.pop_front();
-      if (profile_) {
-        // Tasks enqueued before profiling was enabled carry no timestamp.
-        if (task.enqueued != std::chrono::steady_clock::time_point{})
-          add_sample_locked(stats_.queue_wait_us, us_since(task.enqueued));
-        stats_.tasks += 1;
-        stats_.per_worker[static_cast<std::size_t>(worker)] += 1;
-      }
+      add_sample_locked(stats_.queue_wait_us, us_since(task.enqueued));
+      stats_.tasks += 1;
+      stats_.per_worker[static_cast<std::size_t>(worker)] += 1;
     }
     task.fn(worker);
   }

@@ -14,10 +14,10 @@
 // write-sets are disjoint, and the MPE fixes every virtual-time result
 // before it submits), so the queue only has to be correct, not clever.
 //
-// Host profiling (opt-in via enable_profiling): per-task queue-wait and
-// submit-side lock-contention times, plus per-worker task counts. All
-// profile state is guarded by the pool mutex; samples are host wall-clock
-// and never feed back into the simulation, so determinism is unaffected.
+// Host profiling (always on): per-task queue-wait and submit-side
+// lock-contention times, plus per-worker task counts. All profile state is
+// guarded by the pool mutex; samples are host wall-clock and never feed
+// back into the simulation, so determinism is unaffected.
 
 #include <chrono>
 #include <condition_variable>
@@ -44,8 +44,6 @@ class WorkerPool {
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
-  int size() const { return static_cast<int>(threads_.size()); }
-
   /// Enqueues `task`; some worker eventually runs task(worker_index).
   void submit(std::function<void(int)> task);
 
@@ -54,7 +52,11 @@ class WorkerPool {
   /// the schedulers produce.
   static int default_size();
 
-  /// Host-profiling snapshot (see enable_profiling).
+  /// Queue-wait and lock-contention samples kept per pool, each; later
+  /// ones are counted as dropped, so memory stays bounded on long runs.
+  static constexpr std::size_t kSampleCap = 8192;
+
+  /// Host-profiling snapshot.
   struct PoolStats {
     std::uint64_t tasks = 0;                  ///< tasks executed
     std::vector<std::uint64_t> per_worker;    ///< tasks per worker index
@@ -63,12 +65,6 @@ class WorkerPool {
     std::uint64_t samples_dropped = 0;        ///< over the sample cap
   };
 
-  /// Starts collecting queue-wait and lock-contention samples. Sample
-  /// vectors are capped at `sample_cap` entries each (drops counted), so
-  /// memory stays bounded on long runs. Idempotent.
-  void enable_profiling(std::size_t sample_cap = 8192);
-
-  bool profiling() const;
   PoolStats stats() const;
   std::size_t queue_depth() const;
 
@@ -85,9 +81,6 @@ class WorkerPool {
   std::condition_variable cv_;
   std::deque<Task> queue_;
   bool stop_ = false;
-
-  bool profile_ = false;
-  std::size_t sample_cap_ = 0;
   PoolStats stats_;
 
   std::vector<std::thread> threads_;

@@ -49,9 +49,9 @@ Violation make_violation(ViolationKind kind, const std::string& task,
   return v;
 }
 
-AccessChecker::AccessChecker(const CheckConfig& config, const grid::Level& level,
+AccessChecker::AccessChecker(const grid::Level& level,
                              const task::CompiledGraph& graph)
-    : config_(config), level_(level), graph_(graph) {
+    : level_(level), graph_(graph) {
   const std::size_t n = graph_.tasks.size();
   decls_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -133,7 +133,6 @@ void AccessChecker::report(Violation v) {
                                    v.patch_id);
   if (!seen_.insert(key).second) return;
   std::fprintf(stderr, "[usw W] validation: %s\n", v.to_string().c_str());
-  if (config_.fail_fast) throw ValidationError(v.to_string());
   violations_.push_back(std::move(v));
 }
 

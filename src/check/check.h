@@ -49,8 +49,6 @@ namespace usw::check {
 /// dynamic happens-before race oracle (hb.h).
 struct CheckConfig {
   bool enabled = false;  ///< master switch; no cost at all when false
-  /// Throw ValidationError at the first violation instead of collecting.
-  bool fail_fast = false;
 };
 
 enum class ViolationKind {
@@ -87,8 +85,7 @@ Violation make_violation(ViolationKind kind, const std::string& task,
 class AccessChecker final : public var::AccessObserver {
  public:
   /// `level` and `graph` must outlive the checker.
-  AccessChecker(const CheckConfig& config, const grid::Level& level,
-                const task::CompiledGraph& graph);
+  AccessChecker(const grid::Level& level, const task::CompiledGraph& graph);
 
   // ---- Scheduler wiring ----
 
@@ -138,8 +135,6 @@ class AccessChecker final : public var::AccessObserver {
 
   // ---- Results ----
 
-  const CheckConfig& config() const { return config_; }
-  const std::vector<Violation>& violations() const { return violations_; }
   std::vector<Violation> take_violations() { return std::move(violations_); }
 
  private:
@@ -166,10 +161,9 @@ class AccessChecker final : public var::AccessObserver {
   bool unordered(int a, int b) const;
   /// Role of `dw` under the current binding; -1 old, +1 new, 0 unknown.
   int role_of(const var::DataWarehouse& dw) const;
-  /// Records `v` (deduplicated, logged); throws if fail_fast.
+  /// Records `v` (deduplicated, logged).
   void report(Violation v);
 
-  CheckConfig config_;
   const grid::Level& level_;
   const task::CompiledGraph& graph_;
   std::vector<Decl> decls_;

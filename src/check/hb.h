@@ -60,7 +60,6 @@ class HbChecker {
 
   // ---- Results / telemetry ----
 
-  const std::vector<Violation>& violations() const { return violations_; }
   std::vector<Violation> take_violations() { return std::move(violations_); }
   std::uint64_t accesses_recorded() const { return accesses_recorded_; }
   std::uint64_t pairs_checked() const { return pairs_checked_; }

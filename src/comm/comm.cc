@@ -224,11 +224,6 @@ RequestId Comm::post_send(int dst, int tag, std::uint64_t bytes,
   return make_id(requests_.size() - 1);
 }
 
-RequestId Comm::isend(int dst, int tag, std::span<const std::byte> data) {
-  std::vector<std::byte> payload(data.begin(), data.end());
-  return post_send(dst, tag, data.size(), std::move(payload));
-}
-
 RequestId Comm::isend(int dst, int tag, std::vector<std::byte>&& data) {
   const std::uint64_t bytes = data.size();
   return post_send(dst, tag, bytes, std::move(data));
@@ -429,7 +424,7 @@ TimePs Comm::earliest_known_completion(std::span<const RequestId> ids) const {
   return wake;
 }
 
-double Comm::allreduce(double value, int op) {
+double Comm::allreduce(double value, bool take_max) {
   // Binomial-tree reduce to rank 0 followed by a binomial-tree broadcast.
   // Collectives use a private tag space; every rank must call collectives
   // in the same order, which keeps the per-rank sequence numbers aligned.
@@ -438,10 +433,8 @@ double Comm::allreduce(double value, int op) {
   const int n = size();
   if (n == 1) return value;
   const int tag = kCollectiveTagBase + (coll_seq_++ & 0x3fffffff);
-  auto combine = [op](double a, double b) {
-    if (op == 0) return a + b;
-    if (op == 1) return std::min(a, b);
-    return std::max(a, b);
+  auto combine = [take_max](double a, double b) {
+    return take_max ? std::max(a, b) : a + b;
   };
   double acc = value;
   const TimePs hop = net_.cost().params().coll_hop_latency;
@@ -500,11 +493,8 @@ double Comm::allreduce(double value, int op) {
   return acc;
 }
 
-double Comm::allreduce_sum(double value) { return allreduce(value, 0); }
-double Comm::allreduce_min(double value) { return allreduce(value, 1); }
-double Comm::allreduce_max(double value) { return allreduce(value, 2); }
-
-void Comm::barrier() { (void)allreduce(0.0, 0); }
+double Comm::allreduce_sum(double value) { return allreduce(value, false); }
+double Comm::allreduce_max(double value) { return allreduce(value, true); }
 
 void Comm::reset_requests() {
   USW_ASSERT_MSG(pending_requests() == 0,

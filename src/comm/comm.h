@@ -155,12 +155,8 @@ class Comm {
   /// Charges local MPE time (used by schedulers for their own overheads).
   void advance(TimePs dt) { coord_.advance(rank_, dt); }
 
-  /// Nonblocking send with payload (functional mode). The data is copied
-  /// at post time (eager protocol).
-  RequestId isend(int dst, int tag, std::span<const std::byte> data);
-
-  /// Move-in overload: takes ownership of the packed buffer, avoiding the
-  /// span copy on the hot halo path.
+  /// Nonblocking send with payload (functional mode): takes ownership of
+  /// the packed buffer (eager protocol).
   RequestId isend(int dst, int tag, std::vector<std::byte>&& data);
 
   /// Nonblocking send of `bytes` without payload (timing-only mode).
@@ -201,9 +197,7 @@ class Comm {
 
   // ---- Collectives (must be called by all ranks in the same order) ----
   double allreduce_sum(double value);
-  double allreduce_min(double value);
   double allreduce_max(double value);
-  void barrier();
 
   /// Releases completed request slots (call between timesteps). Any
   /// RequestId issued before this call becomes stale: using it afterwards
@@ -242,8 +236,6 @@ class Comm {
   /// shared state and never calls into the Coordinator, so it is safe from
   /// a crash-dump source while this rank is parked.
   std::vector<PendingInfo> pending_details() const;
-
-  hw::PerfCounters* counters() { return counters_; }
 
  private:
   enum class Kind : std::uint8_t { kSend, kRecv };
@@ -295,7 +287,7 @@ class Comm {
   /// MPI ordering (message send order vs. receive post order).
   void match_visible();
 
-  double allreduce(double value, int op);  // 0=sum 1=min 2=max
+  double allreduce(double value, bool take_max);  // sum unless take_max
 
   Network& net_;
   sim::Coordinator& coord_;

@@ -81,8 +81,6 @@ class FaultPlan {
       if (r.kind == kind) return true;
     return false;
   }
-  std::uint64_t seed() const { return seed_; }
-  const std::vector<FaultRule>& rules() const { return rules_; }
 
   /// Human-readable one-line description (for run banners).
   std::string describe() const;
@@ -150,7 +148,6 @@ class FaultInjector {
 
   const FaultPlan& plan() const { return *plan_; }
   bool active() const { return !plan_->empty(); }
-  int rank() const { return rank_; }
   std::uint64_t incarnation() const { return incarnation_; }
 
   /// Called (collectively, on every rank) at each restart-from-checkpoint
@@ -163,9 +160,6 @@ class FaultInjector {
   }
   bool offload_fails(int step, int task, int attempt) const {
     return plan_->offload_fails(incarnation_, rank_, step, task, attempt);
-  }
-  bool dma_error(int step, int task, int tile) const {
-    return plan_->dma_error(incarnation_, rank_, step, task, tile);
   }
 
  private:

@@ -3,8 +3,6 @@
 // 3D integer index vector used for cells, patch extents, and layouts.
 
 #include <cstdint>
-#include <functional>
-#include <ostream>
 #include <string>
 
 #include "support/error.h"
@@ -30,13 +28,6 @@ struct IntVec {
   friend constexpr bool operator==(IntVec a, IntVec b) { return a.x == b.x && a.y == b.y && a.z == b.z; }
   friend constexpr bool operator!=(IntVec a, IntVec b) { return !(a == b); }
 
-  /// Lexicographic order (for deterministic containers).
-  friend constexpr bool operator<(IntVec a, IntVec b) {
-    if (a.x != b.x) return a.x < b.x;
-    if (a.y != b.y) return a.y < b.y;
-    return a.z < b.z;
-  }
-
   /// Componentwise minimum / maximum.
   static constexpr IntVec min(IntVec a, IntVec b) {
     return {a.x < b.x ? a.x : b.x, a.y < b.y ? a.y : b.y, a.z < b.z ? a.z : b.z};
@@ -53,20 +44,6 @@ struct IntVec {
   std::string to_string() const {
     return std::to_string(x) + "x" + std::to_string(y) + "x" + std::to_string(z);
   }
-
-  friend std::ostream& operator<<(std::ostream& os, IntVec v) {
-    return os << v.to_string();
-  }
 };
 
 }  // namespace usw::grid
-
-template <>
-struct std::hash<usw::grid::IntVec> {
-  std::size_t operator()(const usw::grid::IntVec& v) const noexcept {
-    std::uint64_t h = static_cast<std::uint32_t>(v.x);
-    h = h * 0x9e3779b97f4a7c15ull + static_cast<std::uint32_t>(v.y);
-    h = h * 0x9e3779b97f4a7c15ull + static_cast<std::uint32_t>(v.z);
-    return static_cast<std::size_t>(h);
-  }
-};

@@ -29,23 +29,12 @@ const Patch* Level::patch_at(IntVec pos) const {
   return &patches_[static_cast<std::size_t>(id)];
 }
 
-std::vector<const Patch*> Level::neighbors(const Patch& p,
-                                           GhostPattern pattern) const {
+std::vector<const Patch*> Level::neighbors(const Patch& p) const {
+  static constexpr IntVec kOffsets[6] = {{-1, 0, 0}, {1, 0, 0},  {0, -1, 0},
+                                         {0, 1, 0},  {0, 0, -1}, {0, 0, 1}};
   std::vector<const Patch*> out;
-  if (pattern == GhostPattern::kFaces) {
-    static constexpr IntVec kOffsets[6] = {{-1, 0, 0}, {1, 0, 0},  {0, -1, 0},
-                                           {0, 1, 0},  {0, 0, -1}, {0, 0, 1}};
-    for (const IntVec& d : kOffsets)
-      if (const Patch* n = patch_at(p.layout_pos() + d)) out.push_back(n);
-    return out;
-  }
-  for (int dz = -1; dz <= 1; ++dz)
-    for (int dy = -1; dy <= 1; ++dy)
-      for (int dx_ = -1; dx_ <= 1; ++dx_) {
-        if (dx_ == 0 && dy == 0 && dz == 0) continue;
-        if (const Patch* n = patch_at(p.layout_pos() + IntVec{dx_, dy, dz}))
-          out.push_back(n);
-      }
+  for (const IntVec& d : kOffsets)
+    if (const Patch* n = patch_at(p.layout_pos() + d)) out.push_back(n);
   return out;
 }
 

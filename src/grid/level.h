@@ -15,12 +15,6 @@
 
 namespace usw::grid {
 
-/// Which neighbors exchange ghost data.
-enum class GhostPattern {
-  kFaces,  ///< 6 face neighbors (enough for star stencils like Algorithm 1)
-  kAll,    ///< 26 face+edge+corner neighbors (full box stencils)
-};
-
 class Patch {
  public:
   Patch(int id, IntVec layout_pos, Box cells)
@@ -47,7 +41,6 @@ class Level {
   Level(IntVec layout, IntVec patch_size);
 
   IntVec layout() const { return layout_; }
-  IntVec patch_size() const { return patch_size_; }
   IntVec total_cells() const { return layout_ * patch_size_; }
   Box domain() const { return Box{IntVec{0, 0, 0}, total_cells()}; }
 
@@ -58,9 +51,10 @@ class Level {
   /// Patch at a layout position; nullptr if outside (non-periodic domain).
   const Patch* patch_at(IntVec layout_pos) const;
 
-  /// Neighbor patches of `p` under `pattern` (excluding p itself), in
-  /// deterministic order.
-  std::vector<const Patch*> neighbors(const Patch& p, GhostPattern pattern) const;
+  /// The up to 6 face neighbors of `p`, in deterministic order: ghost data
+  /// is exchanged across faces only (enough for star stencils like
+  /// Algorithm 1).
+  std::vector<const Patch*> neighbors(const Patch& p) const;
 
   /// Mesh spacing on the unit cube domain.
   double dx() const { return 1.0 / total_cells().x; }

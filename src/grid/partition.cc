@@ -31,14 +31,9 @@ IntVec Partition::choose_rank_grid(IntVec layout, int nranks) {
   return best;  // {0,0,0} when no dividing factorization exists
 }
 
-Partition::Partition(const Level& level, int nranks, PartitionPolicy policy)
-    : Partition(level, nranks, policy,
-                std::vector<double>(static_cast<std::size_t>(level.num_patches()),
-                                    1.0)) {}
-
 Partition::Partition(const Level& level, int nranks, PartitionPolicy policy,
                      std::span<const double> costs)
-    : nranks_(nranks), rank_grid_{nranks, 1, 1},
+    : nranks_(nranks),
       owner_(static_cast<std::size_t>(level.num_patches()), 0),
       by_rank_(static_cast<std::size_t>(nranks)) {
   if (nranks <= 0) throw ConfigError("partition needs at least one rank");
@@ -82,7 +77,6 @@ Partition::Partition(const Level& level, int nranks, PartitionPolicy policy,
   } else {
     const IntVec grid = choose_rank_grid(level.layout(), nranks);
     if (grid.x > 0) {
-      rank_grid_ = grid;
       const IntVec brick = level.layout() / grid;
       for (const Patch& p : level.patches()) {
         const IntVec rpos = p.layout_pos() / brick;

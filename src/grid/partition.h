@@ -24,25 +24,19 @@ enum class PartitionPolicy {
 
 class Partition {
  public:
-  /// Computes the assignment of every patch of `level` to `nranks` ranks.
-  /// For kBlock, `nranks` must not exceed the number of patches and the
-  /// rank grid is chosen by factorizing `nranks` to best match the patch
-  /// layout aspect ratio. kCostBalanced requires per-patch costs via the
-  /// other constructor (this one treats all patches as equal cost).
-  Partition(const Level& level, int nranks, PartitionPolicy policy);
-
-  /// Cost-aware assignment: patches are walked in id order and cut into
-  /// contiguous chunks of approximately equal total cost (Uintah's
-  /// weighted space-filling-curve balancing, on the id curve). `costs`
-  /// must have one positive entry per patch.
+  /// Computes the assignment of every patch of `level` to `nranks` ranks;
+  /// `nranks` must not exceed the number of patches, and `costs` holds
+  /// one entry per patch. For kBlock the rank grid is chosen by factorizing
+  /// `nranks` to best match the patch layout aspect ratio. kCostBalanced
+  /// walks patches in id order and cuts them into contiguous chunks of
+  /// approximately equal total cost (Uintah's weighted space-filling-curve
+  /// balancing, on the id curve); its costs must be positive.
   Partition(const Level& level, int nranks, PartitionPolicy policy,
             std::span<const double> costs);
 
   /// Largest rank cost divided by mean rank cost under `costs` (1.0 is a
   /// perfect balance); diagnostic for tests and benches.
   double imbalance(std::span<const double> costs) const;
-
-  int nranks() const { return nranks_; }
 
   /// Owning rank of a patch.
   int rank_of(int patch_id) const { return owner_.at(static_cast<std::size_t>(patch_id)); }
@@ -52,16 +46,12 @@ class Partition {
     return by_rank_.at(static_cast<std::size_t>(rank));
   }
 
-  /// The 3D rank grid used by kBlock ({nranks,1,1}-style for kRoundRobin).
-  IntVec rank_grid() const { return rank_grid_; }
-
   /// Chooses a 3D factorization of `nranks` that divides `layout`
   /// dimension-wise if possible (exposed for tests).
   static IntVec choose_rank_grid(IntVec layout, int nranks);
 
  private:
   int nranks_;
-  IntVec rank_grid_;
   std::vector<int> owner_;
   std::vector<std::vector<int>> by_rank_;
 };

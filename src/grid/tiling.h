@@ -30,7 +30,6 @@ class Tiling {
   /// every cell belongs to exactly one tile.
   Tiling(const Box& patch_cells, IntVec tile_shape);
 
-  IntVec tile_shape() const { return tile_shape_; }
   /// Number of tiles along each axis.
   IntVec tile_grid() const { return tile_grid_; }
   int num_tiles() const { return static_cast<int>(tile_grid_.volume()); }

@@ -44,8 +44,6 @@ class Archive {
  public:
   explicit Archive(std::string dir) : dir_(std::move(dir)) {}
 
-  const std::string& dir() const { return dir_; }
-
   // ---- writing ----
   /// Creates the directory (if needed) and writes the index.
   void write_index(const ArchiveIndex& index) const;

@@ -10,7 +10,6 @@
 #include <cstddef>
 
 #include "grid/box.h"
-#include "support/error.h"
 #include "var/ccvariable.h"
 
 namespace usw::kern {
@@ -33,20 +32,10 @@ class FieldView {
   }
 
   bool valid() const { return data_ != nullptr; }
-  const grid::Box& box() const { return box_; }
-
-  double& at(int i, int j, int k) const {
-    USW_ASSERT_MSG(box_.contains({i, j, k}), "FieldView access outside box");
-    return data_[offset(i, j, k)];
-  }
 
   /// Unchecked pointer to (i,j,k) for inner loops (bounds are the caller's
-  /// responsibility; the checked at() is for setup and tests).
+  /// responsibility).
   double* ptr(int i, int j, int k) const { return data_ + offset(i, j, k); }
-
-  /// Stride between consecutive j rows / k planes, in elements.
-  std::ptrdiff_t stride_y() const { return sy_; }
-  std::ptrdiff_t stride_z() const { return sz_; }
 
  private:
   std::ptrdiff_t offset(int i, int j, int k) const {

@@ -33,8 +33,6 @@ struct Vec4 {
   double operator[](int i) const { return v[i]; }
 #endif
 
-  static constexpr int width() { return 4; }
-
   /// SIMD_LOADE: broadcast one scalar to all lanes.
   static Vec4 broadcast(double x) { return Vec4{x, x, x, x}; }
 
@@ -68,18 +66,6 @@ struct Vec4 {
     return Vec4{a[0] / b[0], a[1] / b[1], a[2] / b[2], a[3] / b[3]};
   }
 #endif
-
-  // Mixed vector/scalar forms (scalar broadcast), so templated numerical
-  // code reads the same for double and Vec4.
-  friend Vec4 operator+(Vec4 a, double b) { return a + broadcast(b); }
-  friend Vec4 operator+(double a, Vec4 b) { return broadcast(a) + b; }
-  friend Vec4 operator-(Vec4 a, double b) { return a - broadcast(b); }
-  friend Vec4 operator-(double a, Vec4 b) { return broadcast(a) - b; }
-  friend Vec4 operator*(Vec4 a, double b) { return a * broadcast(b); }
-  friend Vec4 operator*(double a, Vec4 b) { return broadcast(a) * b; }
-  friend Vec4 operator/(Vec4 a, double b) { return a / broadcast(b); }
-  friend Vec4 operator/(double a, Vec4 b) { return broadcast(a) / b; }
-  friend Vec4 operator-(Vec4 a) { return broadcast(0.0) - a; }
 
   /// SIMD_VMAD: a*b + c. Kept as separate multiply and add so results match
   /// the scalar kernels exactly (no fused rounding difference).

@@ -229,15 +229,4 @@ CriticalPathReport CriticalPathAnalyzer::analyze(int step,
   return report;
 }
 
-CriticalPathReport analyze_critical_path(const RunObservation& run, int step) {
-  StepSpans spans;
-  for (std::size_t r = 0; r < run.ranks.size(); ++r) {
-    const std::span<const Span> rank_spans = run.ranks[r].spans();
-    for (std::size_t i = 0; i < rank_spans.size(); ++i)
-      if (rank_spans[i].step == step && !rank_spans[i].rolled_back)
-        spans.add(r, i, rank_spans[i]);
-  }
-  return CriticalPathAnalyzer(run).analyze(step, spans);
-}
-
 }  // namespace usw::obs

@@ -66,15 +66,6 @@ struct CriticalPathReport {
   TimePs slack() const { return makespan - total; }
 };
 
-/// Analyzes timestep `step` (-1 = initialization): its committed attempt,
-/// leaving out spans a deadline restart rolled back. Requires the
-/// observation to carry spans and graph skeletons (collect_trace);
-/// returns an empty report otherwise. One scan of every span, a DAG
-/// compile and one CriticalPathAnalyzer::analyze(); to analyze every step,
-/// bucket the spans by step in one pass and analyze each through one
-/// analyzer (build_metrics does), which compiles the DAG once.
-CriticalPathReport analyze_critical_path(const RunObservation& run, int step);
-
 /// The spans of one step that the analysis reads: the step window over
 /// spans of every kind, and its task spans as (index into run.ranks, index
 /// into that rank's spans), added rank-major in span order.

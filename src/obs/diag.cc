@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "obs/host_profile.h"
 #include "support/build_info.h"
 
 namespace usw::obs {
@@ -40,16 +41,6 @@ void write_ring(JsonWriter& w, const FlightRecorder& ring) {
 }
 
 }  // namespace
-
-DiagHub::Source& DiagHub::Source::operator=(Source&& other) noexcept {
-  if (this != &other) {
-    reset();
-    hub_ = other.hub_;
-    id_ = other.id_;
-    other.hub_ = nullptr;
-  }
-  return *this;
-}
 
 void DiagHub::Source::reset() {
   if (hub_ != nullptr) hub_->remove_source(id_);
@@ -103,17 +94,7 @@ void DiagHub::on_crash(const std::string& reason,
   std::fprintf(stderr, "uswsim: diagnostic dump written to %s\n", path.c_str());
 }
 
-bool DiagHub::crashed() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return crashed_;
-}
-
-std::string DiagHub::crash_dump_path() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return crash_path_written_;
-}
-
-std::string DiagHub::write_final(const HostProfile* host) {
+std::string DiagHub::write_final(const MetricsRegistry* host) {
   std::lock_guard<std::mutex> lk(mu_);
   if (config_.dump_path.empty() || crashed_) return crash_path_written_;
   std::ofstream os(config_.dump_path, std::ios::trunc);
@@ -129,7 +110,7 @@ std::string DiagHub::write_final(const HostProfile* host) {
 void DiagHub::write_dump_locked(std::ostream& os, const char* what,
                                 const std::string& reason,
                                 const std::vector<sim::RankStatus>* status,
-                                const HostProfile* host) {
+                                const MetricsRegistry* host) {
   JsonWriter w(os, 1);
   w.begin_object();
   w.kv("diag", what);

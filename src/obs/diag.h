@@ -27,8 +27,8 @@
 #include <vector>
 
 #include "obs/flight.h"
-#include "obs/host_profile.h"
 #include "obs/json_writer.h"
+#include "obs/registry.h"
 #include "sim/coordinator.h"
 
 namespace usw::obs {
@@ -71,7 +71,6 @@ class DiagHub final : public sim::DiagSink {
     Source(Source&& other) noexcept : hub_(other.hub_), id_(other.id_) {
       other.hub_ = nullptr;
     }
-    Source& operator=(Source&& other) noexcept;
     Source(const Source&) = delete;
     Source& operator=(const Source&) = delete;
     ~Source() { reset(); }
@@ -89,21 +88,17 @@ class DiagHub final : public sim::DiagSink {
   void on_crash(const std::string& reason,
                 const std::vector<sim::RankStatus>& ranks) override;
 
-  bool crashed() const;
-  /// Path the crash dump was written to ("" if none was written).
-  std::string crash_dump_path() const;
-
   /// Clean-finish dump to config.dump_path (with the host profile when
   /// given). No-op if dump_path is empty or a crash dump already ran.
   /// Returns the path written, or "".
-  std::string write_final(const HostProfile* host);
+  std::string write_final(const MetricsRegistry* host);
 
  private:
   friend class Source;
   void remove_source(std::uint64_t id);
   void write_dump_locked(std::ostream& os, const char* what, const std::string& reason,
                          const std::vector<sim::RankStatus>* status,
-                         const HostProfile* host);
+                         const MetricsRegistry* host);
 
   DiagConfig config_;
   FlightRecorder coord_ring_;

@@ -107,8 +107,6 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  bool enabled() const { return !slots_.empty(); }
-  std::size_t capacity() const { return slots_.size(); }
 
   /// Also appends every event to the log (see the file comment).
   void keep_log(bool on) { logging_ = on; }
@@ -123,8 +121,8 @@ class FlightRecorder {
   void record(FlightKind kind, TimePs time, std::int64_t a = 0, std::int64_t b = 0,
               std::int64_t c = 0);
 
-  /// Total events ever recorded into the ring (recorded() - capacity() of
-  /// them have been overwritten once recorded() exceeds capacity()).
+  /// Total events ever recorded into the ring (all but the last capacity
+  /// of them have been overwritten once recorded() exceeds the capacity).
   std::uint64_t recorded() const { return head_.load(std::memory_order_acquire); }
 
   std::uint64_t dropped() const;

@@ -18,17 +18,12 @@
 
 namespace usw::obs {
 
-struct HostProfile {
-  MetricsRegistry reg;
-  bool enabled = false;
-};
-
 /// "Host profile" text table for `--report`: counters verbatim, plus
 /// count/mean/p50/p95/max per distribution.
-void print_host_profile(std::ostream& os, const HostProfile& host);
+void print_host_profile(std::ostream& os, const MetricsRegistry& host);
 
 /// Writes the profile as a JSON object value (caller owns the surrounding
-/// key). Emits {} when the profile is disabled or empty.
-void write_host_profile_json(JsonWriter& w, const HostProfile& host);
+/// key). Emits {} when the profile is empty.
+void write_host_profile_json(JsonWriter& w, const MetricsRegistry& host);
 
 }  // namespace usw::obs

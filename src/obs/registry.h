@@ -68,12 +68,9 @@ class MetricsRegistry {
 
   /// Distribution lookup; nullptr when nothing was sampled under `name`.
   const Distribution* distribution(std::string_view name) const;
-  /// Counter value; 0 when never counted.
-  double counter(std::string_view name) const;
 
   const Distributions& distributions() const { return dists_; }
   const Counters& counters() const { return counters_; }
-  bool empty() const { return dists_.empty() && counters_.empty(); }
 
   /// Folds `other` in: counters add, distributions concatenate.
   void merge(const MetricsRegistry& other);

@@ -9,13 +9,11 @@
 #include <iosfwd>
 
 #include "obs/metrics.h"
-#include "obs/observation.h"
 
 namespace usw::obs {
 
-/// Prints `report` (and, when `run` carries spans, the critical chain of
-/// the slowest timestep) to `os`.
-void print_report(std::ostream& os, const MetricsReport& report,
-                  const RunObservation& run);
+/// Prints `report`, with its critical chain of the slowest timestep when
+/// it has one, to `os`.
+void print_report(std::ostream& os, const MetricsReport& report);
 
 }  // namespace usw::obs

@@ -247,12 +247,6 @@ std::vector<Span> SpanBuilder::finish() {
   return std::move(spans);
 }
 
-std::vector<Span> build_spans(std::span<const FlightEvent> events) {
-  SpanBuilder builder;
-  builder.add(events);
-  return builder.finish();
-}
-
 namespace {
 
 enum : std::uint32_t { kUnnamed, kIdle, kCpeSpin, kRetryBackoff };

@@ -26,7 +26,7 @@
 // after initialization and after every step and clears it, so no rank
 // keeps more than one step of events. The builder keeps its open spans
 // from one chunk to the next, so any split of a log pairs into the spans
-// build_spans() pairs from the whole log. A drain touches only the log,
+// the whole log pairs into as one chunk. A drain touches only the log,
 // the open table and the span vector: no skeleton and no name.
 //
 // Layout: a span is 32 bytes of plain data: two stamps, its begin edge's
@@ -141,9 +141,6 @@ class SpanBuilder {
   struct State;
   std::unique_ptr<State> state_;
 };
-
-/// The spans of a whole log: a SpanBuilder given `events` as one chunk.
-std::vector<Span> build_spans(std::span<const FlightEvent> events);
 
 /// Resolves one rank's spans against its skeletons, at export: a span of
 /// step -1 against `init`, any other against `step`.

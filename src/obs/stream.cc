@@ -92,7 +92,6 @@ void MetricsStreamer::emit(int step, TimePs now,
   w.end_object();
   out_ << '\n';
   out_.flush();
-  ++snapshots_;
 }
 
 }  // namespace usw::obs

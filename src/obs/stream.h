@@ -45,12 +45,10 @@ class MetricsStreamer {
             std::size_t pool_queue_depth);
 
   int interval() const { return interval_; }
-  std::uint64_t snapshots() const { return snapshots_; }
 
  private:
   std::ofstream out_;
   int interval_;
-  std::uint64_t snapshots_ = 0;
   std::chrono::steady_clock::time_point start_;
 };
 

@@ -55,15 +55,10 @@ class Application {
   /// Called per rank after the last step (functional runs): compute
   /// verification metrics (cross-rank reductions via `comm` are allowed —
   /// every rank must make matching calls). `ctx.old_dw` holds the final
-  /// solution. Default: nothing.
+  /// solution.
   virtual void on_rank_complete(const task::TaskContext& ctx, comm::Comm& comm,
                                 std::span<const int> my_patches,
-                                std::map<std::string, double>& metrics) const {
-    (void)ctx;
-    (void)comm;
-    (void)my_patches;
-    (void)metrics;
-  }
+                                std::map<std::string, double>& metrics) const = 0;
 };
 
 }  // namespace usw::runtime

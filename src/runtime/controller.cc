@@ -105,12 +105,6 @@ hw::PerfCounters RunResult::merged_counters() const {
   return sum;
 }
 
-std::size_t RunResult::total_violations() const {
-  std::size_t n = comm_violations.size();
-  for (const RankResult& r : ranks) n += r.violations.size();
-  return n;
-}
-
 std::vector<check::Violation> RunResult::all_violations() const {
   std::vector<check::Violation> all;
   for (const RankResult& r : ranks)
@@ -212,12 +206,8 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
   // while multiplying thread counts by nranks. Declared before run_ranks
   // so it outlives every cluster that dispatches onto it.
   std::unique_ptr<athread::WorkerPool> cpe_pool;
-  if (config.backend == athread::Backend::kThreads) {
+  if (config.backend == athread::Backend::kThreads)
     cpe_pool = std::make_unique<athread::WorkerPool>(config.backend_threads);
-    // Queue-wait / lock-contention samples for the host profile. Host
-    // wall-clock only; never observed by the simulation.
-    cpe_pool->enable_profiling();
-  }
 
   const auto host_run_start = std::chrono::steady_clock::now();
   const double host_setup_ms = ms_since(host_setup_start);
@@ -254,13 +244,12 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
     // (seeded per-seq hashes) and are active throughout.
     fault::FaultInjector injector(config.faults, rank);
 
-    task::CompiledGraph cg_init = init_graph.compile(level, part, rank, config.pattern);
+    task::CompiledGraph cg_init = init_graph.compile(level, part, rank);
     // Initialization outputs must be allocated with the halo depth the
     // timestep graph will later require of them.
     for (task::OutputAlloc& oa : cg_init.outputs)
       oa.ghost = std::max(oa.ghost, step_graph.ghost_alloc_depth(oa.label));
-    const task::CompiledGraph cg_step =
-        step_graph.compile(level, part, rank, config.pattern);
+    const task::CompiledGraph cg_step = step_graph.compile(level, part, rank);
     if (config.collect_trace || config.collect_metrics)
       out.graph_info = std::make_shared<const obs::TaskGraphInfo>(graph_info_of(cg_step));
     // The trace: the flight log's span edges, paired into spans after
@@ -282,10 +271,8 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
     if (config.check.enabled) {
       hb_checker = std::make_unique<check::HbChecker>(rank);
       sched_config.hb = hb_checker.get();
-      init_checker =
-          std::make_unique<check::AccessChecker>(config.check, level, cg_init);
-      step_checker =
-          std::make_unique<check::AccessChecker>(config.check, level, cg_step);
+      init_checker = std::make_unique<check::AccessChecker>(level, cg_init);
+      step_checker = std::make_unique<check::AccessChecker>(level, cg_step);
       for (check::Violation& v : check::lint_compiled_graph(cg_init, rank))
         out.violations.push_back(std::move(v));
       for (check::Violation& v : check::lint_compiled_graph(cg_step, rank))
@@ -554,8 +541,7 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
   // pool queue-wait and contention samples, schedule-point overhead. Kept
   // in its own registry — host numbers never enter the per-rank (gated)
   // metrics or default stdout.
-  result.host.enabled = true;
-  obs::MetricsRegistry& hostm = result.host.reg;
+  obs::MetricsRegistry& hostm = result.host;
   hostm.count("host.setup_ms", host_setup_ms);
   hostm.count("host.run_ms", ms_since(host_run_start));
   if (config.timesteps > 0)
@@ -565,7 +551,7 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
     hostm.sample("host.rank_init_ms", r.host_init_ms);
     for (const double ms : r.host_step_ms) hostm.sample("host.step_ms", ms);
   }
-  if (cpe_pool && cpe_pool->profiling()) {
+  if (cpe_pool) {
     const athread::WorkerPool::PoolStats ps = cpe_pool->stats();
     hostm.count("host.pool_tasks", static_cast<double>(ps.tasks));
     if (ps.samples_dropped > 0)

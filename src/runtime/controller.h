@@ -19,7 +19,6 @@
 #include "hw/machine_params.h"
 #include "hw/perf_counters.h"
 #include "obs/diag.h"
-#include "obs/host_profile.h"
 #include "obs/observation.h"
 #include "obs/registry.h"
 #include "obs/stream.h"
@@ -38,7 +37,6 @@ struct RunConfig {
   int nranks = 1;
   int timesteps = 10;  ///< the paper evaluates 10 steps (Sec VII-A)
   var::StorageMode storage = var::StorageMode::kFunctional;
-  grid::GhostPattern pattern = grid::GhostPattern::kFaces;
   grid::PartitionPolicy partition = grid::PartitionPolicy::kBlock;
   hw::MachineParams machine = hw::MachineParams::sunway_taihulight();
   bool collect_trace = false;
@@ -162,13 +160,11 @@ struct RunResult {
   /// Host-side profile: phase wall-clock, worker-pool queue-wait and
   /// lock-contention histograms, per-schedule-point-kind overhead. Always
   /// filled (cheap); machine-dependent, so it never feeds gated output.
-  obs::HostProfile host;
+  obs::MetricsRegistry host;
   /// Path the diagnostic dump was written to ("" if none was requested).
   std::string diag_dump_path;
 
-  /// All validator findings across ranks plus the run-level comm lint.
-  std::size_t total_violations() const;
-  /// The findings themselves, ranks first, then comm lint.
+  /// All validator findings across ranks, then the run-level comm lint.
   std::vector<check::Violation> all_violations() const;
 
   /// Wall time of the run's step `s` (absolute step first_step + s): the

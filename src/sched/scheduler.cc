@@ -15,15 +15,6 @@
 
 namespace usw::sched {
 
-const char* to_string(SchedulerMode mode) {
-  switch (mode) {
-    case SchedulerMode::kMpeOnly: return "mpe-only";
-    case SchedulerMode::kSyncMpeCpe: return "sync-mpe+cpe";
-    case SchedulerMode::kAsyncMpeCpe: return "async-mpe+cpe";
-  }
-  return "?";
-}
-
 Scheduler::Scheduler(SchedulerConfig config, const grid::Level& level,
                      const task::CompiledGraph& graph, comm::Comm& comm,
                      athread::CpeCluster& cluster, hw::PerfCounters& counters)
@@ -98,12 +89,9 @@ StepStats Scheduler::execute(task::TaskContext& ctx) {
   reduction_acc_.clear();
   reduction_remaining_.clear();
   for (const task::ReductionInfo& r : graph_.reductions) {
-    double init = 0.0;
-    if (r.task->reduce_op() == task::ReduceOp::kMin)
-      init = std::numeric_limits<double>::infinity();
-    else if (r.task->reduce_op() == task::ReduceOp::kMax)
-      init = -std::numeric_limits<double>::infinity();
-    reduction_acc_.push_back(init);
+    reduction_acc_.push_back(r.task->reduce_op() == task::ReduceOp::kMax
+                                 ? -std::numeric_limits<double>::infinity()
+                                 : 0.0);
     reduction_remaining_.push_back(r.num_local_parts);
   }
 
@@ -523,11 +511,8 @@ void Scheduler::run_mpe_body(task::TaskContext& ctx, int dt_index) {
     if (ctx.functional) {
       const double v = dt.task->reduction_local()(ctx, patch);
       double& acc = reduction_acc_[static_cast<std::size_t>(ri)];
-      switch (dt.task->reduce_op()) {
-        case task::ReduceOp::kSum: acc += v; break;
-        case task::ReduceOp::kMin: acc = std::min(acc, v); break;
-        case task::ReduceOp::kMax: acc = std::max(acc, v); break;
-      }
+      acc = dt.task->reduce_op() == task::ReduceOp::kMax ? std::max(acc, v)
+                                                          : acc + v;
     }
     reduction_remaining_[static_cast<std::size_t>(ri)] -= 1;
   } else {
@@ -758,12 +743,9 @@ void Scheduler::finalize_reductions(task::TaskContext& ctx) {
     USW_ASSERT_MSG(reduction_remaining_[r] == 0,
                    "reduction finalized before all local parts ran");
     record(obs::FlightKind::kReduceBegin, comm_.now(), static_cast<int>(r));
-    double v = reduction_acc_[r];
-    switch (info.task->reduce_op()) {
-      case task::ReduceOp::kSum: v = comm_.allreduce_sum(v); break;
-      case task::ReduceOp::kMin: v = comm_.allreduce_min(v); break;
-      case task::ReduceOp::kMax: v = comm_.allreduce_max(v); break;
-    }
+    const double v = info.task->reduce_op() == task::ReduceOp::kMax
+                         ? comm_.allreduce_max(reduction_acc_[r])
+                         : comm_.allreduce_sum(reduction_acc_[r]);
     counters_.reductions += 1;
     ctx.new_dw->put_reduction(info.task->reduction_result(), v);
     record(obs::FlightKind::kReduceEnd, comm_.now(), static_cast<int>(r));

@@ -66,8 +66,6 @@ struct TilePlan;
 
 enum class SchedulerMode { kMpeOnly, kSyncMpeCpe, kAsyncMpeCpe };
 
-const char* to_string(SchedulerMode mode);
-
 struct SchedulerConfig {
   SchedulerMode mode = SchedulerMode::kAsyncMpeCpe;
   bool vectorize = false;  ///< use the SIMD kernel variants
@@ -144,8 +142,6 @@ class Scheduler {
   /// warehouses and time information; reduction results are stored into
   /// ctx.new_dw. Collective: every rank must call it for the same step.
   StepStats execute(task::TaskContext& ctx);
-
-  const SchedulerConfig& config() const { return config_; }
 
   /// Mid-step queue-depth snapshot for diagnostic dumps. Pure local read;
   /// safe to call while the rank is parked on the coordinator.

@@ -72,7 +72,6 @@ class TileRun {
       : order_(order), begin_(begin), end_(end) {}
 
   int size() const { return end_ - begin_; }
-  bool empty() const { return end_ == begin_; }
   int operator[](int i) const { return *Iterator(order_, begin_ + i); }
   Iterator begin() const { return {order_, begin_}; }
   Iterator end() const { return {order_, end_}; }

@@ -88,11 +88,6 @@ struct PointCounters {
   std::uint64_t of(PointKind kind) const {
     return by_kind[static_cast<int>(kind)];
   }
-  std::uint64_t total() const {
-    std::uint64_t t = 0;
-    for (const std::uint64_t c : by_kind) t += c;
-    return t;
-  }
 };
 
 /// Pluggable schedule controller (fuzz / record / replay). Instrumented
@@ -122,7 +117,6 @@ class ScheduleController {
   void finish();
 
   const ScheduleSpec& spec() const { return spec_; }
-  Mode mode() const { return spec_.mode; }
 
   /// Decision counts so far (snapshot under the lock).
   PointCounters counters() const;

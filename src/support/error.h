@@ -36,14 +36,6 @@ class ResourceError : public Error {
   explicit ResourceError(const std::string& msg) : Error("resource error: " + msg) {}
 };
 
-/// The runtime access checker (src/check) found a violated correctness
-/// invariant and was configured to fail fast.
-class ValidationError : public Error {
- public:
-  explicit ValidationError(const std::string& msg)
-      : Error("validation error: " + msg) {}
-};
-
 namespace detail {
 [[noreturn]] void assert_fail(const char* expr, const char* file, int line,
                               const std::string& msg);

@@ -11,7 +11,7 @@ void Options::parse(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
-      positional_.push_back(std::move(arg));
+      bare_words_.push_back(std::move(arg));
       continue;
     }
     arg.erase(0, 2);
@@ -74,7 +74,8 @@ bool Options::get_bool(const std::string& key, bool def) const {
 std::vector<std::string> Options::unread() const {
   std::vector<std::string> out;
   for (const auto& [key, value] : values_)
-    if (read_.count(key) == 0) out.push_back(key);
+    if (read_.count(key) == 0) out.push_back("--" + key);
+  out.insert(out.end(), bare_words_.begin(), bare_words_.end());
   return out;
 }
 

@@ -2,12 +2,12 @@
 
 // Tiny command-line option parser for examples and benchmark drivers.
 //
-// Accepts "--key=value" and bare "--flag" (boolean true). Anything not
-// starting with "--" is collected as a positional argument. The space-
-// separated "--key value" form is intentionally not supported: it is
-// ambiguous against positionals following a bare flag. The parser
+// Accepts "--key=value" and bare "--flag" (boolean true). The parser
 // remembers which keys the program asked about, so a driver can reject
 // the ones it never reads (typos, removed flags) instead of ignoring them.
+// No program reads an argument that does not start with "--" (the
+// space-separated "--key value" form is not supported either), so such a
+// word is always unread.
 
 #include <cstdint>
 #include <map>
@@ -31,13 +31,9 @@ class Options {
   double get_double(const std::string& key, double def) const;
   bool get_bool(const std::string& key, bool def) const;
 
-  const std::vector<std::string>& positional() const { return positional_; }
-
-  /// All parsed key/value pairs (for echoing the configuration).
-  const std::map<std::string, std::string>& values() const { return values_; }
-
-  /// Keys given on the command line that no has()/get*() call has asked
-  /// about yet, in sorted order.
+  /// Arguments that no has()/get*() call has asked about yet, as written:
+  /// "--key" for each such key, in sorted order, then every word that does
+  /// not start with "--", in command-line order.
   std::vector<std::string> unread() const;
 
  private:
@@ -45,7 +41,7 @@ class Options {
   const std::string* find(const std::string& key) const;
 
   std::map<std::string, std::string> values_;
-  std::vector<std::string> positional_;
+  std::vector<std::string> bare_words_;
   mutable std::set<std::string> read_;
 };
 

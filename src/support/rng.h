@@ -21,9 +21,6 @@ class SplitMix64 {
     return z ^ (z >> 31);
   }
 
-  /// Uniform in [0, n). n must be nonzero.
-  std::uint64_t next_below(std::uint64_t n) { return next_u64() % n; }
-
   /// Uniform double in [0, 1).
   double next_double() {
     return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;

@@ -8,18 +8,6 @@
 
 namespace usw::task {
 
-std::size_t CompiledGraph::total_recvs() const {
-  std::size_t n = 0;
-  for (const auto& dt : tasks) n += dt.recvs.size();
-  return n;
-}
-
-std::size_t CompiledGraph::total_sends() const {
-  std::size_t n = initial_sends.size();
-  for (const auto& dt : tasks) n += dt.sends.size();
-  return n;
-}
-
 Task& TaskGraph::add(std::unique_ptr<Task> t) {
   USW_ASSERT(t != nullptr);
   tasks_.push_back(std::move(t));
@@ -77,8 +65,7 @@ void TaskGraph::check_tag_space(int num_patches) const {
 }
 
 CompiledGraph TaskGraph::compile(const grid::Level& level,
-                                 const grid::Partition& part, int rank,
-                                 grid::GhostPattern pattern) const {
+                                 const grid::Partition& part, int rank) const {
   if (tasks_.empty()) throw ConfigError("compiling an empty task graph");
   const int num_patches = level.num_patches();
   const LabelIndex labels(tasks_);
@@ -163,7 +150,7 @@ CompiledGraph TaskGraph::compile(const grid::Level& level,
         }
         if (req.ghost > 0) {
           for (const var::GhostDep& dep :
-               var::ghost_requirements(level, patch, req.ghost, pattern)) {
+               var::ghost_requirements(level, patch, req.ghost)) {
             if (part.rank_of(dep.from_patch) == rank) {
               dt.local_copies.push_back(
                   LocalCopy{req.label, req.dw, dep.from_patch, pid, dep.region});
@@ -200,7 +187,7 @@ CompiledGraph TaskGraph::compile(const grid::Level& level,
                 creq.ghost == 0)
               continue;
             for (const var::GhostDep& dep :
-                 var::ghost_provisions(level, patch, creq.ghost, pattern)) {
+                 var::ghost_provisions(level, patch, creq.ghost)) {
               if (part.rank_of(dep.to_patch) == rank) continue;
               ExtComm sc;
               sc.peer_rank = part.rank_of(dep.to_patch);
@@ -225,7 +212,7 @@ CompiledGraph TaskGraph::compile(const grid::Level& level,
       if (req.dw != WhichDW::kOld || req.ghost == 0) continue;
       for (int pid : local) {
         for (const var::GhostDep& dep : var::ghost_provisions(
-                 level, level.patch(pid), req.ghost, pattern)) {
+                 level, level.patch(pid), req.ghost)) {
           if (part.rank_of(dep.to_patch) == rank) continue;
           ExtComm sc;
           sc.peer_rank = part.rank_of(dep.to_patch);

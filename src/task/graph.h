@@ -91,9 +91,6 @@ struct CompiledGraph {
   std::vector<ExtComm> initial_sends;  ///< old-DW ghost data, sent at step start
   std::vector<OutputAlloc> outputs;
   std::vector<ReductionInfo> reductions;  ///< in task-declaration order
-
-  std::size_t total_recvs() const;
-  std::size_t total_sends() const;
 };
 
 class TaskGraph {
@@ -114,7 +111,7 @@ class TaskGraph {
   /// graphs (missing/duplicate producers, requires of never-computed
   /// new-DW variables, too many tasks/labels for the tag space).
   CompiledGraph compile(const grid::Level& level, const grid::Partition& part,
-                        int rank, grid::GhostPattern pattern) const;
+                        int rank) const;
 
  private:
   std::vector<std::unique_ptr<Task>> tasks_;

@@ -44,7 +44,7 @@ struct Modifies {
   const var::VarLabel* label = nullptr;
 };
 
-enum class ReduceOp { kSum, kMin, kMax };
+enum class ReduceOp { kSum, kMax };
 
 /// Execution context handed to MPE actions and reduction bodies.
 struct TaskContext {

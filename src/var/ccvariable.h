@@ -51,8 +51,6 @@ class CCVariable {
   std::span<T> data() { return data_; }
   std::span<const T> data() const { return data_; }
 
-  void fill(const T& value) { std::fill(data_.begin(), data_.end(), value); }
-
   /// Copies `region` (global indices) from `src`; both must cover it.
   void copy_region(const CCVariable& src, const grid::Box& region) {
     USW_ASSERT_MSG(box_.contains(region) && src.box_.contains(region),

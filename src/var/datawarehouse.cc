@@ -52,11 +52,6 @@ CCVariable<double>& DataWarehouse::get_writable(const VarLabel* label,
   return *v;
 }
 
-const CCVariable<double>& DataWarehouse::get(const VarLabel* label,
-                                             int patch_id) const {
-  return const_cast<DataWarehouse*>(this)->get(label, patch_id);
-}
-
 CCVariable<double>* DataWarehouse::find(const VarLabel* label, int patch_id) {
   USW_ASSERT(label != nullptr);
   auto it = grid_vars_.find(Key{label->id(), patch_id});

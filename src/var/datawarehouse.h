@@ -64,9 +64,7 @@ class DataWarehouse {
   explicit DataWarehouse(StorageMode mode, int step = 0)
       : mode_(mode), step_(step) {}
 
-  StorageMode mode() const { return mode_; }
   bool functional() const { return mode_ == StorageMode::kFunctional; }
-  int step() const { return step_; }
   void set_step(int step) { step_ = step; }
 
   // ---- Grid variables ----
@@ -82,7 +80,6 @@ class DataWarehouse {
   /// access checker treats a plain get as a *read*; use get_writable for
   /// mutation so undeclared writes are detectable.
   CCVariable<double>& get(const VarLabel* label, int patch_id);
-  const CCVariable<double>& get(const VarLabel* label, int patch_id) const;
 
   /// Same lookup as get(), but declares write intent to the observer.
   CCVariable<double>& get_writable(const VarLabel* label, int patch_id);
@@ -108,9 +105,6 @@ class DataWarehouse {
   /// Discards everything, retired storage included.
   void clear();
 
-  /// Number of grid variables held (test hygiene).
-  std::size_t num_variables() const { return grid_vars_.size(); }
-
   /// Transfers all contents of `newer` into this warehouse, replacing it
   /// (the "new DW becomes the old DW" swap, Sec II). The replaced entries
   /// become `newer`'s retired entries for its next allocate()s, and the
@@ -121,7 +115,6 @@ class DataWarehouse {
   /// observer must outlive its installation; when none is installed the
   /// only overhead per access is one null-pointer test.
   void set_observer(AccessObserver* observer) { observer_ = observer; }
-  AccessObserver* observer() const { return observer_; }
 
  private:
   struct Entry {

@@ -8,7 +8,6 @@
 // MPI (remotely). These helpers enumerate those regions deterministically;
 // the task graph turns them into internal or external dependencies.
 
-#include <cstdint>
 #include <vector>
 
 #include "grid/level.h"
@@ -19,20 +18,15 @@ struct GhostDep {
   int from_patch = -1;  ///< interior data source
   int to_patch = -1;    ///< ghost region consumer
   grid::Box region;     ///< global cell indices
-
-  std::uint64_t bytes() const {
-    return static_cast<std::uint64_t>(region.volume()) * sizeof(double);
-  }
 };
 
-/// Regions patch `to` needs from neighbors to fill `g` ghost layers.
+/// Regions patch `to` needs from its face neighbors to fill `g` ghost
+/// layers.
 std::vector<GhostDep> ghost_requirements(const grid::Level& level,
-                                         const grid::Patch& to, int g,
-                                         grid::GhostPattern pattern);
+                                         const grid::Patch& to, int g);
 
 /// Regions patch `from` must provide to neighbors (the mirror image).
 std::vector<GhostDep> ghost_provisions(const grid::Level& level,
-                                       const grid::Patch& from, int g,
-                                       grid::GhostPattern pattern);
+                                       const grid::Patch& from, int g);
 
 }  // namespace usw::var

@@ -2,9 +2,10 @@
 
 // Helpers shared by the test executables: whole-file and whole-tree reads
 // for byte-for-byte output comparisons, the first difference between two
-// outputs or two span lists for their failure messages, string <-> payload
-// conversions for the comm tests, and an offload with MPE-named busy times
-// for the CPE cluster tests.
+// outputs or two span lists for their failure messages, a whole log paired
+// into spans, the schedule-point total, string <-> payload conversions for
+// the comm tests, and an offload with MPE-named busy times for the CPE
+// cluster tests.
 
 #include <algorithm>
 #include <cstddef>
@@ -21,7 +22,9 @@
 #include <vector>
 
 #include "athread/athread.h"
+#include "grid/level.h"
 #include "obs/span.h"
+#include "schedpt/schedule.h"
 
 namespace usw::test {
 
@@ -69,6 +72,26 @@ inline std::string first_difference(std::string_view got, std::string_view want)
          std::to_string(got.size()) + " bytes, want " + std::to_string(want.size()) +
          " bytes)\n  got:  ..." + context(got) + "...\n  want: ..." + context(want) +
          "...";
+}
+
+/// One unit cost per patch of `level`, for a Partition that weighs
+/// every patch alike.
+inline std::vector<double> equal_costs(const grid::Level& level) {
+  return std::vector<double>(static_cast<std::size_t>(level.num_patches()), 1.0);
+}
+
+/// The spans of a whole log: a SpanBuilder given `events` as one chunk.
+inline std::vector<obs::Span> build_spans(std::span<const obs::FlightEvent> events) {
+  obs::SpanBuilder builder;
+  builder.add(events);
+  return builder.finish();
+}
+
+/// Schedule-point decisions of every kind.
+inline std::uint64_t total_points(const schedpt::PointCounters& c) {
+  std::uint64_t t = 0;
+  for (const std::uint64_t n : c.by_kind) t += n;
+  return t;
 }
 
 /// "" when `got` holds the spans of `want`, field by field and in order;

@@ -26,8 +26,8 @@ runtime::RunResult run_advect(const std::string& variant, int ranks, int steps,
 }
 
 TEST(AdvectApp, ExactSolutionTranslates) {
-  AdvectApp app;
-  const auto& c = app.config();
+  const AdvectApp::Config c;
+  const AdvectApp app(c);
   // The pulse value at a point equals the initial value at the
   // back-translated point.
   const double t = 0.25;
@@ -37,9 +37,9 @@ TEST(AdvectApp, ExactSolutionTranslates) {
 }
 
 TEST(AdvectApp, DtRespectsCfl) {
-  AdvectApp app;
+  const AdvectApp::Config c;
+  const AdvectApp app(c);
   const grid::Level level({2, 2, 2}, {12, 12, 12});
-  const auto& c = app.config();
   const double dt = app.fixed_dt(level);
   EXPECT_LE(dt * (c.vx / level.dx() + c.vy / level.dy() + c.vz / level.dz()),
             c.cfl_safety + 1e-12);

@@ -61,7 +61,7 @@ TEST(WorkerPool, RunsEveryTaskWithValidWorkerIndex) {
   std::atomic<bool> bad_index{false};
   {
     athread::WorkerPool pool(4);
-    EXPECT_EQ(pool.size(), 4);
+    EXPECT_EQ(pool.stats().per_worker.size(), 4u);
     for (int i = 0; i < 200; ++i)
       pool.submit([&](int worker) {
         if (worker < 0 || worker >= 4) bad_index = true;
@@ -77,7 +77,7 @@ TEST(WorkerPool, DefaultSizeIsSane) {
   EXPECT_GE(n, 1);
   EXPECT_LE(n, 16);
   athread::WorkerPool pool;  // default-sized pool starts and stops cleanly
-  EXPECT_EQ(pool.size(), n);
+  EXPECT_EQ(pool.stats().per_worker.size(), static_cast<std::size_t>(n));
 }
 
 // ---------------------------------------------------------------------------
@@ -139,7 +139,6 @@ TEST(ThreadsBackend, EmptyJobDispatchesNothing) {
   // and nothing reaches the pool.
   const hw::CostModel cost(machine());
   athread::WorkerPool pool(2);
-  pool.enable_profiling();
   sim::run_ranks(1, [&](sim::Coordinator& coord, int rank) {
     athread::CpeCluster cluster(cost, coord, rank, nullptr, 2,
                                 athread::Backend::kThreads, &pool);

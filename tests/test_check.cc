@@ -32,12 +32,6 @@ std::size_t count_kind(const std::vector<Violation>& vs, ViolationKind kind) {
   return n;
 }
 
-CheckConfig enabled_config() {
-  CheckConfig c;
-  c.enabled = true;
-  return c;
-}
-
 // ---------------------------------------------------------------------------
 // End-to-end detection through run_simulation: applications whose MPE-task
 // bodies touch the warehouses outside their declarations.
@@ -49,6 +43,8 @@ class MalformedAppBase : public runtime::Application {
  public:
   std::string name() const override { return "check-test"; }
   double fixed_dt(const grid::Level&) const override { return 1e-3; }
+  void on_rank_complete(const task::TaskContext&, comm::Comm&, std::span<const int>,
+                        std::map<std::string, double>&) const override {}
 
   void build_init_graph(task::TaskGraph& graph,
                         const grid::Level&) const override {
@@ -173,7 +169,7 @@ struct CompiledFixture {
         }));
   }
   void compile() {
-    cg = graph.compile(level, part, 0, grid::GhostPattern::kFaces);
+    cg = graph.compile(level, part, 0);
   }
   /// Detailed-task index of (task name, patch); -1 if absent.
   int dt_of(const std::string& name, int patch_id) const {
@@ -190,23 +186,24 @@ TEST(CheckUnit, InsufficientGhostOnStencilRead) {
   t.add_requires(L("cu"), task::WhichDW::kOld, 1);
   t.add_computes(L("cu"));
   f.compile();
-  AccessChecker checker(enabled_config(), f.level, f.cg);
+  AccessChecker checker(f.level, f.cg);
 
   const int dt = f.dt_of("consume", 0);
   ASSERT_GE(dt, 0);
   // Reading at the declared depth is fine; one layer beyond is not.
   checker.record_stencil_read(dt, L("cu"), task::WhichDW::kOld,
                               f.level.patch(0).ghosted(1));
-  EXPECT_TRUE(checker.violations().empty());
+  EXPECT_TRUE(checker.take_violations().empty());
   checker.record_stencil_read(dt, L("cu"), task::WhichDW::kOld,
                               f.level.patch(0).ghosted(2));
-  ASSERT_EQ(checker.violations().size(), 1u);
-  EXPECT_EQ(checker.violations()[0].kind, ViolationKind::kInsufficientGhost);
+  const std::vector<Violation> too_deep = checker.take_violations();
+  ASSERT_EQ(too_deep.size(), 1u);
+  EXPECT_EQ(too_deep[0].kind, ViolationKind::kInsufficientGhost);
 
   // A stencil read of a never-declared label is an undeclared read.
   checker.record_stencil_read(dt, L("cv"), task::WhichDW::kOld,
                               f.level.patch(0).cells());
-  EXPECT_EQ(count_kind(checker.violations(), ViolationKind::kUndeclaredRead),
+  EXPECT_EQ(count_kind(checker.take_violations(), ViolationKind::kUndeclaredRead),
             1u);
 }
 
@@ -215,7 +212,7 @@ TEST(CheckUnit, ConcurrentWriteOverlapBetweenUnorderedTasks) {
   f.add_task("writer_a").add_computes(L("ca"));
   f.add_task("writer_b").add_computes(L("cb"));
   f.compile();
-  AccessChecker checker(enabled_config(), f.level, f.cg);
+  AccessChecker checker(f.level, f.cg);
 
   const int a = f.dt_of("writer_a", 0);
   const int b = f.dt_of("writer_b", 0);
@@ -226,12 +223,10 @@ TEST(CheckUnit, ConcurrentWriteOverlapBetweenUnorderedTasks) {
   const grid::Box cells = f.level.patch(0).cells();
   checker.record_write(a, L("ca"), cells);
   checker.record_write(b, L("ca"), cells);
-  EXPECT_EQ(count_kind(checker.violations(),
-                       ViolationKind::kConcurrentWriteOverlap),
-            1u);
+  const std::vector<Violation> vs = checker.take_violations();
+  EXPECT_EQ(count_kind(vs, ViolationKind::kConcurrentWriteOverlap), 1u);
   // writer_b also never declared a write of 'ca' at all.
-  EXPECT_EQ(count_kind(checker.violations(), ViolationKind::kUndeclaredWrite),
-            1u);
+  EXPECT_EQ(count_kind(vs, ViolationKind::kUndeclaredWrite), 1u);
 }
 
 TEST(CheckUnit, OrderedTasksMayWriteTheSameRegion) {
@@ -241,7 +236,7 @@ TEST(CheckUnit, OrderedTasksMayWriteTheSameRegion) {
   second.add_requires(L("cd"), task::WhichDW::kNew, 0);
   second.add_modifies(L("cd"));
   f.compile();
-  AccessChecker checker(enabled_config(), f.level, f.cg);
+  AccessChecker checker(f.level, f.cg);
 
   const int a = f.dt_of("first", 0);
   const int b = f.dt_of("second", 0);
@@ -251,7 +246,7 @@ TEST(CheckUnit, OrderedTasksMayWriteTheSameRegion) {
   checker.record_write(a, L("cd"), cells);
   checker.record_write(b, L("cd"), cells);
   // 'second' modifies after 'first' computes: ordered, declared, clean.
-  EXPECT_TRUE(checker.violations().empty());
+  EXPECT_TRUE(checker.take_violations().empty());
 }
 
 TEST(CheckUnit, DuplicateViolationsAreReportedOnce) {
@@ -260,27 +255,12 @@ TEST(CheckUnit, DuplicateViolationsAreReportedOnce) {
   t.add_requires(L("ce"), task::WhichDW::kOld, 0);
   t.add_computes(L("ce"));
   f.compile();
-  AccessChecker checker(enabled_config(), f.level, f.cg);
+  AccessChecker checker(f.level, f.cg);
   const int dt = f.dt_of("consume", 0);
   for (int i = 0; i < 3; ++i)
     checker.record_stencil_read(dt, L("cf"), task::WhichDW::kOld,
                                 f.level.patch(0).cells());
-  EXPECT_EQ(checker.violations().size(), 1u);
-}
-
-TEST(CheckUnit, FailFastThrowsValidationError) {
-  CompiledFixture f;
-  task::Task& t = f.add_task("consume");
-  t.add_requires(L("cg"), task::WhichDW::kOld, 0);
-  t.add_computes(L("cg"));
-  f.compile();
-  CheckConfig cfg = enabled_config();
-  cfg.fail_fast = true;
-  AccessChecker checker(cfg, f.level, f.cg);
-  EXPECT_THROW(checker.record_stencil_read(f.dt_of("consume", 0), L("ch"),
-                                           task::WhichDW::kOld,
-                                           f.level.patch(0).cells()),
-               ValidationError);
+  EXPECT_EQ(checker.take_violations().size(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -374,8 +354,7 @@ TEST(CheckComm, RealCompiledGraphLintsClean) {
   task::TaskGraph graph;
   apps::burgers::BurgersApp().build_step_graph(graph, level);
   for (int rank = 0; rank < 2; ++rank) {
-    const task::CompiledGraph cg =
-        graph.compile(level, part, rank, grid::GhostPattern::kFaces);
+    const task::CompiledGraph cg = graph.compile(level, part, rank);
     EXPECT_TRUE(lint_compiled_graph(cg, rank).empty()) << "rank " << rank;
   }
 }
@@ -415,11 +394,10 @@ TEST(CheckClean, SeedAppsValidateCleanInAllSchedulerModes) {
       cfg.timesteps = 2;
       cfg.check.enabled = true;
       const runtime::RunResult result = runtime::run_simulation(cfg, *app);
-      EXPECT_EQ(result.total_violations(), 0u)
+      const std::vector<Violation> violations = result.all_violations();
+      EXPECT_EQ(violations.size(), 0u)
           << app->name() << " / " << variant << ": "
-          << (result.total_violations() > 0
-                  ? result.all_violations()[0].to_string()
-                  : "");
+          << (violations.empty() ? "" : violations[0].to_string());
     }
   }
 }
@@ -436,7 +414,7 @@ TEST(CheckClean, ValidationIsOffByDefault) {
   run_cfg.timesteps = 1;
   const runtime::RunResult result =
       runtime::run_simulation(run_cfg, apps::burgers::BurgersApp{});
-  EXPECT_EQ(result.total_violations(), 0u);
+  EXPECT_TRUE(result.all_violations().empty());
 }
 
 }  // namespace

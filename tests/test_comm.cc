@@ -41,8 +41,7 @@ void with_ranks(int n, Fn&& body,
 TEST(Comm, SendRecvPayloadRoundtrip) {
   with_ranks(2, [](Comm& comm, int rank) {
     if (rank == 0) {
-      const auto payload = bytes_of("hello sunway");
-      const RequestId s = comm.isend(1, 7, payload);
+      const RequestId s = comm.isend(1, 7, bytes_of("hello sunway"));
       comm.wait(s);
     } else {
       const RequestId r = comm.irecv(0, 7);
@@ -111,9 +110,9 @@ TEST(Comm, UnexpectedMessageBuffersUntilRecvPosted) {
   with_ranks(2, [](Comm& comm, int rank) {
     if (rank == 0) {
       comm.isend(1, 9, bytes_of("early"));
-      comm.barrier();
+      comm.allreduce_sum(0.0);
     } else {
-      comm.barrier();  // message likely delivered before the recv exists
+      comm.allreduce_sum(0.0);  // message likely delivered before the recv exists
       const RequestId r = comm.irecv(0, 9);
       comm.wait(r);
       EXPECT_EQ(std::memcmp(comm.take_payload(r).data(), "early", 5), 0);
@@ -153,9 +152,9 @@ TEST(Comm, ManyPendingMessagesMatchInOrderAfterPartialConsumption) {
         comm.isend(1, 1, bytes_of("odd" + std::to_string(i)));
         comm.isend(1, 2, bytes_of("evn" + std::to_string(i)));
       }
-      comm.barrier();
+      comm.allreduce_sum(0.0);
     } else {
-      comm.barrier();  // everything is already in the mailbox
+      comm.allreduce_sum(0.0);  // everything is already in the mailbox
       // Drain tag 2 first (consuming every other message), then tag 1;
       // both must come out in send order.
       for (int i = 0; i < kMsgs; ++i) {
@@ -191,9 +190,9 @@ TEST(Comm, EarliestKnownCompletionSeesArrivedMessages) {
   with_ranks(2, [](Comm& comm, int rank) {
     if (rank == 0) {
       comm.isend_bytes(1, 4, 1024);
-      comm.barrier();
+      comm.allreduce_sum(0.0);
     } else {
-      comm.barrier();  // ensures the message is physically in the mailbox
+      comm.allreduce_sum(0.0);  // ensures the message is physically in the mailbox
       const RequestId r = comm.irecv(0, 4);
       const RequestId ids[] = {r};
       // Whether or not the arrival stamp is in our past, the wake time of
@@ -224,16 +223,18 @@ TEST_P(CollectiveTest, AllreduceSum) {
 TEST_P(CollectiveTest, AllreduceMinMax) {
   const int n = GetParam();
   with_ranks(n, [n](Comm& comm, int rank) {
-    EXPECT_DOUBLE_EQ(comm.allreduce_min(static_cast<double>(rank)), 0.0);
     EXPECT_DOUBLE_EQ(comm.allreduce_max(static_cast<double>(rank)),
                      static_cast<double>(n - 1));
+    // The minimum of the ranks, as the max of their negations.
+    EXPECT_DOUBLE_EQ(-comm.allreduce_max(-static_cast<double>(rank)), 0.0);
   });
 }
 
 TEST_P(CollectiveTest, BarrierLeavesNoPendingRequests) {
+  // An allreduce is a barrier: no rank leaves it before every rank enters.
   with_ranks(GetParam(), [](Comm& comm, int) {
-    comm.barrier();
-    comm.barrier();
+    comm.allreduce_sum(0.0);
+    comm.allreduce_sum(0.0);
     EXPECT_EQ(comm.pending_requests(), 0u);
   });
 }

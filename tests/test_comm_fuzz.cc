@@ -32,11 +32,11 @@ Plan make_plan(int nranks, std::uint64_t seed) {
   for (int src = 0; src < nranks; ++src)
     for (int dst = 0; dst < nranks; ++dst) {
       if (src == dst) continue;
-      const int n = static_cast<int>(rng.next_below(4));
+      const int n = static_cast<int>(rng.next_u64() % 4);
       for (int m = 0; m < n; ++m)
         plan.traffic[{src, dst}].push_back(Plan::Msg{
-            static_cast<int>(rng.next_below(5)),
-            static_cast<std::size_t>(8 + rng.next_below(4096)), rng.next_u64()});
+            static_cast<int>(rng.next_u64() % 5),
+            static_cast<std::size_t>(8 + rng.next_u64() % 4096), rng.next_u64()});
     }
   return plan;
 }
@@ -44,7 +44,7 @@ Plan make_plan(int nranks, std::uint64_t seed) {
 std::vector<std::byte> make_payload(std::size_t bytes, std::uint64_t seed) {
   SplitMix64 rng(seed);
   std::vector<std::byte> out(bytes);
-  for (auto& b : out) b = static_cast<std::byte>(rng.next_below(256));
+  for (auto& b : out) b = static_cast<std::byte>(rng.next_u64() % 256);
   return out;
 }
 
@@ -63,7 +63,7 @@ std::vector<TimePs> run_plan(const Plan& plan, int nranks, std::uint64_t seed) {
       auto it = plan.traffic.find({rank, dst});
       if (it == plan.traffic.end()) continue;
       for (const Plan::Msg& m : it->second) {
-        comm.advance(static_cast<TimePs>(rng.next_below(50)) * kMicrosecond);
+        comm.advance(static_cast<TimePs>(rng.next_u64() % 50) * kMicrosecond);
         sends.push_back(comm.isend(dst, m.tag, make_payload(m.bytes, m.seed)));
       }
     }
@@ -88,7 +88,7 @@ std::vector<TimePs> run_plan(const Plan& plan, int nranks, std::uint64_t seed) {
     std::vector<std::pair<int, int>> keys;
     for (const auto& [key, msgs] : streams) keys.push_back(key);
     for (std::size_t i = keys.size(); i > 1; --i)
-      std::swap(keys[i - 1], keys[rng.next_below(i)]);
+      std::swap(keys[i - 1], keys[rng.next_u64() % i]);
     for (const auto& key : keys)
       for (std::size_t m = 0; m < streams[key].size(); ++m)
         expected.push_back(

@@ -9,6 +9,7 @@
 #include <set>
 
 #include "support/rng.h"
+#include "support/test_helpers.h"
 #include "task/graph.h"
 
 namespace usw::task {
@@ -30,16 +31,16 @@ const var::VarLabel* lbl(const std::string& name) {
 /// random ghost depths, optional boundary-style modifies tasks, and a
 /// final reduction.
 void build_random_graph(TaskGraph& graph, SplitMix64& rng, int trial) {
-  const int stages = 1 + static_cast<int>(rng.next_below(3));
+  const int stages = 1 + static_cast<int>(rng.next_u64() % 3);
   const std::string base = "pg" + std::to_string(trial) + "_";
   const var::VarLabel* prev = lbl(base + "v0");
   for (int s = 0; s < stages; ++s) {
     const var::VarLabel* next = lbl(base + "v" + std::to_string(s + 1));
-    const int ghost = 1 + static_cast<int>(rng.next_below(2));
+    const int ghost = 1 + static_cast<int>(rng.next_u64() % 2);
     graph.add(Task::make_stencil(
         base + "stage" + std::to_string(s), prev, next, dummy_kernel(ghost),
         s == 0 ? WhichDW::kOld : WhichDW::kNew));
-    if (rng.next_below(2) == 0) {
+    if (rng.next_u64() % 2 == 0) {
       auto bc = Task::make_mpe(base + "bc" + std::to_string(s),
                                [](const TaskContext&, const grid::Patch&) {
                                  return TimePs{0};
@@ -64,13 +65,12 @@ struct CompiledWorld {
 
 CompiledWorld compile_world(const TaskGraph& graph, grid::IntVec layout,
                             grid::IntVec patch, int nranks,
-                            grid::GhostPattern pattern,
                             grid::PartitionPolicy policy) {
-  CompiledWorld w{grid::Level(layout, patch),
-                  grid::Partition(grid::Level(layout, patch), nranks, policy),
-                  {}};
+  const grid::Level level(layout, patch);
+  CompiledWorld w{
+      level, grid::Partition(level, nranks, policy, test::equal_costs(level)), {}};
   for (int r = 0; r < nranks; ++r)
-    w.per_rank.push_back(graph.compile(w.level, w.part, r, pattern));
+    w.per_rank.push_back(graph.compile(w.level, w.part, r));
   return w;
 }
 
@@ -82,20 +82,18 @@ TEST_P(GraphProperty, InvariantsHoldForRandomConfigurations) {
     TaskGraph graph;
     build_random_graph(graph, rng, GetParam() * 100 + trial);
 
-    const grid::IntVec layout{1 + static_cast<int>(rng.next_below(4)),
-                              1 + static_cast<int>(rng.next_below(3)),
-                              1 + static_cast<int>(rng.next_below(3))};
-    const grid::IntVec patch{4 + 4 * static_cast<int>(rng.next_below(2)),
-                             4 + 4 * static_cast<int>(rng.next_below(2)), 8};
+    const grid::IntVec layout{1 + static_cast<int>(rng.next_u64() % 4),
+                              1 + static_cast<int>(rng.next_u64() % 3),
+                              1 + static_cast<int>(rng.next_u64() % 3)};
+    const grid::IntVec patch{4 + 4 * static_cast<int>(rng.next_u64() % 2),
+                             4 + 4 * static_cast<int>(rng.next_u64() % 2), 8};
     const int npatches = static_cast<int>(layout.volume());
-    const int nranks = 1 + static_cast<int>(rng.next_below(
-                               static_cast<std::uint64_t>(npatches)));
-    const auto pattern = rng.next_below(2) == 0 ? grid::GhostPattern::kFaces
-                                                : grid::GhostPattern::kAll;
-    const auto policy = rng.next_below(2) == 0 ? grid::PartitionPolicy::kBlock
-                                               : grid::PartitionPolicy::kRoundRobin;
+    const int nranks =
+        1 + static_cast<int>(rng.next_u64() % static_cast<std::uint64_t>(npatches));
+    const auto policy = rng.next_u64() % 2 == 0 ? grid::PartitionPolicy::kBlock
+                                                : grid::PartitionPolicy::kRoundRobin;
     const CompiledWorld w =
-        compile_world(graph, layout, patch, nranks, pattern, policy);
+        compile_world(graph, layout, patch, nranks, policy);
 
     // 1. Send/receive symmetry: identical multisets of
     //    (src, dst, tag, bytes) on both sides, and tags unique per receiver.
@@ -132,7 +130,7 @@ TEST_P(GraphProperty, InvariantsHoldForRandomConfigurations) {
               covered += lc.region.volume();
           std::int64_t needed = 0;
           for (const auto& dep : var::ghost_requirements(
-                   w.level, w.level.patch(dt.patch_id), req.ghost, pattern))
+                   w.level, w.level.patch(dt.patch_id), req.ghost))
             needed += dep.region.volume();
           EXPECT_EQ(covered, needed)
               << dt.task->name() << " patch " << dt.patch_id;

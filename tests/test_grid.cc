@@ -14,6 +14,7 @@
 #include "grid/partition.h"
 #include "grid/tiling.h"
 #include "support/rng.h"
+#include "support/test_helpers.h"
 
 namespace usw::grid {
 namespace {
@@ -43,7 +44,6 @@ TEST(IntVec, IndexingAndOrdering) {
   EXPECT_EQ(v[2], 9);
   v[1] = 0;
   EXPECT_EQ(v.y, 0);
-  EXPECT_LT((IntVec{1, 9, 9}), (IntVec{2, 0, 0}));
   EXPECT_EQ(v.to_string(), "7x0x9");
 }
 
@@ -80,12 +80,12 @@ TEST(Box, IntersectionProperties) {
   SplitMix64 rng(21);
   for (int trial = 0; trial < 200; ++trial) {
     auto rand_box = [&rng] {
-      const IntVec lo{static_cast<int>(rng.next_below(10)),
-                      static_cast<int>(rng.next_below(10)),
-                      static_cast<int>(rng.next_below(10))};
-      const IntVec size{static_cast<int>(rng.next_below(8)) + 1,
-                        static_cast<int>(rng.next_below(8)) + 1,
-                        static_cast<int>(rng.next_below(8)) + 1};
+      const IntVec lo{static_cast<int>(rng.next_u64() % 10),
+                      static_cast<int>(rng.next_u64() % 10),
+                      static_cast<int>(rng.next_u64() % 10)};
+      const IntVec size{static_cast<int>(rng.next_u64() % 8) + 1,
+                        static_cast<int>(rng.next_u64() % 8) + 1,
+                        static_cast<int>(rng.next_u64() % 8) + 1};
       return Box{lo, lo + size};
     };
     const Box a = rand_box(), b = rand_box();
@@ -119,18 +119,10 @@ TEST(Level, PatchAtAndBounds) {
 TEST(Level, FaceNeighbors) {
   const Level level({3, 3, 3}, {4, 4, 4});
   const Patch& center = *level.patch_at({1, 1, 1});
-  const auto n = level.neighbors(center, GhostPattern::kFaces);
+  const auto n = level.neighbors(center);
   EXPECT_EQ(n.size(), 6u);
   const Patch& corner = *level.patch_at({0, 0, 0});
-  EXPECT_EQ(level.neighbors(corner, GhostPattern::kFaces).size(), 3u);
-}
-
-TEST(Level, AllNeighbors) {
-  const Level level({3, 3, 3}, {4, 4, 4});
-  const Patch& center = *level.patch_at({1, 1, 1});
-  EXPECT_EQ(level.neighbors(center, GhostPattern::kAll).size(), 26u);
-  const Patch& corner = *level.patch_at({0, 0, 0});
-  EXPECT_EQ(level.neighbors(corner, GhostPattern::kAll).size(), 7u);
+  EXPECT_EQ(level.neighbors(corner).size(), 3u);
 }
 
 TEST(Level, SpacingOnUnitDomain) {
@@ -151,7 +143,7 @@ TEST_P(PartitionCoverage, EveryPatchOwnedExactlyOnce) {
   const int nranks = GetParam();
   const Level level({8, 8, 2}, {4, 4, 4});
   for (const auto policy : {PartitionPolicy::kBlock, PartitionPolicy::kRoundRobin}) {
-    const Partition part(level, nranks, policy);
+    const Partition part(level, nranks, policy, test::equal_costs(level));
     std::vector<int> count(static_cast<std::size_t>(level.num_patches()), 0);
     int total = 0;
     for (int r = 0; r < nranks; ++r)
@@ -168,7 +160,7 @@ TEST_P(PartitionCoverage, EveryPatchOwnedExactlyOnce) {
 TEST_P(PartitionCoverage, BlockIsBalanced) {
   const int nranks = GetParam();
   const Level level({8, 8, 2}, {4, 4, 4});
-  const Partition part(level, nranks, PartitionPolicy::kBlock);
+  const Partition part(level, nranks, PartitionPolicy::kBlock, test::equal_costs(level));
   const int expected = level.num_patches() / nranks;
   for (int r = 0; r < nranks; ++r)
     EXPECT_EQ(part.patches_of(r).size(), static_cast<std::size_t>(expected));
@@ -191,7 +183,7 @@ TEST(Partition, ChoosesDividingRankGrid) {
 
 TEST(Partition, FallbackChunksAreContiguous) {
   const Level level({8, 8, 2}, {4, 4, 4});
-  const Partition part(level, 3, PartitionPolicy::kBlock);
+  const Partition part(level, 3, PartitionPolicy::kBlock, test::equal_costs(level));
   for (int r = 0; r < 3; ++r) {
     const auto& ids = part.patches_of(r);
     ASSERT_FALSE(ids.empty());
@@ -202,8 +194,9 @@ TEST(Partition, FallbackChunksAreContiguous) {
 
 TEST(Partition, Validation) {
   const Level level({2, 2, 1}, {4, 4, 4});
-  EXPECT_THROW(Partition(level, 0, PartitionPolicy::kBlock), ConfigError);
-  EXPECT_THROW(Partition(level, 5, PartitionPolicy::kBlock), ConfigError);
+  const std::vector<double> costs = test::equal_costs(level);
+  EXPECT_THROW(Partition(level, 0, PartitionPolicy::kBlock, costs), ConfigError);
+  EXPECT_THROW(Partition(level, 5, PartitionPolicy::kBlock, costs), ConfigError);
 }
 
 TEST(Tiling, CoversPatchExactlyOnce) {

@@ -9,6 +9,7 @@
 #include "apps/burgers/burgers_app.h"
 #include "apps/heat/heat_app.h"
 #include "runtime/controller.h"
+#include "support/test_helpers.h"
 
 namespace usw::apps::heat {
 namespace {
@@ -28,13 +29,14 @@ runtime::RunResult run_heat(const std::string& variant, int ranks, int steps,
 }
 
 TEST(HeatApp, ExactSolutionDecaysAtTheRightRate) {
-  HeatApp app;
+  const HeatApp::Config c;
+  const HeatApp app(c);
   constexpr double pi = std::numbers::pi;
   const double u0 = app.exact(0.5, 0.5, 0.5, 0.0);
   EXPECT_NEAR(u0, 1.0, 1e-12);  // sin(pi/2)^3
   const double t = 0.05;
   EXPECT_NEAR(app.exact(0.5, 0.5, 0.5, t),
-              std::exp(-3 * app.config().alpha * pi * pi * t), 1e-12);
+              std::exp(-3 * c.alpha * pi * pi * t), 1e-12);
 }
 
 TEST(HeatApp, SolverTracksExactSolution) {
@@ -162,11 +164,11 @@ TEST(HeatAppStaged, StagedGraphHasSameStepRemoteSends) {
   cfg.stages = 2;
   HeatApp app(cfg);
   const grid::Level level({4, 1, 1}, {8, 8, 8});
-  const grid::Partition part(level, 4, grid::PartitionPolicy::kBlock);
+  const grid::Partition part(level, 4, grid::PartitionPolicy::kBlock,
+                             test::equal_costs(level));
   task::TaskGraph graph;
   app.build_step_graph(graph, level);
-  const task::CompiledGraph cg =
-      graph.compile(level, part, 1, grid::GhostPattern::kFaces);
+  const task::CompiledGraph cg = graph.compile(level, part, 1);
   std::size_t task_sends = 0;
   for (const auto& dt : cg.tasks) task_sends += dt.sends.size();
   EXPECT_GT(task_sends, 0u);

@@ -25,14 +25,6 @@ TEST(Vec4, LaneArithmeticMatchesScalar) {
   }
 }
 
-TEST(Vec4, MixedScalarOps) {
-  const Vec4 a{1, 2, 3, 4};
-  const Vec4 r = 2.0 * a + 1.0;
-  for (int i = 0; i < 4; ++i) EXPECT_DOUBLE_EQ(r[i], 2.0 * a[i] + 1.0);
-  const Vec4 neg = -a;
-  for (int i = 0; i < 4; ++i) EXPECT_DOUBLE_EQ(neg[i], -a[i]);
-}
-
 TEST(Vec4, LoadStoreUnaligned) {
   double data[6] = {0, 1, 2, 3, 4, 5};
   const Vec4 v = Vec4::loadu(data + 1);
@@ -101,13 +93,13 @@ TEST(ExpIeee, IsStdExp) { EXPECT_EQ(exp_ieee(2.0), std::exp(2.0)); }
 TEST(FieldView, GlobalIndexAddressing) {
   std::vector<double> data(4 * 3 * 2, 0.0);
   FieldView v(data.data(), grid::Box{{10, 20, 30}, {14, 23, 32}});
-  v.at(10, 20, 30) = 1.0;
-  v.at(13, 22, 31) = 2.0;
+  *v.ptr(10, 20, 30) = 1.0;
+  *v.ptr(13, 22, 31) = 2.0;
   EXPECT_DOUBLE_EQ(data.front(), 1.0);
   EXPECT_DOUBLE_EQ(data.back(), 2.0);
   EXPECT_EQ(v.ptr(11, 20, 30) - v.ptr(10, 20, 30), 1);
-  EXPECT_EQ(v.ptr(10, 21, 30) - v.ptr(10, 20, 30), v.stride_y());
-  EXPECT_EQ(v.ptr(10, 20, 31) - v.ptr(10, 20, 30), v.stride_z());
+  EXPECT_EQ(v.ptr(10, 21, 30) - v.ptr(10, 20, 30), 4);      // one x row
+  EXPECT_EQ(v.ptr(10, 20, 31) - v.ptr(10, 20, 30), 4 * 3);  // one xy plane
 }
 
 TEST(FieldView, OfVariable) {
@@ -115,14 +107,8 @@ TEST(FieldView, OfVariable) {
   cv(2, 2, 2) = 8.0;
   const FieldView v = FieldView::of(cv);
   EXPECT_TRUE(v.valid());
-  EXPECT_DOUBLE_EQ(v.at(2, 2, 2), 8.0);
+  EXPECT_DOUBLE_EQ(*v.ptr(2, 2, 2), 8.0);
   EXPECT_FALSE(FieldView{}.valid());
-}
-
-TEST(FieldView, BoundsCheckedAccessAborts) {
-  std::vector<double> data(8);
-  FieldView v(data.data(), grid::Box{{0, 0, 0}, {2, 2, 2}});
-  EXPECT_DEATH(v.at(2, 0, 0), "outside");
 }
 
 }  // namespace

@@ -29,8 +29,7 @@ TEST(CommHygiene, TakePayloadTwiceYieldsEmpty) {
   sim::run_ranks(2, [&](sim::Coordinator& coord, int rank) {
     comm::Comm comm(net, coord, rank);
     if (rank == 0) {
-      std::vector<std::byte> data(16, std::byte{1});
-      comm.wait(comm.isend(1, 5, data));
+      comm.wait(comm.isend(1, 5, std::vector<std::byte>(16, std::byte{1})));
     } else {
       const comm::RequestId r = comm.irecv(0, 5);
       comm.wait(r);

@@ -111,23 +111,6 @@ TEST(RunSimulation, RoundRobinCommunicatesMoreThanBlock) {
   EXPECT_GT(rr.bytes_sent, block.bytes_sent);
 }
 
-TEST(RunSimulation, GhostPatternAllAlsoWorks) {
-  apps::burgers::BurgersApp app;
-  RunConfig cfg;
-  cfg.problem = tiny_problem({2, 2, 2}, {8, 8, 8});
-  cfg.variant = variant_by_name("acc.async");
-  cfg.nranks = 4;
-  cfg.timesteps = 3;
-  cfg.storage = var::StorageMode::kFunctional;
-  cfg.pattern = grid::GhostPattern::kFaces;
-  const double faces = run_simulation(cfg, app).ranks[0].metrics.at("linf_error");
-  cfg.pattern = grid::GhostPattern::kAll;
-  const double all = run_simulation(cfg, app).ranks[0].metrics.at("linf_error");
-  // The 7-point stencil never reads corner ghosts, so exchanging them too
-  // must not change the answer.
-  EXPECT_EQ(faces, all);
-}
-
 TEST(RunResult, AggregationHelpers) {
   apps::burgers::BurgersApp app;
   RunConfig cfg;

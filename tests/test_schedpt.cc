@@ -19,6 +19,7 @@
 #include "runtime/controller.h"
 #include "schedpt/schedule.h"
 #include "support/error.h"
+#include "support/test_helpers.h"
 #include "var/varlabel.h"
 
 namespace usw {
@@ -29,6 +30,7 @@ using schedpt::Mode;
 using schedpt::PointKind;
 using schedpt::ScheduleController;
 using schedpt::ScheduleSpec;
+using test::total_points;
 
 std::string temp_path(const std::string& name) {
   return (fs::temp_directory_path() / name).string();
@@ -92,7 +94,7 @@ TEST(ScheduleController, TrivialPointsAreFreeAndUncounted) {
   const auto c = ScheduleController::make(ScheduleSpec::parse("fuzz:seed=1"));
   ASSERT_NE(c, nullptr);
   EXPECT_EQ(c->choose(PointKind::kRankPick, 0, 1), 0);
-  EXPECT_EQ(c->counters().total(), 0u);
+  EXPECT_EQ(total_points(c->counters()), 0u);
   EXPECT_EQ(c->points_seen(), 0u);
 }
 
@@ -112,7 +114,7 @@ TEST(ScheduleController, FuzzIsDeterministicPerSeed) {
     if (choice != c->choose(kind, rank, n)) differs = true;
   }
   EXPECT_TRUE(differs) << "seeds 9 and 10 made identical choices 200 times";
-  EXPECT_EQ(a->counters().total(), 200u);
+  EXPECT_EQ(total_points(a->counters()), 200u);
   EXPECT_GT(a->counters().of(PointKind::kMsgMatch), 0u);
 }
 
@@ -209,13 +211,13 @@ void expect_same_numerics(const runtime::RunResult& a,
 TEST(ScheduleEndToEnd, FuzzedScheduleKeepsNumericsBitEqual) {
   const runtime::RunResult canonical =
       runtime::run_simulation(base_config(), apps::burgers::BurgersApp());
-  EXPECT_EQ(canonical.schedule_points.total(), 0u);
+  EXPECT_EQ(total_points(canonical.schedule_points), 0u);
 
   runtime::RunConfig config = base_config();
   config.schedule = ScheduleSpec::parse("fuzz:seed=5");
   const runtime::RunResult fuzzed =
       runtime::run_simulation(config, apps::burgers::BurgersApp());
-  EXPECT_GT(fuzzed.schedule_points.total(), 0u);
+  EXPECT_GT(total_points(fuzzed.schedule_points), 0u);
   EXPECT_GT(fuzzed.schedule_points.of(PointKind::kRankPick), 0u);
   EXPECT_GT(fuzzed.schedule_points.of(PointKind::kOffloadPoll), 0u);
   EXPECT_GT(fuzzed.schedule_points.of(PointKind::kTileGrab), 0u);
@@ -264,7 +266,8 @@ TEST(ScheduleEndToEnd, RecordThenReplayReproducesTheRun) {
   for (std::size_t r = 0; r < recorded.ranks.size(); ++r)
     EXPECT_EQ(recorded.ranks[r].step_walls, replayed.ranks[r].step_walls)
         << "rank " << r;
-  EXPECT_EQ(recorded.schedule_points.total(), replayed.schedule_points.total());
+  EXPECT_EQ(total_points(recorded.schedule_points),
+            total_points(replayed.schedule_points));
   fs::remove(file);
 }
 
@@ -329,7 +332,7 @@ TEST(HbChecker, ForkJoinOrdersOffloadAgainstLaterMpeAccess) {
   hb.join(0);
   // After the join the MPE's clock dominates the offload's: ordered.
   hb.read(-1, lbl("hb_u"), task::WhichDW::kNew, 1, box(0, 8), "mpe_reduce");
-  EXPECT_TRUE(hb.violations().empty());
+  EXPECT_TRUE(hb.take_violations().empty());
   EXPECT_EQ(hb.forks(), 1u);
   EXPECT_GT(hb.pairs_checked(), 0u);
 }
@@ -343,8 +346,9 @@ TEST(HbChecker, UnorderedOverlappingWriteIsFlagged) {
   hb.write(0, lbl("hb_v"), task::WhichDW::kNew, 7, box(0, 8), "offload_stencil");
   hb.write(-1, lbl("hb_v"), task::WhichDW::kNew, 7, box(4, 12), "mpe_task");
   hb.join(0);
-  ASSERT_EQ(hb.violations().size(), 1u);
-  const check::Violation& v = hb.violations()[0];
+  const std::vector<check::Violation> vs = hb.take_violations();
+  ASSERT_EQ(vs.size(), 1u);
+  const check::Violation& v = vs[0];
   EXPECT_EQ(v.kind, check::ViolationKind::kUnorderedAccess);
   EXPECT_EQ(v.label, "hb_v");
   EXPECT_EQ(v.patch_id, 7);
@@ -368,7 +372,7 @@ TEST(HbChecker, ReadReadAndDisjointPairsAreNotRaces) {
   hb.write(0, lbl("hb_p"), task::WhichDW::kNew, 1, box(0, 4), "offload");
   hb.write(-1, lbl("hb_p"), task::WhichDW::kNew, 2, box(0, 4), "mpe");
   hb.join(0);
-  EXPECT_TRUE(hb.violations().empty());
+  EXPECT_TRUE(hb.take_violations().empty());
 }
 
 TEST(HbChecker, TwoInFlightOffloadsRaceEachOther) {
@@ -380,8 +384,9 @@ TEST(HbChecker, TwoInFlightOffloadsRaceEachOther) {
   hb.write(1, lbl("hb_g"), task::WhichDW::kNew, 4, box(6, 10), "offload_b");
   hb.join(0);
   hb.join(1);
-  ASSERT_EQ(hb.violations().size(), 1u);
-  EXPECT_EQ(hb.violations()[0].kind, check::ViolationKind::kUnorderedAccess);
+  const std::vector<check::Violation> vs = hb.take_violations();
+  ASSERT_EQ(vs.size(), 1u);
+  EXPECT_EQ(vs[0].kind, check::ViolationKind::kUnorderedAccess);
 }
 
 TEST(HbChecker, RepeatedStructuralRaceIsReportedOnce) {
@@ -393,7 +398,7 @@ TEST(HbChecker, RepeatedStructuralRaceIsReportedOnce) {
     hb.write(-1, lbl("hb_d"), task::WhichDW::kNew, 1, box(0, 8), "mpe");
     hb.join(0);
   }
-  EXPECT_EQ(hb.violations().size(), 1u)
+  EXPECT_EQ(hb.take_violations().size(), 1u)
       << "the same (label, patch, task pair) race must be deduplicated";
 }
 
@@ -409,7 +414,7 @@ TEST(HbChecker, StepResetSeparatesAccessesAcrossSteps) {
   hb.fork(0, 2);
   hb.write(0, lbl("hb_s"), task::WhichDW::kNew, 1, box(0, 8), "offload");
   hb.join(0);
-  EXPECT_TRUE(hb.violations().empty());
+  EXPECT_TRUE(hb.take_violations().empty());
 }
 
 }  // namespace

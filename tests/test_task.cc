@@ -7,6 +7,7 @@
 #include <map>
 #include <set>
 
+#include "support/test_helpers.h"
 #include "task/graph.h"
 
 namespace usw::task {
@@ -60,22 +61,25 @@ class GraphFixture : public ::testing::Test {
 };
 
 TEST_F(GraphFixture, SingleRankHasNoMessages) {
-  const grid::Partition part(level_, 1, grid::PartitionPolicy::kBlock);
-  const CompiledGraph cg =
-      graph_.compile(level_, part, 0, grid::GhostPattern::kFaces);
+  const grid::Partition part(level_, 1, grid::PartitionPolicy::kBlock,
+                             test::equal_costs(level_));
+  const CompiledGraph cg = graph_.compile(level_, part, 0);
   EXPECT_EQ(cg.tasks.size(), 16u);  // 2 tasks x 8 patches
-  EXPECT_EQ(cg.total_recvs(), 0u);
-  EXPECT_EQ(cg.total_sends(), 0u);
+  EXPECT_TRUE(cg.initial_sends.empty());
   // Interior ghost data still moves via local copies.
   std::size_t copies = 0;
-  for (const auto& dt : cg.tasks) copies += dt.local_copies.size();
+  for (const auto& dt : cg.tasks) {
+    EXPECT_TRUE(dt.recvs.empty());
+    EXPECT_TRUE(dt.sends.empty());
+    copies += dt.local_copies.size();
+  }
   EXPECT_GT(copies, 0u);
 }
 
 TEST_F(GraphFixture, ReductionDependsOnProducerPerPatch) {
-  const grid::Partition part(level_, 1, grid::PartitionPolicy::kBlock);
-  const CompiledGraph cg =
-      graph_.compile(level_, part, 0, grid::GhostPattern::kFaces);
+  const grid::Partition part(level_, 1, grid::PartitionPolicy::kBlock,
+                             test::equal_costs(level_));
+  const CompiledGraph cg = graph_.compile(level_, part, 0);
   ASSERT_EQ(cg.reductions.size(), 1u);
   EXPECT_EQ(cg.reductions[0].num_local_parts, 8);
   // Each reduction detailed task has exactly one internal predecessor: the
@@ -88,9 +92,9 @@ TEST_F(GraphFixture, ReductionDependsOnProducerPerPatch) {
 }
 
 TEST_F(GraphFixture, OutputsCarryConsumerGhostDepth) {
-  const grid::Partition part(level_, 1, grid::PartitionPolicy::kBlock);
-  const CompiledGraph cg =
-      graph_.compile(level_, part, 0, grid::GhostPattern::kFaces);
+  const grid::Partition part(level_, 1, grid::PartitionPolicy::kBlock,
+                             test::equal_costs(level_));
+  const CompiledGraph cg = graph_.compile(level_, part, 0);
   ASSERT_EQ(cg.outputs.size(), 8u);  // u on every patch
   for (const auto& oa : cg.outputs) {
     EXPECT_EQ(oa.label, lbl("tg2_u"));
@@ -104,11 +108,11 @@ TEST_F(GraphFixture, MessagesAreSymmetricAcrossRanks) {
   // Over all ranks, every receive must have exactly one matching send with
   // the same (src rank, dst rank, tag, bytes), and vice versa.
   const int nranks = 4;
-  const grid::Partition part(level_, nranks, grid::PartitionPolicy::kBlock);
+  const grid::Partition part(level_, nranks, grid::PartitionPolicy::kBlock,
+                             test::equal_costs(level_));
   std::multiset<std::tuple<int, int, int, std::uint64_t>> sends, recvs;
   for (int r = 0; r < nranks; ++r) {
-    const CompiledGraph cg =
-        graph_.compile(level_, part, r, grid::GhostPattern::kFaces);
+    const CompiledGraph cg = graph_.compile(level_, part, r);
     auto note_send = [&sends, r](const ExtComm& sc) {
       sends.insert({r, sc.peer_rank, sc.tag(0), sc.bytes()});
     };
@@ -125,11 +129,11 @@ TEST_F(GraphFixture, MessagesAreSymmetricAcrossRanks) {
 
 TEST_F(GraphFixture, TagsAreUniquePerStepAndDifferAcrossSteps) {
   const int nranks = 4;
-  const grid::Partition part(level_, nranks, grid::PartitionPolicy::kBlock);
+  const grid::Partition part(level_, nranks, grid::PartitionPolicy::kBlock,
+                             test::equal_costs(level_));
   std::set<std::pair<int, int>> seen;  // (dst, tag)
   for (int r = 0; r < nranks; ++r) {
-    const CompiledGraph cg =
-        graph_.compile(level_, part, r, grid::GhostPattern::kFaces);
+    const CompiledGraph cg = graph_.compile(level_, part, r);
     auto check = [&seen](const ExtComm& sc) {
       EXPECT_TRUE(seen.insert({sc.peer_rank, sc.tag(3)}).second)
           << "duplicate tag " << sc.tag(3);
@@ -148,20 +152,23 @@ TEST_F(GraphFixture, RemoteRecvCountMatchesBoundaryFaces) {
   // grid (2x1x1 patches per rank). Rank 1 owns layout (2,0,0) and (3,0,0):
   // patch (2,0,0) has remote x- and y-neighbors, patch (3,0,0) a remote
   // y-neighbor — 3 receives, and by symmetry 3 initial sends.
-  const grid::Partition part(level_, 4, grid::PartitionPolicy::kBlock);
-  ASSERT_EQ(part.rank_grid(), (grid::IntVec{2, 2, 1}));
-  const CompiledGraph cg =
-      graph_.compile(level_, part, 1, grid::GhostPattern::kFaces);
-  EXPECT_EQ(cg.total_recvs(), 3u);
+  const grid::Partition part(level_, 4, grid::PartitionPolicy::kBlock,
+                             test::equal_costs(level_));
+  ASSERT_EQ(grid::Partition::choose_rank_grid(level_.layout(), 4),
+            (grid::IntVec{2, 2, 1}));
+  const CompiledGraph cg = graph_.compile(level_, part, 1);
+  std::size_t recvs = 0;
+  for (const auto& dt : cg.tasks) recvs += dt.recvs.size();
+  EXPECT_EQ(recvs, 3u);
   EXPECT_EQ(cg.initial_sends.size(), 3u);
 }
 
 TEST(TaskGraph, EmptyGraphRejected) {
   TaskGraph g;
   const grid::Level level({2, 1, 1}, {4, 4, 4});
-  const grid::Partition part(level, 1, grid::PartitionPolicy::kBlock);
-  EXPECT_THROW(g.compile(level, part, 0, grid::GhostPattern::kFaces),
-               ConfigError);
+  const grid::Partition part(level, 1, grid::PartitionPolicy::kBlock,
+                             test::equal_costs(level));
+  EXPECT_THROW(g.compile(level, part, 0), ConfigError);
 }
 
 TEST(TaskGraph, DuplicateProducerRejected) {
@@ -169,9 +176,9 @@ TEST(TaskGraph, DuplicateProducerRejected) {
   g.add(Task::make_stencil("a", lbl("tg3_u"), lbl("tg3_v"), dummy_kernel()));
   g.add(Task::make_stencil("b", lbl("tg3_u"), lbl("tg3_v"), dummy_kernel()));
   const grid::Level level({2, 1, 1}, {4, 4, 4});
-  const grid::Partition part(level, 1, grid::PartitionPolicy::kBlock);
-  EXPECT_THROW(g.compile(level, part, 0, grid::GhostPattern::kFaces),
-               ConfigError);
+  const grid::Partition part(level, 1, grid::PartitionPolicy::kBlock,
+                             test::equal_costs(level));
+  EXPECT_THROW(g.compile(level, part, 0), ConfigError);
 }
 
 TEST(TaskGraph, MissingProducerRejected) {
@@ -182,9 +189,9 @@ TEST(TaskGraph, MissingProducerRejected) {
   t->add_requires(lbl("tg4_never_computed"), WhichDW::kNew, 0);
   g.add(std::move(t));
   const grid::Level level({2, 1, 1}, {4, 4, 4});
-  const grid::Partition part(level, 1, grid::PartitionPolicy::kBlock);
-  EXPECT_THROW(g.compile(level, part, 0, grid::GhostPattern::kFaces),
-               ConfigError);
+  const grid::Partition part(level, 1, grid::PartitionPolicy::kBlock,
+                             test::equal_costs(level));
+  EXPECT_THROW(g.compile(level, part, 0), ConfigError);
 }
 
 TEST(TaskGraph, ConsumerBeforeProducerRejected) {
@@ -196,9 +203,9 @@ TEST(TaskGraph, ConsumerBeforeProducerRejected) {
   g.add(std::move(consumer));
   g.add(Task::make_stencil("late", lbl("tg5_u"), lbl("tg5_u"), dummy_kernel()));
   const grid::Level level({2, 1, 1}, {4, 4, 4});
-  const grid::Partition part(level, 1, grid::PartitionPolicy::kBlock);
-  EXPECT_THROW(g.compile(level, part, 0, grid::GhostPattern::kFaces),
-               ConfigError);
+  const grid::Partition part(level, 1, grid::PartitionPolicy::kBlock,
+                             test::equal_costs(level));
+  EXPECT_THROW(g.compile(level, part, 0), ConfigError);
 }
 
 TEST(TaskGraph, NewDwGhostCreatesNeighborEdges) {
@@ -212,8 +219,9 @@ TEST(TaskGraph, NewDwGhostCreatesNeighborEdges) {
   consumer->add_requires(lbl("tg6_u"), WhichDW::kNew, 1);
   g.add(std::move(consumer));
   const grid::Level level({3, 1, 1}, {4, 4, 4});
-  const grid::Partition part(level, 1, grid::PartitionPolicy::kBlock);
-  const CompiledGraph cg = g.compile(level, part, 0, grid::GhostPattern::kFaces);
+  const grid::Partition part(level, 1, grid::PartitionPolicy::kBlock,
+                             test::equal_costs(level));
+  const CompiledGraph cg = g.compile(level, part, 0);
   // The middle consumer (patch 1) depends on producers at patches 0,1,2.
   int preds_of_middle = -1;
   for (const auto& dt : cg.tasks)

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -41,7 +42,7 @@ constexpr std::uint64_t kSentinelBits = 0x7ff8'0000'dead'beefULL;
 /// holding the sentinel, so a body that writes outside its tiles shows.
 var::CCVariable<double> sentinel_output(const grid::Box& patch) {
   var::CCVariable<double> out(patch.grown(1));
-  out.fill(std::bit_cast<double>(kSentinelBits));
+  std::ranges::fill(out.data(), std::bit_cast<double>(kSentinelBits));
   return out;
 }
 
