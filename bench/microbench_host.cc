@@ -39,17 +39,23 @@ kern::KernelEnv burgers_env() {
   return env;
 }
 
-/// One Burgers kernel call per iteration on one 16x16x8 tile (the LDM tile
-/// of Sec VI-A) away from the origin, reading its ghosted input, as a CPE
-/// body runs it. Items are cells.
+/// One Burgers kernel call per iteration, as a CPE body runs it, on a
+/// region away from the origin, reading its ghosted input. Arguments: the
+/// region's x and y extent (16: one 16x16x8 LDM tile of Sec VI-A; 64: one
+/// 64x64x8 z-slab, a static-z share of a 64^3 patch) and the inverse cell
+/// spacing (64: a power of two, so the kernel multiplies by exact
+/// reciprocals; 60: it divides). Items are cells.
 void run_burgers_kernel(benchmark::State& state, bool simd) {
-  const grid::Box region{{16, 32, 8}, {32, 48, 16}};
+  const int xy = static_cast<int>(state.range(0));
+  const grid::IntVec lo{16, 32, 8};
+  const grid::Box region{lo, lo + grid::IntVec{xy, xy, 8}};
   var::CCVariable<double> in(region.grown(1)), out(region);
   SplitMix64 rng(1);
   for (double& x : in.data()) x = rng.next_in(0.0, 1.0);
   const kern::KernelVariants kv = apps::burgers::make_burgers_kernel(false);
   const kern::StencilFn& kernel = simd ? kv.simd : kv.scalar;
-  const kern::KernelEnv env = burgers_env();
+  kern::KernelEnv env = burgers_env();
+  env.dx = env.dy = env.dz = 1.0 / static_cast<double>(state.range(1));
   for (auto _ : state) {
     kernel(env, kern::FieldView::of(in), kern::FieldView::of(out), region);
     benchmark::DoNotOptimize(out.data().data());
@@ -61,12 +67,16 @@ void run_burgers_kernel(benchmark::State& state, bool simd) {
 void BM_BurgersKernelScalar(benchmark::State& state) {
   run_burgers_kernel(state, false);
 }
-BENCHMARK(BM_BurgersKernelScalar);
+BENCHMARK(BM_BurgersKernelScalar)
+    ->ArgsProduct({{16, 64}, {64, 60}})
+    ->ArgNames({"xy", "inv_h"});
 
 void BM_BurgersKernelSimd(benchmark::State& state) {
   run_burgers_kernel(state, true);
 }
-BENCHMARK(BM_BurgersKernelSimd);
+BENCHMARK(BM_BurgersKernelSimd)
+    ->ArgsProduct({{16, 64}, {64, 60}})
+    ->ArgNames({"xy", "inv_h"});
 
 void BM_PhiFast(benchmark::State& state) {
   SplitMix64 rng(2);

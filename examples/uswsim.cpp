@@ -172,7 +172,14 @@ void print_help() {
       "  --restart=DIR [--restart-step=S]\n"
       "\n"
       "Any other --option, or one the chosen --app does not take, is an\n"
-      "error.\n");
+      "error.\n"
+      "\n"
+      "exit codes:\n"
+      "  0  the run completed (and --validate found no violation)\n"
+      "  1  usage or configuration error\n"
+      "  2  --validate found violations\n"
+      "  3  the run did not complete (e.g. a virtual-time deadlock, the hang\n"
+      "     watchdog, a diverged schedule replay, an I/O error)\n");
 }
 
 grid::IntVec parse_triple(const std::string& s, const char* what) {
@@ -432,9 +439,12 @@ int main(int argc, char** argv) {
       }
     }
     return 0;
-  } catch (const Error& e) {
+  } catch (const ConfigError& e) {
     std::fprintf(stderr, "uswsim: %s\n", e.what());
     std::fprintf(stderr, "run with --help for usage\n");
     return 1;
+  } catch (const Error& e) {
+    std::fprintf(stderr, "uswsim: %s\n", e.what());
+    return 3;
   }
 }

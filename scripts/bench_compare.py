@@ -40,7 +40,8 @@ Regression policy, per metric:
 Re-baselining (after an intentional model/perf change), from build/bench
 so the JSON lands there:
   cmake --build build -j && cd build/bench && ./paper_sweep && \
-      ./ablation_tile_policy && ./ablation_fault && ./scale_smoke && cd -
+      ./ablation_tile_policy && ./ablation_fault && ./scale_smoke && \
+      ./future_work && cd -
   cp build/bench/BENCH_*.json bench/baselines/
   git add bench/baselines && git commit  # explain the shift in the message
 """

@@ -4,8 +4,8 @@
 //
 // Kernels are written once against FieldView and run unchanged on the
 // data-warehouse variables it views: over a whole patch on the MPE, or
-// over one tile at a time in a CPE body. Layout is x-fastest, matching the
-// SIMD direction of the vectorized kernels.
+// over a CPE's share of tiles in a CPE body. Layout is x-fastest, matching
+// the SIMD direction of the vectorized kernels.
 
 #include <cstddef>
 

@@ -6,8 +6,8 @@
 // implementations (scalar and, optionally, SIMD-vectorized) plus the
 // per-cell operation mix for the cost model, the halo depth, and the LDM
 // tile shape (Sec VI-A). The same functional code runs in every scheduler
-// mode; only the region it computes (a patch or a tile) and the charged
-// virtual time differ.
+// mode; only the region it computes (a patch, a CPE's z-slabs or a tile)
+// and the charged virtual time differ.
 
 #include <functional>
 
@@ -33,9 +33,12 @@ struct KernelEnv {
 
 /// Computes `region` of the output from the input and writes no other
 /// output cell; the input view covers at least `region` grown by the
-/// kernel's ghost depth. Output and input are different variables: CPE
-/// bodies compute an offload's tiles in place, concurrently on the threads
-/// backend, so a tile must not read what another tile writes.
+/// kernel's ghost depth. A cell's value does not depend on the region that
+/// contains it, so a CPE body may compute its share's tiles in one call
+/// over their union, and the MPE a whole patch. Output and input are
+/// different variables: CPE bodies compute an offload's regions in place,
+/// concurrently on the threads backend, so a region must not read what
+/// another region writes.
 using StencilFn =
     std::function<void(const KernelEnv& env, const FieldView& in,
                        const FieldView& out, const grid::Box& region)>;

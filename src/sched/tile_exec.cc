@@ -249,8 +249,16 @@ athread::CpeJob make_tile_job(TileExecArgs args,
     const int share = assignment.find(ctx.cpe_id());
     if (share < 0) return;  // no tiles
     const kern::StencilFn& kernel = args.kernel->variant(args.vectorize);
-    for (const int t : assignment.tiles(share))
-      kernel(args.env, args.in, args.out, plan->tiling.tile(t));
+    const grid::Tiling& tiling = plan->tiling;
+    const TileRun tiles = assignment.tiles(share);
+    if (args.policy == TilePolicy::kStaticZ) {
+      // Whole z-slabs: the box from the first tile's lo to the last tile's
+      // hi is exactly the share's tiles.
+      kernel(args.env, args.in, args.out,
+             {tiling.tile(tiles[0]).lo, tiling.tile(tiles[tiles.size() - 1]).hi});
+      return;
+    }
+    for (const int t : tiles) kernel(args.env, args.in, args.out, tiling.tile(t));
   };
 }
 

@@ -22,11 +22,15 @@
 // spawns (charge_offload), adding only the re-issued input DMA of each
 // tile that draws an injected DMA error this step. The CPE bodies
 // (make_tile_job) only compute real data: each runs the kernel on the
-// warehouse fields in place, once per tile of its share, with the tile as
-// the region. The staging copy would reproduce the ghosted tile verbatim
-// and every stencil task writes a different variable from the one it
-// reads, so computing in place gives the same bits. A timing-only offload
-// runs no body.
+// warehouse fields in place, over regions of its share's tiles. The
+// staging copy would reproduce the ghosted tile verbatim and every stencil
+// task writes a different variable from the one it reads, so computing in
+// place gives the same bits. A static-z share is whole z-slabs, one box,
+// so its body makes one kernel call; a dynamic share makes one per grabbed
+// tile. The host has no scratch-pad to stage through, so the tile stays
+// the unit of planning, charging, the LDM rule and the checker's
+// write-set partition, not of the kernel call. A timing-only offload runs
+// no body.
 //
 // Two of the paper's future-work optimizations (Sec IX) are available:
 //   * async_dma  - double-buffered tiles: the next tile's athread_get and
@@ -161,8 +165,11 @@ void charge_offload(const TileExecArgs& args, const TilePlan& plan,
 
 /// Job for CpeCluster::spawn that computes the data of an offload of `plan`
 /// (sized for the target group): each working CPE runs the kernel on
-/// args.in and args.out once per tile of its share, writing only the
-/// tile's interior. It charges nothing; pair it with
+/// args.in and args.out over its share's tiles, writing only their
+/// interiors: once over the share's box under static-z (whole z-slabs),
+/// once per tile under the dynamic policy. This relies on the kernel
+/// contract (kern::StencilFn): a cell's value does not depend on the
+/// region that contains it. It charges nothing; pair it with
 /// charge_offload and CpeCluster::set_work(plan->assignment.cpes, busy).
 /// Needs valid data views (a timing-only offload spawns an empty job),
 /// which must stay valid until the offload completes. Copies `args` by

@@ -200,6 +200,38 @@ TEST(BurgersKernel, OffsetRegionsMatchPerCellReference) {
   }
 }
 
+TEST(BurgersKernel, ReciprocalAndDivisionPathsMatchDivisionReference) {
+  // The kernels multiply by 1/dx, 1/(dx*dx), ... when every divisor is a
+  // power of two (spacing 1/16), and divide otherwise (spacing 1/20). Both
+  // must give the division form's bits. The region is 22 cells wide, so
+  // the SIMD epilogue computes two cells per row.
+  const grid::Box region{{1, 2, 3}, {23, 18, 15}};
+  SplitMix64 rng(23);
+  var::CCVariable<double> u0(region.grown(1));
+  for (double& x : u0.data()) x = rng.next_in(0.0, 1.0);
+  const kern::KernelVariants kv = make_burgers_kernel(false);
+  for (const double h : {1.0 / 16, 1.0 / 20}) {
+    SCOPED_TRACE("spacing " + std::to_string(h));
+    kern::KernelEnv env;
+    env.time = 0.05;
+    env.dt = 1e-4;
+    env.dx = env.dy = env.dz = h;
+    var::CCVariable<double> scalar(region), simd(region);
+    const kern::FieldView in = kern::FieldView::of(u0);
+    kv.scalar(env, in, kern::FieldView::of(scalar), region);
+    kv.simd(env, in, kern::FieldView::of(simd), region);
+    for (int k = region.lo.z; k < region.hi.z; ++k)
+      for (int j = region.lo.y; j < region.hi.y; ++j)
+        for (int i = region.lo.x; i < region.hi.x; ++i) {
+          const double want = reference_cell(env, u0, i, j, k, false);
+          ASSERT_EQ(scalar(i, j, k), want) << "scalar at " << i << "," << j
+                                           << "," << k;
+          ASSERT_EQ(simd(i, j, k), want) << "simd at " << i << "," << j
+                                         << "," << k;
+        }
+  }
+}
+
 TEST(BurgersKernel, CostDeclarationMatchesPaperScale) {
   const hw::KernelCost c = burgers_kernel_cost();
   EXPECT_DOUBLE_EQ(c.exps_per_cell, 6.0);

@@ -141,6 +141,90 @@ TEST(TileExec, SimdTilingAlsoMatchesDirect) {
   }
 }
 
+/// 128 tiles of 16x16x8 in 8 z-slabs: under static-z, 8 of the 64 CPEs
+/// get one slab each.
+const grid::Box kCube{{0, 0, 0}, {64, 64, 64}};
+
+/// The boxes as sorted text: an order-free comparison that prints.
+std::vector<std::string> sorted_names(const std::vector<grid::Box>& boxes) {
+  std::vector<std::string> names;
+  for (const grid::Box& b : boxes) names.push_back(b.to_string());
+  std::ranges::sort(names);
+  return names;
+}
+
+TEST(TileExec, StaticSharesMakeOneCallDynamicGrabsOneCallPerTile) {
+  // A body calls the kernel once under static-z, on the union of its
+  // share's tiles, and once per grabbed tile under the dynamic policy.
+  var::CCVariable<double> u0(kCube.grown(1)), out(kCube);
+  std::vector<grid::Box> calls;
+  kern::KernelVariants kv = apps::burgers::make_burgers_kernel(false);
+  kv.scalar = [&calls](const kern::KernelEnv&, const kern::FieldView&,
+                       const kern::FieldView&, const grid::Box& region) {
+    calls.push_back(region);
+  };
+  const hw::CostModel cost(machine());
+  for (const TilePolicy policy : {TilePolicy::kStaticZ, TilePolicy::kDynamic}) {
+    SCOPED_TRACE(to_string(policy));
+    calls.clear();
+    hw::PerfCounters counters;
+    sim::run_ranks(1, [&](sim::Coordinator& coord, int rank) {
+      athread::CpeCluster cluster(cost, coord, rank, &counters);
+      TileExecArgs args;
+      args.kernel = &kv;
+      args.env = test_env();
+      args.in = kern::FieldView::of(u0);
+      args.out = kern::FieldView::of(out);
+      args.policy = policy;
+      offload(cluster, args, kCube, cost, counters);
+    });
+    std::vector<grid::Box> want;
+    if (policy == TilePolicy::kStaticZ) {
+      for (int slab = 0; slab < 8; ++slab)
+        want.push_back({{0, 0, 8 * slab}, {64, 64, 8 * slab + 8}});
+    } else {
+      const grid::Tiling tiling(kCube, kv.tile_shape);
+      for (int t = 0; t < tiling.num_tiles(); ++t) want.push_back(tiling.tile(t));
+    }
+    EXPECT_EQ(sorted_names(calls), sorted_names(want));
+    EXPECT_EQ(counters.tiles_executed, 128u);
+  }
+}
+
+TEST(TileExec, BackendsWriteBitEqualFieldsOnACube) {
+  var::CCVariable<double> u0(kCube.grown(1)), direct(kCube);
+  SplitMix64 rng(35);
+  for (double& x : u0.data()) x = rng.next_in(0.0, 1.0);
+  const kern::KernelVariants kv = apps::burgers::make_burgers_kernel(false);
+  const kern::KernelEnv env = test_env();
+  kv.simd(env, kern::FieldView::of(u0), kern::FieldView::of(direct), kCube);
+
+  const hw::CostModel cost(machine());
+  athread::WorkerPool pool(2);
+  for (const TilePolicy policy : {TilePolicy::kStaticZ, TilePolicy::kDynamic}) {
+    for (const athread::Backend backend :
+         {athread::Backend::kSerial, athread::Backend::kThreads}) {
+      SCOPED_TRACE(std::string(to_string(policy)) + " " +
+                   athread::to_string(backend));
+      var::CCVariable<double> tiled = sentinel_output(kCube);
+      hw::PerfCounters counters;
+      sim::run_ranks(1, [&](sim::Coordinator& coord, int rank) {
+        athread::CpeCluster cluster(cost, coord, rank, &counters, 1, backend,
+                                    &pool);
+        TileExecArgs args;
+        args.kernel = &kv;
+        args.env = env;
+        args.in = kern::FieldView::of(u0);
+        args.out = kern::FieldView::of(tiled);
+        args.vectorize = true;
+        args.policy = policy;
+        offload(cluster, args, kCube, cost, counters);
+      });
+      expect_tiles_match_direct(direct, tiled, kCube);
+    }
+  }
+}
+
 TEST(TileExec, CountsTilesAndDmaTraffic) {
   const grid::Box patch{{0, 0, 0}, {16, 16, 64}};  // 8 tiles of 16x16x8
   var::CCVariable<double> u0(patch.grown(1)), out(patch);
