@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Runs a command and gates its peak resident set size.
 
-    python3 scripts/peak_rss.py --max-mb 66 -- ./build/bench/scale_smoke
+    python3 scripts/peak_rss.py --max-mb 56 -- ./build/bench/scale_smoke
 
 Prints the command's peak RSS (the largest of its process tree, as
 getrusage(RUSAGE_CHILDREN) reports it) and exits 1 when it exceeds

@@ -37,7 +37,6 @@ CpeCluster::CpeCluster(const hw::CostModel& cost, sim::Coordinator& coord,
   for (int g = 0; g < n_groups; ++g) {
     auto group = std::make_unique<Group>();
     group->cpe_busy.assign(static_cast<std::size_t>(cpes / n_groups), 0);
-    group->cpe_errors.resize(static_cast<std::size_t>(cpes / n_groups));
     groups_.push_back(std::move(group));
     all_groups_.push_back(g);
   }
@@ -95,6 +94,7 @@ void CpeCluster::spawn(const CpeJob& job, int g) {
     for (const int id : group.working) run_cpe(job, id);
   } else if (job) {
     group.job = job;
+    group.cpe_errors.resize(static_cast<std::size_t>(n));
     for (const int id : group.working)
       group.cpe_errors[static_cast<std::size_t>(id)] = nullptr;
     group.faaw.store(0, std::memory_order_relaxed);

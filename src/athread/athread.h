@@ -208,10 +208,12 @@ class CpeCluster {
     /// Shared copy the workers invoke; lives from spawn() to the wait.
     CpeJob job;
 
-    // Per-CPE error slots: each worker writes exactly its own index, then
-    // bumps `faaw`. The MPE reads them only after faaw == dispatched, so
-    // the fetch-add release sequence orders every slot write before the
-    // read. Only the working CPEs' slots are reset and read.
+    // Per-CPE error slots, made at the group's first pool dispatch (serial
+    // and timing-only clusters never have any): each worker writes exactly
+    // its own index, then bumps `faaw`. The MPE reads them only after
+    // faaw == dispatched, so the fetch-add release sequence orders every
+    // slot write before the read. Only the working CPEs' slots are reset
+    // and read.
     std::vector<std::exception_ptr> cpe_errors;
 
     /// The real faaw: CPEs atomically increment it on completion; the MPE

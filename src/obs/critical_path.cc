@@ -9,7 +9,10 @@
 
 namespace usw::obs {
 
-CriticalPathAnalyzer::CriticalPathAnalyzer(const RunObservation& run) : run_(run) {}
+CriticalPathAnalyzer::CriticalPathAnalyzer(const RunObservation& run) : run_(run) {
+  rank_spans_.reserve(run.ranks.size());
+  for (const RankObservation& r : run.ranks) rank_spans_.push_back(r.spans().data());
+}
 
 const TaskGraphInfo& CriticalPathAnalyzer::graph_of(std::size_t rank, bool init) const {
   const RankObservation& r = run_.ranks[rank];
@@ -144,83 +147,93 @@ CriticalPathReport CriticalPathAnalyzer::analyze(int step,
   const Dag& d = dag(init);
 
   // DAG nodes: one per (rank, task), the first span of each, numbered
-  // rank-major in span order.
+  // rank-major in span order. Their begins and durations are copied into
+  // the slot array, and the rest of the pass reads only that. A step's
+  // task spans lie far apart in every rank's span vector, cold since the
+  // rollup pass, so each is fetched a few entries ahead of its turn.
+  constexpr std::size_t kFetchAhead = 16;
+  const std::uint64_t call = ++calls_;
+  if (slots_.size() < d.first.back()) slots_.resize(d.first.back());
   nodes_.clear();
-  node_of_.assign(d.first.back(), -1);
-  for (const auto& [r, i] : spans.tasks) {
-    const Span& s = run_.ranks[r].spans()[i];
+  const std::size_t ntasks = spans.tasks.size();
+  for (std::size_t k = 0; k < ntasks; ++k) {
+    if (k + kFetchAhead < ntasks) {
+      const auto [ahead_rank, ahead_span] = spans.tasks[k + kFetchAhead];
+      __builtin_prefetch(rank_spans_[ahead_rank] + ahead_span);
+    }
+    const auto [r, i] = spans.tasks[k];
+    const Span& s = rank_spans_[r][i];
     const auto task = static_cast<std::size_t>(s.b);
     if (task >= d.first[r + 1] - d.first[r]) continue;
     const std::uint32_t slot = d.first[r] + static_cast<std::uint32_t>(task);
-    if (node_of_[slot] >= 0) continue;
-    node_of_[slot] = static_cast<int>(nodes_.size());
-    nodes_.push_back(Node{slot, r, s.begin, s.duration()});
+    SlotState& node = slots_[slot];
+    if (node.call == call) continue;
+    node = SlotState{call, s.begin, s.duration(), 0, 0, kNoSlot, 0};
+    nodes_.push_back(slot);
   }
   if (nodes_.empty()) return report;
   report.makespan = spans.hi - spans.lo;
 
   // Only edges between executed nodes count.
-  const std::size_t n = nodes_.size();
-  const auto each_succ = [&](std::size_t i, auto&& fn) {
-    const std::uint32_t slot = nodes_[i].slot;
+  const auto executed = [&](std::uint32_t slot) { return slots_[slot].call == call; };
+  const auto each_succ = [&](std::uint32_t slot, auto&& fn) {
     for (std::uint32_t k = d.succ_at[slot]; k < d.succ_at[slot + 1]; ++k)
-      if (const int j = node_of_[d.succs[k]]; j >= 0) fn(static_cast<std::size_t>(j));
+      if (executed(d.succs[k])) fn(d.succs[k]);
   };
 
   // Longest paths into and out of every node, in topological order.
-  indeg_.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) each_succ(i, [this](std::size_t j) { indeg_[j]++; });
+  for (const std::uint32_t slot : nodes_)
+    each_succ(slot, [this](std::uint32_t j) { slots_[j].indeg++; });
   topo_.clear();
-  for (std::size_t i = 0; i < n; ++i)
-    if (indeg_[i] == 0) topo_.push_back(static_cast<int>(i));
+  for (const std::uint32_t slot : nodes_)
+    if (slots_[slot].indeg == 0) topo_.push_back(slot);
   for (std::size_t head = 0; head < topo_.size(); ++head)
-    each_succ(static_cast<std::size_t>(topo_[head]), [this](std::size_t j) {
-      if (--indeg_[j] == 0) topo_.push_back(static_cast<int>(j));
+    each_succ(topo_[head], [this](std::uint32_t j) {
+      if (--slots_[j].indeg == 0) topo_.push_back(j);
     });
 
-  into_.assign(n, 0);
-  outof_.assign(n, 0);
-  best_pred_.assign(n, -1);
-  for (const int id : topo_) {
-    const auto i = static_cast<std::size_t>(id);
-    const Node& node = nodes_[i];
-    into_[i] = node.duration;
-    for (std::uint32_t k = d.pred_at[node.slot]; k < d.pred_at[node.slot + 1]; ++k) {
-      const int p = node_of_[d.preds[k]];
-      if (p < 0) continue;
-      const auto pi = static_cast<std::size_t>(p);
-      if (into_[pi] + node.duration > into_[i]) {
-        into_[i] = into_[pi] + node.duration;
-        best_pred_[i] = p;
+  for (const std::uint32_t slot : topo_) {
+    SlotState& node = slots_[slot];
+    node.into = node.duration;
+    for (std::uint32_t k = d.pred_at[slot]; k < d.pred_at[slot + 1]; ++k) {
+      const std::uint32_t p = d.preds[k];
+      if (!executed(p)) continue;
+      if (slots_[p].into + node.duration > node.into) {
+        node.into = slots_[p].into + node.duration;
+        node.best_pred = p;
       }
     }
   }
   for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {
-    const auto i = static_cast<std::size_t>(*it);
-    outof_[i] = nodes_[i].duration;
-    each_succ(i, [&](std::size_t j) {
-      outof_[i] = std::max(outof_[i], nodes_[i].duration + outof_[j]);
+    SlotState& node = slots_[*it];
+    node.outof = node.duration;
+    each_succ(*it, [&](std::uint32_t j) {
+      node.outof = std::max(node.outof, node.duration + slots_[j].outof);
     });
   }
 
-  int tail = 0;
-  for (std::size_t i = 1; i < n; ++i)
-    if (into_[i] > into_[static_cast<std::size_t>(tail)]) tail = static_cast<int>(i);
-  report.total = into_[static_cast<std::size_t>(tail)];
+  std::uint32_t tail = nodes_.front();
+  for (const std::uint32_t slot : nodes_)
+    if (slots_[slot].into > slots_[tail].into) tail = slot;
+  report.total = slots_[tail].into;
 
-  for (int at = tail; at >= 0; at = best_pred_[static_cast<std::size_t>(at)]) {
-    const Node& node = nodes_[static_cast<std::size_t>(at)];
-    const std::uint32_t task = node.slot - d.first[node.rank];
-    const TaskNodeInfo& info = graph_of(node.rank, init).tasks[task];
-    report.chain.push_back(CriticalPathEntry{run_.ranks[node.rank].rank, static_cast<int>(task),
-                                             info.name, info.patch, node.begin, node.duration});
+  for (std::uint32_t at = tail; at != kNoSlot; at = slots_[at].best_pred) {
+    // The slot's rank: the last whose first slot is at or before it.
+    const auto rank = static_cast<std::size_t>(
+        std::upper_bound(d.first.begin(), d.first.end(), at) - d.first.begin() - 1);
+    const std::uint32_t task = at - d.first[rank];
+    const TaskNodeInfo& info = graph_of(rank, init).tasks[task];
+    report.chain.push_back(CriticalPathEntry{run_.ranks[rank].rank, static_cast<int>(task),
+                                             info.name, info.patch, slots_[at].begin,
+                                             slots_[at].duration});
   }
   std::reverse(report.chain.begin(), report.chain.end());
 
   slack_.assign(d.names.size(), std::nullopt);
-  for (std::size_t i = 0; i < n; ++i) {
-    const TimePs slack = report.total - (into_[i] + outof_[i] - nodes_[i].duration);
-    std::optional<TimePs>& least = slack_[d.name[nodes_[i].slot]];
+  for (const std::uint32_t slot : nodes_) {
+    const SlotState& node = slots_[slot];
+    const TimePs slack = report.total - (node.into + node.outof - node.duration);
+    std::optional<TimePs>& least = slack_[d.name[slot]];
     least = least ? std::min(*least, slack) : slack;
   }
   for (std::size_t k = 0; k < slack_.size(); ++k)

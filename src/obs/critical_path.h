@@ -22,9 +22,11 @@
 // compiles it once per skeleton kind (timestep, init), at the first step
 // that needs it: one node slot per (rank, task), CSR successor and
 // predecessor lists, and each task's name as an index into the run's
-// sorted distinct task names. A step then only maps its first task spans
-// to slots and runs the longest-path pass over the executed slots: O(step
-// tasks + edges), with no lookup by key or by name.
+// sorted distinct task names. A step then copies its first task spans'
+// begins and durations into one slot-indexed array, kept from step to
+// step, and runs the longest-path pass over the executed slots: O(step
+// tasks + edges), with no lookup by key or by name and no read of a span
+// after the copy.
 
 #include <cstddef>
 #include <cstdint>
@@ -109,11 +111,17 @@ class CriticalPathAnalyzer {
     std::vector<std::uint32_t> name;     ///< per slot: index into names
     std::vector<const std::string*> names;  ///< distinct task names, ascending
   };
-  struct Node {
-    std::uint32_t slot = 0;
-    std::uint32_t rank = 0;  ///< index into run.ranks
-    TimePs begin = 0;
+  static constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
+  /// A slot's state in the step being analyzed; valid only while `call`
+  /// is the current analyze() call's number.
+  struct SlotState {
+    std::uint64_t call = 0;  ///< the analyze() call that executed the slot
+    TimePs begin = 0;        ///< of the slot's first task span
     TimePs duration = 0;
+    TimePs into = 0;   ///< longest chain ending here (incl.)
+    TimePs outof = 0;  ///< longest chain starting here (incl.)
+    std::uint32_t best_pred = kNoSlot;
+    int indeg = 0;
   };
 
   /// The skeleton of `rank` that the spans of a step resolve against: the
@@ -123,16 +131,14 @@ class CriticalPathAnalyzer {
   const Dag& dag(bool init);
 
   const RunObservation& run_;
+  std::vector<const Span*> rank_spans_;  ///< per rank: its spans' storage
   Dag dags_[2];  ///< [0] timestep, [1] init
 
-  // analyze()'s working storage, reset (not freed) at every call.
-  std::vector<Node> nodes_;
-  std::vector<int> node_of_;  ///< per slot: its node, or -1
-  std::vector<int> indeg_;
-  std::vector<int> topo_;
-  std::vector<TimePs> into_;   ///< longest chain ending at node (incl.)
-  std::vector<TimePs> outof_;  ///< longest chain starting at node (incl.)
-  std::vector<int> best_pred_;
+  // analyze()'s working storage, kept from one call to the next.
+  std::uint64_t calls_ = 0;
+  std::vector<SlotState> slots_;        ///< per slot of the larger DAG so far
+  std::vector<std::uint32_t> nodes_;    ///< executed slots, in node order
+  std::vector<std::uint32_t> topo_;
   std::vector<std::optional<TimePs>> slack_;  ///< per task name: least slack
 };
 

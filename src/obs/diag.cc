@@ -28,11 +28,11 @@ void write_ring(JsonWriter& w, const FlightRecorder& ring) {
     const FlightEvent& ev = e.event;
     w.begin_object();
     w.kv("seq", e.seq);
-    w.kv("t_ps", static_cast<std::int64_t>(ev.time));
-    w.kv("kind", to_string(ev.kind));
-    w.kv("a", ev.a);
-    w.kv("b", ev.b);
-    w.kv("c", ev.c);
+    w.kv("t_ps", static_cast<std::int64_t>(ev.time()));
+    w.kv("kind", to_string(ev.kind()));
+    w.kv("a", ev.a());
+    w.kv("b", ev.b());
+    w.kv("c", ev.c());
     w.end_object();
   }
   w.end_array();

@@ -46,17 +46,17 @@ FlightRecorder::FlightRecorder(std::size_t capacity) : slots_(capacity) {}
 
 void FlightRecorder::record(FlightKind kind, TimePs time, std::int64_t a,
                             std::int64_t b, std::int64_t c) {
-  USW_ASSERT(a >= std::numeric_limits<std::int32_t>::min() &&
-             a <= std::numeric_limits<std::int32_t>::max());
-  const FlightEvent event{time, kind, static_cast<std::int32_t>(a), b, c};
+  constexpr std::int64_t kMin32 = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int64_t kMax32 = std::numeric_limits<std::int32_t>::max();
+  USW_ASSERT(a >= kMin32 && a <= kMax32);
+  USW_ASSERT(b >= FlightEvent::kBMin && b <= FlightEvent::kBMax);
+  USW_ASSERT(c >= kMin32 && c <= kMax32);
+  const FlightEvent event(time, kind, static_cast<std::int32_t>(a), b,
+                          static_cast<std::int32_t>(c));
   if (logging_) log_.push_back(event);
   if (slots_.empty()) return;
-  const std::uint64_t seq = head_.load(std::memory_order_relaxed);
-  Slot& slot = slots_[static_cast<std::size_t>(seq % slots_.size())];
-  slot.stamp.store(0, std::memory_order_release);
-  slot.event = event;
-  slot.stamp.store(seq + 1, std::memory_order_release);
-  head_.store(seq + 1, std::memory_order_release);
+  slots_[static_cast<std::size_t>(head_ % slots_.size())] = event;
+  ++head_;
 }
 
 std::uint64_t FlightRecorder::dropped() const {
@@ -67,14 +67,10 @@ std::uint64_t FlightRecorder::dropped() const {
 std::vector<RingEvent> FlightRecorder::snapshot() const {
   std::vector<RingEvent> out;
   if (slots_.empty()) return out;
-  const std::uint64_t head = head_.load(std::memory_order_acquire);
-  const std::uint64_t n = std::min<std::uint64_t>(head, slots_.size());
+  const std::uint64_t n = std::min<std::uint64_t>(head_, slots_.size());
   out.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t seq = head - n; seq < head; ++seq) {
-    const Slot& slot = slots_[static_cast<std::size_t>(seq % slots_.size())];
-    if (slot.stamp.load(std::memory_order_acquire) != seq + 1) continue;
-    out.push_back(RingEvent{seq, slot.event});
-  }
+  for (std::uint64_t seq = head_ - n; seq < head_; ++seq)
+    out.push_back(RingEvent{seq, slots_[static_cast<std::size_t>(seq % slots_.size())]});
   return out;
 }
 

@@ -18,15 +18,19 @@
 // Concurrency contract: each recorder has a SINGLE logical writer — the
 // rank thread that owns it (which only records while holding the
 // coordinator token) or, for the coordinator ring, whichever thread
-// currently holds the coordinator lock. snapshot() is only called from
-// crash/final dump paths, where every writer is either parked on the
-// coordinator (the dump runs before cancellation wakes them, with the
-// coordinator lock providing the happens-before edge) or already joined.
-// The per-slot stamp makes a snapshot additionally tolerant of a torn slot:
-// a half-written event is simply dropped from the snapshot instead of being
-// reported garbled. The log is read and cleared only by its writer.
+// currently holds the coordinator lock. The ring is read (snapshot(),
+// recorded(), dropped()) only by the crash and final dumps, and a dump
+// runs while every other writer is parked on the coordinator or joined: a
+// crash dump runs under the coordinator lock before cancellation wakes
+// anyone, from the thread of the rank granted at the time (the one that
+// threw, or the one whose grant tripped the deadlock or watchdog check),
+// and every parked rank took that lock after its last record; the final
+// dump runs after every rank thread has joined. So the lock or the join
+// orders each ring's writes before the dump reads them, no slot is ever
+// read half-written, and a slot needs no stamp: snapshot() numbers the
+// surviving events back from the head. The log is read and cleared only by
+// its writer.
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -76,18 +80,47 @@ enum class FlightKind : std::uint8_t {
 
 const char* to_string(FlightKind kind);
 
-/// Layout: 32 bytes of plain data. Every kind's `a` is a rank, a step, a
-/// CPE group or a restart count, so it is 32 bits wide and sits in the
-/// padding after `kind`; `b` and `c` stay 64 bits wide for message seqs and
-/// byte counts. A ring slot adds its 8-byte stamp.
-struct FlightEvent {
-  TimePs time = 0;  // virtual time of the event
-  FlightKind kind = FlightKind::kRankPick;
-  std::int32_t a = 0;
-  std::int64_t b = 0;
-  std::int64_t c = 0;
+/// Layout: 24 bytes of plain data, and a ring slot is exactly one event.
+/// `time` is 64 bits. `kind` is the top byte of the 64-bit word that holds
+/// `b`, so `b` is 56 bits wide: message seqs, task and reduction indices,
+/// candidate counts. `a` (a rank, step, CPE group or restart count) and
+/// `c` (a CPE group, message index, attempt, or message bytes below 2 GiB)
+/// are 32 bits. record() checks every operand against its width.
+class FlightEvent {
+ public:
+  static constexpr int kBBits = 56;
+  static constexpr std::int64_t kBMax = (std::int64_t{1} << (kBBits - 1)) - 1;
+  static constexpr std::int64_t kBMin = -kBMax - 1;
+
+  constexpr FlightEvent() = default;
+  /// `b` must lie in [kBMin, kBMax].
+  constexpr FlightEvent(TimePs time, FlightKind kind, std::int32_t a = 0,
+                        std::int64_t b = 0, std::int32_t c = 0)
+      : time_(time),
+        kind_b_((std::uint64_t{static_cast<std::uint8_t>(kind)} << kBBits) |
+                (static_cast<std::uint64_t>(b) & kBMask)),
+        a_(a),
+        c_(c) {}
+
+  /// Virtual time of the event.
+  constexpr TimePs time() const { return time_; }
+  constexpr FlightKind kind() const { return static_cast<FlightKind>(kind_b_ >> kBBits); }
+  constexpr std::int32_t a() const { return a_; }
+  /// The low 56 bits, sign-extended.
+  constexpr std::int64_t b() const {
+    return static_cast<std::int64_t>(kind_b_ << (64 - kBBits)) >> (64 - kBBits);
+  }
+  constexpr std::int32_t c() const { return c_; }
+
+ private:
+  static constexpr std::uint64_t kBMask = (std::uint64_t{1} << kBBits) - 1;
+
+  TimePs time_ = 0;
+  std::uint64_t kind_b_ = 0;  ///< kind << 56 | b's low 56 bits
+  std::int32_t a_ = 0;
+  std::int32_t c_ = 0;
 };
-static_assert(sizeof(FlightEvent) == 32, "see the layout comment");
+static_assert(sizeof(FlightEvent) == 24, "see the layout comment");
 
 /// A ring event with its position in the ring's recording order.
 struct RingEvent {
@@ -116,30 +149,26 @@ class FlightRecorder {
   /// Empties the log, keeping its storage for the next step.
   void clear_log() { log_.clear(); }
 
-  /// Records one event. Single-writer (see file comment). `a` must fit in
-  /// 32 bits (FlightEvent's layout); it is checked.
+  /// Records one event. Single-writer (see file comment). `a` and `c` must
+  /// fit in 32 bits and `b` in 56 (FlightEvent's layout); all are checked.
   void record(FlightKind kind, TimePs time, std::int64_t a = 0, std::int64_t b = 0,
               std::int64_t c = 0);
 
   /// Total events ever recorded into the ring (all but the last capacity
   /// of them have been overwritten once recorded() exceeds the capacity).
-  std::uint64_t recorded() const { return head_.load(std::memory_order_acquire); }
+  /// A dump-path read, like snapshot().
+  std::uint64_t recorded() const { return head_; }
 
   std::uint64_t dropped() const;
 
-  /// The surviving ring events, oldest first. See the concurrency contract.
+  /// The surviving ring events, oldest first: the last min(recorded(),
+  /// capacity) events, numbered up to recorded() - 1. See the concurrency
+  /// contract.
   std::vector<RingEvent> snapshot() const;
 
  private:
-  struct Slot {
-    // 0 = never written; seq+1 = event `seq` fully written; writes go
-    // through 0 so a concurrent snapshot can detect the torn window.
-    std::atomic<std::uint64_t> stamp{0};
-    FlightEvent event;
-  };
-
-  std::vector<Slot> slots_;
-  std::atomic<std::uint64_t> head_{0};
+  std::vector<FlightEvent> slots_;
+  std::uint64_t head_ = 0;  ///< events recorded into the ring so far
   bool logging_ = false;
   std::vector<FlightEvent> log_;
 };

@@ -190,25 +190,25 @@ void SpanBuilder::add(std::span<const FlightEvent> events) {
   State& st = *state_;
   std::vector<Span>& spans = st.spans;
   for (const FlightEvent& e : events) {
-    const EdgeOf edge = edge_of(e.kind);
+    const EdgeOf edge = edge_of(e.kind());
     if (edge.edge == Edge::kNone) continue;
-    st.last = std::max(st.last, e.time);
-    const Key key{edge.opens, e.a, e.b, e.c};
+    st.last = std::max(st.last, e.time());
+    const Key key{edge.opens, e.a(), e.b(), e.c()};
     if (edge.edge == Edge::kEnd) {
       // An unmatched end is tolerated and dropped.
       const std::size_t i = st.open.pop(key, spans);
-      if (i != kNone) spans[i].end = std::max(spans[i].begin, e.time);
+      if (i != kNone) spans[i].end = std::max(spans[i].begin, e.time());
       continue;
     }
     Span& s = spans.emplace_back();
-    s.begin = e.time;
+    s.begin = e.time();
     // A point span opens and closes at once.
     s.end = edge.edge == Edge::kBegin ? link_to(st.open.push(key, spans.size() - 1))
-                                      : e.time;
+                                      : e.time();
     // Span edges carry an int step, task and group or message index.
-    s.step = e.a;
-    s.b = static_cast<std::int32_t>(e.b);
-    s.c = static_cast<std::int32_t>(e.c);
+    s.step = e.a();
+    s.b = static_cast<std::int32_t>(e.b());
+    s.c = e.c();
     s.opened_by = edge.opens;
   }
 }

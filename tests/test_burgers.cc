@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <string>
@@ -16,6 +19,7 @@
 #include "apps/burgers/kernels.h"
 #include "apps/burgers/phi.h"
 #include "athread/athread.h"
+#include "io/archive.h"
 #include "runtime/controller.h"
 #include "support/rng.h"
 #include "support/test_helpers.h"
@@ -256,11 +260,32 @@ double solve_and_get_linf(grid::IntVec layout, grid::IntVec patch, int steps,
   return result.ranks[0].metrics.at("linf_error");
 }
 
+/// FNV-1a over the bits of every cell of every field the archive saved at
+/// its latest step: each label in save order, each patch, each cell of the
+/// ghosted box in storage order.
+std::uint64_t final_field_hash(const std::string& dir, int npatches) {
+  const io::Archive archive(dir);
+  const int step = archive.latest_step().value();
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::string& label : archive.read_index().labels)
+    for (int p = 0; p < npatches; ++p)
+      for (const double v : archive.read_field(step, label, p).data()) {
+        const auto bits = std::bit_cast<std::uint64_t>(v);
+        for (int byte = 0; byte < 8; ++byte)
+          h = (h ^ ((bits >> (8 * byte)) & 0xff)) * 0x100000001b3ULL;
+      }
+  return h;
+}
+
 /// One line of tests/data/burgers_numerics.txt: the case, then linf_error,
-/// l2_error and u_max as hexfloats, on a 2x3x2 layout of 22x13x10 patches
-/// (partial LDM tiles and SIMD remainder columns), 3 ranks, 4 steps.
+/// l2_error and u_max as hexfloats and the final field's hash, on a 2x3x2
+/// layout of 22x13x10 patches (partial LDM tiles and SIMD remainder
+/// columns), 3 ranks, 4 steps.
 std::string numerics_line(const std::string& variant, bool ieee_exp,
                           athread::Backend backend) {
+  namespace fs = std::filesystem;
+  const std::string dir = ::testing::TempDir() + "usw_burgers_numerics";
+  fs::remove_all(dir);
   runtime::RunConfig cfg;
   cfg.problem = runtime::tiny_problem({2, 3, 2}, {22, 13, 10});
   cfg.variant = runtime::variant_by_name(variant);
@@ -269,21 +294,27 @@ std::string numerics_line(const std::string& variant, bool ieee_exp,
   cfg.storage = var::StorageMode::kFunctional;
   cfg.backend = backend;
   cfg.backend_threads = 2;
+  cfg.output_dir = dir;
+  cfg.output_interval = cfg.timesteps;
   BurgersApp::Config app_cfg;
   app_cfg.use_ieee_exp = ieee_exp;
   const auto result = runtime::run_simulation(cfg, BurgersApp(app_cfg));
   const std::map<std::string, double>& m = result.ranks[0].metrics;
+  const std::uint64_t cells = final_field_hash(dir, 2 * 3 * 2);
+  fs::remove_all(dir);
   char line[256];
-  std::snprintf(line, sizeof line, "%s %s %s %a %a %a", variant.c_str(),
+  std::snprintf(line, sizeof line, "%s %s %s %a %a %a %016llx", variant.c_str(),
                 ieee_exp ? "ieee" : "fast", athread::to_string(backend),
-                m.at("linf_error"), m.at("l2_error"), m.at("u_max"));
+                m.at("linf_error"), m.at("l2_error"), m.at("u_max"),
+                static_cast<unsigned long long>(cells));
   return line;
 }
 
 TEST(BurgersSolver, NumericsMatchGoldenFile) {
-  // Recorded once from the per-cell phi implementation; any change to the
-  // kernels, the boundary fill, the reduction or the error check that is
-  // not bit-exact moves one of these values.
+  // Recorded from the per-cell phi implementation (the cell hashes later,
+  // from bit-identical kernels); any change to the kernels, the boundary
+  // fill, the reduction or the error check that is not bit-exact moves one
+  // of these values, and a last-bit change in any cell moves its hash.
   std::ifstream in(USW_TEST_DATA_DIR "/burgers_numerics.txt");
   ASSERT_TRUE(in) << "missing tests/data/burgers_numerics.txt";
   std::vector<std::string> want;

@@ -60,12 +60,12 @@ TEST(FlightRecorder, RecordsInOrder) {
   EXPECT_EQ(ring.dropped(), 0u);
   const std::vector<obs::RingEvent> evs = ring.snapshot();
   ASSERT_EQ(evs.size(), 3u);
-  EXPECT_EQ(evs[0].event.kind, obs::FlightKind::kStepBegin);
-  EXPECT_EQ(evs[1].event.kind, obs::FlightKind::kMsgSend);
-  EXPECT_EQ(evs[1].event.a, 1);
-  EXPECT_EQ(evs[1].event.b, 7);
-  EXPECT_EQ(evs[1].event.c, 512);
-  EXPECT_EQ(evs[2].event.time, 300);
+  EXPECT_EQ(evs[0].event.kind(), obs::FlightKind::kStepBegin);
+  EXPECT_EQ(evs[1].event.kind(), obs::FlightKind::kMsgSend);
+  EXPECT_EQ(evs[1].event.a(), 1);
+  EXPECT_EQ(evs[1].event.b(), 7);
+  EXPECT_EQ(evs[1].event.c(), 512);
+  EXPECT_EQ(evs[2].event.time(), 300);
   EXPECT_LT(evs[0].seq, evs[2].seq);
 }
 
@@ -75,24 +75,37 @@ TEST(FlightRecorder, WrapsKeepingNewest) {
     ring.record(obs::FlightKind::kRankPick, i, i);
   EXPECT_EQ(ring.recorded(), 10u);
   EXPECT_EQ(ring.dropped(), 6u);
-  const std::vector<obs::RingEvent> evs = ring.snapshot();
+  std::vector<obs::RingEvent> evs = ring.snapshot();
   ASSERT_EQ(evs.size(), 4u);
   // Oldest first, and only the newest four survive.
-  EXPECT_EQ(evs.front().event.a, 6);
-  EXPECT_EQ(evs.back().event.a, 9);
+  EXPECT_EQ(evs.front().event.a(), 6);
+  EXPECT_EQ(evs.back().event.a(), 9);
   EXPECT_EQ(evs.back().seq, 9u);
+  // Several wraps later, and off a slot boundary: the survivors are still
+  // the newest four, numbered consecutively up to recorded() - 1.
+  for (int i = 10; i < 31; ++i)
+    ring.record(obs::FlightKind::kRankPick, i, i);
+  evs = ring.snapshot();
+  ASSERT_EQ(evs.size(), 4u);
+  for (std::size_t k = 0; k < evs.size(); ++k) {
+    EXPECT_EQ(evs[k].seq, ring.recorded() - 4 + k);
+    EXPECT_EQ(evs[k].event.a(), static_cast<std::int32_t>(evs[k].seq));
+    EXPECT_EQ(evs[k].event.time(), static_cast<TimePs>(evs[k].seq));
+  }
+  EXPECT_EQ(evs.back().seq, ring.recorded() - 1);
 }
 
-static_assert(sizeof(obs::FlightEvent) == 32);
+static_assert(sizeof(obs::FlightEvent) == 24);
 
 TEST(FlightRecorder, OperandExtremesRoundTripThroughRingAndDump) {
-  // `a` is 32 bits wide (a rank, step, group or restart count); `b` and
-  // `c` keep 64 bits for message seqs and byte counts. Both survive the
-  // ring and the diag dump's JSON unchanged.
-  constexpr std::int64_t kSeq = (std::int64_t{1} << 32) + 5;
-  constexpr std::int64_t kBytes = (std::int64_t{1} << 40) + 7;
+  // `a` and `c` are 32 bits wide (a rank, step or group; a group, message
+  // index, attempt or byte count below 2 GiB); `b` is 56 bits, beside the
+  // kind in one word, for message seqs. Every extreme survives the ring,
+  // the log and the diag dump's JSON unchanged, and so does the kind.
+  constexpr std::int64_t kSeq = (std::int64_t{1} << 55) - 1;
   constexpr std::int64_t kMin = std::numeric_limits<std::int32_t>::min();
   constexpr std::int64_t kMax = std::numeric_limits<std::int32_t>::max();
+  constexpr std::int64_t kBytes = kMax;
   obs::DiagConfig dc;
   dc.flight_capacity = 4;
   dc.dump_path = temp_path("diag_operand_extremes.json");
@@ -101,18 +114,26 @@ TEST(FlightRecorder, OperandExtremesRoundTripThroughRingAndDump) {
   ring.keep_log(true);
   ring.record(obs::FlightKind::kMsgSend, 10, kMin, kSeq, kBytes);
   ring.record(obs::FlightKind::kMsgMatch, 20, kMax, -kSeq, -kBytes);
+  ring.record(obs::FlightKind::kBackoffEnd, 30, 0, -kSeq - 1, kMin);
   const std::vector<obs::RingEvent> evs = ring.snapshot();
-  ASSERT_EQ(evs.size(), 2u);
-  ASSERT_EQ(ring.log().size(), 2u);
+  ASSERT_EQ(evs.size(), 3u);
+  ASSERT_EQ(ring.log().size(), 3u);
   for (const obs::FlightEvent& e : {evs[0].event, ring.log()[0]}) {
-    EXPECT_EQ(e.a, kMin);
-    EXPECT_EQ(e.b, kSeq);
-    EXPECT_EQ(e.c, kBytes);
+    EXPECT_EQ(e.kind(), obs::FlightKind::kMsgSend);
+    EXPECT_EQ(e.a(), kMin);
+    EXPECT_EQ(e.b(), kSeq);
+    EXPECT_EQ(e.c(), kBytes);
   }
   for (const obs::FlightEvent& e : {evs[1].event, ring.log()[1]}) {
-    EXPECT_EQ(e.a, kMax);
-    EXPECT_EQ(e.b, -kSeq);
-    EXPECT_EQ(e.c, -kBytes);
+    EXPECT_EQ(e.kind(), obs::FlightKind::kMsgMatch);
+    EXPECT_EQ(e.a(), kMax);
+    EXPECT_EQ(e.b(), -kSeq);
+    EXPECT_EQ(e.c(), -kBytes);
+  }
+  for (const obs::FlightEvent& e : {evs[2].event, ring.log()[2]}) {
+    EXPECT_EQ(e.kind(), obs::FlightKind::kBackoffEnd);
+    EXPECT_EQ(e.b(), -kSeq - 1);
+    EXPECT_EQ(e.c(), kMin);
   }
   const std::string dump = slurp(hub.write_final(nullptr));
   std::remove(dc.dump_path.c_str());
@@ -121,7 +142,7 @@ TEST(FlightRecorder, OperandExtremesRoundTripThroughRingAndDump) {
   };
   for (const std::string& want :
        {line("a", kMin), line("b", kSeq), line("c", kBytes), line("a", kMax),
-        line("b", -kSeq), line("c", -kBytes)})
+        line("b", -kSeq), line("c", -kBytes), line("b", -kSeq - 1), line("c", kMin)})
     EXPECT_NE(dump.find(want), std::string::npos) << want;
 }
 
@@ -131,6 +152,24 @@ TEST(FlightRecorderDeathTest, OperandAOutside32BitsAborts) {
                            std::int64_t{std::numeric_limits<std::int32_t>::max()} + 1),
                "assertion failed");
   EXPECT_DEATH(ring.record(obs::FlightKind::kRankPick, 0,
+                           std::int64_t{std::numeric_limits<std::int32_t>::min()} - 1),
+               "assertion failed");
+}
+
+TEST(FlightRecorderDeathTest, OperandBBeyond56BitsAborts) {
+  obs::FlightRecorder ring(4);
+  EXPECT_DEATH(ring.record(obs::FlightKind::kMsgSend, 0, 0, std::int64_t{1} << 55),
+               "assertion failed");
+  EXPECT_DEATH(ring.record(obs::FlightKind::kMsgSend, 0, 0, -(std::int64_t{1} << 55) - 1),
+               "assertion failed");
+}
+
+TEST(FlightRecorderDeathTest, OperandCOutside32BitsAborts) {
+  obs::FlightRecorder ring(4);
+  EXPECT_DEATH(ring.record(obs::FlightKind::kMsgSend, 0, 0, 0,
+                           std::int64_t{std::numeric_limits<std::int32_t>::max()} + 1),
+               "assertion failed");
+  EXPECT_DEATH(ring.record(obs::FlightKind::kMsgSend, 0, 0, 0,
                            std::int64_t{std::numeric_limits<std::int32_t>::min()} - 1),
                "assertion failed");
 }

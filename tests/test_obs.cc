@@ -46,12 +46,12 @@ namespace {
 using FK = FlightKind;
 
 static_assert(sizeof(Span) == 32);
-static_assert(sizeof(FlightEvent) == 32);
+static_assert(sizeof(FlightEvent) == 24);
 
 /// A span edge as the scheduler records it: a = step, b = task (or
 /// reduction), c = CPE group, message index or retry attempt.
 FlightEvent ev(TimePs time, FlightKind kind, std::int32_t step, std::int64_t b,
-               std::int64_t c = -1) {
+               std::int32_t c = -1) {
   return FlightEvent{time, kind, step, b, c};
 }
 
@@ -172,8 +172,8 @@ TEST(Trace, RecordsStructuredIds) {
   rec.record(FK::kSendPosted, 10, 2, 7, 0);  // step 2, task 7, message 0
   const std::vector<FlightEvent> log(rec.log().begin(), rec.log().end());
   ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(log[0].a, 2);
-  EXPECT_EQ(log[0].b, 7);
+  EXPECT_EQ(log[0].a(), 2);
+  EXPECT_EQ(log[0].b(), 7);
   const Resolved t = spans_of(log);
   const std::vector<Span>& spans = t.spans;
   ASSERT_EQ(spans.size(), 1u);
@@ -434,14 +434,12 @@ std::vector<FlightEvent> ring_of(const std::string& dump, int rank) {
   };
   std::vector<FlightEvent> events;
   while ((at = dump.find("\"t_ps\": ", at)) < to) {
-    FlightEvent e;
-    e.time = std::stoll(field("\"t_ps\": "));
+    const TimePs time = std::stoll(field("\"t_ps\": "));
     const std::string kind = field("\"kind\": ");
-    e.kind = kinds.at(kind.substr(1, kind.size() - 2));
-    e.a = std::stoi(field("\"a\": "));
-    e.b = std::stoll(field("\"b\": "));
-    e.c = std::stoll(field("\"c\": "));
-    events.push_back(e);
+    const std::int32_t a = std::stoi(field("\"a\": "));
+    const std::int64_t b = std::stoll(field("\"b\": "));
+    const std::int32_t c = std::stoi(field("\"c\": "));
+    events.emplace_back(time, kinds.at(kind.substr(1, kind.size() - 2)), a, b, c);
   }
   at = to;
   if (std::stoull(field("\"flight_recorded\": ")) != events.size()) events.clear();
@@ -475,7 +473,7 @@ TEST(Span, AnyChunkingGivesTheOneChunkSpans) {
   const std::vector<FlightEvent> recorded = ring_of(dump, 1);
   ASSERT_GT(recorded.size(), 100u);
   ASSERT_TRUE(std::any_of(recorded.begin(), recorded.end(),
-                          [](const FlightEvent& e) { return e.kind == FK::kOffloadRetry; }));
+                          [](const FlightEvent& e) { return e.kind() == FK::kOffloadRetry; }));
 
   // The run paired its log step by step: one chunk per step.
   EXPECT_EQ(span_difference(*result.ranks[1].trace, build_spans(recorded)), "");
@@ -523,8 +521,8 @@ TEST(Span, DrainEmptiesTheLog) {
   rec.record(FK::kKernelEnd, 40, 0, 0, 1);
   rec.record(FK::kTaskEnd, 50, 0, 0);
   ASSERT_EQ(rec.log().size(), 3u);
-  EXPECT_EQ(rec.log()[0].kind, FK::kStepEnd);
-  EXPECT_EQ(rec.log()[2].time, 50);
+  EXPECT_EQ(rec.log()[0].kind(), FK::kStepEnd);
+  EXPECT_EQ(rec.log()[2].time(), 50);
   builder.drain(rec);
   EXPECT_TRUE(rec.log().empty());
   EXPECT_EQ(rec.recorded(), 5u);  // the ring saw every event
