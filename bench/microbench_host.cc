@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <memory>
 #include <ostream>
 #include <streambuf>
 #include <vector>
@@ -160,7 +159,7 @@ void BM_CoordinatorHandoff(benchmark::State& state) {
 BENCHMARK(BM_CoordinatorHandoff)->Arg(2)->Arg(128)->Arg(1024)->UseManualTime();
 
 /// One offload as Scheduler::offload_stencil runs it for the acc_simd
-/// variants, timing-only on the serial backend: charge the plan's CPEs on
+/// variants, timing-only: charge the plan's CPEs on
 /// the MPE, spawn an empty job on them, join. `replan` also builds
 /// the plan (tiling, assignment, charges) first, as a task's first offload
 /// does; without it the plan is built once outside the loop, as every later
@@ -179,17 +178,17 @@ void offload_path(benchmark::State& state, bool replan) {
   sim::run_ranks(1, [&](sim::Coordinator& coord, int rank) {
     athread::CpeCluster cluster(cost, coord, rank);
     const auto make_plan = [&] {
-      return std::make_shared<const sched::TilePlan>(sched::plan_tile_assignment(
-          args, patch, cluster.group_size(), cluster.n_cpes(), cost));
+      return sched::plan_tile_assignment(args, patch, cluster.group_size(),
+                                         cluster.n_cpes(), cost);
     };
-    std::shared_ptr<const sched::TilePlan> plan = make_plan();
+    sched::TilePlan plan = make_plan();
     std::vector<TimePs> busy;
     hw::PerfCounters counters;
     for (auto _ : state) {
       if (replan) plan = make_plan();
-      sched::charge_offload(args, *plan, cluster.n_cpes(), cost, busy,
+      sched::charge_offload(args, plan, cluster.n_cpes(), cost, busy,
                             counters);
-      cluster.set_work(plan->assignment.cpes, busy);
+      cluster.set_work(plan.assignment.cpes, busy);
       cluster.spawn(athread::CpeJob{});
       cluster.join();
     }

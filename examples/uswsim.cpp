@@ -86,11 +86,6 @@ void print_help() {
       "  --ranks=N                     simulated core-groups (default 4)\n"
       "  --steps=N                     timesteps (default 10)\n"
       "  --variant=NAME                Table IV variant (default acc_simd.async)\n"
-      "  --backend=serial|threads      where emulated CPE bodies run\n"
-      "                                (threads = real worker threads; same\n"
-      "                                fields and virtual times, less wall-clock)\n"
-      "  --backend-threads=N           pool size for --backend=threads\n"
-      "                                (default: one per host core, capped)\n"
       "  --timing-only                 skip field allocation (big problems)\n"
       "  --partition=block|roundrobin|cost\n"
       "  --cpe-groups=N  --async-dma  --packed-tiles\n"
@@ -225,8 +220,8 @@ int main(int argc, char** argv) {
   }
   if (opts.get_bool("version", false)) {
     std::printf("%s\n", build_info_line().c_str());
-    std::printf("features: backends=serial,threads "
-                "schedule=fuzz,record,replay diagnostics=flight,watchdog,stream\n");
+    std::printf("features: schedule=fuzz,record,replay "
+                "diagnostics=flight,watchdog,stream\n");
     return 0;
   }
   try {
@@ -239,9 +234,6 @@ int main(int argc, char** argv) {
           parse_triple(opts.get("patch", "16x16x16"), "--patch"));
     }
     config.variant = runtime::variant_by_name(opts.get("variant", "acc_simd.async"));
-    config.backend = athread::backend_from_string(opts.get("backend", "serial"));
-    config.backend_threads =
-        static_cast<int>(get_int_min(opts, "backend-threads", 0, 0));
     config.nranks = static_cast<int>(get_int_min(opts, "ranks", 4, 1));
     config.timesteps = static_cast<int>(get_int_min(opts, "steps", 10, 0));
     config.storage = opts.get_bool("timing-only", false)
@@ -330,15 +322,14 @@ int main(int argc, char** argv) {
                         " (unknown, or not taken by --app=" + app_name + ")");
     }
 
-    // Everything host-configuration-dependent (the backend) stays on this
-    // first line: equivalence tests diff stdout with `tail -n +2`.
+    // The run's configuration: no field depends on the host, since every
+    // CPE body runs inside its offload's spawn on the rank's own thread.
     std::printf("uswsim: %s on %s (%d patches of %s), %d CGs, %d steps, %s, "
-                "%s backend, %s tiles of %s\n",
+                "%s tiles of %s\n",
                 app->name().c_str(), config.problem.grid_size().to_string().c_str(),
                 config.problem.num_patches(),
                 config.problem.patch_size.to_string().c_str(), config.nranks,
                 config.timesteps, config.variant.name.c_str(),
-                athread::to_string(config.backend),
                 sched::to_string(config.tile_policy),
                 tile_shapes(*app, config).c_str());
     if (!config.faults.empty())

@@ -24,26 +24,15 @@
 //     needs no scratch-pad of its own. A timing-only offload spawns an
 //     empty job: no body runs.
 //
-// Two execution backends decide *where* the CPE bodies run:
-//
-//   Backend::kSerial  - every body runs on the MPE's host thread at spawn
-//                       time, in CPE-id order. Deterministic, zero host
-//                       synchronization; wall-clock is serial.
-//   Backend::kThreads - bodies are dispatched across a persistent
-//                       WorkerPool of real host threads; spawn() returns
-//                       immediately and each CPE increments the group's
-//                       completion counter with a real std::atomic
-//                       fetch-add (the emulated faaw) when its body ends.
-//                       Wall-clock scales with host cores.
-//
-// Both backends produce bit-identical field data and identical virtual-time
-// results: no body computes any virtual result, and per-CPE write-sets are
-// disjoint (the tile checker enforces it). The MPE waits for the workers,
-// in host wall-clock only, where it starts reading the offload's outputs:
-// in the poll() that observes completion and in join() — and in the
-// destructor, since the bodies reference the cluster. A body's exception
-// surfaces there too; completion_time(), earliest_completion() and
-// cpe_busy() never wait.
+// Every body runs inside spawn(), on the rank's own host thread, in CPE-id
+// order. On the machine the bodies run concurrently with the MPE, but no
+// simulated value depends on where or when a body runs on the host: spawn()
+// has already fixed the completion time, no body computes a virtual
+// result, and the working CPEs' write-sets are disjoint (the tile checker
+// enforces it). Running them elsewhere would move host wall-clock only, so
+// the cluster holds no thread, lock or atomic of its own, and a body's
+// exception propagates out of spawn(). completion_time(),
+// earliest_completion() and cpe_busy() are the offload's virtual results.
 //
 // The cluster can be partitioned into 1..64 equal CPE *groups* (the paper's
 // future-work item "group CPEs and schedule different patches to different
@@ -52,38 +41,18 @@
 //
 // Because results are materialized eagerly but are virtually "not yet
 // computed" until the flag is set, callers must not consume results before
-// poll()/join() reports completion; the schedulers respect this. Under
-// Backend::kThreads the kernel body additionally runs concurrently with
-// the MPE thread and with the other CPEs of its offload, so bodies must be
-// re-entrant and must not touch MPE-owned state.
+// poll()/join() reports completion; the schedulers respect this.
 
-#include <atomic>
-#include <condition_variable>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <span>
-#include <string>
 #include <vector>
 
-#include "athread/worker_pool.h"
 #include "hw/cost_model.h"
 #include "hw/perf_counters.h"
 #include "sim/coordinator.h"
 #include "support/units.h"
 
 namespace usw::athread {
-
-/// Where the emulated CPE kernel bodies execute.
-enum class Backend {
-  kSerial,   ///< on the MPE host thread, in CPE-id order (default)
-  kThreads,  ///< across a WorkerPool of real host threads
-};
-
-const char* to_string(Backend backend);
-
-/// Parses "serial" / "threads"; throws ConfigError otherwise.
-Backend backend_from_string(const std::string& name);
 
 /// Per-CPE execution context handed to the kernel body: which CPE it is.
 /// Bodies only compute data; the offload's virtual cost is the MPE's
@@ -102,11 +71,9 @@ class CpeContext {
   int n_cpes_;
 };
 
-/// Kernel body run once per working CPE of the target group; it computes
-/// the offload's data and charges nothing. Under Backend::kThreads the same
-/// callable is invoked concurrently from multiple host threads, so it must
-/// be safe to call re-entrantly and its per-CPE write-sets must be
-/// disjoint.
+/// Kernel body run once per working CPE of the target group, inside
+/// CpeCluster::spawn(); it computes the offload's data and charges nothing.
+/// Its per-CPE write-sets must be disjoint.
 using CpeJob = std::function<void(CpeContext&)>;
 
 /// The 64-CPE cluster of one core-group, driven by one rank (its MPE),
@@ -115,15 +82,8 @@ class CpeCluster {
  public:
   /// `n_groups` must divide the CPE count; each group owns
   /// cpes_per_cg / n_groups CPEs and an independent completion flag.
-  /// Under Backend::kThreads the cluster dispatches CPE bodies onto
-  /// `pool`, which must be given and must outlive the cluster.
   CpeCluster(const hw::CostModel& cost, sim::Coordinator& coord, int rank,
-             hw::PerfCounters* counters = nullptr, int n_groups = 1,
-             Backend backend = Backend::kSerial, WorkerPool* pool = nullptr);
-
-  /// Blocks until every dispatched CPE body has finished; in-flight
-  /// offloads are discarded (nobody is left to ask).
-  ~CpeCluster();
+             hw::PerfCounters* counters = nullptr, int n_groups = 1);
 
   CpeCluster(const CpeCluster&) = delete;
   CpeCluster& operator=(const CpeCluster&) = delete;
@@ -147,18 +107,16 @@ class CpeCluster {
   /// times named by a preceding set_work() (which this call consumes; all
   /// zero without one), the completion time spawn + max busy, and the
   /// kernels_offloaded and kernel_time counters. Then runs `job` once per
-  /// working CPE — every CPE of the group without set_work() — and not at
-  /// all when `job` is empty. Backend::kSerial runs the bodies before
-  /// returning; Backend::kThreads dispatches them onto the worker pool and
-  /// returns immediately, keeping a copy of `job` until poll() or join()
-  /// has waited for them. The group must be idle.
+  /// working CPE — every CPE of the group without set_work() — in CPE-id
+  /// order before returning, and not at all when `job` is empty; the
+  /// cluster keeps no copy of it. A throwing body propagates out and
+  /// leaves the group idle. The group must be idle.
   void spawn(const CpeJob& job, int g = 0);
 
   /// True between spawn() and the flag being observed complete.
   bool in_flight(int g = 0) const;
 
-  /// Polls group g's completion flag (charges flag_poll of MPE time). The
-  /// poll that observes completion first waits for the offload's bodies.
+  /// Polls group g's completion flag (charges flag_poll of MPE time).
   bool poll(int g = 0);
 
   /// Completion time of group g's offload in flight or, once poll()/join()
@@ -175,8 +133,8 @@ class CpeCluster {
   /// Earliest completion among all in-flight groups (kNever if none).
   TimePs earliest_completion() const;
 
-  /// Blocks (virtual time) until group g's offload completes, after
-  /// waiting for its bodies; the synchronous MPE+CPE mode's spin loop.
+  /// Blocks (virtual time) until group g's offload completes; the
+  /// synchronous MPE+CPE mode's spin loop.
   void join(int g = 0);
 
   /// Installs a schedule controller for the kOffloadPoll point: which
@@ -196,39 +154,15 @@ class CpeCluster {
 
  private:
   struct Group {
-    // MPE-owned protocol state (never touched by workers).
     bool in_flight = false;
     TimePs completion = 0;
     std::vector<TimePs> cpe_busy;  ///< per CPE id, fixed at spawn
-    /// CPEs whose bodies the most recent offload runs, ascending.
-    std::vector<int> working;
-    /// Bodies dispatched onto the pool and not yet waited for: the faaw
-    /// target, 0 once wait_bodies() has returned.
-    int dispatched = 0;
-    /// Shared copy the workers invoke; lives from spawn() to the wait.
-    CpeJob job;
-
-    // Per-CPE error slots, made at the group's first pool dispatch (serial
-    // and timing-only clusters never have any): each worker writes exactly
-    // its own index, then bumps `faaw`. The MPE reads them only after
-    // faaw == dispatched, so the fetch-add release sequence orders every
-    // slot write before the read. Only the working CPEs' slots are reset
-    // and read.
-    std::vector<std::exception_ptr> cpe_errors;
-
-    /// The real faaw: CPEs atomically increment it on completion; the MPE
-    /// blocks on it before reading any output of the offload.
-    std::atomic<int> faaw{0};
   };
 
-  Group& group(int g) const {
-    return *groups_.at(static_cast<std::size_t>(g));
+  Group& group(int g) { return groups_.at(static_cast<std::size_t>(g)); }
+  const Group& group(int g) const {
+    return groups_.at(static_cast<std::size_t>(g));
   }
-  /// Runs `job` for one CPE with a private context.
-  void run_cpe(const CpeJob& job, int cpe) const;
-  /// Blocks until every dispatched body of `group` has faaw'd, then drops
-  /// the job and rethrows the lowest-id CPE's error, if any.
-  void wait_bodies(Group& group);
 
   const hw::CostModel& cost_;
   sim::Coordinator& coord_;
@@ -240,11 +174,7 @@ class CpeCluster {
   bool has_next_work_ = false;
   std::vector<int> all_groups_;  ///< 0..n_groups-1: the canonical sweep
   std::vector<int> poll_order_;  ///< scratch for a controlled sweep
-  Backend backend_;
-  std::vector<std::unique_ptr<Group>> groups_;
-  std::mutex sync_mu_;
-  std::condition_variable sync_cv_;
-  WorkerPool* pool_;  ///< kThreads dispatch target
+  std::vector<Group> groups_;
 };
 
 }  // namespace usw::athread

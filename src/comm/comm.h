@@ -34,8 +34,9 @@
 // pushes and matches, link reservations and the message sequence counter
 // alike. The token handoff (coordinator mutex plus the per-rank wake-up
 // semaphore) provides the happens-before edges, so none of it takes a
-// lock of its own. CPE worker threads never touch comm state. A Comm must
-// only be used from the thread running its rank.
+// lock of its own. CPE bodies run inside their rank's spawn and never
+// touch comm state. A Comm must only be used from the thread running its
+// rank.
 
 #include <cstdint>
 #include <span>
@@ -82,7 +83,7 @@ class Network {
 
   /// Arms deterministic message faults (msg_delay / msg_loss). The plan
   /// must outlive the network; nullptr disarms. Decisions hash the global
-  /// message seq, so they are identical across backends and schedulers.
+  /// message seq, so they are identical across schedules.
   void set_fault_plan(const fault::FaultPlan* plan) { fault_ = plan; }
   const fault::FaultPlan* fault_plan() const { return fault_; }
 

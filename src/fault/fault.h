@@ -10,9 +10,9 @@
 //
 // Determinism contract: every injection decision is a pure hash of
 // (plan seed, fault kind, stable event identifiers) — never a draw from a
-// sequential PRNG stream. Hashes are evaluation-order independent, so the
-// serial and threads CPE backends (and any scheduler interleaving) see
-// the same faults and stay bit-identical under the same seed. Faults are
+// sequential PRNG stream. Hashes are evaluation-order independent, so any
+// scheduler interleaving sees the same faults and stays bit-identical
+// under the same seed. Faults are
 // charged in virtual time only; payloads are never corrupted, which is
 // what makes a recovered run's numerics bit-equal to a fault-free run.
 //

@@ -9,14 +9,12 @@
 // accumulators incremented by the athread layer and schedulers; they carry
 // no virtual time of their own.
 //
-// Concurrency contract (audited for the real-threads CPE backend): the
-// fields are deliberately plain, NOT atomic. A PerfCounters instance must
-// only ever be written by one thread at a time: the per-rank instance is
-// written by that rank's MPE host thread alone. CPE bodies count nothing;
-// the MPE adds each offload's counters before the spawn, share by share
-// in CPE-id order (sched::charge_offload), which also keeps the
-// floating-point `counted_flops` sum bit-identical across backends. Never
-// hand the per-rank instance to a concurrently executing CPE body.
+// Concurrency contract: the fields are deliberately plain, NOT atomic. A
+// PerfCounters instance must only ever be written by one thread at a time:
+// the per-rank instance is written by that rank's host thread alone. CPE
+// bodies count nothing; the MPE adds each offload's counters before the
+// spawn, share by share in CPE-id order (sched::charge_offload), which
+// keeps the floating-point `counted_flops` sum in one fixed order.
 
 #include <cstdint>
 #include <string>

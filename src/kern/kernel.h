@@ -37,8 +37,8 @@ struct KernelEnv {
 /// contains it, so a CPE body may compute its share's tiles in one call
 /// over their union, and the MPE a whole patch. Output and input are
 /// different variables: CPE bodies compute an offload's regions in place,
-/// concurrently on the threads backend, so a region must not read what
-/// another region writes.
+/// one after another in CPE-id order, so a region must not read what
+/// another region writes or the result would depend on that order.
 using StencilFn =
     std::function<void(const KernelEnv& env, const FieldView& in,
                        const FieldView& out, const grid::Box& region)>;
@@ -55,8 +55,8 @@ struct KernelVariants {
   std::function<double(const grid::Patch&)> cost_scale;
   /// Optional per-tile work multiplier on top of cost_scale, keyed by the
   /// tile's interior box (e.g. a hotspot bubble where the physics converges
-  /// slower). Must be a pure function of the box so every backend and tile
-  /// policy charges identical costs. Empty = 1.0.
+  /// slower). Must be a pure function of the box so every tile policy and
+  /// scheduler mode charges identical costs. Empty = 1.0.
   std::function<double(const grid::Box&)> tile_cost_scale;
 
   bool has_simd() const { return static_cast<bool>(simd); }

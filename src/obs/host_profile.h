@@ -1,13 +1,12 @@
 #pragma once
 
-// Host-side (wall-clock) profile of one run: phase timers, WorkerPool
-// queue-wait and lock-contention histograms, and per-schedule-point
-// overhead counters.
+// Host-side (wall-clock) profile of one run: phase timers, per-rank init
+// and step times, and per-schedule-point overhead counters.
 //
 // Host numbers live in their OWN registry, never in the per-rank virtual
 // metrics: wall-clock varies run to run and machine to machine, and mixing
 // it into the virtual plane would break the bit-equality contracts those
-// metrics are checked under (serial-vs-threads diffs, replay, restart).
+// metrics are checked under (faults vs clean, replay, restart).
 // Conventions: distribution/counter names are prefixed "host."; durations
 // are milliseconds unless the name says otherwise (_us, _ns).
 

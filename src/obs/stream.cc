@@ -60,8 +60,7 @@ MetricsStreamer::MetricsStreamer(const StreamSpec& spec, int nranks, int timeste
 }
 
 void MetricsStreamer::emit(int step, TimePs now,
-                           const std::vector<const hw::PerfCounters*>& ranks,
-                           std::size_t pool_queue_depth) {
+                           const std::vector<const hw::PerfCounters*>& ranks) {
   const double wall_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
                                                 start_)
@@ -88,7 +87,6 @@ void MetricsStreamer::emit(int step, TimePs now,
   w.kv("kernels_offloaded", offloads);
   w.kv("fault_injected", faults);
   w.kv("wait_ps", static_cast<std::int64_t>(wait));
-  w.kv("pool_queue_depth", static_cast<std::uint64_t>(pool_queue_depth));
   w.end_object();
   out_ << '\n';
   out_.flush();

@@ -41,8 +41,8 @@ class MetricsStreamer {
   /// Appends one snapshot line and flushes. Caller contract: invoked by a
   /// single thread (rank 0) while it holds the coordinator token, so the
   /// other ranks' PerfCounters are quiescent and safe to read.
-  void emit(int step, TimePs now, const std::vector<const hw::PerfCounters*>& ranks,
-            std::size_t pool_queue_depth);
+  void emit(int step, TimePs now,
+            const std::vector<const hw::PerfCounters*>& ranks);
 
   int interval() const { return interval_; }
 

@@ -37,8 +37,6 @@ void RunConfig::validate() const {
   if (nranks <= 0) throw ConfigError("nranks must be positive");
   if (cpe_groups < 1 || machine.cpes_per_cg % cpe_groups != 0)
     throw ConfigError("cpe_groups must divide the CPE count");
-  if (backend_threads < 0)
-    throw ConfigError("backend_threads must be >= 0 (0 = auto)");
   if (nranks > problem.num_patches())
     throw ConfigError("more ranks than patches (one patch is scheduled on one "
                       "CG at a time, Sec VII-A)");
@@ -130,8 +128,8 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
   // Schedule-space exploration: one controller serves the whole run so
   // every decision site shares a single, totally ordered decision log
   // (every choose() happens on the token-holding rank thread or inside the
-  // coordinator's pick, so the order is backend-independent). The rank-
-  // pick lookahead is the minimum message latency: any rank strictly
+  // coordinator's pick, so the order is a pure function of the run). The
+  // rank-pick lookahead is the minimum message latency: any rank strictly
   // inside the window cannot observe a message an unrun rank would send.
   const std::unique_ptr<schedpt::ScheduleController> schedule =
       schedpt::ScheduleController::make(config.schedule);
@@ -188,8 +186,8 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
 
   // Diagnostics: flight rings for every rank plus the coordinator, crash
   // and clean-finish dump writing, and the hang-watchdog sink. Declared
-  // before the streamer and the pool so it outlives everything that records
-  // into its rings.
+  // before the streamer so it outlives everything that records into its
+  // rings.
   obs::DiagHub diag_hub(config.diag, config.nranks);
 
   // Streaming metrics (rank 0 emits while holding the token, so the other
@@ -200,14 +198,6 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
   std::vector<const hw::PerfCounters*> rank_counters;
   rank_counters.reserve(result.ranks.size());
   for (const RankResult& r : result.ranks) rank_counters.push_back(&r.counters);
-
-  // One worker pool serves every rank's cluster: only the token-holding
-  // rank dispatches at any moment, so per-rank pools would mostly sleep
-  // while multiplying thread counts by nranks. Declared before run_ranks
-  // so it outlives every cluster that dispatches onto it.
-  std::unique_ptr<athread::WorkerPool> cpe_pool;
-  if (config.backend == athread::Backend::kThreads)
-    cpe_pool = std::make_unique<athread::WorkerPool>(config.backend_threads);
 
   const auto host_run_start = std::chrono::steady_clock::now();
   const double host_setup_ms = ms_since(host_setup_start);
@@ -223,8 +213,7 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
     comm.set_flight(&flight);
     comm.set_retransmit(config.recovery.retransmit);
     athread::CpeCluster cluster(cost, coord, rank, &out.counters,
-                                config.cpe_groups, config.backend,
-                                cpe_pool.get());
+                                config.cpe_groups);
     if (schedule != nullptr) cluster.set_schedule(schedule.get());
     sched::SchedulerConfig sched_config = config.variant.scheduler_config();
     sched_config.flight = &flight;
@@ -315,9 +304,6 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
           for (int g = 0; g < config.cpe_groups; ++g)
             if (cluster.in_flight(g)) w.value(g);
           w.end_array();
-          if (cpe_pool)
-            w.kv("pool_queue_depth",
-                 static_cast<std::uint64_t>(cpe_pool->queue_depth()));
           if (diag_sched != nullptr) {
             const sched::Scheduler::DiagStats d = diag_sched->diag_stats();
             w.key("scheduler");
@@ -493,8 +479,7 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
       if (rank == 0 && streamer &&
           (completed % streamer->interval() == 0 ||
            completed == config.timesteps))
-        streamer->emit(ctx.step, coord.now(rank), rank_counters,
-                       cpe_pool ? cpe_pool->queue_depth() : 0);
+        streamer->emit(ctx.step, coord.now(rank), rank_counters);
     }
 
     app.on_rank_complete(ctx, comm, part.patches_of(rank), out.metrics);
@@ -537,10 +522,9 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
     }
   }
 
-  // Host-side profile: phase timers, per-rank init/step wall-clock, worker
-  // pool queue-wait and contention samples, schedule-point overhead. Kept
-  // in its own registry — host numbers never enter the per-rank (gated)
-  // metrics or default stdout.
+  // Host-side profile: phase timers, per-rank init/step wall-clock and
+  // schedule-point overhead. Kept in its own registry — host numbers never
+  // enter the per-rank (gated) metrics or default stdout.
   obs::MetricsRegistry& hostm = result.host;
   hostm.count("host.setup_ms", host_setup_ms);
   hostm.count("host.run_ms", ms_since(host_run_start));
@@ -550,19 +534,6 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
   for (const RankResult& r : result.ranks) {
     hostm.sample("host.rank_init_ms", r.host_init_ms);
     for (const double ms : r.host_step_ms) hostm.sample("host.step_ms", ms);
-  }
-  if (cpe_pool) {
-    const athread::WorkerPool::PoolStats ps = cpe_pool->stats();
-    hostm.count("host.pool_tasks", static_cast<double>(ps.tasks));
-    if (ps.samples_dropped > 0)
-      hostm.count("host.pool_samples_dropped",
-                  static_cast<double>(ps.samples_dropped));
-    for (const double v : ps.queue_wait_us)
-      hostm.sample("host.pool_queue_wait_us", v);
-    for (const double v : ps.lock_wait_us)
-      hostm.sample("host.pool_lock_wait_us", v);
-    for (const std::uint64_t n : ps.per_worker)
-      hostm.sample("host.pool_tasks_per_worker", static_cast<double>(n));
   }
   if (schedule != nullptr) {
     const schedpt::ScheduleController::HostOverhead oh =

@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "athread/athread.h"
 #include "check/check.h"
 #include "fault/fault.h"
 #include "grid/partition.h"
@@ -44,15 +43,6 @@ struct RunConfig {
   /// size samples) while running; read back via runtime::observe().
   bool collect_metrics = false;
 
-  /// Where the emulated CPE kernel bodies execute (uswsim --backend).
-  /// kSerial runs them on each rank's host thread; kThreads dispatches
-  /// them across a shared pool of real host threads. Both backends give
-  /// bit-identical fields and identical virtual-time results — threads
-  /// only buy host wall-clock.
-  athread::Backend backend = athread::Backend::kSerial;
-  /// Worker threads for Backend::kThreads (0 = one per host core, capped).
-  int backend_threads = 0;
-
   // Future-work options (paper Sec IX), orthogonal to the variant:
   int cpe_groups = 1;         ///< concurrent kernels per CG (async modes)
   bool async_dma = false;     ///< double-buffered tile DMA
@@ -83,7 +73,7 @@ struct RunConfig {
 
   /// Deterministic fault injection (uswsim --inject): an empty plan runs
   /// fault-free. The same plan + seed produces bit-identical faults,
-  /// virtual times, and fields on both execution backends.
+  /// virtual times, and fields.
   fault::FaultPlan faults;
   /// Recovery policy: message retransmission (comm) and
   /// restart-from-checkpoint on a step deadline (controller; requires
@@ -157,9 +147,9 @@ struct RunResult {
   /// Schedule-point decisions taken across the run (all kinds zero when
   /// RunConfig::schedule is Mode::kDefault).
   schedpt::PointCounters schedule_points;
-  /// Host-side profile: phase wall-clock, worker-pool queue-wait and
-  /// lock-contention histograms, per-schedule-point-kind overhead. Always
-  /// filled (cheap); machine-dependent, so it never feeds gated output.
+  /// Host-side profile: phase wall-clock and per-schedule-point-kind
+  /// overhead. Always filled (cheap); machine-dependent, so it never feeds
+  /// gated output.
   obs::MetricsRegistry host;
   /// Path the diagnostic dump was written to ("" if none was requested).
   std::string diag_dump_path;

@@ -10,7 +10,6 @@
 #include "obs/flight.h"
 #include "obs/registry.h"
 #include "schedpt/schedule.h"
-#include "sched/tile_exec.h"
 #include "support/error.h"
 
 namespace usw::sched {
@@ -304,14 +303,13 @@ void Scheduler::offload_stencil(task::TaskContext& ctx, int dt_index, int group)
   // executed.
   // A schedule controller draws kTileGrab decisions inside the planner,
   // so under one every offload plans afresh.
-  StencilPlan& kept = plans_[static_cast<std::size_t>(dt_index)];
-  std::shared_ptr<const TilePlan> plan = kept.tiles;
-  if (plan == nullptr) {
-    plan = std::make_shared<const TilePlan>(plan_tile_assignment(
+  std::unique_ptr<const TilePlan>& kept =
+      plans_[static_cast<std::size_t>(dt_index)].tiles;
+  if (kept == nullptr || config_.schedule != nullptr)
+    kept = std::make_unique<const TilePlan>(plan_tile_assignment(
         args, patch.cells(), cluster_.group_size(), cluster_.n_cpes(),
         comm_.net().cost(), config_.schedule, comm_.rank()));
-    if (config_.schedule == nullptr) kept.tiles = plan;
-  }
+  const TilePlan& plan = *kept;
   if (config_.checker != nullptr) {
     config_.checker->record_stencil_read(dt_index, dt.task->stencil_in(),
                                          dt.task->stencil_in_dw(),
@@ -320,18 +318,18 @@ void Scheduler::offload_stencil(task::TaskContext& ctx, int dt_index, int group)
     // The tile-partition race detector: the per-CPE write-sets of this
     // offload must partition the patch interior exactly.
     config_.checker->record_tile_partition(
-        dt_index, patch.cells(), tile_writes(plan->tiling, plan->assignment));
+        dt_index, patch.cells(), tile_writes(plan.tiling, plan.assignment));
   }
   if (config_.metrics != nullptr) {
     sample(Metric::kOffloadCells, static_cast<double>(patch.cells().volume()));
-    const TileAssignment& a = plan->assignment;
+    const TileAssignment& a = plan.assignment;
     for (int i = 0; i < static_cast<int>(a.shares.size()); ++i)
       for (const int t : a.tiles(i))
-        sample(Metric::kTileCells, static_cast<double>(plan->tiling.tile(t).volume()));
+        sample(Metric::kTileCells, static_cast<double>(plan.tiling.tile(t).volume()));
   }
   record(obs::FlightKind::kOffloadBegin, comm_.now(), dt_index, group);
   // What every working CPE charges, fixed here on the MPE before the spawn.
-  charge_offload(args, *plan, cluster_.n_cpes(), comm_.net().cost(),
+  charge_offload(args, plan, cluster_.n_cpes(), comm_.net().cost(),
                  share_busy_, counters_);
   if (config_.faults != nullptr) {
     if (const auto stall = config_.faults->cpe_stall(step_, dt_index, attempt,
@@ -342,7 +340,7 @@ void Scheduler::offload_stencil(task::TaskContext& ctx, int dt_index, int group)
       // factor x 0.
       counters_.fault_injected += 1;
       record(obs::FlightKind::kCpeStall, comm_.now(), dt_index, group);
-      if (const int i = plan->assignment.find(stall->cpe); i >= 0) {
+      if (const int i = plan.assignment.find(stall->cpe); i >= 0) {
         TimePs& busy = share_busy_[static_cast<std::size_t>(i)];
         busy += static_cast<TimePs>(static_cast<double>(busy) *
                                     (stall->factor - 1.0));
@@ -351,7 +349,7 @@ void Scheduler::offload_stencil(task::TaskContext& ctx, int dt_index, int group)
   }
   // Only CPEs with tiles or grabs work, and only a functional offload has
   // data for their bodies to move.
-  cluster_.set_work(plan->assignment.cpes, share_busy_);
+  cluster_.set_work(plan.assignment.cpes, share_busy_);
   cluster_.spawn(args.in.valid() && args.out.valid() ? make_tile_job(args, plan)
                                                      : athread::CpeJob{},
                  group);
@@ -371,9 +369,8 @@ void Scheduler::offload_stencil(task::TaskContext& ctx, int dt_index, int group)
                       dt.patch_id, patch.cells(), dt.task->name());
   }
   offloaded_[static_cast<std::size_t>(group)] = dt_index;
-  // The functional writes happen eagerly (serial backend) or before the
-  // completion is observed (threads backend); the MPE-side task scope ends
-  // here even though the offload is still in flight.
+  // The functional writes happened inside the spawn; the MPE-side task
+  // scope ends here even though the offload is still in flight.
   if (config_.checker != nullptr) config_.checker->end_task();
 }
 
@@ -387,8 +384,8 @@ void Scheduler::sample_offload_imbalance(int group) {
     max = std::max(max, b);
     sum += b;
   }
-  // Integer accumulation first, then one division each: the samples are
-  // bit-identical across backends because the per-CPE busy times are.
+  // Integer accumulation first, then one division each, so the samples
+  // are exact functions of the per-CPE busy times.
   const auto n = static_cast<double>(busy.size());
   const double mean = static_cast<double>(sum) / n;
   sample(Metric::kCpeBusyMax, static_cast<double>(max));

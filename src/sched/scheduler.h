@@ -42,6 +42,7 @@
 #include "fault/fault.h"
 #include "hw/perf_counters.h"
 #include "obs/flight.h"
+#include "sched/tile_exec.h"
 #include "sched/tile_policy.h"
 #include "task/graph.h"
 #include "var/datawarehouse.h"
@@ -62,8 +63,6 @@ class ScheduleController;
 
 namespace usw::sched {
 
-struct TilePlan;
-
 enum class SchedulerMode { kMpeOnly, kSyncMpeCpe, kAsyncMpeCpe };
 
 struct SchedulerConfig {
@@ -72,8 +71,7 @@ struct SchedulerConfig {
 
   /// How each offload's tiles are assigned to the CPEs of its group:
   /// the paper's static z-partition, or the atomic-counter self-scheduling
-  /// emulations (sched/tile_policy.h). Deterministic and backend-agnostic
-  /// under every policy.
+  /// emulations (sched/tile_policy.h). Deterministic under every policy.
   TilePolicy tile_policy = TilePolicy::kStaticZ;
 
   // Future-work options (paper Sec IX). The async scheduler keeps one
@@ -188,7 +186,7 @@ class Scheduler {
   void offload_stencil(task::TaskContext& ctx, int dt_index, int group);
   /// Rolls the finished offload's per-CPE busy times into the metrics
   /// registry (max/mean busy, idle fraction). Called from the completion
-  /// paths, where both backends observe the same scheduler state.
+  /// paths of both scheduler loops.
   void sample_offload_imbalance(int group);
   /// The distributions the scheduler feeds into config_.metrics.
   enum class Metric {
@@ -254,9 +252,9 @@ class Scheduler {
     /// identical across scheduler modes.
     double mpe_cost_scale = 1.0;
     /// The offload plan, built at the task's first offload and reused by
-    /// every later one: later steps, retries and spare groups. Left null
-    /// under a schedule controller, which plans each offload afresh.
-    std::shared_ptr<const TilePlan> tiles;
+    /// every later one: later steps, retries and spare groups. Under a
+    /// schedule controller each offload plans afresh and replaces it.
+    std::unique_ptr<const TilePlan> tiles;
   };
   std::vector<StencilPlan> plans_;  ///< per detailed task, for the run
 

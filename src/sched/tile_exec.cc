@@ -236,20 +236,20 @@ void charge_offload(const TileExecArgs& args, const TilePlan& plan,
   }
 }
 
-athread::CpeJob make_tile_job(TileExecArgs args,
-                              std::shared_ptr<const TilePlan> plan) {
-  USW_ASSERT(args.kernel != nullptr && plan != nullptr);
+athread::CpeJob make_tile_job(const TileExecArgs& args, const TilePlan& plan) {
+  USW_ASSERT(args.kernel != nullptr);
   USW_ASSERT_MSG(args.in.valid() && args.out.valid(),
                  "a tile job computes data: it needs valid views");
-  return [args = std::move(args),
-          plan = std::move(plan)](athread::CpeContext& ctx) {
-    const TileAssignment& assignment = plan->assignment;
+  // Two references: small enough for std::function's local buffer, so
+  // making the job allocates nothing.
+  return [&args, &plan](athread::CpeContext& ctx) {
+    const TileAssignment& assignment = plan.assignment;
     USW_ASSERT_MSG(assignment.n_cpes == ctx.n_cpes(),
                    "tile plan sized for a different CPE group");
     const int share = assignment.find(ctx.cpe_id());
     if (share < 0) return;  // no tiles
     const kern::StencilFn& kernel = args.kernel->variant(args.vectorize);
-    const grid::Tiling& tiling = plan->tiling;
+    const grid::Tiling& tiling = plan.tiling;
     const TileRun tiles = assignment.tiles(share);
     if (args.policy == TilePolicy::kStaticZ) {
       // Whole z-slabs: the box from the first tile's lo to the last tile's

@@ -41,7 +41,6 @@
 //     runs at the packed (higher) efficiency instead of the strided one.
 
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -57,8 +56,8 @@
 namespace usw::sched {
 
 /// Identity of an offload for deterministic DMA-error injection. The plan
-/// is consulted per tile with a pure hash, so the serial and threads
-/// backends (and any tile policy) see the same errors. Inactive when
+/// is consulted per tile with a pure hash, so any tile policy sees the
+/// same errors. Inactive when
 /// `plan` is null; set it only when the plan can draw DMA errors, since
 /// an active probe makes charge_offload walk every tile of the offload.
 struct TileFaultProbe {
@@ -105,8 +104,8 @@ struct CpeCharge {
 /// Everything an offload of one stencil task needs that stays the same
 /// from step to step: the patch's tiling, the tile->CPE assignment, and
 /// what each CPE with work charges under the planned DMA mode. Immutable
-/// once built; CPE bodies on the threads backend only read it. O(CPEs with
-/// work + tiles) words: CPEs with identical work share one charge record.
+/// once built; CPE bodies only read it. O(CPEs with work + tiles) words:
+/// CPEs with identical work share one charge record.
 struct TilePlan {
   grid::Tiling tiling;
   TileAssignment assignment;
@@ -142,7 +141,7 @@ grid::IntVec tile_shape_for(const kern::KernelVariants& kernel, grid::IntVec cel
 /// pure function of its arguments, of which only the kernel, cost_scale,
 /// policy, vectorize, async_dma and packed_tiles fields of `args` matter.
 /// `schedule`/`rank` feed the kTileGrab schedule point (see assign_tiles).
-/// Runs on the MPE: CPE worker threads must never consult the controller.
+/// Runs on the MPE: CPE bodies must never consult the controller.
 TilePlan plan_tile_assignment(const TileExecArgs& args, const grid::Box& patch,
                               int n_cpes, int cluster_cpes,
                               const hw::CostModel& cost,
@@ -153,9 +152,9 @@ TilePlan plan_tile_assignment(const TileExecArgs& args, const grid::Box& patch,
 /// becomes the busy time of the CPE of share i: its planned charge plus
 /// one re-issued input transfer per tile that draws a DMA error under
 /// args.fault this step. Every share's counter deltas are added to
-/// `counters` in CPE-id order, so the counted-flops sum is the same on
-/// every backend. A re-issue counts one injected fault and one retry;
-/// under synchronous DMA it is one more get (busy time and dma_bytes_in),
+/// `counters` in CPE-id order, so the counted-flops sum always adds in the
+/// same order. A re-issue counts one injected fault and one retry; under
+/// synchronous DMA it is one more get (busy time and dma_bytes_in),
 /// under the double-buffered pipeline one exposed re-transfer (busy time
 /// only). `cluster_cpes` is the whole cluster's CPE count (DMA
 /// contention), as for plan_tile_assignment.
@@ -170,13 +169,12 @@ void charge_offload(const TileExecArgs& args, const TilePlan& plan,
 /// once per tile under the dynamic policy. This relies on the kernel
 /// contract (kern::StencilFn): a cell's value does not depend on the
 /// region that contains it. It charges nothing; pair it with
-/// charge_offload and CpeCluster::set_work(plan->assignment.cpes, busy).
-/// Needs valid data views (a timing-only offload spawns an empty job),
-/// which must stay valid until the offload completes. Copies `args` by
-/// value and shares ownership of the plan. A body run for a CPE without
+/// charge_offload and CpeCluster::set_work(plan.assignment.cpes, busy).
+/// Needs valid data views (a timing-only offload spawns an empty job).
+/// The job refers to `args` and `plan`, which must outlive the spawn that
+/// runs it; the bodies run inside that spawn. A body run for a CPE without
 /// work does nothing.
-athread::CpeJob make_tile_job(TileExecArgs args,
-                              std::shared_ptr<const TilePlan> plan);
+athread::CpeJob make_tile_job(const TileExecArgs& args, const TilePlan& plan);
 
 /// The per-CPE write-sets — (cpe id, tile interior box) pairs — of the
 /// assignment actually executed, in execution order. Feeds the access

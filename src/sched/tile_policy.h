@@ -9,18 +9,17 @@
 // self-scheduling (each CPE `faaw`s a shared next-tile index, fetches the
 // tile, computes, repeats until the counter passes the tile count).
 //
-// Emulating that loop literally would make the assignment depend on host
-// thread interleaving under the threads backend. Instead the assignment is
+// Emulating that loop literally would make the assignment depend on the
+// order the host happens to run the CPE bodies in. Instead the assignment is
 // computed by deterministic virtual-time list scheduling, which is exactly
 // what the atomic counter produces under the virtual-time model: the CPE
 // whose accumulated virtual clock is smallest grabs the next tile (ties
 // break toward the lowest CPE id, matching the hardware's deterministic
 // arbitration in the emulation), pays the faaw grab cost, then advances its
 // clock by the tile's modeled cost. The result is a pure function of
-// (tiling, costs, policy), so serial and threads backends execute the very
-// same assignment and stay bit-identical in fields, virtual times, and
-// counters. The planner (sched/tile_exec.h) then prices each CPE's share
-// once, and the MPE charges that price at every offload.
+// (tiling, costs, policy), planned on the MPE before any body runs. The
+// planner (sched/tile_exec.h) then prices each CPE's share once, and the
+// MPE charges that price at every offload.
 
 #include <functional>
 #include <string>

@@ -19,7 +19,7 @@ constexpr int kFileVersion = 1;
 
 /// One SplitMix64 finalizer round (the src/fault idiom): decisions are
 /// pure hashes of stable identifiers, never sequential PRNG draws, so
-/// every backend and call order produces the same choice.
+/// every call order produces the same choice.
 std::uint64_t mix(std::uint64_t x) {
   SplitMix64 s(x);
   return s.next_u64();

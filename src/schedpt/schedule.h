@@ -26,8 +26,8 @@
 //             is taken everywhere at zero cost.
 //   kFuzz     perturbs every decision with a pure seeded hash of
 //             (seed, kind, rank, point index) — the same stateless style
-//             as src/fault, so the serial and threads backends make
-//             identical choices. Every perturbation is causally bounded
+//             as src/fault, so a decision does not depend on when it
+//             is asked for. Every perturbation is causally bounded
 //             (see each site), so numerics and archives stay bit-equal to
 //             the default schedule while the interleaving changes.
 //   kRecord   takes the canonical choice and serializes the full decision
@@ -39,7 +39,7 @@
 // Thread-safety / determinism: every choose() call happens either on the
 // rank thread currently holding the Coordinator token or inside the
 // coordinator's pick (between token holds), so the global decision
-// sequence is totally ordered and identical across backends; the internal
+// sequence is totally ordered and a pure function of the run; the internal
 // mutex only makes that ordering visible to the memory model.
 
 #include <cstdint>

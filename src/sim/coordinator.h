@@ -57,14 +57,13 @@
 // rank writes its own clock, and the next lock_ acquisition (its own park)
 // publishes the value to the grantor.
 //
-// Interaction with the real-threads CPE backend (athread::Backend::
-// kThreads): CPE worker threads are NOT simulated ranks and never touch
-// the Coordinator or any virtual time. They only move an offload's data;
-// the owning rank fixes the offload's busy times and completion time at
-// the spawn, while it is granted, and blocks (in host wall-clock, with its
-// virtual clock frozen) for the workers only where it starts reading the
-// offload's outputs. The conservative invariant therefore holds unchanged:
-// all virtual-time mutation happens on the granted rank's thread.
+// CPE bodies are not simulated ranks and have no threads of their own:
+// they run inside their rank's CpeCluster::spawn, on the granted rank's
+// thread, after the spawn has fixed the offload's busy times and
+// completion time. They only move an offload's data and never touch the
+// Coordinator or any virtual time, so the token serializes every thread
+// the simulator runs and all virtual-time mutation happens on the granted
+// rank's thread.
 //
 // Rank states:
 //   kReady    - wants to run; eligible at its clock.

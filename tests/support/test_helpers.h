@@ -118,11 +118,11 @@ inline std::string str_of(const std::vector<std::byte>& b) {
   return std::string(reinterpret_cast<const char*>(b.data()), b.size());
 }
 
-/// Spawns `job` on group `g` of `cluster` with every CPE of the group
+/// Spawns `job` on group 0 of `cluster` with every CPE of the group
 /// working, CPE i busy for busy_of(i).
 inline void spawn_busy(athread::CpeCluster& cluster,
                        const std::function<TimePs(int)>& busy_of,
-                       const athread::CpeJob& job = {}, int g = 0) {
+                       const athread::CpeJob& job = {}) {
   std::vector<int> cpes;
   std::vector<TimePs> busy;
   for (int id = 0; id < cluster.group_size(); ++id) {
@@ -130,7 +130,7 @@ inline void spawn_busy(athread::CpeCluster& cluster,
     busy.push_back(busy_of(id));
   }
   cluster.set_work(cpes, busy);
-  cluster.spawn(job, g);
+  cluster.spawn(job);
 }
 
 }  // namespace usw::test

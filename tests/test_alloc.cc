@@ -1,18 +1,23 @@
-// Exact heap-allocation counts of whole runs. This binary replaces the
-// global operator new and delete (aligned and nothrow forms included) with
-// versions that count (support/counting_new.cc), so these tests pin that a
-// steady timestep allocates nothing: a timing-only Burgers run of 2S steps
-// makes exactly as many operator new calls as one of S steps, for every
-// variant (serial backend, untraced, fault-free, no controller).
+// Exact heap-allocation counts. This binary replaces the global operator
+// new and delete (aligned and nothrow forms included) with versions that
+// count (support/counting_new.cc), so these tests pin that a steady
+// timestep allocates nothing: a timing-only Burgers run of 2S steps makes
+// exactly as many operator new calls as one of S steps, for every variant
+// (untraced, fault-free, no controller). A functional offload's job
+// allocates nothing either.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "apps/burgers/burgers_app.h"
+#include "apps/burgers/kernels.h"
 #include "runtime/controller.h"
+#include "sched/tile_exec.h"
 #include "sched/tile_policy.h"
+#include "sim/coordinator.h"
 #include "support/counting_new.h"
 
 namespace usw {
@@ -75,6 +80,45 @@ TEST(SteadyStepOptions, CpeGroupsWithDynamicTilesMakeNoMoreAllocations) {
   config.cpe_groups = 2;
   config.tile_policy = sched::TilePolicy::kDynamic;
   expect_steady_steps_allocate_nothing(config);
+}
+
+TEST(FunctionalOffload, JobAllocatesNothingAfterTheFirstSpawn) {
+  // One functional offload of a 64^3 patch as Scheduler::offload_stencil
+  // runs it, with a kernel that allocates nothing: charge, name the work,
+  // spawn make_tile_job's job, join. The job refers to the offload's
+  // arguments and plan, a capture that fits std::function's local buffer,
+  // and its bodies run inside the spawn, so nothing is allocated for it.
+  const grid::Box patch{{0, 0, 0}, {64, 64, 64}};
+  var::CCVariable<double> in(patch.grown(1)), out(patch);
+  kern::KernelVariants kv = apps::burgers::make_burgers_kernel(false);
+  int calls = 0;
+  kv.scalar = [&calls](const kern::KernelEnv&, const kern::FieldView&,
+                       const kern::FieldView&, const grid::Box&) { ++calls; };
+  const hw::CostModel cost(hw::MachineParams::sunway_taihulight());
+  std::uint64_t news = 0;
+  sim::run_ranks(1, [&](sim::Coordinator& coord, int rank) {
+    athread::CpeCluster cluster(cost, coord, rank);
+    sched::TileExecArgs args;
+    args.kernel = &kv;
+    args.in = kern::FieldView::of(in);
+    args.out = kern::FieldView::of(out);
+    const sched::TilePlan plan = sched::plan_tile_assignment(
+        args, patch, cluster.group_size(), cluster.n_cpes(), cost);
+    std::vector<TimePs> busy;
+    hw::PerfCounters counters;
+    const auto offload = [&] {
+      sched::charge_offload(args, plan, cluster.n_cpes(), cost, busy, counters);
+      cluster.set_work(plan.assignment.cpes, busy);
+      cluster.spawn(sched::make_tile_job(args, plan));
+      cluster.join();
+    };
+    offload();  // the cluster's first spawn sizes `busy`
+    const std::uint64_t before = test::operator_news();
+    offload();
+    news = test::operator_news() - before;
+  });
+  EXPECT_EQ(calls, 16) << "8 z-slab shares per offload, one call each";
+  EXPECT_EQ(news, 0u) << "a steady functional offload allocated";
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include "athread/athread.h"
 #include "sim/coordinator.h"
+#include "support/error.h"
 #include "support/test_helpers.h"
 
 namespace usw::athread {
@@ -101,6 +102,24 @@ TEST(CpeCluster, BodiesMoveDataThroughTheLdm) {
   });
 }
 
+TEST(CpeCluster, ExceptionInCpeBodyPropagatesFromSpawn) {
+  // The lowest-id failing CPE's error leaves spawn(), no later body runs,
+  // and the group stays idle: the next offload spawns normally.
+  with_cluster([](sim::Coordinator&, CpeCluster& cluster, hw::PerfCounters&,
+                  const hw::CostModel&) {
+    std::vector<int> ran;
+    EXPECT_THROW(cluster.spawn([&ran](CpeContext& ctx) {
+      ran.push_back(ctx.cpe_id());
+      if (ctx.cpe_id() == 3) throw StateError("injected CPE failure");
+    }),
+                 StateError);
+    EXPECT_EQ(ran, (std::vector<int>{0, 1, 2, 3}));
+    EXPECT_FALSE(cluster.in_flight());
+    cluster.spawn([](CpeContext&) {});
+    cluster.join();
+  });
+}
+
 TEST(CpeCluster, JoinAccountsWaitTime) {
   with_cluster([](sim::Coordinator&, CpeCluster& cluster,
                   hw::PerfCounters& counters, const hw::CostModel&) {
@@ -113,8 +132,9 @@ TEST(CpeCluster, JoinAccountsWaitTime) {
 TEST(CpeCluster, JobIsReleasedWhenTheOffloadPublishes) {
   with_cluster([](sim::Coordinator&, CpeCluster& cluster, hw::PerfCounters&,
                   const hw::CostModel&) {
-    // What a job captures (a tile offload's plan) is freed with its
-    // offload, not held until the group's next spawn.
+    // The bodies run inside spawn() and the cluster keeps no copy of the
+    // job, so what it captures is freed with the caller's job, not held
+    // until the group's next spawn.
     const auto sentinel = std::make_shared<int>(0);
     cluster.spawn([sentinel](CpeContext&) {});
     cluster.join();

@@ -282,7 +282,8 @@ TEST(FaultRecovery, KillAndRestartArchiveIsByteEqualUnderInjection) {
   // run's. Only offload-side kinds are injected — they key on the absolute
   // timestep, so the continuation sees the same faults the uninterrupted
   // run saw. (Message faults key on network sequence numbers, which start
-  // over in a new process — exercised in the backend-equivalence tests.)
+  // over in a new process — exercised in
+  // MessageLossAndDelayRetransmitBitEqual.)
   const std::string spec = "cpe_stall:p=0.3:factor=4,offload_fail:p=0.2,"
                            "dma_error:p=0.1";
   const std::string dir_full = ::testing::TempDir() + "/usw_fault_kill_full";

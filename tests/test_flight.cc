@@ -6,17 +6,13 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "athread/worker_pool.h"
 #include "obs/chrome_trace.h"
 #include "obs/diag.h"
 #include "obs/flight.h"
@@ -353,44 +349,6 @@ TEST(HostProfile, FilledForSerialRuns) {
   ASSERT_NE(init, nullptr);
   EXPECT_EQ(init->stats.count(), static_cast<std::size_t>(c.nranks));
   EXPECT_GT(r.host.counters().at("host.run_ms"), 0.0);
-}
-
-TEST(HostProfile, ThreadsBackendFeedsPoolStats) {
-  // Functional storage: only an offload with data to move dispatches bodies
-  // onto the pool.
-  runtime::RunConfig c = tiny_config();
-  c.storage = var::StorageMode::kFunctional;
-  c.backend = athread::Backend::kThreads;
-  c.backend_threads = 2;
-  apps::burgers::BurgersApp app;
-  const runtime::RunResult r = runtime::run_simulation(c, app);
-  EXPECT_GT(r.host.counters().at("host.pool_tasks"), 0.0);
-  const obs::Distribution* waits = r.host.distribution("host.pool_queue_wait_us");
-  ASSERT_NE(waits, nullptr);
-  EXPECT_GT(waits->stats.count(), 0u);
-}
-
-TEST(WorkerPool, ProfilingCountsTasksAndCapsSamples) {
-  constexpr std::size_t kCap = athread::WorkerPool::kSampleCap;
-  constexpr int kTasks = static_cast<int>(kCap) + 1;
-  athread::WorkerPool pool(2);
-  std::atomic<int> done{0};
-  for (int i = 0; i < kTasks; ++i)
-    pool.submit([&done](int) { done.fetch_add(1); });
-  while (done.load() < kTasks)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  const athread::WorkerPool::PoolStats st = pool.stats();
-  EXPECT_EQ(st.tasks, static_cast<std::uint64_t>(kTasks));
-  std::uint64_t by_worker = 0;
-  for (const std::uint64_t n : st.per_worker) by_worker += n;
-  EXPECT_EQ(by_worker, static_cast<std::uint64_t>(kTasks));
-  // Every submit samples its lock wait and every dequeue its queue wait;
-  // the cap bounds each distribution, and the one sample over it of each
-  // lands in the shared drop counter.
-  EXPECT_EQ(st.queue_wait_us.size(), kCap);
-  EXPECT_EQ(st.lock_wait_us.size(), kCap);
-  EXPECT_EQ(st.samples_dropped, 2u);
-  EXPECT_EQ(pool.queue_depth(), 0u);
 }
 
 TEST(SchedPt, HostOverheadCountsOnlyRealDecisions) {

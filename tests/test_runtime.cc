@@ -163,36 +163,27 @@ TEST(RunSimulation, ZeroTimestepsRunsInitOnly) {
 }
 
 TEST(RunSimulation, TeardownUnderWatchdog) {
-  // A watchdog fire mid-run must cancel every rank, drain the CPE worker
-  // pool without leaked work, and leave the process able to run the next
-  // simulation — on both backends.
+  // A watchdog fire mid-run must cancel every rank and leave the process
+  // able to run the next simulation.
   apps::burgers::BurgersApp app;
-  for (const athread::Backend backend :
-       {athread::Backend::kSerial, athread::Backend::kThreads}) {
-    const char* name = athread::to_string(backend);
-    RunConfig cfg;
-    cfg.problem = tiny_problem({2, 2, 1}, {8, 8, 8});
-    cfg.variant = variant_by_name("acc_simd.async");
-    cfg.nranks = 4;
-    cfg.timesteps = 3;
-    cfg.storage = var::StorageMode::kTimingOnly;
-    cfg.backend = backend;
-    cfg.diag.hang_threshold = kMicrosecond;  // any real step blows 1 us
-    cfg.diag.dump_path.clear();
-    try {
-      run_simulation(cfg, app);
-      FAIL() << "watchdog did not fire on the " << name << " backend";
-    } catch (const StateError& e) {
-      EXPECT_NE(std::string(e.what()).find("hang watchdog"),
-                std::string::npos)
-          << name;
-    }
-    // Clean teardown: the identical config without the watchdog completes.
-    cfg.diag.hang_threshold = 0;
-    const RunResult ok = run_simulation(cfg, app);
-    EXPECT_EQ(static_cast<int>(ok.ranks[0].step_walls.size()), cfg.timesteps)
-        << name;
+  RunConfig cfg;
+  cfg.problem = tiny_problem({2, 2, 1}, {8, 8, 8});
+  cfg.variant = variant_by_name("acc_simd.async");
+  cfg.nranks = 4;
+  cfg.timesteps = 3;
+  cfg.storage = var::StorageMode::kTimingOnly;
+  cfg.diag.hang_threshold = kMicrosecond;  // any real step blows 1 us
+  cfg.diag.dump_path.clear();
+  try {
+    run_simulation(cfg, app);
+    FAIL() << "watchdog did not fire";
+  } catch (const StateError& e) {
+    EXPECT_NE(std::string(e.what()).find("hang watchdog"), std::string::npos);
   }
+  // Clean teardown: the identical config without the watchdog completes.
+  cfg.diag.hang_threshold = 0;
+  const RunResult ok = run_simulation(cfg, app);
+  EXPECT_EQ(static_cast<int>(ok.ranks[0].step_walls.size()), cfg.timesteps);
 }
 
 }  // namespace

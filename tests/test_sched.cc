@@ -214,13 +214,12 @@ void expect_same_counters(const hw::PerfCounters& a, const hw::PerfCounters& b,
 struct PlanRun {
   TilePolicy policy = TilePolicy::kStaticZ;
   bool async_dma = false;
-  athread::Backend backend = athread::Backend::kSerial;
   bool faults = false;
   var::StorageMode storage = var::StorageMode::kFunctional;
 
   std::string name() const {
     return std::string(to_string(policy)) + (async_dma ? "/async-dma" : "/sync-dma") +
-           "/" + athread::to_string(backend) + (faults ? "/faults" : "/clean") +
+           (faults ? "/faults" : "/clean") +
            (storage == var::StorageMode::kFunctional ? "/functional" : "/timing");
   }
 
@@ -232,8 +231,6 @@ struct PlanRun {
     runtime::RunConfig config;
     config.problem = runtime::tiny_problem({2, 2, 1}, {16, 16, 16});
     config.variant = runtime::variant_by_name("acc_simd.async");
-    config.backend = backend;
-    config.backend_threads = 4;
     config.nranks = 2;
     config.timesteps = 3;
     config.cpe_groups = 2;
@@ -257,9 +254,9 @@ struct PlanRun {
 };
 
 TEST(SchedulerPlans, CachedPlansMatchPlansBuiltPerOffload) {
-  // Every policy, both DMA modes, both backends, with and without CPE
-  // stalls, DMA errors and offload failures (whose retries re-offload onto
-  // the same or a spare group). Functional runs move real data through
+  // Every policy, both DMA modes, with and without CPE stalls, DMA errors
+  // and offload failures (whose retries re-offload onto the same or a
+  // spare group). Functional runs move real data through
   // their tiles and archive their fields; both storage modes apply the
   // planned charges, so timing-only runs must match the functional runs'
   // virtual times and counters too.
@@ -267,64 +264,62 @@ TEST(SchedulerPlans, CachedPlansMatchPlansBuiltPerOffload) {
   for (const TilePolicy policy :
        {TilePolicy::kStaticZ, TilePolicy::kDynamic})
     for (const bool async_dma : {false, true})
-      for (const athread::Backend backend :
-           {athread::Backend::kSerial, athread::Backend::kThreads})
-        for (const bool faults : {false, true}) {
-          std::map<std::string, runtime::RunResult> functional;
-          for (const var::StorageMode storage :
-               {var::StorageMode::kFunctional, var::StorageMode::kTimingOnly}) {
-            const PlanRun run{policy, async_dma, backend, faults, storage};
-            const std::string where = run.name();
-            const std::string dir_cached = base + "cached";
-            const std::string dir_fresh = base + "fresh";
-            fs::remove_all(dir_cached);
-            fs::remove_all(dir_fresh);
-            const runtime::RunResult cached = run.execute(false, dir_cached);
-            const runtime::RunResult fresh = run.execute(true, dir_fresh);
-            EXPECT_EQ(usw::test::total_points(cached.schedule_points), 0u) << where;
-            if (faults) {
-              EXPECT_GT(cached.merged_counters().fault_injected, 0u) << where;
-              EXPECT_GT(cached.merged_counters().fault_retries, 0u) << where;
-            }
-            ASSERT_EQ(cached.ranks.size(), fresh.ranks.size());
-            for (std::size_t r = 0; r < cached.ranks.size(); ++r) {
-              EXPECT_EQ(cached.ranks[r].init_wall, fresh.ranks[r].init_wall) << where;
-              EXPECT_EQ(cached.ranks[r].step_walls, fresh.ranks[r].step_walls) << where;
-              EXPECT_EQ(cached.ranks[r].metrics, fresh.ranks[r].metrics) << where;
-              expect_same_counters(cached.ranks[r].counters,
-                                   fresh.ranks[r].counters, where);
-            }
-            if (storage == var::StorageMode::kFunctional) {
-              const auto tree_cached = slurp_tree(dir_cached);
-              const auto tree_fresh = slurp_tree(dir_fresh);
-              ASSERT_FALSE(tree_cached.empty()) << where;
-              EXPECT_TRUE(tree_cached == tree_fresh) << where << ": archives differ";
-              functional.emplace("run", cached);
-            } else {
-              // The functional run's end-of-run error reductions add
-              // messages, so only its steps and CPE work are comparable.
-              const runtime::RunResult& walked = functional.at("run");
-              for (std::size_t r = 0; r < cached.ranks.size(); ++r) {
-                const std::string vs = where + " vs functional";
-                const hw::PerfCounters& a = cached.ranks[r].counters;
-                const hw::PerfCounters& b = walked.ranks[r].counters;
-                EXPECT_EQ(cached.ranks[r].step_walls, walked.ranks[r].step_walls) << vs;
-                EXPECT_EQ(a.counted_flops, b.counted_flops) << vs;  // bitwise
-                EXPECT_EQ(a.cells_computed, b.cells_computed) << vs;
-                EXPECT_EQ(a.tiles_executed, b.tiles_executed) << vs;
-                EXPECT_EQ(a.tile_grabs, b.tile_grabs) << vs;
-                EXPECT_EQ(a.dma_bytes_in, b.dma_bytes_in) << vs;
-                EXPECT_EQ(a.dma_bytes_out, b.dma_bytes_out) << vs;
-                EXPECT_EQ(a.kernel_time, b.kernel_time) << vs;
-                EXPECT_EQ(a.fault_injected, b.fault_injected) << vs;
-                EXPECT_EQ(a.fault_retries, b.fault_retries) << vs;
-              }
-            }
-            fs::remove_all(dir_cached);
-            fs::remove_all(dir_fresh);
-            fs::remove(dir_fresh + ".sched");
+      for (const bool faults : {false, true}) {
+        std::map<std::string, runtime::RunResult> functional;
+        for (const var::StorageMode storage :
+             {var::StorageMode::kFunctional, var::StorageMode::kTimingOnly}) {
+          const PlanRun run{policy, async_dma, faults, storage};
+          const std::string where = run.name();
+          const std::string dir_cached = base + "cached";
+          const std::string dir_fresh = base + "fresh";
+          fs::remove_all(dir_cached);
+          fs::remove_all(dir_fresh);
+          const runtime::RunResult cached = run.execute(false, dir_cached);
+          const runtime::RunResult fresh = run.execute(true, dir_fresh);
+          EXPECT_EQ(usw::test::total_points(cached.schedule_points), 0u) << where;
+          if (faults) {
+            EXPECT_GT(cached.merged_counters().fault_injected, 0u) << where;
+            EXPECT_GT(cached.merged_counters().fault_retries, 0u) << where;
           }
+          ASSERT_EQ(cached.ranks.size(), fresh.ranks.size());
+          for (std::size_t r = 0; r < cached.ranks.size(); ++r) {
+            EXPECT_EQ(cached.ranks[r].init_wall, fresh.ranks[r].init_wall) << where;
+            EXPECT_EQ(cached.ranks[r].step_walls, fresh.ranks[r].step_walls) << where;
+            EXPECT_EQ(cached.ranks[r].metrics, fresh.ranks[r].metrics) << where;
+            expect_same_counters(cached.ranks[r].counters,
+                                 fresh.ranks[r].counters, where);
+          }
+          if (storage == var::StorageMode::kFunctional) {
+            const auto tree_cached = slurp_tree(dir_cached);
+            const auto tree_fresh = slurp_tree(dir_fresh);
+            ASSERT_FALSE(tree_cached.empty()) << where;
+            EXPECT_TRUE(tree_cached == tree_fresh) << where << ": archives differ";
+            functional.emplace("run", cached);
+          } else {
+            // The functional run's end-of-run error reductions add
+            // messages, so only its steps and CPE work are comparable.
+            const runtime::RunResult& walked = functional.at("run");
+            for (std::size_t r = 0; r < cached.ranks.size(); ++r) {
+              const std::string vs = where + " vs functional";
+              const hw::PerfCounters& a = cached.ranks[r].counters;
+              const hw::PerfCounters& b = walked.ranks[r].counters;
+              EXPECT_EQ(cached.ranks[r].step_walls, walked.ranks[r].step_walls) << vs;
+              EXPECT_EQ(a.counted_flops, b.counted_flops) << vs;  // bitwise
+              EXPECT_EQ(a.cells_computed, b.cells_computed) << vs;
+              EXPECT_EQ(a.tiles_executed, b.tiles_executed) << vs;
+              EXPECT_EQ(a.tile_grabs, b.tile_grabs) << vs;
+              EXPECT_EQ(a.dma_bytes_in, b.dma_bytes_in) << vs;
+              EXPECT_EQ(a.dma_bytes_out, b.dma_bytes_out) << vs;
+              EXPECT_EQ(a.kernel_time, b.kernel_time) << vs;
+              EXPECT_EQ(a.fault_injected, b.fault_injected) << vs;
+              EXPECT_EQ(a.fault_retries, b.fault_retries) << vs;
+            }
+          }
+          fs::remove_all(dir_cached);
+          fs::remove_all(dir_fresh);
+          fs::remove(dir_fresh + ".sched");
         }
+      }
 }
 
 /// One stencil task per patch whose per-tile cost scale (1.0) counts its

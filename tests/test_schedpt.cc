@@ -293,30 +293,6 @@ TEST(ScheduleEndToEnd, ReplayAgainstDifferentConfigDiverges) {
   fs::remove(file);
 }
 
-TEST(ScheduleEndToEnd, FuzzScheduleIsBackendInvariant) {
-  const std::string fs_serial = temp_path("usw_sched_serial.txt");
-  const std::string fs_threads = temp_path("usw_sched_threads.txt");
-  runtime::RunConfig config = base_config();
-  config.schedule = ScheduleSpec::parse("fuzz:seed=3:file=" + fs_serial);
-  const runtime::RunResult serial =
-      runtime::run_simulation(config, apps::burgers::BurgersApp());
-  config.backend = athread::Backend::kThreads;
-  config.schedule = ScheduleSpec::parse("fuzz:seed=3:file=" + fs_threads);
-  const runtime::RunResult threads =
-      runtime::run_simulation(config, apps::burgers::BurgersApp());
-  expect_same_numerics(serial, threads);
-
-  std::ifstream a(fs_serial), b(fs_threads);
-  const std::string bytes_a((std::istreambuf_iterator<char>(a)),
-                            std::istreambuf_iterator<char>());
-  const std::string bytes_b((std::istreambuf_iterator<char>(b)),
-                            std::istreambuf_iterator<char>());
-  EXPECT_EQ(bytes_a, bytes_b)
-      << "the two backends took different schedule decisions";
-  fs::remove(fs_serial);
-  fs::remove(fs_threads);
-}
-
 // ---------------------------------------------------------------------------
 // The happens-before oracle.
 

@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -73,11 +72,11 @@ void expect_tiles_match_direct(const var::CCVariable<double>& direct,
 void offload(athread::CpeCluster& cluster, const TileExecArgs& args,
              const grid::Box& patch, const hw::CostModel& cost,
              hw::PerfCounters& counters) {
-  const auto plan = std::make_shared<const TilePlan>(plan_tile_assignment(
-      args, patch, cluster.group_size(), cluster.n_cpes(), cost));
+  const TilePlan plan = plan_tile_assignment(args, patch, cluster.group_size(),
+                                             cluster.n_cpes(), cost);
   std::vector<TimePs> busy;
-  charge_offload(args, *plan, cluster.n_cpes(), cost, busy, counters);
-  cluster.set_work(plan->assignment.cpes, busy);
+  charge_offload(args, plan, cluster.n_cpes(), cost, busy, counters);
+  cluster.set_work(plan.assignment.cpes, busy);
   cluster.spawn(args.in.valid() ? make_tile_job(args, plan) : athread::CpeJob{});
   cluster.join();
 }
@@ -108,10 +107,9 @@ TEST(TileExec, MatchesDirectKernelApplication) {
 }
 
 TEST(TileExec, SimdTilingAlsoMatchesDirect) {
-  // On both backends: the threads backend's bodies compute their tiles of
-  // the one output concurrently.
   const grid::Box patch{{0, 0, 0}, {20, 12, 16}};  // remainder lanes in x
   var::CCVariable<double> u0(patch.grown(1)), direct(patch);
+  var::CCVariable<double> tiled = sentinel_output(patch);
   SplitMix64 rng(33);
   for (double& x : u0.data()) x = rng.next_in(0.0, 1.0);
 
@@ -120,25 +118,18 @@ TEST(TileExec, SimdTilingAlsoMatchesDirect) {
   kv.simd(env, kern::FieldView::of(u0), kern::FieldView::of(direct), patch);
 
   const hw::CostModel cost(machine());
-  for (const athread::Backend backend :
-       {athread::Backend::kSerial, athread::Backend::kThreads}) {
-    SCOPED_TRACE(athread::to_string(backend));
-    var::CCVariable<double> tiled = sentinel_output(patch);
-    athread::WorkerPool pool(2);
-    hw::PerfCounters counters;
-    sim::run_ranks(1, [&](sim::Coordinator& coord, int rank) {
-      athread::CpeCluster cluster(cost, coord, rank, &counters, 1, backend,
-                                  &pool);
-      TileExecArgs args;
-      args.kernel = &kv;
-      args.env = env;
-      args.in = kern::FieldView::of(u0);
-      args.out = kern::FieldView::of(tiled);
-      args.vectorize = true;
-      offload(cluster, args, patch, cost, counters);
-    });
-    expect_tiles_match_direct(direct, tiled, patch);
-  }
+  hw::PerfCounters counters;
+  sim::run_ranks(1, [&](sim::Coordinator& coord, int rank) {
+    athread::CpeCluster cluster(cost, coord, rank, &counters);
+    TileExecArgs args;
+    args.kernel = &kv;
+    args.env = env;
+    args.in = kern::FieldView::of(u0);
+    args.out = kern::FieldView::of(tiled);
+    args.vectorize = true;
+    offload(cluster, args, patch, cost, counters);
+  });
+  expect_tiles_match_direct(direct, tiled, patch);
 }
 
 /// 128 tiles of 16x16x8 in 8 z-slabs: under static-z, 8 of the 64 CPEs
@@ -191,7 +182,9 @@ TEST(TileExec, StaticSharesMakeOneCallDynamicGrabsOneCallPerTile) {
   }
 }
 
-TEST(TileExec, BackendsWriteBitEqualFieldsOnACube) {
+TEST(TileExec, TilesMatchDirectKernelOnACubeUnderEveryPolicy) {
+  // One kernel call per static-z share and one per dynamic grab both write
+  // the direct kernel's bits on the interior and write no ghost cell.
   var::CCVariable<double> u0(kCube.grown(1)), direct(kCube);
   SplitMix64 rng(35);
   for (double& x : u0.data()) x = rng.next_in(0.0, 1.0);
@@ -200,28 +193,22 @@ TEST(TileExec, BackendsWriteBitEqualFieldsOnACube) {
   kv.simd(env, kern::FieldView::of(u0), kern::FieldView::of(direct), kCube);
 
   const hw::CostModel cost(machine());
-  athread::WorkerPool pool(2);
   for (const TilePolicy policy : {TilePolicy::kStaticZ, TilePolicy::kDynamic}) {
-    for (const athread::Backend backend :
-         {athread::Backend::kSerial, athread::Backend::kThreads}) {
-      SCOPED_TRACE(std::string(to_string(policy)) + " " +
-                   athread::to_string(backend));
-      var::CCVariable<double> tiled = sentinel_output(kCube);
-      hw::PerfCounters counters;
-      sim::run_ranks(1, [&](sim::Coordinator& coord, int rank) {
-        athread::CpeCluster cluster(cost, coord, rank, &counters, 1, backend,
-                                    &pool);
-        TileExecArgs args;
-        args.kernel = &kv;
-        args.env = env;
-        args.in = kern::FieldView::of(u0);
-        args.out = kern::FieldView::of(tiled);
-        args.vectorize = true;
-        args.policy = policy;
-        offload(cluster, args, kCube, cost, counters);
-      });
-      expect_tiles_match_direct(direct, tiled, kCube);
-    }
+    SCOPED_TRACE(to_string(policy));
+    var::CCVariable<double> tiled = sentinel_output(kCube);
+    hw::PerfCounters counters;
+    sim::run_ranks(1, [&](sim::Coordinator& coord, int rank) {
+      athread::CpeCluster cluster(cost, coord, rank, &counters);
+      TileExecArgs args;
+      args.kernel = &kv;
+      args.env = env;
+      args.in = kern::FieldView::of(u0);
+      args.out = kern::FieldView::of(tiled);
+      args.vectorize = true;
+      args.policy = policy;
+      offload(cluster, args, kCube, cost, counters);
+    });
+    expect_tiles_match_direct(direct, tiled, kCube);
   }
 }
 
