@@ -134,8 +134,12 @@ void Comm::maybe_retransmit(Request& req) {
                       static_cast<std::int64_t>(req.msg_seq), attempt);
     req.complete_stamp = injected + retransmit_timeout(req.bytes);
   } else {
-    if (d.status == Network::DeliveryStatus::kDelayed && counters_ != nullptr)
-      counters_->fault_injected += 1;
+    if (d.status == Network::DeliveryStatus::kDelayed) {
+      if (counters_ != nullptr) counters_->fault_injected += 1;
+      if (flight_ != nullptr)
+        flight_->record(obs::FlightKind::kMsgDelayed, coord_.now(rank_), req.peer,
+                        static_cast<std::int64_t>(req.msg_seq), attempt);
+    }
     req.lost = false;
     req.payload.clear();
     req.complete_stamp = injected;
@@ -211,7 +215,7 @@ RequestId Comm::post_send(int dst, int tag, std::uint64_t bytes,
       if (counters_ != nullptr) counters_->fault_injected += 1;
       if (flight_ != nullptr)
         flight_->record(obs::FlightKind::kMsgDelayed, now, dst,
-                        static_cast<std::int64_t>(req.msg_seq));
+                        static_cast<std::int64_t>(req.msg_seq), 1);
     }
     // Eager protocol: the send completes locally once the message has been
     // injected into the network.

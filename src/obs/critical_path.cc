@@ -14,13 +14,12 @@ CriticalPathAnalyzer::CriticalPathAnalyzer(const RunObservation& run) : run_(run
   for (const RankObservation& r : run.ranks) rank_spans_.push_back(r.spans().data());
 }
 
-const TaskGraphInfo& CriticalPathAnalyzer::graph_of(std::size_t rank, bool init) const {
-  const RankObservation& r = run_.ranks[rank];
-  return init ? r.init_graph() : r.graph();
+const TaskGraphInfo& CriticalPathAnalyzer::graph_of(std::size_t rank) const {
+  return run_.ranks[rank].graph();
 }
 
-const CriticalPathAnalyzer::Dag& CriticalPathAnalyzer::dag(bool init) {
-  Dag& d = dags_[init ? 1 : 0];
+const CriticalPathAnalyzer::Dag& CriticalPathAnalyzer::dag() {
+  Dag& d = dag_;
   if (d.compiled) return d;
   d.compiled = true;
   const std::size_t nranks = run_.ranks.size();
@@ -28,7 +27,7 @@ const CriticalPathAnalyzer::Dag& CriticalPathAnalyzer::dag(bool init) {
 
   d.first.assign(nranks + 1, 0);
   for (std::size_t r = 0; r < nranks; ++r)
-    d.first[r + 1] = d.first[r] + u32(graph_of(r, init).tasks.size());
+    d.first[r + 1] = d.first[r] + u32(graph_of(r).tasks.size());
   const std::uint32_t nslots = d.first[nranks];
 
   // Who receives each message: per rank, its receives sorted by (peer,
@@ -42,7 +41,7 @@ const CriticalPathAnalyzer::Dag& CriticalPathAnalyzer::dag(bool init) {
   std::vector<std::uint32_t> recv_at(nranks + 1, 0);
   std::vector<Recv> recvs;
   for (std::size_t r = 0; r < nranks; ++r) {
-    const TaskGraphInfo& g = graph_of(r, init);
+    const TaskGraphInfo& g = graph_of(r);
     for (const MessageInfo& m : g.messages)
       if (!m.send && m.task >= 0 && static_cast<std::size_t>(m.task) < g.tasks.size())
         recvs.push_back(Recv{m.peer, m.tag, m.task});
@@ -63,7 +62,7 @@ const CriticalPathAnalyzer::Dag& CriticalPathAnalyzer::dag(bool init) {
   std::vector<std::uint32_t> send_at;
   std::vector<std::uint32_t> sends;  ///< message indices, by task
   for (std::size_t r = 0; r < nranks; ++r) {
-    const TaskGraphInfo& g = graph_of(r, init);
+    const TaskGraphInfo& g = graph_of(r);
     const std::size_t ntasks = g.tasks.size();
     const auto sent_by_task = [ntasks](const MessageInfo& m) {
       return m.send && m.task >= 0 && static_cast<std::size_t>(m.task) < ntasks;
@@ -108,7 +107,7 @@ const CriticalPathAnalyzer::Dag& CriticalPathAnalyzer::dag(bool init) {
   d.name.resize(nslots);
   d.names.clear();
   for (std::size_t r = 0; r < nranks; ++r) {
-    const std::vector<TaskNodeInfo>& tasks = graph_of(r, init).tasks;
+    const std::vector<TaskNodeInfo>& tasks = graph_of(r).tasks;
     for (std::size_t t = 0; t < tasks.size(); ++t) {
       const auto [it, added] = ids.try_emplace(tasks[t].name, u32(d.names.size()));
       if (added) d.names.push_back(&tasks[t].name);
@@ -142,9 +141,7 @@ CriticalPathReport CriticalPathAnalyzer::analyze(int step,
                                                  const StepSpans& spans) {
   CriticalPathReport report;
   report.step = step;
-  // The initialization step's spans resolve against the init skeletons.
-  const bool init = step < 0;
-  const Dag& d = dag(init);
+  const Dag& d = dag();
 
   // DAG nodes: one per (rank, task), the first span of each, numbered
   // rank-major in span order. Their begins and durations are copied into
@@ -222,7 +219,7 @@ CriticalPathReport CriticalPathAnalyzer::analyze(int step,
     const auto rank = static_cast<std::size_t>(
         std::upper_bound(d.first.begin(), d.first.end(), at) - d.first.begin() - 1);
     const std::uint32_t task = at - d.first[rank];
-    const TaskNodeInfo& info = graph_of(rank, init).tasks[task];
+    const TaskNodeInfo& info = graph_of(rank).tasks[task];
     report.chain.push_back(CriticalPathEntry{run_.ranks[rank].rank, static_cast<int>(task),
                                              info.name, info.patch, slots_[at].begin,
                                              slots_[at].duration});

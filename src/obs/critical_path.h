@@ -2,8 +2,7 @@
 
 // Critical-path analysis of one executed timestep.
 //
-// Walks the recorded task spans against the task-graph skeleton their step
-// resolves against (the init graph's for step -1; see SpanResolver):
+// Walks the recorded task spans against the timestep-graph skeletons:
 // internal successor edges plus cross-rank send->recv edges, read from the
 // skeletons' message tables (a send on rank r to (peer p, tag t) feeds the
 // task on p that receives (r, t)). It computes the longest dependent chain
@@ -19,14 +18,13 @@
 // virtual-time order, so `total` can never exceed the step's makespan.
 //
 // Cost: the cross-rank DAG depends only on the skeletons, so an analyzer
-// compiles it once per skeleton kind (timestep, init), at the first step
-// that needs it: one node slot per (rank, task), CSR successor and
-// predecessor lists, and each task's name as an index into the run's
-// sorted distinct task names. A step then copies its first task spans'
-// begins and durations into one slot-indexed array, kept from step to
-// step, and runs the longest-path pass over the executed slots: O(step
-// tasks + edges), with no lookup by key or by name and no read of a span
-// after the copy.
+// compiles it once, at the first step it analyzes: one node slot per
+// (rank, task), CSR successor and predecessor lists, and each task's name
+// as an index into the run's sorted distinct task names. A step then
+// copies its first task spans' begins and durations into one slot-indexed
+// array, kept from step to step, and runs the longest-path pass over the
+// executed slots: O(step tasks + edges), with no lookup by key or by name
+// and no read of a span after the copy.
 
 #include <cstddef>
 #include <cstdint>
@@ -79,28 +77,28 @@ struct StepSpans {
   void add(std::size_t rank_index, std::size_t span_index, const Span& s);
 };
 
-/// Critical-path analysis of the steps of one run. Compiles the DAG of a
-/// skeleton kind (timestep, init) once, at the first step that needs it,
-/// and keeps the step's working storage from one analyze() call to the
-/// next, so analyzing every step of a run through one analyzer allocates
-/// only while that storage grows.
+/// Critical-path analysis of the timesteps of one run. Compiles the DAG
+/// once, at the first step it analyzes, and keeps the step's working
+/// storage from one analyze() call to the next, so analyzing every step
+/// of a run through one analyzer allocates only while that storage grows.
 class CriticalPathAnalyzer {
  public:
   /// `run` must outlive the analyzer.
   explicit CriticalPathAnalyzer(const RunObservation& run);
 
-  /// The longest chain through the executed tasks of `step`, given its
-  /// spans. DAG nodes are the first span of each (rank, task), numbered in
-  /// the order `spans.tasks` lists them, which decides ties between
-  /// equally long chains, as does the order of each node's predecessors:
-  /// by source rank, then source task. O(step tasks + their edges).
+  /// The longest chain through the executed tasks of timestep `step` (not
+  /// the initialization step), given its spans. DAG nodes are the first
+  /// span of each (rank, task), numbered in the order `spans.tasks` lists
+  /// them, which decides ties between equally long chains, as does the
+  /// order of each node's predecessors: by source rank, then source task.
+  /// O(step tasks + their edges).
   CriticalPathReport analyze(int step, const StepSpans& spans);
 
  private:
-  /// The cross-rank DAG of one skeleton kind: a slot per (rank, task),
-  /// rank-major. Each slot lists its internal successors, then the tasks
-  /// its cross-rank sends feed, in message order; its predecessors are
-  /// those edges in the same order, by source slot.
+  /// The cross-rank DAG of the timestep skeletons: a slot per (rank,
+  /// task), rank-major. Each slot lists its internal successors, then the
+  /// tasks its cross-rank sends feed, in message order; its predecessors
+  /// are those edges in the same order, by source slot.
   struct Dag {
     bool compiled = false;
     std::vector<std::uint32_t> first;    ///< per rank + 1: its task 0's slot
@@ -124,19 +122,18 @@ class CriticalPathAnalyzer {
     int indeg = 0;
   };
 
-  /// The skeleton of `rank` that the spans of a step resolve against: the
-  /// init graph's for the initialization step, else the timestep graph's.
-  const TaskGraphInfo& graph_of(std::size_t rank, bool init) const;
-  /// The DAG of the init or the timestep skeletons, compiled at first use.
-  const Dag& dag(bool init);
+  /// The timestep skeleton of `rank`.
+  const TaskGraphInfo& graph_of(std::size_t rank) const;
+  /// The DAG, compiled at first use.
+  const Dag& dag();
 
   const RunObservation& run_;
   std::vector<const Span*> rank_spans_;  ///< per rank: its spans' storage
-  Dag dags_[2];  ///< [0] timestep, [1] init
+  Dag dag_;
 
   // analyze()'s working storage, kept from one call to the next.
   std::uint64_t calls_ = 0;
-  std::vector<SlotState> slots_;        ///< per slot of the larger DAG so far
+  std::vector<SlotState> slots_;        ///< per slot of the DAG
   std::vector<std::uint32_t> nodes_;    ///< executed slots, in node order
   std::vector<std::uint32_t> topo_;
   std::vector<std::optional<TimePs>> slack_;  ///< per task name: least slack

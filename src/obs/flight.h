@@ -48,7 +48,7 @@ enum class FlightKind : std::uint8_t {
   kMsgMatch,       // matched an arrival to a recv: a=src, b=msg seq, c=bytes
   kMsgLost,        // fault plane dropped a send: a=dst, b=msg seq, c=attempt
   kMsgRetransmit,  // retransmit after timeout: a=dst, b=msg seq, c=attempt
-  kMsgDelayed,     // fault plane delayed a send: a=dst, b=msg seq
+  kMsgDelayed,     // fault plane delayed a send: a=dst, b=msg seq, c=attempt
   kGroupDegraded,  // CPE group degraded to MPE-only: a=group
   kCheckpoint,     // checkpoint written: a=step
   kRestart,        // restart from checkpoint: a=restart number, b=resume step

@@ -30,6 +30,33 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// Restores archive step `step` as the state the next timestep advances:
+/// every output field, checked against its patch's ghosted box, replaces
+/// the contents of `new_dw` and is swapped into `old_dw`, and `ctx` takes
+/// the step's time and dt. The fields were archived with their full
+/// ghosted boxes, so a run continued from here reproduces the
+/// uninterrupted run bit for bit.
+void load_checkpoint(const io::Archive& archive, int step, const grid::Level& level,
+                     const task::CompiledGraph& cg, var::DataWarehouse& old_dw,
+                     var::DataWarehouse& new_dw, task::TaskContext& ctx) {
+  const io::StepMeta meta = archive.read_step_meta(step);
+  new_dw.clear();
+  for (const task::OutputAlloc& oa : cg.outputs) {
+    var::CCVariable<double> field =
+        archive.read_field(step, oa.label->name(), oa.patch_id);
+    if (field.box() != level.patch(oa.patch_id).ghosted(oa.ghost))
+      throw ConfigError("restart field '" + oa.label->name() + "' has box " +
+                        field.box().to_string() + ", expected patch " +
+                        std::to_string(oa.patch_id) + " with " +
+                        std::to_string(oa.ghost) + " ghosts");
+    new_dw.adopt(oa.label, oa.patch_id, oa.ghost,
+                 std::make_unique<var::CCVariable<double>>(std::move(field)));
+  }
+  old_dw.swap_in(new_dw);
+  ctx.time = meta.time;
+  ctx.dt = meta.dt;
+}
+
 }  // namespace
 
 void RunConfig::validate() const {
@@ -343,23 +370,9 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
     const auto host_init_start = std::chrono::steady_clock::now();
     int start_step = 0;
     if (restart_archive) {
-      // Restore the saved state instead of initializing: the fields were
-      // archived with their full ghosted boxes, so the restart reproduces
-      // the uninterrupted run bit-for-bit.
-      for (const task::OutputAlloc& oa : cg_step.outputs) {
-        var::CCVariable<double> field = restart_archive->read_field(
-            restart_meta.step, oa.label->name(), oa.patch_id);
-        if (field.box() != level.patch(oa.patch_id).ghosted(oa.ghost))
-          throw ConfigError("restart field '" + oa.label->name() +
-                            "' has box " + field.box().to_string() +
-                            ", expected patch " + std::to_string(oa.patch_id) +
-                            " with " + std::to_string(oa.ghost) + " ghosts");
-        new_dw.adopt(oa.label, oa.patch_id, oa.ghost,
-                     std::make_unique<var::CCVariable<double>>(std::move(field)));
-      }
-      old_dw.swap_in(new_dw);
-      ctx.time = restart_meta.time;
-      ctx.dt = restart_meta.dt;
+      // Restore the saved state instead of initializing.
+      load_checkpoint(*restart_archive, restart_meta.step, level, cg_step, old_dw,
+                      new_dw, ctx);
       start_step = restart_meta.step;
     } else {
       // Initialization "timestep": tag step 15 cannot collide with the
@@ -431,18 +444,8 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
           // deterministically re-fire forever (max_restarts still bounds
           // that pathological case).
           injector.bump_incarnation();
-          const io::StepMeta meta = output_archive->read_step_meta(last_ckpt);
-          new_dw.clear();
-          for (const task::OutputAlloc& oa : cg_step.outputs) {
-            var::CCVariable<double> field = output_archive->read_field(
-                last_ckpt, oa.label->name(), oa.patch_id);
-            new_dw.adopt(
-                oa.label, oa.patch_id, oa.ghost,
-                std::make_unique<var::CCVariable<double>>(std::move(field)));
-          }
-          old_dw.swap_in(new_dw);
-          ctx.time = meta.time;
-          ctx.dt = meta.dt;
+          load_checkpoint(*output_archive, last_ckpt, level, cg_step, old_dw, new_dw,
+                          ctx);
           completed = last_ckpt - start_step;
           // The replayed steps are counted once, from their committed
           // attempt.

@@ -1,6 +1,7 @@
 // Tests for the opt-in access checker (src/check): every violation class
-// fires on a deliberately malformed graph, the real applications validate
-// clean in every scheduler mode, and validation is off by default.
+// fires on a deliberately malformed graph, and validation is off by
+// default. Every run of test_contracts.cc validates, so the real
+// applications validate clean in every scheduler mode there.
 
 #include <gtest/gtest.h>
 
@@ -8,9 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "apps/advect/advect_app.h"
 #include "apps/burgers/burgers_app.h"
-#include "apps/heat/heat_app.h"
 #include "check/check.h"
 #include "check/comm_lint.h"
 #include "check/tile_check.h"
@@ -374,33 +373,8 @@ TEST(CheckComm, OrphanedMessageFoundAtShutdown) {
 }
 
 // ---------------------------------------------------------------------------
-// The real applications validate clean, and validation is opt-in.
+// Validation is opt-in.
 // ---------------------------------------------------------------------------
-
-TEST(CheckClean, SeedAppsValidateCleanInAllSchedulerModes) {
-  const apps::burgers::BurgersApp burgers;
-  apps::heat::HeatApp::Config heat_cfg;
-  heat_cfg.stages = 2;  // exercises new-DW requires + modifies chains
-  const apps::heat::HeatApp heat(heat_cfg);
-  const apps::advect::AdvectApp advect;
-  const runtime::Application* apps[] = {&burgers, &heat, &advect};
-
-  for (const runtime::Application* app : apps) {
-    for (const std::string variant : {"host.sync", "acc.sync", "acc.async"}) {
-      runtime::RunConfig cfg;
-      cfg.problem = runtime::tiny_problem({2, 2, 1}, {8, 8, 8});
-      cfg.variant = runtime::variant_by_name(variant);
-      cfg.nranks = 2;
-      cfg.timesteps = 2;
-      cfg.check.enabled = true;
-      const runtime::RunResult result = runtime::run_simulation(cfg, *app);
-      const std::vector<Violation> violations = result.all_violations();
-      EXPECT_EQ(violations.size(), 0u)
-          << app->name() << " / " << variant << ": "
-          << (violations.empty() ? "" : violations[0].to_string());
-    }
-  }
-}
 
 TEST(CheckClean, ValidationIsOffByDefault) {
   const runtime::RunConfig cfg;

@@ -9,6 +9,7 @@
 
 #include "comm/comm.h"
 #include "fault/fault.h"
+#include "obs/flight.h"
 #include "sim/coordinator.h"
 #include "support/test_helpers.h"
 
@@ -505,6 +506,38 @@ TEST(CommRetransmit, RetransmitBehindLaterSeqStillMatchesInSeqOrder) {
     }
   });
   EXPECT_EQ(counters[0].fault_retries, 1u);
+}
+
+// Each message fault the counters count leaves exactly one flight event,
+// msg_lost or msg_delayed, on the first transmission and on every
+// retransmit alike. Every attempt that is not lost is delayed here.
+TEST(CommRetransmit, EachCountedMessageFaultLeavesOneFlightEvent) {
+  const fault::FaultPlan plan =
+      fault::FaultPlan::parse("msg_loss:p=0.5,msg_delay:p=1:factor=4", 1);
+  const hw::CostModel cost(machine());
+  Network net(2, cost);
+  net.set_fault_plan(&plan);
+  std::vector<hw::PerfCounters> counters(2);
+  std::vector<std::uint64_t> events(2, 0);
+  sim::run_ranks(2, [&](sim::Coordinator& coord, int rank) {
+    const auto r = static_cast<std::size_t>(rank);
+    obs::FlightRecorder ring(4096);
+    Comm comm(net, coord, rank, &counters[r]);
+    comm.set_flight(&ring);
+    for (int i = 0; i < 16; ++i) {
+      const RequestId both[] = {comm.isend(1 - rank, i, bytes_of("payload")),
+                                comm.irecv(1 - rank, i)};
+      comm.wait_all(both);
+    }
+    for (const obs::RingEvent& e : ring.snapshot())
+      if (e.event.kind() == obs::FlightKind::kMsgLost ||
+          e.event.kind() == obs::FlightKind::kMsgDelayed)
+        ++events[r];
+  });
+  for (std::size_t r = 0; r < 2; ++r) {
+    EXPECT_GT(counters[r].fault_retries, 0u) << "rank " << r;
+    EXPECT_EQ(events[r], counters[r].fault_injected) << "rank " << r;
+  }
 }
 
 }  // namespace

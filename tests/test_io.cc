@@ -1,6 +1,7 @@
-// Tests for the data archive: field roundtrips, index/meta parsing,
-// error handling, and the headline property — a run saved at step k and
-// restarted continues bit-for-bit identically to an uninterrupted run.
+// Tests for the data archive: field roundtrips, index/meta parsing, error
+// handling, and restart's step selection and checks. That a run saved at
+// step k and restarted continues bit-for-bit identically to an
+// uninterrupted run is a row of test_contracts.cc.
 
 #include <gtest/gtest.h>
 
@@ -100,29 +101,6 @@ runtime::RunConfig burgers_config(int steps) {
   cfg.timesteps = steps;
   cfg.storage = var::StorageMode::kFunctional;
   return cfg;
-}
-
-TEST(CheckpointRestart, RestartContinuesBitForBit) {
-  TempDir dir("usw_restart_equiv");
-  apps::burgers::BurgersApp app;
-
-  // Reference: 6 uninterrupted steps.
-  runtime::RunConfig all = burgers_config(6);
-  const double reference =
-      runtime::run_simulation(all, app).ranks[0].metrics.at("linf_error");
-
-  // Checkpointed: 3 steps with output, then restart for 3 more.
-  runtime::RunConfig first = burgers_config(3);
-  first.output_dir = dir.path();
-  first.output_interval = 3;
-  runtime::run_simulation(first, app);
-
-  runtime::RunConfig second = burgers_config(3);
-  second.restart_dir = dir.path();
-  const double restarted =
-      runtime::run_simulation(second, app).ranks[0].metrics.at("linf_error");
-
-  EXPECT_EQ(restarted, reference);
 }
 
 TEST(CheckpointRestart, ExplicitStepSelection) {

@@ -1,6 +1,6 @@
 // Integration tests of the runtime layer: configuration validation,
-// variant/problem catalogs, cross-rank-count solution invariance, result
-// aggregation, and end-to-end determinism.
+// variant/problem catalogs, cross-rank-count solution invariance and result
+// aggregation. End-to-end determinism is a row of test_contracts.cc.
 
 #include <gtest/gtest.h>
 
@@ -132,21 +132,6 @@ TEST(RunResult, AggregationHelpers) {
   EXPECT_GT(result.total_counted_flops(), 0.0);
   EXPECT_GT(result.achieved_gflops(), 0.0);
   EXPECT_GT(result.ranks[0].init_wall, 0);
-}
-
-TEST(RunSimulation, EndToEndDeterminism) {
-  apps::burgers::BurgersApp app;
-  RunConfig cfg;
-  cfg.problem = tiny_problem({2, 2, 2}, {8, 8, 8});
-  cfg.variant = variant_by_name("acc_simd.async");
-  cfg.nranks = 8;
-  cfg.timesteps = 4;
-  cfg.storage = var::StorageMode::kFunctional;
-  const RunResult a = run_simulation(cfg, app);
-  const RunResult b = run_simulation(cfg, app);
-  for (int s = 0; s < cfg.timesteps; ++s) EXPECT_EQ(a.step_wall(s), b.step_wall(s));
-  EXPECT_EQ(a.ranks[0].metrics.at("linf_error"), b.ranks[0].metrics.at("linf_error"));
-  EXPECT_EQ(a.total_counted_flops(), b.total_counted_flops());
 }
 
 TEST(RunSimulation, ZeroTimestepsRunsInitOnly) {

@@ -1,15 +1,15 @@
 // Scheduler behavior tests: all three modes produce identical numerics,
 // the async mode genuinely overlaps communication and MPE work with CPE
 // kernels (verified from traces), timing invariants hold, and a task's tile
-// plan, built once, runs exactly like one planned per offload.
+// plan is built once. That the cached plan runs exactly like one planned
+// per offload, and timing-only like functional storage, are rows of
+// test_contracts.cc.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <map>
 #include <string>
 
@@ -19,9 +19,6 @@
 #include "runtime/controller.h"
 #include "runtime/observe.h"
 #include "sched/scheduler.h"
-#include "support/test_helpers.h"
-
-using usw::test::slurp_tree;
 
 namespace usw::sched {
 namespace {
@@ -80,28 +77,6 @@ TEST(Scheduler, OffloadCountsMatchGraph) {
   const auto host = run("host.sync", 2);
   EXPECT_EQ(host.merged_counters().kernels_offloaded, 0u);
   EXPECT_EQ(host.merged_counters().kernels_on_mpe, 8u * 4u);
-}
-
-TEST(Scheduler, TimingOnlyMatchesFunctionalTiming) {
-  // The virtual-time result must not depend on whether field data is
-  // materialized: benchmarks rely on this.
-  for (const std::string v : {"acc.sync", "acc_simd.async"}) {
-    const auto functional = run(v, 2, var::StorageMode::kFunctional);
-    const auto timing = run(v, 2, var::StorageMode::kTimingOnly);
-    ASSERT_EQ(functional.timesteps, timing.timesteps);
-    for (int s = 0; s < functional.timesteps; ++s)
-      EXPECT_EQ(functional.step_wall(s), timing.step_wall(s)) << v << " step " << s;
-  }
-}
-
-TEST(Scheduler, DeterministicAcrossRepeats) {
-  const auto a = run("acc_simd.async", 4, var::StorageMode::kTimingOnly);
-  const auto b = run("acc_simd.async", 4, var::StorageMode::kTimingOnly);
-  for (int s = 0; s < a.timesteps; ++s)
-    EXPECT_EQ(a.step_wall(s), b.step_wall(s));
-  for (int r = 0; r < a.nranks; ++r)
-    EXPECT_EQ(a.ranks[static_cast<std::size_t>(r)].counters.counted_flops,
-              b.ranks[static_cast<std::size_t>(r)].counters.counted_flops);
 }
 
 /// A rank's kernel flight windows, from its trace.
@@ -187,140 +162,6 @@ TEST(Scheduler, WallTimesArePositiveAndStable) {
 // makes every offload plan afresh.
 
 namespace fs = std::filesystem;
-
-void expect_same_counters(const hw::PerfCounters& a, const hw::PerfCounters& b,
-                          const std::string& where) {
-  EXPECT_EQ(a.counted_flops, b.counted_flops) << where;  // bitwise
-  EXPECT_EQ(a.cells_computed, b.cells_computed) << where;
-  EXPECT_EQ(a.tiles_executed, b.tiles_executed) << where;
-  EXPECT_EQ(a.tile_grabs, b.tile_grabs) << where;
-  EXPECT_EQ(a.kernels_offloaded, b.kernels_offloaded) << where;
-  EXPECT_EQ(a.kernels_on_mpe, b.kernels_on_mpe) << where;
-  EXPECT_EQ(a.dma_bytes_in, b.dma_bytes_in) << where;
-  EXPECT_EQ(a.dma_bytes_out, b.dma_bytes_out) << where;
-  EXPECT_EQ(a.pack_bytes, b.pack_bytes) << where;
-  EXPECT_EQ(a.messages_sent, b.messages_sent) << where;
-  EXPECT_EQ(a.bytes_sent, b.bytes_sent) << where;
-  EXPECT_EQ(a.mpi_posts, b.mpi_posts) << where;
-  EXPECT_EQ(a.fault_injected, b.fault_injected) << where;
-  EXPECT_EQ(a.fault_retries, b.fault_retries) << where;
-  EXPECT_EQ(a.fault_degraded, b.fault_degraded) << where;
-  EXPECT_EQ(a.kernel_time, b.kernel_time) << where;
-  EXPECT_EQ(a.mpe_task_time, b.mpe_task_time) << where;
-  EXPECT_EQ(a.comm_time, b.comm_time) << where;
-  EXPECT_EQ(a.wait_time, b.wait_time) << where;
-}
-
-struct PlanRun {
-  TilePolicy policy = TilePolicy::kStaticZ;
-  bool async_dma = false;
-  bool faults = false;
-  var::StorageMode storage = var::StorageMode::kFunctional;
-
-  std::string name() const {
-    return std::string(to_string(policy)) + (async_dma ? "/async-dma" : "/sync-dma") +
-           (faults ? "/faults" : "/clean") +
-           (storage == var::StorageMode::kFunctional ? "/functional" : "/timing");
-  }
-
-  /// Three steps of Burgers on hotspot-skewed 16^3 patches of 8 tiles.
-  /// `per_offload` installs a recording (canonical) schedule controller,
-  /// which makes every offload plan its tiles afresh; functional runs
-  /// archive every step into `dir`.
-  runtime::RunResult execute(bool per_offload, const std::string& dir) const {
-    runtime::RunConfig config;
-    config.problem = runtime::tiny_problem({2, 2, 1}, {16, 16, 16});
-    config.variant = runtime::variant_by_name("acc_simd.async");
-    config.nranks = 2;
-    config.timesteps = 3;
-    config.cpe_groups = 2;
-    config.async_dma = async_dma;
-    config.tile_policy = policy;
-    config.storage = storage;
-    if (faults)
-      config.faults = fault::FaultPlan::parse(
-          "cpe_stall:p=0.3:factor=4,dma_error:p=0.1,offload_fail:p=0.2", 11);
-    if (per_offload)
-      config.schedule = schedpt::ScheduleSpec::parse("record:file=" + dir + ".sched");
-    if (storage == var::StorageMode::kFunctional) {
-      config.output_dir = dir;
-      config.output_interval = 1;
-    }
-    apps::burgers::BurgersApp::Config bc;
-    bc.tile_shape = {8, 8, 8};
-    bc.hotspot_factor = 4.0;
-    return runtime::run_simulation(config, apps::burgers::BurgersApp(bc));
-  }
-};
-
-TEST(SchedulerPlans, CachedPlansMatchPlansBuiltPerOffload) {
-  // Every policy, both DMA modes, with and without CPE stalls, DMA errors
-  // and offload failures (whose retries re-offload onto the same or a
-  // spare group). Functional runs move real data through
-  // their tiles and archive their fields; both storage modes apply the
-  // planned charges, so timing-only runs must match the functional runs'
-  // virtual times and counters too.
-  const std::string base = ::testing::TempDir() + "/usw_plans_";
-  for (const TilePolicy policy :
-       {TilePolicy::kStaticZ, TilePolicy::kDynamic})
-    for (const bool async_dma : {false, true})
-      for (const bool faults : {false, true}) {
-        std::map<std::string, runtime::RunResult> functional;
-        for (const var::StorageMode storage :
-             {var::StorageMode::kFunctional, var::StorageMode::kTimingOnly}) {
-          const PlanRun run{policy, async_dma, faults, storage};
-          const std::string where = run.name();
-          const std::string dir_cached = base + "cached";
-          const std::string dir_fresh = base + "fresh";
-          fs::remove_all(dir_cached);
-          fs::remove_all(dir_fresh);
-          const runtime::RunResult cached = run.execute(false, dir_cached);
-          const runtime::RunResult fresh = run.execute(true, dir_fresh);
-          EXPECT_EQ(usw::test::total_points(cached.schedule_points), 0u) << where;
-          if (faults) {
-            EXPECT_GT(cached.merged_counters().fault_injected, 0u) << where;
-            EXPECT_GT(cached.merged_counters().fault_retries, 0u) << where;
-          }
-          ASSERT_EQ(cached.ranks.size(), fresh.ranks.size());
-          for (std::size_t r = 0; r < cached.ranks.size(); ++r) {
-            EXPECT_EQ(cached.ranks[r].init_wall, fresh.ranks[r].init_wall) << where;
-            EXPECT_EQ(cached.ranks[r].step_walls, fresh.ranks[r].step_walls) << where;
-            EXPECT_EQ(cached.ranks[r].metrics, fresh.ranks[r].metrics) << where;
-            expect_same_counters(cached.ranks[r].counters,
-                                 fresh.ranks[r].counters, where);
-          }
-          if (storage == var::StorageMode::kFunctional) {
-            const auto tree_cached = slurp_tree(dir_cached);
-            const auto tree_fresh = slurp_tree(dir_fresh);
-            ASSERT_FALSE(tree_cached.empty()) << where;
-            EXPECT_TRUE(tree_cached == tree_fresh) << where << ": archives differ";
-            functional.emplace("run", cached);
-          } else {
-            // The functional run's end-of-run error reductions add
-            // messages, so only its steps and CPE work are comparable.
-            const runtime::RunResult& walked = functional.at("run");
-            for (std::size_t r = 0; r < cached.ranks.size(); ++r) {
-              const std::string vs = where + " vs functional";
-              const hw::PerfCounters& a = cached.ranks[r].counters;
-              const hw::PerfCounters& b = walked.ranks[r].counters;
-              EXPECT_EQ(cached.ranks[r].step_walls, walked.ranks[r].step_walls) << vs;
-              EXPECT_EQ(a.counted_flops, b.counted_flops) << vs;  // bitwise
-              EXPECT_EQ(a.cells_computed, b.cells_computed) << vs;
-              EXPECT_EQ(a.tiles_executed, b.tiles_executed) << vs;
-              EXPECT_EQ(a.tile_grabs, b.tile_grabs) << vs;
-              EXPECT_EQ(a.dma_bytes_in, b.dma_bytes_in) << vs;
-              EXPECT_EQ(a.dma_bytes_out, b.dma_bytes_out) << vs;
-              EXPECT_EQ(a.kernel_time, b.kernel_time) << vs;
-              EXPECT_EQ(a.fault_injected, b.fault_injected) << vs;
-              EXPECT_EQ(a.fault_retries, b.fault_retries) << vs;
-            }
-          }
-          fs::remove_all(dir_cached);
-          fs::remove_all(dir_fresh);
-          fs::remove(dir_fresh + ".sched");
-        }
-      }
-}
 
 /// One stencil task per patch whose per-tile cost scale (1.0) counts its
 /// calls. The offload planner prices every tile through it; a timing-only
