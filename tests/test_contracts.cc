@@ -401,6 +401,11 @@ Contract faults_vs_clean(std::string name, std::vector<Cell> cells,
                   }};
 }
 
+/// The same configuration, run twice.
+Contract repeats(std::string name, std::vector<Cell> cells) {
+  return Contract{std::move(name), std::move(cells), {kAsIs, kAsIs}, everything(), {}};
+}
+
 std::vector<Contract> table() {
   std::vector<Cell> offload_retry, offload_degrade;
   for (const char* variant : kOffloadVariants) {
@@ -426,17 +431,14 @@ std::vector<Contract> table() {
       Cell{.variant = "acc.async", .storage = var::StorageMode::kTimingOnly}};
   for (const char* variant : kAllVariants) observed_cells.push_back(Cell{.variant = variant});
 
-  std::vector<Cell> repeat_cells = {
-      Cell{.layout = {2, 2, 2}, .patch = {8, 8, 16}, .ranks = 4, .steps = 4,
-           .storage = var::StorageMode::kTimingOnly},
-      Cell{.layout = {2, 2, 2}, .ranks = 8, .steps = 4, .archive_every = 2},
+  std::vector<Cell> every_app_cells = {
       Cell{.patch = {16, 16, 16}, .tiles = TilePolicy::kDynamic, .burgers_hotspot = 4.0}};
   for (const char* app : kApps)
     for (const char* variant : kAllVariants)
       for (const int stages : {1, 2})
         if (stages == 1 || std::string(app) == "heat")
-          repeat_cells.push_back(Cell{.app = app, .variant = variant, .layout = {2, 2, 2},
-                                      .heat_stages = stages});
+          every_app_cells.push_back(Cell{.app = app, .variant = variant, .layout = {2, 2, 2},
+                                         .heat_stages = stages});
 
   return {
       faults_vs_clean("faults_cpe_stall", apps_under("cpe_stall:p=0.2:factor=8"),
@@ -507,20 +509,22 @@ std::vector<Contract> table() {
                  EXPECT_EQ(p[1].run.merged_counters().fault_restarts,
                            static_cast<std::uint64_t>(2 * c.ranks));
                }},
+      Contract{"archive_restart",
+               {Cell{.patch = {8, 8, 16}, .steps = 6, .archive_every = 3}},
+               {kAsIs, kKilledAndRestarted},
+               kNumericsAndArchive,
+               {}},
       // Offload-side faults key on the absolute step, so the continuation
       // sees the faults the straight-through run saw. (Message faults key
       // on network sequence numbers, which start over in a new process.)
-      Contract{"archive_restart",
-               {Cell{.patch = {8, 8, 16}, .steps = 6, .archive_every = 3},
-                Cell{.steps = 6, .cpe_groups = 2, .archive_every = 2,
+      Contract{"archive_restart_under_faults",
+               {Cell{.steps = 6, .cpe_groups = 2, .archive_every = 2,
                      .faults = "cpe_stall:p=0.3:factor=4,offload_fail:p=0.2,dma_error:p=0.1",
                      .seed = 21}},
                {kAsIs, kKilledAndRestarted},
                kNumericsAndArchive,
-               [](const Cell& c, const std::vector<Digest>& p) {
-                 if (!c.faults.empty()) {
-                   EXPECT_GT(p[0].run.merged_counters().fault_injected, 0u);
-                 }
+               [](const Cell&, const std::vector<Digest>& p) {
+                 expect_positive(p[0].run.merged_counters().fault_injected, "fault_injected");
                }},
       // The recording is a fuzzed schedule's: a canonical recording takes
       // candidate 0 at every point, as a replay that ignored it would.
@@ -587,7 +591,15 @@ std::vector<Contract> table() {
                    EXPECT_NE(r.obs_metrics, nullptr);
                  }
                }},
-      Contract{"repeat", repeat_cells, {kAsIs, kAsIs}, everything(), {}},
+      repeats("repeat_timing_only",
+              {Cell{.layout = {2, 2, 2}, .patch = {8, 8, 16}, .ranks = 4, .steps = 4,
+                    .storage = var::StorageMode::kTimingOnly}}),
+      repeats("repeat_8_ranks",
+              {Cell{.layout = {2, 2, 2}, .ranks = 8, .steps = 4, .archive_every = 2}}),
+      // Burgers, heat with one and two stages (new-DW requires and modifies
+      // chains) and advect in every variant, and Burgers self-scheduled on
+      // skewed patches.
+      repeats("repeat_every_app_and_variant", every_app_cells),
   };
 }
 
